@@ -466,7 +466,7 @@ func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
 			return run.forest, true
 		}
 	}
-	f, err := completeForestWith(ctx, b.g, b.oracle, b.vms, b.req, b.aux, b.o.Parallelism, refined)
+	f, err := completeForestWith(ctx, b.g, b.oracle, b.vms, b.req, b.aux, refined)
 	if b.eager {
 		b.eagerWG.Wait()
 		b.earlyRuns, b.earlyNS = 0, 0
@@ -528,13 +528,16 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 // refinement. Both the centralized SOFDA and the distributed leader end
 // here, which is what makes their costs provably identical on equal Ĝ.
 //
-// The Steiner phase over Ĝ fans its per-terminal closure passes out over
-// par workers (Ĝ is a private clone, so its trees cannot come from the
-// session oracle); every KMB over the real network and the refinement's
-// destination trees go through the oracle instead, staying warm across a
-// request stream.
-func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, par int) (*Forest, error) {
-	return completeForestWith(ctx, g, oracle, vms, req, aux, par, nil)
+// The Steiner phase over Ĝ runs KMB's own closure (Ĝ is a private clone,
+// so its trees cannot come from the session oracle): one truncated
+// Dijkstra per terminal in closure-MST order, which stops once the
+// terminals not yet connected are settled (see steiner.KMBWith). ŝ is
+// connected first, so no later run has to reach it behind the chain-cost
+// edges. Every KMB over the real network and the refinement's destination
+// trees go through the oracle instead, staying warm across a request
+// stream.
+func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph) (*Forest, error) {
+	return completeForestWith(ctx, g, oracle, vms, req, aux, nil)
 }
 
 // completeForestWith is completeForest with an optional refinement
@@ -543,9 +546,9 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 // has none) and the inline computation is skipped. The eager builder
 // supplies forests computed by the identical code path, so the shortcut
 // changes wall-clock only, never the result.
-func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, par int, refined func(graph.NodeID) (*Forest, bool)) (*Forest, error) {
+func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, refined func(graph.NodeID) (*Forest, bool)) (*Forest, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, req.Dests...)
-	tree, err := steiner.KMBWith(aux.g, terminals, &steiner.KMBOptions{Parallelism: resolvePar(par)})
+	tree, err := steiner.KMB(aux.g, terminals)
 	if err != nil {
 		return nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
@@ -636,7 +639,7 @@ func SOFDACtx(ctx context.Context, g *graph.Graph, req Request, opts *Options) (
 	if err != nil {
 		return nil, err
 	}
-	return completeForest(ctx, g, oracle, vms, req, aux, o.Parallelism)
+	return completeForest(ctx, g, oracle, vms, req, aux)
 }
 
 // bestSingleTree returns Ĝ tree edges for the cheapest single-chain

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
@@ -58,7 +57,8 @@ type Options struct {
 	// VMs restricts the candidate VM set; all VMs of the graph when nil.
 	VMs []graph.NodeID
 	// Parallelism bounds the worker pool used for candidate-chain
-	// generation: GOMAXPROCS when <= 0, sequential when 1.
+	// generation: GOMAXPROCS when <= 0, sequential when 1. The Steiner
+	// phase over Ĝ runs on the calling goroutine at any value.
 	Parallelism int
 }
 
@@ -92,15 +92,6 @@ func ctxOrBackground(ctx context.Context) context.Context {
 		return context.Background()
 	}
 	return ctx
-}
-
-// resolvePar maps Options.Parallelism's 0-means-GOMAXPROCS convention to
-// the explicit worker count steiner.KMBOptions expects.
-func resolvePar(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // SOFDASS is Algorithm 1: the (2+ρST)-approximation for the single-source

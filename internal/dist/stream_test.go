@@ -5,9 +5,11 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sof/internal/chain"
 	"sof/internal/core"
+	"sof/internal/kstroll"
 )
 
 // TestStreamedMatchesBatchAndCentralized is the streaming correctness
@@ -102,15 +104,60 @@ func TestStreamedPruneOnOffIdenticalCost(t *testing.T) {
 	}
 }
 
+// gateSolver wraps the default k-stroll solver and counts the solves it
+// runs. Solve number hold signals held and then blocks until release is
+// closed; every other solve runs straight through. It lets the abort
+// tests land their abort while a solve is known to be in flight, instead
+// of racing the domain's fan-out.
+type gateSolver struct {
+	inner   kstroll.Solver
+	hold    int32
+	solves  atomic.Int32
+	held    chan struct{}
+	release chan struct{}
+}
+
+func newGateSolver(hold int32) *gateSolver {
+	return &gateSolver{inner: kstroll.Auto(), hold: hold, held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (s *gateSolver) Solve(in *kstroll.Instance) (*kstroll.Walk, error) {
+	if s.solves.Add(1) == s.hold {
+		close(s.held)
+		<-s.release
+	}
+	return s.inner.Solve(in)
+}
+
+func (s *gateSolver) Name() string { return "gate-" + s.inner.Name() }
+
+// checkAbortBound requires the aborted exchange to have stopped solving:
+// with solve number 2 held when the abort landed, exactly one solve had
+// finished, and at most Parallelism+1 may follow it — the solves in
+// flight, plus the one job the feeder had on offer as the abort landed.
+func checkAbortBound(t *testing.T, gate *gateSolver, req *CandidateRequest) {
+	t.Helper()
+	solved := int(gate.solves.Load())
+	if solved < 2 {
+		t.Fatalf("domain ran %d solves; the held solve never started", solved)
+	}
+	if after := solved - 1; after > req.Parallelism+1 {
+		t.Fatalf("domain ran %d solves after the abort (of %d pairs), want at most Parallelism+1 = %d — the abandoned batch was not aborted",
+			after, len(req.Pairs), req.Parallelism+1)
+	}
+}
+
 // TestStreamingCancellationAbortsDomainFanout is the regression pin for
 // the abandoned-batch fix: a leader that cancels mid-stream must stop the
 // domain-side oracle fan-out at the next fragment, not let the domain
 // finish the whole batch. The request runs sequentially (Parallelism 1)
-// so "aborted promptly" has a crisp bound: at most a couple of in-flight
-// solves after the first fragment.
+// and the leader cancels on the first fragment while the domain's second
+// solve is held, so "aborted promptly" has a crisp bound: at most
+// Parallelism+1 solves after the abort.
 func TestStreamingCancellationAbortsDomainFanout(t *testing.T) {
 	net, req, opts := softLayerInstance(7)
-	tr := NewChannelTransport(net.G, 1, chain.Options{})
+	gate := newGateSolver(2)
+	tr := NewChannelTransport(net.G, 1, chain.Options{Solver: gate})
 	defer tr.Close()
 	pairs := chain.Pairs(req.Sources, opts.VMs)
 	creq := &CandidateRequest{
@@ -121,20 +168,27 @@ func TestStreamingCancellationAbortsDomainFanout(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	first := true
 	err := tr.SendStream(ctx, 0, creq, func(f *CandidateFragment) error {
-		cancel() // first fragment: the leader walks away mid-batch
+		if first {
+			first = false
+			<-gate.held
+			cancel() // the leader walks away mid-batch
+			close(gate.release)
+		}
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SendStream after mid-stream cancel = %v, want context.Canceled", err)
 	}
-	solved := tr.domains[0].dom.CacheStats().ChainMisses
-	if solved >= uint64(len(pairs))/2 {
-		t.Fatalf("domain solved %d of %d pairs after cancellation — the abandoned batch was not aborted", solved, len(pairs))
+	// SendStream returns on cancellation without waiting for the domain.
+	// The domain serves one exchange at a time, so an empty exchange
+	// completes only once the aborted one has wound down.
+	if err := tr.SendStream(context.Background(), 0, &CandidateRequest{ChainLen: req.ChainLen, VMs: opts.VMs},
+		func(*CandidateFragment) error { return nil }); err != nil {
+		t.Fatalf("empty exchange after the aborted one: %v", err)
 	}
-	if solved == 0 {
-		t.Fatal("domain solved nothing; the stream never started")
-	}
+	checkAbortBound(t, gate, creq)
 	// The transport must stay usable for a healthy follow-up exchange.
 	got := 0
 	if err := tr.SendStream(context.Background(), 0, creq, func(f *CandidateFragment) error {
@@ -150,23 +204,30 @@ func TestStreamingCancellationAbortsDomainFanout(t *testing.T) {
 
 // TestStreamingSinkErrorAbortsDomain pins the same abort path for a sink
 // that fails (the rpc leader's behavior when its peer severs the conn):
-// the domain stops solving and SendStream returns the sink's error.
+// the domain stops solving within the same bound and SendStream returns
+// the sink's error.
 func TestStreamingSinkErrorAbortsDomain(t *testing.T) {
 	net, req, opts := softLayerInstance(9)
-	tr := NewChannelTransport(net.G, 1, chain.Options{})
+	gate := newGateSolver(2)
+	tr := NewChannelTransport(net.G, 1, chain.Options{Solver: gate})
 	defer tr.Close()
 	pairs := chain.Pairs(req.Sources, opts.VMs)
 	creq := &CandidateRequest{ChainLen: req.ChainLen, Parallelism: 1, VMs: opts.VMs, Pairs: pairs}
 	errSink := errors.New("sink gave up")
 	err := tr.SendStream(context.Background(), 0, creq, func(f *CandidateFragment) error {
+		<-gate.held
+		// SendStream aborts the domain only after this sink returns, and
+		// then waits for the domain to wind down, so no event marks the
+		// abort for the test to wait on: release the held solve shortly
+		// after it instead. Released early, the bound still admits the
+		// job on offer.
+		time.AfterFunc(10*time.Millisecond, func() { close(gate.release) })
 		return errSink
 	})
 	if !errors.Is(err, errSink) {
 		t.Fatalf("SendStream with failing sink = %v, want the sink error", err)
 	}
-	if solved := tr.domains[0].dom.CacheStats().ChainMisses; solved >= uint64(len(pairs))/2 {
-		t.Fatalf("domain solved %d of %d pairs after the sink failed", solved, len(pairs))
-	}
+	checkAbortBound(t, gate, creq)
 }
 
 // TestAnswerStreamStampsLiveEpoch pins mid-stream re-pricing detection:

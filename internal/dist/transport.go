@@ -355,6 +355,12 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 		defer wg.Done()
 		defer close(jobs)
 		for _, i := range order {
+			// A select with both cases ready picks at random, so an
+			// abort that is already visible must be checked first: only
+			// the job on offer when it lands can still go out.
+			if sctx.Err() != nil {
+				return
+			}
 			select {
 			case jobs <- i:
 			case <-sctx.Done():

@@ -153,7 +153,7 @@ func LifecycleTable(kind NetKind, steps, inetNodes int) ([]LifecycleRow, error) 
 			AdmissionRejects: st.AdmissionRejects,
 			Infeasible:       st.Infeasible,
 			Departed:         st.Departed,
-			Live:             len(sim.Solver().Leases()),
+			Live:             sim.Solver().LiveLeases(),
 			Revenue:          sim.Solver().Accumulated(),
 			Cost:             sim.Accumulated(),
 			MeanDijkstras:    st.MeanDijkstras(),

@@ -291,7 +291,7 @@ func DeltaStepping(g *Graph, src NodeID) *ShortestPaths {
 	if lay := g.deltaLayoutFor(); lay.delta > 0 {
 		dijkstraDelta(g, lay, a, sp)
 	} else {
-		dijkstraHeap(g, g.csr(), a, sp)
+		dijkstraHeap(g, g.csr(), a, sp, nil)
 	}
 	return sp
 }

@@ -124,9 +124,12 @@ type Arena struct {
 	h    IndexedHeap
 	bq   bucketQueue
 	done []uint64
-	gen  uint64
-	cfg  Config
-	ds   deltaScratch
+	// tgt stamps the targets of a truncated run (DijkstraTo) with the
+	// run's generation, like done stamps its settled nodes.
+	tgt []uint64
+	gen uint64
+	cfg Config
+	ds  deltaScratch
 }
 
 // NewArena returns an empty arena using the package-default Config.
@@ -148,6 +151,9 @@ func (a *Arena) ensure(n int) {
 		done := make([]uint64, n)
 		copy(done, a.done)
 		a.done = done
+		tgt := make([]uint64, n)
+		copy(tgt, a.tgt)
+		a.tgt = tgt
 	}
 }
 
@@ -230,8 +236,41 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 		a.bq.configure(n, maxC)
 		dijkstraBucket(g, g.csr(), a, sp)
 	default:
-		dijkstraHeap(g, g.csr(), a, sp)
+		dijkstraHeap(g, g.csr(), a, sp, nil)
 	}
+	return sp
+}
+
+// DijkstraTo is Dijkstra truncated at targets: the run stops as soon as
+// every target is settled (or the reachable part of the graph is
+// exhausted, when some target is unreachable). Dijkstra's settled prefix
+// does not depend on when the run stops, so every node the run settled —
+// each reachable target and every node on its path included — carries
+// exactly the Dist, Parent and ParentEdge a full run computes. Every node
+// it did not settle reads +Inf/None/NoEdge, as if unreachable. An empty
+// target list runs to completion. Targets must be nodes of g; duplicates
+// are allowed.
+//
+// Truncated runs always use the indexed heap, whatever the arena's
+// Config: its settle order is the reference the other queues are proven
+// against.
+func DijkstraTo(g *Graph, src NodeID, targets []NodeID) *ShortestPaths {
+	a := arenaPool.Get().(*Arena)
+	defer arenaPool.Put(a)
+	return a.DijkstraTo(g, src, targets)
+}
+
+// DijkstraTo is the per-arena form of the package-level DijkstraTo.
+func (a *Arena) DijkstraTo(g *Graph, src NodeID, targets []NodeID) *ShortestPaths {
+	n := g.NumNodes()
+	sp := &ShortestPaths{
+		Source:     src,
+		Dist:       make([]float64, n),
+		Parent:     make([]NodeID, n),
+		ParentEdge: make([]EdgeID, n),
+	}
+	a.ensure(n)
+	dijkstraHeap(g, g.csr(), a, sp, targets)
 	return sp
 }
 
@@ -283,7 +322,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		case variantBucket:
 			dijkstraBucket(g, c, a, sp)
 		default:
-			dijkstraHeap(g, c, a, sp)
+			dijkstraHeap(g, c, a, sp, nil)
 		}
 	}
 	for i, s := range sources {
@@ -298,7 +337,13 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 // blocked edge or enters a blocked node, and a blocked source yields an
 // all-unreachable tree (its own distance included — a dead node reaches
 // nothing, not even itself).
-func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths) {
+//
+// Non-empty targets truncate the run (see DijkstraTo): they are stamped
+// with the run's generation, and the pop that settles the last of them
+// ends it. The nodes still queued at that point are the only ones with a
+// tentative entry, so resetting them and the abandoned heap leaves sp
+// holding exactly the settled prefix and the arena ready for its next run.
+func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths, targets []NodeID) {
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
 		sp.Parent[i] = None
@@ -310,12 +355,30 @@ func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths) {
 	}
 	sp.Dist[sp.Source] = 0
 	a.gen++
-	gen, done := a.gen, a.done
+	gen, done, tgt := a.gen, a.done, a.tgt
+	left := 0
+	for _, t := range targets {
+		if tgt[t] != gen {
+			tgt[t] = gen
+			left++
+		}
+	}
 	h := &a.h
 	h.Update(int32(sp.Source), 0)
 	for h.Len() > 0 {
 		u, du := h.Pop()
 		done[u] = gen
+		if left > 0 && tgt[u] == gen {
+			if left--; left == 0 {
+				for _, v := range h.items {
+					sp.Dist[v] = math.Inf(1)
+					sp.Parent[v] = None
+					sp.ParentEdge[v] = NoEdge
+				}
+				h.Reset()
+				return
+			}
+		}
 		for i := c.row[u]; i < c.row[u+1]; i++ {
 			v := c.to[i]
 			if done[v] == gen {

@@ -298,15 +298,20 @@ func (g *Graph) FindEdge(u, v NodeID) EdgeID {
 	return best
 }
 
-// Clone returns a deep copy of g.
+// Clone returns an independent copy of g: no mutation of either graph is
+// visible in the other.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		nodes: append([]Node(nil), g.nodes...),
 		edges: append([]Edge(nil), g.edges...),
 		adj:   make([][]Arc, len(g.adj)),
 	}
+	// Adjacency slices are shared, capacity-clipped, instead of copied:
+	// arcs are only ever appended (AddEdge), and an append to a slice
+	// with no spare capacity reallocates, so the clone's new arcs land in
+	// its own copy, and g's land past the end the clone can see.
 	for i, a := range g.adj {
-		out.adj[i] = append([]Arc(nil), a...)
+		out.adj[i] = a[:len(a):len(a)]
 	}
 	out.epoch.Store(g.epoch.Load())
 	// Failure/mask snapshots are immutable, so the clone can share the

@@ -334,7 +334,7 @@ func (s *Simulator) StepCtx(ctx context.Context) (Result, error) {
 		return Result{
 			Request: s.step, Rejected: true, Err: err,
 			Accumulated: s.accumulated, TTL: req.TTL,
-			Expired: len(expired), Live: len(s.solver.Leases()),
+			Expired: len(expired), Live: s.solver.LiveLeases(),
 		}, nil
 	}
 	s.step++
@@ -355,7 +355,7 @@ func (s *Simulator) StepCtx(ctx context.Context) (Result, error) {
 	}
 	s.accumulated += res.Cost
 	res.Accumulated = s.accumulated
-	res.Live = len(s.solver.Leases())
+	res.Live = s.solver.LiveLeases()
 	s.sinceReprice++
 	if n := s.cfg.RepriceEvery; n <= 1 || s.sinceReprice >= n {
 		s.solver.Reprice()

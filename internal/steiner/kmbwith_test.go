@@ -1,6 +1,9 @@
 package steiner
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,11 +33,89 @@ func (p *memoProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
 	return sp
 }
 
-// TestKMBWithMatchesKMB pins the provider-backed, parallel KMB against
-// the self-contained sequential KMB: identical trees (nodes, edges, and
-// cost bit-for-bit), for every provider/parallelism combination, on
-// random graphs and terminal-set sizes including the Fig. 10 regime's
-// larger sets.
+// fullClosureKMB is the reference KMBWith is pinned to: every terminal's
+// full shortest-path tree (DijkstraAll), a linear-scan Prim over the
+// complete closure with smallest-index tie-break, and the same expansion.
+func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
+	terminals = dedupeTerminals(terminals)
+	switch len(terminals) {
+	case 0:
+		return &Tree{}, nil
+	case 1:
+		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, nil
+	}
+	trees := graph.DijkstraAll(g, terminals)
+	for i := 1; i < len(terminals); i++ {
+		if math.IsInf(trees[0].Dist[terminals[i]], 1) {
+			return nil, fmt.Errorf("steiner: terminal %d unreachable from %d: %w",
+				terminals[i], terminals[0], graph.ErrDisconnected)
+		}
+	}
+	t := len(terminals)
+	key := make([]float64, t)
+	minFrom := make([]int32, t)
+	done := make([]bool, t)
+	for i := range key {
+		key[i] = math.Inf(1)
+		minFrom[i] = -1
+	}
+	key[0] = 0
+	var edges []closureEdge
+	for range terminals {
+		best := -1
+		for i := range terminals {
+			if !done[i] && (best < 0 || key[i] < key[best]) {
+				best = i
+			}
+		}
+		done[best] = true
+		if minFrom[best] >= 0 {
+			edges = append(edges, closureEdge{a: minFrom[best], b: int32(best)})
+		}
+		for i, tm := range terminals {
+			if d := trees[best].Dist[tm]; !done[i] && d < key[i] {
+				key[i] = d
+				minFrom[i] = int32(best)
+			}
+		}
+	}
+	return expand(g, terminals, trees, edges), nil
+}
+
+// checkMatchesFullClosure requires KMBWith, without a provider and with
+// one, to return the reference's tree bit for bit, or the reference's
+// error. It reports whether the instance was feasible.
+func checkMatchesFullClosure(t *testing.T, name string, g *graph.Graph, terms []graph.NodeID) bool {
+	t.Helper()
+	want, wantErr := fullClosureKMB(g, terms)
+	for mode, opts := range map[string]*KMBOptions{
+		"own-closure": nil,
+		"provider":    {Provider: &memoProvider{g: g}},
+	} {
+		got, err := KMBWith(g, terms, opts)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s %s: error %v, want %v", name, mode, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, mode, err)
+		}
+		if got.Cost != want.Cost || !reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Nodes, want.Nodes) {
+			t.Fatalf("%s %s: tree %+v differs from the full-closure reference %+v", name, mode, got, want)
+		}
+		if err := Verify(g, got, terms); err != nil {
+			t.Fatalf("%s %s: %v", name, mode, err)
+		}
+	}
+	return wantErr == nil
+}
+
+// TestKMBWithMatchesKMB pins KMBWith — its own Prim-order truncated
+// closure, and a provider's full trees — to the full-closure reference:
+// identical trees (nodes, edges, and cost bit-for-bit) on random graphs
+// and terminal-set sizes including the Fig. 10 regime's larger sets.
 func TestKMBWithMatchesKMB(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		g := graph.RandomConnected(graph.RandomConfig{
@@ -45,31 +126,92 @@ func TestKMBWithMatchesKMB(t *testing.T) {
 			pool[i] = graph.NodeID(i)
 		}
 		for _, nTerms := range []int{2, 5, 17} {
-			terms := pool[:nTerms]
-			want, err := KMB(g, terms)
-			if err != nil {
-				t.Fatalf("seed %d t=%d: KMB: %v", seed, nTerms, err)
-			}
-			for name, opts := range map[string]*KMBOptions{
-				"parallel":          {Parallelism: 4},
-				"provider":          {Provider: &memoProvider{g: g}},
-				"provider-parallel": {Provider: &memoProvider{g: g}, Parallelism: 4},
-			} {
-				got, err := KMBWith(g, terms, opts)
-				if err != nil {
-					t.Fatalf("seed %d t=%d %s: %v", seed, nTerms, name, err)
-				}
-				if got.Cost != want.Cost {
-					t.Fatalf("seed %d t=%d %s: cost %v != %v", seed, nTerms, name, got.Cost, want.Cost)
-				}
-				if !reflect.DeepEqual(got.Edges, want.Edges) || !reflect.DeepEqual(got.Nodes, want.Nodes) {
-					t.Fatalf("seed %d t=%d %s: tree differs from self-contained KMB", seed, nTerms, name)
-				}
-				if err := Verify(g, got, terms); err != nil {
-					t.Fatalf("seed %d t=%d %s: %v", seed, nTerms, name, err)
-				}
+			if !checkMatchesFullClosure(t, fmt.Sprintf("seed %d t=%d", seed, nTerms), g, pool[:nTerms]) {
+				t.Fatalf("seed %d t=%d: connected instance reported infeasible", seed, nTerms)
 			}
 		}
+	}
+}
+
+// auxShaped builds a graph shaped like SOFDA's auxiliary graph Ĝ over a
+// random network with integer costs: a super-source ŝ joined at zero cost
+// to one duplicate per source, each VM joined at zero cost to its
+// duplicate, and a virtual edge from every source duplicate to every VM
+// duplicate weighted at least the real source→VM distance (a chain never
+// undercuts the direct path), sometimes twice. A few network elements are
+// failed or masked. It returns Ĝ, ŝ and the network's nodes as the
+// destination pool.
+func auxShaped(seed int64) (*graph.Graph, graph.NodeID, []graph.NodeID) {
+	rng := rand.New(rand.NewSource(seed))
+	net := graph.RandomConnected(graph.RandomConfig{
+		Nodes: 40 + rng.Intn(40), ExtraEdges: 60, VMFraction: 0.3, MaxEdge: 9, MaxSetup: 5,
+	}, seed)
+	for i := 0; i < 2; i++ {
+		net.FailEdge(graph.EdgeID(rng.Intn(net.NumEdges())))
+		net.MaskEdge(graph.EdgeID(rng.Intn(net.NumEdges())))
+	}
+	if seed%3 == 0 {
+		net.MaskNode(graph.NodeID(rng.Intn(net.NumNodes())))
+	}
+	pool := make([]graph.NodeID, net.NumNodes())
+	for i := range pool {
+		pool[i] = graph.NodeID(i)
+	}
+	vms := net.VMs()
+	aux := net.Clone()
+	sHat := aux.AddSwitch("ŝ")
+	vmDup := make([]graph.NodeID, len(vms))
+	for i, u := range vms {
+		vmDup[i] = aux.AddSwitch("")
+		aux.MustAddEdge(vmDup[i], u, 0)
+	}
+	for k := 0; k < 2+rng.Intn(4); k++ {
+		s := pool[rng.Intn(len(pool))]
+		sd := aux.AddSwitch("")
+		aux.MustAddEdge(sHat, sd, 0)
+		sp := graph.Dijkstra(net, s)
+		for i, u := range vms {
+			if math.IsInf(sp.Dist[u], 1) {
+				continue
+			}
+			aux.MustAddEdge(sd, vmDup[i], sp.Dist[u]+float64(rng.Intn(6)))
+			if rng.Intn(4) == 0 {
+				aux.MustAddEdge(sd, vmDup[i], sp.Dist[u]+float64(rng.Intn(6)))
+			}
+		}
+	}
+	return aux, sHat, pool
+}
+
+// TestKMBWithMatchesFullClosureAuxShaped runs the differential check on
+// Ĝ-shaped instances, where ŝ sits behind the chain-cost edges and the
+// Prim-order truncation saves the most: terminal sets ŝ ∪ destinations,
+// with duplicate destinations, and with a blocked destination (failed
+// after Ĝ was built) that both sides must reject identically.
+func TestKMBWithMatchesFullClosureAuxShaped(t *testing.T) {
+	feasible := 0
+	for seed := int64(0); seed < 30; seed++ {
+		g, sHat, pool := auxShaped(seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
+		for _, nDests := range []int{1, 4, 9} {
+			terms := []graph.NodeID{sHat}
+			for i := 0; i < nDests; i++ {
+				terms = append(terms, pool[rng.Intn(len(pool))])
+			}
+			terms = append(terms, terms[1], sHat)
+			if checkMatchesFullClosure(t, fmt.Sprintf("seed %d dests=%d", seed, nDests), g, terms) {
+				feasible++
+			}
+		}
+		blocked := g.Clone()
+		dead := pool[rng.Intn(len(pool))]
+		blocked.FailNode(dead)
+		if checkMatchesFullClosure(t, fmt.Sprintf("seed %d blocked", seed), blocked, []graph.NodeID{sHat, pool[0], dead, pool[1]}) {
+			t.Fatalf("seed %d: a failed destination was reported reachable", seed)
+		}
+	}
+	if feasible < 45 {
+		t.Fatalf("only %d of 90 Ĝ-shaped instances were feasible; the check is near-vacuous", feasible)
 	}
 }
 
@@ -82,7 +224,7 @@ func TestKMBWithDisconnected(t *testing.T) {
 	}
 	g.MustAddEdge(0, 1, 1)
 	// 2 and 3 are isolated.
-	for _, opts := range []*KMBOptions{nil, {Provider: &memoProvider{g: g}}, {Parallelism: 2}} {
+	for _, opts := range []*KMBOptions{nil, {Provider: &memoProvider{g: g}}} {
 		if _, err := KMBWith(g, []graph.NodeID{0, 1, 3}, opts); err == nil {
 			t.Fatalf("opts %+v: expected disconnection error", opts)
 		}

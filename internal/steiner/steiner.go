@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sof/internal/graph"
 )
@@ -64,17 +62,12 @@ type PathProvider interface {
 }
 
 // KMBOptions tune KMBWith. The zero value (or a nil pointer) reproduces
-// the self-contained sequential KMB.
+// the self-contained KMB.
 type KMBOptions struct {
 	// Provider answers the per-terminal shortest-path queries of the
-	// metric-closure phase. When nil, KMB runs its own Dijkstras.
+	// metric-closure phase. When nil, KMB runs its own Dijkstras,
+	// truncated to what the closure MST reads (see KMBWith).
 	Provider PathProvider
-	// Parallelism is the number of concurrent per-terminal closure
-	// passes; <= 1 (including the zero value) runs sequentially. Callers
-	// with a 0-means-GOMAXPROCS convention (core.Options.Parallelism)
-	// must resolve it before passing — provider-backed calls whose trees
-	// are mostly cache hits are better off sequential.
-	Parallelism int
 }
 
 // KMB computes a Steiner tree spanning terminals with the
@@ -86,11 +79,20 @@ func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 	return KMBWith(g, terminals, nil)
 }
 
-// KMBWith is KMB with an injectable shortest-path provider and a
-// concurrency budget for the per-terminal closure passes. The computed
+// KMBWith is KMB with an injectable shortest-path provider. The computed
 // tree is identical to KMB's for any provider that answers with true
-// shortest-path trees, at any parallelism: the closure MST breaks ties
-// deterministically and the expansion depends only on the trees.
+// shortest-path trees: the closure MST breaks ties deterministically and
+// the expansion depends only on the trees.
+//
+// Without a provider the closure is built in Prim order. A terminal's
+// shortest-path tree is computed only when the closure MST connects that
+// terminal, and the run (graph.DijkstraTo) stops once every terminal not
+// yet connected is settled; the last terminal never runs. Prim and the
+// expansion read a tree only at those terminals and along the paths to
+// them, which the truncated run settles exactly as a full run would, so
+// the tree is unchanged. With a provider every terminal's tree is
+// fetched up front, so a caching provider's hit and miss counts do not
+// depend on the closure order.
 func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
 	terminals = dedupeTerminals(terminals)
 	switch len(terminals) {
@@ -99,8 +101,16 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 	case 1:
 		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, nil
 	}
-	trees := closureTrees(g, terminals, opts)
-	for i := 1; i < len(terminals); i++ {
+	t := len(terminals)
+	trees := make([]*graph.ShortestPaths, t)
+	if opts != nil && opts.Provider != nil {
+		for i, tm := range terminals {
+			trees[i] = opts.Provider.Tree(tm)
+		}
+	} else {
+		trees[0] = graph.DijkstraTo(g, terminals[0], terminals[1:])
+	}
+	for i := 1; i < t; i++ {
 		if math.IsInf(trees[0].Dist[terminals[i]], 1) {
 			return nil, fmt.Errorf("steiner: terminal %d unreachable from %d: %w",
 				terminals[i], terminals[0], graph.ErrDisconnected)
@@ -110,7 +120,6 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 	// Prim's MST on the dense closure, selecting through the indexed heap
 	// (smallest-id tie-break matches the linear scan it replaced, so the
 	// chosen closure edges are unchanged — only the selection cost drops).
-	t := len(terminals)
 	settled := make([]bool, t)
 	minFrom := make([]int32, t)
 	for i := range minFrom {
@@ -118,13 +127,25 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 	}
 	h := graph.NewIndexedHeap(t)
 	h.Update(0, 0)
-	type closureEdge struct{ a, b int32 }
 	closureEdges := make([]closureEdge, 0, t-1)
+	open := make([]graph.NodeID, 0, t-1)
 	for h.Len() > 0 {
 		best, _ := h.Pop()
 		settled[best] = true
 		if minFrom[best] >= 0 {
 			closureEdges = append(closureEdges, closureEdge{a: minFrom[best], b: best})
+		}
+		if trees[best] == nil {
+			open = open[:0]
+			for i, tm := range terminals {
+				if !settled[i] {
+					open = append(open, tm)
+				}
+			}
+			if len(open) == 0 {
+				break // the last terminal: no tree is read from it
+			}
+			trees[best] = graph.DijkstraTo(g, terminals[best], open)
 		}
 		dist := trees[best].Dist
 		for i := int32(0); i < int32(t); i++ {
@@ -137,7 +158,17 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 			}
 		}
 	}
+	return expand(g, terminals, trees, closureEdges), nil
+}
 
+// closureEdge is an edge of the closure MST between terminals[a] and
+// terminals[b], expanded along the shortest path in terminals[a]'s tree.
+type closureEdge struct{ a, b int32 }
+
+// expand turns the closure MST into KMB's tree: each closure edge becomes
+// its shortest path, then the MST of the union of those paths is pruned
+// of non-terminal leaves.
+func expand(g *graph.Graph, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
 	// Expand closure edges into real paths, deduping edges.
 	edgeSet := make(map[graph.EdgeID]bool)
 	nodeSet := make(map[graph.NodeID]bool)
@@ -171,76 +202,7 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 	prune(g, tree, terminals)
 	normalize(tree)
 	recost(g, tree)
-	return tree, nil
-}
-
-// closureTrees resolves the shortest-path tree of every terminal, through
-// the provider when one is injected (hitting its cache) and by batched
-// Dijkstra otherwise, fanning the passes out over the configured
-// parallelism. Results are positionally aligned with terminals, so
-// concurrency cannot change anything downstream.
-func closureTrees(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) []*graph.ShortestPaths {
-	trees := make([]*graph.ShortestPaths, len(terminals))
-	var provider PathProvider
-	par := 1
-	if opts != nil {
-		provider = opts.Provider
-		if opts.Parallelism > 1 {
-			par = opts.Parallelism
-		}
-	}
-	if par > len(terminals) {
-		par = len(terminals)
-	}
-	if provider == nil {
-		// Uncached path: one DijkstraBatch per worker over a contiguous
-		// chunk of terminals, each batch sharing a pooled arena and CSR
-		// pass, so a t-terminal closure costs O(par) scratch setups
-		// instead of t.
-		if par <= 1 {
-			copy(trees, graph.DijkstraBatch(g, terminals, nil))
-			return trees
-		}
-		var wg sync.WaitGroup
-		chunk := (len(terminals) + par - 1) / par
-		for lo := 0; lo < len(terminals); lo += chunk {
-			hi := lo + chunk
-			if hi > len(terminals) {
-				hi = len(terminals)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				copy(trees[lo:hi], graph.DijkstraBatch(g, terminals[lo:hi], nil))
-			}(lo, hi)
-		}
-		wg.Wait()
-		return trees
-	}
-	fetch := func(i int) { trees[i] = provider.Tree(terminals[i]) }
-	if par <= 1 {
-		for i := range terminals {
-			fetch(i)
-		}
-		return trees
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(terminals) {
-					return
-				}
-				fetch(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return trees
+	return tree
 }
 
 // mstOfSubgraph computes an MST over exactly the given nodes and candidate

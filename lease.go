@@ -503,6 +503,24 @@ func (s *Solver) Leases() []LeaseInfo {
 	return out
 }
 
+// LiveLeases returns the number of live leases — len(Leases()) without
+// copying or sorting them, for callers that only need the count.
+func (s *Solver) LiveLeases() int {
+	cs := s.capacity
+	if cs == nil {
+		return 0
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	n := 0
+	for _, l := range cs.leases {
+		if l.state == leaseActive {
+			n++
+		}
+	}
+	return n
+}
+
 // Lease returns the forest's lease id, false when the forest holds none
 // (non-capacitated session, or the lease already ended).
 func (f *Forest) Lease() (LeaseID, bool) {

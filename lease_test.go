@@ -10,14 +10,19 @@ import (
 
 // conservationError checks the lifecycle invariant: for every link and VM,
 // the tracker load equals the summed demand of the live leases' footprints,
-// and no load is negative. It returns the first violation (nil when the
+// no load is negative, and LiveLeases counts the leases Leases lists. It
+// returns the first violation (nil when the
 // books balance) so property tests can assert it holds after every step and
 // the negative-control test can assert it catches deliberate drift.
 func conservationError(s *Solver) error {
 	g := s.Network().Graph()
 	wantLink := make([]float64, g.NumEdges())
 	wantVM := make([]float64, g.NumNodes())
-	for _, l := range s.Leases() {
+	leases := s.Leases()
+	if n := s.LiveLeases(); n != len(leases) {
+		return fmt.Errorf("LiveLeases() = %d, Leases() holds %d", n, len(leases))
+	}
+	for _, l := range leases {
 		for _, e := range l.Edges {
 			wantLink[e] += l.Demand
 		}
