@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// Steiner subroutine (KMB vs Takahashi–Matsuyama vs exact) and the
-// k-stroll solver (exact DP vs cheapest-insertion vs color coding).
+// Ablation benchmarks for two design choices: the Steiner subroutine
+// (KMB vs exact) and the k-stroll solver (exact DP vs cheapest-insertion
+// vs color coding).
 package sof
 
 import (
@@ -34,7 +34,6 @@ func BenchmarkAblationSteiner(b *testing.B) {
 	}
 	for _, s := range []solver{
 		{"KMB", steiner.KMB},
-		{"TakahashiMatsuyama", steiner.TakahashiMatsuyama},
 		{"Exact", steiner.Exact},
 	} {
 		b.Run(s.name, func(b *testing.B) {

@@ -72,7 +72,7 @@ func benchSweepPoint(b *testing.B, kind exp.NetKind, withOpt bool) {
 			ChainLen: exp.DefaultChain,
 		}
 		opts := &core.Options{VMs: net.VMs}
-		f, err := core.SOFDA(net.G, req, opts)
+		f, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkFig11SetupCost(b *testing.B) {
 					Dests:    net.RandomNodes(rng, exp.DefaultDests),
 					ChainLen: exp.DefaultChain,
 				}
-				f, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs})
+				f, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -158,7 +158,7 @@ func BenchmarkTable1Runtime(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs}); err != nil {
+				if _, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -212,7 +212,7 @@ func BenchmarkSOFDAParallelism(b *testing.B) {
 	for _, par := range parallelismLevels() {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs, Parallelism: par}); err != nil {
+				if _, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs, Parallelism: par}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -334,14 +334,13 @@ func BenchmarkDijkstraBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaStepping races the three single-source SSSP variants on
-// Inet graphs: the indexed heap, the calendar bucket queue, and the
-// delta-stepping relaxer behind the same Arena gate. Each op runs 16
-// distinct sources so a -benchtime 1x CI pass still measures a stable
-// multi-run sample; ms/run is the per-source wall clock. The CI gate
-// requires delta at no more than half the heap's and the bucket queue's
-// ns/op on the 10k-node graph — ratios within one run, so runner speed
-// cancels out.
+// BenchmarkDeltaStepping races the two single-source SSSP variants on
+// Inet graphs: the indexed heap and the delta-stepping relaxer behind the
+// same Arena gate. Each op runs 16 distinct sources so a -benchtime 1x CI
+// pass still measures a stable multi-run sample; ms/run is the
+// per-source wall clock. The CI gate requires delta at no more than half
+// the heap's ns/op on the 10k-node graph — a ratio within one run, so
+// runner speed cancels out.
 func BenchmarkDeltaStepping(b *testing.B) {
 	for _, nodes := range []int{1000, 10000} {
 		net, err := topology.Inet(nodes, 2*nodes, nodes/10, topology.Config{NumVMs: 50, Seed: 1})
@@ -353,8 +352,7 @@ func BenchmarkDeltaStepping(b *testing.B) {
 			name string
 			cfg  graph.Config
 		}{
-			{"heap", graph.Config{BucketQueueMinNodes: -1, DeltaSteppingMinNodes: -1}},
-			{"bucket", graph.Config{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1}},
+			{"heap", graph.Config{DeltaSteppingMinNodes: -1}},
 			{"delta", graph.Config{DeltaSteppingMinNodes: 1}},
 		} {
 			b.Run(fmt.Sprintf("V%d/%s", nodes, v.name), func(b *testing.B) {

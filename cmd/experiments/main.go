@@ -236,7 +236,7 @@ func runAgainstDomains(addrs []string, kind exp.NetKind, seed int64, inetNodes i
 		return err
 	}
 	opts := &core.Options{VMs: network.VMs}
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		return fmt.Errorf("centralized: %w", err)
 	}

@@ -30,11 +30,9 @@ var ctxflowScope = []string{
 //     caller-supplied nil rather than severing a live context.
 //   - an exported function or method that itself calls a context-taking
 //     function must accept a context.Context and forward it; otherwise its
-//     callers can never cancel the work it starts. The one exempt shape is
-//     the documented compat wrapper `func F(...)` delegating to its own
-//     `FCtx`/`FContext` sibling — the Background it passes is still
-//     flagged by the first rule, so each wrapper carries exactly one
-//     pragma.
+//     callers can never cancel the work it starts. A context-less wrapper
+//     around its own `FCtx` sibling is no exception: callers take the Ctx
+//     form directly.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "internal solver/cluster code must accept and forward context.Context, never mint context.Background()/TODO()",
@@ -190,12 +188,6 @@ func checkExportedEntryPoint(pass *Pass, fd *ast.FuncDecl) {
 		t := pass.TypesInfo.Types[call.Fun].Type
 		sig, ok := t.(*types.Signature)
 		if !ok || !firstParamIsContext(sig) {
-			return true
-		}
-		// The sanctioned compat-wrapper idiom: F delegates to FCtx or
-		// FContext. The Background argument it passes is still policed
-		// by the other rule.
-		if name == fd.Name.Name+"Ctx" || name == fd.Name.Name+"Context" {
 			return true
 		}
 		offending = call

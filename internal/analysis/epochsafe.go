@@ -46,11 +46,11 @@ var costMutators = map[string]bool{
 // epoch-advancing setters, and cost-epoch values cached across a mutation.
 //
 // Every epoch-keyed cache (the oracle's Dijkstra trees, solved chains, the
-// CSR max-cost memo) trusts that CostEpoch() identifies the cost surface
-// exactly. A write to a Node.Cost/Edge.Cost field outside package graph
-// either mutates a stale copy (silent no-op) or, if it ever reached live
-// state, would change costs without advancing the epoch — serving
-// bit-wrong cached trees. Likewise an epoch read before SetEdgeCost/
+// delta-stepping arc partition) trusts that CostEpoch() identifies the
+// cost surface exactly. A write to a Node.Cost/Edge.Cost field outside
+// package graph either mutates a stale copy (silent no-op) or, if it ever
+// reached live state, would change costs without advancing the epoch —
+// serving bit-wrong cached trees. Likewise an epoch read before SetEdgeCost/
 // SetNodeCost/BumpCostEpoch names a cost surface that no longer exists.
 //
 // Failure state is under the same discipline: FailState snapshots are

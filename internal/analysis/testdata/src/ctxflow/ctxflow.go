@@ -1,6 +1,7 @@
 // Package ctxflow is the fixture for the ctxflow pass: minted Background/
-// TODO contexts and context-less exported entry points are flagged; the
-// nil-guard idiom and the documented compat-wrapper shape are not.
+// TODO contexts and context-less exported entry points — including a
+// wrapper around its own Ctx sibling — are flagged; the nil-guard idiom
+// is not.
 package ctxflow
 
 import "context"
@@ -41,14 +42,13 @@ func nilGuardReturn(ctx context.Context) context.Context {
 	return ctx
 }
 
-// RunCtx is the context-taking implementation behind the compat wrapper.
+// RunCtx is the context-taking implementation behind the wrapper below.
 func RunCtx(ctx context.Context, n int) int {
 	return work(ctx, n)
 }
 
-// Run is the compat-wrapper idiom: delegating to its own Ctx sibling is
-// exempt from the entry-point rule, but the Background it passes is still
-// a finding of the other rule — exactly one pragma per wrapper.
-func Run(n int) int {
+// Run wraps its own Ctx sibling without a context: like Bad, it is an
+// entry point its callers cannot cancel, and it mints a Background.
+func Run(n int) int { // want "exported Run calls context-taking RunCtx but accepts no context.Context"
 	return RunCtx(context.Background(), n) // want "context.Background.. introduced in ctxflow"
 }

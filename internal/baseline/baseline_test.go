@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,7 +150,7 @@ func TestSOFDABeatsBaselinesOnAverage(t *testing.T) {
 			ChainLen: 3,
 		}
 		opts := &core.Options{VMs: net.VMs}
-		sofda, err := core.SOFDA(net.G, req, opts)
+		sofda, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d SOFDA: %v", seed, err)
 		}

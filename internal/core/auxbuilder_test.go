@@ -43,11 +43,11 @@ func auxBuilderInstance(t *testing.T, seed int64) (*topology.Network, Request, *
 func TestAuxBuilderMatchesBatchPath(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts, candidates := auxBuilderInstance(t, seed)
-		direct, err := SOFDA(net.G, req, opts)
+		direct, err := SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
 		}
-		batch, err := SOFDAFromCandidates(net.G, req, opts, candidates)
+		batch, err := SOFDAFromCandidatesCtx(context.Background(), net.G, req, opts, candidates)
 		if err != nil {
 			t.Fatalf("seed %d: batch from candidates: %v", seed, err)
 		}
@@ -153,7 +153,7 @@ func TestDominatedPairNeverEntersAuxGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SOFDAFromCandidates(g, req, nil, []*chain.ServiceChain{chainNear, chainFar})
+	full, err := SOFDAFromCandidatesCtx(context.Background(), g, req, nil, []*chain.ServiceChain{chainNear, chainFar})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,7 +42,7 @@ func paperStyleNet() (*graph.Graph, Request) {
 
 func TestSOFDAForestBeatsSingleTree(t *testing.T) {
 	g, req := paperStyleNet()
-	forest, err := SOFDA(g, req, nil)
+	forest, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSOFDAForestBeatsSingleTree(t *testing.T) {
 		t.Errorf("forest cost = %v, want 14", forest.TotalCost())
 	}
 	// The single-source solution must pay the bridge: strictly worse.
-	ss, err := SOFDASS(g, req.Sources[0], req.Dests, req.ChainLen, nil)
+	ss, err := SOFDASSCtx(context.Background(), g, req.Sources[0], req.Dests, req.ChainLen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSOFDASSLine(t *testing.T) {
 	g.MustAddEdge(s, v1, 1)
 	g.MustAddEdge(v1, v2, 1)
 	g.MustAddEdge(v2, d, 1)
-	f, err := SOFDASS(g, s, []graph.NodeID{d}, 2, nil)
+	f, err := SOFDASSCtx(context.Background(), g, s, []graph.NodeID{d}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestSOFDASSRevisit(t *testing.T) {
 	g.MustAddEdge(c, a, 1)
 	g.MustAddEdge(c, b, 1)
 	g.MustAddEdge(c, d, 1)
-	f, err := SOFDASS(g, s, []graph.NodeID{d}, 2, nil)
+	f, err := SOFDASSCtx(context.Background(), g, s, []graph.NodeID{d}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSOFDASSRevisit(t *testing.T) {
 func TestSOFDAZeroChain(t *testing.T) {
 	g, req := paperStyleNet()
 	req.ChainLen = 0
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestResolverConflictingWalks(t *testing.T) {
 func TestSOFDAConflictScenarioEndToEnd(t *testing.T) {
 	g, s1, s2, d1, d2, _ := conflictNet()
 	req := Request{Sources: []graph.NodeID{s1, s2}, Dests: []graph.NodeID{d1, d2}, ChainLen: 2}
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestSOFDARandomFeasibility(t *testing.T) {
 			continue
 		}
 		req := Request{Sources: srcs, Dests: dsts, ChainLen: chainLen}
-		f, err := SOFDA(g, req, nil)
+		f, err := SOFDACtx(context.Background(), g, req, nil)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
 		}
@@ -371,7 +372,7 @@ func TestSOFDARandomFeasibility(t *testing.T) {
 		if f.TotalCost() < lb-1e-9 {
 			t.Fatalf("seed %d: cost %v below lower bound %v", seed, f.TotalCost(), lb)
 		}
-		ss, err := SOFDASS(g, srcs[0], dsts, chainLen, nil)
+		ss, err := SOFDASSCtx(context.Background(), g, srcs[0], dsts, chainLen, nil)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA-SS: %v", seed, err)
 		}
@@ -388,7 +389,7 @@ func TestSOFDARandomFeasibility(t *testing.T) {
 
 func TestSOFDAUsesMultipleSourcesWhenCheaper(t *testing.T) {
 	g, req := paperStyleNet()
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestSOFDAUsesMultipleSourcesWhenCheaper(t *testing.T) {
 
 func TestStatsAndAccessors(t *testing.T) {
 	g, req := paperStyleNet()
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

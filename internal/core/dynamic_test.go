@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,7 @@ func buildDynForest(t *testing.T, seed int64) (*Forest, *chain.Oracle, []graph.N
 		Dests:    graph.SampleDistinct(rng, sws[2:], 3),
 		ChainLen: 2,
 	}
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatalf("SOFDA: %v", err)
 	}

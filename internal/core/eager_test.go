@@ -40,7 +40,7 @@ func feedEager(t *testing.T, b *AuxGraphBuilder, req Request, vms []graph.NodeID
 func TestEagerCompleteMatchesInline(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts, _ := auxBuilderInstance(t, seed)
-		direct, err := SOFDA(net.G, req, opts)
+		direct, err := SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
 		}
@@ -146,7 +146,7 @@ func TestEagerOverlapAccounting(t *testing.T) {
 // the forest matches the plain builder exactly.
 func TestEagerLastDeliveryLaunch(t *testing.T) {
 	net, req, opts, candidates := auxBuilderInstance(t, 23)
-	plain, err := SOFDAFromCandidates(net.G, req, opts, candidates)
+	plain, err := SOFDAFromCandidatesCtx(context.Background(), net.G, req, opts, candidates)
 	if err != nil {
 		t.Fatal(err)
 	}

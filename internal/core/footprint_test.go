@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sof/internal/graph"
@@ -11,7 +12,7 @@ import (
 // used VMs, tracking prunes as they happen.
 func TestForestFootprint(t *testing.T) {
 	g, req := paperStyleNet()
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestSOFDAParallelismInvariance(t *testing.T) {
 		}
 		var want float64
 		for i, par := range []int{1, 2, runtime.NumCPU()} {
-			f, err := SOFDA(net.G, req, &Options{VMs: net.VMs, Parallelism: par})
+			f, err := SOFDACtx(context.Background(), net.G, req, &Options{VMs: net.VMs, Parallelism: par})
 			if err != nil {
 				t.Fatalf("seed %d par %d: %v", seed, par, err)
 			}
@@ -46,7 +46,7 @@ func TestSOFDASSParallelismInvariance(t *testing.T) {
 	dests := net.RandomNodes(rng, 4)
 	var want float64
 	for i, par := range []int{1, runtime.NumCPU()} {
-		f, err := SOFDASS(net.G, src, dests, 2, &Options{VMs: net.VMs, Parallelism: par})
+		f, err := SOFDASSCtx(context.Background(), net.G, src, dests, 2, &Options{VMs: net.VMs, Parallelism: par})
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}

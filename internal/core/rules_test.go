@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestFlowRulesLine(t *testing.T) {
 	g.MustAddEdge(s, v1, 1)
 	g.MustAddEdge(v1, v2, 1)
 	g.MustAddEdge(v2, d, 1)
-	f, err := SOFDASS(g, s, []graph.NodeID{d}, 2, nil)
+	f, err := SOFDASSCtx(context.Background(), g, s, []graph.NodeID{d}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestFlowRulesLine(t *testing.T) {
 
 func TestFlowRulesBranching(t *testing.T) {
 	g, req := paperStyleNet()
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestFlowRulesStagesDistinguishRevisits(t *testing.T) {
 	g.MustAddEdge(c, a, 1)
 	g.MustAddEdge(c, b, 1)
 	g.MustAddEdge(c, d, 1)
-	f, err := SOFDASS(g, s, []graph.NodeID{d}, 2, nil)
+	f, err := SOFDASSCtx(context.Background(), g, s, []graph.NodeID{d}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -491,18 +491,12 @@ func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
 	return f, err
 }
 
-// SOFDAFromCandidates runs Algorithm 2's Steiner, conflict-resolution, and
-// assembly phases over externally supplied candidate chains. It is the
+// SOFDAFromCandidatesCtx runs Algorithm 2's Steiner, conflict-resolution,
+// and assembly phases over externally supplied candidate chains. It is the
 // leader-side entry point of the distributed implementation (Section VI);
-// SOFDA itself is equivalent to computing all |S|·|M| candidates centrally
-// and calling this.
-func SOFDAFromCandidates(g *graph.Graph, req Request, opts *Options, candidates []*chain.ServiceChain) (*Forest, error) {
-	//sofvet:ignore ctxflow compat wrapper kept for pre-ctx callers; cancellation lives in SOFDAFromCandidatesCtx
-	return SOFDAFromCandidatesCtx(context.Background(), g, req, opts, candidates)
-}
-
-// SOFDAFromCandidatesCtx is SOFDAFromCandidates with cancellation: ctx is
-// observed between the Steiner, assembly, and per-source refinement phases.
+// SOFDACtx itself is equivalent to computing all |S|·|M| candidates
+// centrally and calling this. ctx is observed between the Steiner,
+// assembly, and per-source refinement phases.
 func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, opts *Options, candidates []*chain.ServiceChain) (*Forest, error) {
 	ctx = ctxOrBackground(ctx)
 	if req.ChainLen == 0 {
@@ -613,19 +607,13 @@ func (a *auxGraph) isReal(n graph.NodeID) bool { return int(n) < a.origNodes }
 // isRealEdge reports whether e is an edge of the original network.
 func (a *auxGraph) isRealEdge(e graph.EdgeID) bool { return int(e) < a.origEdges }
 
-// SOFDA is Algorithm 2: the 3ρST-approximation for the general SOF problem
-// with multiple sources. It builds Ĝ, extracts a Steiner tree spanning ŝ
-// and all destinations, materializes the selected candidate chains as
-// walks (resolving VNF conflicts per Procedure 4), and attaches the
-// tree's real-edge components to the walks' last VMs.
-func SOFDA(g *graph.Graph, req Request, opts *Options) (*Forest, error) {
-	//sofvet:ignore ctxflow compat wrapper kept for pre-ctx callers; cancellation lives in SOFDACtx
-	return SOFDACtx(context.Background(), g, req, opts)
-}
-
-// SOFDACtx is SOFDA with cancellation and concurrent candidate generation:
-// the |S|·|M| candidate chains of Procedure 3 are computed on a worker
-// pool bounded by opts.Parallelism, and ctx is observed throughout.
+// SOFDACtx is Algorithm 2: the 3ρST-approximation for the general SOF
+// problem with multiple sources. It builds Ĝ, extracts a Steiner tree
+// spanning ŝ and all destinations, materializes the selected candidate
+// chains as walks (resolving VNF conflicts per Procedure 4), and attaches
+// the tree's real-edge components to the walks' last VMs. The |S|·|M|
+// candidate chains of Procedure 3 are computed on a worker pool bounded
+// by opts.Parallelism, and ctx is observed throughout.
 func SOFDACtx(ctx context.Context, g *graph.Graph, req Request, opts *Options) (*Forest, error) {
 	ctx = ctxOrBackground(ctx)
 	if err := req.Validate(g); err != nil {

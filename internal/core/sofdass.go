@@ -94,20 +94,14 @@ func ctxOrBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// SOFDASS is Algorithm 1: the (2+ρST)-approximation for the single-source
-// SOF problem. For every candidate last VM u it builds the minimum-cost
-// service chain s→u via the k-stroll reduction (Procedures 1–2), appends a
-// Steiner tree spanning u and all destinations, and returns the cheapest
-// resulting forest.
-func SOFDASS(g *graph.Graph, source graph.NodeID, dests []graph.NodeID, chainLen int, opts *Options) (*Forest, error) {
-	//sofvet:ignore ctxflow compat wrapper kept for pre-ctx callers; cancellation lives in SOFDASSCtx
-	return SOFDASSCtx(context.Background(), g, source, dests, chainLen, opts)
-}
-
-// SOFDASSCtx is SOFDASS with cancellation: candidate chains for all last
-// VMs are generated concurrently on the oracle's fan-out pool (bounded by
-// opts.Parallelism), and the per-VM Steiner phase observes ctx between
-// candidates.
+// SOFDASSCtx is Algorithm 1: the (2+ρST)-approximation for the
+// single-source SOF problem. For every candidate last VM u it builds the
+// minimum-cost service chain s→u via the k-stroll reduction
+// (Procedures 1–2), appends a Steiner tree spanning u and all
+// destinations, and returns the cheapest resulting forest. Candidate
+// chains for all last VMs are generated concurrently on the oracle's
+// fan-out pool (bounded by opts.Parallelism), and the per-VM Steiner
+// phase observes ctx between candidates.
 func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests []graph.NodeID, chainLen int, opts *Options) (*Forest, error) {
 	ctx = ctxOrBackground(ctx)
 	req := Request{Sources: []graph.NodeID{source}, Dests: dests, ChainLen: chainLen}

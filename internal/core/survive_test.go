@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -40,7 +41,7 @@ func surviveForest(t *testing.T) (*Forest, *chain.Oracle, Request, *surviveNodes
 	t.Helper()
 	g, s, v1, v2, d1, d2, ev1d1 := surviveNet(t)
 	req := Request{Sources: []graph.NodeID{s}, Dests: []graph.NodeID{d1, d2}, ChainLen: 1}
-	f, err := SOFDA(g, req, nil)
+	f, err := SOFDACtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatalf("SOFDA: %v", err)
 	}
@@ -212,7 +213,7 @@ func TestRepairRandomNetworks(t *testing.T) {
 			continue
 		}
 		req := Request{Sources: sws[:2], Dests: sws[2:5], ChainLen: 2}
-		f, err := SOFDA(g, req, nil)
+		f, err := SOFDACtx(context.Background(), g, req, nil)
 		if err != nil {
 			continue
 		}

@@ -3,12 +3,12 @@
 // generates candidate service chains for the sources it owns with its own
 // chain oracle (private Dijkstra cache, private worker pool), and a leader
 // merges the per-domain candidates and completes the forest through
-// core.SOFDAFromCandidates.
+// core.SOFDAFromCandidatesCtx.
 //
 // Because every domain answers its queries with the same deterministic
 // k-stroll reduction the centralized solver uses, and the leader restores
 // the centralized candidate order before completion, Cluster.SOFDA returns
-// a forest whose cost equals core.SOFDA's on the same instance — the
+// a forest whose cost equals core.SOFDACtx's on the same instance — the
 // distribution changes where the work runs, not what is computed.
 //
 // The domain boundary is a real interface: the leader talks to domains
@@ -282,7 +282,7 @@ func (c *Cluster) sendCandidates(ctx context.Context, domainID int, req *Candida
 // chains for the (source, last VM) pairs whose source it owns, the leader
 // merges them in centralized order and completes the forest with
 // core.SOFDAFromCandidatesCtx. The returned forest's cost equals the
-// centralized core.SOFDA cost on the same graph, request, and options —
+// centralized core.SOFDACtx cost on the same graph, request, and options —
 // also when domains fail and the fallback answers for them, because the
 // fallback runs the identical deterministic reduction.
 func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*core.Forest, error) {

@@ -30,7 +30,7 @@ func softLayerInstance(seed int64) (*topology.Network, core.Request, *core.Optio
 func TestDistributedMatchesCentralized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
-		central, err := core.SOFDA(net.G, req, opts)
+		central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
@@ -55,7 +55,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 func TestDistributedZeroChainDegenerate(t *testing.T) {
 	net, req, opts := softLayerInstance(3)
 	req.ChainLen = 0
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestClusterCancelledContext(t *testing.T) {
 // must tolerate interleaved batches.
 func TestClusterConcurrentSOFDA(t *testing.T) {
 	net, req, opts := softLayerInstance(13)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestInvalidateCacheAfterCostChange(t *testing.T) {
 		net.G.SetEdgeCost(graph.EdgeID(e), 1+rng.Float64()*20)
 	}
 	cluster.InvalidateCache()
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestInvalidateCacheAfterCostChange(t *testing.T) {
 // partition stays total and the cost stays centralized.
 func TestDomainsExceedNodeCount(t *testing.T) {
 	net, req, opts := softLayerInstance(4)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDomainsExceedNodeCount(t *testing.T) {
 // partition the ID-range scheme produces.
 func TestSingleNodeDomains(t *testing.T) {
 	net, req, opts := softLayerInstance(6)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSingleNodeDomains(t *testing.T) {
 func TestEmptyDomainReceivesNoPairs(t *testing.T) {
 	net, req, opts := softLayerInstance(8)
 	req.Sources = req.Sources[:1]
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func (c *countingTransport) Send(ctx context.Context, domainID int, req *Candida
 func TestDomainWithoutCandidateVMs(t *testing.T) {
 	net, req, _ := softLayerInstance(12)
 	restricted := &core.Options{VMs: net.VMs[:3]}
-	central, err := core.SOFDA(net.G, req, restricted)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, restricted)
 	if err != nil {
 		t.Fatal(err)
 	}

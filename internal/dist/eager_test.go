@@ -19,7 +19,7 @@ func TestEagerClosureMatchesBatchAndCentralized(t *testing.T) {
 	totalEarly := uint64(0)
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
-		central, err := core.SOFDA(net.G, req, opts)
+		central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
@@ -60,7 +60,7 @@ func TestEagerClosureMatchesBatchAndCentralized(t *testing.T) {
 // launches, and the cost stays centralized.
 func TestEagerClosureSurvivesFallbackReBuy(t *testing.T) {
 	net, req, opts := softLayerInstance(23)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func (f *flakyTransport) Send(ctx context.Context, domainID int, req *CandidateR
 // matches the centralized solver's every single time.
 func TestFlakyTransportRetryAndFallback(t *testing.T) {
 	net, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func (deadTransport) Send(context.Context, int, *CandidateRequest) (*CandidateRe
 // degrades where the work runs, never the result.
 func TestDeadTransportFallsBackToLocalOracle(t *testing.T) {
 	net, req, opts := softLayerInstance(13)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

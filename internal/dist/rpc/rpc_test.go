@@ -64,36 +64,25 @@ func startDomains(t testing.TB, n int, build func(i int) *topology.Network) []st
 // the one-shot batch call, the server-streamed fragment join (with
 // dominated-candidate pruning armed), and the streamed join with eager
 // per-source closure — all of which must agree bit for bit. The whole
-// matrix additionally runs with the bucket-queue and then the
-// delta-stepping SSSP core forced on through the deprecated global gates
-// (graph.BucketQueueMinNodes / graph.DeltaSteppingMinNodes pinned to 1 —
-// exercising the shim that remains for exactly this kind of
-// process-wide toggle), the fourth and fifth toggles of the equivalence
-// claim: both alternative queues' settle orders match the indexed
+// matrix runs twice: once with the indexed heap pinned (the package
+// default graph.DeltaSteppingMinNodes set negative) and once with the
+// delta-stepping SSSP core forced on (the default pinned to 1). The
+// domain servers build their own oracles, so the process-wide default is
+// the only gate that reaches them. Delta-stepping's trees match the
 // heap's exactly, so no cost moves.
 func TestRPCEquivalenceMatrix(t *testing.T) {
-	savedBucket := graph.BucketQueueMinNodes
 	savedDelta := graph.DeltaSteppingMinNodes
-	t.Cleanup(func() {
-		graph.BucketQueueMinNodes = savedBucket
-		graph.DeltaSteppingMinNodes = savedDelta
-	})
+	t.Cleanup(func() { graph.DeltaSteppingMinNodes = savedDelta })
 	centralBySeed := make(map[int64]float64)
-	for _, queue := range []string{"heap", "bucket", "delta"} {
-		switch queue {
-		case "heap":
-			graph.BucketQueueMinNodes = savedBucket
-			graph.DeltaSteppingMinNodes = savedDelta
-		case "bucket":
-			graph.BucketQueueMinNodes = 1
+	for _, queue := range []string{"heap", "delta"} {
+		if queue == "heap" {
 			graph.DeltaSteppingMinNodes = -1
-		case "delta":
-			graph.BucketQueueMinNodes = savedBucket
+		} else {
 			graph.DeltaSteppingMinNodes = 1
 		}
 		for _, seed := range []int64{1, 7, 23, 42} {
 			network, req, opts := softLayerInstance(seed)
-			central, err := core.SOFDA(network.G, req, opts)
+			central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 			if err != nil {
 				t.Fatalf("seed %d: centralized: %v", seed, err)
 			}
@@ -150,7 +139,7 @@ func TestRPCEquivalenceMatrix(t *testing.T) {
 // between exchanges, and costs stay pinned to the centralized result.
 func TestRPCStreamConnectionReuse(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +259,7 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 // costs stay pinned to the centralized result every time.
 func TestRPCConnectionReuseAcrossEmbeddings(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +295,7 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 	for e := 0; e < network.G.NumEdges(); e++ {
 		network.G.SetEdgeCost(graph.EdgeID(e), 1+rng.Float64()*20)
 	}
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +329,7 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 // on the wrong graph.
 func TestRPCTopologyDivergenceFallsBack(t *testing.T) {
 	network, req, opts := softLayerInstance(42)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +383,7 @@ func TestDomainServerExpiredTimeout(t *testing.T) {
 // fallback and match the centralized solve under its own pricing.
 func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +474,7 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 // papered over.
 func TestRPCEpochDriftOverIdenticalGraphStaysDistributed(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDA(network.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
-		central, err := core.SOFDA(net.G, req, opts)
+		central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
@@ -304,7 +304,7 @@ func (p *partialStreamTransport) SendStream(ctx context.Context, domainID int, r
 // from the local fallback, landing on the centralized cost regardless.
 func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	net, req, opts := softLayerInstance(23)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 // batch exchange — same cost, zero stream counters.
 func TestStreamingOverBatchOnlyTransportFallsBack(t *testing.T) {
 	net, req, opts := softLayerInstance(5)
-	central, err := core.SOFDA(net.G, req, opts)
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

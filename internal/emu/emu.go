@@ -9,7 +9,7 @@
 // Emulab deployment are replaced by two emulator profiles with slightly
 // different delay/bandwidth characteristics; what Table II actually
 // compares — which algorithm's embedding finds less congested paths — is
-// exactly what the flow-level model computes (see DESIGN.md §3).
+// exactly what the flow-level model computes.
 package emu
 
 import (

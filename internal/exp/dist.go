@@ -32,7 +32,7 @@ const (
 )
 
 // DistRow is one distributed-vs-centralized comparison: the same request
-// solved by core.SOFDA and by a dist.Cluster with the given domain count,
+// solved by core.SOFDACtx and by a dist.Cluster with the given domain count,
 // transport, and join mode. Match reports cost equality, the distributed
 // correctness claim of Section VI. Streamed rows additionally report the
 // per-embedding averages of the streaming counters: fragments consumed,

@@ -15,12 +15,12 @@ import (
 // decrease-key bookkeeping at all.
 //
 // The variant exists for large graphs (see Config.DeltaSteppingMinNodes):
-// the indexed heap pays O(log n) sift work per settle and the calendar
-// queue an exact-minimum scan per pop, while a bucket here is drained
-// wholesale. The arc partition is precomputed per cost epoch with the
-// edge costs inlined (deltaLayout), so the inner loop runs over three
-// contiguous arrays instead of chasing Edge records — on a 10k-node Inet
-// graph that locality, not the asymptotics, is most of the win.
+// the indexed heap pays O(log n) sift work per settle, while a bucket
+// here is drained wholesale. The arc partition is precomputed per cost
+// epoch with the edge costs inlined (deltaLayout), so the inner loop runs
+// over three contiguous arrays instead of chasing Edge records — on a
+// 10k-node Inet graph that locality, not the asymptotics, is most of the
+// win.
 //
 // Settled trees are bit-identical to the IndexedHeap Dijkstra. Distances
 // are exact by the standard delta-stepping argument (every node is
@@ -61,9 +61,9 @@ import (
 type deltaLayout struct {
 	epoch        uint64
 	nodes, edges int
-	// delta is the bucket width; light arcs have cost ≤ delta.
+	// delta is the bucket width; light arcs have cost ≤ delta. It is 0
+	// when the graph has no usable width, and then the heap runs instead.
 	delta float64
-	maxC  float64
 	// hasZero records whether any kept arc has cost 0. Zero-cost arcs
 	// let a node reach its final distance only after its plateau starts
 	// settling, which twists the heap's tie order away from plain
@@ -80,8 +80,8 @@ type deltaLayout struct {
 }
 
 // deltaBucketCount is the fixed calendar size of the delta-stepping
-// run; like the bucket queue's calendar it is circular, and the width
-// floor in deltaWidth keeps the active key window under one lap.
+// run; the calendar is circular, and the width floor in deltaWidth keeps
+// the active key window under one lap.
 const deltaBucketCount = 1024
 
 // deltaWidth picks the bucket width for a graph with the given maximum
@@ -138,24 +138,20 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 		}
 		sum += cost
 	}
-	meanC := 0.0
-	if len(g.edges) > 0 {
-		meanC = sum / float64(len(g.edges))
-	}
 	d := &deltaLayout{
 		epoch: epoch,
 		nodes: n,
 		edges: len(g.edges),
-		delta: deltaWidth(maxC, meanC),
-		maxC:  maxC,
 		lrow:  make([]int32, n+1),
 		hrow:  make([]int32, n+1),
 	}
 	if maxC <= 0 || math.IsInf(maxC, 1) {
-		// No usable width; callers fall back to the heap. Row arrays stay
-		// zeroed so the layout is still well-formed.
+		// No usable width: an all-zero graph has none, and one +Inf cost
+		// would make it +Inf. delta stays 0, which sends pick to the heap;
+		// the row arrays stay zeroed so the layout is still well-formed.
 		return d
 	}
+	d.delta = deltaWidth(maxC, sum/float64(len(g.edges)))
 	// Count, then fill: two passes keep the arc arrays exactly sized and
 	// CSR-ordered within each partition.
 	var nl, nh int32
@@ -219,10 +215,10 @@ type deltaCand struct {
 
 // deltaScratch is the delta-stepping half of an Arena: the circular
 // bucket calendar, the frontier/settled staging lists, generation-stamped
-// dedup marks, and the per-worker candidate buffers. Like the heap and
-// the bucket queue it self-restores: a run drains every bucket it
-// filled and the stamps are generation-keyed, so a pooled arena needs no
-// O(n) reset between runs (possibly on different graphs).
+// dedup marks, and the per-worker candidate buffers. Like the heap it
+// self-restores: a run drains every bucket it filled and the stamps are
+// generation-keyed, so a pooled arena needs no O(n) reset between runs
+// (possibly on different graphs).
 type deltaScratch struct {
 	buckets  [deltaBucketCount][]int32
 	frontier []int32
@@ -270,31 +266,6 @@ func (ds *deltaScratch) ensure(n int) {
 // workers costs more in synchronization than the scan itself. A
 // variable only so tests can drive the worker path on small graphs.
 var deltaParallelMin = 512
-
-// DeltaStepping computes shortest paths from src with the delta-stepping
-// variant regardless of the size gate, falling back to the heap only
-// when the graph has no usable bucket width (all-zero or infinite edge
-// costs). The returned tree is bit-identical to Dijkstra's; the variant
-// exists for tests and benchmarks that pin the algorithm, where ordinary
-// callers let the Config gate choose by graph size.
-func DeltaStepping(g *Graph, src NodeID) *ShortestPaths {
-	n := g.NumNodes()
-	sp := &ShortestPaths{
-		Source:     src,
-		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-	}
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	a.ensure(n)
-	if lay := g.deltaLayoutFor(); lay.delta > 0 {
-		dijkstraDelta(g, lay, a, sp)
-	} else {
-		dijkstraHeap(g, g.csr(), a, sp, nil)
-	}
-	return sp
-}
 
 // deltaRun bundles the per-run state the relaxation loops share. The
 // hot loops live on its methods as plain slice scans, so the strict-

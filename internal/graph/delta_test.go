@@ -3,14 +3,14 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // deltaArena pins the delta-stepping variant on, regardless of graph
-// size, on a private arena — the race-free replacement for mutating the
-// deprecated package gates.
+// size, on a private arena, so no test mutates the package default.
 func deltaArena() *Arena {
-	return NewArenaWith(Config{DeltaSteppingMinNodes: 1, BucketQueueMinNodes: -1})
+	return NewArenaWith(Config{DeltaSteppingMinNodes: 1})
 }
 
 // TestDeltaSteppingBitIdentical is the core equivalence claim: on random
@@ -34,21 +34,6 @@ func TestDeltaSteppingBitIdentical(t *testing.T) {
 				}
 			}
 			verifyTree(t, g, got)
-		}
-	}
-}
-
-// TestDeltaSteppingForcedMatchesHeap pins the exported forcing entry
-// point (used by benchmarks) to the heap tree as well.
-func TestDeltaSteppingForcedMatchesHeap(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g := randomMultigraph(seed)
-		want := Dijkstra(g, 0)
-		got := DeltaStepping(g, 0)
-		for u := 0; u < g.NumNodes(); u++ {
-			if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-				t.Fatalf("seed %d node %d: DeltaStepping differs from heap", seed, u)
-			}
 		}
 	}
 }
@@ -152,8 +137,8 @@ func TestDeltaSteppingBlockedSource(t *testing.T) {
 
 // TestDeltaSteppingZeroCostFallback: an all-zero-cost graph has no
 // usable bucket width; the gate must fall back to the heap instead of
-// dividing by zero, and results must stay correct — for the gated path
-// and the forcing entry point alike.
+// dividing by zero, and results must stay correct — for single runs and
+// batches alike.
 func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 	g := New(5, 6)
 	for i := 0; i < 5; i++ {
@@ -164,7 +149,7 @@ func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 	}
 	for _, sp := range []*ShortestPaths{
 		deltaArena().Dijkstra(g, 2),
-		DeltaStepping(g, 2),
+		DijkstraBatch(g, []NodeID{2}, deltaArena())[0],
 	} {
 		for v := 0; v < 5; v++ {
 			if sp.Dist[v] != 0 {
@@ -172,6 +157,46 @@ func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeltaSteppingInfiniteCostFallback: one +Inf edge cost also leaves
+// no usable bucket width (it makes the width +Inf), so a forced delta
+// run must fall back to the heap and return the heap's tree, whether the
+// infinite cost came with the edge or was set after a first run (the
+// epoch-keyed partition must rebuild into the fallback).
+func TestDeltaSteppingInfiniteCostFallback(t *testing.T) {
+	path := func(last float64) (*Graph, EdgeID) {
+		g := New(4, 3)
+		for i := 0; i < 4; i++ {
+			g.AddSwitch("")
+		}
+		g.MustAddEdge(0, 1, 1)
+		g.MustAddEdge(1, 2, 2)
+		return g, g.MustAddEdge(2, 3, last)
+	}
+	check := func(label string, g *Graph) {
+		t.Helper()
+		want := NewArenaWith(Config{DeltaSteppingMinNodes: -1}).Dijkstra(g, 0)
+		if want.Dist[2] != 3 || !math.IsInf(want.Dist[3], 1) {
+			t.Fatalf("%s: heap Dist = %v, want [0 1 3 +Inf]", label, want.Dist)
+		}
+		for _, got := range []*ShortestPaths{
+			deltaArena().Dijkstra(g, 0),
+			DijkstraBatch(g, []NodeID{0}, deltaArena())[0],
+		} {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: forced delta (%v,%v,%v) != heap (%v,%v,%v)", label,
+					got.Dist, got.Parent, got.ParentEdge, want.Dist, want.Parent, want.ParentEdge)
+			}
+		}
+	}
+	g, _ := path(math.Inf(1))
+	check("AddEdge +Inf", g)
+
+	g, last := path(4)
+	deltaArena().Dijkstra(g, 0) // builds a finite-width partition first
+	g.SetEdgeCost(last, math.Inf(1))
+	check("SetEdgeCost +Inf", g)
 }
 
 // TestDeltaSteppingArenaReuseAcrossGraphs drives one arena through
@@ -208,11 +233,7 @@ func TestDeltaSteppingWorkersBitIdentical(t *testing.T) {
 	g := RandomConnected(RandomConfig{Nodes: 600, ExtraEdges: 1800, VMFraction: 0.2, MaxEdge: 10, MaxSetup: 5}, 9)
 	want := Dijkstra(g, 0)
 	for _, workers := range []int{1, 2, 3, 8} {
-		arena := NewArenaWith(Config{
-			DeltaSteppingMinNodes: 1,
-			BucketQueueMinNodes:   -1,
-			DeltaSteppingWorkers:  workers,
-		})
+		arena := NewArenaWith(Config{DeltaSteppingMinNodes: 1, DeltaSteppingWorkers: workers})
 		got := arena.Dijkstra(g, 0)
 		for u := 0; u < g.NumNodes(); u++ {
 			if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
@@ -254,27 +275,37 @@ func TestDeltaLayoutEpochInvalidation(t *testing.T) {
 }
 
 // TestConfigGateResolution pins the per-arena gate semantics: zero
-// defers to the package defaults, positive overrides, negative disables
-// — exercised through pick, the single decision point every entry path
-// shares.
+// defers to the package default, positive overrides, negative disables
+// — whether the negative value sits in the Config or in the default it
+// defers to — exercised through pick, the single decision point every
+// entry path shares. Not parallel: it sets the package default.
 func TestConfigGateResolution(t *testing.T) {
 	g := randomMultigraph(5) // 8–48 nodes, positive finite costs
 	n := g.NumNodes()
+	inf := randomMultigraph(5)
+	inf.SetEdgeCost(0, math.Inf(1))
+	saved := DeltaSteppingMinNodes
+	t.Cleanup(func() { DeltaSteppingMinNodes = saved })
 	cases := []struct {
-		name string
-		cfg  Config
-		want ssspVariant
+		name   string
+		global int
+		g      *Graph
+		cfg    Config
+		want   ssspVariant
 	}{
-		{"defaults-small-graph", Config{}, variantHeap},
-		{"delta-forced", Config{DeltaSteppingMinNodes: 1}, variantDelta},
-		{"bucket-forced", Config{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1}, variantBucket},
-		{"delta-wins-past-both", Config{DeltaSteppingMinNodes: 1, BucketQueueMinNodes: 1}, variantDelta},
-		{"both-disabled", Config{DeltaSteppingMinNodes: -1, BucketQueueMinNodes: -1}, variantHeap},
-		{"threshold-above-n", Config{DeltaSteppingMinNodes: n + 1, BucketQueueMinNodes: n + 1}, variantHeap},
+		{"defaults-small-graph", saved, g, Config{}, variantHeap},
+		{"delta-forced", saved, g, Config{DeltaSteppingMinNodes: 1}, variantDelta},
+		{"delta-disabled", saved, g, Config{DeltaSteppingMinNodes: -1}, variantHeap},
+		{"threshold-above-n", saved, g, Config{DeltaSteppingMinNodes: n + 1}, variantHeap},
+		{"infinite-cost", saved, inf, Config{DeltaSteppingMinNodes: 1}, variantHeap},
+		{"global-forced", 1, g, Config{}, variantDelta},
+		{"global-disabled", -1, g, Config{}, variantHeap},
+		{"config-overrides-disabled-global", -1, g, Config{DeltaSteppingMinNodes: 1}, variantDelta},
 	}
 	for _, tc := range cases {
+		DeltaSteppingMinNodes = tc.global
 		a := NewArenaWith(tc.cfg)
-		if got, _, _ := a.pick(g, n); got != tc.want {
+		if got, _ := a.pick(tc.g, tc.g.NumNodes()); got != tc.want {
 			t.Errorf("%s: pick = %d, want %d", tc.name, got, tc.want)
 		}
 	}

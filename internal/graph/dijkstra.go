@@ -65,15 +65,11 @@ func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
 // (NewArenaWith), so concurrent tests and batch callers pin variants
 // without mutating process-wide state.
 type Config struct {
-	// BucketQueueMinNodes gates the calendar/bucket queue by graph size:
-	// runs over graphs with at least this many nodes use it (when the
-	// maximum edge cost admits a bucket width). 0 means the package
-	// default (BucketQueueMinNodes); negative disables the queue.
-	BucketQueueMinNodes int
-	// DeltaSteppingMinNodes gates the delta-stepping variant the same
-	// way, and is checked first: past both gates, delta-stepping wins.
-	// 0 means the package default (DeltaSteppingMinNodes); negative
-	// disables the variant.
+	// DeltaSteppingMinNodes gates the delta-stepping variant by graph
+	// size: runs over graphs with at least this many nodes use it (when
+	// the maximum edge cost admits a bucket width), smaller runs keep the
+	// indexed heap. 0 means the package default (DeltaSteppingMinNodes);
+	// negative disables the variant.
 	DeltaSteppingMinNodes int
 	// DeltaSteppingWorkers bounds the delta-stepping relaxation pool:
 	// 0 means GOMAXPROCS, 1 or negative keeps every phase on the calling
@@ -95,34 +91,33 @@ func (c Config) deltaWorkers() int {
 }
 
 // resolveGate maps a Config gate field to an effective node threshold:
-// 0 defers to the package default, negative disables (a threshold no
-// graph reaches).
+// 0 defers to the package default, and a negative value — from the field
+// or the default it deferred to — disables (a threshold no graph
+// reaches).
 func resolveGate(v, def int) int {
-	switch {
-	case v > 0:
-		return v
-	case v < 0:
-		return math.MaxInt
-	default:
-		return def
+	if v == 0 {
+		v = def
 	}
+	if v < 0 {
+		return math.MaxInt
+	}
+	return v
 }
 
 // Arena is the reusable scratch state of the SSSP core: the indexed heap
-// (whose position index self-restores on drain), the bucket queue and
-// delta-stepping scratch for large graphs, and a generation-stamped
-// settled marker, so one arena is ready for the next run without any
-// O(n) reset. Batch callers that fan many runs out (the chain oracle's
-// tree warming, KMB's closure phase) hold one Arena across the whole
-// batch instead of a pool round-trip per source. The result arrays are
-// NOT part of the arena — callers (the chain oracle in particular)
-// retain ShortestPaths indefinitely.
+// (whose position index self-restores on drain), the delta-stepping
+// scratch for large graphs, and a generation-stamped settled marker, so
+// one arena is ready for the next run without any O(n) reset. Batch
+// callers that fan many runs out (the chain oracle's tree warming, KMB's
+// closure phase) hold one Arena across the whole batch instead of a pool
+// round-trip per source. The result arrays are NOT part of the arena —
+// callers (the chain oracle in particular) retain ShortestPaths
+// indefinitely.
 //
 // An Arena is not safe for concurrent use; concurrent runs take separate
 // arenas (or pass nil and share the pool).
 type Arena struct {
 	h    IndexedHeap
-	bq   bucketQueue
 	done []uint64
 	// tgt stamps the targets of a truncated run (DijkstraTo) with the
 	// run's generation, like done stamps its settled nodes.
@@ -138,9 +133,9 @@ type Arena struct {
 func NewArena() *Arena { return new(Arena) }
 
 // NewArenaWith returns an arena whose runs resolve variant gates and
-// worker bounds from cfg instead of the package defaults. This is the
-// race-free replacement for mutating the deprecated package globals:
-// each test or batch pins its variant on its own arena.
+// worker bounds from cfg instead of the package defaults, so each test
+// or batch pins its variant on its own arena without touching
+// process-wide state.
 func NewArenaWith(cfg Config) *Arena { return &Arena{cfg: cfg} }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -157,24 +152,15 @@ func (a *Arena) ensure(n int) {
 	}
 }
 
-// BucketQueueMinNodes is the package default for Config.
-// BucketQueueMinNodes: runs over graphs with at least this many nodes use
-// the calendar queue (when the maximum edge cost admits one), smaller
-// runs keep the indexed heap, whose constants win on small frontiers.
-// The queues pop in the bit-identical (key, id) order, so the threshold
-// tunes speed only — the computed trees cannot differ.
-//
-// Deprecated: mutating this global races with concurrent runs (including
-// parallel tests); pin the variant per run with NewArenaWith instead. The
-// variable remains as the default that zero Config fields resolve to.
-var BucketQueueMinNodes = 8192
-
-// DeltaSteppingMinNodes is the package default for Config.
-// DeltaSteppingMinNodes, gating the delta-stepping variant exactly like
-// BucketQueueMinNodes gates the calendar queue. Delta-stepping is checked
-// first, so on graphs past both gates it wins.
-//
-// Deprecated: like BucketQueueMinNodes, prefer NewArenaWith.
+// DeltaSteppingMinNodes is the process-wide default that a zero
+// Config.DeltaSteppingMinNodes resolves to: runs over graphs with at
+// least this many nodes use delta-stepping, smaller runs keep the indexed
+// heap, whose constants win on small frontiers. Both produce the
+// bit-identical tree, so the threshold tunes speed only. A negative
+// value disables delta-stepping wherever the Config defers to it.
+// Callers that hold an arena should pin the variant with NewArenaWith;
+// the global is for code that builds its own arenas out of reach, and
+// writing it races with concurrent runs.
 var DeltaSteppingMinNodes = 8192
 
 // ssspVariant names the queue discipline one run will use.
@@ -182,35 +168,28 @@ type ssspVariant uint8
 
 const (
 	variantHeap ssspVariant = iota
-	variantBucket
 	variantDelta
 )
 
 // pick selects the SSSP variant for runs over g with n nodes under a's
-// Config. Delta-stepping and the bucket queue both need a positive
-// finite maximum edge cost for their bucket widths (an all-zero-cost
-// graph has no usable width and falls back to the heap). The bucket
-// maxC is returned for variantBucket; the arc partition for
-// variantDelta.
-func (a *Arena) pick(g *Graph, n int) (ssspVariant, float64, *deltaLayout) {
+// Config, returning the arc partition for variantDelta. Delta-stepping
+// needs a positive finite maximum edge cost for its bucket width; a graph
+// without one (all-zero or some +Inf cost) builds a layout with delta 0
+// and falls back to the heap.
+func (a *Arena) pick(g *Graph, n int) (ssspVariant, *deltaLayout) {
 	if n >= resolveGate(a.cfg.DeltaSteppingMinNodes, DeltaSteppingMinNodes) {
 		if lay := g.deltaLayoutFor(); lay.delta > 0 {
-			return variantDelta, 0, lay
+			return variantDelta, lay
 		}
 	}
-	if n >= resolveGate(a.cfg.BucketQueueMinNodes, BucketQueueMinNodes) {
-		if maxC := g.maxEdgeCost(); maxC > 0 && !math.IsInf(maxC, 1) {
-			return variantBucket, maxC, nil
-		}
-	}
-	return variantHeap, 0, nil
+	return variantHeap, nil
 }
 
 // Dijkstra computes shortest paths from src over edge connection costs.
 // The traversal runs on the graph's flat CSR adjacency with a pooled
 // arena, so a run allocates only its result arrays. Ties are settled
 // toward the smaller node id, making the returned tree (not just the
-// distances) deterministic — with every queue discipline (see Config).
+// distances) deterministic — with either variant (see Config).
 func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
@@ -229,13 +208,9 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 		ParentEdge: make([]EdgeID, n),
 	}
 	a.ensure(n)
-	switch v, maxC, lay := a.pick(g, n); v {
-	case variantDelta:
+	if v, lay := a.pick(g, n); v == variantDelta {
 		dijkstraDelta(g, lay, a, sp)
-	case variantBucket:
-		a.bq.configure(n, maxC)
-		dijkstraBucket(g, g.csr(), a, sp)
-	default:
+	} else {
 		dijkstraHeap(g, g.csr(), a, sp, nil)
 	}
 	return sp
@@ -252,7 +227,7 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 // are allowed.
 //
 // Truncated runs always use the indexed heap, whatever the arena's
-// Config: its settle order is the reference the other queues are proven
+// Config: its settle order is the reference delta-stepping is proven
 // against.
 func DijkstraTo(g *Graph, src NodeID, targets []NodeID) *ShortestPaths {
 	a := arenaPool.Get().(*Arena)
@@ -291,10 +266,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 	n := g.NumNodes()
 	c := g.csr()
 	a.ensure(n)
-	variant, maxC, lay := a.pick(g, n)
-	if variant == variantBucket {
-		a.bq.configure(n, maxC)
-	}
+	variant, lay := a.pick(g, n)
 
 	out := make([]*ShortestPaths, len(sources))
 	firstIdx := make(map[NodeID]int, len(sources))
@@ -316,12 +288,9 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		sp.Dist = dist[i*n : (i+1)*n : (i+1)*n]
 		sp.Parent = parent[i*n : (i+1)*n : (i+1)*n]
 		sp.ParentEdge = pedge[i*n : (i+1)*n : (i+1)*n]
-		switch variant {
-		case variantDelta:
+		if variant == variantDelta {
 			dijkstraDelta(g, lay, a, sp)
-		case variantBucket:
-			dijkstraBucket(g, c, a, sp)
-		default:
+		} else {
 			dijkstraHeap(g, c, a, sp, nil)
 		}
 	}
@@ -393,47 +362,6 @@ func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths, targets [
 				sp.Parent[v] = NodeID(u)
 				sp.ParentEdge[v] = EdgeID(c.eid[i])
 				h.Update(v, nd)
-			}
-		}
-	}
-}
-
-// dijkstraBucket is dijkstraHeap with the calendar queue: the identical
-// relaxation loop over a queue that pops in the identical (key, id)
-// order, so its trees are bit-for-bit those of the heap variant. The
-// caller has already configured a.bq for this graph's width.
-func dijkstraBucket(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths) {
-	for i := range sp.Dist {
-		sp.Dist[i] = math.Inf(1)
-		sp.Parent[i] = None
-		sp.ParentEdge[i] = NoEdge
-	}
-	fs := g.block.blocked.Load()
-	if fs.NodeFailed(sp.Source) {
-		return
-	}
-	sp.Dist[sp.Source] = 0
-	a.gen++
-	gen, done := a.gen, a.done
-	q := &a.bq
-	q.seed(int32(sp.Source), 0)
-	for q.len() > 0 {
-		u, du := q.pop()
-		done[u] = gen
-		for i := c.row[u]; i < c.row[u+1]; i++ {
-			v := c.to[i]
-			if done[v] == gen {
-				continue
-			}
-			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(v))) {
-				continue
-			}
-			nd := du + g.edges[c.eid[i]].Cost
-			if nd < sp.Dist[v] {
-				sp.Dist[v] = nd
-				sp.Parent[v] = NodeID(u)
-				sp.ParentEdge[v] = EdgeID(c.eid[i])
-				q.update(v, nd)
 			}
 		}
 	}

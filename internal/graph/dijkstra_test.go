@@ -256,13 +256,6 @@ func TestIndexedHeap(t *testing.T) {
 	}
 }
 
-// bucketArena returns an arena pinned to the bucket-queue SSSP variant
-// regardless of graph size — the per-arena form of the deprecated
-// BucketQueueMinNodes global.
-func bucketArena() *Arena {
-	return NewArenaWith(Config{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1})
-}
-
 // TestDijkstraBatchMatchesSingle pins the batched arena path against
 // per-source Dijkstra runs: distances, parents, and parent edges must be
 // bit-identical, and results must come back in source order with
@@ -297,74 +290,6 @@ func TestDijkstraBatchMatchesSingle(t *testing.T) {
 						want.Dist[v], want.Parent[v], want.ParentEdge[v])
 				}
 			}
-		}
-	}
-}
-
-// TestBucketQueueDijkstraBitIdentical forces the calendar queue on small
-// multigraphs (parallel edges, zero-cost links) and demands bit-identical
-// trees — not just distances — against the heap variant: the two queues
-// must pop in the same (key, id) order for the cross-layer determinism
-// guarantees to survive the size-based switch.
-func TestBucketQueueDijkstraBitIdentical(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		g := randomMultigraph(seed)
-		want := make([]*ShortestPaths, g.NumNodes())
-		for v := range want {
-			want[v] = Dijkstra(g, NodeID(v)) // heap path: graph far below threshold
-		}
-		func() {
-			arena := bucketArena()
-			for v := 0; v < g.NumNodes(); v++ {
-				got := DijkstraBatch(g, []NodeID{NodeID(v)}, arena)[0]
-				for u := 0; u < g.NumNodes(); u++ {
-					if got.Dist[u] != want[v].Dist[u] || got.Parent[u] != want[v].Parent[u] || got.ParentEdge[u] != want[v].ParentEdge[u] {
-						t.Fatalf("seed %d src %d node %d: bucket (%v,%d,%d) != heap (%v,%d,%d)",
-							seed, v, u, got.Dist[u], got.Parent[u], got.ParentEdge[u],
-							want[v].Dist[u], want[v].Parent[u], want[v].ParentEdge[u])
-					}
-				}
-			}
-		}()
-	}
-}
-
-// TestBucketQueueZeroCostFallback: an all-zero-cost graph has no usable
-// bucket width; the size gate must fall back to the heap instead of
-// dividing by zero, and the result must stay correct.
-func TestBucketQueueZeroCostFallback(t *testing.T) {
-	g := New(5, 6)
-	for i := 0; i < 5; i++ {
-		g.AddSwitch("")
-	}
-	for i := 1; i < 5; i++ {
-		g.MustAddEdge(NodeID(i-1), NodeID(i), 0)
-	}
-	sp := DijkstraBatch(g, []NodeID{2}, bucketArena())[0]
-	for v := 0; v < 5; v++ {
-		if sp.Dist[v] != 0 {
-			t.Fatalf("Dist[%d] = %v, want 0", v, sp.Dist[v])
-		}
-	}
-}
-
-// TestBucketQueueArenaReuseAcrossGraphs drives one arena through graphs of
-// different sizes and widths (so the calendar reconfigures between runs),
-// catching stale bucket or cursor state leaking across runs.
-func TestBucketQueueArenaReuseAcrossGraphs(t *testing.T) {
-	arena := bucketArena()
-	for round := 0; round < 3; round++ {
-		for _, seed := range []int64{3, 11, 5, 23, 2, 31, 4} {
-			g := randomMultigraph(seed)
-			got := DijkstraBatch(g, []NodeID{0}, arena)[0]
-			want := BellmanFord(g, 0)
-			for v := 0; v < g.NumNodes(); v++ {
-				if got.Dist[v] != want.Dist[v] {
-					t.Fatalf("round %d seed %d: Dist[%d] = %v, want %v",
-						round, seed, v, got.Dist[v], want.Dist[v])
-				}
-			}
-			verifyTree(t, g, got)
 		}
 	}
 }

@@ -143,12 +143,10 @@ func TestDijkstraToSourceAndEmptyTargets(t *testing.T) {
 
 // TestDijkstraToLeavesArenaClean is the abandoned-drain reset: after a
 // truncated run stops with entries still queued, the same arena's next
-// full run — heap, bucket or delta — is bit-identical to one on a fresh
-// arena.
+// full run — heap or delta — is bit-identical to one on a fresh arena.
 func TestDijkstraToLeavesArenaClean(t *testing.T) {
 	for _, cfg := range []Config{
-		{BucketQueueMinNodes: -1, DeltaSteppingMinNodes: -1},
-		{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1},
+		{DeltaSteppingMinNodes: -1},
 		{DeltaSteppingMinNodes: 1},
 	} {
 		arena := NewArenaWith(cfg)

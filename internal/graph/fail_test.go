@@ -135,15 +135,14 @@ func TestFailCloneShares(t *testing.T) {
 }
 
 // TestFailDijkstraMatchesBellmanFord cross-checks the SSSP cores under
-// random failure patterns, with all three queue variants forced through
-// per-arena configs.
+// random failure patterns, with both variants forced through per-arena
+// configs.
 func TestFailDijkstraMatchesBellmanFord(t *testing.T) {
 	variants := []struct {
 		name string
 		cfg  Config
 	}{
-		{"heap", Config{BucketQueueMinNodes: -1, DeltaSteppingMinNodes: -1}},
-		{"bucket", Config{BucketQueueMinNodes: 1, DeltaSteppingMinNodes: -1}},
+		{"heap", Config{DeltaSteppingMinNodes: -1}},
 		{"delta", Config{DeltaSteppingMinNodes: 1}},
 	}
 	for _, variant := range variants {

@@ -97,11 +97,6 @@ type Graph struct {
 	// shortest-path hot loops; csrMu serializes (re)builds. See csr.go.
 	csrCache atomic.Pointer[csrLayout]
 	csrMu    sync.Mutex
-	// maxCostCache memoizes the maximum edge cost per (epoch, edge count):
-	// the bucket-queue SSSP sizes its calendar from it on every run, and
-	// rescanning the edge table each time would tax exactly the large
-	// graphs the queue exists for.
-	maxCostCache atomic.Pointer[maxCostEntry]
 	// deltaCache memoizes the delta-stepping light/heavy arc partition per
 	// cost epoch (see delta.go); deltaMu serializes rebuilds.
 	deltaCache atomic.Pointer[deltaLayout]
@@ -111,32 +106,6 @@ type Graph struct {
 	// mean the graph is fully open, which is the steady state the
 	// traversal hot loops are optimized for.
 	block blockState
-}
-
-// maxCostEntry is one memoized maximum-edge-cost computation, valid while
-// the cost epoch and edge count both still match.
-type maxCostEntry struct {
-	epoch uint64
-	edges int
-	max   float64
-}
-
-// maxEdgeCost returns the largest edge connection cost, 0 for an edgeless
-// graph. Memoized per (cost epoch, edge count); concurrent callers may
-// race to fill the memo, all computing the same value.
-func (g *Graph) maxEdgeCost() float64 {
-	epoch := g.epoch.Load()
-	if e := g.maxCostCache.Load(); e != nil && e.epoch == epoch && e.edges == len(g.edges) {
-		return e.max
-	}
-	m := 0.0
-	for i := range g.edges {
-		if c := g.edges[i].Cost; c > m {
-			m = c
-		}
-	}
-	g.maxCostCache.Store(&maxCostEntry{epoch: epoch, edges: len(g.edges), max: m})
-	return m
 }
 
 // New returns an empty graph with capacity hints.

@@ -7,7 +7,7 @@
 // nodes; all solvers here therefore search over simple paths.
 //
 // The paper invokes the 2-approximation of Chaudhuri et al. [29] as a black
-// box. This package substitutes (see DESIGN.md §3):
+// box. This package substitutes:
 //
 //   - ExactSolver: Held–Karp-style subset DP, optimal, for small instances;
 //   - InsertionSolver: cheapest insertion + 2-opt/or-opt/node-swap local

@@ -5,7 +5,7 @@
 //
 // It is the substrate for the branch-and-bound integer solver
 // (internal/ilp) that replaces CPLEX in the paper's optimal-baseline
-// experiments (see DESIGN.md §3). Bland's rule prevents cycling; the solver
+// experiments. Bland's rule prevents cycling; the solver
 // is intended for the small instances on which the paper runs its optimum.
 package lp
 

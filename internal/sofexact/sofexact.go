@@ -1,5 +1,5 @@
 // Package sofexact computes optimal service overlay forests for small
-// instances. It replaces the paper's CPLEX baseline (see DESIGN.md §3).
+// instances. It replaces the paper's CPLEX baseline.
 //
 // The SOF problem is reduced to a rooted directed Steiner tree on a layered
 // graph: node (v, j) means "data at node v with the first j VNFs applied".
@@ -192,7 +192,7 @@ func SolveCtx(ctx context.Context, g *graph.Graph, req core.Request, opts *Optio
 	// optimal and is returned.
 	var primed *core.Forest
 	if !o.NoPrime {
-		if f, err := core.SOFDA(g, req, &core.Options{VMs: vmList}); err == nil {
+		if f, err := core.SOFDACtx(ctx, g, req, &core.Options{VMs: vmList}); err == nil {
 			primed = f
 			bestCost = f.TotalCost()
 		}

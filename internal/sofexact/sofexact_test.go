@@ -210,7 +210,7 @@ func TestSOFDAWithinBoundOfExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}
-		heur, err := core.SOFDA(g, req, nil)
+		heur, err := core.SOFDACtx(context.Background(), g, req, nil)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
 		}

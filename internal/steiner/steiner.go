@@ -4,9 +4,9 @@
 // for small instances and as a test oracle.
 //
 // The paper invokes the LP-based 1.39-approximation of Byrka et al. [20] as
-// a black box; KMB is the standard practical stand-in (see DESIGN.md §3).
-// All algorithms in this repository share the same solver, so comparative
-// results are unaffected by the substitution.
+// a black box; KMB is the standard practical stand-in. All algorithms in
+// this repository share the same solver, so comparative results are
+// unaffected by the substitution.
 package steiner
 
 import (

@@ -8,7 +8,7 @@
 // The paper references the public SoftLayer and Cogent maps [58][59]
 // without reproducing them; these topologies are deterministic
 // reconstructions that match the paper's exact node/link/data-center
-// counts and the general continental structure (see DESIGN.md §3).
+// counts and the general continental structure.
 package topology
 
 import (

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -156,7 +157,7 @@ func TestEmbeddingOnSoftLayer(t *testing.T) {
 	srcs := net.RandomNodes(rng, 4)
 	dsts := net.RandomNodes(rng, 6)
 	req := core.Request{Sources: srcs, Dests: dsts, ChainLen: 3}
-	f, err := core.SOFDA(net.G, req, &core.Options{VMs: net.VMs})
+	f, err := core.SOFDACtx(context.Background(), net.G, req, &core.Options{VMs: net.VMs})
 	if err != nil {
 		t.Fatal(err)
 	}
