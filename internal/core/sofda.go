@@ -18,16 +18,18 @@ import (
 // plus a virtual super-source ŝ, one duplicate per source (VS), one
 // duplicate per VM (VM̂), zero-cost edges ŝ–v̂ and û–u, and one virtual edge
 // v̂–û per feasible candidate service chain, weighted by the chain's total
-// cost.
+// cost. Ĝ is an overlay on the live network: the virtual nodes and edges
+// are appended with the ids a copy of the network would give them, and
+// the network itself is neither copied nor modified.
 type auxGraph struct {
-	g    *graph.Graph // the augmented graph
+	g    *graph.Overlay // the augmented graph
 	sHat graph.NodeID
 	// srcDup maps each source to its duplicate v̂; vmDup maps each VM to û.
 	srcDup map[graph.NodeID]graph.NodeID
 	vmDup  map[graph.NodeID]graph.NodeID
 	// chains maps a virtual EdgeID to its candidate service chain.
 	chains map[graph.EdgeID]*chain.ServiceChain
-	// emm maps û back to its real VM u.
+	// dupToVM maps û back to its real VM u.
 	dupToVM map[graph.NodeID]graph.NodeID
 	// origNodes is the node count of the original graph; nodes below this
 	// threshold are real.
@@ -35,16 +37,19 @@ type auxGraph struct {
 	origEdges int
 }
 
-// newAuxSkeleton constructs Ĝ's candidate-independent part: the original
-// network clone, ŝ, the source and VM duplicates, and their zero-cost
-// structural edges. For chainLen == 0 the sources connect to their
-// duplicates directly (the problem degenerates to a Steiner forest) and no
-// VM duplicates exist. Candidate edges are added afterwards — all at once
-// by the batch builders, or one at a time by AuxGraphBuilder as a
+// newAuxSkeleton constructs Ĝ's candidate-independent part as an overlay
+// on g, without copying it: ŝ, the source and VM duplicates, and their
+// zero-cost structural edges. For chainLen == 0 the sources connect to
+// their duplicates directly (the problem degenerates to a Steiner forest)
+// and no VM duplicates exist. Everything is appended in request order —
+// ŝ, then each source's duplicate and ŝ–v̂ edge, then the v̂–v edges or
+// each VM's duplicate and û–u edge — so every build of one request
+// assigns the same ids. Candidate edges are added afterwards — all at
+// once by the batch builders, or one at a time by AuxGraphBuilder as a
 // streamed candidate arrives.
 func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *auxGraph {
 	aux := &auxGraph{
-		g:         g.Clone(),
+		g:         graph.NewOverlay(g),
 		srcDup:    make(map[graph.NodeID]graph.NodeID, len(sources)),
 		vmDup:     make(map[graph.NodeID]graph.NodeID, len(vms)),
 		chains:    make(map[graph.EdgeID]*chain.ServiceChain),
@@ -52,19 +57,21 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		origNodes: g.NumNodes(),
 		origEdges: g.NumEdges(),
 	}
-	aux.sHat = aux.g.AddSwitch("ŝ")
+	aux.sHat = aux.g.AddSwitch()
+	uniq := make([]graph.NodeID, 0, len(sources))
 	for _, s := range sources {
 		if _, ok := aux.srcDup[s]; ok {
 			continue
 		}
-		d := aux.g.AddSwitch(fmt.Sprintf("src-dup-%d", s))
+		d := aux.g.AddSwitch()
 		aux.srcDup[s] = d
+		uniq = append(uniq, s)
 		aux.g.MustAddEdge(aux.sHat, d, 0)
 	}
 	if chainLen == 0 {
 		// Degenerate: ŝ–v̂–v with zero cost; anchors are the sources.
-		for s, d := range aux.srcDup {
-			aux.g.MustAddEdge(d, s, 0)
+		for _, s := range uniq {
+			aux.g.MustAddEdge(aux.srcDup[s], s, 0)
 		}
 		return aux
 	}
@@ -72,7 +79,7 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		if _, ok := aux.vmDup[u]; ok {
 			continue
 		}
-		d := aux.g.AddSwitch(fmt.Sprintf("vm-dup-%d", u))
+		d := aux.g.AddSwitch()
 		aux.vmDup[u] = d
 		aux.dupToVM[d] = u
 		aux.g.MustAddEdge(d, u, 0)
@@ -118,7 +125,7 @@ func buildAuxGraph(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, so
 // the same candidates to SOFDAFromCandidatesCtx at once.
 //
 // With EnablePruning, dominated candidates are rejected on arrival and
-// never allocate aux-graph state (no edge, no chain entry, no CSR growth).
+// never allocate aux-graph state (no overlay edge, no chain entry).
 // The prune rule is chosen so the final forest cost is provably unchanged:
 // an arriving candidate (s,u) with chain cost w is dominated when some
 // already-accepted candidate (s,u′) of the same source with cost w′
@@ -521,15 +528,7 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 // Steiner phase, forest assembly, and the per-source single-tree
 // refinement. Both the centralized SOFDA and the distributed leader end
 // here, which is what makes their costs provably identical on equal Ĝ.
-//
-// The Steiner phase over Ĝ runs KMB's own closure (Ĝ is a private clone,
-// so its trees cannot come from the session oracle): one truncated
-// Dijkstra per terminal in closure-MST order, which stops once the
-// terminals not yet connected are settled (see steiner.KMBWith). ŝ is
-// connected first, so no later run has to reach it behind the chain-cost
-// edges. Every KMB over the real network and the refinement's destination
-// trees go through the oracle instead, staying warm across a request
-// stream.
+// completeForestWith documents the Steiner phase.
 func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph) (*Forest, error) {
 	return completeForestWith(ctx, g, oracle, vms, req, aux, nil)
 }
@@ -540,11 +539,38 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 // has none) and the inline computation is skipped. The eager builder
 // supplies forests computed by the identical code path, so the shortcut
 // changes wall-clock only, never the result.
+//
+// The Steiner phase is KMB over {ŝ} ∪ dests on Ĝ with one Dijkstra run on
+// Ĝ: ŝ's, truncated once every destination is settled. If it misses a
+// destination, the phase fails before it touches the oracle. Every
+// destination's closure row is the oracle's shortest-path tree over the
+// real network — the trees the refinement reads anyway, so a warm session
+// answers them from cache and the refinement reuses them. The tree is the
+// one full Ĝ rows would give:
+//
+//   - ŝ is connected first, so while a destination d′ is still open its
+//     Prim key is at most dist_Ĝ(ŝ,d′).
+//   - Every Ĝ route through a virtual node passes a source duplicate v̂,
+//     and dist_Ĝ(ŝ,v̂) = 0, so a d→d′ route through a virtual node costs
+//     at least dist_Ĝ(ŝ,d′).
+//   - Prim takes closure edge (d,d′) only when its cost is strictly below
+//     that key. That path is therefore real and strictly cheaper than any
+//     virtual route, and so is the prefix to every node on it. A virtual
+//     shortcut never updates a key, in Ĝ or in the real network.
+//   - The heap pops by (dist, id), and delta-stepping is bit-identical to
+//     the heap. The overlay keeps a clone's node ids, edge ids and arc
+//     order. So the oracle's tree from d has the Ĝ tree's distances and
+//     parents along every path that Prim and the expansion read.
+//   - The same argument holds for chainLen 0, where the sources hang off
+//     their v̂ by zero-cost edges.
+//
+// Ĝ reads the live network when the phase runs, as the oracle does, so
+// under concurrent cost or failure writers both see the same epoch's
+// state only when no write lands in between.
 func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, refined func(graph.NodeID) (*Forest, bool)) (*Forest, error) {
-	terminals := append([]graph.NodeID{aux.sHat}, req.Dests...)
-	tree, err := steiner.KMB(aux.g, terminals)
+	tree, destTrees, err := steinerPhase(oracle, req.Dests, aux)
 	if err != nil {
-		return nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -563,7 +589,6 @@ func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracl
 	// cheapest assembled forest. This keeps the 3ρST guarantee — the KMB
 	// candidate is never discarded for a worse one — while shaving the
 	// 2-approximation noise on instances where one tree is optimal.
-	var destTrees map[graph.NodeID]*graph.ShortestPaths
 	for _, s := range req.Sources {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -578,12 +603,6 @@ func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracl
 			}
 		}
 		if f == nil {
-			if destTrees == nil {
-				destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(req.Dests))
-				for _, d := range req.Dests {
-					destTrees[d] = oracle.Tree(d)
-				}
-			}
 			cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
 			if cand == nil {
 				continue
@@ -599,6 +618,45 @@ func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracl
 		}
 	}
 	return best, nil
+}
+
+// steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ (see
+// completeForestWith) and returns it with the destinations' oracle trees.
+func steinerPhase(oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, map[graph.NodeID]*graph.ShortestPaths, error) {
+	terminals := append([]graph.NodeID{aux.sHat}, dests...)
+	rows := &steinerRows{
+		sHat:   aux.sHat,
+		sHatSP: aux.g.DijkstraTo(aux.sHat, dests),
+		oracle: oracle,
+		dests:  make(map[graph.NodeID]*graph.ShortestPaths, len(dests)),
+	}
+	if err := steiner.Unreachable(rows.sHatSP, terminals); err != nil {
+		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
+	}
+	tree, err := steiner.KMBWith(aux.g, terminals, &steiner.KMBOptions{Provider: rows})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
+	}
+	return tree, rows.dests, nil
+}
+
+// steinerRows answers the Steiner phase's closure queries: ŝ with its
+// truncated run over Ĝ, and each destination with the oracle's tree over
+// the real network, which it keeps for the refinement.
+type steinerRows struct {
+	sHat   graph.NodeID
+	sHatSP *graph.ShortestPaths
+	oracle *chain.Oracle
+	dests  map[graph.NodeID]*graph.ShortestPaths
+}
+
+func (r *steinerRows) Tree(n graph.NodeID) *graph.ShortestPaths {
+	if n == r.sHat {
+		return r.sHatSP
+	}
+	sp := r.oracle.Tree(n)
+	r.dests[n] = sp
+	return sp
 }
 
 // isReal reports whether n is a node of the original network.

@@ -1,0 +1,376 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"sof/internal/chain"
+	"sof/internal/graph"
+	"sof/internal/steiner"
+)
+
+// cloneAux is the reference Ĝ: a Graph.Clone of the network with ŝ, the
+// duplicates, the structural edges and the candidate edges added in the
+// order newAuxSkeleton and the builders use. It returns the clone and ŝ.
+func cloneAux(g *graph.Graph, req Request, vms []graph.NodeID, cands []*chain.ServiceChain) (*graph.Graph, graph.NodeID) {
+	c := g.Clone()
+	sHat := c.AddSwitch("ŝ")
+	srcDup := make(map[graph.NodeID]graph.NodeID)
+	var uniq []graph.NodeID
+	for _, s := range req.Sources {
+		if _, ok := srcDup[s]; ok {
+			continue
+		}
+		srcDup[s] = c.AddSwitch("")
+		uniq = append(uniq, s)
+		c.MustAddEdge(sHat, srcDup[s], 0)
+	}
+	if req.ChainLen == 0 {
+		for _, s := range uniq {
+			c.MustAddEdge(srcDup[s], s, 0)
+		}
+		return c, sHat
+	}
+	vmDup := make(map[graph.NodeID]graph.NodeID)
+	for _, u := range vms {
+		if _, ok := vmDup[u]; ok {
+			continue
+		}
+		vmDup[u] = c.AddSwitch("")
+		c.MustAddEdge(vmDup[u], u, 0)
+	}
+	for _, sc := range cands {
+		c.MustAddEdge(srcDup[sc.Source], vmDup[sc.LastVM], sc.TotalCost())
+	}
+	return c, sHat
+}
+
+// admitted returns aux's candidate chains in edge-id order, which is the
+// order they were added in.
+func admitted(aux *auxGraph) []*chain.ServiceChain {
+	ids := make([]graph.EdgeID, 0, len(aux.chains))
+	for id := range aux.chains {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := make([]*chain.ServiceChain, len(ids))
+	for i, id := range ids {
+		out[i] = aux.chains[id]
+	}
+	return out
+}
+
+// referenceForest is Algorithm 2's tail over the clone reference's
+// Steiner tree: assembly, then the per-source refinement over destination
+// trees fetched from the oracle.
+func referenceForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, tree *steiner.Tree) (*Forest, error) {
+	best, err := assembleForest(g, oracle, vms, req, aux, tree.Edges)
+	if err != nil || req.ChainLen == 0 {
+		return best, err
+	}
+	destTrees := make(map[graph.NodeID]*graph.ShortestPaths)
+	for _, d := range req.Dests {
+		destTrees[d] = oracle.Tree(d)
+	}
+	for _, s := range req.Sources {
+		cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
+		if cand == nil {
+			continue
+		}
+		if f, err := assembleForest(g, oracle, vms, req, aux, cand); err == nil && f.TotalCost() < best.TotalCost() {
+			best = f
+		}
+	}
+	return best, nil
+}
+
+// checkAgainstClone requires aux (the overlay Ĝ an entry point built) to
+// match the clone reference element for element, the Steiner phase to
+// return the reference KMB tree (nodes, edges and cost bits), and the
+// entry point's forest f (or its error) to match the reference forest's
+// cost bits (or error). It reports whether the instance was feasible.
+func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, f *Forest, ferr error) bool {
+	t.Helper()
+	ref, sHat := cloneAux(g, req, vms, admitted(aux))
+	if aux.sHat != sHat || aux.g.NumNodes() != ref.NumNodes() || aux.g.NumEdges() != ref.NumEdges() {
+		t.Fatalf("%s: overlay Ĝ has ŝ %d, %d nodes, %d edges; clone %d, %d, %d", label,
+			aux.sHat, aux.g.NumNodes(), aux.g.NumEdges(), sHat, ref.NumNodes(), ref.NumEdges())
+	}
+	for id := 0; id < ref.NumEdges(); id++ {
+		if got, want := aux.g.Edge(graph.EdgeID(id)), ref.Edge(graph.EdgeID(id)); got != want {
+			t.Fatalf("%s: Ĝ edge %d is %+v, clone's %+v", label, id, got, want)
+		}
+	}
+	want, werr := steiner.KMB(ref, append([]graph.NodeID{sHat}, req.Dests...))
+	got, _, gerr := steinerPhase(oracle, req.Dests, aux)
+	if werr != nil {
+		if gerr == nil || !errors.Is(gerr, graph.ErrDisconnected) || ferr == nil || !errors.Is(ferr, graph.ErrDisconnected) {
+			t.Fatalf("%s: reference Steiner phase failed (%v), overlay phase %v, entry point %v", label, werr, gerr, ferr)
+		}
+		return false
+	}
+	if gerr != nil {
+		t.Fatalf("%s: Steiner phase: %v", label, gerr)
+	}
+	if !reflect.DeepEqual(got.Nodes, want.Nodes) || !reflect.DeepEqual(got.Edges, want.Edges) ||
+		math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+		t.Fatalf("%s: Steiner tree %+v differs from the clone reference %+v", label, got, want)
+	}
+	wantF, err := referenceForest(g, oracle, vms, req, aux, want)
+	if err != nil {
+		if ferr == nil {
+			t.Fatalf("%s: reference assembly failed (%v), entry point did not", label, err)
+		}
+		return false
+	}
+	if ferr != nil {
+		t.Fatalf("%s: entry point: %v", label, ferr)
+	}
+	if math.Float64bits(f.TotalCost()) != math.Float64bits(wantF.TotalCost()) {
+		t.Fatalf("%s: forest cost %v, clone reference %v", label, f.TotalCost(), wantF.TotalCost())
+	}
+	return true
+}
+
+// phaseNet draws a random multigraph network: integer costs with zeros,
+// parallel edges of equal and of different cost, a VM on every third
+// node, and a few failed and masked elements.
+func phaseNet(rng *rand.Rand) *graph.Graph {
+	n := 16 + rng.Intn(32)
+	g := graph.New(n, 4*n)
+	for i := 0; i < n; i++ {
+		if i%3 == 0 {
+			g.AddVM("", float64(1+rng.Intn(5)))
+		} else {
+			g.AddSwitch("")
+		}
+	}
+	for i := 1; i < n; i++ {
+		g.MustAddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), float64(rng.Intn(8)))
+	}
+	for k := 0; k < 2*n; k++ {
+		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		c := float64(rng.Intn(8))
+		g.MustAddEdge(u, v, c)
+		if rng.Intn(4) == 0 {
+			g.MustAddEdge(u, v, c)
+		}
+	}
+	perturb(g, rng)
+	return g
+}
+
+// perturb reprices a third of g's edges and moves its failures and masks
+// around, so a session oracle's earlier trees go stale.
+func perturb(g *graph.Graph, rng *rand.Rand) {
+	g.RestoreAll()
+	g.UnmaskAll()
+	for k := 0; k < g.NumEdges()/3; k++ {
+		g.SetEdgeCost(graph.EdgeID(rng.Intn(g.NumEdges())), float64(rng.Intn(8)))
+	}
+	g.FailEdge(graph.EdgeID(rng.Intn(g.NumEdges())))
+	g.MaskEdge(graph.EdgeID(rng.Intn(g.NumEdges())))
+	if rng.Intn(3) == 0 {
+		g.MaskNode(graph.NodeID(rng.Intn(g.NumNodes())))
+	}
+}
+
+// phaseRequest draws 1–4 sources (a repeated source now and then, which
+// doubles its candidate edges) and 1–5 destinations.
+func phaseRequest(rng *rand.Rand, g *graph.Graph, chainLen int) Request {
+	n := g.NumNodes()
+	req := Request{ChainLen: chainLen}
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		req.Sources = append(req.Sources, graph.NodeID(rng.Intn(n)))
+	}
+	if rng.Intn(4) == 0 {
+		req.Sources = append(req.Sources, req.Sources[0])
+	}
+	for k := 1 + rng.Intn(5); k > 0; k-- {
+		req.Dests = append(req.Dests, graph.NodeID(rng.Intn(n)))
+	}
+	return req
+}
+
+// TestSteinerPhaseMatchesCloneReference pins the Steiner phase — ŝ's
+// truncated run on the overlay Ĝ plus destination rows from the session
+// oracle — and every forest built on it to the clone reference: the
+// network copied into Ĝ and searched by steiner.KMB with its own trees.
+// Each network serves several rounds through one session oracle, with
+// costs, failures and masks moved between rounds, over chain lengths 0–2
+// and all entry points: SOFDACtx, SOFDAFromCandidatesCtx with repeated
+// candidates (parallel equal-cost virtual edges), and AuxGraphBuilder
+// with pruning and in eager mode.
+func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
+	ctx := context.Background()
+	feasible := 0
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := phaseNet(rng)
+		vms := g.VMs()
+		oracle := chain.NewOracle(g, chain.Options{})
+		opts := &Options{Oracle: oracle, VMs: vms, Parallelism: 1}
+		for round := 0; round < 6; round++ {
+			if round > 0 {
+				perturb(g, rng)
+			}
+			req := phaseRequest(rng, g, round%3)
+			label := fmt.Sprintf("seed %d round %d chainLen %d", seed, round, req.ChainLen)
+
+			f, ferr := SOFDACtx(ctx, g, req, opts)
+			aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, vms, req.ChainLen, 1)
+			if err != nil {
+				if ferr == nil {
+					t.Fatalf("%s: Ĝ build failed (%v), SOFDACtx did not", label, err)
+				}
+				continue
+			}
+			if checkAgainstClone(t, label+" SOFDACtx", g, oracle, vms, req, aux, f, ferr) {
+				feasible++
+			}
+			if req.ChainLen == 0 {
+				continue
+			}
+
+			results, err := oracle.Chains(ctx, vms, chain.Pairs(req.Sources, vms), req.ChainLen, 1)
+			if err != nil {
+				t.Fatalf("%s: candidates: %v", label, err)
+			}
+			var cands []*chain.ServiceChain
+			for _, r := range results {
+				if r.Err == nil {
+					cands = append(cands, r.Chain)
+					if rng.Intn(3) == 0 {
+						cands = append(cands, r.Chain)
+					}
+				}
+			}
+			f, ferr = SOFDAFromCandidatesCtx(ctx, g, req, opts, cands)
+			b, err := NewAuxGraphBuilder(ctx, g, req, opts)
+			if err != nil {
+				t.Fatalf("%s: builder: %v", label, err)
+			}
+			for _, sc := range cands {
+				if _, err := b.AddCandidate(sc); err != nil {
+					t.Fatalf("%s: AddCandidate: %v", label, err)
+				}
+			}
+			checkAgainstClone(t, label+" FromCandidates", g, oracle, vms, req, b.aux, f, ferr)
+
+			for _, mode := range []string{"pruning", "eager"} {
+				b, err := NewAuxGraphBuilder(ctx, g, req, opts)
+				if err != nil {
+					t.Fatalf("%s: builder: %v", label, err)
+				}
+				if mode == "pruning" {
+					b.EnablePruning()
+					for _, sc := range cands {
+						if _, err := b.AddCandidate(sc); err != nil {
+							t.Fatalf("%s: AddCandidate: %v", label, err)
+						}
+					}
+				} else {
+					b.EnableEager()
+					feedEager(t, b, req, vms, results)
+				}
+				f, ferr := b.Complete(ctx)
+				checkAgainstClone(t, label+" builder "+mode, g, oracle, vms, req, b.aux, f, ferr)
+			}
+		}
+	}
+	if feasible < 60 {
+		t.Fatalf("only %d of 144 SOFDACtx embeds reached a forest; the check is near-vacuous", feasible)
+	}
+}
+
+// TestAuxSkeletonDeterministic: a chainLen-0 skeleton adds its v̂–v edges
+// in source order, so every build of one request gives one edge list.
+func TestAuxSkeletonDeterministic(t *testing.T) {
+	g, _ := paperStyleNet()
+	sources := []graph.NodeID{3, 1, 4, 0}
+	var first []graph.Edge
+	for build := 0; build < 32; build++ {
+		aux := newAuxSkeleton(g, sources, nil, 0)
+		var edges []graph.Edge
+		for id := aux.origEdges; id < aux.g.NumEdges(); id++ {
+			edges = append(edges, aux.g.Edge(graph.EdgeID(id)))
+		}
+		if build == 0 {
+			first = edges
+		} else if !reflect.DeepEqual(edges, first) {
+			t.Fatalf("build %d: skeleton edges %v, first build %v", build, edges, first)
+		}
+	}
+}
+
+// steinerPhaseNet is a fixed instance for the oracle-accounting tests: a
+// ring of eight nodes, VMs at 1, 3, 5 and 7, plus a switch 8 hung off
+// node 4 by edge pendant, the only link that reaches it.
+func steinerPhaseNet() (g *graph.Graph, pendant graph.EdgeID) {
+	g = graph.New(9, 10)
+	for i := 0; i < 8; i++ {
+		if i%2 == 1 {
+			g.AddVM("", float64(i))
+		} else {
+			g.AddSwitch("")
+		}
+	}
+	g.AddSwitch("")
+	for i := 0; i < 8; i++ {
+		g.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%8), float64(1+i%3))
+	}
+	return g, g.MustAddEdge(4, 8, 2)
+}
+
+// TestSteinerPhaseOracleAccounting pins what the Steiner phase charges a
+// fresh oracle. An embed whose ŝ run misses a destination fails with
+// graph.ErrDisconnected before it fetches any destination tree; a
+// chainLen-2 embed charges the misses it always did (its refinement read
+// the same destination trees); a chainLen-0 embed now charges one miss
+// per destination, the rows its Steiner phase reads.
+func TestSteinerPhaseOracleAccounting(t *testing.T) {
+	ctx := context.Background()
+	dests := []graph.NodeID{2, 6, 8}
+	for _, chainLen := range []int{0, 2} {
+		g, pendant := steinerPhaseNet()
+		g.FailEdge(pendant)
+		oracle := chain.NewOracle(g, chain.Options{})
+		req := Request{Sources: []graph.NodeID{0}, Dests: dests, ChainLen: chainLen}
+		if _, err := SOFDACtx(ctx, g, req, &Options{Oracle: oracle}); !errors.Is(err, graph.ErrDisconnected) {
+			t.Fatalf("chainLen %d: embed with an isolated destination returned %v, want graph.ErrDisconnected", chainLen, err)
+		}
+		for _, d := range dests {
+			before := oracle.Stats().Misses
+			oracle.Tree(d)
+			if oracle.Stats().Misses != before+1 {
+				t.Fatalf("chainLen %d: the failed embed fetched destination %d's tree", chainLen, d)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		chainLen int
+		misses   uint64
+	}{
+		{0, 3},
+		{2, 8},
+	} {
+		g, _ := steinerPhaseNet()
+		oracle := chain.NewOracle(g, chain.Options{})
+		req := Request{Sources: []graph.NodeID{0}, Dests: dests, ChainLen: tc.chainLen}
+		if _, err := SOFDACtx(ctx, g, req, &Options{Oracle: oracle}); err != nil {
+			t.Fatalf("chainLen %d: %v", tc.chainLen, err)
+		}
+		if got := oracle.Stats().Misses; got != tc.misses {
+			t.Errorf("chainLen %d: embed charged %d tree misses, want %d", tc.chainLen, got, tc.misses)
+		}
+	}
+}

@@ -175,7 +175,8 @@ func GraphDigest(g *graph.Graph) uint64 {
 // per-request handshake pays an atomic epoch load instead of an O(V+E)
 // hash while costs are stable. It assumes topology changes bump the epoch
 // or do not happen on a served graph — true for every graph here: the
-// setters bump on change, and aux-graph growth happens on clones.
+// setters bump on change, and the aux graph is an overlay that never
+// grows the network it sits on.
 type digestMemo struct {
 	mu     sync.Mutex
 	valid  bool

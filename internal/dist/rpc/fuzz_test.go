@@ -3,6 +3,8 @@ package rpc
 import (
 	"reflect"
 	"testing"
+
+	"sof/internal/dist"
 )
 
 // The codec fuzz targets pin the two wire-safety properties the leader
@@ -42,20 +44,41 @@ func FuzzCandidateCodec(f *testing.F) {
 }
 
 // FuzzCandidateFragmentCodec fuzzes the CandidateFragment wire codec —
-// the per-message frame of the streaming exchange. Seeds are real
-// fragments captured off a live AnswerStream run (a results-bearing one
-// and the Done trailer), so the corpus starts on the exact byte shapes
-// the framed-gob protocol moves.
+// the per-message frame of the streaming exchange. Its seeds are built
+// from the captured batch results rather than a live AnswerStream, whose
+// fragment count depends on scheduling, so the seed list and its bytes
+// are the same on every run. seed#0–#4 are what a fully coalesced stream
+// sends: one results fragment carrying every pair in index order and its
+// first half, the Done trailer and its first half, then the empty input.
+// seed#5 onward are what an uncoalesced stream sends: one single-pair
+// fragment per result, in index order.
 func FuzzCandidateFragmentCodec(f *testing.F) {
-	for _, frag := range captureFragments(f) {
-		data, err := EncodeFragment(frag)
+	_, resp := captureMessages(f)
+	frag := func(seq int, rs ...dist.FragmentResult) *dist.CandidateFragment {
+		return &dist.CandidateFragment{CostEpoch: resp.CostEpoch, GraphDigest: resp.GraphDigest, Seq: seq, Results: rs}
+	}
+	all := make([]dist.FragmentResult, len(resp.Results))
+	for i, r := range resp.Results {
+		all[i] = dist.FragmentResult{Index: i, Result: r}
+	}
+	trailer := frag(1)
+	trailer.Done = true
+	encode := func(fr *dist.CandidateFragment) []byte {
+		data, err := EncodeFragment(fr)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
+		return data
+	}
+	for _, fr := range []*dist.CandidateFragment{frag(0, all...), trailer} {
+		data := encode(fr)
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
 	f.Add([]byte{})
+	for i, r := range all {
+		f.Add(encode(frag(i, r)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeFragment(data) // must error, not panic, on corruption
 		if err != nil {

@@ -526,8 +526,10 @@ func captureMessages(tb testing.TB) (*dist.CandidateRequest, *dist.CandidateResp
 
 // captureFragments runs a real AnswerStream over the captured request and
 // returns every fragment it emits — results-bearing fragments plus the
-// Done trailer — as ground truth for the codec tests and the fragment
-// fuzz target's seed corpus.
+// Done trailer — as ground truth for the codec round-trip tests. How many
+// fragments it sees depends on scheduling (the stream coalesces whatever
+// has completed), so the fragment fuzz target seeds from the batch
+// results instead.
 func captureFragments(tb testing.TB) []*dist.CandidateFragment {
 	tb.Helper()
 	network, req, opts := softLayerInstance(1)

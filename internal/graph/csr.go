@@ -18,8 +18,9 @@ type csrLayout struct {
 }
 
 // csr returns the current CSR view, building it on first use and after
-// topology growth (e.g. the aux-graph construction, which clones the
-// network and then adds virtual nodes and edges). Concurrent readers are
+// topology growth (a graph still being built, or a clone that gained
+// nodes and edges; an Overlay reuses its base's view instead of growing
+// it). Concurrent readers are
 // safe against each other; like all Graph mutations, AddEdge concurrent
 // with readers is not supported.
 func (g *Graph) csr() *csrLayout {

@@ -119,8 +119,8 @@ func resolveGate(v, def int) int {
 type Arena struct {
 	h    IndexedHeap
 	done []uint64
-	// tgt stamps the targets of a truncated run (DijkstraTo) with the
-	// run's generation, like done stamps its settled nodes.
+	// tgt stamps the targets of a truncated run (Overlay.DijkstraTo) with
+	// the run's generation, like done stamps its settled nodes.
 	tgt []uint64
 	gen uint64
 	cfg Config
@@ -211,41 +211,8 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	if v, lay := a.pick(g, n); v == variantDelta {
 		dijkstraDelta(g, lay, a, sp)
 	} else {
-		dijkstraHeap(g, g.csr(), a, sp, nil)
+		dijkstraHeap(g, g.csr(), nil, a, sp, nil)
 	}
-	return sp
-}
-
-// DijkstraTo is Dijkstra truncated at targets: the run stops as soon as
-// every target is settled (or the reachable part of the graph is
-// exhausted, when some target is unreachable). Dijkstra's settled prefix
-// does not depend on when the run stops, so every node the run settled —
-// each reachable target and every node on its path included — carries
-// exactly the Dist, Parent and ParentEdge a full run computes. Every node
-// it did not settle reads +Inf/None/NoEdge, as if unreachable. An empty
-// target list runs to completion. Targets must be nodes of g; duplicates
-// are allowed.
-//
-// Truncated runs always use the indexed heap, whatever the arena's
-// Config: its settle order is the reference delta-stepping is proven
-// against.
-func DijkstraTo(g *Graph, src NodeID, targets []NodeID) *ShortestPaths {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return a.DijkstraTo(g, src, targets)
-}
-
-// DijkstraTo is the per-arena form of the package-level DijkstraTo.
-func (a *Arena) DijkstraTo(g *Graph, src NodeID, targets []NodeID) *ShortestPaths {
-	n := g.NumNodes()
-	sp := &ShortestPaths{
-		Source:     src,
-		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-	}
-	a.ensure(n)
-	dijkstraHeap(g, g.csr(), a, sp, targets)
 	return sp
 }
 
@@ -291,7 +258,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		if variant == variantDelta {
 			dijkstraDelta(g, lay, a, sp)
 		} else {
-			dijkstraHeap(g, c, a, sp, nil)
+			dijkstraHeap(g, c, nil, a, sp, nil)
 		}
 	}
 	for i, s := range sources {
@@ -307,12 +274,18 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 // all-unreachable tree (its own distance included — a dead node reaches
 // nothing, not even itself).
 //
-// Non-empty targets truncate the run (see DijkstraTo): they are stamped
-// with the run's generation, and the pop that settles the last of them
-// ends it. The nodes still queued at that point are the only ones with a
-// tentative entry, so resetting them and the abandoned heap leaves sp
-// holding exactly the settled prefix and the arena ready for its next run.
-func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths, targets []NodeID) {
+// A non-nil ov runs over that overlay of g: a popped node's appended arcs
+// are relaxed after its CSR arcs, in insertion order, which is the arc
+// order of g's clone with the same elements added. Appended edges are
+// never blocked; a base node they enter still is.
+//
+// Non-empty targets truncate the run (see Overlay.DijkstraTo): they are
+// stamped with the run's generation, and the pop that settles the last
+// of them ends it. The nodes still queued at that point are the only ones
+// with a tentative entry, so resetting them and the abandoned heap leaves
+// sp holding exactly the settled prefix and the arena ready for its next
+// run.
+func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPaths, targets []NodeID) {
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
 		sp.Parent[i] = None
@@ -348,20 +321,38 @@ func dijkstraHeap(g *Graph, c *csrLayout, a *Arena, sp *ShortestPaths, targets [
 				return
 			}
 		}
-		for i := c.row[u]; i < c.row[u+1]; i++ {
-			v := c.to[i]
-			if done[v] == gen {
+		if int(u) < c.nodes {
+			for i := c.row[u]; i < c.row[u+1]; i++ {
+				v := c.to[i]
+				if done[v] == gen {
+					continue
+				}
+				if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(v))) {
+					continue
+				}
+				nd := du + g.edges[c.eid[i]].Cost
+				if nd < sp.Dist[v] {
+					sp.Dist[v] = nd
+					sp.Parent[v] = NodeID(u)
+					sp.ParentEdge[v] = EdgeID(c.eid[i])
+					h.Update(v, nd)
+				}
+			}
+		}
+		if ov == nil {
+			continue
+		}
+		for _, arc := range ov.appended(NodeID(u)) {
+			v := arc.To
+			if done[v] == gen || fs.NodeFailed(v) {
 				continue
 			}
-			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(v))) {
-				continue
-			}
-			nd := du + g.edges[c.eid[i]].Cost
+			nd := du + ov.edges[int(arc.Edge)-ov.m0].Cost
 			if nd < sp.Dist[v] {
 				sp.Dist[v] = nd
 				sp.Parent[v] = NodeID(u)
-				sp.ParentEdge[v] = EdgeID(c.eid[i])
-				h.Update(v, nd)
+				sp.ParentEdge[v] = arc.Edge
+				h.Update(int32(v), nd)
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func blockedMultigraph(seed int64) *Graph {
 	return g
 }
 
-// checkTruncated pins a DijkstraTo result against the full run from the
+// checkTruncated pins a truncated result against the full run from the
 // same source. Every node the truncated run settled carries the full
 // run's Dist, Parent and ParentEdge; every other node reads
 // +Inf/None/NoEdge. Every reachable target is settled, and the settled
@@ -70,16 +70,17 @@ func checkTruncated(t *testing.T, g *Graph, got, full *ShortestPaths, targets []
 	return truncated
 }
 
-// TestDijkstraToMatchesFullRun drives the truncated kernel over random
-// multigraphs (parallel and zero-cost edges) with failed and masked
-// elements, blocked sources, unreachable and duplicate targets, all
-// through one arena so every run starts from the previous run's
-// abandoned heap and target stamps.
+// TestDijkstraToMatchesFullRun drives the truncated kernel, through an
+// overlay with nothing appended, over random multigraphs (parallel and
+// zero-cost edges) with failed and masked elements, blocked sources,
+// unreachable and duplicate targets, all through one arena so every run
+// starts from the previous run's abandoned heap and target stamps.
 func TestDijkstraToMatchesFullRun(t *testing.T) {
 	arena := NewArena()
 	truncated, blockedSources := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		g := blockedMultigraph(seed)
+		ov := NewOverlay(g)
 		rng := rand.New(rand.NewSource(seed ^ 0x1d1d))
 		n := g.NumNodes()
 		for trial := 0; trial < 8; trial++ {
@@ -95,7 +96,7 @@ func TestDijkstraToMatchesFullRun(t *testing.T) {
 				targets = append(targets, NodeID(n-1)) // isolated: runs to completion
 			}
 			full := NewArena().Dijkstra(g, src)
-			got := arena.DijkstraTo(g, src, targets)
+			got := ov.dijkstraTo(arena, src, targets)
 			if checkTruncated(t, g, got, full, targets) {
 				truncated++
 			}
@@ -109,7 +110,7 @@ func TestDijkstraToMatchesFullRun(t *testing.T) {
 				t.Fatalf("seed %d src %d: run with an unreachable target differs from the full run", seed, src)
 			}
 		}
-		if pooled := DijkstraTo(g, 0, []NodeID{1}); !reflect.DeepEqual(pooled, arena.DijkstraTo(g, 0, []NodeID{1})) {
+		if pooled := ov.DijkstraTo(0, []NodeID{1}); !reflect.DeepEqual(pooled, ov.dijkstraTo(arena, 0, []NodeID{1})) {
 			t.Fatalf("seed %d: pooled DijkstraTo differs from the arena form", seed)
 		}
 	}
@@ -126,11 +127,12 @@ func TestDijkstraToMatchesFullRun(t *testing.T) {
 // an empty target list is a full run.
 func TestDijkstraToSourceAndEmptyTargets(t *testing.T) {
 	g := randomMultigraph(3)
+	ov := NewOverlay(g)
 	full := Dijkstra(g, 2)
-	if got := DijkstraTo(g, 2, nil); !reflect.DeepEqual(got, full) {
+	if got := ov.DijkstraTo(2, nil); !reflect.DeepEqual(got, full) {
 		t.Fatal("empty target list is not a full run")
 	}
-	got := DijkstraTo(g, 2, []NodeID{2})
+	got := ov.DijkstraTo(2, []NodeID{2})
 	for v := 0; v < g.NumNodes(); v++ {
 		if v != 2 && got.Reachable(NodeID(v)) {
 			t.Fatalf("node %d settled by a run targeting only its source", v)
@@ -154,7 +156,7 @@ func TestDijkstraToLeavesArenaClean(t *testing.T) {
 			g := blockedMultigraph(seed)
 			n := g.NumNodes()
 			for src := 0; src < n; src += 3 {
-				arena.DijkstraTo(g, NodeID(src), []NodeID{NodeID((src + 1) % n)})
+				NewOverlay(g).dijkstraTo(arena, NodeID(src), []NodeID{NodeID((src + 1) % n)})
 				next := NodeID((src + 5) % n)
 				got := arena.Dijkstra(g, next)
 				want := NewArenaWith(cfg).Dijkstra(g, next)

@@ -268,7 +268,10 @@ func (g *Graph) FindEdge(u, v NodeID) EdgeID {
 }
 
 // Clone returns an independent copy of g: no mutation of either graph is
-// visible in the other.
+// visible in the other. No library code calls it: SOFDA's auxiliary graph
+// is an Overlay on the live network. It is kept for the session
+// benchmark's clone probe and as the tests' reference construction of
+// that auxiliary graph.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		nodes: append([]Node(nil), g.nodes...),

@@ -5,9 +5,9 @@ package graph
 // connection cost between them in the underlying graph. It retains the
 // shortest-path trees so closure edges can be expanded back into real paths.
 //
-// The hot paths no longer use it — steiner.KMB resolves per-terminal trees
-// through closureTrees/PathProvider so they can come from the epoch-keyed
-// oracle cache — but it stays as the simple reference form of the closure:
+// The hot paths no longer use it — steiner.KMBWith takes per-terminal
+// trees from a PathProvider so they can come from the epoch-keyed oracle
+// cache — but it stays as the simple reference form of the closure:
 // the triangle-inequality property tests (Lemma 1) and small offline
 // analyses are its remaining consumers.
 type MetricClosure struct {

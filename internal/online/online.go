@@ -38,7 +38,7 @@ const (
 	AlgoSOFDA Algorithm = "SOFDA"
 	// AlgoSOFDASS is the single-source variant (Section V). Its embeds run
 	// entirely on the real network through the session oracle — no per-
-	// request auxiliary clone — so a warm-cache arrival stream pays almost
+	// request auxiliary graph — so a warm-cache arrival stream pays almost
 	// no shortest-path work. The scaled soak uses it with SrcRange {1,1}.
 	AlgoSOFDASS Algorithm = "SOFDA-SS"
 	AlgoENEMP   Algorithm = "eNEMP"

@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -82,17 +83,17 @@ func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 	return expand(g, terminals, trees, edges), nil
 }
 
-// checkMatchesFullClosure requires KMBWith, without a provider and with
-// one, to return the reference's tree bit for bit, or the reference's
-// error. It reports whether the instance was feasible.
+// checkMatchesFullClosure requires KMB, with its batched trees, and
+// KMBWith, with a provider's, to return the reference's tree bit for bit,
+// or the reference's error. It reports whether the instance was feasible.
 func checkMatchesFullClosure(t *testing.T, name string, g *graph.Graph, terms []graph.NodeID) bool {
 	t.Helper()
 	want, wantErr := fullClosureKMB(g, terms)
-	for mode, opts := range map[string]*KMBOptions{
-		"own-closure": nil,
-		"provider":    {Provider: &memoProvider{g: g}},
+	for mode, kmb := range map[string]func() (*Tree, error){
+		"batch":    func() (*Tree, error) { return KMB(g, terms) },
+		"provider": func() (*Tree, error) { return KMBWith(g, terms, &KMBOptions{Provider: &memoProvider{g: g}}) },
 	} {
-		got, err := KMBWith(g, terms, opts)
+		got, err := kmb()
 		if wantErr != nil {
 			if err == nil || err.Error() != wantErr.Error() {
 				t.Fatalf("%s %s: error %v, want %v", name, mode, err, wantErr)
@@ -112,8 +113,8 @@ func checkMatchesFullClosure(t *testing.T, name string, g *graph.Graph, terms []
 	return wantErr == nil
 }
 
-// TestKMBWithMatchesKMB pins KMBWith — its own Prim-order truncated
-// closure, and a provider's full trees — to the full-closure reference:
+// TestKMBWithMatchesKMB pins KMB and KMBWith — batched trees, and a
+// provider's — to the full-closure reference:
 // identical trees (nodes, edges, and cost bit-for-bit) on random graphs
 // and terminal-set sizes including the Fig. 10 regime's larger sets.
 func TestKMBWithMatchesKMB(t *testing.T) {
@@ -184,8 +185,8 @@ func auxShaped(seed int64) (*graph.Graph, graph.NodeID, []graph.NodeID) {
 }
 
 // TestKMBWithMatchesFullClosureAuxShaped runs the differential check on
-// Ĝ-shaped instances, where ŝ sits behind the chain-cost edges and the
-// Prim-order truncation saves the most: terminal sets ŝ ∪ destinations,
+// Ĝ-shaped instances, where ŝ sits behind the chain-cost edges: terminal
+// sets ŝ ∪ destinations,
 // with duplicate destinations, and with a blocked destination (failed
 // after Ĝ was built) that both sides must reject identically.
 func TestKMBWithMatchesFullClosureAuxShaped(t *testing.T) {
@@ -224,9 +225,10 @@ func TestKMBWithDisconnected(t *testing.T) {
 	}
 	g.MustAddEdge(0, 1, 1)
 	// 2 and 3 are isolated.
-	for _, opts := range []*KMBOptions{nil, {Provider: &memoProvider{g: g}}} {
-		if _, err := KMBWith(g, []graph.NodeID{0, 1, 3}, opts); err == nil {
-			t.Fatalf("opts %+v: expected disconnection error", opts)
-		}
+	terms := []graph.NodeID{0, 1, 3}
+	_, want := KMB(g, terms)
+	_, got := KMBWith(g, terms, &KMBOptions{Provider: &memoProvider{g: g}})
+	if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, graph.ErrDisconnected) {
+		t.Fatalf("KMB error %v, KMBWith error %v: want one disconnection error", want, got)
 	}
 }

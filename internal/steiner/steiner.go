@@ -10,8 +10,10 @@
 package steiner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sof/internal/graph"
@@ -57,69 +59,96 @@ func dedupeTerminals(terminals []graph.NodeID) []graph.NodeID {
 // cache instead of recomputing a private metric closure.
 type PathProvider interface {
 	// Tree returns the shortest-path tree rooted at n. The result must be
-	// valid for the graph passed alongside the provider.
+	// valid for the graph passed alongside the provider: a true
+	// shortest-path tree wherever KMB reads it (see KMBWith).
 	Tree(n graph.NodeID) *graph.ShortestPaths
 }
 
-// KMBOptions tune KMBWith. The zero value (or a nil pointer) reproduces
-// the self-contained KMB.
+// EdgeSource is the one graph query KMB makes once it has its trees: an
+// edge record by id. *graph.Graph and *graph.Overlay satisfy it.
+type EdgeSource interface {
+	Edge(id graph.EdgeID) graph.Edge
+}
+
+// KMBOptions carry KMBWith's shortest-path source.
 type KMBOptions struct {
 	// Provider answers the per-terminal shortest-path queries of the
-	// metric-closure phase. When nil, KMB runs its own Dijkstras,
-	// truncated to what the closure MST reads (see KMBWith).
+	// metric-closure phase. It is required.
 	Provider PathProvider
 }
 
 // KMB computes a Steiner tree spanning terminals with the
 // Kou–Markowsky–Berman algorithm: metric closure over terminals → MST of the
 // closure → expansion into shortest paths → MST of the expansion → prune
-// non-terminal leaves. Returns an error if the terminals are not mutually
+// non-terminal leaves. Every terminal's shortest-path tree comes from one
+// graph.DijkstraBatch. Returns an error if the terminals are not mutually
 // reachable.
 func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
-	return KMBWith(g, terminals, nil)
+	terminals = dedupeTerminals(terminals)
+	if len(terminals) < 2 {
+		return trivialTree(terminals), nil
+	}
+	return closureTree(g, terminals, graph.DijkstraBatch(g, terminals, nil))
 }
 
-// KMBWith is KMB with an injectable shortest-path provider. The computed
-// tree is identical to KMB's for any provider that answers with true
-// shortest-path trees: the closure MST breaks ties deterministically and
-// the expansion depends only on the trees.
+// KMBWith is KMB with the terminals' shortest-path trees taken from
+// opts.Provider, one Tree call per distinct terminal, in terminal order,
+// before the closure is built. The computed tree is KMB's for any
+// provider that answers with true shortest-path trees: the closure MST
+// breaks ties deterministically and the expansion depends only on the
+// trees.
 //
-// Without a provider the closure is built in Prim order. A terminal's
-// shortest-path tree is computed only when the closure MST connects that
-// terminal, and the run (graph.DijkstraTo) stops once every terminal not
-// yet connected is settled; the last terminal never runs. Prim and the
-// expansion read a tree only at those terminals and along the paths to
-// them, which the truncated run settles exactly as a full run would, so
-// the tree is unchanged. With a provider every terminal's tree is
-// fetched up front, so a caching provider's hit and miss counts do not
-// depend on the closure order.
-func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
+// A provider may answer with less than full trees. The closure reads the
+// first terminal's tree at every other terminal, and each later
+// terminal's tree only at the terminals still unconnected when Prim
+// connects it; the expansion reads a tree along the paths to the
+// terminals it was chosen to reach. A tree that is exact there — a
+// truncated run, or a tree over a subgraph that provably holds those
+// paths — gives the same Steiner tree. SOFDA's Steiner phase relies on
+// this (see core's completeForestWith).
+func KMBWith(g EdgeSource, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
 	terminals = dedupeTerminals(terminals)
-	switch len(terminals) {
-	case 0:
-		return &Tree{}, nil
-	case 1:
-		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, nil
+	if len(terminals) < 2 {
+		return trivialTree(terminals), nil
 	}
-	t := len(terminals)
-	trees := make([]*graph.ShortestPaths, t)
-	if opts != nil && opts.Provider != nil {
-		for i, tm := range terminals {
-			trees[i] = opts.Provider.Tree(tm)
-		}
-	} else {
-		trees[0] = graph.DijkstraTo(g, terminals[0], terminals[1:])
+	trees := make([]*graph.ShortestPaths, len(terminals))
+	for i, tm := range terminals {
+		trees[i] = opts.Provider.Tree(tm)
 	}
-	for i := 1; i < t; i++ {
-		if math.IsInf(trees[0].Dist[terminals[i]], 1) {
-			return nil, fmt.Errorf("steiner: terminal %d unreachable from %d: %w",
-				terminals[i], terminals[0], graph.ErrDisconnected)
-		}
-	}
+	return closureTree(g, terminals, trees)
+}
 
+// trivialTree is the Steiner tree of fewer than two distinct terminals.
+func trivialTree(terminals []graph.NodeID) *Tree {
+	if len(terminals) == 0 {
+		return &Tree{}
+	}
+	return &Tree{Nodes: []graph.NodeID{terminals[0]}}
+}
+
+// Unreachable returns KMB's disconnection error for the first terminal
+// after terminals[0] that sp, terminals[0]'s tree, does not reach, or nil
+// when it reaches them all. The error wraps graph.ErrDisconnected.
+func Unreachable(sp *graph.ShortestPaths, terminals []graph.NodeID) error {
+	for _, tm := range terminals[1:] {
+		if !sp.Reachable(tm) {
+			return fmt.Errorf("steiner: terminal %d unreachable from %d: %w",
+				tm, terminals[0], graph.ErrDisconnected)
+		}
+	}
+	return nil
+}
+
+// closureTree is KMB's body over two or more distinct terminals and their
+// shortest-path trees, in the same order.
+func closureTree(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths) (*Tree, error) {
+	if err := Unreachable(trees[0], terminals); err != nil {
+		return nil, err
+	}
 	// Prim's MST on the dense closure, selecting through the indexed heap
 	// (smallest-id tie-break matches the linear scan it replaced, so the
 	// chosen closure edges are unchanged — only the selection cost drops).
+	t := len(terminals)
 	settled := make([]bool, t)
 	minFrom := make([]int32, t)
 	for i := range minFrom {
@@ -128,24 +157,11 @@ func KMBWith(g *graph.Graph, terminals []graph.NodeID, opts *KMBOptions) (*Tree,
 	h := graph.NewIndexedHeap(t)
 	h.Update(0, 0)
 	closureEdges := make([]closureEdge, 0, t-1)
-	open := make([]graph.NodeID, 0, t-1)
 	for h.Len() > 0 {
 		best, _ := h.Pop()
 		settled[best] = true
 		if minFrom[best] >= 0 {
 			closureEdges = append(closureEdges, closureEdge{a: minFrom[best], b: best})
-		}
-		if trees[best] == nil {
-			open = open[:0]
-			for i, tm := range terminals {
-				if !settled[i] {
-					open = append(open, tm)
-				}
-			}
-			if len(open) == 0 {
-				break // the last terminal: no tree is read from it
-			}
-			trees[best] = graph.DijkstraTo(g, terminals[best], open)
 		}
 		dist := trees[best].Dist
 		for i := int32(0); i < int32(t); i++ {
@@ -168,7 +184,7 @@ type closureEdge struct{ a, b int32 }
 // expand turns the closure MST into KMB's tree: each closure edge becomes
 // its shortest path, then the MST of the union of those paths is pruned
 // of non-terminal leaves.
-func expand(g *graph.Graph, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
+func expand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
 	// Expand closure edges into real paths, deduping edges.
 	edgeSet := make(map[graph.EdgeID]bool)
 	nodeSet := make(map[graph.NodeID]bool)
@@ -185,49 +201,51 @@ func expand(g *graph.Graph, terminals []graph.NodeID, trees []*graph.ShortestPat
 		}
 	}
 
-	// MST of the expansion subgraph, then prune. The sets are collected
-	// into sorted slices first: Kruskal breaks equal-cost ties by edge
-	// order, so feeding it map order would let the runtime pick the tree.
+	// MST of the expansion subgraph, then prune.
 	subNodes := make([]graph.NodeID, 0, len(nodeSet))
 	for n := range nodeSet {
 		subNodes = append(subNodes, n)
 	}
 	sort.Slice(subNodes, func(i, j int) bool { return subNodes[i] < subNodes[j] })
-	subEdges := make([]graph.EdgeID, 0, len(edgeSet))
-	for e := range edgeSet {
-		subEdges = append(subEdges, e)
-	}
-	sort.Slice(subEdges, func(i, j int) bool { return subEdges[i] < subEdges[j] })
-	tree := mstOfSubgraph(g, subNodes, subEdges)
+	tree := mstOfSubgraph(g, subNodes, edgeSet)
 	prune(g, tree, terminals)
 	normalize(tree)
 	recost(g, tree)
 	return tree
 }
 
-// mstOfSubgraph computes an MST over exactly the given nodes and candidate
-// edges (all candidate edges have both endpoints in nodes).
-func mstOfSubgraph(g *graph.Graph, nodes []graph.NodeID, candidates []graph.EdgeID) *Tree {
-	sort.Slice(candidates, func(i, j int) bool {
-		ci, cj := g.EdgeCost(candidates[i]), g.EdgeCost(candidates[j])
-		if ci != cj {
-			return ci < cj
+// mstOfSubgraph computes an MST over exactly the given nodes and the
+// candidate edges in edgeSet (all with both endpoints in nodes). Each
+// edge record is read once, before the sort. Kruskal takes the candidates
+// by (cost, id), a total order, so the map's order never reaches the
+// tree.
+func mstOfSubgraph(g EdgeSource, nodes []graph.NodeID, edgeSet map[graph.EdgeID]bool) *Tree {
+	type candidate struct {
+		id graph.EdgeID
+		e  graph.Edge
+	}
+	cs := make([]candidate, 0, len(edgeSet))
+	for id := range edgeSet {
+		cs = append(cs, candidate{id: id, e: g.Edge(id)})
+	}
+	slices.SortFunc(cs, func(a, b candidate) int {
+		if a.e.Cost != b.e.Cost {
+			return cmp.Compare(a.e.Cost, b.e.Cost)
 		}
-		return candidates[i] < candidates[j]
+		return cmp.Compare(a.id, b.id)
 	})
 	uf := graph.NewSparseUnionFind()
 	tree := &Tree{Nodes: nodes}
-	for _, id := range candidates {
-		e := g.Edge(id)
-		if uf.Union(int(e.U), int(e.V)) {
-			tree.Edges = append(tree.Edges, id)
+	for _, c := range cs {
+		if uf.Union(int(c.e.U), int(c.e.V)) {
+			tree.Edges = append(tree.Edges, c.id)
 		}
 	}
 	return tree
 }
 
 // prune repeatedly removes non-terminal leaves from the tree in place.
-func prune(g *graph.Graph, tree *Tree, terminals []graph.NodeID) {
+func prune(g EdgeSource, tree *Tree, terminals []graph.NodeID) {
 	isTerminal := make(map[graph.NodeID]bool, len(terminals))
 	for _, t := range terminals {
 		isTerminal[t] = true
@@ -290,10 +308,10 @@ func normalize(t *Tree) {
 	sort.Slice(t.Edges, func(i, j int) bool { return t.Edges[i] < t.Edges[j] })
 }
 
-func recost(g *graph.Graph, t *Tree) {
+func recost(g EdgeSource, t *Tree) {
 	t.Cost = 0
 	for _, e := range t.Edges {
-		t.Cost += g.EdgeCost(e)
+		t.Cost += g.Edge(e).Cost
 	}
 }
 
