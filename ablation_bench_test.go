@@ -1,6 +1,5 @@
 // Ablation benchmarks for two design choices: the Steiner subroutine
-// (KMB vs exact) and the k-stroll solver (exact DP vs cheapest-insertion
-// vs color coding).
+// (KMB vs exact) and the k-stroll solver (exact DP vs cheapest-insertion).
 package sof
 
 import (
@@ -77,7 +76,6 @@ func BenchmarkAblationKStroll(b *testing.B) {
 	for _, s := range []kstroll.Solver{
 		&kstroll.ExactSolver{},
 		&kstroll.InsertionSolver{},
-		&kstroll.ColorCodingSolver{Trials: 200, Seed: 1},
 	} {
 		b.Run(s.Name(), func(b *testing.B) {
 			var costSum float64

@@ -10,7 +10,7 @@
 //	experiments -dist             # distributed vs centralized SOFDA (Section VI)
 //	experiments -failures -quick  # failure injection + recovery table
 //	experiments -lifecycle -quick # capacitated arrival/departure lifecycle table
-//	experiments -dist -transport rpc  # same, over net/rpc loopback domains
+//	experiments -dist -transport rpc  # same, over loopback TCP domain servers
 //	experiments -all -quick       # everything, reduced sizes
 package main
 
@@ -45,8 +45,7 @@ func main() {
 		lcNodes     = flag.Int("nodes", 0, "with -lifecycle: run the scaled soak on an Inet graph of this many nodes instead of SoftLayer/Cogent (0 = classic kinds)")
 		lcRequests  = flag.Int("requests", 0, "with -lifecycle: arrivals per setting (0 = derive from -steps)")
 		failEvents  = flag.Int("fail-events", 60, "failures injected per -failures run")
-		stream      = flag.Bool("stream", false, "with -dist: compare server-streamed fragment joins against batch joins (with -domain-addrs: use the streamed exchange)")
-		transport   = flag.String("transport", "inproc", "distributed transport: inproc (channel) or rpc (net/rpc over loopback)")
+		transport   = flag.String("transport", "inproc", "distributed transport: inproc (channel) or rpc (TCP over loopback)")
 		domainAddrs = flag.String("domain-addrs", "", "comma-separated addresses of running sofdomain processes; with -dist, embeds against them instead of spinning loopback servers")
 		domainNet   = flag.String("domain-net", "softlayer", "topology the sofdomain processes were started with (-domain-addrs mode)")
 		domainSeed  = flag.Int64("domain-seed", 0, "seed the sofdomain processes were started with (-domain-addrs mode)")
@@ -193,7 +192,7 @@ func main() {
 	if *all || *distrib {
 		ran = true
 		if *domainAddrs != "" {
-			if err := runAgainstDomains(strings.Split(*domainAddrs, ","), exp.NetKind(*domainNet), *domainSeed, *domainInet, *stream); err != nil {
+			if err := runAgainstDomains(strings.Split(*domainAddrs, ","), exp.NetKind(*domainNet), *domainSeed, *domainInet); err != nil {
 				log.Fatalf("distributed embedding against %s: %v", *domainAddrs, err)
 			}
 		} else {
@@ -201,19 +200,9 @@ func main() {
 			if *quick {
 				kinds = kinds[:1]
 			}
-			// -stream compares both join modes over the chosen transport;
-			// without it only the batch exchange runs, as before.
-			modes := []bool{false}
-			if *stream {
-				modes = []bool{false, true}
-			}
-			var rows []exp.DistRow
-			for _, streamed := range modes {
-				mrows, err := exp.DistTable(kinds, []int{1, 3, 5}, r, inet, exp.DistTransport(*transport), streamed)
-				if err != nil {
-					log.Fatalf("distributed comparison: %v", err)
-				}
-				rows = append(rows, mrows...)
+			rows, err := exp.DistTable(kinds, []int{1, 3, 5}, r, inet, exp.DistTransport(*transport))
+			if err != nil {
+				log.Fatalf("distributed comparison: %v", err)
 			}
 			fmt.Println(exp.FormatDistTable(rows))
 		}
@@ -230,7 +219,7 @@ func main() {
 // disabled: this command exists to prove the RPC path works, so a dead or
 // misconfigured domain must fail loudly instead of being silently papered
 // over by a leader-local solve that never touched the wire.
-func runAgainstDomains(addrs []string, kind exp.NetKind, seed int64, inetNodes int, streamed bool) error {
+func runAgainstDomains(addrs []string, kind exp.NetKind, seed int64, inetNodes int) error {
 	network, req, err := exp.DefaultRequest(kind, seed, inetNodes)
 	if err != nil {
 		return err
@@ -243,7 +232,7 @@ func runAgainstDomains(addrs []string, kind exp.NetKind, seed int64, inetNodes i
 	tr := distrpc.NewTransport(addrs)
 	defer tr.Close()
 	cluster := dist.NewClusterWith(network.G, len(addrs), dist.Config{
-		Transport: tr, RetryBudget: 1, DisableFallback: true, Streaming: streamed,
+		Transport: tr, RetryBudget: 1, DisableFallback: true,
 	})
 	defer cluster.Close()
 	start := time.Now()
@@ -252,18 +241,12 @@ func runAgainstDomains(addrs []string, kind exp.NetKind, seed int64, inetNodes i
 		return fmt.Errorf("%w\n(are the sofdomain processes running, and started with -net %s -seed %d and the default -vms/-inet-nodes? every topology flag must match, or the graph-digest handshake refuses)",
 			err, kind, seed)
 	}
-	join := "batch"
-	if streamed {
-		join = "streamed"
-	}
-	fmt.Printf("distributed SOFDA over %d sofdomain processes, %s joins (%v): cost=%.2f in %.2fms\n",
-		len(addrs), join, addrs, f.TotalCost(), float64(time.Since(start).Microseconds())/1e3)
-	fmt.Printf("centralized SOFDA:                                   cost=%.2f (match=%v)\n",
+	fmt.Printf("distributed SOFDA over %d sofdomain processes (%v): cost=%.2f in %.2fms\n",
+		len(addrs), addrs, f.TotalCost(), float64(time.Since(start).Microseconds())/1e3)
+	fmt.Printf("centralized SOFDA:                          cost=%.2f (match=%v)\n",
 		central.TotalCost(), central.TotalCost() == f.TotalCost())
-	if streamed {
-		st := cluster.StreamStats()
-		fmt.Printf("streaming: %d fragments, %d results, %d pruned, overlap %.2fms\n",
-			st.StreamedFragments, st.StreamedResults, st.PrunedCandidates, float64(st.OverlapNS)/1e6)
-	}
+	st := cluster.StreamStats()
+	fmt.Printf("streaming: %d fragments, %d results, %d pruned, overlap %.2fms\n",
+		st.StreamedFragments, st.StreamedResults, st.PrunedCandidates, float64(st.OverlapNS)/1e6)
 	return nil
 }

@@ -2,23 +2,21 @@
 // process: it reconstructs the evaluation network deterministically from
 // flags (so the leader and every domain agree on the graph and its cost
 // epoch without shipping topology over the wire) and serves candidate
-// service-chain requests on one listener speaking both protocols — the
-// net/rpc batch exchange with the gob codec, and the framed-gob streaming
-// exchange, where candidates leave as fragments the moment they are
-// solved and a leader that hangs up cancels the batch mid-flight.
+// service-chain requests over the framed-gob streaming exchange:
+// candidates leave as fragments the moment they are solved, and a leader
+// that hangs up cancels the batch mid-flight.
 //
 // A three-domain deployment is three sofdomain processes plus one leader
 // pointing a dist/rpc.Transport at them (the leader must be built with
-// the same -net and -seed; the protocol's cost-epoch + topology-digest
-// handshake refuses mismatched domains):
+// the same -net and -seed; the protocol's topology-digest handshake
+// refuses mismatched domains):
 //
 //	sofdomain -listen 127.0.0.1:9101 -net softlayer -seed 0 &
 //	sofdomain -listen 127.0.0.1:9102 -net softlayer -seed 0 &
 //	sofdomain -listen 127.0.0.1:9103 -net softlayer -seed 0 &
-//	experiments -dist -domain-addrs 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103 -stream
+//	experiments -dist -domain-addrs 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103
 //
-// (drop -stream for the one-shot batch exchange; the same servers answer
-// both). Every domain answers any (source, last VM) pairs it is sent;
+// Every domain answers any (source, last VM) pairs it is sent;
 // which pairs a domain owns is the leader's partitioning decision, so the
 // same server binary works for any domain count.
 package main
@@ -40,7 +38,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sofdomain: ")
 	var (
-		listen      = flag.String("listen", "127.0.0.1:0", "TCP address to serve net/rpc on")
+		listen      = flag.String("listen", "127.0.0.1:0", "TCP address to serve candidate streams on")
 		netKind     = flag.String("net", "softlayer", "topology: softlayer|cogent|inet")
 		vms         = flag.Int("vms", exp.DefaultVMs, "number of VM nodes")
 		seed        = flag.Int64("seed", 0, "topology seed (must match the leader's)")
@@ -58,10 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ds := distrpc.NewDomainServer(network.G, chain.Options{SourceSetupCost: *sourceSetup})
-	srv, err := distrpc.Serve(lis, ds)
-	if err != nil {
-		log.Fatal(err)
-	}
+	srv := distrpc.Serve(lis, ds)
 	log.Printf("serving %s (seed %d, %d nodes, %d VMs, cost epoch %d) on %s",
 		*netKind, *seed, network.G.NumNodes(), len(network.VMs), network.G.CostEpoch(), srv.Addr())
 

@@ -1,15 +1,14 @@
 // Distributed scenario: the SoftLayer network is split into three
-// controller domains and embedded three times (Section VI) — once with
-// the in-process channel transport (domains are worker goroutines), once
-// with domains behind real net/rpc servers on loopback listeners, each
-// owning its own reconstruction of the network, the way separate OS
-// processes would (see cmd/sofdomain for the standalone binary), and once
-// with the same rpc servers but server-streamed fragment joins: domains
-// emit candidates as they complete, the leader assembles the auxiliary
+// controller domains and embedded twice (Section VI) — once with the
+// in-process channel transport (domains are worker goroutines), and once
+// with domains behind real TCP servers on loopback listeners, each owning
+// its own reconstruction of the network, the way separate OS processes
+// would (see cmd/sofdomain for the standalone binary). Either way domains
+// stream candidates as they complete, the leader assembles the auxiliary
 // graph while slower domains are still solving, and dominated candidates
-// are pruned before allocating any aux-graph state. All runs must match
-// the centralized embedding bit for bit: transport and join mode change
-// where and when the candidate chains are computed, not what is computed.
+// are pruned before allocating any aux-graph state. Both runs must match
+// the centralized embedding bit for bit: the transport changes where and
+// when the candidate chains are computed, not what is computed.
 package main
 
 import (
@@ -64,18 +63,15 @@ func main() {
 		inproc.TotalCost(), inproc.NumTrees(), domains)
 
 	// RPC transport: each domain server rebuilds the network from the same
-	// seed — sharing nothing with the leader but the wire — and answers
-	// candidate batches over net/rpc with the gob codec.
+	// seed — sharing nothing with the leader but the wire — and streams
+	// candidate fragments back over TCP with the gob codec.
 	addrs := make([]string, domains)
 	for i := range addrs {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv, err := distrpc.Serve(lis, distrpc.NewDomainServer(build().G, chain.Options{}))
-		if err != nil {
-			log.Fatal(err)
-		}
+		srv := distrpc.Serve(lis, distrpc.NewDomainServer(build().G, chain.Options{}))
 		defer srv.Close()
 		addrs[i] = srv.Addr()
 	}
@@ -83,31 +79,19 @@ func main() {
 	defer tr.Close()
 	rpcCluster := dist.NewClusterWith(leaderNet.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
 	overRPC, err := rpcCluster.SOFDA(context.Background(), req, opts)
+	stats := rpcCluster.StreamStats()
 	rpcCluster.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed (net/rpc):    cost=%.2f trees=%d (%d servers on %v)\n",
+	fmt.Printf("distributed (rpc):        cost=%.2f trees=%d (%d servers on %v)\n",
 		overRPC.TotalCost(), overRPC.NumTrees(), domains, addrs)
-
-	// Streamed joins over the same servers: candidates cross the wire as
-	// fragments, the leader splices them into the aux graph as they land,
-	// and dominated candidates never allocate aux-graph state.
-	streamCluster := dist.NewClusterWith(leaderNet.G, domains, dist.Config{Transport: tr, RetryBudget: 1, Streaming: true})
-	streamed, err := streamCluster.SOFDA(context.Background(), req, opts)
-	stats := streamCluster.StreamStats()
-	streamCluster.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("distributed (streamed):   cost=%.2f trees=%d (%d fragments, %d pruned, overlap %.2fms)\n",
-		streamed.TotalCost(), streamed.NumTrees(), stats.StreamedFragments, stats.PrunedCandidates,
-		float64(stats.OverlapNS)/1e6)
+	fmt.Printf("                          %d fragments, %d pruned, overlap %.2fms\n",
+		stats.StreamedFragments, stats.PrunedCandidates, float64(stats.OverlapNS)/1e6)
 
 	if err := overRPC.Validate(req.Sources, req.Dests); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("all four costs identical:",
-		central.TotalCost() == inproc.TotalCost() && inproc.TotalCost() == overRPC.TotalCost() &&
-			overRPC.TotalCost() == streamed.TotalCost())
+	fmt.Println("all three costs identical:",
+		central.TotalCost() == inproc.TotalCost() && inproc.TotalCost() == overRPC.TotalCost())
 }

@@ -11,8 +11,8 @@ import (
 // order.
 //
 // The SOFDA pipeline's equivalence proofs (distributed == centralized,
-// streamed == batch, eager == inline) and the dominated-candidate prune
-// rule all assume deterministic tie-breaking; a map-ordered append or
+// in-process == wire, pruned == unpruned) and the dominated-candidate
+// prune rule all assume deterministic tie-breaking; a map-ordered append or
 // winner selection silently breaks bit-identical costs on retry. Flagged
 // shapes, for `range m` where m is a map:
 //

@@ -55,12 +55,12 @@ func TestAuxBuilderMatchesBatchPath(t *testing.T) {
 			t.Errorf("seed %d: batch-from-candidates %v != SOFDA %v", seed, batch.TotalCost(), direct.TotalCost())
 		}
 		for _, prune := range []bool{false, true} {
-			b, err := NewAuxGraphBuilder(context.Background(), net.G, req, opts)
+			b, err := NewAuxGraphBuilder(net.G, req, opts)
 			if err != nil {
 				t.Fatalf("seed %d: builder: %v", seed, err)
 			}
 			if prune {
-				b.EnablePruning()
+				b.EnablePruning(context.Background())
 			}
 			for _, sc := range candidates {
 				if _, err := b.AddCandidate(sc); err != nil {
@@ -127,11 +127,11 @@ func TestDominatedPairNeverEntersAuxGraph(t *testing.T) {
 			chainFar.TotalCost(), chainNear.TotalCost(), distU1U2)
 	}
 
-	b, err := NewAuxGraphBuilder(context.Background(), g, req, nil)
+	b, err := NewAuxGraphBuilder(g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.EnablePruning()
+	b.EnablePruning(context.Background())
 	edgesBefore := b.aux.g.NumEdges()
 	if ok, err := b.AddCandidate(chainNear); err != nil || !ok {
 		t.Fatalf("near candidate not admitted: ok=%v err=%v", ok, err)
@@ -167,7 +167,7 @@ func TestDominatedPairNeverEntersAuxGraph(t *testing.T) {
 // silently corrupting Ĝ.
 func TestAuxBuilderRejectsForeignChains(t *testing.T) {
 	net, req, opts, candidates := auxBuilderInstance(t, 7)
-	b, err := NewAuxGraphBuilder(context.Background(), net.G, req, opts)
+	b, err := NewAuxGraphBuilder(net.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestAuxBuilderRejectsForeignChains(t *testing.T) {
 	if ok, err := b.AddCandidate(short); err != nil || ok {
 		t.Errorf("wrong-length chain: ok=%v err=%v, want skipped", ok, err)
 	}
-	if _, err := NewAuxGraphBuilder(context.Background(), net.G, Request{Sources: req.Sources, Dests: req.Dests, ChainLen: 0}, opts); err == nil {
+	if _, err := NewAuxGraphBuilder(net.G, Request{Sources: req.Sources, Dests: req.Dests, ChainLen: 0}, opts); err == nil {
 		t.Error("builder accepted chainLen 0")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"time"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
@@ -45,7 +43,7 @@ type auxGraph struct {
 // ŝ, then each source's duplicate and ŝ–v̂ edge, then the v̂–v edges or
 // each VM's duplicate and û–u edge — so every build of one request
 // assigns the same ids. Candidate edges are added afterwards — all at
-// once by the batch builders, or one at a time by AuxGraphBuilder as a
+// once by buildAuxGraph, or one at a time by AuxGraphBuilder as a
 // streamed candidate arrives.
 func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *auxGraph {
 	aux := &auxGraph{
@@ -117,9 +115,9 @@ func buildAuxGraph(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, so
 }
 
 // AuxGraphBuilder assembles Ĝ incrementally from candidate chains as they
-// arrive: the streaming distributed leader (Section VI) feeds it fragment
-// by fragment instead of gathering every domain's batch first, and
-// finalizes into the same completion path SOFDAFromCandidatesCtx uses.
+// arrive: the distributed leader (Section VI) feeds it fragment by
+// fragment while slower domains are still solving, and finalizes into the
+// same completion path SOFDACtx uses.
 // Feed candidates with AddCandidate in the centralized enumeration order
 // and finish with Complete; the resulting forest is identical to handing
 // the same candidates to SOFDAFromCandidatesCtx at once.
@@ -149,11 +147,6 @@ type AuxGraphBuilder struct {
 	vms    []graph.NodeID
 	oracle *chain.Oracle
 	aux    *auxGraph
-	// ctx is the embedding's context, captured at construction: the
-	// builder is a single-request object, and its internal oracle work
-	// (the batched destination-tree prewarm) must die with the request
-	// rather than run under a minted Background.
-	ctx context.Context
 
 	pruning   bool
 	destTrees map[graph.NodeID]*graph.ShortestPaths
@@ -161,52 +154,6 @@ type AuxGraphBuilder struct {
 	accepted  map[graph.NodeID][]auxCand
 
 	added, pruned int
-
-	// Eager single-tree refinement (EnableEager): once every expected
-	// candidate of a source has been fed, that source's per-source
-	// refinement (winner ranking, KMB over the real network, forest
-	// assembly) launches on its own goroutine, overlapping the remaining
-	// stream instead of waiting for Complete. Candidate sets are final per
-	// source at that point — candidates only ever attach to their own
-	// source's duplicate, and the prune rule only consults same-source
-	// witnesses — so the eager run sees exactly the state the completion
-	// phase would.
-	eager      bool
-	expect     map[graph.NodeID]int
-	srcCands   map[graph.NodeID][]srcCand
-	eagerRuns  map[graph.NodeID]*eagerRun
-	eagerWG    sync.WaitGroup
-	destWarmed int
-	// Filled by Complete: eager runs finished before the completion
-	// phase's refinement loop demanded them, and the summed per-source
-	// head-start — the wall-clock between each run's launch and that
-	// demand point (capped at the run's finish), during which the run was
-	// in flight or ready while the stream tail and the Ĝ Steiner phase
-	// did other work. Sources run as concurrent lanes, so the sum can
-	// exceed the embedding's wall time, like CPU-seconds.
-	earlyRuns int
-	earlyNS   int64
-}
-
-// srcCand is one admitted candidate of a source, in Ĝ insertion order: the
-// virtual edge and its chain. The eager refinement works off this snapshot
-// so it never reads the concurrently growing aux graph.
-type srcCand struct {
-	edge graph.EdgeID
-	sc   *chain.ServiceChain
-}
-
-// eagerRun holds one source's eagerly computed refinement forest. started
-// is stamped synchronously at launch (the moment the source's last
-// candidate was delivered); the remaining fields are written only by the
-// run's own goroutine and read after the builder's WaitGroup settles.
-// forest is nil when the source has no feasible single-chain tree — the
-// same outcome the inline path skips.
-type eagerRun struct {
-	started  time.Time
-	forest   *Forest
-	dur      time.Duration
-	finished time.Time
 }
 
 // auxCand is one accepted candidate in the builder's per-source dominance
@@ -219,10 +166,8 @@ type auxCand struct {
 
 // NewAuxGraphBuilder validates the request and builds Ĝ's skeleton. It
 // requires chainLen >= 1: with no chains to stream, the problem is a plain
-// Steiner forest and SOFDACtx solves it directly. ctx scopes the builder's
-// own oracle work (destination-tree prewarming) to the embedding; nil is
-// normalized like every other Ctx entry point.
-func NewAuxGraphBuilder(ctx context.Context, g *graph.Graph, req Request, opts *Options) (*AuxGraphBuilder, error) {
+// Steiner forest and SOFDACtx solves it directly.
+func NewAuxGraphBuilder(g *graph.Graph, req Request, opts *Options) (*AuxGraphBuilder, error) {
 	if err := req.Validate(g); err != nil {
 		return nil, err
 	}
@@ -230,148 +175,32 @@ func NewAuxGraphBuilder(ctx context.Context, g *graph.Graph, req Request, opts *
 		return nil, errors.New("core: aux-graph builder requires chainLen >= 1 (chainLen 0 degenerates to a Steiner forest)")
 	}
 	o := optsOrDefault(opts)
-	b := &AuxGraphBuilder{g: g, req: req, o: o, ctx: ctxOrBackground(ctx)}
+	b := &AuxGraphBuilder{g: g, req: req, o: o}
 	b.vms = o.vms(g)
 	b.oracle = o.oracle(g)
 	b.aux = newAuxSkeleton(g, req.Sources, b.vms, req.ChainLen)
 	return b, nil
 }
 
-// EnablePruning arms early dominated-candidate rejection. It precomputes
-// the per-destination shortest-path trees the rule's mst term needs —
+// EnablePruning arms early dominated-candidate rejection. It warms and
+// pins the per-destination shortest-path trees the rule's mst term needs —
 // trees the completion phase's refinement pulls from the same oracle
-// anyway, so under a session oracle the work is paid once.
-func (b *AuxGraphBuilder) EnablePruning() {
+// anyway, so under a session oracle the work is paid once. The warm pass
+// is batched (one arena, one CSR fetch) and miss-neutral, so oracle
+// counters match a demand-faulted session; ctx scopes it to the embedding
+// (nil is normalized like every other Ctx entry point).
+func (b *AuxGraphBuilder) EnablePruning(ctx context.Context) {
 	if b.pruning {
 		return
 	}
 	b.pruning = true
-	b.ensureDestTrees()
-	b.mst = make(map[graph.NodeID]float64)
-	b.accepted = make(map[graph.NodeID][]auxCand)
-}
-
-// ensureDestTrees warms and pins the per-destination shortest-path trees
-// shared by pruning and the eager refinement. The warm pass is batched
-// (one arena, one CSR fetch) and miss-neutral, so oracle counters match a
-// demand-faulted session.
-func (b *AuxGraphBuilder) ensureDestTrees() {
-	if b.destTrees != nil {
-		return
-	}
-	b.destWarmed = b.oracle.WarmTrees(b.ctx, b.req.Dests)
+	b.oracle.WarmTrees(ctxOrBackground(ctx), b.req.Dests)
 	b.destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(b.req.Dests))
 	for _, d := range b.req.Dests {
 		b.destTrees[d] = b.oracle.Tree(d)
 	}
-}
-
-// EnableEager arms overlapped per-source refinement: call
-// ExpectCandidates with each source's pair count, then NoteDelivered as
-// every pair resolves (admitted, pruned, or infeasible alike). When a
-// source's count reaches zero its candidate set is final, and the
-// builder starts that source's single-tree refinement concurrently with
-// the rest of the stream; Complete consumes the precomputed forests
-// instead of recomputing them. The eager runs read only the immutable
-// request, the concurrency-safe oracle, and a per-source candidate
-// snapshot, so they commute with ongoing AddCandidate calls — and the
-// forests they produce are the ones the inline refinement would build,
-// so the final cost is bit-identical.
-func (b *AuxGraphBuilder) EnableEager() {
-	if b.eager {
-		return
-	}
-	b.eager = true
-	b.expect = make(map[graph.NodeID]int)
-	b.srcCands = make(map[graph.NodeID][]srcCand)
-	b.eagerRuns = make(map[graph.NodeID]*eagerRun)
-	b.ensureDestTrees()
-}
-
-// ExpectCandidates declares how many candidate deliveries source s will
-// see (its pair count). Must precede the first NoteDelivered(s). A zero
-// count launches the source's (vacuous) refinement immediately.
-func (b *AuxGraphBuilder) ExpectCandidates(s graph.NodeID, n int) {
-	if !b.eager {
-		return
-	}
-	b.expect[s] = n
-	if n == 0 {
-		b.launchEager(s)
-	}
-}
-
-// NoteDelivered records that one of source s's expected candidates has
-// resolved — whether it was admitted, pruned, or infeasible. The count
-// reaching zero launches the source's eager refinement.
-func (b *AuxGraphBuilder) NoteDelivered(s graph.NodeID) {
-	if !b.eager {
-		return
-	}
-	n, ok := b.expect[s]
-	if !ok {
-		return
-	}
-	n--
-	b.expect[s] = n
-	if n == 0 {
-		b.launchEager(s)
-	}
-}
-
-// launchEager starts source s's refinement goroutine over its final
-// candidate snapshot. Idempotent per source.
-func (b *AuxGraphBuilder) launchEager(s graph.NodeID) {
-	if _, ok := b.eagerRuns[s]; ok {
-		return
-	}
-	if _, ok := b.aux.srcDup[s]; !ok {
-		return
-	}
-	run := &eagerRun{started: time.Now()}
-	b.eagerRuns[s] = run
-	cands := b.srcCands[s]
-	b.eagerWG.Add(1)
-	go func() {
-		defer b.eagerWG.Done()
-		run.forest = b.eagerForest(cands)
-		run.finished = time.Now()
-		run.dur = run.finished.Sub(run.started)
-	}()
-}
-
-// eagerForest is one source's refinement computed off the aux graph: pick
-// the winning candidate, KMB it against the destinations over the real
-// network, and assemble the forest through a shim aux that carries only
-// the winner's chain entry. For chainLen >= 1 assembly consults the aux
-// graph solely to classify edges and map the virtual winner back to its
-// chain, so the shim reproduces the full-aux result exactly.
-func (b *AuxGraphBuilder) eagerForest(cands []srcCand) *Forest {
-	edges, winner := singleTreeEdges(b.g, b.oracle, cands, b.req, b.destTrees)
-	if edges == nil {
-		return nil
-	}
-	shim := &auxGraph{
-		chains:    map[graph.EdgeID]*chain.ServiceChain{winner.edge: winner.sc},
-		origNodes: b.aux.origNodes,
-		origEdges: b.aux.origEdges,
-	}
-	f, err := assembleForest(b.g, b.oracle, b.vms, b.req, shim, edges)
-	if err != nil {
-		return nil
-	}
-	return f
-}
-
-// EagerOverlap reports how much closure work the eager mode moved off
-// the completion phase's critical path: the number of closure passes
-// finished early (warmed destination trees plus per-source refinements
-// that completed before the refinement loop demanded them) and the
-// summed per-source head-start in nanoseconds — launch to demand,
-// capped at each run's finish. Per-source lanes overlap, so the sum can
-// exceed wall time. Valid after Complete returns.
-func (b *AuxGraphBuilder) EagerOverlap() (closuresEarly int, overlapNS int64) {
-	return b.destWarmed + b.earlyRuns, b.earlyNS
+	b.mst = make(map[graph.NodeID]float64)
+	b.accepted = make(map[graph.NodeID][]auxCand)
 }
 
 // closure returns the memoized metric-closure MST cost over {u} ∪ dests.
@@ -428,9 +257,6 @@ func (b *AuxGraphBuilder) AddCandidate(sc *chain.ServiceChain) (bool, error) {
 	}
 	id := b.aux.g.MustAddEdge(sd, ud, w)
 	b.aux.chains[id] = sc
-	if b.eager {
-		b.srcCands[sc.Source] = append(b.srcCands[sc.Source], srcCand{edge: id, sc: sc})
-	}
 	b.added++
 	return true, nil
 }
@@ -442,60 +268,12 @@ func (b *AuxGraphBuilder) Added() int { return b.added }
 func (b *AuxGraphBuilder) Pruned() int { return b.pruned }
 
 // Complete runs the shared tail of Algorithm 2 (Steiner phase, forest
-// assembly, per-source refinement) over the incrementally built Ĝ. With
-// eager mode armed, the per-source refinement consumes the forests the
-// eager runs precomputed — waiting for stragglers only after the Ĝ
-// Steiner phase, so late runs still overlap it — and records the overlap
-// accounting EagerOverlap reports.
+// assembly, per-source refinement) over the incrementally built Ĝ.
 func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
-	ctx = ctxOrBackground(ctx)
 	if b.added == 0 {
-		b.eagerWG.Wait()
 		return nil, errors.New("core: no feasible candidate service chain supplied")
 	}
-	var refined func(graph.NodeID) (*Forest, bool)
-	var demand time.Time
-	if b.eager {
-		var waitOnce sync.Once
-		refined = func(s graph.NodeID) (*Forest, bool) {
-			// The refinement loop's first call marks the moment the
-			// completion phase demands the eager results: everything a run
-			// did before this instant overlapped the stream tail and the Ĝ
-			// Steiner phase instead of serializing after them.
-			waitOnce.Do(func() {
-				demand = time.Now()
-				b.eagerWG.Wait()
-			})
-			run, ok := b.eagerRuns[s]
-			if !ok {
-				return nil, false
-			}
-			return run.forest, true
-		}
-	}
-	f, err := completeForestWith(ctx, b.g, b.oracle, b.vms, b.req, b.aux, refined)
-	if b.eager {
-		b.eagerWG.Wait()
-		b.earlyRuns, b.earlyNS = 0, 0
-		if demand.IsZero() {
-			demand = time.Now()
-		}
-		for _, run := range b.eagerRuns {
-			if !run.finished.After(demand) {
-				// Finished before the completion phase asked: this closure
-				// never blocked the pipeline.
-				b.earlyRuns++
-			}
-			end := run.finished
-			if demand.Before(end) {
-				end = demand
-			}
-			if lead := end.Sub(run.started); lead > 0 {
-				b.earlyNS += int64(lead)
-			}
-		}
-	}
-	return f, err
+	return completeForest(ctxOrBackground(ctx), b.g, b.oracle, b.vms, b.req, b.aux)
 }
 
 // SOFDAFromCandidatesCtx runs Algorithm 2's Steiner, conflict-resolution,
@@ -512,7 +290,7 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 		}
 		return SOFDACtx(ctx, g, req, opts)
 	}
-	b, err := NewAuxGraphBuilder(ctx, g, req, opts)
+	b, err := NewAuxGraphBuilder(g, req, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -528,17 +306,6 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 // Steiner phase, forest assembly, and the per-source single-tree
 // refinement. Both the centralized SOFDA and the distributed leader end
 // here, which is what makes their costs provably identical on equal Ĝ.
-// completeForestWith documents the Steiner phase.
-func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph) (*Forest, error) {
-	return completeForestWith(ctx, g, oracle, vms, req, aux, nil)
-}
-
-// completeForestWith is completeForest with an optional refinement
-// shortcut: when refined is non-nil and returns (f, true) for a source,
-// f is that source's precomputed single-tree forest (nil when the source
-// has none) and the inline computation is skipped. The eager builder
-// supplies forests computed by the identical code path, so the shortcut
-// changes wall-clock only, never the result.
 //
 // The Steiner phase is KMB over {ŝ} ∪ dests on Ĝ with one Dijkstra run on
 // Ĝ: ŝ's, truncated once every destination is settled. If it misses a
@@ -567,7 +334,7 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 // Ĝ reads the live network when the phase runs, as the oracle does, so
 // under concurrent cost or failure writers both see the same epoch's
 // state only when no write lands in between.
-func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, refined func(graph.NodeID) (*Forest, bool)) (*Forest, error) {
+func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph) (*Forest, error) {
 	tree, destTrees, err := steinerPhase(oracle, req.Dests, aux)
 	if err != nil {
 		return nil, err
@@ -593,25 +360,13 @@ func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracl
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var f *Forest
-		if refined != nil {
-			var ok bool
-			if f, ok = refined(s); !ok {
-				f = nil
-			} else if f == nil {
-				continue
-			}
+		cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
+		if cand == nil {
+			continue
 		}
-		if f == nil {
-			cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
-			if cand == nil {
-				continue
-			}
-			var err error
-			f, err = assembleForest(g, oracle, vms, req, aux, cand)
-			if err != nil {
-				continue
-			}
+		f, err := assembleForest(g, oracle, vms, req, aux, cand)
+		if err != nil {
+			continue
 		}
 		if f.TotalCost() < best.TotalCost() {
 			best = f
@@ -621,7 +376,7 @@ func completeForestWith(ctx context.Context, g *graph.Graph, oracle *chain.Oracl
 }
 
 // steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ (see
-// completeForestWith) and returns it with the destinations' oracle trees.
+// completeForest) and returns it with the destinations' oracle trees.
 func steinerPhase(oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, map[graph.NodeID]*graph.ShortestPaths, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, dests...)
 	rows := &steinerRows{
@@ -689,53 +444,39 @@ func SOFDACtx(ctx context.Context, g *graph.Graph, req Request, opts *Options) (
 }
 
 // bestSingleTree returns Ĝ tree edges for the cheapest single-chain
-// solution rooted at source s: its best virtual edge (v̂,û) plus a KMB tree
-// over {u} ∪ dests, or nil when infeasible. Candidates are ranked by chain
-// cost + the metric-closure MST over {u} ∪ dests (KMB's own upper bound),
-// and only the winner gets a full KMB run.
+// solution rooted at s: its best virtual edge (v̂,û) plus a KMB tree over
+// {u} ∪ dests, the virtual edge last, or nil when infeasible. Candidates
+// are ranked by chain cost + the metric-closure MST over {u} ∪ dests
+// (KMB's own upper bound) in Ĝ adjacency order, so the first strict
+// minimum wins, and only the winner gets a full KMB run.
 func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph.NodeID, req Request, destTrees map[graph.NodeID]*graph.ShortestPaths) []graph.EdgeID {
 	sHatDup, ok := aux.srcDup[s]
 	if !ok {
 		return nil
 	}
-	var cands []srcCand
-	for _, a := range aux.g.Adj(sHatDup) {
-		if sc, ok := aux.chains[a.Edge]; ok {
-			cands = append(cands, srcCand{edge: a.Edge, sc: sc})
-		}
-	}
-	edges, _ := singleTreeEdges(g, oracle, cands, req, destTrees)
-	return edges
-}
-
-// singleTreeEdges ranks a source's candidates — in their Ĝ insertion
-// order, so the first strict minimum wins exactly as the adjacency scan
-// would pick it — and returns the winner's Ĝ tree edges (its KMB tree
-// over {lastVM} ∪ dests plus the virtual edge, last) together with the
-// winner itself. nil edges when there is no candidate or KMB fails. Both
-// the inline refinement and the eager runs funnel through here, which is
-// what makes their forests interchangeable.
-func singleTreeEdges(g *graph.Graph, oracle *chain.Oracle, cands []srcCand, req Request, destTrees map[graph.NodeID]*graph.ShortestPaths) ([]graph.EdgeID, srcCand) {
-	var winner srcCand
-	winner.edge = graph.NoEdge
+	winner := graph.NoEdge
+	var winnerChain *chain.ServiceChain
 	bestCost := 0.0
-	for _, c := range cands {
-		r := c.sc.TotalCost() + closureMST(c.sc.LastVM, req.Dests, destTrees)
-		if winner.edge == graph.NoEdge || r < bestCost {
-			winner = c
-			bestCost = r
+	for _, a := range aux.g.Adj(sHatDup) {
+		sc, ok := aux.chains[a.Edge]
+		if !ok {
+			continue
+		}
+		r := sc.TotalCost() + closureMST(sc.LastVM, req.Dests, destTrees)
+		if winner == graph.NoEdge || r < bestCost {
+			winner, winnerChain, bestCost = a.Edge, sc, r
 		}
 	}
-	if winner.edge == graph.NoEdge {
-		return nil, winner
+	if winner == graph.NoEdge {
+		return nil
 	}
-	tree, err := steiner.KMBWith(g, append([]graph.NodeID{winner.sc.LastVM}, req.Dests...),
+	tree, err := steiner.KMBWith(g, append([]graph.NodeID{winnerChain.LastVM}, req.Dests...),
 		&steiner.KMBOptions{Provider: oracle})
 	if err != nil {
-		return nil, winner
+		return nil
 	}
 	edges := append([]graph.EdgeID(nil), tree.Edges...)
-	return append(edges, winner.edge), winner
+	return append(edges, winner)
 }
 
 // closureMST is the MST cost of the metric closure over {u} ∪ dests, using

@@ -209,7 +209,7 @@ func phaseRequest(rng *rand.Rand, g *graph.Graph, chainLen int) Request {
 // costs, failures and masks moved between rounds, over chain lengths 0–2
 // and all entry points: SOFDACtx, SOFDAFromCandidatesCtx with repeated
 // candidates (parallel equal-cost virtual edges), and AuxGraphBuilder
-// with pruning and in eager mode.
+// with pruning.
 func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
 	ctx := context.Background()
 	feasible := 0
@@ -255,7 +255,7 @@ func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
 				}
 			}
 			f, ferr = SOFDAFromCandidatesCtx(ctx, g, req, opts, cands)
-			b, err := NewAuxGraphBuilder(ctx, g, req, opts)
+			b, err := NewAuxGraphBuilder(g, req, opts)
 			if err != nil {
 				t.Fatalf("%s: builder: %v", label, err)
 			}
@@ -266,25 +266,18 @@ func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
 			}
 			checkAgainstClone(t, label+" FromCandidates", g, oracle, vms, req, b.aux, f, ferr)
 
-			for _, mode := range []string{"pruning", "eager"} {
-				b, err := NewAuxGraphBuilder(ctx, g, req, opts)
-				if err != nil {
-					t.Fatalf("%s: builder: %v", label, err)
-				}
-				if mode == "pruning" {
-					b.EnablePruning()
-					for _, sc := range cands {
-						if _, err := b.AddCandidate(sc); err != nil {
-							t.Fatalf("%s: AddCandidate: %v", label, err)
-						}
-					}
-				} else {
-					b.EnableEager()
-					feedEager(t, b, req, vms, results)
-				}
-				f, ferr := b.Complete(ctx)
-				checkAgainstClone(t, label+" builder "+mode, g, oracle, vms, req, b.aux, f, ferr)
+			b, err = NewAuxGraphBuilder(g, req, opts)
+			if err != nil {
+				t.Fatalf("%s: builder: %v", label, err)
 			}
+			b.EnablePruning(ctx)
+			for _, sc := range cands {
+				if _, err := b.AddCandidate(sc); err != nil {
+					t.Fatalf("%s: AddCandidate: %v", label, err)
+				}
+			}
+			f, ferr = b.Complete(ctx)
+			checkAgainstClone(t, label+" builder pruning", g, oracle, vms, req, b.aux, f, ferr)
 		}
 	}
 	if feasible < 60 {

@@ -3,6 +3,7 @@
 // generates candidate service chains for the sources it owns with its own
 // chain oracle (private Dijkstra cache, private worker pool), and a leader
 // merges the per-domain candidates and completes the forest through
+// core.AuxGraphBuilder, the incremental form of
 // core.SOFDAFromCandidatesCtx.
 //
 // Because every domain answers its queries with the same deterministic
@@ -12,14 +13,17 @@
 // distribution changes where the work runs, not what is computed.
 //
 // The domain boundary is a real interface: the leader talks to domains
-// only through Transport, exchanging typed CandidateRequest and
-// CandidateResponse messages ([]chain.Pair in, []chain.Result out, spliced
-// by global index). ChannelTransport keeps the domains in-process (the
-// reference implementation and test double); package dist/rpc carries the
-// same messages over net/rpc so domains run as separate OS processes. The
-// leader survives transport failure: a domain Send is retried on a budget
-// and then its pairs are solved on a local fallback oracle, so a domain
-// crash degrades latency, never correctness.
+// only through Transport, sending one CandidateRequest ([]chain.Pair) per
+// domain and receiving a stream of CandidateFragments (results located by
+// pair index, spliced back into the centralized order). The leader feeds
+// every spliced candidate into the builder, pruning dominated ones, while
+// slower domains are still solving. ChannelTransport keeps the domains
+// in-process (the reference implementation and test double); package
+// dist/rpc carries the same messages over TCP so domains run as separate
+// OS processes. The leader survives transport failure: a failed stream is
+// retried on a budget for its undelivered pairs, which the leader then
+// solves on a local fallback oracle, so a domain crash degrades latency,
+// never correctness.
 package dist
 
 import (
@@ -29,6 +33,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sof/internal/chain"
 	"sof/internal/core"
@@ -62,41 +67,14 @@ type Config struct {
 	// the leader's local fallback oracle. For the distributed cost to match
 	// the centralized one it must equal the options remote domains run.
 	Chain chain.Options
-	// RetryBudget is how many times a failed domain Send is retried before
-	// the leader falls back to its local oracle. Negative means 0.
+	// RetryBudget is how many times a failed domain stream is retried (for
+	// its undelivered pairs) before the leader falls back to its local
+	// oracle. Negative means 0.
 	RetryBudget int
 	// DisableFallback turns the local-oracle fallback off: a domain whose
-	// Send fails past the retry budget fails the embedding with the
+	// stream fails past the retry budget fails the embedding with the
 	// transport error instead. Mostly for tests that assert on failures.
 	DisableFallback bool
-	// Streaming switches the leader to the server-streamed fragment
-	// exchange: domains emit CandidateFragments as pairs complete, and the
-	// leader splices them into the centralized candidate order and builds
-	// the auxiliary graph incrementally while slower domains are still
-	// solving — with dominated candidates pruned on arrival unless
-	// DisablePruning is set. The forest cost is identical to the batch
-	// exchange (and to centralized SOFDA). Requires a transport
-	// implementing StreamTransport; over a batch-only transport the leader
-	// quietly keeps the batch exchange, so wrappers and fault-injection
-	// doubles stay usable.
-	Streaming bool
-	// DisablePruning keeps dominated candidates: every feasible candidate
-	// allocates aux-graph state. It governs both join modes — the batch
-	// exchange feeds the leader through the same pruning builder the
-	// streamed exchange uses. The forest cost is the same either way (the
-	// prune rule is cost-safe by construction); the switch exists for the
-	// equivalence tests and for measuring the pruning effect in isolation.
-	DisablePruning bool
-	// EagerClosure overlaps the streamed exchange's Steiner phase with the
-	// gather: the moment every candidate of a source has spliced out of
-	// the reorder buffer, the leader starts that source's single-tree
-	// refinement (metric-closure ranking, KMB, forest assembly)
-	// concurrently with the still-streaming domains, so by Complete most
-	// closure passes are already done. The forest cost is bit-identical —
-	// the eager runs execute the same code the completion phase would, on
-	// per-source candidate sets that are provably final. No effect on the
-	// batch exchange (there is no stream to overlap).
-	EagerClosure bool
 }
 
 // Cluster is the leader of a multi-domain SDN deployment: it partitions
@@ -123,14 +101,12 @@ type Cluster struct {
 	// embedding's handshake stamp is an atomic load, not an O(V+E) hash.
 	memo digestMemo
 
-	// Streaming-exchange counters, cumulative across embeddings (see
-	// StreamStats).
-	streamFragments     atomic.Uint64
-	streamResults       atomic.Uint64
-	streamPruned        atomic.Uint64
-	streamEpochDrift    atomic.Uint64
-	streamOverlapNS     atomic.Int64
-	streamEarlyClosures atomic.Uint64
+	// Exchange counters, cumulative across embeddings (see StreamStats).
+	streamFragments  atomic.Uint64
+	streamResults    atomic.Uint64
+	streamPruned     atomic.Uint64
+	streamEpochDrift atomic.Uint64
+	streamOverlapNS  atomic.Int64
 
 	// mu is held read-side for the duration of every SOFDA call and
 	// write-side by Close, so Close cannot pull the transport out from
@@ -209,82 +185,14 @@ func (c *Cluster) fallbackOracle() *chain.Oracle {
 	return c.fallback
 }
 
-// candidateRequest builds the wire request for one domain's pair slice.
-// It is the single construction point for both join modes, so a field
-// added to the protocol cannot silently zero-value on one path only.
-func (c *Cluster) candidateRequest(epoch, digest uint64, chainLen, parallelism int, vms []graph.NodeID, pairs []chain.Pair) *CandidateRequest {
-	return &CandidateRequest{
-		CostEpoch:   epoch,
-		GraphDigest: digest,
-		ChainLen:    chainLen,
-		Parallelism: parallelism,
-		VMs:         vms,
-		Pairs:       pairs,
-		SourceSetup: c.cfg.Chain.SourceSetupCost,
-	}
-}
-
-// sendCandidates moves one domain's request over the transport with the
-// configured retry budget, falling back to the leader-local oracle when
-// the domain stays unreachable. Context errors are never retried or
-// absorbed by the fallback: a cancelled embedding must surface ctx.Err().
-func (c *Cluster) sendCandidates(ctx context.Context, domainID int, req *CandidateRequest) ([]CandidateResult, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.RetryBudget; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, err := c.transport.Send(ctx, domainID, req)
-		if err == nil {
-			switch {
-			// Digest equality proves content equality, so the epoch is
-			// deliberately absent here: counters that drifted over
-			// identical graphs (bump-and-restore) must not refuse.
-			case resp.GraphDigest != req.GraphDigest || resp.SourceSetup != req.SourceSetup:
-				err = fmt.Errorf("dist: domain %d answered with graph digest %x sourceSetup %v, want digest %x sourceSetup %v: %w",
-					domainID, resp.GraphDigest, resp.SourceSetup,
-					req.GraphDigest, req.SourceSetup, ErrGraphMismatch)
-			case len(resp.Results) != len(req.Pairs):
-				err = fmt.Errorf("dist: domain %d answered %d results for %d pairs",
-					domainID, len(resp.Results), len(req.Pairs))
-			default:
-				return resp.Results, nil
-			}
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if errors.Is(err, ErrNoSuchDomain) {
-			// Leader misconfiguration (more cluster domains than the
-			// transport serves): deterministic, so retrying is pointless,
-			// and absorbing it into the fallback would permanently and
-			// silently un-distribute part of every embedding. Fail loudly.
-			return nil, err
-		}
-		if errors.Is(err, ErrGraphMismatch) {
-			// A re-send sees the same graphs; go straight to the fallback.
-			break
-		}
-	}
-	if c.cfg.DisableFallback {
-		return nil, fmt.Errorf("dist: domain %d failed past retry budget %d: %w",
-			domainID, c.cfg.RetryBudget, lastErr)
-	}
-	results, err := c.fallbackOracle().Chains(ctx, req.VMs, req.Pairs, req.ChainLen, req.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return WireResults(results), nil
-}
-
 // SOFDA runs the distributed Algorithm 2: each domain generates candidate
-// chains for the (source, last VM) pairs whose source it owns, the leader
-// merges them in centralized order and completes the forest with
-// core.SOFDAFromCandidatesCtx. The returned forest's cost equals the
-// centralized core.SOFDACtx cost on the same graph, request, and options —
-// also when domains fail and the fallback answers for them, because the
-// fallback runs the identical deterministic reduction.
+// chains for the (source, last VM) pairs whose source it owns and streams
+// them back, while the leader splices them in centralized order into a
+// pruning core.AuxGraphBuilder and completes the forest. The returned
+// forest's cost equals the centralized core.SOFDACtx cost on the same
+// graph, request, and options — also when domains fail and the fallback
+// answers for them, because the fallback runs the identical deterministic
+// reduction.
 func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*core.Forest, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -337,87 +245,98 @@ func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*c
 		digest = c.memo.of(c.g)
 	}
 
-	if c.cfg.Streaming {
-		if st, ok := c.transport.(StreamTransport); ok {
-			return c.sofdaStreaming(ctx, st, req, o, vms, pairs, perDomain, perIndices, epoch, digest, opts.Parallelism)
-		}
+	// Pruning is cost-safe by construction (see core.AuxGraphBuilder), so
+	// the leader always prunes; core.SOFDACtx stays the unpruned reference.
+	builder, err := core.NewAuxGraphBuilder(c.g, req, o)
+	if err != nil {
+		return nil, err
 	}
-
-	type domainReply struct {
-		domain  int
-		indices []int
-		results []CandidateResult
-		err     error
-	}
+	builder.EnablePruning(ctx)
 	dispatched := 0
 	for _, dp := range perDomain {
 		if len(dp) > 0 {
 			dispatched++
 		}
 	}
-	// Buffered to the dispatch count: after a cancelled gather returns,
-	// stragglers complete into the buffer and get collected, never leak.
-	out := make(chan domainReply, dispatched)
+	// Buffered to every possible message (each pair delivered at most once
+	// plus one done notice per domain), so domain goroutines never block on
+	// the splicer and an early-erroring embed leaks nothing.
+	events := make(chan streamEvent, len(pairs)+dispatched)
 	for d, dp := range perDomain {
 		if len(dp) == 0 {
 			continue
 		}
-		creq := c.candidateRequest(epoch, digest, req.ChainLen, opts.Parallelism, vms, dp)
-		go func(d int, indices []int, creq *CandidateRequest) {
-			results, err := c.sendCandidates(ctx, d, creq)
-			out <- domainReply{domain: d, indices: indices, results: results, err: err}
-		}(d, perIndices[d], creq)
+		creq := &CandidateRequest{
+			CostEpoch:   epoch,
+			GraphDigest: digest,
+			ChainLen:    req.ChainLen,
+			Parallelism: opts.Parallelism,
+			VMs:         vms,
+			Pairs:       dp,
+			SourceSetup: c.cfg.Chain.SourceSetupCost,
+		}
+		go func(d int, creq *CandidateRequest, indices []int) {
+			err := c.streamDomain(ctx, d, creq, indices, events)
+			events <- streamEvent{done: true, domain: d, err: err}
+		}(d, creq, perIndices[d])
 	}
 
-	// Gather phase: splice per-domain results back into centralized order.
-	// ctx.Done short-circuits the wait so a dead domain cannot stall a
-	// cancelled leader — the scatter goroutines drain into the buffer.
-	results := make([]chain.Result, len(pairs))
-	for i := 0; i < dispatched; i++ {
+	// Gather phase: a reorder buffer holds located results, and a cursor
+	// feeds the aux-graph builder exactly in the centralized candidate
+	// order as the prefix becomes available — so Ĝ (and with it the
+	// forest) is the one the centralized order builds, while its
+	// construction overlaps the slower domains. ctx.Done short-circuits the
+	// wait so a dead domain cannot stall a cancelled leader.
+	results := make([]CandidateResult, len(pairs))
+	have := make([]bool, len(pairs))
+	cursor := 0
+	var firstFeed time.Time
+	for remaining := dispatched; remaining > 0; {
 		select {
-		case r := <-out:
-			if r.err != nil {
-				if ctx.Err() != nil {
-					// A cancellation that surfaced through a domain reply
-					// is still a cancellation, not a domain failure.
-					return nil, ctx.Err()
+		case ev := <-events:
+			if ev.done {
+				remaining--
+				if ev.err != nil {
+					if ctx.Err() != nil {
+						// A cancellation that surfaced through a domain
+						// stream is still a cancellation, not a domain
+						// failure.
+						return nil, ctx.Err()
+					}
+					return nil, fmt.Errorf("dist: domain %d: %w", ev.domain, ev.err)
 				}
-				return nil, fmt.Errorf("dist: domain %d: %w", r.domain, r.err)
+				continue
 			}
-			for j, idx := range r.indices {
-				wire := r.results[j]
-				results[idx] = chain.Result{Pair: wire.Pair, Chain: wire.Chain}
-				if wire.Err != "" {
-					results[idx].Err = errors.New(wire.Err)
+			have[ev.global] = true
+			results[ev.global] = ev.res
+			for cursor < len(pairs) && have[cursor] {
+				r := results[cursor]
+				cursor++
+				if r.Err != "" || r.Chain == nil {
+					continue // per-pair infeasibility
+				}
+				if firstFeed.IsZero() {
+					firstFeed = time.Now()
+				}
+				if _, err := builder.AddCandidate(r.Chain); err != nil {
+					return nil, err
 				}
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	// Completion through the same pruning builder the streamed exchange
-	// uses: dominated candidates are rejected on arrival (unless
-	// DisablePruning) instead of allocating aux-graph state, and the
-	// forest cost is provably unchanged either way.
-	builder, err := core.NewAuxGraphBuilder(ctx, c.g, req, o)
-	if err != nil {
-		return nil, err
+	// Per-goroutine sends are ordered, so by the time every done notice is
+	// consumed all result events have been too; a short cursor means a
+	// domain violated the protocol without erroring.
+	if cursor != len(pairs) {
+		return nil, fmt.Errorf("dist: stream ended with %d of %d candidates spliced", cursor, len(pairs))
 	}
-	if !c.cfg.DisablePruning {
-		builder.EnablePruning()
-	}
-	feasible := 0
-	for _, r := range results {
-		if r.Err != nil || r.Chain == nil {
-			continue
-		}
-		feasible++
-		if _, err := builder.AddCandidate(r.Chain); err != nil {
-			return nil, err
-		}
+	if !firstFeed.IsZero() {
+		c.streamOverlapNS.Add(int64(time.Since(firstFeed)))
 	}
 	c.streamPruned.Add(uint64(builder.Pruned()))
-	if feasible == 0 {
+	if builder.Added() == 0 {
 		return nil, fmt.Errorf("dist: no domain produced a feasible candidate chain")
 	}
 	return builder.Complete(ctx)

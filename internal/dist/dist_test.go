@@ -228,11 +228,11 @@ type countingTransport struct {
 	domains map[int]int
 }
 
-func (c *countingTransport) Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error) {
+func (c *countingTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
 	c.mu.Lock()
 	c.domains[domainID]++
 	c.mu.Unlock()
-	return c.inner.Send(ctx, domainID, req)
+	return c.inner.SendStream(ctx, domainID, req, sink)
 }
 
 // TestDomainWithoutCandidateVMs restricts the candidate VM set to VMs that

@@ -58,26 +58,26 @@ func (f *flakyTransport) next() faultKind {
 	return k
 }
 
-func (f *flakyTransport) Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error) {
+func (f *flakyTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
 	switch f.next() {
 	case faultErr:
-		return nil, errInjected
+		return errInjected
 	case faultDrop:
 		// Nothing ever answers; the caller's patience (or ctx) decides.
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(f.delay):
-			return nil, errDropped
+			return errDropped
 		}
 	case faultDelay:
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(f.delay / 4):
 		}
 	}
-	return f.inner.Send(ctx, domainID, req)
+	return f.inner.SendStream(ctx, domainID, req, sink)
 }
 
 // TestFlakyTransportRetryAndFallback runs embeddings through a transport
@@ -112,11 +112,11 @@ func TestFlakyTransportRetryAndFallback(t *testing.T) {
 	}
 }
 
-// deadTransport fails every Send.
+// deadTransport fails every exchange before delivering anything.
 type deadTransport struct{}
 
-func (deadTransport) Send(context.Context, int, *CandidateRequest) (*CandidateResponse, error) {
-	return nil, errInjected
+func (deadTransport) SendStream(context.Context, int, *CandidateRequest, func(*CandidateFragment) error) error {
+	return errInjected
 }
 
 // TestDeadTransportFallsBackToLocalOracle kills the transport outright:
@@ -181,14 +181,14 @@ type gateTransport struct {
 	firstDone chan struct{}
 }
 
-func (g *gateTransport) Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error) {
+func (g *gateTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
 	if domainID == 0 {
-		resp, err := g.inner.Send(ctx, 0, req)
+		err := g.inner.SendStream(ctx, 0, req, sink)
 		g.firstOnce.Do(func() { close(g.firstDone) })
-		return resp, err
+		return err
 	}
 	<-ctx.Done()
-	return nil, ctx.Err()
+	return ctx.Err()
 }
 
 // TestCancellationMidSplice cancels the leader after the first domain has
@@ -226,7 +226,7 @@ func TestCancellationMidSplice(t *testing.T) {
 		t.Fatalf("cancelled SOFDA took %v to return", elapsed)
 	}
 	// The transport must remain usable for a healthy follow-up embedding
-	// (the hung domain's goroutine drains into the reply buffer).
+	// (the hung domain's goroutine drains into the event buffer).
 	healthy := NewClusterWith(net.G, 3, Config{Transport: inner})
 	defer healthy.Close()
 	if _, err := healthy.SOFDA(context.Background(), req, Options{Core: opts}); err != nil {

@@ -15,11 +15,12 @@ import (
 // value type so the request crosses a gob-encoded RPC boundary unchanged.
 type CandidateRequest struct {
 	// CostEpoch is the leader graph's cost epoch at request-build time,
-	// and GraphDigest a content hash of the leader's topology and costs
-	// (see GraphDigest). The digest decides the handshake: a domain whose
-	// digest disagrees answers with its own values and no results instead
-	// of solving (see Domain.Answer), and the leader falls back locally —
-	// this catches wrong-seed/wrong-net domains that epoch counters
+	// and GraphDigest a content hash of the leader's topology, costs and
+	// blocked elements (see GraphDigest). The digest decides the
+	// handshake: a domain whose digest disagrees answers with its own
+	// values and no results instead of solving (see Domain.AnswerStream),
+	// and the leader falls back locally — this catches wrong-seed/wrong-net
+	// domains and failures a domain never saw, which epoch counters
 	// cannot, while epoch counters that merely drifted over identical
 	// graphs do not refuse. The epoch is carried for observability and as
 	// the digest memo's cheap staleness key.
@@ -70,19 +71,6 @@ type CandidateResult struct {
 	Err   string
 }
 
-// CandidateResponse is a domain's answer to a CandidateRequest: one result
-// per request pair, in request order, plus the cost epoch and graph digest
-// the domain answered at. The leader cross-checks both against the
-// request's; a mismatch travels as a well-formed response (not a transport
-// error) so the sentinel survives codecs — net/rpc flattens server errors
-// to strings — and the leader can classify it as non-retryable.
-type CandidateResponse struct {
-	CostEpoch   uint64
-	GraphDigest uint64
-	SourceSetup bool
-	Results     []CandidateResult
-}
-
 // FragmentResult is one pair's outcome inside a streamed fragment. Index
 // locates the result in the originating CandidateRequest's Pairs slice, so
 // fragments are self-splicing: a domain may emit results in completion
@@ -95,18 +83,17 @@ type FragmentResult struct {
 
 // CandidateFragment is one message of the server-streaming candidate
 // exchange: a domain answers a CandidateRequest with an ordered sequence
-// of fragments instead of a single CandidateResponse, so the leader can
-// splice candidates into the auxiliary graph while slower domains are
-// still solving.
+// of fragments, so the leader can splice candidates into the auxiliary
+// graph while slower domains are still solving.
 //
 // Every fragment — including the trailer — carries the domain's cost
-// epoch, graph digest, and source-setup pricing. The digest plays the same
-// role it does in the batch handshake (a refusal is a well-formed Done
-// fragment carrying the domain's own values and no results, so the
-// sentinel survives any codec), and the per-fragment epoch stamp makes a
-// mid-stream re-pricing on the domain observable: the leader counts epoch
-// drift, and on wire transports a re-pricing also moves the digest, which
-// refuses the remainder of the stream.
+// epoch, graph digest, and source-setup pricing. The digest decides the
+// handshake (a refusal is a well-formed Done fragment carrying the
+// domain's own values and no results, so the sentinel survives any codec),
+// and the per-fragment epoch stamp makes a mid-stream re-pricing on the
+// domain observable: the leader counts epoch drift, and on wire transports
+// a re-pricing also moves the digest, which refuses the remainder of the
+// stream.
 type CandidateFragment struct {
 	CostEpoch   uint64
 	GraphDigest uint64
@@ -131,11 +118,15 @@ type CandidateFragment struct {
 // same graphs — and falls back to its local oracle instead.
 var ErrGraphMismatch = errors.New("dist: domain graph state differs from leader's (topology digest / source setup)")
 
-// GraphDigest is an FNV-1a content hash of a graph's structure and costs:
-// node count, per-node setup cost and VM flag, and every edge's endpoints
-// and cost. Two graphs built by the same deterministic constructor agree
-// on it; a domain started with the wrong seed or topology does not — which
-// the cost epoch alone cannot detect, since it only counts mutations.
+// GraphDigest is an FNV-1a content hash of a graph's structure, costs and
+// blocked elements: node count, per-node setup cost and VM flag, every
+// edge's endpoints and cost, and the ids of the failed or capacity-masked
+// edges and nodes. Two graphs built by the same deterministic constructor
+// agree on it; a domain started with the wrong seed or topology does not —
+// which the cost epoch alone cannot detect, since it only counts
+// mutations — and neither does a domain that never saw a link failure the
+// leader routes around. An empty blocked set mixes nothing, so an open
+// graph hashes as it would with no failure layer at all.
 func GraphDigest(g *graph.Graph) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -163,6 +154,17 @@ func GraphDigest(g *graph.Graph) uint64 {
 		mix(uint64(ed.V))
 		mix(math.Float64bits(ed.Cost))
 	}
+	blocked := g.Blocked()
+	if edges, nodes := blocked.FailedEdges(), blocked.FailedNodes(); len(edges)+len(nodes) > 0 {
+		mix(uint64(len(edges)))
+		for _, e := range edges {
+			mix(uint64(e))
+		}
+		mix(uint64(len(nodes)))
+		for _, n := range nodes {
+			mix(uint64(n))
+		}
+	}
 	if h == 0 {
 		// 0 is the protocol's "skip the digest handshake" marker; keep
 		// real digests out of it.
@@ -175,8 +177,8 @@ func GraphDigest(g *graph.Graph) uint64 {
 // per-request handshake pays an atomic epoch load instead of an O(V+E)
 // hash while costs are stable. It assumes topology changes bump the epoch
 // or do not happen on a served graph — true for every graph here: the
-// setters bump on change, and the aux graph is an overlay that never
-// grows the network it sits on.
+// cost setters and every failure or mask transition bump on change, and
+// the aux graph is an overlay that never grows the network it sits on.
 type digestMemo struct {
 	mu     sync.Mutex
 	valid  bool

@@ -1,47 +1,29 @@
 package rpc
 
 import (
-	"context"
-	"fmt"
-	"net"
-	gorpc "net/rpc"
 	"sync"
-	"time"
 
 	"sof/internal/dist"
 )
 
-// Transport is the leader-side dist.Transport over net/rpc: one lazily
-// dialed, reused connection per domain, keyed by domain ID and shared by
-// concurrent embeddings. Connection lifecycle is deliberately
-// conservative about shared state:
-//
-//   - a transport-level call failure (dial, ErrShutdown, broken conn)
-//     drops the cached connection so the next attempt — the cluster's
-//     retry — redials a possibly recovered domain;
-//   - a server-side error (rpc.ServerError) keeps the connection: the
-//     domain answered, the pipe is healthy;
-//   - a Send whose context ends mid-call severs the connection only when
-//     no other embedding has a call in flight on it, aborting a hung
-//     exchange without cutting down a concurrent healthy call.
+// Transport is the leader-side dist.Transport over the stream protocol: a
+// pool of lazily dialed connections per domain, keyed by domain ID and
+// shared by concurrent embeddings. Each exchange takes a connection to
+// itself and returns it to the pool only after a clean Done trailer; a
+// failed, cancelled, or errored exchange closes its connection instead
+// (its codec state is mid-message), so the cluster's retry redials a
+// possibly recovered domain and a concurrent embedding's healthy stream on
+// another connection is never cut down.
 type Transport struct {
 	addrs []string
 
-	mu      sync.Mutex
-	closed  bool
-	clients map[int]*clientEntry
-	// streams pools idle framed-gob stream connections per domain (see
-	// stream.go); streamActive tracks the ones inside a SendStream so
-	// Close severs in-flight streams instead of leaking them.
+	mu     sync.Mutex
+	closed bool
+	// streams pools idle connections per domain (see stream.go);
+	// streamActive tracks the ones inside a SendStream so Close severs
+	// in-flight streams instead of leaking them.
 	streams      map[int][]*streamConn
 	streamActive map[*streamConn]struct{}
-}
-
-// clientEntry is one cached domain connection plus the number of Sends
-// currently using it (guarded by Transport.mu).
-type clientEntry struct {
-	cl       *gorpc.Client
-	inflight int
 }
 
 var _ dist.Transport = (*Transport)(nil)
@@ -50,121 +32,13 @@ var _ dist.Transport = (*Transport)(nil)
 func NewTransport(addrs []string) *Transport {
 	return &Transport{
 		addrs:        append([]string(nil), addrs...),
-		clients:      make(map[int]*clientEntry),
 		streams:      make(map[int][]*streamConn),
 		streamActive: make(map[*streamConn]struct{}),
 	}
 }
 
-// acquire returns the cached connection for the domain with its inflight
-// count already incremented, dialing if needed. The dial happens outside
-// the lock so slow domains do not serialize the leader's scatter; a lost
-// race closes the duplicate.
-func (t *Transport) acquire(ctx context.Context, domainID int) (*clientEntry, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("rpc: transport is closed")
-	}
-	if e, ok := t.clients[domainID]; ok {
-		e.inflight++
-		t.mu.Unlock()
-		return e, nil
-	}
-	t.mu.Unlock()
-
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", t.addrs[domainID])
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial domain %d at %s: %w", domainID, t.addrs[domainID], err)
-	}
-	cl := gorpc.NewClient(conn) // gob codec
-
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		cl.Close()
-		return nil, fmt.Errorf("rpc: transport is closed")
-	}
-	if other, ok := t.clients[domainID]; ok {
-		other.inflight++
-		t.mu.Unlock()
-		cl.Close()
-		return other, nil
-	}
-	e := &clientEntry{cl: cl, inflight: 1}
-	t.clients[domainID] = e
-	t.mu.Unlock()
-	return e, nil
-}
-
-// release ends this Send's use of the entry. When drop is true the entry
-// is also evicted and closed — unconditionally for transport-level
-// failures (the pipe is broken for everyone), but only once idle for
-// cancellations, so a hung exchange is severed without cutting down a
-// concurrent embedding's healthy call on the same connection.
-func (t *Transport) release(domainID int, e *clientEntry, drop, evenIfShared bool) {
-	t.mu.Lock()
-	e.inflight--
-	if drop && !evenIfShared && e.inflight > 0 {
-		// A concurrent Send still trusts this connection; leave it.
-		t.mu.Unlock()
-		return
-	}
-	if drop {
-		if cur, ok := t.clients[domainID]; ok && cur == e {
-			delete(t.clients, domainID)
-		}
-	}
-	t.mu.Unlock()
-	if drop {
-		e.cl.Close()
-	}
-}
-
-// Send implements dist.Transport: it stamps the context's remaining time
-// budget into the wire request (a relative duration — the remote domain
-// observes the leader's cancellation horizon without the two machines'
-// clocks having to agree), issues the call asynchronously, and races it
-// against ctx.
-func (t *Transport) Send(ctx context.Context, domainID int, req *dist.CandidateRequest) (*dist.CandidateResponse, error) {
-	if domainID < 0 || domainID >= len(t.addrs) {
-		return nil, fmt.Errorf("rpc: domain %d out of range [0,%d): %w", domainID, len(t.addrs), dist.ErrNoSuchDomain)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e, err := t.acquire(ctx, domainID)
-	if err != nil {
-		return nil, err
-	}
-	wireReq := *req
-	if dl, ok := ctx.Deadline(); ok {
-		wireReq.Timeout = int64(time.Until(dl))
-	}
-	resp := new(dist.CandidateResponse)
-	call := e.cl.Go(MethodCandidates, &wireReq, resp, make(chan *gorpc.Call, 1))
-	select {
-	case <-ctx.Done():
-		// Sever the connection to abort a hung exchange — but only if no
-		// concurrent embedding is mid-call on it.
-		t.release(domainID, e, true, false)
-		return nil, ctx.Err()
-	case done := <-call.Done:
-		if done.Error != nil {
-			// A ServerError means the domain answered over a healthy pipe;
-			// anything else means the connection itself is unusable.
-			_, serverSide := done.Error.(gorpc.ServerError)
-			t.release(domainID, e, !serverSide, true)
-			return nil, fmt.Errorf("rpc: domain %d candidates: %w", domainID, done.Error)
-		}
-		t.release(domainID, e, false, false)
-		return resp, nil
-	}
-}
-
-// Close severs every cached connection — net/rpc clients, pooled stream
-// connections, and streams mid-exchange. Sends after Close fail.
+// Close severs every connection — pooled ones and streams mid-exchange.
+// SendStreams after Close fail.
 func (t *Transport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -172,8 +46,6 @@ func (t *Transport) Close() error {
 		return nil
 	}
 	t.closed = true
-	clients := t.clients
-	t.clients = nil
 	pooled := t.streams
 	t.streams = nil
 	active := make([]*streamConn, 0, len(t.streamActive))
@@ -182,12 +54,6 @@ func (t *Transport) Close() error {
 		active = append(active, sc)
 	}
 	t.mu.Unlock()
-	var first error
-	for _, e := range clients {
-		if err := e.cl.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	for _, pool := range pooled {
 		for _, sc := range pool {
 			sc.conn.Close()
@@ -196,5 +62,5 @@ func (t *Transport) Close() error {
 	for _, sc := range active {
 		sc.conn.Close()
 	}
-	return first
+	return nil
 }

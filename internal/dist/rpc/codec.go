@@ -8,12 +8,13 @@ import (
 	"sof/internal/dist"
 )
 
-// The codec helpers mirror the gob encoding net/rpc applies to the
-// candidate messages on the wire. They exist so payloads can be captured,
-// replayed, and fuzzed offline: Decode* never panics — gob's decoder
-// largely returns errors on malformed input, but a recover guard turns any
-// residual panic on adversarial bytes into an error too, which is the
-// contract the fuzz targets pin.
+// The codec helpers apply the gob encoding the stream protocol uses for
+// each candidate message on the wire (as the first message of a fresh
+// encoder, type descriptors included). They exist so payloads can be
+// captured, replayed, and fuzzed offline: Decode* never panics — gob's
+// decoder largely returns errors on malformed input, but a recover guard
+// turns any residual panic on adversarial bytes into an error too, which
+// is the contract the fuzz targets pin.
 
 // EncodeRequest gob-encodes a candidate request.
 func EncodeRequest(req *dist.CandidateRequest) ([]byte, error) {
@@ -28,21 +29,6 @@ func DecodeRequest(data []byte) (*dist.CandidateRequest, error) {
 		return nil, err
 	}
 	return req, nil
-}
-
-// EncodeResponse gob-encodes a candidate response.
-func EncodeResponse(resp *dist.CandidateResponse) ([]byte, error) {
-	return encode(resp)
-}
-
-// DecodeResponse decodes a gob-encoded candidate response, erroring (never
-// panicking) on corrupted payloads.
-func DecodeResponse(data []byte) (*dist.CandidateResponse, error) {
-	resp := new(dist.CandidateResponse)
-	if err := decode(data, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // EncodeFragment gob-encodes a streamed candidate fragment.

@@ -1,28 +1,22 @@
-// Package rpc carries the dist candidate protocol over net/rpc with the
-// gob codec, so domain controllers run as separate OS processes: a
-// DomainServer answers dist.CandidateRequests with its own graph and
-// oracle (served by cmd/sofdomain or embedded in a test), and Transport is
-// the leader-side dist.Transport that manages one connection per domain
-// and propagates context deadlines onto the wire.
+// Package rpc carries the dist candidate protocol over TCP, so domain
+// controllers run as separate OS processes: a DomainServer answers
+// dist.CandidateRequests with its own graph and oracle (served by
+// cmd/sofdomain or embedded in a test), and Transport is the leader-side
+// dist.Transport that pools connections per domain and propagates context
+// deadlines onto the wire.
 //
-// The messages are exactly the ones the in-process ChannelTransport moves;
-// the equivalence tests pin the two transports to bit-identical forest
-// costs, and the codec helpers in this package mirror the gob encoding
-// net/rpc applies so captured payloads can be replayed and fuzzed.
-//
-// Known limitation: leader cancellation reaches a remote handler only
-// through the wire time budget (CandidateRequest.Timeout, stamped from
-// the context deadline). Cancelling a deadline-free context severs the
-// connection — the leader returns promptly — but the domain finishes the
-// abandoned batch before discovering the dead connection. Give latency-
-// sensitive leaders a context deadline; in-batch abort (and streamed
-// partial responses) is the streaming-joins follow-up in the ROADMAP.
+// The wire protocol is a framed gob exchange (see stream.go): the leader
+// writes one dist.CandidateRequest, the domain answers with a stream of
+// dist.CandidateFragments ending in a Done trailer. The messages are
+// exactly the ones the in-process ChannelTransport moves; the equivalence
+// tests pin the two transports to bit-identical forest costs, and the
+// codec helpers in this package apply the same gob encoding so captured
+// payloads can be replayed and fuzzed. A leader that gives up severs the
+// connection, and the domain aborts its batch at the next fragment write.
 package rpc
 
 import (
-	"context"
 	"net"
-	gorpc "net/rpc"
 	"sync"
 
 	"sof/internal/chain"
@@ -30,17 +24,11 @@ import (
 	"sof/internal/graph"
 )
 
-// ServiceName is the rpc service the domain registers.
-const ServiceName = "SOFDomain"
-
-// MethodCandidates is the fully qualified candidate-generation method.
-const MethodCandidates = ServiceName + ".Candidates"
-
 // DomainServer answers candidate requests for one domain controller. It
 // wraps the shared domain-side handler (dist.Domain): a private oracle
 // over the domain's view of the network, which must be built identically
-// to the leader's (same topology generator, seed, costs, and chain
-// options) for the graph-state handshake to pass.
+// to the leader's (same topology generator, seed, costs, failures, and
+// chain options) for the graph-state handshake to pass.
 type DomainServer struct {
 	dom *dist.Domain
 }
@@ -50,48 +38,26 @@ func NewDomainServer(g *graph.Graph, chainOpts chain.Options) *DomainServer {
 	return &DomainServer{dom: dist.NewDomain(g, chainOpts)}
 }
 
-// Candidates is the net/rpc handler: the shared handler verifies the
-// graph-state handshake, rebuilds the leader's cancellation horizon from
-// the wire timeout, and runs the oracle fan-out.
-//
-//sofvet:ignore ctxflow net/rpc fixes the handler signature; the leader's deadline travels in req.TimeoutMillis
-func (s *DomainServer) Candidates(req *dist.CandidateRequest, resp *dist.CandidateResponse) error {
-	//sofvet:ignore ctxflow no caller context exists over net/rpc; Answer rebuilds the horizon from the wire timeout
-	answer, err := s.dom.Answer(context.Background(), req)
-	if err != nil {
-		return err
-	}
-	*resp = *answer
-	return nil
-}
-
 // Server is a running serve loop: a listener plus the connections it has
 // accepted, all torn down by Close.
 type Server struct {
 	lis net.Listener
-	srv *gorpc.Server
-	// ds answers both protocols the listener speaks: net/rpc batch calls
-	// and the framed-gob fragment streams (see stream.go).
-	ds *DomainServer
-	wg sync.WaitGroup
+	ds  *DomainServer
+	wg  sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
 	conns  map[net.Conn]struct{}
 }
 
-// Serve registers ds under ServiceName and starts accepting connections on
-// lis in a background goroutine, one gob-codec ServeConn goroutine per
-// connection. The caller owns the returned Server and must Close it.
-func Serve(lis net.Listener, ds *DomainServer) (*Server, error) {
-	srv := gorpc.NewServer()
-	if err := srv.RegisterName(ServiceName, ds); err != nil {
-		return nil, err
-	}
-	s := &Server{lis: lis, srv: srv, ds: ds, conns: make(map[net.Conn]struct{})}
+// Serve starts accepting connections on lis in a background goroutine,
+// one stream-serving goroutine per connection, each answered by ds. The
+// caller owns the returned Server and must Close it.
+func Serve(lis net.Listener, ds *DomainServer) *Server {
+	s := &Server{lis: lis, ds: ds, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 func (s *Server) acceptLoop() {
@@ -114,9 +80,7 @@ func (s *Server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			// One listener, two protocols: the first bytes decide whether
-			// this is a net/rpc batch connection or a fragment stream.
-			s.sniffProtocol(conn)
+			s.serveConn(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,41 +38,59 @@ func softLayerInstance(seed int64) (*topology.Network, core.Request, *core.Optio
 	return net, req, &core.Options{VMs: net.VMs}
 }
 
-// startDomains spins n real net/rpc domain servers on 127.0.0.1:0
-// listeners, each over its own graph built by build, and returns their
-// addresses. Servers are torn down with the test.
+// startDomains spins n real domain servers on 127.0.0.1:0 listeners, each
+// over its own graph built by build, and returns their addresses. Servers
+// are torn down with the test.
 func startDomains(t testing.TB, n int, build func(i int) *topology.Network) []string {
 	t.Helper()
+	addrs, _ := startCountedDomains(t, n, build)
+	return addrs
+}
+
+// startCountedDomains is startDomains plus a counter of the connections
+// the servers accepted across all domains — the number of dials the
+// leader's transport made.
+func startCountedDomains(t testing.TB, n int, build func(i int) *topology.Network) ([]string, *atomic.Int64) {
+	t.Helper()
+	accepted := new(atomic.Int64)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen domain %d: %v", i, err)
 		}
-		srv, err := Serve(lis, NewDomainServer(build(i).G, chain.Options{}))
-		if err != nil {
-			t.Fatalf("serve domain %d: %v", i, err)
-		}
+		srv := Serve(countingListener{Listener: lis, accepted: accepted}, NewDomainServer(build(i).G, chain.Options{}))
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
-	return addrs
+	return addrs, accepted
+}
+
+// countingListener counts the connections it accepts.
+type countingListener struct {
+	net.Listener
+	accepted *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
 }
 
 // TestRPCEquivalenceMatrix is the distributed correctness claim of
 // Section VI carried over a real wire: on the 4-seed × 3-domain-count
-// matrix, SOFDA through net/rpc domain servers — each rebuilding the
-// network from the seed in its own right — costs exactly what the
-// centralized solver costs. Three exchanges run over the same servers:
-// the one-shot batch call, the server-streamed fragment join (with
-// dominated-candidate pruning armed), and the streamed join with eager
-// per-source closure — all of which must agree bit for bit. The whole
-// matrix runs twice: once with the indexed heap pinned (the package
-// default graph.DeltaSteppingMinNodes set negative) and once with the
-// delta-stepping SSSP core forced on (the default pinned to 1). The
-// domain servers build their own oracles, so the process-wide default is
-// the only gate that reaches them. Delta-stepping's trees match the
-// heap's exactly, so no cost moves.
+// matrix, SOFDA through TCP domain servers — each rebuilding the network
+// from the seed in its own right — costs exactly what the centralized
+// solver costs, with every candidate streamed as fragments and dominated
+// ones pruned at the leader. The whole matrix runs twice: once with the
+// indexed heap pinned (the package default graph.DeltaSteppingMinNodes
+// set negative) and once with the delta-stepping SSSP core forced on (the
+// default pinned to 1). The domain servers build their own oracles, so the
+// process-wide default is the only gate that reaches them. Delta-stepping's
+// trees match the heap's exactly, so no cost moves.
 func TestRPCEquivalenceMatrix(t *testing.T) {
 	savedDelta := graph.DeltaSteppingMinNodes
 	t.Cleanup(func() { graph.DeltaSteppingMinNodes = savedDelta })
@@ -94,68 +115,110 @@ func TestRPCEquivalenceMatrix(t *testing.T) {
 			for _, domains := range []int{1, 3, 5} {
 				addrs := startDomains(t, domains, func(int) *topology.Network { return buildSoftLayer(seed) })
 				tr := NewTransport(addrs)
-				for _, mode := range []struct {
-					name string
-					cfg  dist.Config
-				}{
-					{"batch", dist.Config{}},
-					{"stream", dist.Config{Streaming: true}},
-					{"stream-eager", dist.Config{Streaming: true, EagerClosure: true}},
-				} {
-					cfg := mode.cfg
-					cfg.Transport = tr
-					cfg.RetryBudget = 1
-					cluster := dist.NewClusterWith(network.G, domains, cfg)
-					f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-					if err != nil {
-						cluster.Close()
-						tr.Close()
-						t.Fatalf("seed %d domains %d %s queue=%s: rpc distributed: %v", seed, domains, mode.name, queue, err)
-					}
-					if err := f.Validate(req.Sources, req.Dests); err != nil {
-						t.Errorf("seed %d domains %d %s queue=%s: infeasible forest: %v", seed, domains, mode.name, queue, err)
-					}
-					if f.TotalCost() != central.TotalCost() {
-						t.Errorf("seed %d domains %d %s queue=%s: rpc cost %v != centralized %v",
-							seed, domains, mode.name, queue, f.TotalCost(), central.TotalCost())
-					}
-					st := cluster.StreamStats()
-					if mode.name != "batch" && st.StreamedResults == 0 {
-						t.Errorf("seed %d domains %d %s: streamed run moved no fragments (%+v)", seed, domains, mode.name, st)
-					}
-					if mode.name == "stream-eager" && st.EarlyClosures == 0 {
-						t.Errorf("seed %d domains %d: eager run closed nothing early (%+v)", seed, domains, st)
-					}
-					cluster.Close()
-				}
+				cluster := dist.NewClusterWith(network.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
+				f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
+				st := cluster.StreamStats()
+				cluster.Close()
 				tr.Close()
+				if err != nil {
+					t.Fatalf("seed %d domains %d queue=%s: rpc distributed: %v", seed, domains, queue, err)
+				}
+				if err := f.Validate(req.Sources, req.Dests); err != nil {
+					t.Errorf("seed %d domains %d queue=%s: infeasible forest: %v", seed, domains, queue, err)
+				}
+				if f.TotalCost() != central.TotalCost() {
+					t.Errorf("seed %d domains %d queue=%s: rpc cost %v != centralized %v",
+						seed, domains, queue, f.TotalCost(), central.TotalCost())
+				}
+				if st.StreamedResults == 0 {
+					t.Errorf("seed %d domains %d queue=%s: moved no fragments (%+v)", seed, domains, queue, st)
+				}
 			}
 		}
 	}
 }
 
-// TestRPCStreamConnectionReuse runs several streamed embeddings over one
-// transport: the per-domain stream connections are dialed once, pooled
-// between exchanges, and costs stay pinned to the centralized result.
+// TestRPCStreamConnectionReuse runs several embeddings over one transport:
+// the per-domain stream connections are dialed once, pooled between
+// exchanges, and costs stay pinned to the centralized result.
 func TestRPCStreamConnectionReuse(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
 	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
+	addrs, accepted := startCountedDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
 	tr := NewTransport(addrs)
 	defer tr.Close()
-	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, Streaming: true})
+	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
 	defer cluster.Close()
+	var dialed int64
 	for i := 0; i < 4; i++ {
 		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
 		if err != nil {
-			t.Fatalf("streamed embedding %d: %v", i, err)
+			t.Fatalf("embedding %d: %v", i, err)
 		}
 		if f.TotalCost() != central.TotalCost() {
-			t.Fatalf("streamed embedding %d: cost %v != centralized %v", i, f.TotalCost(), central.TotalCost())
+			t.Fatalf("embedding %d: cost %v != centralized %v", i, f.TotalCost(), central.TotalCost())
 		}
+		// Every exchange has read its Done trailer by now, so the domains
+		// accepted every connection this embedding dialed.
+		if i == 0 {
+			dialed = accepted.Load()
+		} else if got := accepted.Load(); got != dialed {
+			t.Fatalf("embedding %d dialed %d new connections; pooled connections were not reused", i, got-dialed)
+		}
+	}
+	if dialed == 0 || dialed > 3 {
+		t.Fatalf("first embedding dialed %d connections, want one per addressed domain (1..3)", dialed)
+	}
+}
+
+// TestRPCConnectionReuseAcrossEmbeddings runs embeddings concurrently over
+// one shared transport: each exchange takes a pooled connection to itself
+// (dialing when the pool is empty), so concurrent streams to one domain
+// never interleave on a connection, every cost stays pinned to the
+// centralized result, and a later embedding is served from the pool
+// without dialing again.
+func TestRPCConnectionReuseAcrossEmbeddings(t *testing.T) {
+	network, req, opts := softLayerInstance(7)
+	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, accepted := startCountedDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
+	tr := NewTransport(addrs)
+	defer tr.Close()
+	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
+	defer cluster.Close()
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts, Parallelism: 1})
+				if err != nil {
+					t.Errorf("concurrent embedding: %v", err)
+					return
+				}
+				if f.TotalCost() != central.TotalCost() {
+					t.Errorf("concurrent embedding: cost %v != centralized %v", f.TotalCost(), central.TotalCost())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	dialed := accepted.Load()
+	if dialed == 0 || dialed > 3*workers {
+		t.Fatalf("concurrent embeddings dialed %d connections, want 1..%d (one per domain and concurrent exchange)", dialed, 3*workers)
+	}
+	if _, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts}); err != nil {
+		t.Fatalf("embedding after the concurrent ones: %v", err)
+	}
+	if got := accepted.Load(); got != dialed {
+		t.Fatalf("embedding after the concurrent ones dialed %d new connections; the pool was not reused", got-dialed)
 	}
 }
 
@@ -175,11 +238,11 @@ func (s slowSolver) Solve(in *kstroll.Instance) (*kstroll.Walk, error) {
 
 func (s slowSolver) Name() string { return "slow-" + s.inner.Name() }
 
-// TestRPCStreamCancellationAbortsRemoteBatch pins the abandoned-batch fix
-// on the wire: a leader that cancels a deadline-free context mid-stream
-// severs the connection, and the remote domain must observe the dead peer
-// at its next fragment write and abort the oracle fan-out — not finish
-// the batch into the void, as the batch exchange documented it would.
+// TestRPCStreamCancellationAbortsRemoteBatch pins remote abort on the
+// wire: a leader that cancels a deadline-free context mid-stream severs
+// the connection, and the remote domain must observe the dead peer at its
+// next fragment write and abort the oracle fan-out — not finish the batch
+// into the void.
 func TestRPCStreamCancellationAbortsRemoteBatch(t *testing.T) {
 	network, req, opts := softLayerInstance(7)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -189,10 +252,7 @@ func TestRPCStreamCancellationAbortsRemoteBatch(t *testing.T) {
 	ds := NewDomainServer(buildSoftLayer(7).G, chain.Options{
 		Solver: slowSolver{inner: kstroll.Auto(), delay: 2 * time.Millisecond},
 	})
-	srv, err := Serve(lis, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := Serve(lis, ds)
 	defer srv.Close()
 	tr := NewTransport([]string{srv.Addr()})
 	defer tr.Close()
@@ -254,69 +314,81 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRPCConnectionReuseAcrossEmbeddings runs several embeddings over one
-// transport: the per-domain connections are dialed once and reused, and
-// costs stay pinned to the centralized result every time.
-func TestRPCConnectionReuseAcrossEmbeddings(t *testing.T) {
-	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
-	tr := NewTransport(addrs)
-	defer tr.Close()
-	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
-	defer cluster.Close()
-	for i := 0; i < 4; i++ {
-		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-		if err != nil {
-			t.Fatalf("embedding %d: %v", i, err)
-		}
-		if f.TotalCost() != central.TotalCost() {
-			t.Fatalf("embedding %d: cost %v != centralized %v", i, f.TotalCost(), central.TotalCost())
-		}
-	}
-}
-
-// TestRPCRepricedLeaderFallsBack reprices the leader's links so its graph
-// content diverges from the domain servers' (which rebuilt the original
-// network and never saw the mutation). The domains' digests no longer
-// match; they refuse the stale-priced requests, the leader's local
-// fallback answers instead, and the forest still matches a fresh
-// centralized run on the mutated graph.
+// TestRPCRepricedLeaderFallsBack changes the leader's graph state so it
+// diverges from the domain servers' (which rebuilt the original network
+// and never saw the change): every link repriced, one link of the
+// centralized forest failed, or that link capacity-masked. The domains'
+// digests no longer match; they refuse the requests, the leader's local
+// fallback answers instead, and the forest matches a fresh centralized
+// run on the leader's graph — never crossing an element the leader has
+// blocked. Without the fallback the refusal surfaces as ErrGraphMismatch.
 func TestRPCRepricedLeaderFallsBack(t *testing.T) {
-	network, req, opts := softLayerInstance(23)
 	addrs := startDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(23) })
 	tr := NewTransport(addrs)
 	defer tr.Close()
+	for _, row := range []struct {
+		name           string
+		block, unblock func(g *graph.Graph, e graph.EdgeID) bool
+	}{
+		{name: "repriced"},
+		{"failed-link", (*graph.Graph).FailEdge, (*graph.Graph).RestoreEdge},
+		{"masked-link", (*graph.Graph).MaskEdge, (*graph.Graph).UnmaskEdge},
+	} {
+		network, req, opts := softLayerInstance(23)
+		if row.block == nil {
+			rng := rand.New(rand.NewSource(5))
+			for e := 0; e < network.G.NumEdges(); e++ {
+				network.G.SetEdgeCost(graph.EdgeID(e), 1+rng.Float64()*20)
+			}
+		} else {
+			// Block the first link of the centralized forest whose loss
+			// leaves the request feasible.
+			pristine, err := core.SOFDACtx(context.Background(), network.G, req, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocked := false
+			for _, e := range pristine.Footprint().Edges {
+				row.block(network.G, e)
+				if _, err := core.SOFDACtx(context.Background(), network.G, req, opts); err == nil {
+					blocked = true
+					break
+				}
+				row.unblock(network.G, e)
+			}
+			if !blocked {
+				t.Fatalf("%s: every link of the centralized forest is a bridge", row.name)
+			}
+		}
+		central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
+		if err != nil {
+			t.Fatalf("%s: centralized: %v", row.name, err)
+		}
 
-	rng := rand.New(rand.NewSource(5))
-	for e := 0; e < network.G.NumEdges(); e++ {
-		network.G.SetEdgeCost(graph.EdgeID(e), 1+rng.Float64()*20)
-	}
-	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+		cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
+		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
+		cluster.Close()
+		if err != nil {
+			t.Fatalf("%s: SOFDA with stale domains: %v", row.name, err)
+		}
+		if f.TotalCost() != central.TotalCost() {
+			t.Errorf("%s: fallback cost %v != centralized %v on the leader's graph", row.name, f.TotalCost(), central.TotalCost())
+		}
+		for _, e := range f.Footprint().Edges {
+			if network.G.EdgeBlocked(e) {
+				t.Errorf("%s: forest crosses link %d, which the leader has blocked", row.name, e)
+			}
+		}
 
-	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
-	defer cluster.Close()
-	f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-	if err != nil {
-		t.Fatalf("SOFDA with stale domains: %v", err)
-	}
-	if f.TotalCost() != central.TotalCost() {
-		t.Errorf("fallback cost %v != centralized %v on the repriced graph", f.TotalCost(), central.TotalCost())
-	}
-
-	// Without the fallback the mismatch must surface as the sentinel even
-	// across the wire: it travels inside the response (not as a flattened
-	// server error), so errors.Is still finds it leader-side.
-	strict := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
-	defer strict.Close()
-	if _, err := strict.SOFDA(context.Background(), req, dist.Options{Core: opts}); !errors.Is(err, dist.ErrGraphMismatch) {
-		t.Fatalf("SOFDA with stale domains and no fallback = %v, want wrapped ErrGraphMismatch", err)
+		// Without the fallback the mismatch must surface as the sentinel
+		// even across the wire: it travels inside a refusal fragment (not
+		// as a flattened error string), so errors.Is finds it leader-side.
+		strict := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
+		_, err = strict.SOFDA(context.Background(), req, dist.Options{Core: opts})
+		strict.Close()
+		if !errors.Is(err, dist.ErrGraphMismatch) {
+			t.Fatalf("%s: SOFDA with stale domains and no fallback = %v, want wrapped ErrGraphMismatch", row.name, err)
+		}
 	}
 }
 
@@ -356,8 +428,9 @@ func TestRPCTopologyDivergenceFallsBack(t *testing.T) {
 
 // TestDomainServerExpiredTimeout pins deadline propagation: a request
 // whose wire time budget is already spent must fail with the context
-// error, not burn oracle time. The budget is a relative duration, so the
-// test needs no clock agreement with the "leader".
+// error before any result, not burn oracle time — in the domain handler,
+// and as an errored trailer across the wire. The budget is a relative
+// duration, so the test needs no clock agreement with the "leader".
 func TestDomainServerExpiredTimeout(t *testing.T) {
 	network, req, opts := softLayerInstance(1)
 	ds := NewDomainServer(network.G, chain.Options{})
@@ -369,10 +442,29 @@ func TestDomainServerExpiredTimeout(t *testing.T) {
 		Pairs:       chain.Pairs(req.Sources, opts.VMs),
 		Timeout:     -int64(time.Second),
 	}
-	var resp dist.CandidateResponse
-	err := ds.Candidates(creq, &resp)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Candidates with spent time budget = %v, want context.DeadlineExceeded", err)
+	emitted := 0
+	err := ds.dom.AnswerStream(context.Background(), creq, func(*dist.CandidateFragment) error {
+		emitted++
+		return nil
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || emitted != 0 {
+		t.Fatalf("AnswerStream with spent time budget = %v after %d fragments, want context.DeadlineExceeded before any", err, emitted)
+	}
+
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(lis, ds)
+	defer srv.Close()
+	tr := NewTransport([]string{srv.Addr()})
+	defer tr.Close()
+	err = tr.SendStream(context.Background(), 0, creq, func(*dist.CandidateFragment) error {
+		emitted++
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) || emitted != 0 {
+		t.Fatalf("SendStream with spent time budget = %v after %d fragments, want the remote deadline error before any", err, emitted)
 	}
 }
 
@@ -393,10 +485,7 @@ func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := Serve(lis, NewDomainServer(buildSoftLayer(7).G, chain.Options{SourceSetupCost: true}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := Serve(lis, NewDomainServer(buildSoftLayer(7).G, chain.Options{SourceSetupCost: true}))
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
@@ -421,11 +510,12 @@ func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 }
 
 // TestDomainServerGraphMismatch pins the wire handshake: a request whose
-// topology digest disagrees is answered with the domain's own values and
-// no results — a well-formed response, so the refusal survives codecs
-// that flatten errors. A request whose epoch drifted but whose digest
-// proves the graphs identical is solved normally: epoch counters are
-// bookkeeping, content equality is what the handshake protects.
+// topology digest disagrees is answered with a single Done fragment
+// carrying the domain's own epoch and digest and no results — a
+// well-formed message, so the refusal survives codecs that flatten
+// errors. A request whose epoch drifted but whose digest proves the graphs
+// identical is solved normally: epoch counters are bookkeeping, content
+// equality is what the handshake protects.
 func TestDomainServerGraphMismatch(t *testing.T) {
 	network, req, opts := softLayerInstance(1)
 	ds := NewDomainServer(network.G, chain.Options{})
@@ -438,14 +528,17 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 		VMs:         opts.VMs,
 		Pairs:       pairs,
 	}
-	var resp dist.CandidateResponse
-	if err := ds.Candidates(refusal, &resp); err != nil {
-		t.Fatalf("wrong digest: Candidates = %v, want refusal response, not error", err)
+	var frags []*dist.CandidateFragment
+	if err := ds.dom.AnswerStream(context.Background(), refusal, func(f *dist.CandidateFragment) error {
+		frags = append(frags, f)
+		return nil
+	}); err != nil {
+		t.Fatalf("wrong digest: AnswerStream = %v, want refusal fragment, not error", err)
 	}
-	if len(resp.Results) != 0 {
-		t.Errorf("wrong digest: refusal carried %d results", len(resp.Results))
+	if len(frags) != 1 || !frags[0].Done || len(frags[0].Results) != 0 {
+		t.Fatalf("wrong digest: got %d fragments (%+v), want one Done fragment with no results", len(frags), frags)
 	}
-	if resp.CostEpoch != network.G.CostEpoch() || resp.GraphDigest != dist.GraphDigest(network.G) {
+	if frags[0].CostEpoch != network.G.CostEpoch() || frags[0].GraphDigest != dist.GraphDigest(network.G) {
 		t.Error("wrong digest: refusal does not carry the domain's own epoch/digest")
 	}
 
@@ -456,51 +549,70 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 		VMs:         opts.VMs,
 		Pairs:       pairs,
 	}
-	var resp2 dist.CandidateResponse
-	if err := ds.Candidates(drifted, &resp2); err != nil {
-		t.Fatalf("drifted epoch, equal digest: Candidates = %v", err)
+	results := 0
+	if err := ds.dom.AnswerStream(context.Background(), drifted, func(f *dist.CandidateFragment) error {
+		results += len(f.Results)
+		return nil
+	}); err != nil {
+		t.Fatalf("drifted epoch, equal digest: AnswerStream = %v", err)
 	}
-	if len(resp2.Results) != len(pairs) {
+	if results != len(pairs) {
 		t.Errorf("drifted epoch, equal digest: answered %d results for %d pairs — epoch drift over an identical graph must not refuse",
-			len(resp2.Results), len(pairs))
+			results, len(pairs))
 	}
 }
 
 // TestRPCEpochDriftOverIdenticalGraphStaysDistributed pins the silent-
 // degradation regression: a leader that bumped its cost epoch without
-// changing any cost (bump-and-restore, InvalidateCache) must keep being
-// served by remote domains whose counters never moved — under
-// DisableFallback, so a refusal would fail loudly instead of being
+// changing its graph state (a cost or a link failure set and restored)
+// must keep being served by remote domains whose counters never moved —
+// under DisableFallback, so a refusal would fail loudly instead of being
 // papered over.
 func TestRPCEpochDriftOverIdenticalGraphStaysDistributed(t *testing.T) {
-	network, req, opts := softLayerInstance(7)
-	central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	addrs := startDomains(t, 3, func(int) *topology.Network { return buildSoftLayer(7) })
 	tr := NewTransport(addrs)
 	defer tr.Close()
-
-	// Drift the leader's epoch over unchanged content.
-	orig := network.G.EdgeCost(0)
-	network.G.SetEdgeCost(0, orig+1)
-	network.G.SetEdgeCost(0, orig)
-	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
-	defer cluster.Close()
-	f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-	if err != nil {
-		t.Fatalf("SOFDA after leader epoch drift (no fallback armed): %v", err)
-	}
-	if f.TotalCost() != central.TotalCost() {
-		t.Errorf("cost after epoch drift %v != centralized %v", f.TotalCost(), central.TotalCost())
+	for _, row := range []struct {
+		name  string
+		drift func(g *graph.Graph)
+	}{
+		{"cost-restored", func(g *graph.Graph) {
+			orig := g.EdgeCost(0)
+			g.SetEdgeCost(0, orig+1)
+			g.SetEdgeCost(0, orig)
+		}},
+		{"fail-restored", func(g *graph.Graph) {
+			g.FailEdge(0)
+			g.RestoreEdge(0)
+		}},
+	} {
+		network, req, opts := softLayerInstance(7)
+		central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := network.G.CostEpoch()
+		row.drift(network.G)
+		if network.G.CostEpoch() == before {
+			t.Fatalf("%s: the leader's epoch did not drift", row.name)
+		}
+		cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
+		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
+		cluster.Close()
+		if err != nil {
+			t.Fatalf("%s: SOFDA after leader epoch drift (no fallback armed): %v", row.name, err)
+		}
+		if f.TotalCost() != central.TotalCost() {
+			t.Errorf("%s: cost after epoch drift %v != centralized %v", row.name, f.TotalCost(), central.TotalCost())
+		}
 	}
 }
 
-// captureMessages builds a real request and its real response off the
-// equivalence-test instance — the same payloads the wire moves, reused as
-// the codec tests' ground truth and the fuzz targets' seed corpus.
-func captureMessages(tb testing.TB) (*dist.CandidateRequest, *dist.CandidateResponse) {
+// captureMessages builds a real request and the wire results a domain
+// computes for it off the equivalence-test instance — the same payloads
+// the wire moves, reused as the codec tests' ground truth and the fuzz
+// targets' seed corpus.
+func captureMessages(tb testing.TB) (*dist.CandidateRequest, []dist.CandidateResult) {
 	tb.Helper()
 	network, req, opts := softLayerInstance(1)
 	pairs := chain.Pairs(req.Sources, opts.VMs)
@@ -517,18 +629,14 @@ func captureMessages(tb testing.TB) (*dist.CandidateRequest, *dist.CandidateResp
 	if err != nil {
 		tb.Fatalf("capture: %v", err)
 	}
-	return creq, &dist.CandidateResponse{
-		CostEpoch:   creq.CostEpoch,
-		GraphDigest: creq.GraphDigest,
-		Results:     dist.WireResults(results),
-	}
+	return creq, dist.WireResults(results)
 }
 
 // captureFragments runs a real AnswerStream over the captured request and
 // returns every fragment it emits — results-bearing fragments plus the
 // Done trailer — as ground truth for the codec round-trip tests. How many
 // fragments it sees depends on scheduling (the stream coalesces whatever
-// has completed), so the fragment fuzz target seeds from the batch
+// has completed), so the fragment fuzz target seeds from captureMessages'
 // results instead.
 func captureFragments(tb testing.TB) []*dist.CandidateFragment {
 	tb.Helper()
@@ -555,10 +663,11 @@ func captureFragments(tb testing.TB) []*dist.CandidateFragment {
 	return frags
 }
 
-// TestCandidateCodecRoundTrip pins decode(encode(x)) == x on real captured
-// messages, field for field.
+// TestCandidateCodecRoundTrip pins decode(encode(x)) == x on a real
+// captured request, field for field (TestFragmentCodecRoundTrip covers
+// the fragments).
 func TestCandidateCodecRoundTrip(t *testing.T) {
-	req, resp := captureMessages(t)
+	req, _ := captureMessages(t)
 	reqData, err := EncodeRequest(req)
 	if err != nil {
 		t.Fatalf("encode request: %v", err)
@@ -569,18 +678,6 @@ func TestCandidateCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotReq, req) {
 		t.Errorf("request round trip mismatch:\n got %+v\nwant %+v", gotReq, req)
-	}
-	respData, err := EncodeResponse(resp)
-	if err != nil {
-		t.Fatalf("encode response: %v", err)
-	}
-	gotResp, err := DecodeResponse(respData)
-	if err != nil {
-		t.Fatalf("decode response: %v", err)
-	}
-	if !reflect.DeepEqual(gotResp, resp) {
-		t.Errorf("response round trip mismatch: got %d results, want %d",
-			len(gotResp.Results), len(resp.Results))
 	}
 }
 
@@ -602,7 +699,7 @@ func TestCandidateCodecCorruptedPayload(t *testing.T) {
 	if _, err := DecodeRequest(data[:len(data)/2]); err == nil {
 		t.Error("decoding a truncated request succeeded")
 	}
-	if _, err := DecodeResponse([]byte("definitely not gob")); err == nil {
-		t.Error("decoding garbage as a response succeeded")
+	if _, err := DecodeFragment([]byte("definitely not gob")); err == nil {
+		t.Error("decoding garbage as a fragment succeeded")
 	}
 }

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -13,21 +12,17 @@ import (
 	"sof/internal/dist"
 )
 
-// The streaming exchange shares the domain's listener with net/rpc: a
-// stream connection opens with an 8-byte magic preamble, which the server
-// sniffs once per connection to pick the protocol (net/rpc's gob stream
-// can never start with these bytes — gob messages open with a length
-// varint, not ASCII). After the preamble the connection is a framed gob
-// exchange, reused across embeddings: the leader writes one
-// dist.CandidateRequest per exchange, the domain answers with a stream of
-// dist.CandidateFragments ending in a Done trailer, and the next request
-// may follow on the same connection.
+// A connection opens with an 8-byte magic preamble, which the server reads
+// once and closes any connection that lacks it. After the preamble the
+// connection is a framed gob exchange, reused across embeddings: the
+// leader writes one dist.CandidateRequest per exchange, the domain answers
+// with a stream of dist.CandidateFragments ending in a Done trailer, and
+// the next request may follow on the same connection.
 //
 // Cancellation needs no control message: a leader that gives up severs the
 // connection, the domain's next fragment write fails, and
-// dist.Domain.AnswerStream aborts the oracle fan-out mid-batch — the fix
-// for the abandoned-batch waste the batch exchange suffered from, where a
-// cancelled deadline-free leader left the domain solving into the void.
+// dist.Domain.AnswerStream aborts the oracle fan-out mid-batch, so a
+// cancelled leader never leaves the domain solving into the void.
 const streamMagic = "SOFSTRM1"
 
 // streamConn is one leader-side stream connection with its persistent
@@ -95,12 +90,13 @@ func (t *Transport) releaseStream(domainID int, sc *streamConn, healthy bool) {
 	sc.conn.Close()
 }
 
-// SendStream implements dist.StreamTransport over the framed gob protocol:
-// the request goes out with the context's remaining time budget stamped as
-// a relative duration (the same skew-immune deadline propagation Send
-// uses), and fragments are handed to sink as they arrive, racing ctx. On
-// cancellation the connection is severed, which both unblocks the reader
-// and makes the remote domain abort its batch at the next fragment write.
+// SendStream implements dist.Transport over the framed gob protocol: the
+// request goes out with the context's remaining time budget stamped as a
+// relative duration (the remote domain observes the leader's cancellation
+// horizon without the two machines' clocks having to agree), and fragments
+// are handed to sink as they arrive, racing ctx. On cancellation the
+// connection is severed, which both unblocks the reader and makes the
+// remote domain abort its batch at the next fragment write.
 func (t *Transport) SendStream(ctx context.Context, domainID int, req *dist.CandidateRequest, sink func(*dist.CandidateFragment) error) error {
 	if domainID < 0 || domainID >= len(t.addrs) {
 		return fmt.Errorf("rpc: domain %d out of range [0,%d): %w", domainID, len(t.addrs), dist.ErrNoSuchDomain)
@@ -180,23 +176,17 @@ func (t *Transport) SendStream(ctx context.Context, domainID int, req *dist.Cand
 	}
 }
 
-var _ dist.StreamTransport = (*Transport)(nil)
-
-// prefixedConn replays the sniffed protocol preamble in front of the
-// connection's remaining byte stream, so net/rpc sees an untouched
-// connection.
-type prefixedConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (c *prefixedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// serveStream answers framed-gob stream exchanges on one connection until
-// the peer hangs up: one CandidateRequest in, a fragment stream out, then
-// the next request on the same connection. Fan-out cancellation rides the
-// write path — AnswerStream's emit fails as soon as the peer is gone.
-func (s *Server) serveStream(conn net.Conn) {
+// serveConn answers framed-gob stream exchanges on one connection until
+// the peer hangs up: the preamble, then one CandidateRequest in, a
+// fragment stream out, and the next request on the same connection. A
+// connection that does not open with the preamble is dropped unanswered.
+// Fan-out cancellation rides the write path — AnswerStream's emit fails as
+// soon as the peer is gone.
+func (s *Server) serveConn(conn net.Conn) {
+	magic := make([]byte, len(streamMagic))
+	if _, err := io.ReadFull(conn, magic); err != nil || string(magic) != streamMagic {
+		return // closed before a full preamble, or not this protocol
+	}
 	dec := gob.NewDecoder(bufio.NewReader(conn))
 	bw := bufio.NewWriter(conn)
 	enc := gob.NewEncoder(bw)
@@ -224,19 +214,4 @@ func (s *Server) serveStream(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// sniffProtocol reads the first preamble-length bytes of a fresh
-// connection and dispatches it: stream protocol, or net/rpc with the bytes
-// replayed.
-func (s *Server) sniffProtocol(conn net.Conn) {
-	magic := make([]byte, len(streamMagic))
-	if _, err := io.ReadFull(conn, magic); err != nil {
-		return // closed before a full preamble/request could arrive
-	}
-	if string(magic) == streamMagic {
-		s.serveStream(conn)
-		return
-	}
-	s.srv.ServeConn(&prefixedConn{Conn: conn, r: io.MultiReader(bytes.NewReader(magic), conn)})
 }

@@ -4,16 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"sof/internal/chain"
-	"sof/internal/core"
-	"sof/internal/graph"
 )
 
 // StreamStats is a snapshot of the cluster's streaming-exchange counters,
-// cumulative across embeddings. It is all zeros while the cluster runs the
-// batch exchange (Config.Streaming off, or a transport without streaming).
+// cumulative across embeddings.
 type StreamStats struct {
 	// StreamedFragments counts CandidateFragments the leader consumed,
 	// trailers included.
@@ -22,29 +18,18 @@ type StreamStats struct {
 	// (fallback-solved pairs are not streamed and not counted).
 	StreamedResults uint64
 	// PrunedCandidates counts feasible candidates rejected as dominated
-	// before allocating any aux-graph state, across both join modes (the
-	// batch exchange feeds the same pruning builder).
+	// before allocating any aux-graph state.
 	PrunedCandidates uint64
 	// EpochDrift counts fragments whose cost epoch differed from the
 	// request's. Drift alone is observability, not refusal — the digest
-	// decides, exactly as in the batch handshake — but a non-zero value
-	// flags that a domain re-priced mid-stream.
+	// decides — but a non-zero value flags that a domain re-priced
+	// mid-stream.
 	EpochDrift uint64
 	// OverlapNS accumulates, per embedding, the time between the leader's
 	// first aux-graph insertion and the last domain finishing its stream:
 	// the window in which leader-side assembly overlapped domain-side
-	// solving. The batch exchange's equivalent is identically zero — the
-	// leader cannot start before the slowest domain returns.
+	// solving.
 	OverlapNS int64
-	// EarlyClosures counts closure passes the eager mode (Config.
-	// EagerClosure) finished off the completion phase's critical path:
-	// warmed destination trees plus per-source refinements that completed
-	// before the refinement loop demanded them. Zero without eager mode.
-	// Each refinement's head-start — launch to demand, capped at its
-	// finish — is accumulated into OverlapNS; per-source lanes run
-	// concurrently, so the eager contribution can exceed wall time, like
-	// CPU-seconds.
-	EarlyClosures uint64
 }
 
 // StreamStats returns the streaming-exchange counters.
@@ -55,7 +40,6 @@ func (c *Cluster) StreamStats() StreamStats {
 		PrunedCandidates:  c.streamPruned.Load(),
 		EpochDrift:        c.streamEpochDrift.Load(),
 		OverlapNS:         c.streamOverlapNS.Load(),
-		EarlyClosures:     c.streamEarlyClosures.Load(),
 	}
 }
 
@@ -69,133 +53,15 @@ type streamEvent struct {
 	err    error
 }
 
-// sofdaStreaming is the streamed gather: one goroutine per non-empty
-// domain drives SendStream (with retry over the undelivered remainder and
-// the local-oracle fallback), the splicer stores located results into a
-// reorder buffer, and a cursor feeds the aux-graph builder exactly in the
-// centralized candidate order as the prefix becomes available — so the
-// auxiliary graph (and with it the forest cost) is bit-identical to the
-// batch exchange while its construction overlaps the slower domains.
-func (c *Cluster) sofdaStreaming(ctx context.Context, st StreamTransport, req core.Request, o *core.Options, vms []graph.NodeID, pairs []chain.Pair, perDomain [][]chain.Pair, perIndices [][]int, epoch, digest uint64, parallelism int) (*core.Forest, error) {
-	builder, err := core.NewAuxGraphBuilder(ctx, c.g, req, o)
-	if err != nil {
-		return nil, err
-	}
-	if !c.cfg.DisablePruning {
-		builder.EnablePruning()
-	}
-	if c.cfg.EagerClosure {
-		builder.EnableEager()
-		// Per-source pair counts (with source multiplicity): a source's
-		// refinement may start the moment its last pair splices, because
-		// its candidate set is final then.
-		counts := make(map[graph.NodeID]int, len(req.Sources))
-		for _, p := range pairs {
-			counts[p.Source]++
-		}
-		for _, s := range req.Sources {
-			if _, ok := counts[s]; ok {
-				continue
-			}
-			counts[s] = 0
-		}
-		for s, n := range counts {
-			builder.ExpectCandidates(s, n)
-		}
-	}
-	dispatched := 0
-	for _, dp := range perDomain {
-		if len(dp) > 0 {
-			dispatched++
-		}
-	}
-	// Buffered to every possible message (each pair delivered at most once
-	// plus one done notice per domain), so domain goroutines never block on
-	// the splicer and an early-erroring embed leaks nothing.
-	events := make(chan streamEvent, len(pairs)+dispatched)
-	for d, dp := range perDomain {
-		if len(dp) == 0 {
-			continue
-		}
-		creq := c.candidateRequest(epoch, digest, req.ChainLen, parallelism, vms, dp)
-		go func(d int, creq *CandidateRequest, indices []int) {
-			err := c.streamDomain(ctx, st, d, creq, indices, events)
-			events <- streamEvent{done: true, domain: d, err: err}
-		}(d, creq, perIndices[d])
-	}
-
-	results := make([]CandidateResult, len(pairs))
-	have := make([]bool, len(pairs))
-	cursor := 0
-	var firstFeed time.Time
-	for remaining := dispatched; remaining > 0; {
-		select {
-		case ev := <-events:
-			if ev.done {
-				remaining--
-				if ev.err != nil {
-					if ctx.Err() != nil {
-						return nil, ctx.Err()
-					}
-					return nil, fmt.Errorf("dist: domain %d: %w", ev.domain, ev.err)
-				}
-				continue
-			}
-			have[ev.global] = true
-			results[ev.global] = ev.res
-			for cursor < len(pairs) && have[cursor] {
-				r := results[cursor]
-				src := pairs[cursor].Source
-				cursor++
-				if r.Err != "" || r.Chain == nil {
-					// Per-pair infeasibility, skipped like the batch path —
-					// but still a delivery for the source's completeness
-					// count: its candidate set shrinks, it does not stall.
-					builder.NoteDelivered(src)
-					continue
-				}
-				if firstFeed.IsZero() {
-					firstFeed = time.Now()
-				}
-				if _, err := builder.AddCandidate(r.Chain); err != nil {
-					return nil, err
-				}
-				builder.NoteDelivered(src)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// Per-goroutine sends are ordered, so by the time every done notice is
-	// consumed all result events have been too; a short cursor means a
-	// domain violated the protocol without erroring.
-	if cursor != len(pairs) {
-		return nil, fmt.Errorf("dist: stream ended with %d of %d candidates spliced", cursor, len(pairs))
-	}
-	if !firstFeed.IsZero() {
-		c.streamOverlapNS.Add(int64(time.Since(firstFeed)))
-	}
-	c.streamPruned.Add(uint64(builder.Pruned()))
-	if builder.Added() == 0 {
-		return nil, fmt.Errorf("dist: no domain produced a feasible candidate chain")
-	}
-	f, err := builder.Complete(ctx)
-	if c.cfg.EagerClosure {
-		closures, overlapNS := builder.EagerOverlap()
-		c.streamEarlyClosures.Add(uint64(closures))
-		c.streamOverlapNS.Add(overlapNS)
-	}
-	return f, err
-}
-
-// streamDomain moves one domain's request over the streaming transport
-// with the configured retry budget. Results already delivered to the
-// splicer stay delivered; a failed stream is retried — and finally
-// answered by the leader-local fallback — only for the undelivered
-// remainder, so no pair is ever spliced twice and no completed work is
-// re-bought. Context errors and ErrNoSuchDomain surface immediately;
-// ErrGraphMismatch skips the pointless retries, as in the batch path.
-func (c *Cluster) streamDomain(ctx context.Context, st StreamTransport, domainID int, req *CandidateRequest, indices []int, events chan<- streamEvent) error {
+// streamDomain moves one domain's request over the transport with the
+// configured retry budget. Results already delivered to the splicer stay
+// delivered; a failed stream is retried — and finally answered by the
+// leader-local fallback — only for the undelivered remainder, so no pair
+// is ever spliced twice and no completed work is re-bought. Context errors
+// are never retried or absorbed by the fallback: a cancelled embedding
+// must surface ctx.Err(). ErrNoSuchDomain surfaces immediately too, and
+// ErrGraphMismatch skips the pointless retries.
+func (c *Cluster) streamDomain(ctx context.Context, domainID int, req *CandidateRequest, indices []int, events chan<- streamEvent) error {
 	n := len(req.Pairs)
 	delivered := make([]bool, n)
 	deliveredCount := 0
@@ -212,13 +78,14 @@ func (c *Cluster) streamDomain(ctx context.Context, st StreamTransport, domainID
 			return err
 		}
 		local := subLocal
-		err := st.SendStream(ctx, domainID, subReq, func(f *CandidateFragment) error {
+		err := c.transport.SendStream(ctx, domainID, subReq, func(f *CandidateFragment) error {
 			c.streamFragments.Add(1)
 			if f.CostEpoch != req.CostEpoch {
 				c.streamEpochDrift.Add(1)
 			}
-			// Digest equality proves content equality; epoch drift over an
-			// identical graph must not refuse (see sendCandidates).
+			// Digest equality proves content equality, so the epoch is
+			// deliberately absent here: counters that drifted over
+			// identical graphs (bump-and-restore) must not refuse.
 			if f.GraphDigest != req.GraphDigest || f.SourceSetup != req.SourceSetup {
 				return fmt.Errorf("dist: domain %d streamed graph digest %x sourceSetup %v, want digest %x sourceSetup %v: %w",
 					domainID, f.GraphDigest, f.SourceSetup,
@@ -252,9 +119,14 @@ func (c *Cluster) streamDomain(ctx context.Context, st StreamTransport, domainID
 			return ctx.Err()
 		}
 		if errors.Is(err, ErrNoSuchDomain) {
+			// Leader misconfiguration (more cluster domains than the
+			// transport serves): deterministic, so retrying is pointless,
+			// and absorbing it into the fallback would permanently and
+			// silently un-distribute part of every embedding. Fail loudly.
 			return err
 		}
 		if errors.Is(err, ErrGraphMismatch) {
+			// A re-send sees the same graphs; go straight to the fallback.
 			break
 		}
 		if deliveredCount > 0 {

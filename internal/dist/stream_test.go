@@ -3,6 +3,8 @@ package dist
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,8 +16,10 @@ import (
 
 // TestStreamedMatchesBatchAndCentralized is the streaming correctness
 // claim: on the 4-seed × 3-domain-count matrix, the server-streamed
-// fragment exchange — with pruning armed and disarmed — costs exactly
-// what the batch exchange and the centralized solver cost.
+// fragment exchange costs exactly what the batch path costs — every
+// candidate computed in one shot and fed to core.SOFDAFromCandidatesCtx —
+// and what the centralized solver costs. Every one of the |S|·|M| pairs
+// must cross the domain boundary as a streamed result.
 func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
@@ -23,84 +27,82 @@ func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
+		pairs := chain.Pairs(req.Sources, net.VMs)
+		results, err := chain.NewOracle(net.G, chain.Options{}).Chains(context.Background(), net.VMs, pairs, req.ChainLen, 1)
+		if err != nil {
+			t.Fatalf("seed %d: batch candidates: %v", seed, err)
+		}
+		var candidates []*chain.ServiceChain
+		for _, r := range results {
+			if r.Err == nil && r.Chain != nil {
+				candidates = append(candidates, r.Chain)
+			}
+		}
+		batch, err := core.SOFDAFromCandidatesCtx(context.Background(), net.G, req, opts, candidates)
+		if err != nil {
+			t.Fatalf("seed %d: batch: %v", seed, err)
+		}
+		if batch.TotalCost() != central.TotalCost() {
+			t.Fatalf("seed %d: batch cost %v != centralized %v", seed, batch.TotalCost(), central.TotalCost())
+		}
 		for _, domains := range []int{1, 3, 5} {
-			for _, disablePrune := range []bool{false, true} {
-				cluster := NewClusterWith(net.G, domains, Config{
-					Streaming:      true,
-					DisablePruning: disablePrune,
-				})
-				f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
-				if err != nil {
-					cluster.Close()
-					t.Fatalf("seed %d domains %d prune=%v: streamed: %v", seed, domains, !disablePrune, err)
-				}
-				if err := f.Validate(req.Sources, req.Dests); err != nil {
-					t.Errorf("seed %d domains %d prune=%v: infeasible forest: %v", seed, domains, !disablePrune, err)
-				}
-				if f.TotalCost() != central.TotalCost() {
-					t.Errorf("seed %d domains %d prune=%v: streamed cost %v != centralized %v",
-						seed, domains, !disablePrune, f.TotalCost(), central.TotalCost())
-				}
-				st := cluster.StreamStats()
-				if st.StreamedFragments == 0 || st.StreamedResults == 0 {
-					t.Errorf("seed %d domains %d prune=%v: no stream counters (%+v) — the exchange ran in batch mode",
-						seed, domains, !disablePrune, st)
-				}
-				cluster.Close()
+			cluster := NewCluster(net.G, domains, chain.Options{})
+			f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
+			st := cluster.StreamStats()
+			cluster.Close()
+			if err != nil {
+				t.Fatalf("seed %d domains %d: streamed: %v", seed, domains, err)
+			}
+			if err := f.Validate(req.Sources, req.Dests); err != nil {
+				t.Errorf("seed %d domains %d: infeasible forest: %v", seed, domains, err)
+			}
+			if f.TotalCost() != batch.TotalCost() {
+				t.Errorf("seed %d domains %d: streamed cost %v != batch %v (centralized %v)",
+					seed, domains, f.TotalCost(), batch.TotalCost(), central.TotalCost())
+			}
+			if st.StreamedFragments == 0 || st.StreamedResults != uint64(len(pairs)) {
+				t.Errorf("seed %d domains %d: stream counters %+v, want fragments and %d streamed results",
+					seed, domains, st, len(pairs))
 			}
 		}
 	}
 }
 
 // TestStreamedPruneOnOffIdenticalCost is the prune-safety property pinned
-// directly: across seeds and domain counts, prune-on and prune-off runs
-// of BOTH join modes (the batch exchange routes through the same pruning
-// builder since the leader's join unification) agree on the forest cost
-// bit for bit, and pruning actually fires in each mode on at least one
-// instance — the rule is doing work, not vacuously passing.
+// directly: across seeds and domain counts, the leader — which always
+// prunes dominated candidates — builds the forest of the unpruned
+// centralized reference (core.SOFDACtx): the same links and VMs, and the
+// same cost bit for bit. Pruning must actually fire on the matrix — the
+// rule is doing work, not vacuously passing.
 func TestStreamedPruneOnOffIdenticalCost(t *testing.T) {
-	prunedByMode := make(map[string]uint64)
+	pruned := uint64(0)
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
+		central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
+		if err != nil {
+			t.Fatalf("seed %d: centralized: %v", seed, err)
+		}
 		for _, domains := range []int{1, 3, 5} {
-			costs := make(map[string]float64)
-			for _, mode := range []struct {
-				name string
-				cfg  Config
-			}{
-				{"batch", Config{}},
-				{"batch-noprune", Config{DisablePruning: true}},
-				{"stream-prune", Config{Streaming: true}},
-				{"stream-noprune", Config{Streaming: true, DisablePruning: true}},
-			} {
-				cluster := NewClusterWith(net.G, domains, mode.cfg)
-				f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
-				if err != nil {
-					cluster.Close()
-					t.Fatalf("seed %d domains %d %s: %v", seed, domains, mode.name, err)
-				}
-				costs[mode.name] = f.TotalCost()
-				prunedByMode[mode.name] += cluster.StreamStats().PrunedCandidates
+			cluster := NewCluster(net.G, domains, chain.Options{})
+			f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
+			if err != nil {
 				cluster.Close()
+				t.Fatalf("seed %d domains %d: %v", seed, domains, err)
 			}
-			base := costs["batch"]
-			for name, c := range costs {
-				if c != base {
-					t.Errorf("seed %d domains %d: %s cost diverged: %v", seed, domains, name, costs)
-					break
-				}
+			if math.Float64bits(f.TotalCost()) != math.Float64bits(central.TotalCost()) {
+				t.Errorf("seed %d domains %d: pruned leader cost %v != unpruned SOFDACtx %v",
+					seed, domains, f.TotalCost(), central.TotalCost())
 			}
+			if got, want := f.Footprint(), central.Footprint(); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d domains %d: pruned leader footprint %+v != unpruned SOFDACtx %+v",
+					seed, domains, got, want)
+			}
+			pruned += cluster.StreamStats().PrunedCandidates
+			cluster.Close()
 		}
 	}
-	for _, mode := range []string{"batch", "stream-prune"} {
-		if prunedByMode[mode] == 0 {
-			t.Errorf("%s pruning never fired across the whole matrix; the property test is vacuous for it", mode)
-		}
-	}
-	for _, mode := range []string{"batch-noprune", "stream-noprune"} {
-		if prunedByMode[mode] != 0 {
-			t.Errorf("%s reported %d pruned candidates with pruning disabled", mode, prunedByMode[mode])
-		}
+	if pruned == 0 {
+		t.Error("pruning never fired across the whole matrix; the property test is vacuous")
 	}
 }
 
@@ -272,7 +274,7 @@ func TestAnswerStreamStampsLiveEpoch(t *testing.T) {
 
 // partialStreamTransport delivers fragments normally until failAfter
 // results have crossed, then kills the stream — the shape of a domain
-// that crashes mid-exchange. Send (the batch form) stays healthy.
+// that crashes mid-exchange.
 type partialStreamTransport struct {
 	inner     *ChannelTransport
 	failAfter int32
@@ -280,10 +282,6 @@ type partialStreamTransport struct {
 }
 
 var errStreamCut = errors.New("injected mid-stream failure")
-
-func (p *partialStreamTransport) Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error) {
-	return p.inner.Send(ctx, domainID, req)
-}
 
 func (p *partialStreamTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
 	return p.inner.SendStream(ctx, domainID, req, func(f *CandidateFragment) error {
@@ -311,7 +309,7 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
 	defer inner.Close()
 	flaky := &partialStreamTransport{inner: inner, failAfter: 5}
-	cluster := NewClusterWith(net.G, 3, Config{Transport: flaky, Streaming: true, RetryBudget: 1})
+	cluster := NewClusterWith(net.G, 3, Config{Transport: flaky, RetryBudget: 1})
 	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
@@ -322,28 +320,50 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	}
 }
 
-// TestStreamingOverBatchOnlyTransportFallsBack pins the capability gate:
-// Config.Streaming over a transport without SendStream quietly uses the
-// batch exchange — same cost, zero stream counters.
-func TestStreamingOverBatchOnlyTransportFallsBack(t *testing.T) {
-	net, req, opts := softLayerInstance(5)
-	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
-	if err != nil {
-		t.Fatal(err)
+// TestAnswerStreamCheapestFirstFragments pins the domain-side emission
+// order: with a slow sink forcing coalesced fragments, every fragment
+// lists its feasible results in ascending chain cost (infeasible last,
+// ties by index) — cheap chains reach the leader first, fragment by
+// fragment.
+func TestAnswerStreamCheapestFirstFragments(t *testing.T) {
+	net, req, opts := softLayerInstance(7)
+	dom := NewDomain(net.G, chain.Options{})
+	pairs := chain.Pairs(req.Sources, opts.VMs)
+	creq := &CandidateRequest{
+		ChainLen:    req.ChainLen,
+		Parallelism: 4,
+		VMs:         opts.VMs,
+		Pairs:       pairs,
 	}
-	inner := NewChannelTransport(net.G, 3, chain.Options{})
-	defer inner.Close()
-	batchOnly := &countingTransport{inner: inner, domains: make(map[int]int)}
-	cluster := NewClusterWith(net.G, 3, Config{Transport: batchOnly, Streaming: true})
-	defer cluster.Close()
-	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
-	if err != nil {
-		t.Fatal(err)
+	coalesced := false
+	if err := dom.AnswerStream(context.Background(), creq, func(f *CandidateFragment) error {
+		if len(f.Results) > 1 {
+			coalesced = true
+		}
+		prev := math.Inf(-1)
+		prevIdx := -1
+		seenInfeasible := false
+		for _, fr := range f.Results {
+			if fr.Result.Chain == nil {
+				seenInfeasible = true
+				continue
+			}
+			if seenInfeasible {
+				t.Fatalf("fragment %d: feasible result after an infeasible one", f.Seq)
+			}
+			c := fr.Result.Chain.TotalCost()
+			if c < prev || (c == prev && fr.Index < prevIdx) {
+				t.Fatalf("fragment %d: result order not cheapest-first: %v after %v", f.Seq, c, prev)
+			}
+			prev, prevIdx = c, fr.Index
+		}
+		// A slow sink lets later solves pile up, forcing coalescing.
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	}); err != nil {
+		t.Fatalf("AnswerStream: %v", err)
 	}
-	if f.TotalCost() != central.TotalCost() {
-		t.Errorf("cost %v != centralized %v", f.TotalCost(), central.TotalCost())
-	}
-	if st := cluster.StreamStats(); st.StreamedFragments != 0 {
-		t.Errorf("batch-only transport produced stream counters: %+v", st)
+	if !coalesced {
+		t.Skip("no fragment coalesced more than one result; ordering not exercised")
 	}
 }

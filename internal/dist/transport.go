@@ -14,37 +14,23 @@ import (
 	"sof/internal/graph"
 )
 
-// Transport carries the leader↔domain candidate protocol. Send delivers
-// one request to the given domain controller and blocks until the domain
-// answers, the transport fails, or ctx is done. Implementations must be
-// safe for concurrent Sends to distinct domains (the leader scatters one
-// goroutine per domain) and should return ctx.Err() promptly once the
-// context is cancelled rather than waiting out a dead domain.
+// Transport carries the leader↔domain candidate protocol. SendStream
+// delivers one request to the given domain controller and invokes sink for
+// every CandidateFragment the domain emits — including the Done trailer —
+// on the calling goroutine, in stream order. It returns once the trailer
+// has been consumed, the sink errors (which must abort the remote exchange
+// so the domain stops solving), the transport fails, or ctx is done. A
+// sink error is returned verbatim. Implementations must be safe for
+// concurrent calls to distinct domains (the leader scatters one goroutine
+// per domain) and should return ctx.Err() promptly once the context is
+// cancelled rather than waiting out a dead domain.
 //
-// A Send error means the domain's answer is unusable as a whole; per-pair
-// infeasibilities travel inside CandidateResponse.Results instead. The
-// leader retries failed Sends on a budget and then falls back to solving
-// that domain's pairs on a local oracle, so transport failures degrade
-// latency, never correctness.
+// A SendStream error means the undelivered remainder of the exchange is
+// unusable, while results already handed to the sink stay valid; per-pair
+// infeasibilities travel inside the fragments instead. The leader retries
+// the remainder on a budget and then falls back to solving it on a local
+// oracle, so transport failures degrade latency, never correctness.
 type Transport interface {
-	Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error)
-}
-
-// StreamTransport is the streaming capability of a Transport: SendStream
-// delivers one request and invokes sink for every CandidateFragment the
-// domain emits — including the Done trailer — on the calling goroutine, in
-// stream order. It returns once the trailer has been consumed, the sink
-// errors (which must abort the remote exchange so the domain stops
-// solving), the transport fails, or ctx is done. A sink error is returned
-// verbatim; like Send, a SendStream error means the un-delivered remainder
-// of the exchange is unusable, while results already handed to the sink
-// remain valid — the leader retries or falls back only for the remainder.
-//
-// The capability is optional by design: wrappers and test doubles that
-// only implement Send keep working, and the cluster quietly uses the
-// batch exchange when Config.Streaming is set over a batch-only transport.
-type StreamTransport interface {
-	Transport
 	SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error
 }
 
@@ -58,19 +44,19 @@ type ChannelTransport struct {
 	g       *graph.Graph
 	domains []*domainWorker
 	wg      sync.WaitGroup
-	// done is closed by Close; Sends and workers select on it, so a Send
-	// racing Close degrades to ErrTransportClosed instead of touching a
-	// closed channel (the leader's fallback then answers the batch).
+	// done is closed by Close; SendStreams and workers select on it, so a
+	// SendStream racing Close degrades to ErrTransportClosed instead of
+	// touching a closed channel (the leader's fallback then answers).
 	done chan struct{}
 
 	mu     sync.Mutex
 	closed bool
 }
 
-// ErrTransportClosed is returned by ChannelTransport.Send after Close.
+// ErrTransportClosed is returned by ChannelTransport.SendStream after Close.
 var ErrTransportClosed = errors.New("dist: transport is closed")
 
-// ErrNoSuchDomain is wrapped by Transport.Send when the domain ID is not
+// ErrNoSuchDomain is wrapped by Transport.SendStream when the domain ID is not
 // one the transport serves — a leader misconfiguration (cluster domain
 // count exceeding the transport's), not a transient fault. The leader
 // neither retries it nor launders it into the fallback: the embedding
@@ -84,21 +70,15 @@ type domainWorker struct {
 	jobs chan chanJob
 }
 
-// chanJob is one in-flight Send or SendStream: the request, the caller's
-// context, and a buffered reply slot so the worker never blocks on a
-// caller that gave up. A non-nil frags channel selects the streaming path:
-// the worker emits fragments into it, closes it, and then reports the
-// batch-level error on reply.
+// chanJob is one in-flight SendStream: the request, the caller's context,
+// the channel the worker emits fragments into (and closes when the
+// exchange ends), and a buffered reply slot for the exchange-level error,
+// so the worker never blocks on a caller that gave up.
 type chanJob struct {
 	ctx   context.Context
 	req   *CandidateRequest
-	reply chan<- chanReply
 	frags chan *CandidateFragment
-}
-
-type chanReply struct {
-	resp *CandidateResponse
-	err  error
+	reply chan<- error
 }
 
 // NewChannelTransport starts numDomains domain workers over g, each with a
@@ -129,23 +109,18 @@ func (d *domainWorker) serve(done <-chan struct{}) {
 	for {
 		select {
 		case job := <-d.jobs:
-			if job.frags != nil {
-				err := d.dom.AnswerStream(job.ctx, job.req, func(f *CandidateFragment) error {
-					select {
-					case job.frags <- f:
-						return nil
-					case <-job.ctx.Done():
-						return job.ctx.Err()
-					case <-done:
-						return ErrTransportClosed
-					}
-				})
-				close(job.frags)
-				job.reply <- chanReply{err: err}
-				continue
-			}
-			resp, err := d.dom.Answer(job.ctx, job.req)
-			job.reply <- chanReply{resp: resp, err: err}
+			err := d.dom.AnswerStream(job.ctx, job.req, func(f *CandidateFragment) error {
+				select {
+				case job.frags <- f:
+					return nil
+				case <-job.ctx.Done():
+					return job.ctx.Err()
+				case <-done:
+					return ErrTransportClosed
+				}
+			})
+			close(job.frags)
+			job.reply <- err
 		case <-done:
 			return
 		}
@@ -167,75 +142,43 @@ func NewDomain(g *graph.Graph, chainOpts chain.Options) *Domain {
 	return &Domain{g: g, oracle: chain.NewOracle(g, chainOpts), opts: chainOpts}
 }
 
-// Answer handles one candidate request: verify the request's cost epoch,
-// topology digest, and source-setup pricing against this domain's view,
-// rebuild the leader's cancellation horizon from the wire timeout, fan the
-// pairs out over the oracle, and wrap the results for the wire.
-//
-// A graph-state mismatch is answered as a well-formed response carrying
-// the domain's own epoch/digest/pricing with no results, NOT as an error:
-// transports may flatten errors to strings (net/rpc does), but a response
-// crosses any codec intact, so the leader can classify the mismatch as
-// non-retryable (ErrGraphMismatch) instead of burning its retry budget.
-func (d *Domain) Answer(ctx context.Context, req *CandidateRequest) (*CandidateResponse, error) {
-	epoch := d.g.CostEpoch()
-	// The digest (plus the pricing mode) decides: it is a full content
-	// hash, so digest equality proves the two graphs agree even when the
-	// epoch counters drifted (e.g. the leader bumped its epoch and
-	// restored the costs — refusing on epoch alone would silently and
-	// permanently degrade a remote deployment to leader-local solving).
-	// The epoch only short-circuits the hash: when it matches the memo's
-	// last computation the digest is an atomic load away. Digest 0 means
-	// the leader shares this domain's graph and skipped the handshake
-	// (see CandidateRequest); nothing is hashed at all then.
-	digest := uint64(0)
-	if req.GraphDigest != 0 {
-		digest = d.memo.of(d.g)
-	}
-	if digest != req.GraphDigest || d.opts.SourceSetupCost != req.SourceSetup {
-		return &CandidateResponse{CostEpoch: epoch, GraphDigest: digest, SourceSetup: d.opts.SourceSetupCost}, nil
-	}
-	if req.Timeout != 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.Timeout))
-		defer cancel()
-	}
-	results, err := d.oracle.Chains(ctx, req.VMs, req.Pairs, req.ChainLen, req.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return &CandidateResponse{
-		CostEpoch:   epoch,
-		GraphDigest: digest,
-		SourceSetup: d.opts.SourceSetupCost,
-		Results:     WireResults(results),
-	}, nil
-}
-
 // CacheStats reports the domain oracle's cache counters — Dijkstra-tree
 // and solved-chain hits/misses. ChainMisses counts k-stroll solves, which
 // is what the cancellation tests observe: an aborted batch must stop
 // solving well before the pair count.
 func (d *Domain) CacheStats() chain.CacheStats { return d.oracle.Stats() }
 
-// AnswerStream is the streaming form of Answer: the same handshake and
-// cancellation horizon, but results are emitted as CandidateFragments as
-// pairs complete (coalescing whatever is ready into each fragment) instead
-// of a single batch response, and the exchange ends with a Done trailer.
+// AnswerStream handles one candidate request: verify the request's
+// topology digest and source-setup pricing against this domain's view,
+// rebuild the leader's cancellation horizon from the wire timeout, fan the
+// pairs out over the oracle, and emit the results as CandidateFragments as
+// pairs complete (coalescing whatever is ready into each fragment). The
+// exchange ends with a Done trailer.
 //
 // Fragments carry completion-order results located by FragmentResult.Index
 // — the leader splices, so the domain never stalls a fast pair behind a
-// slow one. A handshake mismatch is a single Done fragment carrying the
-// domain's own epoch/digest/pricing and no results (the streaming twin of
-// the batch refusal response). An emit error aborts the oracle fan-out
-// before the next fragment: the feeder stops, in-flight solves finish, and
-// the error is returned — this is how a severed stream (dead leader, sink
-// failure) cancels a remote batch mid-flight instead of burning the
-// domain's oracle on abandoned work.
+// slow one. A handshake mismatch is NOT an error but a single Done
+// fragment carrying the domain's own epoch/digest/pricing and no results:
+// transports may flatten errors to strings, but a fragment crosses any
+// codec intact, so the leader can classify the mismatch as non-retryable
+// (ErrGraphMismatch) instead of burning its retry budget. An emit error
+// aborts the oracle fan-out before the next fragment: the feeder stops,
+// in-flight solves finish, and the error is returned — this is how a
+// severed stream (dead leader, sink failure) cancels a remote batch
+// mid-flight instead of burning the domain's oracle on abandoned work.
 func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit func(*CandidateFragment) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The digest (plus the pricing mode) decides: it is a content hash of
+	// topology, costs and blocked elements, so digest equality proves the
+	// two graphs agree even when the epoch counters drifted (e.g. the
+	// leader bumped its epoch and restored the costs — refusing on epoch
+	// alone would silently and permanently degrade a remote deployment to
+	// leader-local solving). The epoch only short-circuits the hash: when
+	// it matches the memo's last computation the digest is an atomic load
+	// away. Digest 0 means the leader shares this domain's graph and
+	// skipped the handshake (see CandidateRequest); nothing is hashed then.
 	digest := uint64(0)
 	if req.GraphDigest != 0 {
 		digest = d.memo.of(d.g)
@@ -244,8 +187,8 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 	// the handshake-time capture: a re-pricing mid-exchange moves both, so
 	// the leader observes the drift on the very next fragment (a counter
 	// bump in-process, a digest refusal of the stream's remainder on wire
-	// transports — the batch exchange could only mix stale and fresh costs
-	// silently). The digest re-read is an atomic epoch load while costs
+	// transports, never a silent mix of stale and fresh costs). The digest
+	// re-read is an atomic epoch load while costs
 	// are stable (see digestMemo). Digest-0 requests keep digest 0: the
 	// leader shares this domain's graph and skipped the content handshake.
 	stamp := func(f *CandidateFragment) *CandidateFragment {
@@ -425,30 +368,6 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 // NumDomains returns the number of domain workers.
 func (t *ChannelTransport) NumDomains() int { return len(t.domains) }
 
-// Send dispatches the request to the domain's worker and waits for its
-// answer. Both the dispatch and the wait observe ctx, so a cancelled
-// leader returns promptly even while the worker is mid-computation (the
-// worker sees the same ctx and abandons the batch on its own).
-func (t *ChannelTransport) Send(ctx context.Context, domainID int, req *CandidateRequest) (*CandidateResponse, error) {
-	if domainID < 0 || domainID >= len(t.domains) {
-		return nil, fmt.Errorf("dist: domain %d out of range [0,%d): %w", domainID, len(t.domains), ErrNoSuchDomain)
-	}
-	reply := make(chan chanReply, 1)
-	select {
-	case t.domains[domainID].jobs <- chanJob{ctx: ctx, req: req, reply: reply}:
-	case <-t.done:
-		return nil, ErrTransportClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case r := <-reply:
-		return r.resp, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // SendStream dispatches the request to the domain's worker and invokes
 // sink for each fragment the domain emits, on the calling goroutine. A
 // sink error cancels the worker-side fan-out (the domain aborts before its
@@ -465,8 +384,8 @@ func (t *ChannelTransport) SendStream(ctx context.Context, domainID int, req *Ca
 	// aborts the domain-side oracle fan-out at the next fragment.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	reply := make(chan chanReply, 1)
-	job := chanJob{ctx: sctx, req: req, reply: reply, frags: make(chan *CandidateFragment)}
+	reply := make(chan error, 1)
+	job := chanJob{ctx: sctx, req: req, frags: make(chan *CandidateFragment), reply: reply}
 	select {
 	case t.domains[domainID].jobs <- job:
 	case <-t.done:
@@ -479,11 +398,11 @@ func (t *ChannelTransport) SendStream(ctx context.Context, domainID int, req *Ca
 		select {
 		case f, ok := <-job.frags:
 			if !ok {
-				r := <-reply
+				err := <-reply
 				if sinkErr != nil {
 					return sinkErr
 				}
-				return r.err
+				return err
 			}
 			if sinkErr == nil {
 				if err := sink(f); err != nil {
@@ -501,7 +420,7 @@ func (t *ChannelTransport) SendStream(ctx context.Context, domainID int, req *Ca
 }
 
 // Close stops the domain workers and waits for them to drain. Idempotent
-// and safe against concurrent Sends: late Sends fail with
+// and safe against concurrent SendStreams: late ones fail with
 // ErrTransportClosed rather than panicking.
 func (t *ChannelTransport) Close() error {
 	t.mu.Lock()

@@ -25,25 +25,23 @@ const (
 	// TransportInproc uses dist.ChannelTransport: domains are worker
 	// goroutines inside the leader process (the reference deployment).
 	TransportInproc DistTransport = "inproc"
-	// TransportRPC spins one net/rpc domain server per domain on
+	// TransportRPC spins one dist/rpc domain server per domain on
 	// 127.0.0.1:0 and reaches them through dist/rpc.Transport, so every
-	// candidate batch crosses a real gob-encoded TCP hop.
+	// candidate fragment crosses a real gob-encoded TCP hop.
 	TransportRPC DistTransport = "rpc"
 )
 
 // DistRow is one distributed-vs-centralized comparison: the same request
-// solved by core.SOFDACtx and by a dist.Cluster with the given domain count,
-// transport, and join mode. Match reports cost equality, the distributed
-// correctness claim of Section VI. Streamed rows additionally report the
-// per-embedding averages of the streaming counters: fragments consumed,
-// dominated candidates pruned before allocating aux-graph state, and the
-// leader-overlap window (time between the leader's first aux-graph
-// insertion and the slowest domain finishing — identically zero for batch
-// joins, where the leader cannot start early).
+// solved by core.SOFDACtx and by a dist.Cluster with the given domain count
+// and transport. Match reports cost equality, the distributed correctness
+// claim of Section VI. Rows also report the per-embedding averages of the
+// streaming counters: fragments consumed, dominated candidates pruned
+// before allocating aux-graph state, and the leader-overlap window (time
+// between the leader's first aux-graph insertion and the slowest domain
+// finishing).
 type DistRow struct {
 	Net         NetKind
 	Transport   DistTransport
-	Streamed    bool
 	Domains     int
 	CentralCost float64
 	DistCost    float64
@@ -59,10 +57,8 @@ type DistRow struct {
 // for every (topology, domain count) combination, averaging costs and wall
 // times over runs seeds. The centralized baseline is solved once per
 // (topology, seed) and shared across domain counts — its cost does not
-// depend on the partitioning. An empty transport means TransportInproc;
-// streamed selects the server-streamed fragment join over the one-shot
-// batch exchange.
-func DistTable(kinds []NetKind, domainCounts []int, runs, inetNodes int, transport DistTransport, streamed bool) ([]DistRow, error) {
+// depend on the partitioning. An empty transport means TransportInproc.
+func DistTable(kinds []NetKind, domainCounts []int, runs, inetNodes int, transport DistTransport) ([]DistRow, error) {
 	if transport == "" {
 		transport = TransportInproc
 	}
@@ -98,9 +94,9 @@ func DistTable(kinds []NetKind, domainCounts []int, runs, inetNodes int, transpo
 			}
 		}
 		for _, domains := range domainCounts {
-			row := DistRow{Net: kind, Transport: transport, Streamed: streamed, Domains: domains, Match: true}
+			row := DistRow{Net: kind, Transport: transport, Domains: domains, Match: true}
 			for _, in := range insts {
-				cluster, cleanup, err := newDistCluster(in.net, domains, transport, streamed)
+				cluster, cleanup, err := newDistCluster(in.net, domains, transport)
 				if err != nil {
 					return nil, err
 				}
@@ -110,8 +106,8 @@ func DistTable(kinds []NetKind, domainCounts []int, runs, inetNodes int, transpo
 				cluster.Close()
 				cleanup()
 				if err != nil {
-					return nil, fmt.Errorf("exp: distributed SOFDA on %s (%d domains, %s, streamed=%v): %w",
-						kind, domains, transport, streamed, err)
+					return nil, fmt.Errorf("exp: distributed SOFDA on %s (%d domains, %s): %w",
+						kind, domains, transport, err)
 				}
 				row.DistMS += float64(time.Since(start).Microseconds()) / 1e3
 				row.CentralCost += in.cost
@@ -139,12 +135,12 @@ func DistTable(kinds []NetKind, domainCounts []int, runs, inetNodes int, transpo
 }
 
 // newDistCluster builds the leader for one comparison point: an in-process
-// channel cluster, or real net/rpc domain servers on loopback listeners
+// channel cluster, or real dist/rpc domain servers on loopback listeners
 // plus an rpc transport pointed at them. cleanup tears the servers down.
-func newDistCluster(n *topology.Network, domains int, transport DistTransport, streamed bool) (*dist.Cluster, func(), error) {
+func newDistCluster(n *topology.Network, domains int, transport DistTransport) (*dist.Cluster, func(), error) {
 	switch transport {
 	case TransportInproc:
-		return dist.NewClusterWith(n.G, domains, dist.Config{Streaming: streamed}), func() {}, nil
+		return dist.NewCluster(n.G, domains, chain.Options{}), func() {}, nil
 	case TransportRPC:
 		servers := make([]*distrpc.Server, 0, domains)
 		addrs := make([]string, 0, domains)
@@ -159,17 +155,12 @@ func newDistCluster(n *topology.Network, domains int, transport DistTransport, s
 				cleanup()
 				return nil, nil, fmt.Errorf("exp: listen for domain %d: %w", i, err)
 			}
-			srv, err := distrpc.Serve(lis, distrpc.NewDomainServer(n.G, chain.Options{}))
-			if err != nil {
-				lis.Close()
-				cleanup()
-				return nil, nil, fmt.Errorf("exp: serve domain %d: %w", i, err)
-			}
+			srv := distrpc.Serve(lis, distrpc.NewDomainServer(n.G, chain.Options{}))
 			servers = append(servers, srv)
 			addrs = append(addrs, srv.Addr())
 		}
 		tr := distrpc.NewTransport(addrs)
-		cluster := dist.NewClusterWith(n.G, domains, dist.Config{Transport: tr, RetryBudget: 1, Streaming: streamed})
+		cluster := dist.NewClusterWith(n.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
 		return cluster, func() { tr.Close(); cleanup() }, nil
 	default:
 		return nil, nil, fmt.Errorf("exp: unknown dist transport %q", transport)
@@ -198,22 +189,16 @@ func defaultRequest(kind NetKind, seed int64, inetNodes int) (*topology.Network,
 	}, nil
 }
 
-// FormatDistTable renders the rows as a text table. The frags/pruned/
-// overlap columns are live only on streamed rows: batch joins move whole
-// responses and give the leader no overlap window.
+// FormatDistTable renders the rows as a text table.
 func FormatDistTable(rows []DistRow) string {
 	var b strings.Builder
 	b.WriteString("Distributed SOFDA (Section VI): per-domain candidate generation + leader completion\n")
-	fmt.Fprintf(&b, "%-10s %-8s %-7s %8s %14s %14s %7s %12s %12s %8s %8s %10s\n",
-		"network", "via", "join", "domains", "central-cost", "dist-cost", "match", "central-ms", "dist-ms",
+	fmt.Fprintf(&b, "%-10s %-8s %8s %14s %14s %7s %12s %12s %8s %8s %10s\n",
+		"network", "via", "domains", "central-cost", "dist-cost", "match", "central-ms", "dist-ms",
 		"frags", "pruned", "overlap-ms")
 	for _, r := range rows {
-		join := "batch"
-		if r.Streamed {
-			join = "stream"
-		}
-		fmt.Fprintf(&b, "%-10s %-8s %-7s %8d %14.2f %14.2f %7v %12.2f %12.2f %8.1f %8.1f %10.2f\n",
-			r.Net, r.Transport, join, r.Domains, r.CentralCost, r.DistCost, r.Match, r.CentralMS, r.DistMS,
+		fmt.Fprintf(&b, "%-10s %-8s %8d %14.2f %14.2f %7v %12.2f %12.2f %8.1f %8.1f %10.2f\n",
+			r.Net, r.Transport, r.Domains, r.CentralCost, r.DistCost, r.Match, r.CentralMS, r.DistMS,
 			r.Fragments, r.Pruned, r.OverlapMS)
 	}
 	return b.String()

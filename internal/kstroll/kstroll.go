@@ -12,8 +12,6 @@
 //   - ExactSolver: Held–Karp-style subset DP, optimal, for small instances;
 //   - InsertionSolver: cheapest insertion + 2-opt/or-opt/node-swap local
 //     search, fast, validated against ExactSolver in tests;
-//   - ColorCodingSolver: randomized color-coding DP, optimal w.h.p., for
-//     medium instances;
 //   - Auto: picks ExactSolver when feasible, InsertionSolver otherwise.
 package kstroll
 
@@ -156,3 +154,32 @@ func trivial(in *Instance) (w *Walk, ok bool) {
 		return nil, false
 	}
 }
+
+// AutoSolver picks ExactSolver for small instances and InsertionSolver
+// otherwise. It is the default used by the chain and core packages.
+type AutoSolver struct {
+	// ExactLimit is the largest N solved exactly (DefaultAutoExactLimit
+	// when zero).
+	ExactLimit int
+}
+
+// DefaultAutoExactLimit keeps the exact DP under a few milliseconds.
+const DefaultAutoExactLimit = 14
+
+// Name implements Solver.
+func (s *AutoSolver) Name() string { return "auto" }
+
+// Solve implements Solver.
+func (s *AutoSolver) Solve(in *Instance) (*Walk, error) {
+	limit := s.ExactLimit
+	if limit == 0 {
+		limit = DefaultAutoExactLimit
+	}
+	if in.N <= limit {
+		return (&ExactSolver{MaxNodes: limit}).Solve(in)
+	}
+	return (&InsertionSolver{}).Solve(in)
+}
+
+// Auto returns the default solver.
+func Auto() Solver { return &AutoSolver{} }

@@ -67,7 +67,7 @@ func TestMetricHolds(t *testing.T) {
 }
 
 func TestTrivialCases(t *testing.T) {
-	for _, s := range []Solver{&ExactSolver{}, &InsertionSolver{}, &ColorCodingSolver{Seed: 1}, Auto()} {
+	for _, s := range []Solver{&ExactSolver{}, &InsertionSolver{}, Auto()} {
 		in := euclidean(6, 2, 2)
 		w, err := s.Solve(in)
 		if err != nil {
@@ -189,34 +189,6 @@ func TestInsertionFeasibleAndBounded(t *testing.T) {
 		}
 	}
 	t.Logf("worst insertion/exact ratio over 40 instances: %.4f", worst)
-}
-
-func TestColorCodingFindsOptimumUsually(t *testing.T) {
-	found := 0
-	const trials = 15
-	for seed := int64(0); seed < trials; seed++ {
-		in := euclidean(12, 5, seed+500)
-		cc, err := (&ColorCodingSolver{Trials: 400, Seed: seed}).Solve(in)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := in.VerifyWalk(cc); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ex, err := (&ExactSolver{}).Solve(in)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if cc.Cost < ex.Cost-1e-9 {
-			t.Fatalf("seed %d: color coding %v beat exact %v", seed, cc.Cost, ex.Cost)
-		}
-		if math.Abs(cc.Cost-ex.Cost) < 1e-9 {
-			found++
-		}
-	}
-	if found < trials*2/3 {
-		t.Fatalf("color coding matched the optimum on only %d/%d instances", found, trials)
-	}
 }
 
 func TestAutoSwitchesSolvers(t *testing.T) {

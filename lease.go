@@ -19,10 +19,10 @@ package sof
 // edge several times and overshoot the mask threshold): a footprint that
 // does not fit is rejected with ErrCapacityExceeded and no state changes.
 //
-// Admission control composes: the static WithAdmissionThreshold hook runs
-// first, then WithAdaptiveAdmission — Lukovszki & Schmid's competitive
-// online rule, a threshold exponential in current utilization — then the
-// capacity reservation.
+// Admission control has one rejection site: WithAdaptiveAdmission —
+// Lukovszki & Schmid's competitive online rule, a threshold exponential in
+// current utilization — prices the footprint first, then the capacity
+// reservation runs.
 
 import (
 	"container/heap"
@@ -176,8 +176,8 @@ func WithDemand(d float64) Option {
 	}
 }
 
-// WithAdaptiveAdmission replaces the static admission constant with
-// Lukovszki & Schmid's competitive online rule: a request is admitted only
+// WithAdaptiveAdmission installs Lukovszki & Schmid's competitive online
+// admission rule instead of a static cost bound: a request is admitted only
 // if the utilization-exponential price of its footprint,
 //
 //	Σ_{r ∈ footprint} (mu^{u(r)} − 1),
@@ -235,9 +235,8 @@ func aggregateDemand(edges []graph.EdgeID, demand float64) map[graph.EdgeID]floa
 }
 
 // admitAndLease prices, reserves, and leases a freshly embedded forest.
-// Called from embed after the algorithm and the static admission hook have
-// both passed. On any error the trackers, masks, and lease table are
-// exactly as before the call.
+// Called from embed after the algorithm has found it. On any error the
+// trackers, masks, and lease table are exactly as before the call.
 func (s *Solver) admitAndLease(out *Forest, req Request) error {
 	cs := s.capacity
 	fp := out.f.Footprint()

@@ -33,7 +33,6 @@ type Solver struct {
 	parallelism int
 	vms         []NodeID
 	exactBudget int
-	admit       func(marginalCost float64) bool
 	oracle      *chain.Oracle
 
 	// Recovery state (see survivable.go). The registry only fills on
@@ -53,10 +52,10 @@ type Solver struct {
 }
 
 // ErrAdmissionRejected is the typed error carried by Result.Err (or
-// returned by Embed) when the session's admission threshold rejects a
-// request: the embedding was computed and found feasible, but its marginal
-// cost exceeded what the caller is willing to pay. Callers distinguish it
-// from infeasibility with errors.Is.
+// returned by Embed) when the session's adaptive admission rule (see
+// WithAdaptiveAdmission) rejects a request: the embedding was computed and
+// found feasible, but its utilization price exceeded the request's budget.
+// Callers distinguish it from infeasibility with errors.Is.
 var ErrAdmissionRejected = errors.New("sof: embedding rejected by admission threshold")
 
 // Option configures a Solver at construction time.
@@ -90,22 +89,6 @@ func WithVMs(vms ...NodeID) Option {
 		}
 		s.vms = append([]NodeID(nil), vms...)
 	}
-}
-
-// WithAdmissionThreshold installs an online admission-control hook on the
-// session (Lukovszki & Schmid's request-stream model: reject requests
-// whose marginal cost exceeds a competitive threshold instead of
-// embedding everything). For every successful embedding, admit is called
-// with the forest's marginal cost — its total embedding cost on the
-// current network — and a false return rejects the request: the caller
-// sees ErrAdmissionRejected (in Result.Err for EmbedStream/EmbedBatch)
-// and no forest. Rejection has no side effects; embeds do not mutate the
-// network, so a rejected request leaves the session exactly as it found
-// it. The hook applies to every embed of the session; it may be called
-// concurrently from the stream/batch worker pool, so it must be
-// thread-safe. A nil admit admits everything.
-func WithAdmissionThreshold(admit func(marginalCost float64) bool) Option {
-	return func(s *Solver) { s.admit = admit }
 }
 
 // WithExactBranchBudget bounds AlgorithmExact's branch-and-bound tree
@@ -205,9 +188,6 @@ func (s *Solver) embed(ctx context.Context, req Request, algo Algorithm, innerPa
 	}
 	if err != nil {
 		return nil, err
-	}
-	if s.admit != nil && !s.admit(f.TotalCost()) {
-		return nil, fmt.Errorf("%w (marginal cost %v)", ErrAdmissionRejected, f.TotalCost())
 	}
 	out := &Forest{
 		f:      f,

@@ -242,45 +242,22 @@ func TestSolverEmbedStreamCancellation(t *testing.T) {
 	}
 }
 
-// TestSolverAdmissionThresholdStream drives EmbedStream through a
-// rejecting admission threshold (Lukovszki & Schmid's online admission
-// model): requests whose embed cost exceeds the caller's bound must come
-// back as typed ErrAdmissionRejected results, cheap-enough requests must
-// still embed, and a rejection must not perturb later embeds (no side
-// effects on the network or session).
+// TestSolverAdmissionThresholdStream drives EmbedStream through adaptive
+// admission (Lukovszki & Schmid's online admission model): requests whose
+// utilization price exceeds their budget must come back as typed
+// ErrAdmissionRejected results, the others must still embed, and a
+// rejection must not perturb later embeds — a session that never saw the
+// rejected requests embeds the admitted ones at the same costs and ends
+// with the same load on every link and VM.
 func TestSolverAdmissionThresholdStream(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 8, Seed: 3})
-	snet := FromGraph(net.G)
+	fresh := func() *Network { return FromGraph(topology.SoftLayer(topology.Config{NumVMs: 8, Seed: 3}).G) }
 	reqs := solverTestRequests(net, 12)
+	session := func(opts ...Option) *Solver {
+		return NewSolver(fresh(), append([]Option{WithVMs(net.VMs...), WithParallelism(1), WithCapacity(10, 10)}, opts...)...)
+	}
 
-	// Reference costs from an unconstrained session.
-	plain := NewSolver(snet, WithVMs(net.VMs...), WithParallelism(1))
-	costs := make([]float64, len(reqs))
-	for i, r := range reqs {
-		f, err := plain.Embed(context.Background(), r)
-		if err != nil {
-			t.Fatalf("reference embed %d: %v", i, err)
-		}
-		costs[i] = f.TotalCost()
-	}
-	// A threshold between the cheapest and most expensive request splits
-	// the stream into admitted and rejected halves.
-	lo, hi := costs[0], costs[0]
-	for _, c := range costs {
-		if c < lo {
-			lo = c
-		}
-		if c > hi {
-			hi = c
-		}
-	}
-	if lo == hi {
-		t.Fatalf("degenerate workload: all requests cost %v", lo)
-	}
-	threshold := (lo + hi) / 2
-
-	solver := NewSolver(snet, WithVMs(net.VMs...), WithParallelism(1),
-		WithAdmissionThreshold(func(marginalCost float64) bool { return marginalCost <= threshold }))
+	solver := session(WithAdaptiveAdmission(16, 0.01))
 	in := make(chan Request)
 	go func() {
 		defer close(in)
@@ -288,30 +265,47 @@ func TestSolverAdmissionThresholdStream(t *testing.T) {
 			in <- r
 		}
 	}()
-	admitted, rejected := 0, 0
+	admitted := make(map[int]float64)
+	rejected := 0
 	for res := range solver.EmbedStream(context.Background(), in) {
-		want := costs[res.Index] <= threshold
 		switch {
 		case res.Err == nil && res.Forest != nil:
-			admitted++
-			if !want {
-				t.Errorf("request %d (cost %v) admitted past threshold %v", res.Index, costs[res.Index], threshold)
-			}
-			if res.Forest.TotalCost() != costs[res.Index] {
-				t.Errorf("request %d: admitted cost %v != reference %v — a rejection perturbed the session",
-					res.Index, res.Forest.TotalCost(), costs[res.Index])
-			}
+			admitted[res.Index] = res.Forest.TotalCost()
 		case errors.Is(res.Err, ErrAdmissionRejected):
 			rejected++
-			if want {
-				t.Errorf("request %d (cost %v) rejected under threshold %v", res.Index, costs[res.Index], threshold)
-			}
 		default:
 			t.Errorf("request %d: unexpected result err=%v", res.Index, res.Err)
 		}
 	}
-	if admitted == 0 || rejected == 0 {
-		t.Fatalf("threshold did not split the stream: %d admitted, %d rejected", admitted, rejected)
+	if len(admitted) == 0 || rejected == 0 {
+		t.Fatalf("admission did not split the stream: %d admitted, %d rejected", len(admitted), rejected)
+	}
+
+	replay := session()
+	for i, r := range reqs {
+		want, ok := admitted[i]
+		if !ok {
+			continue
+		}
+		f, err := replay.Embed(context.Background(), r)
+		if err != nil {
+			t.Fatalf("replaying admitted request %d: %v", i, err)
+		}
+		if f.TotalCost() != want {
+			t.Errorf("request %d: admitted cost %v != %v without the rejected requests — a rejection perturbed the session",
+				i, want, f.TotalCost())
+		}
+	}
+	g := net.G
+	for e := 0; e < g.NumEdges(); e++ {
+		if got, want := solver.LinkLoad(EdgeID(e)), replay.LinkLoad(EdgeID(e)); got != want {
+			t.Errorf("link %d load %v != %v without the rejected requests", e, got, want)
+		}
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		if got, want := solver.VMLoad(NodeID(v)), replay.VMLoad(NodeID(v)); got != want {
+			t.Errorf("VM %d load %v != %v without the rejected requests", v, got, want)
+		}
 	}
 }
 
