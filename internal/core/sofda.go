@@ -480,8 +480,10 @@ func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph
 }
 
 // closureMST is the MST cost of the metric closure over {u} ∪ dests, using
-// precomputed per-destination shortest-path trees. It upper-bounds (within
-// KMB's factor) the Steiner tree connecting u to the destinations.
+// precomputed per-destination shortest-path trees. It is KMB's upper bound
+// on its Steiner tree over {u} ∪ dests and, scaled by t/(2(t−1)) for
+// t = len(dests)+1 terminals, a lower bound on any such tree (see
+// bestLastVM).
 func closureMST(u graph.NodeID, dests []graph.NodeID, destTrees map[graph.NodeID]*graph.ShortestPaths) float64 {
 	nodes := append([]graph.NodeID{u}, dests...)
 	const inf = math.MaxFloat64

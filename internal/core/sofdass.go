@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
@@ -98,10 +100,12 @@ func ctxOrBackground(ctx context.Context) context.Context {
 // single-source SOF problem. For every candidate last VM u it builds the
 // minimum-cost service chain s→u via the k-stroll reduction
 // (Procedures 1–2), appends a Steiner tree spanning u and all
-// destinations, and returns the cheapest resulting forest. Candidate
-// chains for all last VMs are generated concurrently on the oracle's
-// fan-out pool (bounded by opts.Parallelism), and the per-VM Steiner
-// phase observes ctx between candidates.
+// destinations, and returns the cheapest resulting forest; a candidate
+// whose cost bound shows it cannot win skips its Steiner tree (see
+// bestLastVM). Candidate chains for all last VMs are generated
+// concurrently on the oracle's fan-out pool (bounded by
+// opts.Parallelism), and the per-VM Steiner phase observes ctx between
+// candidates.
 func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests []graph.NodeID, chainLen int, opts *Options) (*Forest, error) {
 	ctx = ctxOrBackground(ctx)
 	req := Request{Sources: []graph.NodeID{source}, Dests: dests, ChainLen: chainLen}
@@ -128,49 +132,16 @@ func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests 
 	if err != nil {
 		return nil, err
 	}
-	type candidate struct {
-		sc   *chain.ServiceChain
-		tree *steiner.Tree
-		cost float64
+	sc, tree, cost, err := bestLastVM(ctx, g, oracle, chains, dests)
+	if err != nil {
+		return nil, err
 	}
-	var best *candidate
-	var lastErr error
-	for _, r := range chains {
-		if r.Err != nil {
-			lastErr = r.Err
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sc := r.Chain
-		// Oracle-backed KMB: the destination trees are shared by every
-		// candidate last VM of this loop (and by later requests of the
-		// session), so the per-VM Steiner phase stops re-running the same
-		// metric closure |M| times.
-		tree, err := steiner.KMBWith(g, append([]graph.NodeID{sc.LastVM}, dests...),
-			&steiner.KMBOptions{Provider: oracle})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		cost := sc.TotalCost() + tree.Cost
-		if best == nil || cost < best.cost {
-			best = &candidate{sc: sc, tree: tree, cost: cost}
-		}
-	}
-	if best == nil {
-		if lastErr == nil {
-			lastErr = errors.New("core: no feasible last VM")
-		}
-		return nil, fmt.Errorf("core: SOFDA-SS found no feasible forest: %w", lastErr)
-	}
-	if err := assertFinite(best.cost, "SOFDA-SS cost"); err != nil {
+	if err := assertFinite(cost, "SOFDA-SS cost"); err != nil {
 		return nil, err
 	}
 
 	f := NewForest(g, chainLen)
-	_, last, err := f.AttachChainWalk(best.sc)
+	_, last, err := f.AttachChainWalk(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +149,7 @@ func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests 
 	for _, d := range dests {
 		destSet[d] = true
 	}
-	if _, err := f.AttachTree(last, best.tree.Edges, destSet); err != nil {
+	if _, err := f.AttachTree(last, tree.Edges, destSet); err != nil {
 		return nil, err
 	}
 	f.Prune()
@@ -186,6 +157,105 @@ func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests 
 		return nil, fmt.Errorf("core: SOFDA-SS produced infeasible forest: %w", err)
 	}
 	return f, nil
+}
+
+// boundSlack is the relative slack bestLastVM takes off a candidate's
+// Steiner lower bound. The bound's distances are Dijkstra sums along a
+// path, while a tree's cost is summed in edge-id order, so the two can
+// disagree in the last bits; 1e-9 is far above that rounding and far
+// below any real gap between candidates.
+const boundSlack = 1e-9
+
+// lastVMCandidate is a feasible chain of Algorithm 1's per-VM loop: its
+// index in the chain results, which is the loop's order, and a lower bound
+// on the cost of its forest.
+type lastVMCandidate struct {
+	idx int
+	sc  *chain.ServiceChain
+	lb  float64
+}
+
+// bestLastVM is the per-VM Steiner phase of Algorithm 1 over the chain
+// results: for every feasible chain s→u, a KMB tree over {u} ∪ dests. It
+// returns the chain, tree and cost that minimize (chain cost + tree cost,
+// result index) — the first strict minimum of a scan in result order —
+// without running every KMB.
+//
+// A tree spanning the t = len(dests)+1 terminals costs at least
+// OPT ≥ MST·t/(2(t−1)), where MST is the metric-closure MST over the
+// terminals (Kou–Markowsky–Berman; duplicate terminals only overcount t,
+// which shrinks the factor), and at least dist(u,d) for every
+// destination d, since it holds a u–d path. KMB's tree is such a tree, so
+// chain cost + the larger of the two, less boundSlack, bounds a
+// candidate's cost from below. Candidates run in bound order (stable, so
+// the result index breaks ties), and the scan stops at the first bound
+// strictly above the best cost so far: that candidate and every later one
+// cost strictly more, so none can win or tie.
+//
+// With no feasible candidate the error is the one the scan in result
+// order ends on: the failure with the highest result index. ctx is
+// observed between KMB runs.
+func bestLastVM(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, results []chain.Result, dests []graph.NodeID) (*chain.ServiceChain, *steiner.Tree, float64, error) {
+	var lastErr error
+	lastErrIdx := -1
+	var cands []lastVMCandidate
+	var destTrees map[graph.NodeID]*graph.ShortestPaths
+	t := float64(len(dests) + 1)
+	for i, r := range results {
+		if r.Err != nil {
+			lastErr, lastErrIdx = r.Err, i
+			continue
+		}
+		if destTrees == nil {
+			// The first KMB would fetch these trees anyway.
+			destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(dests))
+			for _, d := range dests {
+				if _, ok := destTrees[d]; !ok {
+					destTrees[d] = oracle.Tree(d)
+				}
+			}
+		}
+		u := r.Chain.LastVM
+		far := 0.0
+		for _, d := range dests {
+			far = max(far, destTrees[d].Dist[u])
+		}
+		steinerLB := max(closureMST(u, dests, destTrees)*t/(2*(t-1)), far)
+		cands = append(cands, lastVMCandidate{idx: i, sc: r.Chain, lb: r.Chain.TotalCost() + steinerLB*(1-boundSlack)})
+	}
+	slices.SortStableFunc(cands, func(a, b lastVMCandidate) int { return cmp.Compare(a.lb, b.lb) })
+
+	var best *lastVMCandidate
+	var bestTree *steiner.Tree
+	bestCost := 0.0
+	for i := range cands {
+		c := &cands[i]
+		if best != nil && c.lb > bestCost {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, nil, 0, err
+		}
+		tree, err := steiner.KMBWith(g, append([]graph.NodeID{c.sc.LastVM}, dests...),
+			&steiner.KMBOptions{Provider: oracle})
+		if err != nil {
+			if c.idx > lastErrIdx {
+				lastErr, lastErrIdx = err, c.idx
+			}
+			continue
+		}
+		cost := c.sc.TotalCost() + tree.Cost
+		if best == nil || cost < bestCost || cost == bestCost && c.idx < best.idx {
+			best, bestTree, bestCost = c, tree, cost
+		}
+	}
+	if best == nil {
+		if lastErr == nil {
+			lastErr = errors.New("core: no feasible last VM")
+		}
+		return nil, nil, 0, fmt.Errorf("core: SOFDA-SS found no feasible forest: %w", lastErr)
+	}
+	return best.sc, bestTree, bestCost, nil
 }
 
 // forestFromTree builds a forest from a plain Steiner tree anchored at

@@ -52,52 +52,3 @@ func (uf *UnionFind) Same(a, b int) bool { return uf.Find(a) == uf.Find(b) }
 
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
-
-// SparseUnionFind is a disjoint-set forest over a lazily materialized
-// element universe: elements spring into existence as singletons on first
-// touch. Connectivity checks over a few dozen nodes of a 10k-node graph
-// pay for the nodes they touch instead of an O(n) parent-array init —
-// the per-embed Steiner assembly of a scaled arrival stream runs such
-// checks on every request.
-type SparseUnionFind struct {
-	parent map[int]int
-	rank   map[int]int
-}
-
-// NewSparseUnionFind returns an empty sparse union-find.
-func NewSparseUnionFind() *SparseUnionFind {
-	return &SparseUnionFind{parent: make(map[int]int), rank: make(map[int]int)}
-}
-
-// Find returns the representative of x's set, adding x as a singleton on
-// first touch.
-func (uf *SparseUnionFind) Find(x int) int {
-	if _, ok := uf.parent[x]; !ok {
-		uf.parent[x] = x
-		return x
-	}
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]] // path halving
-		x = uf.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of a and b, returning true if they were distinct.
-func (uf *SparseUnionFind) Union(a, b int) bool {
-	ra, rb := uf.Find(a), uf.Find(b)
-	if ra == rb {
-		return false
-	}
-	if uf.rank[ra] < uf.rank[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	if uf.rank[ra] == uf.rank[rb] {
-		uf.rank[ra]++
-	}
-	return true
-}
-
-// Same reports whether a and b are in the same set.
-func (uf *SparseUnionFind) Same(a, b int) bool { return uf.Find(a) == uf.Find(b) }

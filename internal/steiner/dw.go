@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"sof/internal/graph"
 )
@@ -163,6 +164,18 @@ func treeFromEdges(g *graph.Graph, edgeSet map[graph.EdgeID]bool, terminals []gr
 	}
 	normalize(tree)
 	return tree
+}
+
+func normalize(t *Tree) {
+	sort.Slice(t.Nodes, func(i, j int) bool { return t.Nodes[i] < t.Nodes[j] })
+	sort.Slice(t.Edges, func(i, j int) bool { return t.Edges[i] < t.Edges[j] })
+}
+
+func recost(g EdgeSource, t *Tree) {
+	t.Cost = 0
+	for _, e := range t.Edges {
+		t.Cost += g.Edge(e).Cost
+	}
 }
 
 type dwItem struct {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -34,9 +35,10 @@ func (p *memoProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
 	return sp
 }
 
-// fullClosureKMB is the reference KMBWith is pinned to: every terminal's
-// full shortest-path tree (DijkstraAll), a linear-scan Prim over the
-// complete closure with smallest-index tie-break, and the same expansion.
+// fullClosureKMB is the reference KMB and KMBWith are pinned to: every
+// terminal's full shortest-path tree (DijkstraAll), a linear-scan Prim over
+// the complete closure with smallest-index tie-break, and the map-based
+// expansion refExpand.
 func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 	terminals = dedupeTerminals(terminals)
 	switch len(terminals) {
@@ -80,7 +82,138 @@ func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 			}
 		}
 	}
-	return expand(g, terminals, trees, edges), nil
+	return refExpand(g, terminals, trees, edges), nil
+}
+
+// refExpand is the map-based KMB expansion the production expand is pinned
+// to: the closure edges' paths (EdgesTo and PathTo) collected into edge and
+// node sets, Kruskal over the edge set by (cost, id) with a map union-find,
+// leaf-peeling prune over degree and incidence maps, then sorted nodes and
+// edges with the cost summed in edge-id order.
+func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
+	edgeSet := make(map[graph.EdgeID]bool)
+	nodeSet := make(map[graph.NodeID]bool)
+	for _, tm := range terminals {
+		nodeSet[tm] = true
+	}
+	for _, ce := range closureEdges {
+		b := terminals[ce.b]
+		for _, e := range trees[ce.a].EdgesTo(b) {
+			edgeSet[e] = true
+		}
+		for _, n := range trees[ce.a].PathTo(b) {
+			nodeSet[n] = true
+		}
+	}
+	tree := &Tree{}
+	for n := range nodeSet {
+		tree.Nodes = append(tree.Nodes, n)
+	}
+	sort.Slice(tree.Nodes, func(i, j int) bool { return tree.Nodes[i] < tree.Nodes[j] })
+
+	cs := make([]graph.EdgeID, 0, len(edgeSet))
+	for id := range edgeSet {
+		cs = append(cs, id)
+	}
+	sort.Slice(cs, func(i, j int) bool {
+		a, b := g.Edge(cs[i]).Cost, g.Edge(cs[j]).Cost
+		if a != b {
+			return a < b
+		}
+		return cs[i] < cs[j]
+	})
+	uf := mapUnionFind{}
+	for _, id := range cs {
+		if e := g.Edge(id); uf.union(e.U, e.V) {
+			tree.Edges = append(tree.Edges, id)
+		}
+	}
+	refPrune(g, tree, terminals)
+	normalize(tree)
+	recost(g, tree)
+	return tree
+}
+
+// mapUnionFind is a disjoint-set forest over node ids, each a singleton
+// until first joined.
+type mapUnionFind map[graph.NodeID]graph.NodeID
+
+func (uf mapUnionFind) find(x graph.NodeID) graph.NodeID {
+	for {
+		p, ok := uf[x]
+		if !ok || p == x {
+			return x
+		}
+		x = p
+	}
+}
+
+func (uf mapUnionFind) union(a, b graph.NodeID) bool {
+	ra, rb := uf.find(a), uf.find(b)
+	if ra == rb {
+		return false
+	}
+	uf[rb] = ra
+	return true
+}
+
+// refPrune repeatedly removes non-terminal leaves from the tree in place.
+func refPrune(g EdgeSource, tree *Tree, terminals []graph.NodeID) {
+	isTerminal := make(map[graph.NodeID]bool, len(terminals))
+	for _, t := range terminals {
+		isTerminal[t] = true
+	}
+	deg := make(map[graph.NodeID]int)
+	incident := make(map[graph.NodeID][]graph.EdgeID)
+	for _, id := range tree.Edges {
+		e := g.Edge(id)
+		deg[e.U]++
+		deg[e.V]++
+		incident[e.U] = append(incident[e.U], id)
+		incident[e.V] = append(incident[e.V], id)
+	}
+	removedEdge := make(map[graph.EdgeID]bool)
+	removedNode := make(map[graph.NodeID]bool)
+	var queue []graph.NodeID
+	for _, n := range tree.Nodes {
+		if !isTerminal[n] && deg[n] <= 1 {
+			queue = append(queue, n)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if removedNode[n] || isTerminal[n] || deg[n] > 1 {
+			continue
+		}
+		removedNode[n] = true
+		for _, id := range incident[n] {
+			if removedEdge[id] {
+				continue
+			}
+			removedEdge[id] = true
+			other := g.Edge(id).Other(n)
+			deg[other]--
+			deg[n]--
+			if !isTerminal[other] && deg[other] <= 1 {
+				queue = append(queue, other)
+			}
+		}
+	}
+	var keptEdges []graph.EdgeID
+	for _, id := range tree.Edges {
+		if !removedEdge[id] {
+			keptEdges = append(keptEdges, id)
+		}
+	}
+	var keptNodes []graph.NodeID
+	for _, n := range tree.Nodes {
+		if !removedNode[n] {
+			keptNodes = append(keptNodes, n)
+		}
+	}
+	tree.Edges = keptEdges
+	tree.Nodes = keptNodes
 }
 
 // checkMatchesFullClosure requires KMB, with its batched trees, and
@@ -132,6 +265,28 @@ func TestKMBWithMatchesKMB(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKMBCyclicPathUnion pins the expansion's MST where it matters. The
+// closure paths' union is almost always a tree already; here it holds the
+// cycle 4–8–3–7 of two cost-1 routes between 4 and 3, each a cost-0 and a
+// cost-1 edge, so Kruskal's (cost, id) order decides which route stays
+// (an id-only order keeps the other).
+func TestKMBCyclicPathUnion(t *testing.T) {
+	g := graph.New(9, 15)
+	for i := 0; i < 9; i++ {
+		g.AddSwitch("")
+	}
+	for _, e := range []struct {
+		u, v graph.NodeID
+		cost float64
+	}{
+		{5, 1, 2}, {3, 1, 2}, {1, 4, 2}, {0, 1, 2}, {4, 6, 2}, {8, 4, 1}, {1, 2, 2}, {4, 7, 0},
+		{3, 7, 1}, {5, 0, 2}, {3, 2, 0}, {8, 3, 0}, {5, 4, 2}, {0, 3, 2}, {8, 7, 2},
+	} {
+		g.MustAddEdge(e.u, e.v, e.cost)
+	}
+	checkMatchesFullClosure(t, "cyclic path union", g, []graph.NodeID{6, 5, 3})
 }
 
 // auxShaped builds a graph shaped like SOFDA's auxiliary graph Ĝ over a
@@ -231,4 +386,63 @@ func TestKMBWithDisconnected(t *testing.T) {
 	if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, graph.ErrDisconnected) {
 		t.Fatalf("KMB error %v, KMBWith error %v: want one disconnection error", want, got)
 	}
+}
+
+// randomMultigraph builds a seeded random multigraph on n nodes: an almost
+// spanning tree (each node joins an earlier one with probability 9/10, so
+// some instances are disconnected), about n extra edges, and parallel
+// copies of a few of them. Costs mix zero, integers, and tenths whose
+// floating-point sums depend on the order they are added in.
+func randomMultigraph(seed int64, n int) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	costs := []float64{0, 0, 0.1, 0.2, 0.3, 0.6, 1, 2, 3}
+	cost := func() float64 {
+		if rng.Intn(4) == 0 {
+			return rng.Float64() * 3
+		}
+		return costs[rng.Intn(len(costs))]
+	}
+	g := graph.New(n, 3*n)
+	for i := 0; i < n; i++ {
+		g.AddSwitch("")
+	}
+	for i := 1; i < n; i++ {
+		if rng.Intn(10) > 0 {
+			g.MustAddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), cost())
+		}
+	}
+	for k := 0; k < n; k++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.MustAddEdge(graph.NodeID(u), graph.NodeID(v), cost())
+		}
+	}
+	for k := 0; k < n/4 && g.NumEdges() > 0; k++ {
+		e := g.Edge(graph.EdgeID(rng.Intn(g.NumEdges())))
+		c := e.Cost
+		if rng.Intn(2) == 0 {
+			c = cost()
+		}
+		g.MustAddEdge(e.U, e.V, c)
+	}
+	return g
+}
+
+// FuzzKMBMatchesReference pins KMB and KMBWith to the full-closure
+// reference with the map-based expansion, bit for bit or error for error,
+// on random multigraphs with zero-cost and parallel edges and terminal
+// lists with duplicates.
+func FuzzKMBMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 24; seed++ {
+		f.Add(seed, uint8(4+3*seed), uint8(2+seed%9))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nodes, terms uint8) {
+		n := 2 + int(nodes)%60
+		g := randomMultigraph(seed, n)
+		rng := rand.New(rand.NewSource(^seed))
+		list := make([]graph.NodeID, 1+int(terms)%16)
+		for i := range list {
+			list[i] = graph.NodeID(rng.Intn(n))
+		}
+		checkMatchesFullClosure(t, fmt.Sprintf("seed %d n=%d terminals %v", seed, n, list), g, list)
+	})
 }

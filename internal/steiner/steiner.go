@@ -42,11 +42,9 @@ func (t *Tree) Contains(n graph.NodeID) bool {
 
 // dedupeTerminals returns the unique terminals, preserving first-seen order.
 func dedupeTerminals(terminals []graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, len(terminals))
 	out := make([]graph.NodeID, 0, len(terminals))
 	for _, t := range terminals {
-		if !seen[t] {
-			seen[t] = true
+		if !slices.Contains(out, t) {
 			out = append(out, t)
 		}
 	}
@@ -105,7 +103,7 @@ func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 // terminals it was chosen to reach. A tree that is exact there — a
 // truncated run, or a tree over a subgraph that provably holds those
 // paths — gives the same Steiner tree. SOFDA's Steiner phase relies on
-// this (see core's completeForestWith).
+// this (see core's steinerPhase and completeForest).
 func KMBWith(g EdgeSource, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
 	terminals = dedupeTerminals(terminals)
 	if len(terminals) < 2 {
@@ -183,135 +181,146 @@ type closureEdge struct{ a, b int32 }
 
 // expand turns the closure MST into KMB's tree: each closure edge becomes
 // its shortest path, then the MST of the union of those paths is pruned
-// of non-terminal leaves.
+// of non-terminal leaves. It runs on slices: a node's local index is its
+// position in the union's sorted node list, and Kruskal and the pruning
+// work on those indices. Kruskal takes the edges by (cost, id), a total
+// order, and the pruned tree is the unique minimal subtree of the MST
+// spanning the terminals, so the tree depends only on the paths. Nodes
+// and Edges come out ascending, and Cost is summed in edge-id order.
 func expand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
-	// Expand closure edges into real paths, deduping edges.
-	edgeSet := make(map[graph.EdgeID]bool)
-	nodeSet := make(map[graph.NodeID]bool)
-	for _, tm := range terminals {
-		nodeSet[tm] = true
-	}
-	for _, ce := range closureEdges {
-		b := terminals[ce.b]
-		for _, e := range trees[ce.a].EdgesTo(b) {
-			edgeSet[e] = true
-		}
-		for _, n := range trees[ce.a].PathTo(b) {
-			nodeSet[n] = true
-		}
+	nodes, ids := pathUnion(terminals, trees, closureEdges)
+	local := func(n graph.NodeID) int32 {
+		i, _ := slices.BinarySearch(nodes, n)
+		return int32(i)
 	}
 
-	// MST of the expansion subgraph, then prune.
-	subNodes := make([]graph.NodeID, 0, len(nodeSet))
-	for n := range nodeSet {
-		subNodes = append(subNodes, n)
-	}
-	sort.Slice(subNodes, func(i, j int) bool { return subNodes[i] < subNodes[j] })
-	tree := mstOfSubgraph(g, subNodes, edgeSet)
-	prune(g, tree, terminals)
-	normalize(tree)
-	recost(g, tree)
-	return tree
-}
-
-// mstOfSubgraph computes an MST over exactly the given nodes and the
-// candidate edges in edgeSet (all with both endpoints in nodes). Each
-// edge record is read once, before the sort. Kruskal takes the candidates
-// by (cost, id), a total order, so the map's order never reaches the
-// tree.
-func mstOfSubgraph(g EdgeSource, nodes []graph.NodeID, edgeSet map[graph.EdgeID]bool) *Tree {
-	type candidate struct {
-		id graph.EdgeID
-		e  graph.Edge
-	}
-	cs := make([]candidate, 0, len(edgeSet))
-	for id := range edgeSet {
-		cs = append(cs, candidate{id: id, e: g.Edge(id)})
-	}
-	slices.SortFunc(cs, func(a, b candidate) int {
-		if a.e.Cost != b.e.Cost {
-			return cmp.Compare(a.e.Cost, b.e.Cost)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	uf := graph.NewSparseUnionFind()
-	tree := &Tree{Nodes: nodes}
-	for _, c := range cs {
-		if uf.Union(int(c.e.U), int(c.e.V)) {
-			tree.Edges = append(tree.Edges, c.id)
-		}
-	}
-	return tree
-}
-
-// prune repeatedly removes non-terminal leaves from the tree in place.
-func prune(g EdgeSource, tree *Tree, terminals []graph.NodeID) {
-	isTerminal := make(map[graph.NodeID]bool, len(terminals))
-	for _, t := range terminals {
-		isTerminal[t] = true
-	}
-	deg := make(map[graph.NodeID]int)
-	incident := make(map[graph.NodeID][]graph.EdgeID)
-	for _, id := range tree.Edges {
+	// One record read per edge, then Kruskal by (cost, id). edges stays in
+	// id order; byCost is the Kruskal order over its indices.
+	edges := make([]pathEdge, len(ids))
+	byCost := make([]int32, len(ids))
+	for i, id := range ids {
 		e := g.Edge(id)
-		deg[e.U]++
-		deg[e.V]++
-		incident[e.U] = append(incident[e.U], id)
-		incident[e.V] = append(incident[e.V], id)
+		edges[i] = pathEdge{cost: e.Cost, u: local(e.U), v: local(e.V)}
+		byCost[i] = int32(i)
 	}
-	removedEdge := make(map[graph.EdgeID]bool)
-	removedNode := make(map[graph.NodeID]bool)
-	var queue []graph.NodeID
-	for _, n := range tree.Nodes {
-		if !isTerminal[n] && deg[n] <= 1 {
-			queue = append(queue, n)
+	slices.SortFunc(byCost, func(a, b int32) int {
+		if c := cmp.Compare(edges[a].cost, edges[b].cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	uf := graph.NewUnionFind(len(nodes))
+	deg := make([]int32, len(nodes))
+	for _, i := range byCost {
+		e := &edges[i]
+		if uf.Union(int(e.u), int(e.v)) {
+			e.inTree = true
+			deg[e.u]++
+			deg[e.v]++
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if removedNode[n] || isTerminal[n] || deg[n] > 1 {
-			continue
+
+	isTerminal := make([]bool, len(nodes))
+	for _, tm := range terminals {
+		isTerminal[local(tm)] = true
+	}
+	peelLeaves(edges, deg, isTerminal)
+
+	// A node stays while it is a terminal or keeps a tree edge. Both
+	// filters run in ascending order, in place.
+	tree := &Tree{Nodes: nodes[:0], Edges: ids[:0]}
+	for n, v := range nodes {
+		if isTerminal[n] || deg[n] > 0 {
+			tree.Nodes = append(tree.Nodes, v)
 		}
-		removedNode[n] = true
-		for _, id := range incident[n] {
-			if removedEdge[id] {
+	}
+	for i, id := range ids {
+		if edges[i].inTree {
+			tree.Edges = append(tree.Edges, id)
+			tree.Cost += edges[i].cost
+		}
+	}
+	return tree
+}
+
+// pathEdge is an edge of expand's path union: its cost, its endpoints'
+// local indices, and whether it is in the tree (the MST, then the pruned
+// tree).
+type pathEdge struct {
+	cost   float64
+	u, v   int32
+	inTree bool
+}
+
+// pathUnion returns the nodes and edge ids of the closure edges' paths,
+// read from the trees' Parent and ParentEdge arrays, with the terminals
+// among the nodes. Both come back sorted and free of duplicates.
+func pathUnion(terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) ([]graph.NodeID, []graph.EdgeID) {
+	hops := 0
+	for _, ce := range closureEdges {
+		sp := trees[ce.a]
+		for v := terminals[ce.b]; sp.Parent[v] != graph.None; v = sp.Parent[v] {
+			hops++
+		}
+	}
+	nodes := append(make([]graph.NodeID, 0, len(terminals)+hops), terminals...)
+	ids := make([]graph.EdgeID, 0, hops)
+	for _, ce := range closureEdges {
+		sp := trees[ce.a]
+		for v := terminals[ce.b]; sp.Parent[v] != graph.None; v = sp.Parent[v] {
+			nodes = append(nodes, sp.Parent[v])
+			ids = append(ids, sp.ParentEdge[v])
+		}
+	}
+	slices.Sort(nodes)
+	slices.Sort(ids)
+	return slices.Compact(nodes), slices.Compact(ids)
+}
+
+// peelLeaves repeatedly removes non-terminal leaves from the tree formed
+// by the edges marked inTree, clearing their marks and updating deg, the
+// nodes' tree degrees. It walks each node's tree edges through a local
+// CSR: node n's edges are inc[off[n]:off[n+1]].
+func peelLeaves(edges []pathEdge, deg []int32, isTerminal []bool) {
+	off := make([]int32, len(deg)+1)
+	for n, d := range deg {
+		off[n+1] = off[n] + d
+	}
+	inc := make([]int32, off[len(deg)])
+	next := slices.Clone(off[:len(deg)])
+	for i, e := range edges {
+		if e.inTree {
+			inc[next[e.u]] = int32(i)
+			next[e.u]++
+			inc[next[e.v]] = int32(i)
+			next[e.v]++
+		}
+	}
+	var leaves []int32
+	for n, d := range deg {
+		if !isTerminal[n] && d == 1 {
+			leaves = append(leaves, int32(n))
+		}
+	}
+	for len(leaves) > 0 {
+		n := leaves[len(leaves)-1]
+		leaves = leaves[:len(leaves)-1]
+		for _, i := range inc[off[n]:off[n+1]] {
+			e := &edges[i]
+			if !e.inTree {
 				continue
 			}
-			removedEdge[id] = true
-			other := g.Edge(id).Other(n)
-			deg[other]--
+			e.inTree = false
+			other := e.u
+			if other == n {
+				other = e.v
+			}
 			deg[n]--
-			if !isTerminal[other] && deg[other] <= 1 {
-				queue = append(queue, other)
+			deg[other]--
+			if !isTerminal[other] && deg[other] == 1 {
+				leaves = append(leaves, other)
 			}
 		}
-	}
-	var keptEdges []graph.EdgeID
-	for _, id := range tree.Edges {
-		if !removedEdge[id] {
-			keptEdges = append(keptEdges, id)
-		}
-	}
-	var keptNodes []graph.NodeID
-	for _, n := range tree.Nodes {
-		if !removedNode[n] {
-			keptNodes = append(keptNodes, n)
-		}
-	}
-	tree.Edges = keptEdges
-	tree.Nodes = keptNodes
-}
-
-func normalize(t *Tree) {
-	sort.Slice(t.Nodes, func(i, j int) bool { return t.Nodes[i] < t.Nodes[j] })
-	sort.Slice(t.Edges, func(i, j int) bool { return t.Edges[i] < t.Edges[j] })
-}
-
-func recost(g EdgeSource, t *Tree) {
-	t.Cost = 0
-	for _, e := range t.Edges {
-		t.Cost += g.Edge(e).Cost
 	}
 }
 
@@ -335,7 +344,7 @@ func Verify(g *graph.Graph, tree *Tree, terminals []graph.NodeID) error {
 	if len(tree.Edges) != len(tree.Nodes)-1 {
 		return fmt.Errorf("steiner: %d edges for %d nodes (not a tree)", len(tree.Edges), len(tree.Nodes))
 	}
-	uf := graph.NewSparseUnionFind()
+	uf := graph.NewUnionFind(g.NumNodes())
 	var cost float64
 	for _, id := range tree.Edges {
 		e := g.Edge(id)
