@@ -320,9 +320,10 @@ func BenchmarkDijkstraBatch(b *testing.B) {
 // Inet graphs: the indexed heap and the delta-stepping relaxer behind the
 // same Arena gate. Each op runs 16 distinct sources so a -benchtime 1x CI
 // pass still measures a stable multi-run sample; ms/run is the
-// per-source wall clock. The CI gate requires delta at no more than half
-// the heap's ns/op on the 10k-node graph — a ratio within one run, so
-// runner speed cancels out.
+// per-source wall clock. CI gates the heap/delta ms/run ratio on the
+// 10k-node graph twice: at >=2x in the committed BENCH_pr10.json record,
+// and at >=1.7x in the fresh run — a ratio within one run, so runner
+// speed cancels out.
 func BenchmarkDeltaStepping(b *testing.B) {
 	for _, nodes := range []int{1000, 10000} {
 		net, err := topology.Inet(nodes, 2*nodes, nodes/10, topology.Config{NumVMs: 50, Seed: 1})

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"sof/internal/chain"
@@ -190,11 +192,21 @@ func (f *Forest) RemoveVNF(j int) error {
 // boundary a fresh VM is spliced in. freeVMs are candidates for the new
 // VNF instances. The implementation reroutes each affected boundary: the
 // path between the VM of f_{j-1} (or the root) and the VM of old f_j is
-// replaced by a walk through a newly enabled VM.
-func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) error {
+// replaced by a walk through a newly enabled VM. On error the forest is
+// left exactly as it was: the index shift and any splices already made
+// are undone.
+func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) (err error) {
 	if j < 1 || j > f.chainLen+1 {
 		return fmt.Errorf("core: VNF insert index %d out of range [1,%d]", j, f.chainLen+1)
 	}
+	saved := *f
+	saved.clones, saved.roots = slices.Clone(f.clones), slices.Clone(f.roots)
+	saved.owner, saved.dests, saved.backups = maps.Clone(f.owner), maps.Clone(f.dests), maps.Clone(f.backups)
+	defer func() {
+		if err != nil {
+			*f = saved
+		}
+	}()
 	// Shift indices ≥ j up.
 	for id := range f.clones {
 		c := &f.clones[id]

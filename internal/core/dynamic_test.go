@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"sof/internal/chain"
@@ -261,5 +265,110 @@ func TestDynamicSequence(t *testing.T) {
 	}
 	if err := f.Validate(req.Sources, dests); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertVNFFailureRollsBack: an insert that fails leaves the forest
+// exactly as it was — same state, same cost bits, still valid — and a
+// later Join behaves as on a forest the insert never touched. Three
+// failures: no free VM for the new VNF, no splice walk through the free
+// VM, and no free VM for the second of two boundaries, after the first
+// was already spliced.
+func TestInsertVNFFailureRollsBack(t *testing.T) {
+	type insertCase struct {
+		name    string
+		g       *graph.Graph
+		forest  func() *Forest // a fresh copy of the forest under test
+		spare   graph.NodeID   // a destination for the follow-up Join
+		wantErr string
+	}
+	// serve hangs parent → VM v (running f1) → destination d off parent.
+	serve := func(f *Forest, parent CloneID, v graph.NodeID, pv graph.EdgeID, d graph.NodeID, vd graph.EdgeID) {
+		cv := f.AppendClone(parent, v, pv)
+		if err := f.Enable(cv, 1); err != nil {
+			t.Fatal(err)
+		}
+		f.MarkDestination(d, f.AppendClone(cv, d, vd))
+	}
+	// line is s→v→d plus a spare destination x behind d; isolated adds a
+	// free VM w with no links at all.
+	line := func(isolated bool) insertCase {
+		g := graph.New(5, 3)
+		s, v, d, x := g.AddSwitch("s"), g.AddVM("v", 1), g.AddSwitch("d"), g.AddSwitch("x")
+		sv, vd := g.MustAddEdge(s, v, 1), g.MustAddEdge(v, d, 1)
+		g.MustAddEdge(d, x, 1)
+		tc := insertCase{name: "no free VM", g: g, spare: x, wantErr: "no free VM for inserted VNF f1"}
+		if isolated {
+			g.AddVM("w", 1)
+			tc.name, tc.wantErr = "no splice walk", "cannot splice VNF f1"
+		}
+		tc.forest = func() *Forest {
+			f := NewForest(g, 1)
+			serve(f, f.NewRoot(s), v, sv, d, vd)
+			return f
+		}
+		return tc
+	}
+	// branched is s→v1→d1 and s→v2→d2 with one free VM w linked to s, v1
+	// and v2: whichever boundary is spliced first takes w, and the other
+	// finds no VM left.
+	branched := func() insertCase {
+		g := graph.New(7, 8)
+		s, v1, v2 := g.AddSwitch("s"), g.AddVM("v1", 1), g.AddVM("v2", 1)
+		d1, d2, w, x := g.AddSwitch("d1"), g.AddSwitch("d2"), g.AddVM("w", 1), g.AddSwitch("x")
+		sv1, v1d1 := g.MustAddEdge(s, v1, 1), g.MustAddEdge(v1, d1, 1)
+		sv2, v2d2 := g.MustAddEdge(s, v2, 1), g.MustAddEdge(v2, d2, 1)
+		g.MustAddEdge(s, w, 1)
+		g.MustAddEdge(w, v1, 1)
+		g.MustAddEdge(w, v2, 1)
+		g.MustAddEdge(d1, x, 1)
+		return insertCase{name: "second boundary", g: g, spare: x, wantErr: "no free VM for inserted VNF f1",
+			forest: func() *Forest {
+				f := NewForest(g, 1)
+				root := f.NewRoot(s)
+				serve(f, root, v1, sv1, d1, v1d1)
+				serve(f, root, v2, sv2, d2, v2d2)
+				return f
+			}}
+	}
+	for _, tc := range []insertCase{line(false), line(true), branched()} {
+		t.Run(tc.name, func(t *testing.T) {
+			oracle := chain.NewOracle(tc.g, chain.Options{})
+			f, ref := tc.forest(), tc.forest()
+			sources := []graph.NodeID{0}
+			if err := ref.Validate(sources, ref.Destinations()); err != nil {
+				t.Fatalf("fixture invalid: %v", err)
+			}
+			err := f.InsertVNF(oracle, tc.g.VMs(), 1)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("InsertVNF error = %v, want one containing %q", err, tc.wantErr)
+			}
+			if math.Float64bits(f.TotalCost()) != math.Float64bits(ref.TotalCost()) {
+				t.Errorf("TotalCost %v, untouched forest %v", f.TotalCost(), ref.TotalCost())
+			}
+			if !slices.Equal(f.UsedVMs(), ref.UsedVMs()) {
+				t.Errorf("UsedVMs %v, untouched forest %v", f.UsedVMs(), ref.UsedVMs())
+			}
+			if f.ChainLen() != ref.ChainLen() {
+				t.Errorf("ChainLen %d, untouched forest %d", f.ChainLen(), ref.ChainLen())
+			}
+			if err := f.Validate(sources, f.Destinations()); err != nil {
+				t.Errorf("forest invalid after a failed insert: %v", err)
+			}
+			if !reflect.DeepEqual(f, ref) {
+				t.Errorf("forest state differs from the untouched forest")
+			}
+			got, gotErr := f.Join(oracle, tc.g.VMs(), tc.spare)
+			want, wantErr := ref.Join(oracle, tc.g.VMs(), tc.spare)
+			if gotErr != nil || wantErr != nil {
+				t.Fatalf("later Join: %v, on the untouched forest: %v", gotErr, wantErr)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("later Join costs %v, on the untouched forest %v", got, want)
+			}
+			if !reflect.DeepEqual(f, ref) {
+				t.Errorf("forest state after the later Join differs from the untouched forest's")
+			}
+		})
 	}
 }

@@ -242,17 +242,6 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 	return rep, nil
 }
 
-// JoinWithBudget is Join bounded by the repair budget (see RepairOptions):
-// it rejects a cheapest graft dearer than budget with ErrOverBudget before
-// any mutation. Repair retries and the solver's recovery sweep use it to
-// re-attempt individual orphans without re-running damage detection.
-func (f *Forest) JoinWithBudget(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.NodeID, budget float64) (float64, error) {
-	if budget <= 0 {
-		budget = math.Inf(1)
-	}
-	return f.join(oracle, freeVMs, d, budget)
-}
-
 // backupPlan is a pre-computed standby graft for one destination: an
 // anchor clone plus the extension walk to replay under it. Plans are
 // validated cheaply at repair time (anchor alive, progress unchanged, no

@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"slices"
-	"sync"
 )
 
 // Delta-stepping SSSP (Meyer & Sanders): distances advance bucket by
@@ -38,18 +37,10 @@ import (
 // is strictly smaller. Intermediate commits made from not-yet-final
 // distances are always overwritten later (a stale relaxation can never
 // tie a final distance: its value is strictly larger), so the fixpoint
-// tree equals the heap's regardless of the order in which workers'
-// candidates merge. Zero-cost arcs break the plain settle order (a node
-// can reach its final distance mid-plateau); those graphs — flagged at
-// partition build — get the exact settle-order replay of replayPlateaus
-// on top, off the zero-free hot path.
-//
-// Large frontiers fan out across a bounded worker pool: workers scan
-// disjoint chunks of the frontier against a frozen distance array and
-// emit (target, value, parent) candidates into per-worker buffers pooled
-// in the Arena; the merge back into the shared arrays is single-threaded
-// and applies the same commit rule, which is commutative at the fixpoint
-// — so worker count and chunk boundaries cannot perturb the tree.
+// tree equals the heap's. Zero-cost arcs break the plain settle order (a
+// node can reach its final distance mid-plateau); those graphs — flagged
+// at partition build — get the exact settle-order replay of
+// replayPlateaus on top, off the zero-free hot path.
 
 // deltaLayout is the per-cost-epoch arc partition: node u's light arcs
 // occupy lto/leid/lcost[lrow[u]:lrow[u+1]] and its heavy arcs the hrow
@@ -203,22 +194,12 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 	return d
 }
 
-// deltaCand is one relaxation candidate emitted by a worker: reach v
-// through edge via parent with value nd, where pd was the parent's
-// distance when the candidate was computed (the tie-break key).
-type deltaCand struct {
-	nd, pd float64
-	v      int32
-	parent int32
-	via    int32
-}
-
 // deltaScratch is the delta-stepping half of an Arena: the circular
-// bucket calendar, the frontier/settled staging lists, generation-stamped
-// dedup marks, and the per-worker candidate buffers. Like the heap it
-// self-restores: a run drains every bucket it filled and the stamps are
-// generation-keyed, so a pooled arena needs no O(n) reset between runs
-// (possibly on different graphs).
+// bucket calendar, the frontier/settled staging lists, and
+// generation-stamped dedup marks. Like the heap it self-restores: a run
+// drains every bucket it filled and the stamps are generation-keyed, so
+// a pooled arena needs no O(n) reset between runs (possibly on different
+// graphs).
 type deltaScratch struct {
 	buckets  [deltaBucketCount][]int32
 	frontier []int32
@@ -232,7 +213,6 @@ type deltaScratch struct {
 	relaxedAt []float64
 	roundGen  []uint64
 	round     uint64
-	bufs      [][]deltaCand
 	// order/segEnds/pos serve replayPlateaus on graphs with zero-cost
 	// arcs: order concatenates the per-bucket settled lists (segEnds
 	// marking the bucket boundaries), pos receives each node's settle
@@ -260,12 +240,6 @@ func (ds *deltaScratch) ensure(n int) {
 	copy(pos, ds.pos)
 	ds.pos = pos
 }
-
-// deltaParallelMin is the frontier size below which a relaxation phase
-// stays on the calling goroutine: fanning a few dozen nodes across
-// workers costs more in synchronization than the scan itself. A
-// variable only so tests can drive the worker path on small graphs.
-var deltaParallelMin = 512
 
 // deltaRun bundles the per-run state the relaxation loops share. The
 // hot loops live on its methods as plain slice scans, so the strict-
@@ -295,12 +269,12 @@ func (r *deltaRun) tieBreak(pd float64, v, par, via int32) {
 	}
 }
 
-// relaxSerial scans the arcs [row[v]:row[v+1]] of every node in list
-// against live distances, committing improvements in place: a strict
-// improvement takes distance+parent and queues the target; an exact tie
-// goes through tieBreak. Relaxing nodes always hold a finite distance,
-// so nd is finite throughout. Returns the number of queue pushes.
-func (r *deltaRun) relaxSerial(list []int32, row, to, eid []int32, cost []float64) int {
+// relax scans the arcs [row[v]:row[v+1]] of every node in list against
+// live distances, committing improvements in place: a strict improvement
+// takes distance+parent and queues the target; an exact tie goes through
+// tieBreak. Relaxing nodes always hold a finite distance, so nd is finite
+// throughout. Returns the number of queue pushes.
+func (r *deltaRun) relax(list []int32, row, to, eid []int32, cost []float64) int {
 	dist := r.dist
 	pushes := 0
 	for _, v := range list {
@@ -317,71 +291,6 @@ func (r *deltaRun) relaxSerial(list []int32, row, to, eid []int32, cost []float6
 				pushes++
 			} else if nd == dw {
 				r.tieBreak(dv, w, v, eid[i])
-			}
-		}
-	}
-	return pushes
-}
-
-// relaxParallel fans the list across the worker pool: each worker emits
-// candidates against the frozen distance array, then the single-threaded
-// merge commits them under the same rules as relaxSerial. Stale
-// candidates (their parent improved mid-phase) are harmless: a stale
-// value can never tie a final distance, and strict improvements are
-// re-relaxed when the target is drained again.
-func (r *deltaRun) relaxParallel(workers int, list []int32, row, to, eid []int32, cost []float64) int {
-	if workers < 2 || len(list) < deltaParallelMin {
-		return r.relaxSerial(list, row, to, eid, cost)
-	}
-	ds := r.ds
-	w := workers
-	if w > len(list) {
-		w = len(list)
-	}
-	if len(ds.bufs) < w {
-		ds.bufs = append(ds.bufs, make([][]deltaCand, w-len(ds.bufs))...)
-	}
-	dist := r.dist
-	chunk := (len(list) + w - 1) / w
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		lo := k * chunk
-		if lo >= len(list) {
-			w = k
-			break
-		}
-		hi := lo + chunk
-		if hi > len(list) {
-			hi = len(list)
-		}
-		wg.Add(1)
-		go func(k int, part []int32) {
-			defer wg.Done()
-			buf := ds.bufs[k][:0]
-			for _, v := range part {
-				dv := dist[v]
-				for i := row[v]; i < row[v+1]; i++ {
-					if nd := dv + cost[i]; nd <= dist[to[i]] {
-						buf = append(buf, deltaCand{nd: nd, pd: dv, v: to[i], parent: v, via: eid[i]})
-					}
-				}
-			}
-			ds.bufs[k] = buf
-		}(k, list[lo:hi])
-	}
-	wg.Wait()
-	pushes := 0
-	for k := 0; k < w; k++ {
-		for _, c := range ds.bufs[k] {
-			if dw := dist[c.v]; c.nd < dw {
-				dist[c.v] = c.nd
-				r.parent[c.v] = NodeID(c.parent)
-				r.pedge[c.v] = EdgeID(c.via)
-				b := int(int64(c.nd*r.inv)) & (deltaBucketCount - 1)
-				ds.buckets[b] = append(ds.buckets[b], c.v)
-				pushes++
-			} else if c.nd == dw {
-				r.tieBreak(c.pd, c.v, c.parent, c.via)
 			}
 		}
 	}
@@ -408,7 +317,6 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 	ds.ensure(n)
 	a.gen++
 	gen := a.gen
-	workers := a.cfg.deltaWorkers()
 	r := &deltaRun{dist: sp.Dist, parent: sp.Parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta}
 	dist, inv := r.dist, r.inv
 
@@ -449,11 +357,11 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 				act = append(act, v)
 			}
 			ds.active = act
-			inFlight += r.relaxParallel(workers, act, lay.lrow, lay.lto, lay.leid, lay.lcost)
+			inFlight += r.relax(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
 		}
 		// Heavy phase: every node settled in this bucket relaxes its
 		// heavy arcs once, at its now-final distance.
-		inFlight += r.relaxParallel(workers, ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
+		inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
 		if lay.hasZero {
 			ds.order = append(ds.order, ds.settled...)
 			ds.segEnds = append(ds.segEnds, int32(len(ds.order)))

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -58,36 +57,18 @@ func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
 	return rev
 }
 
-// Config selects the SSSP variant (and its resources) for runs through
-// one arena. Every field follows the same convention: zero means "use
-// the package default", a positive value overrides it, and a negative
-// value disables the variant outright. Configs travel with an Arena
-// (NewArenaWith), so concurrent tests and batch callers pin variants
-// without mutating process-wide state.
+// Config selects the SSSP variant for runs through one arena. Configs
+// travel with an Arena (NewArenaWith), so concurrent tests and batch
+// callers pin variants without mutating process-wide state. Every run,
+// whichever variant it takes, stays on the calling goroutine.
 type Config struct {
 	// DeltaSteppingMinNodes gates the delta-stepping variant by graph
 	// size: runs over graphs with at least this many nodes use it (when
 	// the maximum edge cost admits a bucket width), smaller runs keep the
-	// indexed heap. 0 means the package default (DeltaSteppingMinNodes);
-	// negative disables the variant.
+	// indexed heap. 0 means the package default (DeltaSteppingMinNodes),
+	// a positive value overrides it, and a negative value disables the
+	// variant.
 	DeltaSteppingMinNodes int
-	// DeltaSteppingWorkers bounds the delta-stepping relaxation pool:
-	// 0 means GOMAXPROCS, 1 or negative keeps every phase on the calling
-	// goroutine, larger values cap the fan-out. Worker count never
-	// affects results (see delta.go), only wall-clock.
-	DeltaSteppingWorkers int
-}
-
-// deltaWorkers resolves the worker bound for one delta-stepping run.
-func (c Config) deltaWorkers() int {
-	switch {
-	case c.DeltaSteppingWorkers > 0:
-		return c.DeltaSteppingWorkers
-	case c.DeltaSteppingWorkers < 0:
-		return 1
-	default:
-		return runtime.GOMAXPROCS(0)
-	}
 }
 
 // resolveGate maps a Config gate field to an effective node threshold:
@@ -132,10 +113,10 @@ type Arena struct {
 // so an explicit arena is only worth holding across several batches.
 func NewArena() *Arena { return new(Arena) }
 
-// NewArenaWith returns an arena whose runs resolve variant gates and
-// worker bounds from cfg instead of the package defaults, so each test
-// or batch pins its variant on its own arena without touching
-// process-wide state.
+// NewArenaWith returns an arena whose runs resolve the delta-stepping
+// gate from cfg instead of the package default, so each test or batch
+// pins its variant on its own arena without touching process-wide
+// state.
 func NewArenaWith(cfg Config) *Arena { return &Arena{cfg: cfg} }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -197,8 +178,8 @@ func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 }
 
 // Dijkstra is the per-arena form of the package-level Dijkstra: the run
-// resolves its variant gates and worker bounds from a's Config (see
-// NewArenaWith) and reuses a's scratch.
+// resolves its variant gate from a's Config (see NewArenaWith) and
+// reuses a's scratch.
 func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
 	sp := &ShortestPaths{
@@ -356,15 +337,6 @@ func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPat
 			}
 		}
 	}
-}
-
-// DijkstraAll runs Dijkstra from every node in sources and returns the
-// trees in source order, computed through one batched arena pass;
-// duplicate sources share one tree. The embedding hot paths pull their
-// trees from the chain oracle's epoch-keyed cache instead; this uncached
-// form remains for one-shot callers and as the plain reference in tests.
-func DijkstraAll(g *Graph, sources []NodeID) []*ShortestPaths {
-	return DijkstraBatch(g, sources, nil)
 }
 
 // BellmanFord computes single-source shortest paths by relaxation. It exists

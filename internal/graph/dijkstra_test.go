@@ -60,9 +60,11 @@ func TestDijkstraMatchesBellmanFordMultigraph(t *testing.T) {
 }
 
 // verifyTree checks the parent structure realizes the claimed distances:
-// walking ParentEdge from any reachable node sums to exactly Dist[v].
+// the ParentEdge chain from the source to any reachable node, summed in
+// path order (the order a relaxation accumulates it), is exactly Dist[v].
 func verifyTree(t *testing.T, g *Graph, sp *ShortestPaths) {
 	t.Helper()
+	var chain []EdgeID
 	for v := 0; v < g.NumNodes(); v++ {
 		if !sp.Reachable(NodeID(v)) {
 			if sp.Parent[v] != None || sp.ParentEdge[v] != NoEdge {
@@ -70,8 +72,7 @@ func verifyTree(t *testing.T, g *Graph, sp *ShortestPaths) {
 			}
 			continue
 		}
-		var sum float64
-		steps := 0
+		chain = chain[:0]
 		for cur := NodeID(v); cur != sp.Source; cur = sp.Parent[cur] {
 			e := sp.ParentEdge[cur]
 			if e == NoEdge {
@@ -80,10 +81,13 @@ func verifyTree(t *testing.T, g *Graph, sp *ShortestPaths) {
 			if other := g.Edge(e).Other(cur); other != sp.Parent[cur] {
 				t.Fatalf("node %d: ParentEdge does not join %d and Parent", v, cur)
 			}
-			sum += g.EdgeCost(e)
-			if steps++; steps > g.NumNodes() {
+			if chain = append(chain, e); len(chain) > g.NumNodes() {
 				t.Fatalf("node %d: parent chain cycles", v)
 			}
+		}
+		var sum float64
+		for i := len(chain) - 1; i >= 0; i-- {
+			sum += g.EdgeCost(chain[i])
 		}
 		if sum != sp.Dist[v] {
 			t.Fatalf("node %d: parent chain cost %v != Dist %v", v, sum, sp.Dist[v])

@@ -1,7 +1,7 @@
 // Package graph provides the weighted-graph substrate used by every other
 // package in this repository: an undirected multigraph with node setup costs
 // (for VMs) and edge connection costs (for links), plus shortest paths,
-// minimum spanning trees, metric closures, and DOT export.
+// failure and capacity masks, union-find, and DOT export.
 //
 // The model follows Section III of the paper: V = M ∪ U where M is the set
 // of virtual-machine nodes carrying a nonnegative setup cost and U is the

@@ -189,9 +189,11 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// TestDijkstraAllSourceOrderAndDedup: DijkstraBatch without an arena
+// returns one tree per source, in source order, with duplicates aliased.
 func TestDijkstraAllSourceOrderAndDedup(t *testing.T) {
 	g := buildDiamond(t)
-	trees := DijkstraAll(g, []NodeID{0, 0, 2})
+	trees := DijkstraBatch(g, []NodeID{0, 0, 2}, nil)
 	if len(trees) != 3 {
 		t.Fatalf("got %d trees, want 3 (source order)", len(trees))
 	}
@@ -226,91 +228,21 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
-func TestMSTDiamond(t *testing.T) {
-	g := buildDiamond(t)
-	edges, total := MST(g)
-	if len(edges) != 3 {
-		t.Fatalf("MST edges = %d, want 3", len(edges))
-	}
-	if math.Abs(total-4) > 1e-9 { // edges (a,b)=1,(b,c)=2,(c,d)=1
-		t.Fatalf("MST cost = %v, want 4", total)
-	}
-}
-
-func TestMSTIsSpanningAndMinimal(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		g := RandomConnected(RandomConfig{
-			Nodes: 30, ExtraEdges: 50, VMFraction: 0.2, MaxEdge: 9, MaxSetup: 3,
-		}, seed)
-		edges, total := MST(g)
-		if len(edges) != g.NumNodes()-1 {
-			t.Fatalf("seed %d: MST has %d edges, want %d", seed, len(edges), g.NumNodes()-1)
-		}
-		uf := NewUnionFind(g.NumNodes())
-		for _, id := range edges {
-			e := g.Edge(id)
-			if !uf.Union(int(e.U), int(e.V)) {
-				t.Fatalf("seed %d: MST contains a cycle", seed)
-			}
-		}
-		// Cycle property spot check: every non-tree edge must cost at least
-		// as much as the cheapest tree edge (weak but fast sanity check);
-		// stronger check: re-run Prim-like verification via total
-		// comparison with a second Kruskal over shuffled ties.
-		_, total2 := MSTOn(g, allNodes(g))
-		if math.Abs(total-total2) > 1e-6 {
-			t.Fatalf("seed %d: MST %v != MSTOn all nodes %v", seed, total, total2)
-		}
-	}
-}
-
-func allNodes(g *Graph) []NodeID {
-	out := make([]NodeID, g.NumNodes())
-	for i := range out {
-		out[i] = NodeID(i)
-	}
-	return out
-}
-
-func TestMSTOnSubset(t *testing.T) {
-	g := buildDiamond(t)
-	edges, total := MSTOn(g, []NodeID{0, 1, 2})
-	if len(edges) != 2 {
-		t.Fatalf("subset MST edges = %d, want 2", len(edges))
-	}
-	if math.Abs(total-3) > 1e-9 {
-		t.Fatalf("subset MST cost = %v, want 3", total)
-	}
-}
-
-func TestMetricClosure(t *testing.T) {
-	g := buildDiamond(t)
-	mc := NewMetricClosure(g, []NodeID{0, 3})
-	if got := mc.Distance(0, 3); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("Distance(0,3) = %v, want 4", got)
-	}
-	p := mc.Path(0, 3)
-	if len(p) != 4 || p[0] != 0 || p[3] != 3 {
-		t.Fatalf("Path(0,3) = %v", p)
-	}
-	pe := mc.PathEdges(0, 3)
-	if len(pe) != 3 {
-		t.Fatalf("PathEdges(0,3) = %v", pe)
-	}
-}
-
+// TestMetricClosureTriangleInequality (Lemma 1): the shortest-path
+// distances between terminals, read from their DijkstraBatch rows, form a
+// metric.
 func TestMetricClosureTriangleInequality(t *testing.T) {
+	terms := []NodeID{0, 1, 2, 3, 4, 5, 6, 7}
 	for seed := int64(0); seed < 10; seed++ {
 		g := RandomConnected(RandomConfig{
 			Nodes: 25, ExtraEdges: 40, VMFraction: 0.4, MaxEdge: 7, MaxSetup: 4,
 		}, seed)
-		terms := allNodes(g)[:8]
-		mc := NewMetricClosure(g, terms)
-		for _, a := range terms {
-			for _, b := range terms {
-				for _, c := range terms {
-					if mc.Distance(a, c) > mc.Distance(a, b)+mc.Distance(b, c)+1e-9 {
-						t.Fatalf("seed %d: triangle inequality violated at (%d,%d,%d)", seed, a, b, c)
+		rows := DijkstraBatch(g, terms, nil)
+		for a := range terms {
+			for b := range terms {
+				for c, tc := range terms {
+					if rows[a].Dist[tc] > rows[a].Dist[terms[b]]+rows[b].Dist[tc]+1e-9 {
+						t.Fatalf("seed %d: triangle inequality violated at (%d,%d,%d)", seed, terms[a], terms[b], terms[c])
 					}
 				}
 			}

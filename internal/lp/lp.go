@@ -77,9 +77,6 @@ func NewProblem(n int) *Problem {
 // NumVars returns the number of decision variables.
 func (p *Problem) NumVars() int { return p.n }
 
-// NumRows returns the number of constraints.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // SetObjectiveCoeff sets the objective coefficient of variable v.
 func (p *Problem) SetObjectiveCoeff(v int, c float64) error {
 	if v < 0 || v >= p.n {
@@ -374,35 +371,6 @@ func pivot(t [][]float64, basis []int, i, j int) {
 	basis[i] = j
 }
 
-// CheckFeasible evaluates x against every constraint and returns the first
-// violation (diagnostics helper).
-func (p *Problem) CheckFeasible(x []float64, tol float64) error {
-	if len(x) != p.n {
-		return fmt.Errorf("lp: x has %d entries, want %d", len(x), p.n)
-	}
-	for i, r := range p.rows {
-		lhs := 0.0
-		for _, t := range r.terms {
-			lhs += t.Coeff * x[t.Var]
-		}
-		switch r.sense {
-		case LE:
-			if lhs > r.rhs+tol {
-				return fmt.Errorf("lp: row %d: %v <= %v violated", i, lhs, r.rhs)
-			}
-		case GE:
-			if lhs < r.rhs-tol {
-				return fmt.Errorf("lp: row %d: %v >= %v violated", i, lhs, r.rhs)
-			}
-		case EQ:
-			if math.Abs(lhs-r.rhs) > tol {
-				return fmt.Errorf("lp: row %d: %v == %v violated", i, lhs, r.rhs)
-			}
-		}
-	}
-	return nil
-}
-
 // Objective evaluates the objective at x.
 func (p *Problem) Objective(x []float64) float64 {
 	v := 0.0
@@ -410,22 +378,4 @@ func (p *Problem) Objective(x []float64) float64 {
 		v += c * x[i]
 	}
 	return v
-}
-
-// DumpRow renders row i for diagnostics.
-func (p *Problem) DumpRow(i int) string {
-	r := p.rows[i]
-	s := ""
-	for _, t := range r.terms {
-		s += fmt.Sprintf("%+.3g·x%d ", t.Coeff, t.Var)
-	}
-	switch r.sense {
-	case LE:
-		s += "<= "
-	case GE:
-		s += ">= "
-	case EQ:
-		s += "== "
-	}
-	return s + fmt.Sprintf("%g", r.rhs)
 }

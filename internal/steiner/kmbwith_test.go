@@ -36,7 +36,7 @@ func (p *memoProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
 }
 
 // fullClosureKMB is the reference KMB and KMBWith are pinned to: every
-// terminal's full shortest-path tree (DijkstraAll), a linear-scan Prim over
+// terminal's full shortest-path tree (DijkstraBatch), a linear-scan Prim over
 // the complete closure with smallest-index tie-break, and the map-based
 // expansion refExpand.
 func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
@@ -47,7 +47,7 @@ func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 	case 1:
 		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, nil
 	}
-	trees := graph.DijkstraAll(g, terminals)
+	trees := graph.DijkstraBatch(g, terminals, nil)
 	for i := 1; i < len(terminals); i++ {
 		if math.IsInf(trees[0].Dist[terminals[i]], 1) {
 			return nil, fmt.Errorf("steiner: terminal %d unreachable from %d: %w",

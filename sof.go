@@ -293,6 +293,6 @@ func (f *Forest) Request() Request {
 	return Request{
 		Sources:      append([]NodeID(nil), f.req.Sources...),
 		Destinations: f.f.Destinations(),
-		ChainLength:  f.req.ChainLen,
+		ChainLength:  f.f.ChainLen(),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"sof/internal/baseline"
 	"sof/internal/chain"
@@ -38,13 +37,11 @@ type Solver struct {
 	// Recovery state (see survivable.go). The registry only fills on
 	// sessions built WithRecovery; fmu guards it against concurrent
 	// embeds and sweeps.
-	recovery      bool
-	repairBudget  float64
-	repairRetries int
-	repairBackoff time.Duration
-	fmu           sync.Mutex
-	forests       map[*Forest]int64
-	fseq          int64
+	recovery     bool
+	repairBudget float64
+	fmu          sync.Mutex
+	forests      map[*Forest]int64
+	fseq         int64
 
 	// capacity is the load ledger of a capacitated lifecycle session (see
 	// lease.go); nil on sessions built without WithCapacity.

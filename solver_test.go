@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sof/internal/topology"
@@ -310,67 +311,74 @@ func TestSolverAdmissionThresholdStream(t *testing.T) {
 }
 
 // TestForestJoinRespectsVMRestriction is the regression test for dynamic
-// operations leaking outside the embed-time VM restriction: the cheapest
-// join for d2 runs through the forbidden (and very cheap) VM w, and the
-// forest must refuse it.
+// operations leaking outside the embed-time VM restriction: for Join,
+// InsertVNF and MigrateVM alike, the cheapest answer runs through the
+// forbidden (and very cheap) VM w, and the restricted forest must take
+// the dearer allowed VM instead.
 func TestForestJoinRespectsVMRestriction(t *testing.T) {
 	b := NewNetworkBuilder()
 	s := b.AddSwitch("s")
 	v := b.AddVM("allowed", 1)
+	u := b.AddVM("allowed-far", 1)
 	w := b.AddVM("forbidden", 0.1)
 	d1 := b.AddSwitch("d1")
 	d2 := b.AddSwitch("d2")
 	b.Link(s, v, 1)
 	b.Link(v, d1, 1)
-	// Tempting path to d2 through the forbidden VM...
-	b.Link(s, w, 0.1)
+	// Tempting path to d2 through the forbidden VM (too long a detour to
+	// win the embed to d1 itself)...
+	b.Link(s, w, 1)
 	b.Link(w, d2, 0.1)
-	// ...and expensive legitimate ones.
+	// ...and expensive legitimate ones, including the far allowed VM.
 	b.Link(v, d2, 10)
 	b.Link(d1, d2, 10)
+	b.Link(v, u, 5)
+	b.Link(u, d1, 5)
 	net, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name string
+		op   func(*Forest) error
+	}{
+		{"Join", func(f *Forest) error { _, err := f.Join(d2); return err }},
+		{"InsertVNF", func(f *Forest) error { return f.InsertVNF(2) }},
+		{"MigrateVM", func(f *Forest) error { return f.MigrateVM(v) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1}
+			f, err := NewSolver(net, WithVMs(v, u)).Embed(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.op(f); err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(f.UsedVMs(), w) {
+				t.Fatalf("%s used a VM excluded by the embed-time restriction", tc.name)
+			}
+			if err := f.Validate(); err != nil {
+				t.Fatal(err)
+			}
 
-	solver := NewSolver(net, WithVMs(v))
-	f, err := solver.Embed(context.Background(), Request{
-		Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Join(d2); err != nil {
-		t.Fatal(err)
-	}
-	for _, used := range f.UsedVMs() {
-		if used == w {
-			t.Fatal("join grafted onto a VM excluded by the embed-time restriction")
-		}
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sanity: without the restriction the cheap VM is exactly what the
-	// join picks, so the test is actually exercising the guard.
-	free, err := NewSolver(net).Embed(context.Background(), Request{
-		Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := free.Join(d2); err != nil {
-		t.Fatal(err)
-	}
-	foundCheap := false
-	for _, used := range free.UsedVMs() {
-		if used == w {
-			foundCheap = true
-		}
-	}
-	if !foundCheap {
-		t.Error("unrestricted join did not use the cheap VM; restriction scenario is vacuous")
+			// Sanity: without the restriction the cheap VM is exactly what
+			// the operation picks, so the case is actually exercising the
+			// guard.
+			free, err := NewSolver(net).Embed(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(free.UsedVMs(), w) {
+				t.Fatal("unrestricted embed already uses the cheap VM; the control would prove nothing")
+			}
+			if err := tc.op(free); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(free.UsedVMs(), w) {
+				t.Errorf("unrestricted %s did not use the cheap VM; restriction scenario is vacuous", tc.name)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"sof/internal/core"
 )
@@ -44,20 +43,6 @@ func WithRecovery() Option {
 // no graft exists at all.
 func WithRepairBudget(budget float64) Option {
 	return func(s *Solver) { s.repairBudget = budget }
-}
-
-// WithRepairRetry makes RepairAll re-attempt each failed graft up to
-// retries extra times, sleeping backoff between attempts (a live network
-// may restore elements mid-sweep). Defaults: no retries.
-func WithRepairRetry(retries int, backoff time.Duration) Option {
-	return func(s *Solver) {
-		if retries > 0 {
-			s.repairRetries = retries
-		}
-		if backoff > 0 {
-			s.repairBackoff = backoff
-		}
-	}
 }
 
 // register tracks a freshly embedded forest in the recovery registry.
@@ -213,15 +198,15 @@ func (r *RecoveryReport) Unrecoverable() []DestFailure {
 // the damage the current failure state inflicts. Per forest: severed
 // subtrees are detached (freeing their VMs), each orphaned destination is
 // re-attached at its cheapest live join point — backup plans first, then
-// the graft search, within the session's repair budget and retry policy —
-// and if orphans remain the whole forest is re-embedded from scratch
-// through the session. Destinations that still cannot be served are
-// reported per forest with errors wrapping ErrUnrecoverable, and the sweep
-// error joins them; forests keep serving every destination that survived
-// or was restored either way.
+// the graft search, within the session's repair budget — and if orphans
+// remain the whole forest is re-embedded from scratch through the
+// session. Destinations that still cannot be served are reported per
+// forest with errors wrapping ErrUnrecoverable, and the sweep error joins
+// them; forests keep serving every destination that survived or was
+// restored either way.
 //
 // The sweep stops early with ctx.Err() if ctx is cancelled between
-// forests or during retry backoff.
+// forests.
 func (s *Solver) RepairAll(ctx context.Context) (*RecoveryReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -279,29 +264,11 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 	fr.Orphans = rep.Orphans
 	fr.FastPath = rep.Reattached
 	fr.BackupHits = rep.BackupHits
-	pending := rep.Failed
-
-	// Retry tier: re-attempt each failed graft, with backoff — on a live
-	// network elements restore underneath us.
-	for try := 0; try < s.repairRetries && len(pending) > 0; try++ {
-		if err := sleepCtx(ctx, s.repairBackoff); err != nil {
-			return fr, err
-		}
-		var still []core.RepairFailure
-		for _, rf := range pending {
-			if _, err := f.f.JoinWithBudget(f.oracle, f.candidateVMs(), rf.Dest, s.repairBudget); err != nil {
-				still = append(still, core.RepairFailure{Dest: rf.Dest, Err: err})
-				continue
-			}
-			fr.FastPath++
-		}
-		pending = still
-	}
 
 	// Re-embed tier: destinations whose node is alive but that no graft
 	// could reach (or afford) get one full re-embed of the forest.
 	var wantBack []NodeID
-	for _, rf := range pending {
+	for _, rf := range rep.Failed {
 		if s.net.g.NodeFailed(rf.Dest) {
 			fr.Failed = append(fr.Failed, DestFailure{
 				Dest: rf.Dest,
@@ -320,7 +287,7 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 		nf, err := s.embed(ctx, Request{
 			Sources:      f.req.Sources,
 			Destinations: dests,
-			ChainLength:  f.req.ChainLen,
+			ChainLength:  f.f.ChainLen(),
 		}, s.algo, s.parallelism, false)
 		if err != nil {
 			for _, d := range wantBack {
@@ -343,19 +310,4 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 	fr.Reattached = fr.Orphans - len(fr.Failed)
 	fr.CostDelta = f.TotalCost() - before
 	return fr, nil
-}
-
-// sleepCtx sleeps d (no-op when d <= 0) unless ctx is done first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -137,6 +137,51 @@ func TestSolverFailVMAndReembed(t *testing.T) {
 	}
 }
 
+// TestForestChainLengthFollowsVNFOps: InsertVNF and RemoveVNF change the
+// chain a forest serves, so Request reports the live length, and a repair
+// that falls through to the re-embed tier rebuilds the forest with every
+// VNF it has now — not the length it was first embedded with.
+func TestForestChainLengthFollowsVNFOps(t *testing.T) {
+	net, s, _, _, d1, _, _ := buildSurvivable(t)
+	solver := NewSolver(net, WithRecovery(), WithRepairBudget(1e-9))
+	ctx := context.Background()
+	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InsertVNF(2); err != nil {
+		t.Fatalf("InsertVNF: %v", err)
+	}
+	if got := f.Request().ChainLength; got != 2 {
+		t.Fatalf("Request().ChainLength = %d after InsertVNF, want 2", got)
+	}
+	// Sever d1's uplink. The graft budget is unpayable, so the sweep must
+	// re-embed.
+	c, _ := f.Internal().DestClone(d1)
+	if !solver.FailLink(f.Internal().Clone(c).ParentEdge) {
+		t.Fatal("FailLink reported no change")
+	}
+	rep, err := solver.RepairAll(ctx)
+	if err != nil {
+		t.Fatalf("RepairAll: %v", err)
+	}
+	if rep.Reembeds != 1 {
+		t.Fatalf("report = %+v, want one re-embed", rep)
+	}
+	if got := f.Internal().ChainLen(); got != 2 {
+		t.Fatalf("re-embedded forest serves %d VNFs, want 2 (the inserted one was dropped)", got)
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatalf("re-embedded forest invalid: %v", err)
+	}
+	if err := f.RemoveVNF(1); err != nil {
+		t.Fatalf("RemoveVNF: %v", err)
+	}
+	if got := f.Request().ChainLength; got != 1 {
+		t.Fatalf("Request().ChainLength = %d after RemoveVNF, want 1", got)
+	}
+}
+
 func TestSolverRecoveryUnrecoverable(t *testing.T) {
 	net, s, _, _, d1, d2, _ := buildSurvivable(t)
 	solver := NewSolver(net, WithRecovery())
