@@ -316,14 +316,15 @@ func BenchmarkDijkstraBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaStepping races the two single-source SSSP variants on
-// Inet graphs: the indexed heap and the delta-stepping relaxer behind the
-// same Arena gate. Each op runs 16 distinct sources so a -benchtime 1x CI
-// pass still measures a stable multi-run sample; ms/run is the
-// per-source wall clock. CI gates the heap/delta ms/run ratio on the
-// 10k-node graph twice: at >=2x in the committed BENCH_pr10.json record,
-// and at >=1.7x in the fresh run — a ratio within one run, so runner
-// speed cancels out.
+// BenchmarkDeltaStepping races the two single-source SSSP kernels on
+// Inet graphs, each on its own arena: the heap rows run the indexed-heap
+// reference (Arena.DijkstraHeap), the delta rows the default full run,
+// which takes delta-stepping. Each op runs 16 distinct sources so a
+// -benchtime 1x CI pass still measures a stable multi-run sample; ms/run
+// is the per-source wall clock. CI gates the heap/delta ms/run ratio on
+// the 10k-node graph twice: at >=2x in the committed BENCH_pr10.json
+// record, and at >=1.7x in the fresh run — a ratio within one run, so
+// runner speed cancels out.
 func BenchmarkDeltaStepping(b *testing.B) {
 	for _, nodes := range []int{1000, 10000} {
 		net, err := topology.Inet(nodes, 2*nodes, nodes/10, topology.Config{NumVMs: 50, Seed: 1})
@@ -333,19 +334,19 @@ func BenchmarkDeltaStepping(b *testing.B) {
 		srcs := net.RandomNodes(rand.New(rand.NewSource(7)), 16)
 		for _, v := range []struct {
 			name string
-			cfg  graph.Config
+			run  func(a *graph.Arena, g *graph.Graph, src graph.NodeID) *graph.ShortestPaths
 		}{
-			{"heap", graph.Config{DeltaSteppingMinNodes: -1}},
-			{"delta", graph.Config{DeltaSteppingMinNodes: 1}},
+			{"heap", (*graph.Arena).DijkstraHeap},
+			{"delta", (*graph.Arena).Dijkstra},
 		} {
 			b.Run(fmt.Sprintf("V%d/%s", nodes, v.name), func(b *testing.B) {
 				b.ReportAllocs()
-				a := graph.NewArenaWith(v.cfg)
-				a.Dijkstra(net.G, srcs[0]) // warm the CSR and cost layouts
+				a := graph.NewArena()
+				v.run(a, net.G, srcs[0]) // warm the CSR and cost layouts
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, s := range srcs {
-						a.Dijkstra(net.G, s)
+						v.run(a, net.G, s)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(srcs))/1e6, "ms/run")

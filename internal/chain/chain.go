@@ -337,7 +337,6 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 		return 0
 	}
 	const chunk = 16
-	arena := graph.NewArena()
 	batch := make([]graph.NodeID, 0, chunk)
 	computed := 0
 	for lo := 0; lo < len(pending); lo += chunk {
@@ -354,7 +353,7 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 		for _, s := range pending[lo:hi] {
 			batch = append(batch, s.n)
 		}
-		sps := graph.DijkstraBatch(o.g, batch, arena)
+		sps := graph.DijkstraBatch(o.g, batch, nil)
 		for i, s := range pending[lo:hi] {
 			sp := sps[i]
 			s.e.once.Do(func() {

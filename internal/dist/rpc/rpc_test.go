@@ -85,54 +85,36 @@ func (l countingListener) Accept() (net.Conn, error) {
 // matrix, SOFDA through TCP domain servers — each rebuilding the network
 // from the seed in its own right — costs exactly what the centralized
 // solver costs, with every candidate streamed as fragments and dominated
-// ones pruned at the leader. The whole matrix runs twice: once with the
-// indexed heap pinned (the package default graph.DeltaSteppingMinNodes
-// set negative) and once with the delta-stepping SSSP core forced on (the
-// default pinned to 1). The domain servers build their own oracles, so the
-// process-wide default is the only gate that reaches them. Delta-stepping's
-// trees match the heap's exactly, so no cost moves.
+// ones pruned at the leader. The matrix runs once: every process builds
+// its trees with the same SSSP kernel, and the graph suites pin that
+// kernel to the heap reference tree for tree.
 func TestRPCEquivalenceMatrix(t *testing.T) {
-	savedDelta := graph.DeltaSteppingMinNodes
-	t.Cleanup(func() { graph.DeltaSteppingMinNodes = savedDelta })
-	centralBySeed := make(map[int64]float64)
-	for _, queue := range []string{"heap", "delta"} {
-		if queue == "heap" {
-			graph.DeltaSteppingMinNodes = -1
-		} else {
-			graph.DeltaSteppingMinNodes = 1
+	for _, seed := range []int64{1, 7, 23, 42} {
+		network, req, opts := softLayerInstance(seed)
+		central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
+		if err != nil {
+			t.Fatalf("seed %d: centralized: %v", seed, err)
 		}
-		for _, seed := range []int64{1, 7, 23, 42} {
-			network, req, opts := softLayerInstance(seed)
-			central, err := core.SOFDACtx(context.Background(), network.G, req, opts)
+		for _, domains := range []int{1, 3, 5} {
+			addrs := startDomains(t, domains, func(int) *topology.Network { return buildSoftLayer(seed) })
+			tr := NewTransport(addrs)
+			cluster := dist.NewClusterWith(network.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
+			f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
+			st := cluster.StreamStats()
+			cluster.Close()
+			tr.Close()
 			if err != nil {
-				t.Fatalf("seed %d: centralized: %v", seed, err)
+				t.Fatalf("seed %d domains %d: rpc distributed: %v", seed, domains, err)
 			}
-			if prev, ok := centralBySeed[seed]; ok && prev != central.TotalCost() {
-				t.Errorf("seed %d: centralized cost moved across SSSP queues (%s): %v vs %v",
-					seed, queue, prev, central.TotalCost())
+			if err := f.Validate(req.Sources, req.Dests); err != nil {
+				t.Errorf("seed %d domains %d: infeasible forest: %v", seed, domains, err)
 			}
-			centralBySeed[seed] = central.TotalCost()
-			for _, domains := range []int{1, 3, 5} {
-				addrs := startDomains(t, domains, func(int) *topology.Network { return buildSoftLayer(seed) })
-				tr := NewTransport(addrs)
-				cluster := dist.NewClusterWith(network.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
-				f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-				st := cluster.StreamStats()
-				cluster.Close()
-				tr.Close()
-				if err != nil {
-					t.Fatalf("seed %d domains %d queue=%s: rpc distributed: %v", seed, domains, queue, err)
-				}
-				if err := f.Validate(req.Sources, req.Dests); err != nil {
-					t.Errorf("seed %d domains %d queue=%s: infeasible forest: %v", seed, domains, queue, err)
-				}
-				if f.TotalCost() != central.TotalCost() {
-					t.Errorf("seed %d domains %d queue=%s: rpc cost %v != centralized %v",
-						seed, domains, queue, f.TotalCost(), central.TotalCost())
-				}
-				if st.StreamedResults == 0 {
-					t.Errorf("seed %d domains %d queue=%s: moved no fragments (%+v)", seed, domains, queue, st)
-				}
+			if f.TotalCost() != central.TotalCost() {
+				t.Errorf("seed %d domains %d: rpc cost %v != centralized %v",
+					seed, domains, f.TotalCost(), central.TotalCost())
+			}
+			if st.StreamedResults == 0 {
+				t.Errorf("seed %d domains %d: moved no fragments (%+v)", seed, domains, st)
 			}
 		}
 	}

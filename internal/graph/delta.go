@@ -13,13 +13,15 @@ import (
 // at drain time — so a relaxation is one compare plus an append, with no
 // decrease-key bookkeeping at all.
 //
-// The variant exists for large graphs (see Config.DeltaSteppingMinNodes):
-// the indexed heap pays O(log n) sift work per settle, while a bucket
-// here is drained wholesale. The arc partition is precomputed per cost
-// epoch with the edge costs inlined (deltaLayout), so the inner loop runs
-// over three contiguous arrays instead of chasing Edge records — on a
-// 10k-node Inet graph that locality, not the asymptotics, is most of the
-// win.
+// Every full run takes this variant whenever the graph's costs admit a
+// bucket width (see pick); the indexed heap runs only without one, for
+// the truncated overlay runs, and as the reference (Arena.DijkstraHeap).
+// The heap pays O(log n) sift work per settle, while a bucket here is
+// drained wholesale. The arc partition is precomputed per cost epoch with
+// the edge costs inlined (deltaLayout), so the inner loop runs over three
+// contiguous arrays instead of chasing Edge records — that locality, not
+// the asymptotics, is most of the win, and it holds from 50-node graphs
+// to 10k-node ones.
 //
 // Settled trees are bit-identical to the IndexedHeap Dijkstra. Distances
 // are exact by the standard delta-stepping argument (every node is
@@ -38,9 +40,10 @@ import (
 // distances are always overwritten later (a stale relaxation can never
 // tie a final distance: its value is strictly larger), so the fixpoint
 // tree equals the heap's. Zero-cost arcs break the plain settle order (a
-// node can reach its final distance mid-plateau); those graphs — flagged
-// at partition build — get the exact settle-order replay of
-// replayPlateaus on top, off the zero-free hot path.
+// node can reach its final distance mid-plateau), and so does a positive
+// cost small enough to vanish in the sum (D + c == D, an absorbed cost);
+// those graphs — flagged at partition build — get the exact settle-order
+// replay of replayPlateaus on top, off the zero-free hot path.
 
 // deltaLayout is the per-cost-epoch arc partition: node u's light arcs
 // occupy lto/leid/lcost[lrow[u]:lrow[u+1]] and its heavy arcs the hrow
@@ -55,10 +58,12 @@ type deltaLayout struct {
 	// delta is the bucket width; light arcs have cost ≤ delta. It is 0
 	// when the graph has no usable width, and then the heap runs instead.
 	delta float64
-	// hasZero records whether any kept arc has cost 0. Zero-cost arcs
-	// let a node reach its final distance only after its plateau starts
-	// settling, which twists the heap's tie order away from plain
-	// (dist, id) — runs over such graphs add the replayPlateaus pass.
+	// hasZero records whether any kept arc may act as a zero-cost arc:
+	// cost 0, or a cost absorbed by a distance it is added to (see
+	// buildDeltaLayout). Such arcs let a node reach its final distance
+	// only after its plateau starts settling, which twists the heap's tie
+	// order away from plain (dist, id) — runs over such graphs add the
+	// replayPlateaus pass.
 	hasZero bool
 	lrow    []int32
 	lto     []int32
@@ -143,6 +148,14 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 		return d
 	}
 	d.delta = deltaWidth(maxC, sum/float64(len(g.edges)))
+	// A cost c vanishes in D + c exactly when c ≤ ulp(D)/2, and ulp grows
+	// with D. Every distance is a sum of distinct edge costs, so twice the
+	// total (margin for summation order) bounds them all, and any arc up to
+	// half an ulp of that bound is flagged with the zero-cost ones. Below
+	// 4·10^12 edges such an arc is under the width floor maxC/(nb-2), so it
+	// is light, where replayPlateaus looks for zero arcs.
+	bound := 2 * sum
+	absorbed := (math.Nextafter(bound, math.Inf(1)) - bound) / 2
 	// Count, then fill: two passes keep the arc arrays exactly sized and
 	// CSR-ordered within each partition.
 	var nl, nh int32
@@ -179,7 +192,7 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 				continue
 			}
 			cost := g.edges[c.eid[i]].Cost
-			if cost == 0 {
+			if cost <= absorbed {
 				d.hasZero = true
 			}
 			if cost <= d.delta {
@@ -222,6 +235,9 @@ type deltaScratch struct {
 	pos     []int32
 }
 
+// deltaBucketCap is the starting capacity of each calendar bucket.
+const deltaBucketCap = 16
+
 func (ds *deltaScratch) ensure(n int) {
 	if len(ds.relaxGen) >= n {
 		return
@@ -239,6 +255,20 @@ func (ds *deltaScratch) ensure(n int) {
 	pos := make([]int32, n)
 	copy(pos, ds.pos)
 	ds.pos = pos
+	// Every bucket starts with capacity carved from one block and each
+	// staging list with room for every node, so a fresh arena's first runs
+	// make a handful of allocations instead of growing 1,024 buckets one
+	// append at a time. Buckets are empty between runs, so replacing a
+	// small one loses nothing.
+	block := make([]int32, deltaBucketCount*deltaBucketCap)
+	for b := range ds.buckets {
+		if cap(ds.buckets[b]) < deltaBucketCap {
+			ds.buckets[b] = block[b*deltaBucketCap : b*deltaBucketCap : (b+1)*deltaBucketCap]
+		}
+	}
+	ds.frontier = slices.Grow(ds.frontier[:0], n)
+	ds.active = slices.Grow(ds.active[:0], n)
+	ds.settled = slices.Grow(ds.settled[:0], n)
 }
 
 // deltaRun bundles the per-run state the relaxation loops share. The
@@ -373,7 +403,8 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 }
 
 // replayPlateaus reassigns parents to the heap's exact choices on graphs
-// with zero-cost arcs. The commit rule above picks, for each node v, the
+// with zero-cost arcs (an arc whose cost the distance absorbs, d + c == d,
+// is one here). The commit rule above picks, for each node v, the
 // achiever minimizing (dist, id) — which equals the heap's pick exactly
 // when every plateau (set of nodes sharing one final distance) is fully
 // present in the heap before it starts settling. A zero-cost arc breaks
@@ -463,7 +494,7 @@ func replayPlateaus(lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 					if p := ds.pos[u]; bestPos < 0 || p < bestPos {
 						bestPos, bestU, bestE = p, u, lay.leid[i]
 					}
-				} else if lay.lcost[i] == 0 && du == d {
+				} else if du == d && d+lay.lcost[i] == d {
 					hasInternalZero = true
 				}
 			}
@@ -511,9 +542,10 @@ func replayPlateaus(lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 			next++
 			// Zero arcs are always light; a zero arc to an equal-distance
 			// unreached mate hands it this parent (first reach wins, as in
-			// the heap where later equal relaxations never replace).
+			// the heap where later equal relaxations never replace). An
+			// arc whose cost d absorbs is a zero arc here.
 			for i := lay.lrow[u]; i < lay.lrow[u+1]; i++ {
-				if lay.lcost[i] == 0 {
+				if d+lay.lcost[i] == d {
 					if w := lay.lto[i]; dist[w] == d && ds.roundGen[w] != rnd {
 						ds.roundGen[w] = rnd
 						parent[w] = NodeID(u)

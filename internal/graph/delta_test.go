@@ -1,29 +1,79 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// deltaArena pins the delta-stepping variant on, regardless of graph
-// size, on a private arena, so no test mutates the package default.
-func deltaArena() *Arena {
-	return NewArenaWith(Config{DeltaSteppingMinNodes: 1})
+// sameTree fails the test unless got and want agree bit for bit on
+// every node's distance, parent and parent edge.
+func sameTree(t *testing.T, label string, got, want *ShortestPaths) {
+	t.Helper()
+	for u := range want.Dist {
+		if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
+			t.Fatalf("%s node %d: delta (%v,%d,%d) != heap (%v,%d,%d)", label, u,
+				got.Dist[u], got.Parent[u], got.ParentEdge[u],
+				want.Dist[u], want.Parent[u], want.ParentEdge[u])
+		}
+	}
+}
+
+// absorbedMultigraph builds a random multigraph whose costs mix 1e17 and
+// 2e17 with 1, 2 and 3. Added to a distance near 1e17 the small costs
+// vanish (D + c == D), so those arcs act as zero-cost arcs though no
+// cost is 0.
+func absorbedMultigraph(seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	costs := []float64{1e17, 2e17, 1, 2, 3}
+	n := 6 + rng.Intn(30)
+	g := New(n, 3*n)
+	for i := 0; i < n; i++ {
+		g.AddSwitch("")
+	}
+	for i := 1; i < n; i++ {
+		g.MustAddEdge(NodeID(i), NodeID(rng.Intn(i)), costs[rng.Intn(len(costs))])
+	}
+	for k := 0; k < 2*n; k++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.MustAddEdge(NodeID(u), NodeID(v), costs[rng.Intn(len(costs))])
+		}
+	}
+	return g
+}
+
+// absorbedRepro is the smallest known absorbed-cost input: from node 0,
+// nodes 7, 9, 5 and 8 all sit at 1e17, and the heap reaches 8 from 7,
+// then 5 from 8. A replay that sees only cost-0 arcs as plateau-internal
+// builds the parent cycle 8 → 5 → 8 instead.
+func absorbedRepro() *Graph {
+	g := New(10, 5)
+	for i := 0; i < 10; i++ {
+		g.AddSwitch("")
+	}
+	g.MustAddEdge(0, 7, 1e17)
+	g.MustAddEdge(0, 9, 1e17)
+	g.MustAddEdge(9, 5, 1)
+	g.MustAddEdge(5, 8, 1)
+	g.MustAddEdge(7, 8, 1)
+	return g
 }
 
 // TestDeltaSteppingBitIdentical is the core equivalence claim: on random
 // multigraphs (parallel edges, zero-cost links), the delta-stepping tree
 // — distances, parents, AND parent edges — must be bit-for-bit the
-// indexed-heap tree from every source. Distances alone would allow a
-// different (equally short) tree; downstream cost-equality guarantees
-// need the same tree. The multigraphs almost all carry zero-cost arcs, so
-// their parents come from the plateau replay; each is repeated with its
-// zero costs raised to 1, where exact ties are many and only the in-place
-// tie-break can match the heap. The 600-node inputs (float costs, then
-// the same rounded up to integers) are the ones whose bucket frontiers
-// grow to hundreds of nodes.
+// indexed-heap reference tree (Arena.DijkstraHeap) from every source.
+// Distances alone would allow a different (equally short) tree;
+// downstream cost-equality guarantees need the same tree. The multigraphs
+// almost all carry zero-cost arcs, so their parents come from the plateau
+// replay; each is repeated with its zero costs raised to 1, where exact
+// ties are many and only the in-place tie-break can match the heap. The
+// 600-node inputs (float costs, then the same rounded up to integers) are
+// the ones whose bucket frontiers grow to hundreds of nodes. The
+// absorbed-cost inputs have no zero cost, yet arcs whose cost vanishes in
+// the sum, which the replay must treat as zero arcs.
 func TestDeltaSteppingBitIdentical(t *testing.T) {
 	// recost returns g with every edge cost mapped through f.
 	recost := func(g *Graph, f func(float64) float64) *Graph {
@@ -42,19 +92,18 @@ func TestDeltaSteppingBitIdentical(t *testing.T) {
 	big := func() *Graph {
 		return RandomConnected(RandomConfig{Nodes: 600, ExtraEdges: 1800, VMFraction: 0.2, MaxEdge: 10, MaxSetup: 5}, 9)
 	}
-	graphs = append(graphs, big(), recost(big(), math.Ceil))
+	graphs = append(graphs, big(), recost(big(), math.Ceil), absorbedRepro())
+	for seed := int64(0); seed < 300; seed++ {
+		graphs = append(graphs, absorbedMultigraph(seed))
+	}
+	arena, ref := NewArena(), NewArena()
 	for i, g := range graphs {
-		arena := deltaArena()
+		if pick(g) == nil {
+			t.Fatalf("graph %d: no bucket width, so the heap would run on both sides", i)
+		}
 		for v := 0; v < g.NumNodes(); v++ {
-			want := Dijkstra(g, NodeID(v)) // heap path: graph far below gates
 			got := arena.Dijkstra(g, NodeID(v))
-			for u := 0; u < g.NumNodes(); u++ {
-				if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-					t.Fatalf("graph %d src %d node %d: delta (%v,%d,%d) != heap (%v,%d,%d)",
-						i, v, u, got.Dist[u], got.Parent[u], got.ParentEdge[u],
-						want.Dist[u], want.Parent[u], want.ParentEdge[u])
-				}
-			}
+			sameTree(t, fmt.Sprintf("graph %d src %d", i, v), got, ref.DijkstraHeap(g, NodeID(v)))
 			verifyTree(t, g, got)
 		}
 	}
@@ -71,18 +120,13 @@ func TestDeltaSteppingBatch(t *testing.T) {
 			sources = append(sources, NodeID(rng.Intn(g.NumNodes())))
 		}
 		sources = append(sources, sources[0]) // duplicate on purpose
-		batch := DijkstraBatch(g, sources, deltaArena())
+		batch := DijkstraBatch(g, sources, NewArena())
 		if batch[len(batch)-1] != batch[0] {
 			t.Fatalf("seed %d: duplicate source not aliased", seed)
 		}
+		ref := NewArena()
 		for i, s := range sources {
-			want := Dijkstra(g, s)
-			got := batch[i]
-			for u := 0; u < g.NumNodes(); u++ {
-				if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-					t.Fatalf("seed %d source %d node %d: batch delta differs from heap", seed, s, u)
-				}
-			}
+			sameTree(t, fmt.Sprintf("seed %d source %d", seed, s), batch[i], ref.DijkstraHeap(g, s))
 		}
 	}
 }
@@ -96,7 +140,7 @@ func TestDeltaSteppingBatch(t *testing.T) {
 // fail/mask/restore transition must yield a fresh partition.
 func TestDeltaSteppingBlockedElements(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	arena := deltaArena()
+	arena, ref := NewArena(), NewArena()
 	for trial := 0; trial < 25; trial++ {
 		g := RandomConnected(RandomConfig{Nodes: 40, ExtraEdges: 60, MaxEdge: 5}, int64(trial))
 		for i := 0; i < 5; i++ {
@@ -109,29 +153,14 @@ func TestDeltaSteppingBlockedElements(t *testing.T) {
 		g.MaskNode(NodeID(rng.Intn(g.NumNodes())))
 		for trial2 := 0; trial2 < 3; trial2++ {
 			src := NodeID(rng.Intn(g.NumNodes()))
-			want := Dijkstra(g, src)
-			got := arena.Dijkstra(g, src)
-			for u := 0; u < g.NumNodes(); u++ {
-				if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-					t.Fatalf("trial %d src %d node %d: delta (%v,%d,%d) != heap (%v,%d,%d) under blocks",
-						trial, src, u, got.Dist[u], got.Parent[u], got.ParentEdge[u],
-						want.Dist[u], want.Parent[u], want.ParentEdge[u])
-				}
-			}
+			sameTree(t, fmt.Sprintf("trial %d src %d under blocks", trial, src), arena.Dijkstra(g, src), ref.DijkstraHeap(g, src))
 		}
 		// Flip some state back and re-check: the partition must not serve
 		// the pre-transition epoch.
 		g.RestoreAll()
 		g.UnmaskAll()
 		src := NodeID(rng.Intn(g.NumNodes()))
-		want := Dijkstra(g, src)
-		got := arena.Dijkstra(g, src)
-		for u := 0; u < g.NumNodes(); u++ {
-			if got.Dist[u] != want.Dist[u] {
-				t.Fatalf("trial %d: stale partition after restore: Dist[%d] = %v, want %v",
-					trial, u, got.Dist[u], want.Dist[u])
-			}
-		}
+		sameTree(t, fmt.Sprintf("trial %d after restore", trial), arena.Dijkstra(g, src), ref.DijkstraHeap(g, src))
 	}
 }
 
@@ -139,7 +168,7 @@ func TestDeltaSteppingBlockedElements(t *testing.T) {
 // nothing, not even itself — same contract as the heap variant.
 func TestDeltaSteppingBlockedSource(t *testing.T) {
 	g := RandomConnected(RandomConfig{Nodes: 20, ExtraEdges: 20, MaxEdge: 5}, 3)
-	arena := deltaArena()
+	arena := NewArena()
 	g.FailNode(4)
 	sp := arena.Dijkstra(g, 4)
 	for v := range sp.Dist {
@@ -158,7 +187,7 @@ func TestDeltaSteppingBlockedSource(t *testing.T) {
 }
 
 // TestDeltaSteppingZeroCostFallback: an all-zero-cost graph has no
-// usable bucket width; the gate must fall back to the heap instead of
+// usable bucket width; runs must fall back to the heap instead of
 // dividing by zero, and results must stay correct — for single runs and
 // batches alike.
 func TestDeltaSteppingZeroCostFallback(t *testing.T) {
@@ -170,8 +199,8 @@ func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 		g.MustAddEdge(NodeID(i-1), NodeID(i), 0)
 	}
 	for _, sp := range []*ShortestPaths{
-		deltaArena().Dijkstra(g, 2),
-		DijkstraBatch(g, []NodeID{2}, deltaArena())[0],
+		Dijkstra(g, 2),
+		DijkstraBatch(g, []NodeID{2}, nil)[0],
 	} {
 		for v := 0; v < 5; v++ {
 			if sp.Dist[v] != 0 {
@@ -182,10 +211,10 @@ func TestDeltaSteppingZeroCostFallback(t *testing.T) {
 }
 
 // TestDeltaSteppingInfiniteCostFallback: one +Inf edge cost also leaves
-// no usable bucket width (it makes the width +Inf), so a forced delta
-// run must fall back to the heap and return the heap's tree, whether the
-// infinite cost came with the edge or was set after a first run (the
-// epoch-keyed partition must rebuild into the fallback).
+// no usable bucket width (it makes the width +Inf), so a run must fall
+// back to the heap and return the heap's tree, whether the infinite cost
+// came with the edge or was set after a first run (the epoch-keyed
+// partition must rebuild into the fallback).
 func TestDeltaSteppingInfiniteCostFallback(t *testing.T) {
 	path := func(last float64) (*Graph, EdgeID) {
 		g := New(4, 3)
@@ -198,16 +227,16 @@ func TestDeltaSteppingInfiniteCostFallback(t *testing.T) {
 	}
 	check := func(label string, g *Graph) {
 		t.Helper()
-		want := NewArenaWith(Config{DeltaSteppingMinNodes: -1}).Dijkstra(g, 0)
+		want := NewArena().DijkstraHeap(g, 0)
 		if want.Dist[2] != 3 || !math.IsInf(want.Dist[3], 1) {
 			t.Fatalf("%s: heap Dist = %v, want [0 1 3 +Inf]", label, want.Dist)
 		}
 		for _, got := range []*ShortestPaths{
-			deltaArena().Dijkstra(g, 0),
-			DijkstraBatch(g, []NodeID{0}, deltaArena())[0],
+			Dijkstra(g, 0),
+			DijkstraBatch(g, []NodeID{0}, nil)[0],
 		} {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: forced delta (%v,%v,%v) != heap (%v,%v,%v)", label,
+				t.Fatalf("%s: run (%v,%v,%v) != heap (%v,%v,%v)", label,
 					got.Dist, got.Parent, got.ParentEdge, want.Dist, want.Parent, want.ParentEdge)
 			}
 		}
@@ -216,7 +245,7 @@ func TestDeltaSteppingInfiniteCostFallback(t *testing.T) {
 	check("AddEdge +Inf", g)
 
 	g, last := path(4)
-	deltaArena().Dijkstra(g, 0) // builds a finite-width partition first
+	Dijkstra(g, 0) // builds a finite-width partition first
 	g.SetEdgeCost(last, math.Inf(1))
 	check("SetEdgeCost +Inf", g)
 }
@@ -226,7 +255,7 @@ func TestDeltaSteppingInfiniteCostFallback(t *testing.T) {
 // and partition all change between runs), catching stale scratch leaking
 // across runs — the reuse pattern of pooled arenas and batch callers.
 func TestDeltaSteppingArenaReuseAcrossGraphs(t *testing.T) {
-	arena := deltaArena()
+	arena := NewArena()
 	for round := 0; round < 3; round++ {
 		for _, seed := range []int64{3, 11, 5, 23, 2, 31, 4} {
 			g := randomMultigraph(seed)
@@ -272,39 +301,33 @@ func TestDeltaLayoutEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestConfigGateResolution pins the per-arena gate semantics: zero
-// defers to the package default, positive overrides, negative disables
-// — whether the negative value sits in the Config or in the default it
-// defers to — exercised through pick, the single decision point every
-// entry path shares. Not parallel: it sets the package default.
-func TestConfigGateResolution(t *testing.T) {
-	g := randomMultigraph(5) // 8–48 nodes, positive finite costs
-	n := g.NumNodes()
+// TestPickNeedsWidth pins the one decision left in pick: every full run
+// takes delta-stepping when the costs admit a bucket width, however
+// small the graph, and the heap when they do not — all-zero costs, or
+// one +Inf cost.
+func TestPickNeedsWidth(t *testing.T) {
+	pair := func(cost float64) *Graph {
+		g := New(2, 1)
+		g.AddSwitch("")
+		g.AddSwitch("")
+		g.MustAddEdge(0, 1, cost)
+		return g
+	}
 	inf := randomMultigraph(5)
 	inf.SetEdgeCost(0, math.Inf(1))
-	saved := DeltaSteppingMinNodes
-	t.Cleanup(func() { DeltaSteppingMinNodes = saved })
 	cases := []struct {
-		name   string
-		global int
-		g      *Graph
-		cfg    Config
-		want   ssspVariant
+		name  string
+		g     *Graph
+		delta bool
 	}{
-		{"defaults-small-graph", saved, g, Config{}, variantHeap},
-		{"delta-forced", saved, g, Config{DeltaSteppingMinNodes: 1}, variantDelta},
-		{"delta-disabled", saved, g, Config{DeltaSteppingMinNodes: -1}, variantHeap},
-		{"threshold-above-n", saved, g, Config{DeltaSteppingMinNodes: n + 1}, variantHeap},
-		{"infinite-cost", saved, inf, Config{DeltaSteppingMinNodes: 1}, variantHeap},
-		{"global-forced", 1, g, Config{}, variantDelta},
-		{"global-disabled", -1, g, Config{}, variantHeap},
-		{"config-overrides-disabled-global", -1, g, Config{DeltaSteppingMinNodes: 1}, variantDelta},
+		{"two-nodes", pair(1), true},
+		{"multigraph", randomMultigraph(5), true},
+		{"all-zero", pair(0), false},
+		{"infinite-cost", inf, false},
 	}
 	for _, tc := range cases {
-		DeltaSteppingMinNodes = tc.global
-		a := NewArenaWith(tc.cfg)
-		if got, _ := a.pick(tc.g, tc.g.NumNodes()); got != tc.want {
-			t.Errorf("%s: pick = %d, want %d", tc.name, got, tc.want)
+		if got := pick(tc.g) != nil; got != tc.delta {
+			t.Errorf("%s: delta-stepping = %v, want %v", tc.name, got, tc.delta)
 		}
 	}
 }

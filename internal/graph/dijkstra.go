@@ -57,43 +57,14 @@ func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
 	return rev
 }
 
-// Config selects the SSSP variant for runs through one arena. Configs
-// travel with an Arena (NewArenaWith), so concurrent tests and batch
-// callers pin variants without mutating process-wide state. Every run,
-// whichever variant it takes, stays on the calling goroutine.
-type Config struct {
-	// DeltaSteppingMinNodes gates the delta-stepping variant by graph
-	// size: runs over graphs with at least this many nodes use it (when
-	// the maximum edge cost admits a bucket width), smaller runs keep the
-	// indexed heap. 0 means the package default (DeltaSteppingMinNodes),
-	// a positive value overrides it, and a negative value disables the
-	// variant.
-	DeltaSteppingMinNodes int
-}
-
-// resolveGate maps a Config gate field to an effective node threshold:
-// 0 defers to the package default, and a negative value — from the field
-// or the default it deferred to — disables (a threshold no graph
-// reaches).
-func resolveGate(v, def int) int {
-	if v == 0 {
-		v = def
-	}
-	if v < 0 {
-		return math.MaxInt
-	}
-	return v
-}
-
-// Arena is the reusable scratch state of the SSSP core: the indexed heap
-// (whose position index self-restores on drain), the delta-stepping
-// scratch for large graphs, and a generation-stamped settled marker, so
-// one arena is ready for the next run without any O(n) reset. Batch
-// callers that fan many runs out (the chain oracle's tree warming, KMB's
-// closure phase) hold one Arena across the whole batch instead of a pool
-// round-trip per source. The result arrays are NOT part of the arena —
-// callers (the chain oracle in particular) retain ShortestPaths
-// indefinitely.
+// Arena is the reusable scratch state of the SSSP core: the
+// delta-stepping calendar and staging lists, the indexed heap (whose
+// position index self-restores on drain), and a generation-stamped
+// settled marker, so one arena is ready for the next run without any
+// O(n) reset. The package-level entry points borrow arenas from an
+// internal pool; a caller running many batches back to back may hold its
+// own instead. The result arrays are NOT part of the arena — callers (the
+// chain oracle in particular) retain ShortestPaths indefinitely.
 //
 // An Arena is not safe for concurrent use; concurrent runs take separate
 // arenas (or pass nil and share the pool).
@@ -104,20 +75,13 @@ type Arena struct {
 	// the run's generation, like done stamps its settled nodes.
 	tgt []uint64
 	gen uint64
-	cfg Config
 	ds  deltaScratch
 }
 
-// NewArena returns an empty arena using the package-default Config.
-// Passing nil to DijkstraBatch borrows one from an internal pool instead,
-// so an explicit arena is only worth holding across several batches.
+// NewArena returns an empty arena. Passing nil to DijkstraBatch borrows
+// one from an internal pool instead, so an explicit arena is only worth
+// holding across several batches.
 func NewArena() *Arena { return new(Arena) }
-
-// NewArenaWith returns an arena whose runs resolve the delta-stepping
-// gate from cfg instead of the package default, so each test or batch
-// pins its variant on its own arena without touching process-wide
-// state.
-func NewArenaWith(cfg Config) *Arena { return &Arena{cfg: cfg} }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
@@ -133,63 +97,48 @@ func (a *Arena) ensure(n int) {
 	}
 }
 
-// DeltaSteppingMinNodes is the process-wide default that a zero
-// Config.DeltaSteppingMinNodes resolves to: runs over graphs with at
-// least this many nodes use delta-stepping, smaller runs keep the indexed
-// heap, whose constants win on small frontiers. Both produce the
-// bit-identical tree, so the threshold tunes speed only. A negative
-// value disables delta-stepping wherever the Config defers to it.
-// Callers that hold an arena should pin the variant with NewArenaWith;
-// the global is for code that builds its own arenas out of reach, and
-// writing it races with concurrent runs.
-var DeltaSteppingMinNodes = 8192
-
-// ssspVariant names the queue discipline one run will use.
-type ssspVariant uint8
-
-const (
-	variantHeap ssspVariant = iota
-	variantDelta
-)
-
-// pick selects the SSSP variant for runs over g with n nodes under a's
-// Config, returning the arc partition for variantDelta. Delta-stepping
-// needs a positive finite maximum edge cost for its bucket width; a graph
-// without one (all-zero or some +Inf cost) builds a layout with delta 0
-// and falls back to the heap.
-func (a *Arena) pick(g *Graph, n int) (ssspVariant, *deltaLayout) {
-	if n >= resolveGate(a.cfg.DeltaSteppingMinNodes, DeltaSteppingMinNodes) {
-		if lay := g.deltaLayoutFor(); lay.delta > 0 {
-			return variantDelta, lay
-		}
+// pick returns the arc partition a full run over g takes with
+// delta-stepping, or nil when the heap must run instead: delta-stepping
+// needs a positive finite maximum edge cost for its bucket width, and a
+// graph without one (all-zero or some +Inf cost) builds a layout with
+// delta 0.
+func pick(g *Graph) *deltaLayout {
+	if lay := g.deltaLayoutFor(); lay.delta > 0 {
+		return lay
 	}
-	return variantHeap, nil
+	return nil
+}
+
+// newShortestPaths allocates the result arrays of one run from src over
+// n nodes; the kernels initialize them.
+func newShortestPaths(src NodeID, n int) *ShortestPaths {
+	return &ShortestPaths{
+		Source:     src,
+		Dist:       make([]float64, n),
+		Parent:     make([]NodeID, n),
+		ParentEdge: make([]EdgeID, n),
+	}
 }
 
 // Dijkstra computes shortest paths from src over edge connection costs.
-// The traversal runs on the graph's flat CSR adjacency with a pooled
-// arena, so a run allocates only its result arrays. Ties are settled
-// toward the smaller node id, making the returned tree (not just the
-// distances) deterministic — with either variant (see Config).
+// The traversal runs with a pooled arena, so a run allocates only its
+// result arrays. Ties are settled toward the smaller node id, making the
+// returned tree (not just the distances) deterministic: it is bit for bit
+// the tree of Arena.DijkstraHeap.
 func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
 	return a.Dijkstra(g, src)
 }
 
-// Dijkstra is the per-arena form of the package-level Dijkstra: the run
-// resolves its variant gate from a's Config (see NewArenaWith) and
-// reuses a's scratch.
+// Dijkstra is the per-arena form of the package-level Dijkstra, reusing
+// a's scratch. The run takes delta-stepping whenever g's costs admit a
+// bucket width (see pick), and the indexed heap otherwise.
 func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
-	sp := &ShortestPaths{
-		Source:     src,
-		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-	}
+	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	if v, lay := a.pick(g, n); v == variantDelta {
+	if lay := pick(g); lay != nil {
 		dijkstraDelta(g, lay, a, sp)
 	} else {
 		dijkstraHeap(g, g.csr(), nil, a, sp, nil)
@@ -197,12 +146,25 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	return sp
 }
 
+// DijkstraHeap computes the same tree as Dijkstra with the indexed heap
+// alone. It is the reference the delta-stepping kernel is pinned to, the
+// way BellmanFord is for Dijkstra: the equivalence suites and the
+// heap/delta benchmark call it, and no library path does.
+func (a *Arena) DijkstraHeap(g *Graph, src NodeID) *ShortestPaths {
+	n := g.NumNodes()
+	sp := newShortestPaths(src, n)
+	a.ensure(n)
+	dijkstraHeap(g, g.csr(), nil, a, sp, nil)
+	return sp
+}
+
 // DijkstraBatch runs Dijkstra from every source through one shared arena
-// and one CSR fetch, with the per-source result arrays carved from three
-// batch-wide backing allocations — a batch of k sources costs 4 slice
-// allocations instead of 4k. Results are returned in source order;
-// duplicate sources share one tree (the same *ShortestPaths pointer). A
-// nil arena borrows one from the internal pool for the whole batch.
+// and one partition fetch, with the per-source result arrays carved from
+// three batch-wide backing allocations, so k trees take 4 allocations
+// instead of 4k. Results are returned in source order; duplicate sources
+// share one tree (the same *ShortestPaths pointer). A nil arena borrows
+// one from the internal pool for the whole batch, which is the right
+// choice for a one-off batch.
 func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 	if len(sources) == 0 {
 		return nil
@@ -214,7 +176,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 	n := g.NumNodes()
 	c := g.csr()
 	a.ensure(n)
-	variant, lay := a.pick(g, n)
+	lay := pick(g)
 
 	out := make([]*ShortestPaths, len(sources))
 	firstIdx := make(map[NodeID]int, len(sources))
@@ -236,7 +198,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		sp.Dist = dist[i*n : (i+1)*n : (i+1)*n]
 		sp.Parent = parent[i*n : (i+1)*n : (i+1)*n]
 		sp.ParentEdge = pedge[i*n : (i+1)*n : (i+1)*n]
-		if variant == variantDelta {
+		if lay != nil {
 			dijkstraDelta(g, lay, a, sp)
 		} else {
 			dijkstraHeap(g, c, nil, a, sp, nil)
@@ -343,12 +305,7 @@ func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPat
 // as an independent oracle for property-testing Dijkstra; it is O(V·E).
 func BellmanFord(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
-	sp := &ShortestPaths{
-		Source:     src,
-		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-	}
+	sp := newShortestPaths(src, n)
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
 		sp.Parent[i] = None

@@ -147,21 +147,24 @@ func TestDijkstraToSourceAndEmptyTargets(t *testing.T) {
 // truncated run stops with entries still queued, the same arena's next
 // full run — heap or delta — is bit-identical to one on a fresh arena.
 func TestDijkstraToLeavesArenaClean(t *testing.T) {
-	for _, cfg := range []Config{
-		{DeltaSteppingMinNodes: -1},
-		{DeltaSteppingMinNodes: 1},
+	for _, v := range []struct {
+		name string
+		run  func(a *Arena, g *Graph, src NodeID) *ShortestPaths
+	}{
+		{"heap", (*Arena).DijkstraHeap},
+		{"delta", (*Arena).Dijkstra},
 	} {
-		arena := NewArenaWith(cfg)
+		arena := NewArena()
 		for seed := int64(0); seed < 20; seed++ {
 			g := blockedMultigraph(seed)
 			n := g.NumNodes()
 			for src := 0; src < n; src += 3 {
 				NewOverlay(g).dijkstraTo(arena, NodeID(src), []NodeID{NodeID((src + 1) % n)})
 				next := NodeID((src + 5) % n)
-				got := arena.Dijkstra(g, next)
-				want := NewArenaWith(cfg).Dijkstra(g, next)
+				got := v.run(arena, g, next)
+				want := v.run(NewArena(), g, next)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("config %+v seed %d: full run after a truncated one differs from a fresh arena's", cfg, seed)
+					t.Fatalf("%s seed %d: full run after a truncated one differs from a fresh arena's", v.name, seed)
 				}
 			}
 		}

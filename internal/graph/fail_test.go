@@ -135,15 +135,15 @@ func TestFailCloneShares(t *testing.T) {
 }
 
 // TestFailDijkstraMatchesBellmanFord cross-checks the SSSP cores under
-// random failure patterns, with both variants forced through per-arena
-// configs.
+// random failure patterns: the heap reference, and the default batch
+// path, which takes delta-stepping.
 func TestFailDijkstraMatchesBellmanFord(t *testing.T) {
 	variants := []struct {
 		name string
-		cfg  Config
+		run  func(g *Graph, src NodeID) *ShortestPaths
 	}{
-		{"heap", Config{DeltaSteppingMinNodes: -1}},
-		{"delta", Config{DeltaSteppingMinNodes: 1}},
+		{"heap", NewArena().DijkstraHeap},
+		{"delta", func(g *Graph, src NodeID) *ShortestPaths { return DijkstraBatch(g, []NodeID{src}, nil)[0] }},
 	}
 	for _, variant := range variants {
 		rng := rand.New(rand.NewSource(7))
@@ -157,7 +157,7 @@ func TestFailDijkstraMatchesBellmanFord(t *testing.T) {
 			}
 			src := NodeID(rng.Intn(g.NumNodes()))
 			want := BellmanFord(g, src)
-			got := DijkstraBatch(g, []NodeID{src}, NewArenaWith(variant.cfg))[0]
+			got := variant.run(g, src)
 			for v := range want.Dist {
 				if want.Dist[v] != got.Dist[v] && !(math.IsInf(want.Dist[v], 1) && math.IsInf(got.Dist[v], 1)) {
 					t.Fatalf("%s trial %d: dist[%d] = %v, want %v", variant.name, trial, v, got.Dist[v], want.Dist[v])

@@ -3,6 +3,11 @@
 // (for VMs) and edge connection costs (for links), plus shortest paths,
 // failure and capacity masks, union-find, and DOT export.
 //
+// Shortest-path trees come from delta-stepping whenever the edge costs
+// admit a bucket width (a positive, finite largest cost), and from an
+// indexed-heap Dijkstra otherwise. The two build bit-identical trees;
+// Arena.DijkstraHeap runs the heap alone as the reference.
+//
 // The model follows Section III of the paper: V = M ∪ U where M is the set
 // of virtual-machine nodes carrying a nonnegative setup cost and U is the
 // set of switches carrying cost 0. Links carry nonnegative connection costs.
@@ -190,7 +195,8 @@ func (g *Graph) EdgeCost(id EdgeID) float64 { return g.edges[id].Cost }
 // SetNodeCost updates the setup cost of a node (used by load-aware pricing).
 // The cost epoch advances only when the value actually changes, so blanket
 // re-pricing passes that rewrite unchanged costs keep epoch-keyed caches
-// warm.
+// warm. It checks nothing: id must name a node and cost must be
+// nonnegative and not NaN (sof.Network.SetVMCost checks both).
 func (g *Graph) SetNodeCost(id NodeID, cost float64) {
 	if g.nodes[id].Cost == cost {
 		return
@@ -201,7 +207,10 @@ func (g *Graph) SetNodeCost(id NodeID, cost float64) {
 
 // SetEdgeCost updates the connection cost of an edge (used by load-aware
 // pricing). Like SetNodeCost, it advances the cost epoch only on an actual
-// change.
+// change, and it checks nothing: id must name an edge and cost must be
+// nonnegative and not NaN, since a negative cost keeps delta-stepping
+// relaxing forever (sof.Network.SetLinkCost checks both). A +Inf cost
+// is allowed; runs then take the heap.
 func (g *Graph) SetEdgeCost(id EdgeID, cost float64) {
 	if g.edges[id].Cost == cost {
 		return
@@ -331,6 +340,10 @@ func (g *Graph) TotalEdgeCost() float64 {
 	return s
 }
 
+// ValidCost reports whether Validate accepts cost on a node or an edge:
+// it must be nonnegative and finite.
+func ValidCost(cost float64) bool { return cost >= 0 && !math.IsInf(cost, 1) }
+
 // Validate checks internal consistency and cost sanity. It is intended for
 // tests and for validating generated topologies.
 func (g *Graph) Validate() error {
@@ -342,7 +355,7 @@ func (g *Graph) Validate() error {
 		if !g.Valid(e.U) || !g.Valid(e.V) {
 			return fmt.Errorf("graph: edge %d has bad endpoints (%d,%d)", i, e.U, e.V)
 		}
-		if e.Cost < 0 || math.IsNaN(e.Cost) || math.IsInf(e.Cost, 0) {
+		if !ValidCost(e.Cost) {
 			return fmt.Errorf("graph: edge %d has bad cost %v", i, e.Cost)
 		}
 		deg[e.U]++
@@ -352,7 +365,7 @@ func (g *Graph) Validate() error {
 		if n.Kind == KindSwitch && n.Cost != 0 {
 			return fmt.Errorf("graph: switch %d has nonzero cost %v", i, n.Cost)
 		}
-		if n.Cost < 0 || math.IsNaN(n.Cost) || math.IsInf(n.Cost, 0) {
+		if !ValidCost(n.Cost) {
 			return fmt.Errorf("graph: node %d has bad cost %v", i, n.Cost)
 		}
 		if len(g.adj[i]) != deg[i] {

@@ -126,9 +126,9 @@ func (o *Overlay) Adj(n NodeID) []Arc {
 // node on its path included — carries exactly the Dist, Parent and
 // ParentEdge a full run computes. Every node it did not settle reads
 // +Inf/None/NoEdge, as if unreachable. An empty target list runs to
-// completion, so an overlay with nothing appended answers as the base's
-// heap run does. Targets must be nodes of the overlay; duplicates are
-// allowed.
+// completion, so an overlay with nothing appended answers as Dijkstra
+// over the base does. Targets must be nodes of the overlay; duplicates
+// are allowed.
 //
 // Runs always use the indexed heap, whose settle order is the reference
 // delta-stepping is proven against, through a pooled arena.
@@ -143,12 +143,7 @@ func (o *Overlay) dijkstraTo(a *Arena, src NodeID, targets []NodeID) *ShortestPa
 		panic(fmt.Sprintf("graph: overlay base grew from %d nodes, %d edges to %d, %d", o.n0, o.m0, n, m))
 	}
 	n := o.NumNodes()
-	sp := &ShortestPaths{
-		Source:     src,
-		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
-		ParentEdge: make([]EdgeID, n),
-	}
+	sp := newShortestPaths(src, n)
 	a.ensure(n)
 	dijkstraHeap(o.base, o.base.csr(), o, a, sp, targets)
 	return sp

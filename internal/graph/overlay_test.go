@@ -7,9 +7,6 @@ import (
 	"testing"
 )
 
-// heapOnly pins runs to the indexed heap, the kernel overlay runs use.
-var heapOnly = Config{DeltaSteppingMinNodes: -1}
-
 // growPair appends the same random nodes and edges to a clone of g and to
 // an overlay over g: unnamed switches, edges between appended and base
 // nodes alike, zero-cost edges, and parallel copies of equal cost, so arc
@@ -80,7 +77,7 @@ func TestOverlayMatchesClone(t *testing.T) {
 			if trial%2 == 0 {
 				src = NodeID(n0 + rng.Intn(n-n0))
 			}
-			full := NewArenaWith(heapOnly).Dijkstra(c, src)
+			full := NewArena().DijkstraHeap(c, src)
 			if got := ov.DijkstraTo(src, nil); !reflect.DeepEqual(got, full) {
 				t.Fatalf("seed %d src %d: full overlay run differs from the clone's", seed, src)
 			}
@@ -116,7 +113,7 @@ func TestOverlayReadsLiveBase(t *testing.T) {
 		g.MaskNode(NodeID(rng.Intn(g.NumNodes())))
 		c, _ := growPair(t, g, rand.New(rand.NewSource(seed)))
 		for src := 0; src < c.NumNodes(); src += 4 {
-			want := NewArenaWith(heapOnly).Dijkstra(c, NodeID(src))
+			want := NewArena().DijkstraHeap(c, NodeID(src))
 			if got := ov.DijkstraTo(NodeID(src), nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d src %d: overlay run missed a base change", seed, src)
 			}
@@ -151,26 +148,27 @@ func TestOverlayGrownBasePanics(t *testing.T) {
 // batch runs on one arena: every run equals the same run on a fresh
 // arena.
 func TestOverlayArenaReuse(t *testing.T) {
-	for _, cfg := range []Config{heapOnly, {DeltaSteppingMinNodes: 1}} {
-		arena := NewArenaWith(cfg)
-		for seed := int64(0); seed < 20; seed++ {
-			g := blockedMultigraph(seed)
-			_, ov := growPair(t, g, rand.New(rand.NewSource(seed)))
-			n := ov.NumNodes()
-			for src := 0; src < n; src += 3 {
-				targets := []NodeID{NodeID((src + 1) % n)}
-				if got, want := ov.dijkstraTo(arena, NodeID(src), targets), ov.dijkstraTo(NewArenaWith(cfg), NodeID(src), targets); !reflect.DeepEqual(got, want) {
-					t.Fatalf("config %+v seed %d: overlay run on a reused arena differs", cfg, seed)
-				}
-				next := NodeID(src % g.NumNodes())
-				if got, want := arena.Dijkstra(g, next), NewArenaWith(cfg).Dijkstra(g, next); !reflect.DeepEqual(got, want) {
-					t.Fatalf("config %+v seed %d: plain run after an overlay run differs", cfg, seed)
-				}
-				batch := []NodeID{next, 0}
-				got, want := DijkstraBatch(g, batch, arena), DijkstraBatch(g, batch, NewArenaWith(cfg))
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("config %+v seed %d: batch after an overlay run differs", cfg, seed)
-				}
+	arena := NewArena()
+	for seed := int64(0); seed < 20; seed++ {
+		g := blockedMultigraph(seed)
+		_, ov := growPair(t, g, rand.New(rand.NewSource(seed)))
+		n := ov.NumNodes()
+		for src := 0; src < n; src += 3 {
+			targets := []NodeID{NodeID((src + 1) % n)}
+			if got, want := ov.dijkstraTo(arena, NodeID(src), targets), ov.dijkstraTo(NewArena(), NodeID(src), targets); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: overlay run on a reused arena differs", seed)
+			}
+			next := NodeID(src % g.NumNodes())
+			if got, want := arena.DijkstraHeap(g, next), NewArena().DijkstraHeap(g, next); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: heap run after an overlay run differs", seed)
+			}
+			if got, want := arena.Dijkstra(g, next), NewArena().Dijkstra(g, next); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: delta run after an overlay run differs", seed)
+			}
+			batch := []NodeID{next, 0}
+			got, want := DijkstraBatch(g, batch, arena), DijkstraBatch(g, batch, NewArena())
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: batch after an overlay run differs", seed)
 			}
 		}
 	}

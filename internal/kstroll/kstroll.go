@@ -9,7 +9,8 @@
 // The paper invokes the 2-approximation of Chaudhuri et al. [29] as a black
 // box. This package substitutes:
 //
-//   - ExactSolver: Held–Karp-style subset DP, optimal, for small instances;
+//   - ExactSolver: Held–Karp-style DP over the subsets a K-stroll reaches,
+//     optimal, for small instances;
 //   - InsertionSolver: cheapest insertion + 2-opt/or-opt/node-swap local
 //     search, fast, validated against ExactSolver in tests;
 //   - Auto: picks ExactSolver when feasible, InsertionSolver otherwise.

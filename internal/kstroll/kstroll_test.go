@@ -1,8 +1,11 @@
 package kstroll
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -239,4 +242,147 @@ func TestVerifyWalkRejects(t *testing.T) {
 	if err := in.VerifyWalk(&Walk{Seq: seq, Cost: in.WalkCost(seq)}); err == nil {
 		t.Error("repeated node accepted")
 	}
+}
+
+// refExact is the full-scan subset DP the level-by-level ExactSolver is
+// pinned to: one row per subset of the N nodes, all 2^N masks scanned in
+// ascending order, rows allocated as masks are first reached.
+func refExact(in *Instance) (*Walk, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if w, ok := trivial(in); ok {
+		return w, nil
+	}
+	n := in.N
+	size := 1 << n
+	dp := make([][]float64, size)
+	parent := make([][]int8, size)
+	startBit := 1 << in.Start
+	dp[startBit] = newRow(n)
+	dp[startBit][in.Start] = 0
+	best := math.Inf(1)
+	bestMask, bestEnd := 0, -1
+	for mask := 1; mask < size; mask++ {
+		if dp[mask] == nil || mask&startBit == 0 {
+			continue
+		}
+		if bits.OnesCount(uint(mask)) == in.K {
+			if mask&(1<<in.End) != 0 && dp[mask][in.End] < best {
+				best = dp[mask][in.End]
+				bestMask, bestEnd = mask, in.End
+			}
+			continue
+		}
+		for v := 0; v < n; v++ {
+			dv := dp[mask][v]
+			if math.IsInf(dv, 1) || v == in.End {
+				continue
+			}
+			for w := 0; w < n; w++ {
+				if mask&(1<<w) != 0 {
+					continue
+				}
+				nm := mask | 1<<w
+				if dp[nm] == nil {
+					dp[nm] = newRow(n)
+					parent[nm] = make([]int8, n)
+				}
+				if nd := dv + in.Cost[v][w]; nd < dp[nm][w] {
+					dp[nm][w] = nd
+					parent[nm][w] = int8(v)
+				}
+			}
+		}
+	}
+	if bestEnd < 0 {
+		return nil, ErrInfeasible
+	}
+	seq := make([]int, 0, in.K)
+	mask, v := bestMask, bestEnd
+	for v != in.Start || bits.OnesCount(uint(mask)) > 1 {
+		seq = append(seq, v)
+		p := parent[mask][v]
+		mask ^= 1 << v
+		v = int(p)
+	}
+	seq = append(seq, in.Start)
+	slices.Reverse(seq)
+	return &Walk{Seq: seq, Cost: best}, nil
+}
+
+// tieInstance builds a symmetric instance over n nodes whose costs follow
+// mode: 0 random floats, 1 few values (0, 1 or 2, so optimal walks tie),
+// 2 all equal (every K-walk ties), 3 few values with some +Inf pairs.
+func tieInstance(rng *rand.Rand, n, k, start, end, mode int) *Instance {
+	cost := zeroMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			var c float64
+			switch mode {
+			case 0:
+				c = rng.Float64()
+			case 1:
+				c = float64(rng.Intn(3))
+			case 2:
+				c = 1
+			default:
+				c = float64(1 + rng.Intn(2))
+				if rng.Intn(4) == 0 {
+					c = math.Inf(1)
+				}
+			}
+			cost[i][j], cost[j][i] = c, c
+		}
+	}
+	return &Instance{N: n, Cost: cost, Start: start, End: end, K: k}
+}
+
+// sameWalk fails the test unless the exact solver and the full-scan
+// reference agree on in: the same error, or the same node sequence and
+// the same cost bits.
+func sameWalk(t *testing.T, label string, in *Instance) {
+	t.Helper()
+	got, gerr := (&ExactSolver{}).Solve(in)
+	want, werr := refExact(in)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: error %v, reference %v", label, gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if !slices.Equal(got.Seq, want.Seq) || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+		t.Fatalf("%s: walk %v (%v), reference %v (%v)", label, got.Seq, got.Cost, want.Seq, want.Cost)
+	}
+}
+
+// TestExactMatchesFullScan pins the level-by-level DP to the full-scan
+// reference on seeded instances: random, few-valued, all-equal and
+// partly infinite costs, where ties decide the walk.
+func TestExactMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		n := 3 + rng.Intn(12)
+		k := 3 + rng.Intn(n-2)
+		start := rng.Intn(n)
+		end := (start + 1 + rng.Intn(n-1)) % n
+		in := tieInstance(rng, n, k, start, end, i%4)
+		sameWalk(t, fmt.Sprintf("instance %d (N=%d K=%d %d→%d mode %d)", i, n, k, start, end, i%4), in)
+	}
+}
+
+// FuzzExactMatchesFullScan is TestExactMatchesFullScan over fuzzed
+// shapes and seeds.
+func FuzzExactMatchesFullScan(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed, uint8(seed), uint8(seed*7), uint8(seed*3), uint8(seed*5), uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nodes, k, start, end, mode uint8) {
+		n := 3 + int(nodes)%12
+		kk := 3 + int(k)%(n-2)
+		s := int(start) % n
+		e := (s + 1 + int(end)%(n-1)) % n
+		in := tieInstance(rand.New(rand.NewSource(seed)), n, kk, s, e, int(mode)%4)
+		sameWalk(t, fmt.Sprintf("N=%d K=%d %d→%d mode %d", n, kk, s, e, mode%4), in)
+	})
 }

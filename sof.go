@@ -43,6 +43,7 @@ package sof
 
 import (
 	"context"
+	"fmt"
 
 	"sof/internal/chain"
 	"sof/internal/core"
@@ -139,12 +140,33 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 // cached shortest-path state over this network becomes stale — it is
 // refreshed lazily, one tree at a time, as the next embeds touch it.
 // Setting a cost to its current value is a no-op and keeps caches warm.
-func (n *Network) SetLinkCost(e EdgeID, cost float64) { n.g.SetEdgeCost(e, cost) }
+// It rejects what Build rejects, an unknown link or a negative, NaN or
+// infinite cost, and a rejected call changes nothing.
+func (n *Network) SetLinkCost(e EdgeID, cost float64) error {
+	if !n.g.ValidEdge(e) {
+		return fmt.Errorf("sof: no link %d", e)
+	}
+	if !graph.ValidCost(cost) {
+		return fmt.Errorf("sof: link %d: invalid cost %v", e, cost)
+	}
+	n.g.SetEdgeCost(e, cost)
+	return nil
+}
 
 // SetVMCost updates a VM's setup cost, with the same epoch semantics as
 // SetLinkCost: only an actual change invalidates (lazily) the session
-// caches.
-func (n *Network) SetVMCost(v NodeID, cost float64) { n.g.SetNodeCost(v, cost) }
+// caches. It rejects a node that is not a VM and the costs SetLinkCost
+// rejects, and a rejected call changes nothing.
+func (n *Network) SetVMCost(v NodeID, cost float64) error {
+	if !n.g.Valid(v) || n.g.Node(v).Kind != graph.KindVM {
+		return fmt.Errorf("sof: node %d is not a VM", v)
+	}
+	if !graph.ValidCost(cost) {
+		return fmt.Errorf("sof: VM %d: invalid cost %v", v, cost)
+	}
+	n.g.SetNodeCost(v, cost)
+	return nil
+}
 
 // VMs lists the VM nodes.
 func (n *Network) VMs() []NodeID { return n.g.VMs() }

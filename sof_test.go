@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -133,5 +134,79 @@ func TestPublicAPIDynamics(t *testing.T) {
 	}
 	if got := len(f.Destinations()); got != 1 {
 		t.Fatalf("destinations = %d, want 1", got)
+	}
+}
+
+// TestNetworkCostSettersRejectInvalid: the public cost setters reject
+// what Build rejects — an unknown link or node, a switch given a setup
+// cost, a negative, NaN or infinite cost — and a rejected call leaves
+// every cost and the cost epoch as they were. A valid change still
+// advances the epoch and invalidates a session's cached trees.
+func TestNetworkCostSettersRejectInvalid(t *testing.T) {
+	net, s, d := buildLine(t)
+	g := net.Graph()
+	costs := func() []float64 {
+		var out []float64
+		for e := 0; e < g.NumEdges(); e++ {
+			out = append(out, g.EdgeCost(EdgeID(e)))
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			out = append(out, g.NodeCost(NodeID(v)))
+		}
+		return out
+	}
+	link, vm := EdgeID(1), NodeID(1)
+	for _, tc := range []struct {
+		name string
+		set  func() error
+	}{
+		{"link -1", func() error { return net.SetLinkCost(-1, 1) }},
+		{"link past the last", func() error { return net.SetLinkCost(EdgeID(g.NumEdges()), 1) }},
+		{"negative link cost", func() error { return net.SetLinkCost(link, -1) }},
+		{"NaN link cost", func() error { return net.SetLinkCost(link, math.NaN()) }},
+		{"+Inf link cost", func() error { return net.SetLinkCost(link, math.Inf(1)) }},
+		{"-Inf link cost", func() error { return net.SetLinkCost(link, math.Inf(-1)) }},
+		{"node -1", func() error { return net.SetVMCost(-1, 1) }},
+		{"node past the last", func() error { return net.SetVMCost(NodeID(g.NumNodes()), 1) }},
+		{"switch", func() error { return net.SetVMCost(s, 1) }},
+		{"negative VM cost", func() error { return net.SetVMCost(vm, -1) }},
+		{"NaN VM cost", func() error { return net.SetVMCost(vm, math.NaN()) }},
+		{"+Inf VM cost", func() error { return net.SetVMCost(vm, math.Inf(1)) }},
+	} {
+		before, epoch := costs(), g.CostEpoch()
+		if err := tc.set(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if after := costs(); !slices.Equal(after, before) || g.CostEpoch() != epoch {
+			t.Errorf("%s: rejected call changed costs %v -> %v or epoch %d -> %d",
+				tc.name, before, after, epoch, g.CostEpoch())
+		}
+	}
+
+	solver := NewSolver(net)
+	req := Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}
+	ctx := context.Background()
+	if _, err := solver.Embed(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	cold, epoch := solver.CacheStats(), g.CostEpoch()
+	if err := net.SetLinkCost(link, 5); err != nil {
+		t.Fatalf("valid link cost: %v", err)
+	}
+	if err := net.SetVMCost(vm, 4); err != nil {
+		t.Fatalf("valid VM cost: %v", err)
+	}
+	if g.EdgeCost(link) != 5 || g.NodeCost(vm) != 4 || g.CostEpoch() == epoch {
+		t.Fatalf("valid changes not applied: link %v, VM %v, epoch %d", g.EdgeCost(link), g.NodeCost(vm), g.CostEpoch())
+	}
+	f, err := solver.Embed(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solver.CacheStats().Misses == cold.Misses {
+		t.Error("a valid cost change did not invalidate the session's trees")
+	}
+	if math.Abs(f.TotalCost()-14) > 1e-9 {
+		t.Errorf("cost after the change = %v, want 14", f.TotalCost())
 	}
 }

@@ -96,7 +96,9 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 	}
 
 	// Rewriting a cost to its current value must not advance the epoch.
-	snet.SetLinkCost(0, net.G.EdgeCost(0))
+	if err := snet.SetLinkCost(0, net.G.EdgeCost(0)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := solver.Embed(ctx, req); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,9 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 
 	// A real change invalidates: the next embed recomputes and matches a
 	// fresh one-shot solve on the mutated network.
-	snet.SetLinkCost(0, net.G.EdgeCost(0)*10+1)
+	if err := snet.SetLinkCost(0, net.G.EdgeCost(0)*10+1); err != nil {
+		t.Fatal(err)
+	}
 	mutated, err := solver.Embed(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +428,9 @@ func TestSolverSolvedChainCacheWarmStream(t *testing.T) {
 
 	// A VM-cost change invalidates the memo; the re-embed must match a
 	// fresh session on the mutated network exactly.
-	snet.SetVMCost(net.VMs[0], net.G.NodeCost(net.VMs[0])+7)
+	if err := snet.SetVMCost(net.VMs[0], net.G.NodeCost(net.VMs[0])+7); err != nil {
+		t.Fatal(err)
+	}
 	mutated, err := solver.Embed(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +449,9 @@ func TestSolverSolvedChainCacheWarmStream(t *testing.T) {
 
 	// And a link-cost change does too.
 	pre := solver.CacheStats().ChainMisses
-	snet.SetLinkCost(0, net.G.EdgeCost(0)+3)
+	if err := snet.SetLinkCost(0, net.G.EdgeCost(0)+3); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := solver.Embed(ctx, req); err != nil {
 		t.Fatal(err)
 	}
