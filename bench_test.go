@@ -450,12 +450,15 @@ func BenchmarkFig12Online(b *testing.B) {
 // endpoints drawn from a 64-node access pool, and repricing batched every
 // 512 accepts so the session's warm shortest-path state survives between
 // passes. The headline metrics are ms/arrival (sub-millisecond) and
-// dijkstras/arrival — the amortized SSSP work the delta-stepping relaxer
-// plus the warm cache leave per request. accept-% and dijkstras/op are
+// dijkstras/arrival — the amortized full SSSP runs the delta-stepping
+// relaxer plus the warm cache leave per request. tree-repairs/op and
+// tree-carries/op count the stale trees the oracle repaired or carried
+// across cost epochs instead of running in full; the three together are
+// the trees the session built. accept-% and the tree counters are
 // deterministic and exact-gated; wall clock is informational.
 func BenchmarkLifecycle(b *testing.B) {
 	run := func(b *testing.B, algo online.Algorithm, nodes, access, vms, arrivals int, cfg online.Config) {
-		var accepted, departed, live, dijkstras float64
+		var accepted, departed, live, dijkstras, repairs, carries float64
 		var latencies []time.Duration
 		for i := 0; i < b.N; i++ {
 			net, err := topology.Inet(nodes, 2*nodes, access, topology.Config{NumVMs: vms, Seed: 1})
@@ -472,6 +475,8 @@ func BenchmarkLifecycle(b *testing.B) {
 			departed += float64(st.Departed)
 			live += float64(len(sim.Solver().Leases()))
 			dijkstras += float64(st.Dijkstras)
+			repairs += float64(st.Repaired)
+			carries += float64(st.Carried)
 			latencies = append(latencies, st.EmbedLatencies...)
 		}
 		n := float64(b.N)
@@ -480,6 +485,8 @@ func BenchmarkLifecycle(b *testing.B) {
 		b.ReportMetric(live/n, "live-leases/op")
 		b.ReportMetric(dijkstras/n, "dijkstras/op")
 		b.ReportMetric(dijkstras/(n*float64(arrivals)), "dijkstras/arrival")
+		b.ReportMetric(repairs/n, "tree-repairs/op")
+		b.ReportMetric(carries/n, "tree-carries/op")
 		b.ReportMetric(float64(b.Elapsed().Milliseconds())/(n*float64(arrivals)), "ms/arrival")
 		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 		p99 := latencies[(len(latencies)*99+99)/100-1]
@@ -526,10 +533,13 @@ func BenchmarkTable2QoE(b *testing.B) {
 // BenchmarkFailureRecovery measures the survivable-forest repair path
 // against re-embedding the damaged services from scratch under the same
 // failure state. The deterministic counters are the headline: fast-path
-// recoveries as a share of reattachments, and the oracle Dijkstra misses
-// repair needed versus what scratch re-embeds of the same requests cost —
-// grafting from the break point should re-derive far fewer trees.
-// p99-recovery-ms is wall clock and informational only.
+// recoveries as a share of reattachments, and the oracle's full Dijkstra
+// runs repair needed versus what scratch re-embeds of the same requests
+// cost — grafting from the break point should re-derive far fewer trees.
+// tree-repairs/op and tree-carries/op count the stale trees the repair
+// sweep's oracle repaired or carried across the failure's cost epoch
+// instead of running in full. p99-recovery-ms is wall clock and
+// informational only.
 func BenchmarkFailureRecovery(b *testing.B) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 3})
 	snet := sof.FromGraph(net.G)
@@ -545,6 +555,7 @@ func BenchmarkFailureRecovery(b *testing.B) {
 	ctx := context.Background()
 	var (
 		repairDij, scratchDij   float64
+		treeRepairs, carries    float64
 		fastPath, reattached    float64
 		blast                   float64
 		repairCost, scratchCost float64
@@ -573,14 +584,17 @@ func BenchmarkFailureRecovery(b *testing.B) {
 				}
 			}
 		}
-		base := solver.CacheStats().Misses
+		base := solver.CacheStats()
 		start := time.Now()
 		rep, err := solver.RepairAll(ctx)
 		if err != nil && !errors.Is(err, sof.ErrUnrecoverable) {
 			b.Fatal(err)
 		}
 		latencies = append(latencies, time.Since(start))
-		repairDij += float64(solver.CacheStats().Misses - base)
+		st := solver.CacheStats()
+		repairDij += float64(st.Misses - base.Misses)
+		treeRepairs += float64(st.Repaired - base.Repaired)
+		carries += float64(st.Carried - base.Carried)
 		fastPath += float64(rep.FastPath)
 		reattached += float64(rep.Reattached)
 		blast += float64(rep.ForestsTouched)
@@ -599,6 +613,8 @@ func BenchmarkFailureRecovery(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(repairDij/n, "repair-dijkstras/op")
 	b.ReportMetric(scratchDij/n, "scratch-dijkstras/op")
+	b.ReportMetric(treeRepairs/n, "tree-repairs/op")
+	b.ReportMetric(carries/n, "tree-carries/op")
 	if reattached > 0 {
 		b.ReportMetric(100*fastPath/reattached, "fastpath-%")
 	}

@@ -6,7 +6,9 @@
 // the underlying network and converts (source, last VM, chain length)
 // queries into k-stroll instances on the auxiliary complete graph 𝒢 of
 // Procedure 1. Solved strolls are materialized back into walks on the real
-// network with VNF placements (Procedure 2).
+// network with VNF placements (Procedure 2). A tree that a cost change made
+// stale is carried or repaired from its previous version when
+// graph.RepairTree can, and rebuilt by a full run otherwise.
 package chain
 
 import (
@@ -145,6 +147,10 @@ type Options struct {
 // SetEdgeCost/SetNodeCost invalidate lazily — the next query at the new
 // epoch recomputes exactly the trees it touches, and an Oracle held across
 // a stream of unchanged-cost requests keeps answering from warm state.
+// Recomputing a stale tree first tries graph.RepairTree on the tree it
+// replaces: a carry when nothing the tree depends on changed, a repair of
+// the broken subtrees when few elements changed, and a full Dijkstra run
+// otherwise. All three give the tree a full run would.
 type Oracle struct {
 	g      *graph.Graph
 	solver kstroll.Solver
@@ -155,10 +161,14 @@ type Oracle struct {
 	mu    sync.RWMutex
 	trees map[graph.NodeID]*treeEntry
 
-	// hits counts tree lookups answered from a current-epoch cache entry;
-	// misses counts Dijkstra computations (cold or stale-epoch lookups).
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	// hits counts tree lookups answered from a current-epoch cache entry.
+	// Every cold or stale lookup is one of the other three: misses counts
+	// full Dijkstra runs, repaired and carried the stale trees
+	// graph.RepairTree repaired or carried.
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	repaired atomic.Uint64
+	carried  atomic.Uint64
 
 	// Solved-chain memoization: Chain() results keyed by (source, last VM,
 	// chain length, candidate-set hash) within one cost epoch, with the
@@ -227,11 +237,56 @@ func hashNodes(ns []graph.NodeID) uint64 {
 // treeEntry is a singleflight slot for one origin's Dijkstra tree at one
 // cost epoch: the first goroutine to reach the entry computes the tree
 // inside once, any concurrent goroutine blocks on it instead of
-// recomputing. A stale-epoch entry is replaced wholesale on next access.
+// recomputing. A stale-epoch entry is replaced wholesale on next access;
+// the replacement keeps the stale entry's tree in prev, as the base of a
+// repair, until it is filled.
 type treeEntry struct {
 	epoch uint64
 	once  sync.Once
 	sp    *graph.ShortestPaths
+	// done is set once sp is; a replacement reads sp only after it.
+	done atomic.Bool
+	prev *graph.ShortestPaths
+}
+
+// newTreeEntry returns an empty entry for epoch that replaces old (nil
+// when there is none). old's tree is read only once old is filled: an
+// entry another goroutine is still filling has no tree to offer.
+func newTreeEntry(epoch uint64, old *treeEntry) *treeEntry {
+	e := &treeEntry{epoch: epoch}
+	if old != nil && old.done.Load() {
+		e.prev = old.sp
+	}
+	return e
+}
+
+// fill publishes sp as e's tree and drops the repair base. Callers run it
+// inside e.once.
+func (e *treeEntry) fill(sp *graph.ShortestPaths) {
+	e.sp = sp
+	e.prev = nil
+	e.done.Store(true)
+}
+
+// reuse returns prev, a stale tree, brought up to the current epoch by
+// graph.RepairTree: prev itself when carried, a repaired tree, or nil
+// when only a full run can build the tree (always when prev is nil).
+func (o *Oracle) reuse(prev *graph.ShortestPaths) *graph.ShortestPaths {
+	if prev == nil {
+		return nil
+	}
+	return graph.RepairTree(o.g, prev)
+}
+
+// countReuse charges a tree reuse returned from prev as a carry or a
+// repair. Callers run it inside the filled entry's once, so that every
+// cold or stale lookup is charged exactly once.
+func (o *Oracle) countReuse(sp, prev *graph.ShortestPaths) {
+	if sp == prev {
+		o.carried.Add(1)
+	} else {
+		o.repaired.Add(1)
+	}
 }
 
 // NewOracle returns an oracle over g.
@@ -263,7 +318,7 @@ func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
 		// before it (the costs Dijkstra reads are the post-mutation ones).
 		epoch = o.g.CostEpoch()
 		if e, ok = o.trees[n]; !ok || e.epoch != epoch {
-			e = &treeEntry{epoch: epoch}
+			e = newTreeEntry(epoch, e)
 			o.trees[n] = e
 		}
 		o.mu.Unlock()
@@ -271,8 +326,14 @@ func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
 	hit := true
 	e.once.Do(func() {
 		hit = false
-		o.misses.Add(1)
-		e.sp = graph.Dijkstra(o.g, n)
+		sp := o.reuse(e.prev)
+		if sp != nil {
+			o.countReuse(sp, e.prev)
+		} else {
+			o.misses.Add(1)
+			sp = graph.Dijkstra(o.g, n)
+		}
+		e.fill(sp)
 	})
 	if hit {
 		o.hits.Add(1)
@@ -293,24 +354,28 @@ func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
 func (o *Oracle) Tree(n graph.NodeID) *graph.ShortestPaths { return o.tree(n) }
 
 // WarmTrees computes the shortest-path trees of every origin in origins
-// that is not already cached at the current epoch, in batched Dijkstra
-// passes (one shared arena and CSR fetch per chunk) instead of one pooled
-// run per origin. It returns the number of trees computed here. Origins
-// whose tree another goroutine is already computing are skipped — the
-// singleflight entry covers them.
+// that is not already cached at the current epoch. A stale tree is first
+// carried or repaired, as a demand lookup would; the rest run in batched
+// Dijkstra passes (one shared arena and CSR fetch per chunk) instead of
+// one pooled run per origin. It returns the number of entries filled
+// here, of any kind. Origins whose tree another goroutine is already
+// computing are skipped — the singleflight entry covers them.
 //
 // Warming is miss-neutral: each tree computed here counts as exactly the
-// one cache miss the first demand lookup would have charged, so
-// miss-count invariants (and the benchmarks gating on them) see the same
+// one miss, repair or carry the first demand lookup would have charged,
+// so the counters (and the benchmarks gating on them) see the same
 // totals whether a session warms or faults trees in.
 //
 // ctx is checked between chunks: on cancellation the remaining entries
 // are left unfulfilled, and the next demand lookup computes them through
 // the usual singleflight path.
 func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
+	// prev is e.prev, read while the entry is still private: fill clears
+	// e.prev, so it may not be read outside e.once after publication.
 	type slot struct {
-		n graph.NodeID
-		e *treeEntry
+		n    graph.NodeID
+		e    *treeEntry
+		prev *graph.ShortestPaths
 	}
 	var pending []slot
 	seen := make(map[graph.NodeID]bool, len(origins))
@@ -328,53 +393,71 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 		if ok && e.epoch == epoch {
 			continue
 		}
-		e = &treeEntry{epoch: epoch}
+		e = newTreeEntry(epoch, e)
 		o.trees[n] = e
-		pending = append(pending, slot{n: n, e: e})
+		pending = append(pending, slot{n: n, e: e, prev: e.prev})
 	}
 	o.mu.Unlock()
 	if len(pending) == 0 {
 		return 0
 	}
 	const chunk = 16
+	rest := make([]slot, 0, chunk)
 	batch := make([]graph.NodeID, 0, chunk)
-	computed := 0
+	filled := 0
 	for lo := 0; lo < len(pending); lo += chunk {
 		if ctx != nil && ctx.Err() != nil {
 			// Abandoned entries stay published with an unfired once; the
 			// next Tree() call on them computes as usual.
-			return computed
+			return filled
 		}
-		hi := lo + chunk
-		if hi > len(pending) {
-			hi = len(pending)
-		}
-		batch = batch[:0]
+		hi := min(lo+chunk, len(pending))
+		rest, batch = rest[:0], batch[:0]
 		for _, s := range pending[lo:hi] {
-			batch = append(batch, s.n)
+			sp := o.reuse(s.prev)
+			if sp == nil {
+				rest = append(rest, s)
+				batch = append(batch, s.n)
+				continue
+			}
+			s.e.once.Do(func() {
+				o.countReuse(sp, s.prev)
+				s.e.fill(sp)
+				filled++
+			})
+		}
+		if len(batch) == 0 {
+			continue
 		}
 		sps := graph.DijkstraBatch(o.g, batch, nil)
-		for i, s := range pending[lo:hi] {
-			sp := sps[i]
+		for i, s := range rest {
 			s.e.once.Do(func() {
 				o.misses.Add(1)
-				s.e.sp = sp
-				computed++
+				s.e.fill(sps[i])
+				filled++
 			})
 		}
 	}
-	return computed
+	return filled
 }
 
 // CacheStats is a point-in-time snapshot of the oracle's cache counters.
-// Misses equals the number of Dijkstra computations performed; Hits counts
-// tree lookups answered from a current-epoch entry (including waiters
-// that shared an in-flight computation). ChainMisses counts k-stroll
-// solves (each one instance build + solve + materialization); ChainHits
-// counts Chain() calls answered from a current-epoch solved-chain entry.
+// Hits counts tree lookups answered from a current-epoch entry (including
+// waiters that shared an in-flight computation). Every other tree lookup,
+// cold or stale, is exactly one of three: Misses counts full Dijkstra
+// runs; Repaired counts stale trees graph.RepairTree brought up to date
+// by settling again only their broken subtrees; Carried counts stale
+// trees served unchanged because nothing they depend on moved (a blocked
+// origin that stays blocked, or only node costs changed). So Misses +
+// Repaired + Carried is the number of trees built. ChainMisses counts
+// k-stroll solves (each one instance build + solve + materialization);
+// ChainHits counts Chain() calls answered from a current-epoch
+// solved-chain entry.
 type CacheStats struct {
 	Hits        uint64
 	Misses      uint64
+	Repaired    uint64
+	Carried     uint64
 	ChainHits   uint64
 	ChainMisses uint64
 }
@@ -386,6 +469,8 @@ func (o *Oracle) Stats() CacheStats {
 	return CacheStats{
 		Hits:        o.hits.Load(),
 		Misses:      o.misses.Load(),
+		Repaired:    o.repaired.Load(),
+		Carried:     o.carried.Load(),
 		ChainHits:   o.chainHits.Load(),
 		ChainMisses: o.chainMiss.Load(),
 	}

@@ -49,26 +49,29 @@ func TestOracleEpochKeyedCache(t *testing.T) {
 		t.Fatalf("same-value write: misses = %d, want 1", st.Misses)
 	}
 
-	// A real change makes the cached tree stale; the next query recomputes
-	// and must see the new cost.
+	// A real change makes the cached tree stale; the next query rebuilds
+	// it (a full run, a repair or a carry) and must see the new cost.
 	g.SetEdgeCost(e, 10)
 	_, _, cost, err := o.Path(s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st = o.Stats(); st.Misses != 2 {
-		t.Fatalf("post-change query: misses = %d, want 2", st.Misses)
+	if st = o.Stats(); built(st) != 2 || st.Hits != 2 {
+		t.Fatalf("post-change query: stats = %+v, want 2 trees built / 2 hits", st)
 	}
 	if cost != 3 { // s→v2→d once s→v1 costs 10+1
 		t.Errorf("post-change path cost = %v, want 3", cost)
 	}
+	sameTree(t, g, o.Tree(s))
 
-	// InvalidateCache stays a valid explicit flush: one epoch bump.
+	// InvalidateCache stays a valid explicit flush: one epoch bump that
+	// says nothing of what changed, so the tree takes a full run.
+	misses := o.Stats().Misses
 	o.InvalidateCache()
 	if _, _, _, err := o.Path(s, d); err != nil {
 		t.Fatal(err)
 	}
-	if st = o.Stats(); st.Misses != 3 {
-		t.Fatalf("post-invalidate query: misses = %d, want 3", st.Misses)
+	if st = o.Stats(); st.Misses != misses+1 || built(st) != 3 {
+		t.Fatalf("post-invalidate query: stats = %+v, want one more full run", st)
 	}
 }

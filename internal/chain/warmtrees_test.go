@@ -2,6 +2,8 @@ package chain
 
 import (
 	"context"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"sof/internal/graph"
@@ -45,26 +47,96 @@ func TestWarmTreesMissNeutral(t *testing.T) {
 	}
 }
 
+// built is the number of trees an oracle built: full runs, repairs and
+// carries. Every cold or stale lookup adds exactly one.
+func built(st CacheStats) uint64 { return st.Misses + st.Repaired + st.Carried }
+
+// sameTree fails the test unless the served tree got is, bit for bit, the
+// tree a full run over g builds from got.Source.
+func sameTree(t *testing.T, g *graph.Graph, got *graph.ShortestPaths) {
+	t.Helper()
+	want := graph.Dijkstra(g, got.Source)
+	for v := range want.Dist {
+		if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ParentEdge[v] != want.ParentEdge[v] {
+			t.Fatalf("tree from %d, node %d: served (%v,%d,%d), full run (%v,%d,%d)", got.Source, v,
+				got.Dist[v], got.Parent[v], got.ParentEdge[v], want.Dist[v], want.Parent[v], want.ParentEdge[v])
+		}
+	}
+}
+
 // TestWarmTreesEpochInvalidation: a cost mutation stales every warmed
-// tree; the next warm recomputes them at the new epoch and serves fresh
-// distances.
+// tree; the next warm rebuilds each of them once at the new epoch (a full
+// run, a repair or a carry) and serves the fresh trees.
 func TestWarmTreesEpochInvalidation(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 6, Seed: 9})
 	o := NewOracle(net.G, Options{})
 	origins := net.VMs[:3]
 	if got := o.WarmTrees(context.Background(), origins); got != 3 {
-		t.Fatalf("first warm computed %d, want 3", got)
+		t.Fatalf("first warm filled %d, want 3", got)
 	}
+	before := o.Stats()
 	net.G.SetEdgeCost(0, net.G.EdgeCost(0)+1)
 	if got := o.WarmTrees(context.Background(), origins); got != 3 {
-		t.Fatalf("warm after re-pricing computed %d, want 3", got)
+		t.Fatalf("warm after re-pricing filled %d, want 3", got)
 	}
-	want := graph.Dijkstra(net.G, origins[0])
-	got := o.Tree(origins[0])
-	for v := range want.Dist {
-		if got.Dist[v] != want.Dist[v] {
-			t.Fatalf("stale distance served after re-warm: Dist[%d]=%v want %v", v, got.Dist[v], want.Dist[v])
+	if st := o.Stats(); built(st) != built(before)+3 || st.Hits != before.Hits {
+		t.Fatalf("warm after re-pricing: stats %+v after %+v, want 3 trees built and no hit", st, before)
+	}
+	for _, n := range origins {
+		sameTree(t, net.G, o.Tree(n))
+	}
+}
+
+// TestOracleConcurrentStaleReaders races Tree and WarmTrees from several
+// goroutines over entries a cost change made stale, several rounds in a
+// row: each stale entry is filled exactly once, whoever gets there
+// first, and every served tree is the full run's. Run it under -race.
+func TestOracleConcurrentStaleReaders(t *testing.T) {
+	net, err := topology.Inet(400, 800, 20, topology.Config{NumVMs: 20, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.G
+	o := NewOracle(g, Options{})
+	origins := append(append([]graph.NodeID(nil), net.VMs...), net.Access[:20]...)
+	o.WarmTrees(context.Background(), origins)
+	rng := rand.New(rand.NewSource(4))
+	var reused uint64
+	for round := 0; round < 8; round++ {
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			e := graph.EdgeID(rng.Intn(g.NumEdges()))
+			g.SetEdgeCost(e, g.EdgeCost(e)*(0.5+rng.Float64()))
 		}
+		before := o.Stats()
+		var wg sync.WaitGroup
+		for w := 0; w < 6; w++ {
+			order := append([]graph.NodeID(nil), origins...)
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			wg.Add(1)
+			go func(warm bool) {
+				defer wg.Done()
+				if warm {
+					o.WarmTrees(context.Background(), order)
+					return
+				}
+				for _, n := range order {
+					o.Tree(n)
+				}
+			}(w%2 == 0)
+		}
+		wg.Wait()
+		st := o.Stats()
+		if built(st)-built(before) != uint64(len(origins)) {
+			t.Fatalf("round %d: %d trees built for %d stale entries (stats %+v after %+v)",
+				round, built(st)-built(before), len(origins), st, before)
+		}
+		reused += st.Repaired + st.Carried - before.Repaired - before.Carried
+		for _, n := range origins {
+			sameTree(t, g, o.Tree(n))
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no stale tree was repaired or carried; the race exercises full runs only")
 	}
 }
 

@@ -36,7 +36,7 @@ type LifecycleRow struct {
 	// admitted request); Cost the accumulated embedding cost.
 	Revenue float64
 	Cost    float64
-	// MeanDijkstras is the amortized shortest-path tree builds per arrival
+	// MeanDijkstras is the amortized full shortest-path runs per arrival
 	// — the warm-cache effect the scaled soak exists to demonstrate.
 	MeanDijkstras float64
 	P99           time.Duration

@@ -338,6 +338,9 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 		sp.Parent[i] = None
 		sp.ParentEdge[i] = NoEdge
 	}
+	if !lay.hasZero {
+		sp.built = treeStamp{g: g, epoch: lay.epoch, edges: lay.edges}
+	}
 	fs := g.block.blocked.Load()
 	if fs.NodeFailed(sp.Source) {
 		return

@@ -14,7 +14,7 @@ func sameTree(t *testing.T, label string, got, want *ShortestPaths) {
 	t.Helper()
 	for u := range want.Dist {
 		if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-			t.Fatalf("%s node %d: delta (%v,%d,%d) != heap (%v,%d,%d)", label, u,
+			t.Fatalf("%s node %d: got (%v,%d,%d) != heap (%v,%d,%d)", label, u,
 				got.Dist[u], got.Parent[u], got.ParentEdge[u],
 				want.Dist[u], want.Parent[u], want.ParentEdge[u])
 		}

@@ -18,6 +18,9 @@ type ShortestPaths struct {
 	Parent []NodeID
 	// ParentEdge[v] is the edge used to reach v from Parent[v].
 	ParentEdge []EdgeID
+	// built records the layout that built the tree, which RepairTree
+	// reads to decide whether the tree can be its base.
+	built treeStamp
 }
 
 // Reachable reports whether t is reachable from the source.
@@ -72,10 +75,12 @@ type Arena struct {
 	h    IndexedHeap
 	done []uint64
 	// tgt stamps the targets of a truncated run (Overlay.DijkstraTo) with
-	// the run's generation, like done stamps its settled nodes.
+	// the run's generation, like done stamps its settled nodes. RepairTree
+	// stamps its invalidated nodes in done and its re-derived ones in tgt.
 	tgt []uint64
 	gen uint64
 	ds  deltaScratch
+	rs  repairScratch
 }
 
 // NewArena returns an empty arena. Passing nil to DijkstraBatch borrows

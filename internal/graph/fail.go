@@ -236,7 +236,11 @@ func (g *Graph) setMarkBit(store *failStore, edge bool, i, size int, val bool) b
 	}
 	store.snap.Store(ns)
 	g.republishBlocked()
-	g.epoch.Add(1)
+	if edge {
+		g.bump(changeEdge, i)
+	} else {
+		g.bump(changeNode, i)
+	}
 	return true
 }
 
@@ -331,7 +335,7 @@ func (g *Graph) RestoreAll() (edges, nodes int) {
 	}
 	g.block.fail.snap.Store(nil)
 	g.republishBlocked()
-	g.epoch.Add(1)
+	g.bump(changeUnknown, -1)
 	return edges, nodes
 }
 
@@ -348,6 +352,6 @@ func (g *Graph) UnmaskAll() (edges, nodes int) {
 	}
 	g.block.mask.snap.Store(nil)
 	g.republishBlocked()
-	g.epoch.Add(1)
+	g.bump(changeUnknown, -1)
 	return edges, nodes
 }

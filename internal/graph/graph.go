@@ -6,7 +6,11 @@
 // Shortest-path trees come from delta-stepping whenever the edge costs
 // admit a bucket width (a positive, finite largest cost), and from an
 // indexed-heap Dijkstra otherwise. The two build bit-identical trees;
-// Arena.DijkstraHeap runs the heap alone as the reference.
+// Arena.DijkstraHeap runs the heap alone as the reference. Every cost
+// epoch bump is recorded in a bounded change log, and RepairTree uses it
+// to bring a tree built at an earlier epoch up to date by settling again
+// only the subtrees the changes broke; the repaired tree is bit-identical
+// to a full run's (see repair.go).
 //
 // The model follows Section III of the paper: V = M ∪ U where M is the set
 // of virtual-machine nodes carrying a nonnegative setup cost and U is the
@@ -111,6 +115,9 @@ type Graph struct {
 	// mean the graph is fully open, which is the steady state the
 	// traversal hot loops are optimized for.
 	block blockState
+	// log records what each epoch bump changed, for RepairTree (see
+	// repair.go).
+	log changeLog
 }
 
 // New returns an empty graph with capacity hints.
@@ -202,7 +209,7 @@ func (g *Graph) SetNodeCost(id NodeID, cost float64) {
 		return
 	}
 	g.nodes[id].Cost = cost
-	g.epoch.Add(1)
+	g.bump(changeNodeCost, int(id))
 }
 
 // SetEdgeCost updates the connection cost of an edge (used by load-aware
@@ -216,7 +223,7 @@ func (g *Graph) SetEdgeCost(id EdgeID, cost float64) {
 		return
 	}
 	g.edges[id].Cost = cost
-	g.epoch.Add(1)
+	g.bump(changeEdge, int(id))
 }
 
 // CostEpoch returns the current cost generation. Derived state (shortest-
@@ -227,8 +234,9 @@ func (g *Graph) CostEpoch() uint64 { return g.epoch.Load() }
 // BumpCostEpoch force-advances the cost epoch, lazily invalidating every
 // epoch-keyed cache over this graph without touching any of them. It exists
 // for callers that mutated costs through means the setters cannot see, or
-// that want an explicit full invalidation.
-func (g *Graph) BumpCostEpoch() { g.epoch.Add(1) }
+// that want an explicit full invalidation: the bump does not say what
+// changed, so RepairTree rebuilds no tree across it.
+func (g *Graph) BumpCostEpoch() { g.bump(changeUnknown, -1) }
 
 // Adj returns the adjacency list of n. The returned slice must not be
 // modified by the caller.
@@ -295,6 +303,9 @@ func (g *Graph) Clone() *Graph {
 		out.adj[i] = a[:len(a):len(a)]
 	}
 	out.epoch.Store(g.epoch.Load())
+	// The clone's log starts empty at its epoch: none of g's history may
+	// repair a tree of the clone, nor the reverse.
+	out.log.floor = out.epoch.Load()
 	// Failure/mask snapshots are immutable, so the clone can share the
 	// current ones; its own Fail/Restore/Mask calls publish fresh
 	// snapshots.

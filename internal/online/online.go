@@ -147,10 +147,15 @@ type LifecycleStats struct {
 	Infeasible       int
 	// Departed counts leases released by TTL expiry during the run.
 	Departed int
-	// Dijkstras counts the session oracle's shortest-path tree builds
-	// (cache misses) over the whole run; the quotient with Arrivals is the
-	// amortized SSSP cost per request the warm cache achieves.
+	// Dijkstras counts the session oracle's full shortest-path runs
+	// (CacheStats.Misses) over the whole run; the quotient with Arrivals
+	// is the amortized SSSP cost per request the warm cache achieves.
+	// Repaired and Carried count the stale trees the oracle repaired or
+	// carried across cost epochs instead (CacheStats.Repaired and
+	// Carried), so the three sum to the trees the session built.
 	Dijkstras uint64
+	Repaired  uint64
+	Carried   uint64
 	// EmbedLatencies holds one wall-clock embedding duration per arrival,
 	// accepted or not.
 	EmbedLatencies []time.Duration
@@ -165,7 +170,7 @@ func (st *LifecycleStats) AcceptRate() float64 {
 	return float64(st.Accepted) / float64(st.Arrivals)
 }
 
-// MeanDijkstras returns the mean shortest-path tree builds per arrival
+// MeanDijkstras returns the mean full shortest-path runs per arrival
 // (0 before any arrivals).
 func (st *LifecycleStats) MeanDijkstras() float64 {
 	if st.Arrivals == 0 {
@@ -253,6 +258,12 @@ func (s *Simulator) Solver() *sof.Solver { return s.solver }
 // Lifecycle exposes the run's admission and departure counters.
 func (s *Simulator) Lifecycle() *LifecycleStats { return &s.lifecycle }
 
+// countTrees copies the session oracle's tree counters into the stats.
+func (s *Simulator) countTrees() {
+	st := s.solver.CacheStats()
+	s.lifecycle.Dijkstras, s.lifecycle.Repaired, s.lifecycle.Carried = st.Misses, st.Repaired, st.Carried
+}
+
 // drawTTL samples a request lifetime from cfg.TTLRange (0 when the range
 // is unset: the service stays for the whole run).
 func (s *Simulator) drawTTL() int64 {
@@ -321,7 +332,7 @@ func (s *Simulator) StepCtx(ctx context.Context) (Result, error) {
 		}
 		s.step++
 		s.lifecycle.Arrivals++
-		s.lifecycle.Dijkstras = s.solver.CacheStats().Misses
+		s.countTrees()
 		s.lifecycle.EmbedLatencies = append(s.lifecycle.EmbedLatencies, embedTime)
 		switch {
 		case errors.Is(err, sof.ErrCapacityExceeded):
@@ -340,7 +351,7 @@ func (s *Simulator) StepCtx(ctx context.Context) (Result, error) {
 	s.step++
 	s.lifecycle.Arrivals++
 	s.lifecycle.Accepted++
-	s.lifecycle.Dijkstras = s.solver.CacheStats().Misses
+	s.countTrees()
 	s.lifecycle.EmbedLatencies = append(s.lifecycle.EmbedLatencies, embedTime)
 	res := Result{
 		Request: s.step,

@@ -203,9 +203,10 @@ func TestNetworkCostSettersRejectInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solver.CacheStats().Misses == cold.Misses {
+	if treesBuilt(solver.CacheStats()) == treesBuilt(cold) {
 		t.Error("a valid cost change did not invalidate the session's trees")
 	}
+	checkFreshTree(t, solver, s)
 	if math.Abs(f.TotalCost()-14) > 1e-9 {
 		t.Errorf("cost after the change = %v, want 14", f.TotalCost())
 	}

@@ -108,17 +108,20 @@ func NewSolver(net *Network, opts ...Option) *Solver {
 // Network returns the network the session embeds on.
 func (s *Solver) Network() *Network { return s.net }
 
-// CacheStats is a snapshot of the session's cache counters: Misses counts
-// Dijkstra computations and Hits tree queries answered from a
-// current-epoch cache entry; ChainMisses counts k-stroll solves and
-// ChainHits candidate-chain queries answered from the solved-chain memo.
+// CacheStats is a snapshot of the session's cache counters: Hits counts
+// tree queries answered from a current-epoch cache entry, and every other
+// tree query is one full Dijkstra run (Misses), one repair of a stale
+// tree (Repaired) or one stale tree served unchanged (Carried);
+// ChainMisses counts k-stroll solves and ChainHits candidate-chain
+// queries answered from the solved-chain memo.
 type CacheStats = chain.CacheStats
 
 // CacheStats reports the session oracle's hit/miss counters. Misses is
-// the total number of Dijkstra computations the session has paid and
+// the total number of full Dijkstra runs the session has paid and
 // ChainMisses the total number of k-stroll solves — the two quantities
-// the warm-cache benchmarks compare; ChainHits/(ChainHits+ChainMisses)
-// is the solved-chain cache hit rate.
+// the warm-cache benchmarks compare; Misses+Repaired+Carried is the
+// number of trees built, and ChainHits/(ChainHits+ChainMisses) is the
+// solved-chain cache hit rate.
 func (s *Solver) CacheStats() CacheStats { return s.oracle.Stats() }
 
 // Embed computes a service overlay forest for req with the session's

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"sof/internal/graph"
 	"sof/internal/topology"
 )
 
@@ -84,9 +85,9 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := solver.CacheStats()
-	if warm.Misses != cold.Misses {
-		t.Errorf("unchanged-cost re-embed recomputed %d trees; cache entries did not survive",
-			warm.Misses-cold.Misses)
+	if treesBuilt(warm) != treesBuilt(cold) {
+		t.Errorf("unchanged-cost re-embed rebuilt %d trees; cache entries did not survive",
+			treesBuilt(warm)-treesBuilt(cold))
 	}
 	if warm.Hits <= cold.Hits {
 		t.Error("warm embed recorded no cache hits")
@@ -102,12 +103,13 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 	if _, err := solver.Embed(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := solver.CacheStats(); got.Misses != cold.Misses {
-		t.Errorf("same-value SetLinkCost invalidated the cache (%d new misses)", got.Misses-cold.Misses)
+	if got := solver.CacheStats(); treesBuilt(got) != treesBuilt(cold) {
+		t.Errorf("same-value SetLinkCost invalidated the cache (%d trees rebuilt)", treesBuilt(got)-treesBuilt(cold))
 	}
 
-	// A real change invalidates: the next embed recomputes and matches a
-	// fresh one-shot solve on the mutated network.
+	// A real change invalidates: the next embed rebuilds trees (full runs,
+	// repairs or carries), serves the fresh ones, and matches a fresh
+	// one-shot solve on the mutated network.
 	if err := snet.SetLinkCost(0, net.G.EdgeCost(0)*10+1); err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +118,11 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := solver.CacheStats()
-	if after.Misses == cold.Misses {
+	if treesBuilt(after) == treesBuilt(cold) {
 		t.Error("cost change did not invalidate the cache")
+	}
+	for _, src := range req.Sources {
+		checkFreshTree(t, solver, src)
 	}
 	fresh, err := snet.Embed(req, AlgorithmSOFDA)
 	if err != nil {
@@ -125,6 +130,24 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 	}
 	if mutated.TotalCost() != fresh.TotalCost() {
 		t.Errorf("post-mutation session cost %v != fresh solve %v", mutated.TotalCost(), fresh.TotalCost())
+	}
+}
+
+// treesBuilt is the number of trees a session's oracle built: full runs,
+// repairs and carries. Every cold or stale tree lookup adds exactly one.
+func treesBuilt(st CacheStats) uint64 { return st.Misses + st.Repaired + st.Carried }
+
+// checkFreshTree fails the test unless the session serves, for origin n,
+// bit for bit the tree a full run over the network's current state
+// builds.
+func checkFreshTree(t *testing.T, s *Solver, n NodeID) {
+	t.Helper()
+	got, want := s.oracle.Tree(n), graph.Dijkstra(s.net.g, n)
+	for v := range want.Dist {
+		if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ParentEdge[v] != want.ParentEdge[v] {
+			t.Fatalf("tree from %d, node %d: served (%v,%d,%d), full run (%v,%d,%d)", n, v,
+				got.Dist[v], got.Parent[v], got.ParentEdge[v], want.Dist[v], want.Parent[v], want.ParentEdge[v])
+		}
 	}
 }
 
