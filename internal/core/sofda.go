@@ -307,13 +307,13 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 // refinement. Both the centralized SOFDA and the distributed leader end
 // here, which is what makes their costs provably identical on equal Ĝ.
 //
-// The Steiner phase is KMB over {ŝ} ∪ dests on Ĝ with one Dijkstra run on
-// Ĝ: ŝ's, truncated once every destination is settled. If it misses a
-// destination, the phase fails before it touches the oracle. Every
-// destination's closure row is the oracle's shortest-path tree over the
-// real network — the trees the refinement reads anyway, so a warm session
-// answers them from cache and the refinement reuses them. The tree is the
-// one full Ĝ rows would give:
+// The Steiner phase is KMB over {ŝ} ∪ dests on Ĝ with one shortest-path
+// run on Ĝ: ŝ's, which may stop once every destination is settled (see
+// sourceRow). If it misses a destination, the phase fails before it touches
+// the oracle. Every destination's closure row is the oracle's
+// shortest-path tree over the real network — the trees the refinement
+// reads anyway, so a warm session answers them from cache and the
+// refinement reuses them. The tree is the one full Ĝ rows would give:
 //
 //   - ŝ is connected first, so while a destination d′ is still open its
 //     Prim key is at most dist_Ĝ(ŝ,d′).
@@ -335,7 +335,7 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 // under concurrent cost or failure writers both see the same epoch's
 // state only when no write lands in between.
 func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph) (*Forest, error) {
-	tree, destTrees, err := steinerPhase(oracle, req.Dests, aux)
+	tree, destTrees, err := steinerPhase(g, oracle, req.Dests, aux)
 	if err != nil {
 		return nil, err
 	}
@@ -375,13 +375,14 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 	return best, nil
 }
 
-// steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ (see
-// completeForest) and returns it with the destinations' oracle trees.
-func steinerPhase(oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, map[graph.NodeID]*graph.ShortestPaths, error) {
+// steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ, an
+// overlay on g (see completeForest), and returns it with the
+// destinations' oracle trees.
+func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, map[graph.NodeID]*graph.ShortestPaths, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, dests...)
 	rows := &steinerRows{
 		sHat:   aux.sHat,
-		sHatSP: aux.g.DijkstraTo(aux.sHat, dests),
+		sHatSP: sourceRow(g, aux.g, aux.sHat, dests),
 		oracle: oracle,
 		dests:  make(map[graph.NodeID]*graph.ShortestPaths, len(dests)),
 	}
@@ -395,9 +396,86 @@ func steinerPhase(oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*s
 	return tree, rows.dests, nil
 }
 
+// sourceRow returns the row of Ĝ's virtual source ŝ, exact at every
+// destination and along every destination's path. aux is Ĝ as an overlay
+// on g, in the shape newAuxSkeleton and the candidate builders give it:
+// ŝ appended first, each source duplicate v̂ hung off ŝ by a zero-cost
+// edge, and after them either each VM's duplicate û with its zero-cost
+// edge û–u and the candidate edges v̂–û, or, at chain length 0, the
+// zero-cost edges v̂–s. The Steiner phase reads it, and so does the
+// benchmark that times it.
+//
+// When g admits a seeded run from Ĝ's seeds (graph.DijkstraSeeded: a
+// bucket width, and no arc whose cost is zero or absorbed by a distance
+// of the run, a seed's included), Ĝ's few virtual rows are filled here,
+// and the run settles the network from the seeds they imply until every
+// destination is settled. Otherwise the overlay heap runs over Ĝ in full.
+//
+// The virtual rows are the heap run's. ŝ pops first, at 0, and hands
+// every v̂ distance 0 over its zero-cost edge. The v̂ pop next, in id
+// order, and relax their candidate edges in insertion order, so each û
+// takes its cheapest candidate, the first one met on an equal cost. Every
+// v̂ sits at 0, so a route real → û → v̂ → û′ never improves anything.
+// The only virtual → real arcs are the zero-cost û–u (or, at chain
+// length 0, v̂–s), so the rest of the run is a run over the network from
+// seeds: each VM at its û's distance with û as its parent (each source at
+// 0 below its v̂). The network's only arcs back into Ĝ's virtual part are
+// the u–û, which give û distance Dist(u) and parent u where that is
+// strictly smaller.
+func sourceRow(g *graph.Graph, aux *graph.Overlay, sHat graph.NodeID, dests []graph.NodeID) *graph.ShortestPaths {
+	n, n0 := aux.NumNodes(), graph.NodeID(g.NumNodes())
+	sp := &graph.ShortestPaths{
+		Source:     sHat,
+		Dist:       make([]float64, n),
+		Parent:     make([]graph.NodeID, n),
+		ParentEdge: make([]graph.EdgeID, n),
+	}
+	for i := range sp.Dist {
+		sp.Dist[i], sp.Parent[i], sp.ParentEdge[i] = math.Inf(1), graph.None, graph.NoEdge
+	}
+	sp.Dist[sHat] = 0
+	srcDups := aux.Adj(sHat)
+	for _, a := range srcDups {
+		sp.Dist[a.To], sp.Parent[a.To], sp.ParentEdge[a.To] = 0, sHat, a.Edge
+	}
+	for _, a := range srcDups {
+		for _, c := range aux.Adj(a.To) {
+			if c.To == sHat || c.To < n0 {
+				continue
+			}
+			if w := aux.Edge(c.Edge).Cost; w < sp.Dist[c.To] {
+				sp.Dist[c.To], sp.Parent[c.To], sp.ParentEdge[c.To] = w, a.To, c.Edge
+			}
+		}
+	}
+	seeds := make([]graph.NodeID, 0, n-int(sHat)-1)
+	for x := sHat + 1; int(x) < n; x++ {
+		if math.IsInf(sp.Dist[x], 1) {
+			continue
+		}
+		for _, c := range aux.Adj(x) {
+			if c.To < n0 {
+				sp.Dist[c.To], sp.Parent[c.To], sp.ParentEdge[c.To] = sp.Dist[x], x, c.Edge
+				seeds = append(seeds, c.To)
+			}
+		}
+	}
+	if !graph.DijkstraSeeded(g, sp, seeds, dests) {
+		return aux.Dijkstra(sHat)
+	}
+	for x := sHat + 1; int(x) < n; x++ {
+		for _, c := range aux.Adj(x) {
+			if c.To < n0 && sp.Dist[c.To] < sp.Dist[x] {
+				sp.Dist[x], sp.Parent[x], sp.ParentEdge[x] = sp.Dist[c.To], c.To, c.Edge
+			}
+		}
+	}
+	return sp
+}
+
 // steinerRows answers the Steiner phase's closure queries: ŝ with its
-// truncated run over Ĝ, and each destination with the oracle's tree over
-// the real network, which it keeps for the refinement.
+// row over Ĝ (see sourceRow), and each destination with the oracle's tree
+// over the real network, which it keeps for the refinement.
 type steinerRows struct {
 	sHat   graph.NodeID
 	sHatSP *graph.ShortestPaths

@@ -118,12 +118,12 @@ func TestSOFDASSBoundMatchesFullScan(t *testing.T) {
 	var bc boundCheck
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := phaseNet(rng)
+		g := phaseNet(rng, integerCosts)
 		vms := g.VMs()
 		oracle := chain.NewOracle(g, chain.Options{})
 		for round := 0; round < 6; round++ {
 			if round > 0 {
-				perturb(g, rng)
+				perturb(g, rng, integerCosts)
 			}
 			chainLen := 1 + round%3
 			source := graph.NodeID(rng.Intn(g.NumNodes()))

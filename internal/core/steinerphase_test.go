@@ -13,6 +13,7 @@ import (
 	"sof/internal/chain"
 	"sof/internal/graph"
 	"sof/internal/steiner"
+	"sof/internal/topology"
 )
 
 // cloneAux is the reference Ĝ: a Graph.Clone of the network with ŝ, the
@@ -107,8 +108,9 @@ func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain
 			t.Fatalf("%s: Ĝ edge %d is %+v, clone's %+v", label, id, got, want)
 		}
 	}
+	checkSHatRow(t, label, g, ref, aux, req.Dests)
 	want, werr := steiner.KMB(ref, append([]graph.NodeID{sHat}, req.Dests...))
-	got, _, gerr := steinerPhase(oracle, req.Dests, aux)
+	got, _, gerr := steinerPhase(g, oracle, req.Dests, aux)
 	if werr != nil {
 		if gerr == nil || !errors.Is(gerr, graph.ErrDisconnected) || ferr == nil || !errors.Is(ferr, graph.ErrDisconnected) {
 			t.Fatalf("%s: reference Steiner phase failed (%v), overlay phase %v, entry point %v", label, werr, gerr, ferr)
@@ -138,10 +140,62 @@ func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain
 	return true
 }
 
-// phaseNet draws a random multigraph network: integer costs with zeros,
+// checkSHatRow pins ŝ's row over the overlay Ĝ aux to the heap's full
+// run over the clone reference ref. Truncated at the network's every
+// node, the run completes, and the row equals the reference at every
+// node, Ĝ's virtual ones included. Truncated at dests, it equals the
+// reference at every network node it settled and along every
+// destination's path, and it settles each destination the reference
+// reaches.
+func checkSHatRow(t *testing.T, label string, g, ref *graph.Graph, aux *auxGraph, dests []graph.NodeID) {
+	t.Helper()
+	want := graph.NewArena().DijkstraHeap(ref, aux.sHat)
+	same := func(what string, row *graph.ShortestPaths, v graph.NodeID) {
+		if math.Float64bits(row.Dist[v]) != math.Float64bits(want.Dist[v]) || row.Parent[v] != want.Parent[v] || row.ParentEdge[v] != want.ParentEdge[v] {
+			t.Fatalf("%s: %s ŝ row at node %d is (%v,%d,%d), clone's (%v,%d,%d)", label, what, v,
+				row.Dist[v], row.Parent[v], row.ParentEdge[v], want.Dist[v], want.Parent[v], want.ParentEdge[v])
+		}
+	}
+	all := make([]graph.NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	full := sourceRow(g, aux.g, aux.sHat, all)
+	for v := range want.Dist {
+		same("complete", full, graph.NodeID(v))
+	}
+	row := sourceRow(g, aux.g, aux.sHat, dests)
+	for v := range all {
+		if row.Reachable(graph.NodeID(v)) {
+			same("truncated", row, graph.NodeID(v))
+		}
+	}
+	for _, d := range dests {
+		if row.Reachable(d) != want.Reachable(d) {
+			t.Fatalf("%s: truncated ŝ row reaches destination %d: %v, clone's: %v", label, d, row.Reachable(d), want.Reachable(d))
+		}
+		for v := d; row.Reachable(d) && v != graph.None; v = row.Parent[v] {
+			same("truncated", row, v)
+		}
+	}
+}
+
+// Link-cost sets of the random networks: integers with zeros, on which
+// ŝ's row falls back to the overlay heap, and three zero-free sets, on
+// which it is a seeded run — few mixed floats with many exact ties, unit
+// costs beside a rare wide one, so a bucket spans several arcs, and plain
+// unit costs.
+var (
+	integerCosts = []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	mixedCosts   = []float64{0.1, 0.2, 0.3, 1, 2, 3, 5}
+	wideCosts    = []float64{1, 1, 1, 1, 1, 1, 1, 200}
+	unitCosts    = []float64{1}
+)
+
+// phaseNet draws a random multigraph network: link costs from costs,
 // parallel edges of equal and of different cost, a VM on every third
 // node, and a few failed and masked elements.
-func phaseNet(rng *rand.Rand) *graph.Graph {
+func phaseNet(rng *rand.Rand, costs []float64) *graph.Graph {
 	n := 16 + rng.Intn(32)
 	g := graph.New(n, 4*n)
 	for i := 0; i < n; i++ {
@@ -152,36 +206,44 @@ func phaseNet(rng *rand.Rand) *graph.Graph {
 		}
 	}
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), float64(rng.Intn(8)))
+		g.MustAddEdge(graph.NodeID(i), graph.NodeID(rng.Intn(i)), costs[rng.Intn(len(costs))])
 	}
 	for k := 0; k < 2*n; k++ {
 		u, v := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		if u == v {
 			continue
 		}
-		c := float64(rng.Intn(8))
+		c := costs[rng.Intn(len(costs))]
 		g.MustAddEdge(u, v, c)
 		if rng.Intn(4) == 0 {
 			g.MustAddEdge(u, v, c)
 		}
 	}
-	perturb(g, rng)
+	perturb(g, rng, costs)
 	return g
 }
 
-// perturb reprices a third of g's edges and moves its failures and masks
-// around, so a session oracle's earlier trees go stale.
-func perturb(g *graph.Graph, rng *rand.Rand) {
+// perturb reprices a third of g's edges from costs and moves its failures
+// and masks around, so a session oracle's earlier trees go stale.
+func perturb(g *graph.Graph, rng *rand.Rand, costs []float64) {
 	g.RestoreAll()
 	g.UnmaskAll()
 	for k := 0; k < g.NumEdges()/3; k++ {
-		g.SetEdgeCost(graph.EdgeID(rng.Intn(g.NumEdges())), float64(rng.Intn(8)))
+		g.SetEdgeCost(graph.EdgeID(rng.Intn(g.NumEdges())), costs[rng.Intn(len(costs))])
 	}
 	g.FailEdge(graph.EdgeID(rng.Intn(g.NumEdges())))
 	g.MaskEdge(graph.EdgeID(rng.Intn(g.NumEdges())))
 	if rng.Intn(3) == 0 {
 		g.MaskNode(graph.NodeID(rng.Intn(g.NumNodes())))
 	}
+}
+
+// takesSeeded reports whether ŝ's row over g is a seeded run: a seeded
+// run without seeds settles nothing, and ran tells whether g admits one.
+func takesSeeded(g *graph.Graph) bool {
+	n := g.NumNodes()
+	sp := &graph.ShortestPaths{Dist: make([]float64, n), Parent: make([]graph.NodeID, n), ParentEdge: make([]graph.EdgeID, n)}
+	return graph.DijkstraSeeded(g, sp, nil, nil)
 }
 
 // phaseRequest draws 1–4 sources (a repeated source now and then, which
@@ -201,33 +263,73 @@ func phaseRequest(rng *rand.Rand, g *graph.Graph, chainLen int) Request {
 	return req
 }
 
-// TestSteinerPhaseMatchesCloneReference pins the Steiner phase — ŝ's
-// truncated run on the overlay Ĝ plus destination rows from the session
-// oracle — and every forest built on it to the clone reference: the
-// network copied into Ĝ and searched by steiner.KMB with its own trees.
-// Each network serves several rounds through one session oracle, with
-// costs, failures and masks moved between rounds, over chain lengths 0–2
-// and all entry points: SOFDACtx, SOFDAFromCandidatesCtx with repeated
-// candidates (parallel equal-cost virtual edges), and AuxGraphBuilder
-// with pruning.
+// TestSteinerPhaseMatchesCloneReference pins the Steiner phase — ŝ's row
+// over the overlay Ĝ plus destination rows from the session oracle — and
+// every forest built on it to the clone reference: the network copied
+// into Ĝ and searched by steiner.KMB with its own trees. Each network
+// serves several rounds through one session oracle, with costs, failures
+// and masks moved between rounds, over chain lengths 0–2 and all entry
+// points: SOFDACtx, SOFDAFromCandidatesCtx with repeated candidates
+// (parallel equal-cost virtual edges), and AuxGraphBuilder with pruning.
+// Networks with zero-cost links take ŝ's row from the overlay heap; those
+// drawn from the zero-free cost sets take it from the seeded run, which
+// stops once every destination is settled. In "far VMs", every VM costs
+// 1e17 to set up beside unit links, so at chain lengths 1 and 2 every
+// seed lies where it absorbs a unit arc; the seeded run refuses those
+// rows and the overlay heap computes them.
 func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		costs  []float64
+		seeded bool
+		farVM  float64 // when set, the setup cost of every VM
+	}{
+		{"integer", integerCosts, false, 0},
+		{"mixed", mixedCosts, true, 0},
+		{"wide", wideCosts, true, 0},
+		{"far VMs", unitCosts, true, 1e17},
+	} {
+		t.Run(tc.name, func(t *testing.T) { cloneReferenceRounds(t, tc.costs, tc.seeded, tc.farVM) })
+	}
+}
+
+// cloneReferenceRounds is TestSteinerPhaseMatchesCloneReference over
+// networks with link costs from costs and, when farVM is set, every VM at
+// setup cost farVM; seeded says whether every network must admit the
+// seeded run.
+func cloneReferenceRounds(t *testing.T, costs []float64, seeded bool, farVM float64) {
 	ctx := context.Background()
-	feasible := 0
+	feasible, farSeeds := 0, 0
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := phaseNet(rng)
+		g := phaseNet(rng, costs)
 		vms := g.VMs()
+		if farVM > 0 {
+			for _, u := range vms {
+				g.SetNodeCost(u, farVM)
+			}
+		}
 		oracle := chain.NewOracle(g, chain.Options{})
 		opts := &Options{Oracle: oracle, VMs: vms, Parallelism: 1}
 		for round := 0; round < 6; round++ {
 			if round > 0 {
-				perturb(g, rng)
+				perturb(g, rng, costs)
+			}
+			if takesSeeded(g) != seeded {
+				t.Fatalf("seed %d round %d: seeded run %v, want %v", seed, round, !seeded, seeded)
 			}
 			req := phaseRequest(rng, g, round%3)
 			label := fmt.Sprintf("seed %d round %d chainLen %d", seed, round, req.ChainLen)
 
-			f, ferr := SOFDACtx(ctx, g, req, opts)
 			aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, vms, req.ChainLen, 1)
+			if err == nil {
+				// ŝ's row is checked before the embed runs, so a wrong row
+				// fails here instead of sending KMB's path walk round a
+				// parent cycle.
+				ref, _ := cloneAux(g, req, vms, admitted(aux))
+				checkSHatRow(t, label, g, ref, aux, req.Dests)
+			}
+			f, ferr := SOFDACtx(ctx, g, req, opts)
 			if err != nil {
 				if ferr == nil {
 					t.Fatalf("%s: Ĝ build failed (%v), SOFDACtx did not", label, err)
@@ -236,6 +338,9 @@ func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
 			}
 			if checkAgainstClone(t, label+" SOFDACtx", g, oracle, vms, req, aux, f, ferr) {
 				feasible++
+			}
+			if farVM > 0 && len(aux.chains) > 0 {
+				farSeeds++
 			}
 			if req.ChainLen == 0 {
 				continue
@@ -282,6 +387,9 @@ func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
 	}
 	if feasible < 60 {
 		t.Fatalf("only %d of 144 SOFDACtx embeds reached a forest; the check is near-vacuous", feasible)
+	}
+	if farVM > 0 && farSeeds < 40 {
+		t.Fatalf("only %d of 144 SOFDACtx embeds had a candidate, and so far seeds", farSeeds)
 	}
 }
 
@@ -364,6 +472,78 @@ func TestSteinerPhaseOracleAccounting(t *testing.T) {
 		}
 		if got := oracle.Stats().Misses; got != tc.misses {
 			t.Errorf("chainLen %d: embed charged %d tree misses, want %d", tc.chainLen, got, tc.misses)
+		}
+	}
+}
+
+// BenchmarkSteinerPhase times the row of Ĝ's virtual source ŝ, the one
+// shortest-path run of SOFDA's Steiner phase, on sofda-5k's network shape:
+// Inet-5000 with 500 data centers and 30 VMs, and 40 requests of chain
+// length 2 with 2–4 sources and 4–8 destinations drawn from the first 64
+// access nodes. Each request's Ĝ is built untimed, by buildAuxGraph as
+// SOFDA builds it. The seeded rows run sourceRow, which settles the
+// network from Ĝ's seeds with delta-stepping and stops once every
+// destination is settled; the heap rows run the overlay heap over Ĝ in
+// full, the reference the seeded run is pinned to. "initial" keeps the
+// generated costs, and "steady" sets every link to 5 and every VM to 1.
+// ms/run is the wall clock per request; CI records it without a gate.
+func BenchmarkSteinerPhase(b *testing.B) {
+	ctx := context.Background()
+	net, err := topology.Inet(5000, 10000, 500, topology.Config{NumVMs: 30, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := net.G
+	rng := rand.New(rand.NewSource(4))
+	reqs := make([]Request, 40)
+	for i := range reqs {
+		nSrc, nDst := 2+rng.Intn(3), 4+rng.Intn(5)
+		ends := graph.SampleDistinct(rng, net.Access[:64], nSrc+nDst)
+		reqs[i] = Request{Sources: ends[:nSrc:nSrc], Dests: ends[nSrc:], ChainLen: 2}
+	}
+	for _, costs := range []string{"initial", "steady"} {
+		if costs == "steady" {
+			for e := 0; e < g.NumEdges(); e++ {
+				g.SetEdgeCost(graph.EdgeID(e), 5)
+			}
+			for _, v := range net.VMs {
+				g.SetNodeCost(v, 1)
+			}
+		}
+		if !takesSeeded(g) {
+			b.Fatalf("%s costs admit no seeded run", costs)
+		}
+		oracle := chain.NewOracle(g, chain.Options{})
+		auxes := make([]*auxGraph, len(reqs))
+		for i, req := range reqs {
+			aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, net.VMs, req.ChainLen, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seeded, heap := sourceRow(g, aux.g, aux.sHat, req.Dests), aux.g.Dijkstra(aux.sHat)
+			for _, d := range req.Dests {
+				if seeded.Dist[d] != heap.Dist[d] || seeded.Parent[d] != heap.Parent[d] {
+					b.Fatalf("%s costs, request %d: seeded row differs from the heap's at destination %d", costs, i, d)
+				}
+			}
+			auxes[i] = aux
+		}
+		for _, v := range []struct {
+			name string
+			run  func(i int) *graph.ShortestPaths
+		}{
+			{"seeded", func(i int) *graph.ShortestPaths { return sourceRow(g, auxes[i].g, auxes[i].sHat, reqs[i].Dests) }},
+			{"heap", func(i int) *graph.ShortestPaths { return auxes[i].g.Dijkstra(auxes[i].sHat) }},
+		} {
+			b.Run(costs+"/"+v.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					for i := range auxes {
+						v.run(i)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(auxes))/1e6, "ms/run")
+			})
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 // decrease-key bookkeeping at all.
 //
 // Every full run takes this variant whenever the graph's costs admit a
-// bucket width (see pick); the indexed heap runs only without one, for
-// the truncated overlay runs, and as the reference (Arena.DijkstraHeap).
+// bucket width (see pick), and so does every seeded run (DijkstraSeeded)
+// on a graph without zero-cost arcs; the indexed heap runs only without a
+// width, for full overlay runs, and as the reference (Arena.DijkstraHeap).
 // The heap pays O(log n) sift work per settle, while a bucket here is
 // drained wholesale. The arc partition is precomputed per cost epoch with
 // the edge costs inlined (deltaLayout), so the inner loop runs over three
@@ -44,6 +45,12 @@ import (
 // cost small enough to vanish in the sum (D + c == D, an absorbed cost);
 // those graphs — flagged at partition build — get the exact settle-order
 // replay of replayPlateaus on top, off the zero-free hot path.
+//
+// A full run is the bucket loop of settleDelta with one seed, the source.
+// A seeded run (DijkstraSeeded) starts it from several seeds whose rows
+// the caller wrote, each hanging off an appended node of an overlay, and
+// may stop once its targets are settled; see settleDelta and relaxSeeded
+// for the rules that keep it equal to the heap's run over the overlay.
 
 // deltaLayout is the per-cost-epoch arc partition: node u's light arcs
 // occupy lto/leid/lcost[lrow[u]:lrow[u+1]] and its heavy arcs the hrow
@@ -65,6 +72,12 @@ type deltaLayout struct {
 	// order away from plain (dist, id) — runs over such graphs add the
 	// replayPlateaus pass.
 	hasZero bool
+	// bound is twice the total edge cost, which bounds every distance of
+	// a full run, and minCost the cheapest kept arc's cost: hasZero is
+	// minCost ≤ half an ulp of bound. A seeded run, whose seed distances
+	// the bound does not cover, checks its own bound against minCost.
+	bound   float64
+	minCost float64
 	lrow    []int32
 	lto     []int32
 	leid    []int32
@@ -148,14 +161,13 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 		return d
 	}
 	d.delta = deltaWidth(maxC, sum/float64(len(g.edges)))
-	// A cost c vanishes in D + c exactly when c ≤ ulp(D)/2, and ulp grows
-	// with D. Every distance is a sum of distinct edge costs, so twice the
-	// total (margin for summation order) bounds them all, and any arc up to
-	// half an ulp of that bound is flagged with the zero-cost ones. Below
-	// 4·10^12 edges such an arc is under the width floor maxC/(nb-2), so it
-	// is light, where replayPlateaus looks for zero arcs.
-	bound := 2 * sum
-	absorbed := (math.Nextafter(bound, math.Inf(1)) - bound) / 2
+	// Every distance is a sum of distinct edge costs, so twice the total
+	// (margin for summation order) bounds them all, and hasZero is set
+	// when that bound absorbs the cheapest kept arc (see absorbs), a
+	// zero-cost one included. Below 4·10^12 edges an absorbed arc is under
+	// the width floor maxC/(nb-2), so it is light, where replayPlateaus
+	// looks for zero arcs.
+	d.bound, d.minCost = 2*sum, math.Inf(1)
 	// Count, then fill: two passes keep the arc arrays exactly sized and
 	// CSR-ordered within each partition.
 	var nl, nh int32
@@ -192,9 +204,7 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 				continue
 			}
 			cost := g.edges[c.eid[i]].Cost
-			if cost <= absorbed {
-				d.hasZero = true
-			}
+			d.minCost = min(d.minCost, cost)
 			if cost <= d.delta {
 				d.lto[nl], d.leid[nl], d.lcost[nl] = c.to[i], c.eid[i], cost
 				nl++
@@ -204,7 +214,15 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 			}
 		}
 	}
+	d.hasZero = absorbs(d.bound, d.minCost)
 	return d
+}
+
+// absorbs reports whether a distance up to bound can absorb cost: D + c
+// == D exactly when c is at most half an ulp of D, and the ulp only grows
+// with D. A NaN or +Inf bound absorbs every cost.
+func absorbs(bound, cost float64) bool {
+	return !(cost > (math.Nextafter(bound, math.Inf(1))-bound)/2)
 }
 
 // deltaScratch is the delta-stepping half of an Arena: the circular
@@ -233,6 +251,15 @@ type deltaScratch struct {
 	order   []int32
 	segEnds []int32
 	pos     []int32
+	// seeds are the current run's seeds, sorted by (distance, id).
+	seeds []deltaSeed
+}
+
+// deltaSeed is a node a run starts from, at the distance its row held
+// when the run began.
+type deltaSeed struct {
+	d float64
+	v int32
 }
 
 // deltaBucketCap is the starting capacity of each calendar bucket.
@@ -281,6 +308,10 @@ type deltaRun struct {
 	pedge  []EdgeID
 	ds     *deltaScratch
 	inv    float64
+	// n is the base node count; rows from n up belong to an overlay's
+	// appended nodes, which only a seeded run's caller writes.
+	n   NodeID
+	gen uint64
 }
 
 // tieBreak applies the deterministic parent rule to an exact tie: the
@@ -327,6 +358,65 @@ func (r *deltaRun) relax(list []int32, row, to, eid []int32, cost []float64) int
 	return pushes
 }
 
+// relaxSeeded is relax for a seeded run, selected per run, not per arc,
+// so that relax and its inlined tieBreak stay the full run's kernel. An
+// exact tie compares candidate parents by (dist, rank) instead of (dist,
+// id) (see rank). A tie from a base node also takes a seed off its
+// appended parent, which drops the seed's rank to its own id; if the seed
+// already relaxed its arcs at this distance, it is queued again, so its
+// neighbours' ties are judged once more with the new rank. A rank drops
+// at most once, and only a tie inside the current bucket can meet a seed
+// that already relaxed, so only light arcs queue one again.
+func (r *deltaRun) relaxSeeded(list []int32, row, to, eid []int32, cost []float64) int {
+	dist, parent, ds := r.dist, r.parent, r.ds
+	pushes := 0
+	for _, v := range list {
+		dv := dist[v]
+		rv := r.rank(NodeID(v))
+		for i := row[v]; i < row[v+1]; i++ {
+			w := to[i]
+			nd := dv + cost[i]
+			if dw := dist[w]; nd < dw {
+				dist[w] = nd
+				parent[w] = NodeID(v)
+				r.pedge[w] = EdgeID(eid[i])
+				b := int(int64(nd*r.inv)) & (deltaBucketCount - 1)
+				ds.buckets[b] = append(ds.buckets[b], w)
+				pushes++
+			} else if nd == dw {
+				p := parent[w]
+				if p == None {
+					continue // w is a seed without a parent; it keeps none
+				}
+				if dp := dist[p]; dv < dp || (dv == dp && rv < r.rank(p)) {
+					parent[w] = NodeID(v)
+					r.pedge[w] = EdgeID(eid[i])
+					if p >= r.n && dp == dw && ds.relaxGen[w] == r.gen && ds.relaxedAt[w] == dw {
+						ds.relaxGen[w] = 0
+						b := int(int64(dw*r.inv)) & (deltaBucketCount - 1)
+						ds.buckets[b] = append(ds.buckets[b], w)
+						pushes++
+					}
+				}
+			}
+		}
+	}
+	return pushes
+}
+
+// rank is v's place among the nodes at its distance in the heap's settle
+// order over the overlay: its own id, or, for a base node whose parent is
+// an appended node at the same distance (a seed below its zero-cost
+// arc), that parent's id. The heap queues such a node only when the
+// parent pops, and then pops it next, after every base node at that
+// distance, since appended ids follow every base id.
+func (r *deltaRun) rank(v NodeID) NodeID {
+	if p := r.parent[v]; v < r.n && p >= r.n && r.dist[p] == r.dist[v] {
+		return p
+	}
+	return v
+}
+
 // dijkstraDelta fills sp in place through the delta-stepping rounds.
 // The caller has verified lay.delta > 0. Blocked elements never appear
 // in the layout, and a blocked source yields an all-unreachable tree
@@ -341,42 +431,89 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 	if !lay.hasZero {
 		sp.built = treeStamp{g: g, epoch: lay.epoch, edges: lay.edges}
 	}
-	fs := g.block.blocked.Load()
-	if fs.NodeFailed(sp.Source) {
+	if g.block.blocked.Load().NodeFailed(sp.Source) {
 		return
 	}
-	n := len(sp.Dist)
+	sp.Dist[sp.Source] = 0
+	a.ds.seeds = append(a.ds.seeds[:0], deltaSeed{v: int32(sp.Source)})
+	a.settleDelta(lay, sp, nil, false)
+	if lay.hasZero {
+		replayPlateaus(lay, a, sp)
+	}
+}
+
+// settleDelta runs the delta-stepping rounds over lay from the seeds in
+// a.ds.seeds, sorted by (distance, id), whose rows sp already holds; every
+// other base row holds +Inf/None/NoEdge. Rows from lay.nodes up are read
+// (a seed's appended parent) and never written. seeded selects
+// relaxSeeded over relax for the whole run.
+//
+// Seeds are admitted lazily. The calendar is one lap of 1,024 buckets,
+// and a relaxation lands at most maxC, under a lap, past the current
+// bucket, but seed distances may lie many laps apart, and queuing them
+// all at once would alias buckets. So a seed is queued only once its
+// bucket lies under a lap ahead of the current one, and when nothing is
+// in flight the run jumps to the next seed. A seed a base path already
+// improved was queued by that improvement and is skipped.
+//
+// Non-empty targets truncate the run after the light phase of the bucket
+// that settles the last of them: every node at or below that bucket is
+// final then, each target and every node on its path included (see
+// truncate). A target that is never settled lets the run complete.
+func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeID, seeded bool) {
 	ds := &a.ds
-	ds.ensure(n)
+	ds.ensure(lay.nodes)
 	a.gen++
 	gen := a.gen
-	r := &deltaRun{dist: sp.Dist, parent: sp.Parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta}
+	left := 0
+	for _, t := range targets {
+		if a.tgt[t] != gen {
+			a.tgt[t] = gen
+			left++
+		}
+	}
+	r := &deltaRun{dist: sp.Dist, parent: sp.Parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta, n: NodeID(lay.nodes), gen: gen}
 	dist, inv := r.dist, r.inv
-
-	dist[sp.Source] = 0
-	cur := 0
-	ds.buckets[cur] = append(ds.buckets[cur], int32(sp.Source))
+	seeds := ds.seeds
 	ds.order, ds.segEnds = ds.order[:0], ds.segEnds[:0]
-	inFlight := 1
-	for inFlight > 0 {
-		for len(ds.buckets[cur]) == 0 {
-			cur++
-			if cur == deltaBucketCount {
-				cur = 0
+	// cur is the current bucket's absolute index; its calendar slot is
+	// cur mod deltaBucketCount.
+	var cur int64
+	if len(seeds) > 0 {
+		cur = int64(seeds[0].d * inv)
+	}
+	next, inFlight := 0, 0
+	for {
+		for ; next < len(seeds) && int64(seeds[next].d*inv) < cur+deltaBucketCount; next++ {
+			if s := seeds[next]; dist[s.v] == s.d {
+				b := int(int64(s.d*inv)) & (deltaBucketCount - 1)
+				ds.buckets[b] = append(ds.buckets[b], s.v)
+				inFlight++
 			}
 		}
+		if inFlight == 0 {
+			if next == len(seeds) {
+				return
+			}
+			cur = int64(seeds[next].d * inv)
+			continue
+		}
+		for len(ds.buckets[cur&(deltaBucketCount-1)]) == 0 {
+			cur++
+		}
+		slot := int(cur & (deltaBucketCount - 1))
 		// Light phase: drain the current bucket to a fixpoint. A node
 		// whose distance improves while its bucket is open re-enters the
 		// frontier and is relaxed again at the smaller distance.
 		ds.settled = ds.settled[:0]
 		ds.round++
-		for len(ds.buckets[cur]) > 0 {
-			ds.frontier, ds.buckets[cur] = ds.buckets[cur], ds.frontier[:0]
+		for len(ds.buckets[slot]) > 0 {
+			ds.frontier, ds.buckets[slot] = ds.buckets[slot], ds.frontier[:0]
 			inFlight -= len(ds.frontier)
 			act := ds.active[:0]
 			for _, v := range ds.frontier {
 				d := dist[v]
-				if int(int64(d*inv))&(deltaBucketCount-1) != cur {
+				if int(int64(d*inv))&(deltaBucketCount-1) != slot {
 					continue // improved into a different bucket; stale entry
 				}
 				if ds.relaxGen[v] == gen && ds.relaxedAt[v] == d {
@@ -390,18 +527,58 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 				act = append(act, v)
 			}
 			ds.active = act
-			inFlight += r.relax(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
+			if seeded {
+				inFlight += r.relaxSeeded(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
+			} else {
+				inFlight += r.relax(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
+			}
+		}
+		if left > 0 {
+			for _, v := range ds.settled {
+				if a.tgt[v] == gen {
+					left--
+				}
+			}
+			if left == 0 {
+				r.truncate(cur, seeds[next:])
+				return
+			}
 		}
 		// Heavy phase: every node settled in this bucket relaxes its
 		// heavy arcs once, at its now-final distance.
-		inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
+		if seeded {
+			inFlight += r.relaxSeeded(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
+		} else {
+			inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
+		}
 		if lay.hasZero {
 			ds.order = append(ds.order, ds.settled...)
 			ds.segEnds = append(ds.segEnds, int32(len(ds.order)))
 		}
 	}
-	if lay.hasZero {
-		replayPlateaus(lay, a, sp)
+}
+
+// truncate ends a run after the light phase of bucket cur. Every node
+// whose distance lies above that bucket is still tentative: it is either
+// queued in the calendar or one of the seeds not yet admitted. Each is
+// reset to +Inf/None/NoEdge, as if unreachable; a seed a base path
+// already settled keeps its row. Draining the calendar leaves the arena
+// ready for its next run, as a completed run does.
+func (r *deltaRun) truncate(cur int64, unadmitted []deltaSeed) {
+	limit := float64(cur + 1)
+	reset := func(v int32) {
+		if r.dist[v]*r.inv >= limit {
+			r.dist[v], r.parent[v], r.pedge[v] = math.Inf(1), None, NoEdge
+		}
+	}
+	for b := range r.ds.buckets {
+		for _, v := range r.ds.buckets[b] {
+			reset(v)
+		}
+		r.ds.buckets[b] = r.ds.buckets[b][:0]
+	}
+	for _, s := range unadmitted {
+		reset(s.v)
 	}
 }
 

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -74,9 +76,10 @@ func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
 type Arena struct {
 	h    IndexedHeap
 	done []uint64
-	// tgt stamps the targets of a truncated run (Overlay.DijkstraTo) with
-	// the run's generation, like done stamps its settled nodes. RepairTree
-	// stamps its invalidated nodes in done and its re-derived ones in tgt.
+	// tgt stamps the targets of a truncated seeded run (DijkstraSeeded)
+	// with the run's generation, like done stamps the heap's settled
+	// nodes. RepairTree stamps its invalidated nodes in done and its
+	// re-derived ones in tgt.
 	tgt []uint64
 	gen uint64
 	ds  deltaScratch
@@ -146,7 +149,7 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	if lay := pick(g); lay != nil {
 		dijkstraDelta(g, lay, a, sp)
 	} else {
-		dijkstraHeap(g, g.csr(), nil, a, sp, nil)
+		dijkstraHeap(g, g.csr(), nil, a, sp)
 	}
 	return sp
 }
@@ -159,7 +162,7 @@ func (a *Arena) DijkstraHeap(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(g, g.csr(), nil, a, sp, nil)
+	dijkstraHeap(g, g.csr(), nil, a, sp)
 	return sp
 }
 
@@ -206,13 +209,85 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		if lay != nil {
 			dijkstraDelta(g, lay, a, sp)
 		} else {
-			dijkstraHeap(g, c, nil, a, sp, nil)
+			dijkstraHeap(g, c, nil, a, sp)
 		}
 	}
 	for i, s := range sources {
 		out[i] = &sps[firstIdx[s]]
 	}
 	return out
+}
+
+// DijkstraSeeded settles g from several seeds at once, through a pooled
+// arena; see Arena.DijkstraSeeded.
+func DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
+	a := arenaPool.Get().(*Arena)
+	defer arenaPool.Put(a)
+	return a.DijkstraSeeded(g, sp, seeds, targets)
+}
+
+// DijkstraSeeded runs delta-stepping over g from seeds whose rows the
+// caller wrote into sp, and reports whether it ran. It returns false,
+// touching nothing, when g's costs admit no bucket width, when an arc of
+// g has zero cost or a cost that some distance of the run absorbs (D + c
+// == D), the seeds' distances included, or when a distance of the run
+// would put its bucket index at 2^52 or past; the caller then runs the
+// heap instead.
+//
+// It computes the rows of a heap run over an overlay of g whose appended
+// nodes reach the network only through zero-cost arcs into the seeds.
+// Each seed's row holds its finite distance and its parent and parent
+// edge: the appended node above it, or None for a plain source. Every
+// other row of g's nodes holds +Inf/None/NoEdge. sp's arrays may be
+// longer than g's node count, and the rows past it, the appended nodes',
+// must hold their final distances: the run reads them, to rank a seed
+// below its parent, and never writes them. A blocked seed is reset to
+// +Inf/None/NoEdge, as the heap never enters a blocked node.
+//
+// Non-empty targets, all nodes of g, truncate the run once every one of
+// them is settled. Every node the run settled then carries the full
+// run's Dist, Parent and ParentEdge, each reachable target and every node
+// on its path included; every other row of g's nodes reads
+// +Inf/None/NoEdge, as if unreachable. Duplicate targets are allowed.
+func (a *Arena) DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
+	lay := pick(g)
+	if lay == nil || lay.hasZero {
+		return false
+	}
+	fs := g.block.blocked.Load()
+	maxSeed := 0.0
+	for _, s := range seeds {
+		if !fs.NodeFailed(s) {
+			maxSeed = max(maxSeed, sp.Dist[s])
+		}
+	}
+	// The layout's bound covers distances from a source at 0, not from a
+	// seed far out: a seed at D = 1e17 absorbs a unit arc, ties with its
+	// neighbour, and the two would take each other as parents. Every
+	// distance of this run is at most maxSeed + lay.bound, which must
+	// absorb no arc and must keep every bucket index, distance/Δ, exact
+	// in float64 and in int64.
+	if b := maxSeed + lay.bound; absorbs(b, lay.minCost) || !(b/lay.delta < 1<<52) {
+		return false
+	}
+	a.ensure(lay.nodes)
+	ss := a.ds.seeds[:0]
+	for _, s := range seeds {
+		if fs.NodeFailed(s) {
+			sp.Dist[s], sp.Parent[s], sp.ParentEdge[s] = math.Inf(1), None, NoEdge
+			continue
+		}
+		ss = append(ss, deltaSeed{d: sp.Dist[s], v: int32(s)})
+	}
+	slices.SortFunc(ss, func(x, y deltaSeed) int {
+		if c := cmp.Compare(x.d, y.d); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.v, y.v)
+	})
+	a.ds.seeds = ss
+	a.settleDelta(lay, sp, targets, true)
+	return true
 }
 
 // dijkstraHeap is the indexed-heap SSSP core: it fills sp (whose Source
@@ -226,14 +301,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 // are relaxed after its CSR arcs, in insertion order, which is the arc
 // order of g's clone with the same elements added. Appended edges are
 // never blocked; a base node they enter still is.
-//
-// Non-empty targets truncate the run (see Overlay.DijkstraTo): they are
-// stamped with the run's generation, and the pop that settles the last
-// of them ends it. The nodes still queued at that point are the only ones
-// with a tentative entry, so resetting them and the abandoned heap leaves
-// sp holding exactly the settled prefix and the arena ready for its next
-// run.
-func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPaths, targets []NodeID) {
+func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPaths) {
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
 		sp.Parent[i] = None
@@ -245,30 +313,12 @@ func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPat
 	}
 	sp.Dist[sp.Source] = 0
 	a.gen++
-	gen, done, tgt := a.gen, a.done, a.tgt
-	left := 0
-	for _, t := range targets {
-		if tgt[t] != gen {
-			tgt[t] = gen
-			left++
-		}
-	}
+	gen, done := a.gen, a.done
 	h := &a.h
 	h.Update(int32(sp.Source), 0)
 	for h.Len() > 0 {
 		u, du := h.Pop()
 		done[u] = gen
-		if left > 0 && tgt[u] == gen {
-			if left--; left == 0 {
-				for _, v := range h.items {
-					sp.Dist[v] = math.Inf(1)
-					sp.Parent[v] = None
-					sp.ParentEdge[v] = NoEdge
-				}
-				h.Reset()
-				return
-			}
-		}
 		if int(u) < c.nodes {
 			for i := c.row[u]; i < c.row[u+1]; i++ {
 				v := c.to[i]

@@ -118,33 +118,25 @@ func (o *Overlay) Adj(n NodeID) []Arc {
 	return append(base[:len(base):len(base)], extra...)
 }
 
-// DijkstraTo computes shortest paths over the overlay from src, truncated
-// at targets: the run stops as soon as every target is settled (or the
-// reachable part of the overlay is exhausted, when some target is
-// unreachable). Dijkstra's settled prefix does not depend on when the run
-// stops, so every node the run settled — each reachable target and every
-// node on its path included — carries exactly the Dist, Parent and
-// ParentEdge a full run computes. Every node it did not settle reads
-// +Inf/None/NoEdge, as if unreachable. An empty target list runs to
-// completion, so an overlay with nothing appended answers as Dijkstra
-// over the base does. Targets must be nodes of the overlay; duplicates
-// are allowed.
-//
-// Runs always use the indexed heap, whose settle order is the reference
-// delta-stepping is proven against, through a pooled arena.
-func (o *Overlay) DijkstraTo(src NodeID, targets []NodeID) *ShortestPaths {
+// Dijkstra computes shortest paths over the overlay from src, through a
+// pooled arena. An overlay with nothing appended answers as Dijkstra over
+// the base does. Runs always use the indexed heap, whose settle order is
+// the reference delta-stepping is proven against; DijkstraSeeded computes
+// the same rows from the network's side when the appended nodes reach it
+// only through zero-cost arcs.
+func (o *Overlay) Dijkstra(src NodeID) *ShortestPaths {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
-	return o.dijkstraTo(a, src, targets)
+	return o.dijkstra(a, src)
 }
 
-func (o *Overlay) dijkstraTo(a *Arena, src NodeID, targets []NodeID) *ShortestPaths {
+func (o *Overlay) dijkstra(a *Arena, src NodeID) *ShortestPaths {
 	if n, m := o.base.NumNodes(), o.base.NumEdges(); n != o.n0 || m != o.m0 {
 		panic(fmt.Sprintf("graph: overlay base grew from %d nodes, %d edges to %d, %d", o.n0, o.m0, n, m))
 	}
 	n := o.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(o.base, o.base.csr(), o, a, sp, targets)
+	dijkstraHeap(o.base, o.base.csr(), o, a, sp)
 	return sp
 }

@@ -57,13 +57,11 @@ func checkSameStructure(t *testing.T, c *Graph, ov *Overlay) {
 }
 
 // TestOverlayMatchesClone pins overlay runs to heap runs over the clone
-// grown the same way: full runs are bit-identical, truncated runs settle
-// the clone's Dist, Parent and ParentEdge, over random multigraphs with
-// failed and masked base elements and sources on both sides of the
-// overlay. The base keeps its adjacency, its counts, its cost epoch and
-// its cached CSR view.
+// grown the same way, bit for bit, over random multigraphs with failed
+// and masked base elements and sources on both sides of the overlay. The
+// base keeps its adjacency, its counts, its cost epoch and its cached CSR
+// view.
 func TestOverlayMatchesClone(t *testing.T) {
-	truncated := 0
 	for seed := int64(0); seed < 40; seed++ {
 		g := blockedMultigraph(seed)
 		rng := rand.New(rand.NewSource(seed ^ 0x0f0f))
@@ -77,13 +75,8 @@ func TestOverlayMatchesClone(t *testing.T) {
 			if trial%2 == 0 {
 				src = NodeID(n0 + rng.Intn(n-n0))
 			}
-			full := NewArena().DijkstraHeap(c, src)
-			if got := ov.DijkstraTo(src, nil); !reflect.DeepEqual(got, full) {
-				t.Fatalf("seed %d src %d: full overlay run differs from the clone's", seed, src)
-			}
-			targets := []NodeID{NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
-			if checkTruncated(t, c, ov.DijkstraTo(src, targets), full, targets) {
-				truncated++
+			if got := ov.Dijkstra(src); !reflect.DeepEqual(got, NewArena().DijkstraHeap(c, src)) {
+				t.Fatalf("seed %d src %d: overlay run differs from the clone's", seed, src)
 			}
 		}
 		if g.csrCache.Load() != csr || g.NumNodes() != n0 || g.NumEdges() != m0 || g.CostEpoch() != epoch {
@@ -92,9 +85,6 @@ func TestOverlayMatchesClone(t *testing.T) {
 		if !reflect.DeepEqual(adjSnapshot(g), adj) {
 			t.Fatalf("seed %d: the base's adjacency changed", seed)
 		}
-	}
-	if truncated < 50 {
-		t.Fatalf("only %d runs stopped early; the truncation is barely exercised", truncated)
 	}
 }
 
@@ -114,7 +104,7 @@ func TestOverlayReadsLiveBase(t *testing.T) {
 		c, _ := growPair(t, g, rand.New(rand.NewSource(seed)))
 		for src := 0; src < c.NumNodes(); src += 4 {
 			want := NewArena().DijkstraHeap(c, NodeID(src))
-			if got := ov.DijkstraTo(NodeID(src), nil); !reflect.DeepEqual(got, want) {
+			if got := ov.Dijkstra(NodeID(src)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d src %d: overlay run missed a base change", seed, src)
 			}
 		}
@@ -138,15 +128,14 @@ func TestOverlayGrownBasePanics(t *testing.T) {
 					t.Errorf("%s: run over a grown base did not panic", name)
 				}
 			}()
-			ov.DijkstraTo(0, nil)
+			ov.Dijkstra(0)
 		}()
 	}
 }
 
 // TestOverlayArenaReuse alternates overlay runs, which address more nodes
-// than their base and stop early, with plain heap, delta-stepping and
-// batch runs on one arena: every run equals the same run on a fresh
-// arena.
+// than their base, with plain heap, delta-stepping and batch runs on one
+// arena: every run equals the same run on a fresh arena.
 func TestOverlayArenaReuse(t *testing.T) {
 	arena := NewArena()
 	for seed := int64(0); seed < 20; seed++ {
@@ -154,8 +143,7 @@ func TestOverlayArenaReuse(t *testing.T) {
 		_, ov := growPair(t, g, rand.New(rand.NewSource(seed)))
 		n := ov.NumNodes()
 		for src := 0; src < n; src += 3 {
-			targets := []NodeID{NodeID((src + 1) % n)}
-			if got, want := ov.dijkstraTo(arena, NodeID(src), targets), ov.dijkstraTo(NewArena(), NodeID(src), targets); !reflect.DeepEqual(got, want) {
+			if got, want := ov.dijkstra(arena, NodeID(src)), ov.dijkstra(NewArena(), NodeID(src)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: overlay run on a reused arena differs", seed)
 			}
 			next := NodeID(src % g.NumNodes())
@@ -197,5 +185,76 @@ func TestOverlayMustAddEdgeRejects(t *testing.T) {
 	}
 	if ov.NumEdges() != g.NumEdges() || len(ov.Adj(s)) != 0 {
 		t.Fatal("a refused edge was appended")
+	}
+}
+
+// adjSnapshot copies every adjacency list of g.
+func adjSnapshot(g *Graph) [][]Arc {
+	out := make([][]Arc, g.NumNodes())
+	for v := range out {
+		out[v] = append([]Arc(nil), g.Adj(NodeID(v))...)
+	}
+	return out
+}
+
+// checkAdj requires g's adjacency lists and its CSR view to hold exactly
+// want, and g to validate.
+func checkAdj(t *testing.T, label string, g *Graph, want [][]Arc) {
+	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !reflect.DeepEqual(adjSnapshot(g), want) {
+		t.Fatalf("%s: adjacency changed", label)
+	}
+	c := g.csr()
+	for v, arcs := range want {
+		row := c.to[c.row[v]:c.row[v+1]]
+		if len(row) != len(arcs) {
+			t.Fatalf("%s: CSR row %d has %d arcs, want %d", label, v, len(row), len(arcs))
+		}
+		for i, a := range arcs {
+			if NodeID(row[i]) != a.To || EdgeID(c.eid[int(c.row[v])+i]) != a.Edge {
+				t.Fatalf("%s: CSR row %d arc %d differs from the adjacency", label, v, i)
+			}
+		}
+	}
+}
+
+// TestCloneSharedAdjacencyIsolated pins the shared-adjacency clone: the
+// clone starts out sharing every adjacency slice, capacity-clipped, and
+// edges added on either side afterwards — onto existing and new nodes,
+// including the appends that fit the original's spare capacity — never
+// show up in the other graph's Adj or CSR.
+func TestCloneSharedAdjacencyIsolated(t *testing.T) {
+	grow := func(g *Graph, rng *rand.Rand) {
+		fresh := g.AddSwitch("")
+		g.MustAddEdge(fresh, NodeID(rng.Intn(int(fresh))), 0)
+		for k := 0; k < 12; k++ {
+			u, v := rng.Intn(g.NumNodes()), rng.Intn(g.NumNodes())
+			if u != v {
+				g.MustAddEdge(NodeID(u), NodeID(v), float64(rng.Intn(10)))
+			}
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomMultigraph(seed)
+		g.csr()
+		orig := adjSnapshot(g)
+		c := g.Clone()
+		checkAdj(t, "fresh clone", c, orig)
+
+		grow(c, rng)
+		checkAdj(t, "original after the clone grew", g, orig)
+		cloned := adjSnapshot(c)
+		grow(g, rng)
+		checkAdj(t, "clone after the original grew", c, cloned)
+		grown := adjSnapshot(g)
+		grow(c, rng)
+		checkAdj(t, "original after both grew", g, grown)
+		if err := c.Validate(); err != nil {
+			t.Fatalf("seed %d: clone: %v", seed, err)
+		}
 	}
 }
