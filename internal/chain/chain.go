@@ -181,6 +181,15 @@ type Oracle struct {
 	chainCache map[chainKey]*chainEntry
 	chainHits  atomic.Uint64
 	chainMiss  atomic.Uint64
+
+	// VM–VM blocks of Procedure 1's instances (see block), keyed by the
+	// candidate set's hash within one cost epoch, under the solved-chain
+	// memo's discipline: singleflight entries, an exact set check, a cap,
+	// and a wholesale drop when the epoch moves. blockMu guards the map
+	// and epoch.
+	blockMu    sync.Mutex
+	blockEpoch uint64
+	blocks     map[uint64]*blockEntry
 }
 
 // maxSolvedChains bounds the solved-chain cache within one cost epoch: a
@@ -191,6 +200,12 @@ type Oracle struct {
 // never costs more than the solve it saves. Variable, not const, so
 // tests can shrink it.
 var maxSolvedChains = 1 << 14
+
+// maxBlocks bounds the block memo within one cost epoch the same way.
+// Most epochs see one candidate set per VM source plus the full set, but
+// conflict resolution asks for arbitrary subsets of free VMs, so the
+// distinct sets are not bounded by the request stream's shape.
+var maxBlocks = 1 << 6
 
 // chainKey identifies one solved-chain query within a cost epoch. The
 // candidate VM set enters as an order-sensitive hash: the set (and its
@@ -214,6 +229,39 @@ type chainEntry struct {
 	sc   *ServiceChain
 	err  error
 }
+
+// blockEntry is a singleflight slot for the VM–VM block of one candidate
+// set; vms is the set, for the exact check a hash collision needs.
+type blockEntry struct {
+	vms  []graph.NodeID
+	once sync.Once
+	cost []float64
+	err  error
+}
+
+// vmSet is a candidate VM set with its hashNodes hash. Memo entries keep
+// ids, so it is never written after construction: a Chains batch makes
+// one vmSet and every entry it creates shares its copy of the set.
+type vmSet struct {
+	ids  []graph.NodeID
+	hash uint64
+}
+
+// newVMSet copies vms and hashes it.
+func newVMSet(vms []graph.NodeID) vmSet {
+	return vmSet{ids: slices.Clone(vms), hash: hashNodes(vms)}
+}
+
+// unavailableError reports a last VM that is failed or capacity-masked.
+// On a saturated network most solves end here, so the text is formatted
+// only when it is read.
+type unavailableError struct{ vm graph.NodeID }
+
+func (e unavailableError) Error() string {
+	return fmt.Sprintf("chain: last VM %d is unavailable: %v", e.vm, kstroll.ErrInfeasible)
+}
+
+func (e unavailableError) Unwrap() error { return kstroll.ErrInfeasible }
 
 // hashNodes is FNV-1a over the ids in order, length-mixed. Collisions are
 // astronomically unlikely but not trusted: the entry stores the actual
@@ -497,7 +545,18 @@ func (o *Oracle) InvalidateCache() {
 // invalidate lazily, exactly like the tree cache. Callers receive a
 // private copy, so mutating the result never corrupts the cache.
 func (o *Oracle) Chain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*ServiceChain, error) {
-	key := chainKey{src: s, last: u, chainLen: chainLen, vmsHash: hashNodes(vms)}
+	sc, err := o.chain(newVMSet(vms), s, u, chainLen)
+	if err != nil {
+		return nil, err
+	}
+	return sc.Clone(), nil
+}
+
+// chain answers a Chain query from the solved-chain memo without copying:
+// the chain returned is the memo entry's own, shared by every query of
+// the epoch, and callers must treat it as strictly read-only.
+func (o *Oracle) chain(set vmSet, s, u graph.NodeID, chainLen int) (*ServiceChain, error) {
+	key := chainKey{src: s, last: u, chainLen: chainLen, vmsHash: set.hash}
 	o.chainMu.Lock()
 	// Read under the lock: a mutation landing while waiting must not let
 	// this call publish an entry into the pre-mutation epoch's memo.
@@ -507,18 +566,18 @@ func (o *Oracle) Chain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*Se
 		o.chainEpoch = epoch
 	}
 	e, ok := o.chainCache[key]
-	if ok && !slices.Equal(e.vms, vms) {
+	if ok && !slices.Equal(e.vms, set.ids) {
 		// Hash collision between distinct candidate sets: solve uncached
 		// rather than alias the other set's chain.
 		o.chainMu.Unlock()
 		o.chainMiss.Add(1)
-		return o.solveChain(vms, s, u, chainLen)
+		return o.solveChain(set, s, u, chainLen)
 	}
 	if !ok {
 		if len(o.chainCache) >= maxSolvedChains {
 			o.chainCache = make(map[chainKey]*chainEntry)
 		}
-		e = &chainEntry{vms: append([]graph.NodeID(nil), vms...)}
+		e = &chainEntry{vms: set.ids}
 		o.chainCache[key] = e
 	}
 	o.chainMu.Unlock()
@@ -526,7 +585,7 @@ func (o *Oracle) Chain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*Se
 	e.once.Do(func() {
 		hit = false
 		o.chainMiss.Add(1)
-		e.sc, e.err = o.solveChain(vms, s, u, chainLen)
+		e.sc, e.err = o.solveChain(set, s, u, chainLen)
 	})
 	if hit {
 		o.chainHits.Add(1)
@@ -534,43 +593,13 @@ func (o *Oracle) Chain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*Se
 	if e.err != nil {
 		return nil, e.err
 	}
-	return e.sc.Clone(), nil
+	return e.sc, nil
 }
 
 // solveChain is the uncached Chain computation: build the auxiliary
 // instance of Procedure 1, solve the k-stroll, materialize the walk.
-// Blocked VMs — failed, or capacity-masked by a saturated session — are
-// dropped from the candidate set (they can host nothing, and keeping them
-// would make every instance infeasible the moment one VM dies: the
-// instance build treats an unreachable candidate as an error).
-func (o *Oracle) solveChain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*ServiceChain, error) {
-	if chainLen < 1 {
-		return nil, fmt.Errorf("chain: chain length %d < 1", chainLen)
-	}
-	fs := o.g.Blocked()
-	if fs.NodeFailed(u) {
-		return nil, fmt.Errorf("chain: last VM %d is unavailable: %w", u, kstroll.ErrInfeasible)
-	}
-	cand := make([]graph.NodeID, 0, len(vms))
-	uIdx := -1
-	for _, v := range vms {
-		if v == s || fs.NodeFailed(v) {
-			continue
-		}
-		if v == u {
-			uIdx = len(cand)
-		}
-		cand = append(cand, v)
-	}
-	if uIdx < 0 {
-		return nil, fmt.Errorf("chain: last VM %d not among candidates", u)
-	}
-	if chainLen > len(cand) {
-		return nil, fmt.Errorf("chain: length %d exceeds %d available VMs: %w",
-			chainLen, len(cand), kstroll.ErrInfeasible)
-	}
-
-	in, err := o.buildInstance(cand, s, uIdx, chainLen)
+func (o *Oracle) solveChain(set vmSet, s, u graph.NodeID, chainLen int) (*ServiceChain, error) {
+	in, cand, err := o.instance(set, s, u, chainLen)
 	if err != nil {
 		return nil, err
 	}
@@ -581,21 +610,66 @@ func (o *Oracle) solveChain(vms []graph.NodeID, s, u graph.NodeID, chainLen int)
 	return o.materialize(cand, s, w)
 }
 
+// instance returns the k-stroll instance of the query (s, u, chainLen) over
+// set, and the candidate VMs its nodes 1… stand for. Blocked VMs — failed,
+// or capacity-masked by a saturated session — are dropped from the
+// candidates (they can host nothing, and keeping them would make every
+// instance infeasible the moment one VM dies: the instance build treats an
+// unreachable candidate as an error).
+func (o *Oracle) instance(set vmSet, s, u graph.NodeID, chainLen int) (*kstroll.Instance, []graph.NodeID, error) {
+	if chainLen < 1 {
+		return nil, nil, fmt.Errorf("chain: chain length %d < 1", chainLen)
+	}
+	fs := o.g.Blocked()
+	if fs.NodeFailed(u) {
+		return nil, nil, unavailableError{vm: u}
+	}
+	// While no VM is dropped the candidates are set itself, hash included.
+	drop := func(v graph.NodeID) bool { return v == s || fs.NodeFailed(v) }
+	cand := set
+	if slices.ContainsFunc(cand.ids, drop) {
+		ids := slices.DeleteFunc(slices.Clone(cand.ids), drop)
+		cand = vmSet{ids: ids, hash: hashNodes(ids)}
+	}
+	uIdx := -1
+	for i, v := range cand.ids {
+		if v == u {
+			uIdx = i
+		}
+	}
+	if uIdx < 0 {
+		return nil, nil, fmt.Errorf("chain: last VM %d not among candidates", u)
+	}
+	if chainLen > len(cand.ids) {
+		return nil, nil, fmt.Errorf("chain: length %d exceeds %d available VMs: %w",
+			chainLen, len(cand.ids), kstroll.ErrInfeasible)
+	}
+	in, err := o.buildInstance(cand, s, uIdx, chainLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	return in, cand.ids, nil
+}
+
 // buildInstance constructs the auxiliary complete graph 𝒢 of Procedure 1.
-// Instance node 0 is s; node i+1 is cand[i]. End is the last VM's index.
-func (o *Oracle) buildInstance(cand []graph.NodeID, s graph.NodeID, uIdx, chainLen int) (*kstroll.Instance, error) {
-	n := len(cand) + 1
-	lastCost := o.g.NodeCost(cand[uIdx])
+// Instance node 0 is s; node i+1 is cand.ids[i]. End is the last VM's
+// index. Row and column 0 come from s's tree; the rest is cand's VM–VM
+// block, which every instance over cand shares within a cost epoch.
+func (o *Oracle) buildInstance(cand vmSet, s graph.NodeID, uIdx, chainLen int) (*kstroll.Instance, error) {
+	m := len(cand.ids)
+	n := m + 1
+	lastCost := o.g.NodeCost(cand.ids[uIdx])
 	srcCost := 0.0
 	if o.opts.SourceSetupCost {
 		srcCost = o.g.NodeCost(s)
 	}
+	backing := make([]float64, n*n)
 	cost := make([][]float64, n)
 	for i := range cost {
-		cost[i] = make([]float64, n)
+		cost[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
 	spS := o.tree(s)
-	for i, vi := range cand {
+	for i, vi := range cand.ids {
 		d := spS.Dist[vi]
 		if math.IsInf(d, 1) {
 			return nil, fmt.Errorf("chain: VM %d unreachable from source %d: %w", vi, s, graph.ErrDisconnected)
@@ -611,18 +685,12 @@ func (o *Oracle) buildInstance(cand []graph.NodeID, s graph.NodeID, uIdx, chainL
 		cost[0][i+1] = d + share
 		cost[i+1][0] = cost[0][i+1]
 	}
-	for i, vi := range cand {
-		spI := o.tree(vi)
-		for j := i + 1; j < len(cand); j++ {
-			vj := cand[j]
-			d := spI.Dist[vj]
-			if math.IsInf(d, 1) {
-				return nil, fmt.Errorf("chain: VMs %d and %d disconnected: %w", vi, vj, graph.ErrDisconnected)
-			}
-			c := d + (o.g.NodeCost(vi)+o.g.NodeCost(vj))/2
-			cost[i+1][j+1] = c
-			cost[j+1][i+1] = c
-		}
+	blk, err := o.block(cand)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < m; i++ {
+		copy(cost[i+1][1:], blk[i*m:(i+1)*m])
 	}
 	return &kstroll.Instance{
 		N:     n,
@@ -631,6 +699,60 @@ func (o *Oracle) buildInstance(cand []graph.NodeID, s graph.NodeID, uIdx, chainL
 		End:   uIdx + 1,
 		K:     chainLen + 1,
 	}, nil
+}
+
+// block returns the VM–VM block of the instances over cand, memoized per
+// cost epoch (see buildBlock). The block is the memo entry's own: callers
+// copy it and never write it.
+func (o *Oracle) block(cand vmSet) ([]float64, error) {
+	o.blockMu.Lock()
+	// Read under the lock, for the reason chain gives.
+	epoch := o.g.CostEpoch()
+	if o.blocks == nil || o.blockEpoch != epoch {
+		o.blocks = make(map[uint64]*blockEntry)
+		o.blockEpoch = epoch
+	}
+	e, ok := o.blocks[cand.hash]
+	if ok && !slices.Equal(e.vms, cand.ids) {
+		// Hash collision: build uncached, as chain solves uncached.
+		o.blockMu.Unlock()
+		return o.buildBlock(cand.ids)
+	}
+	if !ok {
+		if len(o.blocks) >= maxBlocks {
+			o.blocks = make(map[uint64]*blockEntry)
+		}
+		e = &blockEntry{vms: cand.ids}
+		o.blocks[cand.hash] = e
+	}
+	o.blockMu.Unlock()
+	e.once.Do(func() { e.cost, e.err = o.buildBlock(e.vms) })
+	return e.cost, e.err
+}
+
+// buildBlock computes the m×m VM–VM block of 𝒢 over vms, row-major: entry
+// (i, j) is d(vi,vj) + (c(vi)+c(vj))/2, mirrored, with the distance read
+// from the tree of the pair's earlier VM, and the diagonal is 0. A
+// disconnected pair fails the block with the error of the first such pair
+// in (i, j > i) order, and no tree past its row is read.
+func (o *Oracle) buildBlock(vms []graph.NodeID) ([]float64, error) {
+	m := len(vms)
+	blk := make([]float64, m*m)
+	for i, vi := range vms {
+		spI := o.tree(vi)
+		ci := o.g.NodeCost(vi)
+		for j := i + 1; j < m; j++ {
+			vj := vms[j]
+			d := spI.Dist[vj]
+			if math.IsInf(d, 1) {
+				return nil, fmt.Errorf("chain: VMs %d and %d disconnected: %w", vi, vj, graph.ErrDisconnected)
+			}
+			c := d + (ci+o.g.NodeCost(vj))/2
+			blk[i*m+j] = c
+			blk[j*m+i] = c
+		}
+	}
+	return blk, nil
 }
 
 // materialize converts a solved stroll on 𝒢 into a walk on the real network

@@ -142,7 +142,7 @@ func TestInstanceMetricity(t *testing.T) {
 				cand = append(cand, v)
 			}
 		}
-		in, err := o.buildInstance(cand, s, uIdx, 2)
+		in, err := o.buildInstance(newVMSet(cand), s, uIdx, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -197,7 +197,7 @@ func TestStrollCostEqualsChainCost(t *testing.T) {
 			}
 			cand = append(cand, v)
 		}
-		in, err := o.buildInstance(cand, s, uIdx, chainLen)
+		in, err := o.buildInstance(newVMSet(cand), s, uIdx, chainLen)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -16,7 +16,9 @@ type Pair struct {
 }
 
 // Result couples a Pair with the outcome of its query. Exactly one of
-// Chain and Err is non-nil.
+// Chain and Err is non-nil. Chain is the oracle's solved-chain memo entry,
+// shared with every other query of its cost epoch: treat it as strictly
+// read-only, as Oracle.Tree's trees (Oracle.Chain returns private copies).
 type Result struct {
 	Pair  Pair
 	Chain *ServiceChain
@@ -49,9 +51,10 @@ func Pairs(sources, vms []graph.NodeID) []Pair {
 // partial results are discarded.
 //
 // parallelism <= 0 uses GOMAXPROCS; parallelism == 1 runs sequentially on
-// the calling goroutine. The oracle's tree cache is shared across workers:
-// each origin's Dijkstra tree is computed once (singleflight), whichever
-// worker needs it first.
+// the calling goroutine. The oracle's caches are shared across workers:
+// each origin's Dijkstra tree, each candidate set's VM–VM block and each
+// solved chain is computed once (singleflight), whichever worker needs it
+// first. vms is hashed and copied once for the whole batch.
 func (o *Oracle) Chains(ctx context.Context, vms []graph.NodeID, pairs []Pair, chainLen, parallelism int) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -86,9 +89,10 @@ func (o *Oracle) Chains(ctx context.Context, vms []graph.NodeID, pairs []Pair, c
 	origins = append(origins, vms...)
 	o.WarmTrees(ctx, origins)
 
+	set := newVMSet(vms)
 	solve := func(i int) {
 		p := pairs[i]
-		sc, err := o.Chain(vms, p.Source, p.LastVM, chainLen)
+		sc, err := o.chain(set, p.Source, p.LastVM, chainLen)
 		results[i] = Result{Pair: p, Chain: sc, Err: err}
 	}
 
