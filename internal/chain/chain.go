@@ -612,10 +612,12 @@ func (o *Oracle) solveChain(set vmSet, s, u graph.NodeID, chainLen int) (*Servic
 
 // instance returns the k-stroll instance of the query (s, u, chainLen) over
 // set, and the candidate VMs its nodes 1… stand for. Blocked VMs — failed,
-// or capacity-masked by a saturated session — are dropped from the
-// candidates (they can host nothing, and keeping them would make every
-// instance infeasible the moment one VM dies: the instance build treats an
-// unreachable candidate as an error).
+// or capacity-masked by a saturated session — and VMs s cannot reach are
+// dropped from the candidates: they can host nothing on a chain from s,
+// and keeping them would make the instance infeasible the moment a link
+// failure cuts one VM off, since the instance build treats an unreachable
+// candidate as an error. u stays, so an unreachable u fails with its own
+// error.
 func (o *Oracle) instance(set vmSet, s, u graph.NodeID, chainLen int) (*kstroll.Instance, []graph.NodeID, error) {
 	if chainLen < 1 {
 		return nil, nil, fmt.Errorf("chain: chain length %d < 1", chainLen)
@@ -624,8 +626,11 @@ func (o *Oracle) instance(set vmSet, s, u graph.NodeID, chainLen int) (*kstroll.
 	if fs.NodeFailed(u) {
 		return nil, nil, unavailableError{vm: u}
 	}
+	spS := o.tree(s)
 	// While no VM is dropped the candidates are set itself, hash included.
-	drop := func(v graph.NodeID) bool { return v == s || fs.NodeFailed(v) }
+	drop := func(v graph.NodeID) bool {
+		return v == s || fs.NodeFailed(v) || v != u && math.IsInf(spS.Dist[v], 1)
+	}
 	cand := set
 	if slices.ContainsFunc(cand.ids, drop) {
 		ids := slices.DeleteFunc(slices.Clone(cand.ids), drop)
@@ -644,18 +649,20 @@ func (o *Oracle) instance(set vmSet, s, u graph.NodeID, chainLen int) (*kstroll.
 		return nil, nil, fmt.Errorf("chain: length %d exceeds %d available VMs: %w",
 			chainLen, len(cand.ids), kstroll.ErrInfeasible)
 	}
-	in, err := o.buildInstance(cand, s, uIdx, chainLen)
+	in, err := o.buildInstance(cand, spS, uIdx, chainLen)
 	if err != nil {
 		return nil, nil, err
 	}
 	return in, cand.ids, nil
 }
 
-// buildInstance constructs the auxiliary complete graph 𝒢 of Procedure 1.
-// Instance node 0 is s; node i+1 is cand.ids[i]. End is the last VM's
-// index. Row and column 0 come from s's tree; the rest is cand's VM–VM
-// block, which every instance over cand shares within a cost epoch.
-func (o *Oracle) buildInstance(cand vmSet, s graph.NodeID, uIdx, chainLen int) (*kstroll.Instance, error) {
+// buildInstance constructs the auxiliary complete graph 𝒢 of Procedure 1
+// from spS, the tree of the source s. Instance node 0 is s; node i+1 is
+// cand.ids[i]. End is the last VM's index. Row and column 0 come from
+// spS; the rest is cand's VM–VM block, which every instance over cand
+// shares within a cost epoch.
+func (o *Oracle) buildInstance(cand vmSet, spS *graph.ShortestPaths, uIdx, chainLen int) (*kstroll.Instance, error) {
+	s := spS.Source
 	m := len(cand.ids)
 	n := m + 1
 	lastCost := o.g.NodeCost(cand.ids[uIdx])
@@ -668,7 +675,6 @@ func (o *Oracle) buildInstance(cand vmSet, s graph.NodeID, uIdx, chainLen int) (
 	for i := range cost {
 		cost[i] = backing[i*n : (i+1)*n : (i+1)*n]
 	}
-	spS := o.tree(s)
 	for i, vi := range cand.ids {
 		d := spS.Dist[vi]
 		if math.IsInf(d, 1) {

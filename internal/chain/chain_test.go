@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,7 +143,7 @@ func TestInstanceMetricity(t *testing.T) {
 				cand = append(cand, v)
 			}
 		}
-		in, err := o.buildInstance(newVMSet(cand), s, uIdx, 2)
+		in, err := o.buildInstance(newVMSet(cand), o.Tree(s), uIdx, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -197,7 +198,7 @@ func TestStrollCostEqualsChainCost(t *testing.T) {
 			}
 			cand = append(cand, v)
 		}
-		in, err := o.buildInstance(newVMSet(cand), s, uIdx, chainLen)
+		in, err := o.buildInstance(newVMSet(cand), o.Tree(s), uIdx, chainLen)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -308,5 +309,29 @@ func TestChainClone(t *testing.T) {
 	cp.Nodes[0] = 99
 	if sc.VMs[0] == 99 || sc.Nodes[0] == 99 {
 		t.Fatal("Clone shares storage")
+	}
+}
+
+// TestChainSkipsVMsTheSourceCannotReach cuts one VM off by a link failure:
+// chains to the other VMs leave it out, and a chain to it fails with its
+// own unreachable error.
+func TestChainSkipsVMsTheSourceCannotReach(t *testing.T) {
+	g, s, vms, _ := lineNet()
+	g.FailEdge(g.FindEdge(vms[1], vms[2]))
+	o := NewOracle(g, Options{})
+	sc, err := o.Chain(vms, s, vms[1], 2)
+	if err != nil {
+		t.Fatalf("chain to a reachable VM: %v", err)
+	}
+	if err := sc.Validate(g, 2); err != nil {
+		t.Fatal(err)
+	}
+	if sc.VNFAt(vms[2]) != 0 {
+		t.Fatalf("chain %v uses the cut-off VM %d", sc.VMs, vms[2])
+	}
+	_, err = o.Chain(vms, s, vms[2], 2)
+	want := fmt.Sprintf("chain: VM %d unreachable from source %d: %v", vms[2], s, graph.ErrDisconnected)
+	if err == nil || err.Error() != want {
+		t.Fatalf("chain to the cut-off VM: error %v, want %s", err, want)
 	}
 }

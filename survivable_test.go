@@ -137,6 +137,51 @@ func TestSolverFailVMAndReembed(t *testing.T) {
 	}
 }
 
+// TestEmbedAfterLinkFailureIsolatesVM: a link failure that cuts one VM
+// off the network leaves every other VM usable, so new embeds keep
+// succeeding on the VMs the sources can still reach, with either
+// algorithm.
+func TestEmbedAfterLinkFailureIsolatesVM(t *testing.T) {
+	b := NewNetworkBuilder()
+	s := b.AddSwitch("s")
+	hub := b.AddSwitch("hub")
+	v1 := b.AddVM("v1", 1)
+	v2 := b.AddVM("v2", 2)
+	v3 := b.AddVM("v3", 3)
+	d1 := b.AddSwitch("d1")
+	d2 := b.AddSwitch("d2")
+	b.Link(s, hub, 1)
+	cut := b.Link(hub, v1, 1)
+	b.Link(hub, v2, 1)
+	b.Link(hub, v3, 1)
+	b.Link(hub, d1, 2)
+	b.Link(hub, d2, 2)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Sources: []NodeID{s}, Destinations: []NodeID{d1, d2}, ChainLength: 2}
+	for _, algo := range []Algorithm{AlgorithmSOFDA, AlgorithmSOFDASS} {
+		solver := NewSolver(net, WithAlgorithm(algo))
+		if !solver.FailLink(cut) {
+			t.Fatal("FailLink reported no change")
+		}
+		f, err := solver.Embed(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%v: embed with v1 cut off: %v", algo, err)
+		}
+		if err := f.Validate(); err != nil {
+			t.Fatalf("%v: %v", algo, err)
+		}
+		for _, v := range f.UsedVMs() {
+			if v == v1 {
+				t.Fatalf("%v: the forest uses the cut-off VM v1", algo)
+			}
+		}
+		solver.RestoreLink(cut)
+	}
+}
+
 // TestForestChainLengthFollowsVNFOps: InsertVNF and RemoveVNF change the
 // chain a forest serves, so Request reports the live length, and a repair
 // that falls through to the re-embed tier rebuilds the forest with every
