@@ -220,8 +220,8 @@ func TestChainsReturnsMemoChains(t *testing.T) {
 	}
 }
 
-// TestUnavailableLastVMError pins the masked-last-VM error: the text it
-// has always had, wrapping kstroll.ErrInfeasible.
+// TestUnavailableLastVMError pins the masked-last-VM error: its text, and
+// that it wraps kstroll.ErrInfeasible.
 func TestUnavailableLastVMError(t *testing.T) {
 	g, s, vms, _ := lineNet()
 	o := NewOracle(g, Options{})
