@@ -202,9 +202,10 @@ type Oracle struct {
 var maxSolvedChains = 1 << 14
 
 // maxBlocks bounds the block memo within one cost epoch the same way.
-// Most epochs see one candidate set per VM source plus the full set, but
-// conflict resolution asks for arbitrary subsets of free VMs, so the
-// distinct sets are not bounded by the request stream's shape.
+// Most epochs see few candidate sets (the VM set less its blocked VMs and
+// those the source cannot reach, and less the source when it is a VM),
+// but conflict resolution asks for arbitrary subsets of free VMs, so the
+// number of distinct sets is not bounded by the request stream's shape.
 var maxBlocks = 1 << 6
 
 // chainKey identifies one solved-chain query within a cost epoch. The
@@ -614,10 +615,9 @@ func (o *Oracle) solveChain(set vmSet, s, u graph.NodeID, chainLen int) (*Servic
 // set, and the candidate VMs its nodes 1… stand for. Blocked VMs — failed,
 // or capacity-masked by a saturated session — and VMs s cannot reach are
 // dropped from the candidates: they can host nothing on a chain from s,
-// and keeping them would make the instance infeasible the moment a link
-// failure cuts one VM off, since the instance build treats an unreachable
-// candidate as an error. u stays, so an unreachable u fails with its own
-// error.
+// and keeping them would fail every instance the moment one VM is blocked
+// or cut off, since the instance build treats an unreachable candidate as
+// an error. u stays, so an unreachable u fails with its own error.
 func (o *Oracle) instance(set vmSet, s, u graph.NodeID, chainLen int) (*kstroll.Instance, []graph.NodeID, error) {
 	if chainLen < 1 {
 		return nil, nil, fmt.Errorf("chain: chain length %d < 1", chainLen)
