@@ -406,10 +406,11 @@ func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, au
 // benchmark that times it.
 //
 // When g admits a seeded run from Ĝ's seeds (graph.DijkstraSeeded: a
-// bucket width, and no arc whose cost is zero or absorbed by a distance
-// of the run, a seed's included), Ĝ's few virtual rows are filled here,
-// and the run settles the network from the seeds they imply until every
-// destination is settled. Otherwise the overlay heap runs over Ĝ in full.
+// bucket width, which a zero-cost or absorbed arc rules out, and no arc
+// whose cost a distance of the run absorbs, a seed's included), Ĝ's few
+// virtual rows are filled here, and the run settles the network from the
+// seeds they imply until every destination is settled. Otherwise the
+// overlay heap runs over Ĝ in full.
 //
 // The virtual rows are the heap run's. ŝ pops first, at 0, and hands
 // every v̂ distance 0 over its zero-cost edge. The v̂ pop next, in id

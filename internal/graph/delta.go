@@ -13,10 +13,10 @@ import (
 // at drain time — so a relaxation is one compare plus an append, with no
 // decrease-key bookkeeping at all.
 //
-// Every full run takes this variant whenever the graph's costs admit a
-// bucket width (see pick), and so does every seeded run (DijkstraSeeded)
-// on a graph without zero-cost arcs; the indexed heap runs only without a
-// width, for full overlay runs, and as the reference (Arena.DijkstraHeap).
+// Every full run and every seeded run (DijkstraSeeded) takes this variant
+// whenever the graph's costs admit a bucket width (see pick); the indexed
+// heap runs only without a width, for full overlay runs, and as the
+// reference (Arena.DijkstraHeap).
 // The heap pays O(log n) sift work per settle, while a bucket here is
 // drained wholesale. The arc partition is precomputed per cost epoch with
 // the edge costs inlined (deltaLayout), so the inner loop runs over three
@@ -41,10 +41,10 @@ import (
 // distances are always overwritten later (a stale relaxation can never
 // tie a final distance: its value is strictly larger), so the fixpoint
 // tree equals the heap's. Zero-cost arcs break the plain settle order (a
-// node can reach its final distance mid-plateau), and so does a positive
-// cost small enough to vanish in the sum (D + c == D, an absorbed cost);
-// those graphs — flagged at partition build — get the exact settle-order
-// replay of replayPlateaus on top, off the zero-free hot path.
+// node can reach its final distance only after another node at that
+// distance settles), and so does a positive cost small enough to vanish
+// in the sum (D + c == D, an absorbed cost). A graph with either arc gets
+// no bucket width (see buildDeltaLayout), so the heap runs on it.
 //
 // A full run is the bucket loop of settleDelta with one seed, the source.
 // A seeded run (DijkstraSeeded) starts it from several seeds whose rows
@@ -63,19 +63,15 @@ type deltaLayout struct {
 	epoch        uint64
 	nodes, edges int
 	// delta is the bucket width; light arcs have cost ≤ delta. It is 0
-	// when the graph has no usable width, and then the heap runs instead.
+	// when the graph has no usable width, and then the heap runs instead
+	// and no run reads the arcs: all costs zero, some cost +Inf, or a kept
+	// arc that costs 0 or that a distance absorbs (see buildDeltaLayout).
 	delta float64
-	// hasZero records whether any kept arc may act as a zero-cost arc:
-	// cost 0, or a cost absorbed by a distance it is added to (see
-	// buildDeltaLayout). Such arcs let a node reach its final distance
-	// only after its plateau starts settling, which twists the heap's tie
-	// order away from plain (dist, id) — runs over such graphs add the
-	// replayPlateaus pass.
-	hasZero bool
 	// bound is twice the total edge cost, which bounds every distance of
-	// a full run, and minCost the cheapest kept arc's cost: hasZero is
-	// minCost ≤ half an ulp of bound. A seeded run, whose seed distances
-	// the bound does not cover, checks its own bound against minCost.
+	// a full run, and minCost the cheapest kept arc's cost; a layout with
+	// a width has minCost above half an ulp of bound. A seeded run, whose
+	// seed distances the bound does not cover, checks its own bound
+	// against minCost.
 	bound   float64
 	minCost float64
 	lrow    []int32
@@ -156,17 +152,12 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 	}
 	if maxC <= 0 || math.IsInf(maxC, 1) {
 		// No usable width: an all-zero graph has none, and one +Inf cost
-		// would make it +Inf. delta stays 0, which sends pick to the heap;
-		// the row arrays stay zeroed so the layout is still well-formed.
+		// would make it +Inf. delta stays 0, which sends pick to the heap.
 		return d
 	}
 	d.delta = deltaWidth(maxC, sum/float64(len(g.edges)))
 	// Every distance is a sum of distinct edge costs, so twice the total
-	// (margin for summation order) bounds them all, and hasZero is set
-	// when that bound absorbs the cheapest kept arc (see absorbs), a
-	// zero-cost one included. Below 4·10^12 edges an absorbed arc is under
-	// the width floor maxC/(nb-2), so it is light, where replayPlateaus
-	// looks for zero arcs.
+	// (margin for summation order) bounds them all.
 	d.bound, d.minCost = 2*sum, math.Inf(1)
 	// Count, then fill: two passes keep the arc arrays exactly sized and
 	// CSR-ordered within each partition.
@@ -180,12 +171,22 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(c.to[i]))) {
 				continue
 			}
-			if g.edges[c.eid[i]].Cost <= d.delta {
+			cost := g.edges[c.eid[i]].Cost
+			d.minCost = min(d.minCost, cost)
+			if cost <= d.delta {
 				nl++
 			} else {
 				nh++
 			}
 		}
+	}
+	if absorbs(d.bound, d.minCost) {
+		// A kept arc costs 0, or vanishes when added to a distance (see
+		// absorbs). Either breaks the plain (dist, id) settle order the
+		// commit rule reproduces (see the header), so the layout gets no
+		// width and the heap runs.
+		d.delta = 0
+		return d
 	}
 	d.lrow[n], d.hrow[n] = nl, nh
 	d.lto = make([]int32, nl)
@@ -203,9 +204,7 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(c.to[i]))) {
 				continue
 			}
-			cost := g.edges[c.eid[i]].Cost
-			d.minCost = min(d.minCost, cost)
-			if cost <= d.delta {
+			if cost := g.edges[c.eid[i]].Cost; cost <= d.delta {
 				d.lto[nl], d.leid[nl], d.lcost[nl] = c.to[i], c.eid[i], cost
 				nl++
 			} else {
@@ -214,7 +213,6 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 			}
 		}
 	}
-	d.hasZero = absorbs(d.bound, d.minCost)
 	return d
 }
 
@@ -239,18 +237,11 @@ type deltaScratch struct {
 	// relaxGen/relaxedAt dedupe lazy duplicates: node v is skipped at
 	// drain time when it was already relaxed at exactly dist[v] in this
 	// run. roundGen dedupes the per-bucket settled list feeding the heavy
-	// phase (and doubles as the reached-mark inside replayPlateaus).
+	// phase.
 	relaxGen  []uint64
 	relaxedAt []float64
 	roundGen  []uint64
 	round     uint64
-	// order/segEnds/pos serve replayPlateaus on graphs with zero-cost
-	// arcs: order concatenates the per-bucket settled lists (segEnds
-	// marking the bucket boundaries), pos receives each node's settle
-	// position. Untouched on zero-free graphs.
-	order   []int32
-	segEnds []int32
-	pos     []int32
 	// seeds are the current run's seeds, sorted by (distance, id).
 	seeds []deltaSeed
 }
@@ -279,9 +270,6 @@ func (ds *deltaScratch) ensure(n int) {
 	at := make([]float64, n)
 	copy(at, ds.relaxedAt)
 	ds.relaxedAt = at
-	pos := make([]int32, n)
-	copy(pos, ds.pos)
-	ds.pos = pos
 	// Every bucket starts with capacity carved from one block and each
 	// staging list with room for every node, so a fresh arena's first runs
 	// make a handful of allocations instead of growing 1,024 buckets one
@@ -428,18 +416,13 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 		sp.Parent[i] = None
 		sp.ParentEdge[i] = NoEdge
 	}
-	if !lay.hasZero {
-		sp.built = treeStamp{g: g, epoch: lay.epoch, edges: lay.edges}
-	}
+	sp.built = treeStamp{g: g, epoch: lay.epoch, edges: lay.edges}
 	if g.block.blocked.Load().NodeFailed(sp.Source) {
 		return
 	}
 	sp.Dist[sp.Source] = 0
 	a.ds.seeds = append(a.ds.seeds[:0], deltaSeed{v: int32(sp.Source)})
 	a.settleDelta(lay, sp, nil, false)
-	if lay.hasZero {
-		replayPlateaus(lay, a, sp)
-	}
 }
 
 // settleDelta runs the delta-stepping rounds over lay from the seeds in
@@ -475,7 +458,6 @@ func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeI
 	r := &deltaRun{dist: sp.Dist, parent: sp.Parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta, n: NodeID(lay.nodes), gen: gen}
 	dist, inv := r.dist, r.inv
 	seeds := ds.seeds
-	ds.order, ds.segEnds = ds.order[:0], ds.segEnds[:0]
 	// cur is the current bucket's absolute index; its calendar slot is
 	// cur mod deltaBucketCount.
 	var cur int64
@@ -551,10 +533,6 @@ func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeI
 		} else {
 			inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
 		}
-		if lay.hasZero {
-			ds.order = append(ds.order, ds.settled...)
-			ds.segEnds = append(ds.segEnds, int32(len(ds.order)))
-		}
 	}
 }
 
@@ -579,217 +557,5 @@ func (r *deltaRun) truncate(cur int64, unadmitted []deltaSeed) {
 	}
 	for _, s := range unadmitted {
 		reset(s.v)
-	}
-}
-
-// replayPlateaus reassigns parents to the heap's exact choices on graphs
-// with zero-cost arcs (an arc whose cost the distance absorbs, d + c == d,
-// is one here). The commit rule above picks, for each node v, the
-// achiever minimizing (dist, id) — which equals the heap's pick exactly
-// when every plateau (set of nodes sharing one final distance) is fully
-// present in the heap before it starts settling. A zero-cost arc breaks
-// that: a plateau member can reach its final distance only when a
-// plateau-mate settles, so the heap's order within the plateau is the
-// zero-arc propagation order (entries first, id-minimal among the
-// currently reached), and the parent recorded for a node reached late is
-// whichever mate reached it first — not the (dist, id) minimum.
-//
-// With the final distances in hand (phase 1 is exact regardless), the
-// heap's dynamics replay cheaply: process plateaus in increasing
-// distance, assigning each node its settle position as it pops. An entry
-// node (one with an achieving arc from a strictly closer node) takes the
-// below-achiever with the minimal settle position — all below-achievers
-// popped before the plateau, so positions are known. Non-entries are
-// reached through zero arcs during the plateau's own mini-run: pop the
-// id-minimal reached node, scan its zero arcs, first reach wins the
-// parent. The bucket rounds of phase 1 already yield the settled sets in
-// increasing-base order, so plateaus are contiguous runs once each
-// bucket segment is sorted by distance.
-func replayPlateaus(lay *deltaLayout, a *Arena, sp *ShortestPaths) {
-	ds := &a.ds
-	dist, parent, pedge := sp.Dist, sp.Parent, sp.ParentEdge
-	ord := ds.order
-	start := 0
-	for _, e := range ds.segEnds {
-		sortByDist(ord[start:e], dist)
-		start = int(e)
-	}
-	src := int32(sp.Source)
-	h := &a.h
-	var next int32
-	for lo := 0; lo < len(ord); {
-		v := ord[lo]
-		d := dist[v]
-		hi := lo + 1
-		for hi < len(ord) && dist[ord[hi]] == d {
-			hi++
-		}
-		if hi == lo+1 {
-			// Singleton plateau — by far the common case. All achievers sit
-			// strictly below, so the heap's parent is the minimal-position
-			// achiever through its first achieving arc in CSR order
-			// (strict < keeps the first arc of the winning parent); no
-			// propagation can happen inside a one-node plateau.
-			bestPos, bestU, bestE := int32(-1), int32(0), int32(0)
-			for i := lay.lrow[v]; i < lay.lrow[v+1]; i++ {
-				u := lay.lto[i]
-				if du := dist[u]; du < d && du+lay.lcost[i] == d {
-					if p := ds.pos[u]; bestPos < 0 || p < bestPos {
-						bestPos, bestU, bestE = p, u, lay.leid[i]
-					}
-				}
-			}
-			for i := lay.hrow[v]; i < lay.hrow[v+1]; i++ {
-				u := lay.hto[i]
-				if du := dist[u]; du < d && du+lay.hcost[i] == d {
-					if p := ds.pos[u]; bestPos < 0 || p < bestPos {
-						bestPos, bestU, bestE = p, u, lay.heid[i]
-					}
-				}
-			}
-			if bestPos >= 0 {
-				parent[v] = NodeID(bestU)
-				pedge[v] = EdgeID(bestE)
-			}
-			ds.pos[v] = next
-			next++
-			lo = hi
-			continue
-		}
-		ds.round++
-		rnd := ds.round
-		entries := 0
-		hasInternalZero := false
-		var bestPos, bestU, bestE int32
-		// Entry scan: the minimal-position achiever from strictly below.
-		// The light pass doubles as zero-arc detection — zero arcs are
-		// always light, so a plateau without an internal zero arc is
-		// recognized here for the heap-free path below.
-		for _, v = range ord[lo:hi] {
-			bestPos = -1
-			for i := lay.lrow[v]; i < lay.lrow[v+1]; i++ {
-				u := lay.lto[i]
-				du := dist[u]
-				if du < d && du+lay.lcost[i] == d {
-					if p := ds.pos[u]; bestPos < 0 || p < bestPos {
-						bestPos, bestU, bestE = p, u, lay.leid[i]
-					}
-				} else if du == d && d+lay.lcost[i] == d {
-					hasInternalZero = true
-				}
-			}
-			for i := lay.hrow[v]; i < lay.hrow[v+1]; i++ {
-				u := lay.hto[i]
-				if du := dist[u]; du < d && du+lay.hcost[i] == d {
-					if p := ds.pos[u]; bestPos < 0 || p < bestPos {
-						bestPos, bestU, bestE = p, u, lay.heid[i]
-					}
-				}
-			}
-			if bestPos >= 0 {
-				parent[v] = NodeID(bestU)
-				pedge[v] = EdgeID(bestE)
-				ds.roundGen[v] = rnd
-				entries++
-			} else if v == src {
-				ds.roundGen[v] = rnd
-				entries++
-			}
-		}
-		if !hasInternalZero {
-			// No zero arc joins plateau mates, so every member is an entry
-			// (anything else would be unreachable at this distance) and all
-			// of them sit in the heap before the first pop: settle order is
-			// plain ascending id. Equal distances make the in-plateau
-			// reorder harmless to the segment's sorted-by-dist invariant.
-			seg := ord[lo:hi]
-			slices.Sort(seg)
-			for _, v = range seg {
-				ds.pos[v] = next
-				next++
-			}
-			lo = hi
-			continue
-		}
-		for _, v = range ord[lo:hi] {
-			if ds.roundGen[v] == rnd {
-				h.Update(v, float64(v))
-			}
-		}
-		for h.Len() > 0 {
-			u, _ := h.Pop()
-			ds.pos[u] = next
-			next++
-			// Zero arcs are always light; a zero arc to an equal-distance
-			// unreached mate hands it this parent (first reach wins, as in
-			// the heap where later equal relaxations never replace). An
-			// arc whose cost d absorbs is a zero arc here.
-			for i := lay.lrow[u]; i < lay.lrow[u+1]; i++ {
-				if d+lay.lcost[i] == d {
-					if w := lay.lto[i]; dist[w] == d && ds.roundGen[w] != rnd {
-						ds.roundGen[w] = rnd
-						parent[w] = NodeID(u)
-						pedge[w] = EdgeID(lay.leid[i])
-						h.Update(w, float64(w))
-					}
-				}
-			}
-		}
-		lo = hi
-	}
-}
-
-// sortByDist orders settled node ids by ascending distance: insertion
-// sort on short runs, median-of-three quicksort above. A dedicated sort
-// (rather than sort.Slice) keeps the replay pass off closure calls and
-// reflected swaps on its hottest loop; equal-distance order is free —
-// every plateau is re-ordered exactly afterwards.
-func sortByDist(seg []int32, dist []float64) {
-	for len(seg) > 16 {
-		// Median-of-three pivot, middle position.
-		m := len(seg) / 2
-		if dist[seg[m]] < dist[seg[0]] {
-			seg[m], seg[0] = seg[0], seg[m]
-		}
-		if dist[seg[len(seg)-1]] < dist[seg[0]] {
-			seg[len(seg)-1], seg[0] = seg[0], seg[len(seg)-1]
-		}
-		if dist[seg[len(seg)-1]] < dist[seg[m]] {
-			seg[len(seg)-1], seg[m] = seg[m], seg[len(seg)-1]
-		}
-		p := dist[seg[m]]
-		i, j := 0, len(seg)-1
-		for {
-			for dist[seg[i]] < p {
-				i++
-			}
-			for dist[seg[j]] > p {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			seg[i], seg[j] = seg[j], seg[i]
-			i++
-			j--
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j+1 < len(seg)-j-1 {
-			sortByDist(seg[:j+1], dist)
-			seg = seg[j+1:]
-		} else {
-			sortByDist(seg[j+1:], dist)
-			seg = seg[:j+1]
-		}
-	}
-	for i := 1; i < len(seg); i++ {
-		v := seg[i]
-		dv := dist[v]
-		j := i - 1
-		for j >= 0 && dist[seg[j]] > dv {
-			seg[j+1] = seg[j]
-			j--
-		}
-		seg[j+1] = v
 	}
 }

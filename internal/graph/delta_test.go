@@ -46,8 +46,9 @@ func absorbedMultigraph(seed int64) *Graph {
 
 // absorbedRepro is the smallest known absorbed-cost input: from node 0,
 // nodes 7, 9, 5 and 8 all sit at 1e17, and the heap reaches 8 from 7,
-// then 5 from 8. A replay that sees only cost-0 arcs as plateau-internal
-// builds the parent cycle 8 → 5 → 8 instead.
+// then 5 from 8. Delta-stepping's (dist, id) commit rule alone would
+// build the parent cycle 8 → 5 → 8 instead, which is why an absorbed arc
+// leaves a layout no bucket width.
 func absorbedRepro() *Graph {
 	g := New(10, 5)
 	for i := 0; i < 10; i++ {
@@ -62,18 +63,19 @@ func absorbedRepro() *Graph {
 }
 
 // TestDeltaSteppingBitIdentical is the core equivalence claim: on random
-// multigraphs (parallel edges, zero-cost links), the delta-stepping tree
-// — distances, parents, AND parent edges — must be bit-for-bit the
+// multigraphs (parallel edges, zero-cost links), the tree Arena.Dijkstra
+// builds — distances, parents, AND parent edges — must be bit-for-bit the
 // indexed-heap reference tree (Arena.DijkstraHeap) from every source.
 // Distances alone would allow a different (equally short) tree;
-// downstream cost-equality guarantees need the same tree. The multigraphs
-// almost all carry zero-cost arcs, so their parents come from the plateau
-// replay; each is repeated with its zero costs raised to 1, where exact
-// ties are many and only the in-place tie-break can match the heap. The
-// 600-node inputs (float costs, then the same rounded up to integers) are
-// the ones whose bucket frontiers grow to hundreds of nodes. The
-// absorbed-cost inputs have no zero cost, yet arcs whose cost vanishes in
-// the sum, which the replay must treat as zero arcs.
+// downstream cost-equality guarantees need the same tree. Each input
+// states the kernel pick must choose for it. The multigraphs all carry
+// zero-cost arcs, so the heap runs on them; each is repeated with its
+// zero costs raised to 1, where delta-stepping runs, exact ties are many,
+// and only the in-place tie-break can match the heap. The 600-node inputs
+// (float costs, then the same rounded up to integers) are the ones whose
+// bucket frontiers grow to hundreds of nodes. The absorbed-cost inputs
+// have no zero cost, yet arcs whose cost vanishes in the sum, so the heap
+// runs on them too.
 func TestDeltaSteppingBitIdentical(t *testing.T) {
 	// recost returns g with every edge cost mapped through f.
 	recost := func(g *Graph, f func(float64) float64) *Graph {
@@ -82,29 +84,33 @@ func TestDeltaSteppingBitIdentical(t *testing.T) {
 		}
 		return g
 	}
-	var graphs []*Graph
+	type input struct {
+		g     *Graph
+		delta bool // whether pick chooses delta-stepping
+	}
+	var inputs []input
 	for seed := int64(0); seed < 40; seed++ {
-		graphs = append(graphs, randomMultigraph(seed))
+		inputs = append(inputs, input{randomMultigraph(seed), false})
 	}
 	for seed := int64(0); seed < 40; seed++ {
-		graphs = append(graphs, recost(randomMultigraph(seed), func(c float64) float64 { return max(c, 1) }))
+		inputs = append(inputs, input{recost(randomMultigraph(seed), func(c float64) float64 { return max(c, 1) }), true})
 	}
 	big := func() *Graph {
 		return RandomConnected(RandomConfig{Nodes: 600, ExtraEdges: 1800, VMFraction: 0.2, MaxEdge: 10, MaxSetup: 5}, 9)
 	}
-	graphs = append(graphs, big(), recost(big(), math.Ceil), absorbedRepro())
+	inputs = append(inputs, input{big(), true}, input{recost(big(), math.Ceil), true}, input{absorbedRepro(), false})
 	for seed := int64(0); seed < 300; seed++ {
-		graphs = append(graphs, absorbedMultigraph(seed))
+		inputs = append(inputs, input{absorbedMultigraph(seed), false})
 	}
 	arena, ref := NewArena(), NewArena()
-	for i, g := range graphs {
-		if pick(g) == nil {
-			t.Fatalf("graph %d: no bucket width, so the heap would run on both sides", i)
+	for i, in := range inputs {
+		if got := pick(in.g) != nil; got != in.delta {
+			t.Fatalf("graph %d: delta-stepping = %v, want %v", i, got, in.delta)
 		}
-		for v := 0; v < g.NumNodes(); v++ {
-			got := arena.Dijkstra(g, NodeID(v))
-			sameTree(t, fmt.Sprintf("graph %d src %d", i, v), got, ref.DijkstraHeap(g, NodeID(v)))
-			verifyTree(t, g, got)
+		for v := 0; v < in.g.NumNodes(); v++ {
+			got := arena.Dijkstra(in.g, NodeID(v))
+			sameTree(t, fmt.Sprintf("graph %d src %d", i, v), got, ref.DijkstraHeap(in.g, NodeID(v)))
+			verifyTree(t, in.g, got)
 		}
 	}
 }
@@ -301,10 +307,13 @@ func TestDeltaLayoutEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestPickNeedsWidth pins the one decision left in pick: every full run
-// takes delta-stepping when the costs admit a bucket width, however
-// small the graph, and the heap when they do not — all-zero costs, or
-// one +Inf cost.
+// TestPickNeedsWidth pins the one kernel choice every run follows: a run
+// takes delta-stepping when the costs admit a bucket width, however small
+// the graph, and the heap when they do not — all-zero costs, one +Inf
+// cost, or an unblocked arc that costs 0 or vanishes when added to a
+// distance. A blocked arc is not in the layout, so failing the only
+// zero-cost link gives the width back, and restoring it takes the width
+// away again. Rows run in order; the last two edit one graph.
 func TestPickNeedsWidth(t *testing.T) {
 	pair := func(cost float64) *Graph {
 		g := New(2, 1)
@@ -313,19 +322,39 @@ func TestPickNeedsWidth(t *testing.T) {
 		g.MustAddEdge(0, 1, cost)
 		return g
 	}
+	raised := randomMultigraph(5)
+	for e := 0; e < raised.NumEdges(); e++ {
+		raised.SetEdgeCost(EdgeID(e), max(raised.EdgeCost(EdgeID(e)), 1))
+	}
 	inf := randomMultigraph(5)
 	inf.SetEdgeCost(0, math.Inf(1))
+	// line is the path 0–1–2–3 with costs 1, 0, 2.
+	line := New(4, 3)
+	for i := 0; i < 4; i++ {
+		line.AddSwitch("")
+	}
+	line.MustAddEdge(0, 1, 1)
+	zero := line.MustAddEdge(1, 2, 0)
+	line.MustAddEdge(2, 3, 2)
 	cases := []struct {
 		name  string
 		g     *Graph
+		edit  func() // runs just before the row is checked
 		delta bool
 	}{
-		{"two-nodes", pair(1), true},
-		{"multigraph", randomMultigraph(5), true},
-		{"all-zero", pair(0), false},
-		{"infinite-cost", inf, false},
+		{name: "two-nodes", g: pair(1), delta: true},
+		{name: "multigraph", g: raised, delta: true},
+		{name: "all-zero", g: pair(0), delta: false},
+		{name: "infinite-cost", g: inf, delta: false},
+		{name: "zero-cost-arc", g: randomMultigraph(5), delta: false},
+		{name: "absorbed-arc", g: absorbedRepro(), delta: false},
+		{name: "zero-cost-link-failed", g: line, edit: func() { line.FailEdge(zero) }, delta: true},
+		{name: "zero-cost-link-restored", g: line, edit: func() { line.RestoreEdge(zero) }, delta: false},
 	}
 	for _, tc := range cases {
+		if tc.edit != nil {
+			tc.edit()
+		}
 		if got := pick(tc.g) != nil; got != tc.delta {
 			t.Errorf("%s: delta-stepping = %v, want %v", tc.name, got, tc.delta)
 		}

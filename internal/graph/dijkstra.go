@@ -105,11 +105,12 @@ func (a *Arena) ensure(n int) {
 	}
 }
 
-// pick returns the arc partition a full run over g takes with
-// delta-stepping, or nil when the heap must run instead: delta-stepping
-// needs a positive finite maximum edge cost for its bucket width, and a
-// graph without one (all-zero or some +Inf cost) builds a layout with
-// delta 0.
+// pick returns the arc partition a run over g takes with delta-stepping,
+// or nil when the heap must run instead. It is the one place that
+// decides: a layout has no bucket width (delta 0) when g's costs are all
+// zero or one is +Inf, or when a kept arc costs 0 or vanishes when added
+// to a distance (see buildDeltaLayout). Full runs, batches, seeded runs
+// and tree repairs all follow it.
 func pick(g *Graph) *deltaLayout {
 	if lay := g.deltaLayoutFor(); lay.delta > 0 {
 		return lay
@@ -228,11 +229,11 @@ func DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
 
 // DijkstraSeeded runs delta-stepping over g from seeds whose rows the
 // caller wrote into sp, and reports whether it ran. It returns false,
-// touching nothing, when g's costs admit no bucket width, when an arc of
-// g has zero cost or a cost that some distance of the run absorbs (D + c
-// == D), the seeds' distances included, or when a distance of the run
-// would put its bucket index at 2^52 or past; the caller then runs the
-// heap instead.
+// touching nothing, when g's costs admit no bucket width (see pick), when
+// some distance of the run, the seeds' distances included, absorbs the
+// cost of an arc of g (D + c == D), or when a distance of the run would
+// put its bucket index at 2^52 or past; the caller then runs the heap
+// instead.
 //
 // It computes the rows of a heap run over an overlay of g whose appended
 // nodes reach the network only through zero-cost arcs into the seeds.
@@ -251,7 +252,7 @@ func DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
 // +Inf/None/NoEdge, as if unreachable. Duplicate targets are allowed.
 func (a *Arena) DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
 	lay := pick(g)
-	if lay == nil || lay.hasZero {
+	if lay == nil {
 		return false
 	}
 	fs := g.block.blocked.Load()

@@ -4,7 +4,8 @@
 // failure and capacity masks, union-find, and DOT export.
 //
 // Shortest-path trees come from delta-stepping whenever the edge costs
-// admit a bucket width (a positive, finite largest cost), and from an
+// admit a bucket width (a positive, finite largest cost, and no unblocked
+// link that costs 0 or vanishes when added to a distance), and from an
 // indexed-heap Dijkstra otherwise. The two build bit-identical trees;
 // Arena.DijkstraHeap runs the heap alone as the reference. Every cost
 // epoch bump is recorded in a bounded change log, and RepairTree uses it

@@ -14,9 +14,10 @@ import (
 // again only the subtrees the changes broke, and it returns exactly the
 // tree a full run would build.
 //
-// Why the result is bit-identical. On a layout with no zero-cost or
-// absorbed arc (hasZero false), delta-stepping's commit rule makes the
-// tree a function of the distance vector: v's parent is the tight arc
+// Why the result is bit-identical. On a layout with a bucket width, which
+// has no zero-cost or absorbed arc (see pick), delta-stepping's commit
+// rule makes the tree a function of the distance vector: v's parent is
+// the tight arc
 // (u, v), Dist[u] + c == Dist[v], whose tail minimizes (Dist[u], u),
 // and among parallel arcs the first one delta relaxes (see delta.go's
 // header and deltaRun.tieBreak). Rounding is monotone and every arc adds
@@ -49,8 +50,9 @@ const (
 func repairLimit(n, div int) int { return n/div + 1 }
 
 // treeStamp records which layout built a tree. g is nil unless
-// delta-stepping or a repair built the tree on a zero-free layout of g;
-// epoch and edges are that layout's. Only a stamped tree can be a base.
+// delta-stepping or a repair built the tree, on a layout of g with a
+// bucket width; epoch and edges are that layout's. Only a stamped tree
+// can be a base.
 type treeStamp struct {
 	g     *Graph
 	epoch uint64
@@ -167,9 +169,9 @@ func RepairTree(g *Graph, base *ShortestPaths) *ShortestPaths {
 // Parent and ParentEdge.
 //
 // It returns nil unless all of these hold: g's costs admit a bucket
-// width and its layout has no zero-cost or absorbed arc; delta-stepping
-// or a repair built base on such a layout of g, with g's current node and
-// edge counts; base is at most n/8 epochs old and g's change log still
+// width, which a zero-cost or absorbed arc rules out (see pick);
+// delta-stepping or a repair built base on such a layout of g, with g's
+// current node and edge counts; base is at most n/8 epochs old and g's change log still
 // holds every bump since. base is carried when its origin was blocked
 // and still is, or when only node costs changed. Otherwise the interval
 // must change at most n/32 distinct edges and nodes, hold no change of
@@ -180,7 +182,7 @@ func (a *Arena) RepairTree(g *Graph, base *ShortestPaths) *ShortestPaths {
 	n := len(g.nodes)
 	lay := pick(g)
 	st := base.built
-	if lay == nil || lay.hasZero || st.g != g || st.edges != lay.edges || len(base.Dist) != n ||
+	if lay == nil || st.g != g || st.edges != lay.edges || len(base.Dist) != n ||
 		st.epoch > lay.epoch || lay.epoch-st.epoch > uint64(repairLimit(n, repairGapDiv)) {
 		return nil
 	}
