@@ -828,13 +828,15 @@ func (o *Oracle) Extension(vms []graph.NodeID, from, to graph.NodeID, nVMs int) 
 		}
 		return sc, nil
 	}
-	// Blocked VMs (failed or saturated) cannot host the missing VNFs; drop
-	// them like solveChain does so one dead VM does not poison the whole
-	// extension instance.
+	// Blocked VMs (failed or saturated) and VMs from cannot reach cannot
+	// host the missing VNFs; drop them like instance does so one dead or
+	// cut-off VM does not poison the whole extension instance. to stays, so
+	// an unreachable to fails with its own error.
 	fs := o.g.Blocked()
+	spFrom := o.tree(from)
 	cand := make([]graph.NodeID, 0, len(vms))
 	for _, v := range vms {
-		if v == from || v == to || fs.NodeFailed(v) {
+		if v == from || v == to || fs.NodeFailed(v) || !spFrom.Reachable(v) {
 			continue
 		}
 		cand = append(cand, v)

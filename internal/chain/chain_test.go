@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sof/internal/graph"
@@ -333,5 +334,27 @@ func TestChainSkipsVMsTheSourceCannotReach(t *testing.T) {
 	want := fmt.Sprintf("chain: VM %d unreachable from source %d: %v", vms[2], s, graph.ErrDisconnected)
 	if err == nil || err.Error() != want {
 		t.Fatalf("chain to the cut-off VM: error %v, want %s", err, want)
+	}
+}
+
+// TestExtensionSkipsVMsTheSourceCannotReach cuts one spare VM off by a
+// link failure: an extension that needs no more VMs than `from` still
+// reaches leaves it out, and one to a cut-off node fails with that pair's
+// own error.
+func TestExtensionSkipsVMsTheSourceCannotReach(t *testing.T) {
+	g, s, vms, tgt := lineNet()
+	g.FailEdge(g.FindEdge(vms[1], vms[2]))
+	o := NewOracle(g, Options{})
+	sc, err := o.Extension(vms, s, vms[1], 1)
+	if err != nil {
+		t.Fatalf("extension to a reachable node: %v", err)
+	}
+	if want := []graph.NodeID{s, vms[0], vms[1]}; !slices.Equal(sc.VMs, want[1:2]) || !slices.Equal(sc.Nodes, want) {
+		t.Fatalf("extension walk %v with VMs %v, want walk %v through VM %d", sc.Nodes, sc.VMs, want, vms[0])
+	}
+	_, err = o.Extension(vms, s, tgt, 1)
+	want := fmt.Sprintf("chain: %d and %d disconnected: %v", s, tgt, graph.ErrDisconnected)
+	if err == nil || err.Error() != want {
+		t.Fatalf("extension to the cut-off node: error %v, want %s", err, want)
 	}
 }

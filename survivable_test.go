@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -179,6 +180,46 @@ func TestEmbedAfterLinkFailureIsolatesVM(t *testing.T) {
 			}
 		}
 		solver.RestoreLink(cut)
+	}
+}
+
+// TestInsertVNFSkipsCutOffVM: a link failure cuts off a spare VM the
+// forest does not use. InsertVNF must still splice the new VNF onto the
+// VM it can reach, not fail because one candidate is unreachable.
+func TestInsertVNFSkipsCutOffVM(t *testing.T) {
+	b := NewNetworkBuilder()
+	s := b.AddSwitch("s")
+	v := b.AddVM("v", 1)
+	d := b.AddSwitch("d")
+	u := b.AddVM("spare", 1)
+	x := b.AddVM("cut-off", 1)
+	b.Link(s, v, 1)
+	b.Link(v, d, 1)
+	b.Link(d, u, 1)
+	cut := b.Link(s, x, 1)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := NewSolver(net)
+	f, err := solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.UsedVMs(); !slices.Equal(got, []NodeID{v}) {
+		t.Fatalf("embed uses VMs %v, want [%d]", got, v)
+	}
+	if !solver.FailLink(cut) {
+		t.Fatal("FailLink reported no change")
+	}
+	if err := f.InsertVNF(2); err != nil {
+		t.Fatalf("InsertVNF with one spare VM cut off: %v", err)
+	}
+	if got := f.UsedVMs(); !slices.Contains(got, u) || slices.Contains(got, x) {
+		t.Fatalf("forest uses VMs %v, want the spare %d and not the cut-off %d", got, u, x)
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
