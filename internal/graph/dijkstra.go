@@ -150,7 +150,7 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	if lay := pick(g); lay != nil {
 		dijkstraDelta(g, lay, a, sp)
 	} else {
-		dijkstraHeap(g, g.csr(), nil, a, sp)
+		dijkstraHeap(g, nil, a, sp)
 	}
 	return sp
 }
@@ -163,7 +163,7 @@ func (a *Arena) DijkstraHeap(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(g, g.csr(), nil, a, sp)
+	dijkstraHeap(g, nil, a, sp)
 	return sp
 }
 
@@ -183,7 +183,6 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		defer arenaPool.Put(a)
 	}
 	n := g.NumNodes()
-	c := g.csr()
 	a.ensure(n)
 	lay := pick(g)
 
@@ -210,7 +209,7 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		if lay != nil {
 			dijkstraDelta(g, lay, a, sp)
 		} else {
-			dijkstraHeap(g, c, nil, a, sp)
+			dijkstraHeap(g, nil, a, sp)
 		}
 	}
 	for i, s := range sources {
@@ -302,7 +301,8 @@ func (a *Arena) DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []Nod
 // are relaxed after its CSR arcs, in insertion order, which is the arc
 // order of g's clone with the same elements added. Appended edges are
 // never blocked; a base node they enter still is.
-func dijkstraHeap(g *Graph, c *csrLayout, ov *Overlay, a *Arena, sp *ShortestPaths) {
+func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
+	c := g.csr()
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
 		sp.Parent[i] = None

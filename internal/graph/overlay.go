@@ -137,6 +137,6 @@ func (o *Overlay) dijkstra(a *Arena, src NodeID) *ShortestPaths {
 	n := o.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(o.base, o.base.csr(), o, a, sp)
+	dijkstraHeap(o.base, o, a, sp)
 	return sp
 }
