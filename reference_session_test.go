@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"sof/internal/graph"
 	"sof/internal/topology"
 )
 
@@ -22,8 +23,9 @@ type refSession struct {
 	net    *topology.Network
 	solver *Solver
 	clock  int64
-	// compared counts embeds checked against the cold solve.
-	compared int
+	// compared counts embeds checked against the cold solve, and
+	// zeroCompared those of them that ran while some live link cost 0.
+	compared, zeroCompared int
 }
 
 func newRefSession(t *testing.T, next func(k int) int) *refSession {
@@ -70,7 +72,7 @@ func (r *refSession) step(ctx context.Context) {
 		s.Reprice()
 	case 9:
 		e := EdgeID(r.next(g.NumEdges()))
-		if err := s.Network().SetLinkCost(e, []float64{1, 2, 5, 10, 20}[r.next(5)]); err != nil {
+		if err := s.Network().SetLinkCost(e, []float64{0, 1, 2, 5, 10, 20}[r.next(6)]); err != nil {
 			r.t.Fatalf("SetLinkCost: %v", err)
 		}
 	default:
@@ -112,12 +114,16 @@ func (r *refSession) embed(ctx context.Context) {
 		TTL:          int64(r.next(8)),
 	}
 	snapshot := FromGraph(r.net.G.Clone())
+	zero := zeroCostLink(r.net.G)
 	warm, werr := r.solver.EmbedAlgorithm(ctx, req, algo)
 	if errors.Is(werr, ErrCapacityExceeded) || errors.Is(werr, ErrAdmissionRejected) {
 		return // the algorithm succeeded; admission refused the footprint
 	}
 	cold, cerr := NewSolver(snapshot, WithVMs(r.net.VMs...), WithParallelism(1)).EmbedAlgorithm(ctx, req, algo)
 	r.compared++
+	if zero {
+		r.zeroCompared++
+	}
 	switch {
 	case werr != nil || cerr != nil:
 		if werr == nil || cerr == nil || werr.Error() != cerr.Error() {
@@ -126,6 +132,20 @@ func (r *refSession) embed(ctx context.Context) {
 	default:
 		sameForest(r.t, string(algo), warm, cold)
 	}
+}
+
+// zeroCostLink reports whether some link that is not blocked costs 0.
+// Such a link leaves the graph no bucket width, so its trees come from
+// the heap, and a stale tree is never repaired.
+func zeroCostLink(g *graph.Graph) bool {
+	fs := g.Blocked()
+	for id := range g.NumEdges() {
+		e := g.Edge(graph.EdgeID(id))
+		if e.Cost == 0 && !fs.EdgeFailed(graph.EdgeID(id)) && !fs.NodeFailed(e.U) && !fs.NodeFailed(e.V) {
+			return true
+		}
+	}
+	return false
 }
 
 // sameForest fails the test unless the two forests cross the same edges
@@ -156,13 +176,17 @@ func sameForest(t *testing.T, label string, warm, cold *Forest) {
 // and SOFDA-SS embeds, departures, TTL expiry, link failures with repair
 // sweeps, repricing and cost setters through one warm session, and checks
 // every embed against the cold reference. The schedules must compare
-// embeds and repair trees, so the session's tree reuse is on trial.
+// embeds and repair trees, so the session's tree reuse is on trial. Link
+// costs move through 0, so the schedules must also compare embeds made
+// while a live link cost 0: epochs without a bucket width, whose trees
+// come from the heap and whose stale trees are rebuilt, not repaired,
+// alternate with epochs that have one.
 func TestWarmSessionMatchesColdReference(t *testing.T) {
 	seeds, steps := 10, 120
 	if testing.Short() {
 		seeds = 3
 	}
-	var compared int
+	var compared, zeroCompared int
 	var st CacheStats
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		r := newRefSession(t, rand.New(rand.NewSource(seed)).Intn)
@@ -171,14 +195,17 @@ func TestWarmSessionMatchesColdReference(t *testing.T) {
 			r.step(ctx)
 		}
 		compared += r.compared
+		zeroCompared += r.zeroCompared
 		cs := r.solver.CacheStats()
 		st.Misses += cs.Misses
 		st.Repaired += cs.Repaired
 		st.Carried += cs.Carried
 	}
-	t.Logf("%d embeds compared; trees: %d full runs, %d repaired, %d carried", compared, st.Misses, st.Repaired, st.Carried)
-	if compared < 10*seeds || st.Repaired == 0 {
-		t.Fatalf("schedules compared %d embeds and repaired %d trees; the property was vacuous", compared, st.Repaired)
+	t.Logf("%d embeds compared, %d under a zero-cost link; trees: %d full runs, %d repaired, %d carried",
+		compared, zeroCompared, st.Misses, st.Repaired, st.Carried)
+	if compared < 10*seeds || st.Repaired == 0 || zeroCompared == 0 {
+		t.Fatalf("schedules compared %d embeds, %d under a zero-cost link, and repaired %d trees; the property was vacuous",
+			compared, zeroCompared, st.Repaired)
 	}
 }
 
