@@ -63,9 +63,9 @@ type deltaLayout struct {
 	epoch        uint64
 	nodes, edges int
 	// delta is the bucket width; light arcs have cost ≤ delta. It is 0
-	// when the graph has no usable width, and then the heap runs instead
-	// and no run reads the arcs: all costs zero, some cost +Inf, or a kept
-	// arc that costs 0 or that a distance absorbs (see buildDeltaLayout).
+	// when the graph has no usable width (all costs zero, some cost +Inf,
+	// or a kept arc that costs 0 or that a distance absorbs; see
+	// buildDeltaLayout), and then the heap runs and no run reads the arcs.
 	delta float64
 	// bound is twice the total edge cost, which bounds every distance of
 	// a full run, and minCost the cheapest kept arc's cost; a layout with

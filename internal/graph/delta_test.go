@@ -44,6 +44,16 @@ func absorbedMultigraph(seed int64) *Graph {
 	return g
 }
 
+// raisedMultigraph is randomMultigraph(seed) with every zero cost raised
+// to 1, so that its layout has a bucket width.
+func raisedMultigraph(seed int64) *Graph {
+	g := randomMultigraph(seed)
+	for e := 0; e < g.NumEdges(); e++ {
+		g.SetEdgeCost(EdgeID(e), max(g.EdgeCost(EdgeID(e)), 1))
+	}
+	return g
+}
+
 // absorbedRepro is the smallest known absorbed-cost input: from node 0,
 // nodes 7, 9, 5 and 8 all sit at 1e17, and the heap reaches 8 from 7,
 // then 5 from 8. Delta-stepping's (dist, id) commit rule alone would
@@ -115,24 +125,27 @@ func TestDeltaSteppingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDeltaSteppingBatch drives the variant through DijkstraBatch (the
-// path the chain oracle's tree warming takes) with duplicate sources.
+// TestDeltaSteppingBatch drives both kernels through DijkstraBatch (the
+// path the chain oracle's tree warming takes) with duplicate sources:
+// each multigraph carries zero-cost arcs, so its batch runs the heap, and
+// its copy with zero costs raised to 1 runs delta-stepping.
 func TestDeltaSteppingBatch(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		g := randomMultigraph(seed)
-		rng := rand.New(rand.NewSource(seed ^ 0x3c3c))
-		sources := make([]NodeID, 0, 6)
-		for i := 0; i < 5; i++ {
-			sources = append(sources, NodeID(rng.Intn(g.NumNodes())))
-		}
-		sources = append(sources, sources[0]) // duplicate on purpose
-		batch := DijkstraBatch(g, sources, NewArena())
-		if batch[len(batch)-1] != batch[0] {
-			t.Fatalf("seed %d: duplicate source not aliased", seed)
-		}
-		ref := NewArena()
-		for i, s := range sources {
-			sameTree(t, fmt.Sprintf("seed %d source %d", seed, s), batch[i], ref.DijkstraHeap(g, s))
+		for _, g := range []*Graph{randomMultigraph(seed), raisedMultigraph(seed)} {
+			rng := rand.New(rand.NewSource(seed ^ 0x3c3c))
+			sources := make([]NodeID, 0, 6)
+			for i := 0; i < 5; i++ {
+				sources = append(sources, NodeID(rng.Intn(g.NumNodes())))
+			}
+			sources = append(sources, sources[0]) // duplicate on purpose
+			batch := DijkstraBatch(g, sources, NewArena())
+			if batch[len(batch)-1] != batch[0] {
+				t.Fatalf("seed %d: duplicate source not aliased", seed)
+			}
+			ref := NewArena()
+			for i, s := range sources {
+				sameTree(t, fmt.Sprintf("seed %d source %d", seed, s), batch[i], ref.DijkstraHeap(g, s))
+			}
 		}
 	}
 }
@@ -322,10 +335,6 @@ func TestPickNeedsWidth(t *testing.T) {
 		g.MustAddEdge(0, 1, cost)
 		return g
 	}
-	raised := randomMultigraph(5)
-	for e := 0; e < raised.NumEdges(); e++ {
-		raised.SetEdgeCost(EdgeID(e), max(raised.EdgeCost(EdgeID(e)), 1))
-	}
 	inf := randomMultigraph(5)
 	inf.SetEdgeCost(0, math.Inf(1))
 	// line is the path 0–1–2–3 with costs 1, 0, 2.
@@ -343,7 +352,7 @@ func TestPickNeedsWidth(t *testing.T) {
 		delta bool
 	}{
 		{name: "two-nodes", g: pair(1), delta: true},
-		{name: "multigraph", g: raised, delta: true},
+		{name: "multigraph", g: raisedMultigraph(5), delta: true},
 		{name: "all-zero", g: pair(0), delta: false},
 		{name: "infinite-cost", g: inf, delta: false},
 		{name: "zero-cost-arc", g: randomMultigraph(5), delta: false},

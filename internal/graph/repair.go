@@ -16,19 +16,18 @@ import (
 //
 // Why the result is bit-identical. On a layout with a bucket width, which
 // has no zero-cost or absorbed arc (see pick), delta-stepping's commit
-// rule makes the tree a function of the distance vector: v's parent is
-// the tight arc
-// (u, v), Dist[u] + c == Dist[v], whose tail minimizes (Dist[u], u),
-// and among parallel arcs the first one delta relaxes (see delta.go's
-// header and deltaRun.tieBreak). Rounding is monotone and every arc adds
-// a cost the sum does not absorb, so the fixpoint d(v) = min over u of
-// fl(d(u) + c) is unique: any Dijkstra that starts from exact upper
+// rule makes the tree a function of the distance vector: v's parent is the
+// tight arc (u, v), Dist[u] + c == Dist[v], whose tail minimizes
+// (Dist[u], u), and among parallel arcs the first one delta relaxes (see
+// delta.go's header and deltaRun.tieBreak). Rounding is monotone and every
+// arc adds a cost the sum does not absorb, so the fixpoint d(v) = min over
+// u of fl(d(u) + c) is unique: any Dijkstra that starts from exact upper
 // bounds reaches the distances a full run computes. A node outside the
-// invalidated subtrees keeps an intact tree path, every arc of which
-// still reproduces its child's distance, so its old distance is such a
-// bound. Re-deriving the parent of every node whose distance, candidate
-// arcs or neighbours' distances may have changed then yields the full
-// run's parents.
+// invalidated subtrees keeps an intact tree path, every arc of which still
+// reproduces its child's distance, so its old distance is such a bound.
+// Re-deriving the parent of every node whose distance, candidate arcs or
+// neighbours' distances may have changed then yields the full run's
+// parents.
 //
 // The bounds below are fractions of the node count n. Past them a repair
 // costs about what it saves (long intervals with repetitive changes, or
@@ -168,16 +167,16 @@ func RepairTree(g *Graph, base *ShortestPaths) *ShortestPaths {
 // build the tree. A returned tree is bit for bit the full run's: Dist,
 // Parent and ParentEdge.
 //
-// It returns nil unless all of these hold: g's costs admit a bucket
-// width, which a zero-cost or absorbed arc rules out (see pick);
-// delta-stepping or a repair built base on such a layout of g, with g's
-// current node and edge counts; base is at most n/8 epochs old and g's change log still
-// holds every bump since. base is carried when its origin was blocked
-// and still is, or when only node costs changed. Otherwise the interval
-// must change at most n/32 distinct edges and nodes, hold no change of
-// unknown kind, leave the origin's block state alone, and invalidate
-// plus settle again at most n/4 nodes. Each bound is one more than the
-// fraction of n (repairLimit).
+// It returns nil unless all of these hold: g's costs admit a bucket width,
+// which a zero-cost or absorbed arc rules out (see pick); delta-stepping
+// or a repair built base on such a layout of g, with g's current node and
+// edge counts; base is at most n/8 epochs old and g's change log still
+// holds every bump since. base is carried when its origin was blocked and
+// still is, or when only node costs changed. Otherwise the interval must
+// change at most n/32 distinct edges and nodes, hold no change of unknown
+// kind, leave the origin's block state alone, and invalidate plus settle
+// again at most n/4 nodes. Each bound is one more than the fraction of n
+// (repairLimit).
 func (a *Arena) RepairTree(g *Graph, base *ShortestPaths) *ShortestPaths {
 	n := len(g.nodes)
 	lay := pick(g)
