@@ -121,15 +121,15 @@ func TestBlockMemoMatchesFreshOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planted := &blockEntry{vms: setB.ids}
-		planted.once.Do(func() { planted.cost = blk })
-		o.blockMu.Lock()
-		if o.blockEpoch != g.CostEpoch() {
-			o.blockMu.Unlock()
+		planted := &memoEntry[[]float64]{set: setB.ids}
+		planted.once.Do(func() { planted.v = blk })
+		o.blocks.mu.Lock()
+		if o.blocks.epoch != g.CostEpoch() {
+			o.blocks.mu.Unlock()
 			t.Fatal("test setup: block memo is not at the current epoch")
 		}
-		o.blocks[hashNodes(a)] = planted
-		o.blockMu.Unlock()
+		o.blocks.m[hashNodes(a)] = planted
+		o.blocks.mu.Unlock()
 		sameInstances(t, "set a beside a colliding entry", o, a, sources, chainLen)
 	})
 
@@ -159,9 +159,9 @@ func TestBlockMemoBounded(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			set := vms[k : len(vms)-3+k]
 			sameInstances(t, fmt.Sprintf("round %d set %d", round, k), o, set, sources[:1], 2)
-			o.blockMu.Lock()
-			n := len(o.blocks)
-			o.blockMu.Unlock()
+			o.blocks.mu.Lock()
+			n := len(o.blocks.m)
+			o.blocks.mu.Unlock()
 			if n > maxBlocks {
 				t.Fatalf("block memo grew to %d entries, cap is %d", n, maxBlocks)
 			}
@@ -262,7 +262,7 @@ func TestBlockMemoSingleflight(t *testing.T) {
 			t.Fatalf("goroutine %d got a block of its own", w)
 		}
 	}
-	if n := len(o.blocks); n != 1 {
+	if n := len(o.blocks.m); n != 1 {
 		t.Fatalf("block memo holds %d entries, want 1", n)
 	}
 }

@@ -2,13 +2,15 @@
 // visit a prescribed number of distinct VMs so that the VNFs f1…f|C| can be
 // installed in order (Procedures 1 and 2 of the paper).
 //
-// The central object is the Oracle, which caches shortest-path trees over
-// the underlying network and converts (source, last VM, chain length)
-// queries into k-stroll instances on the auxiliary complete graph 𝒢 of
-// Procedure 1. Solved strolls are materialized back into walks on the real
-// network with VNF placements (Procedure 2). A tree that a cost change made
-// stale is carried or repaired from its previous version when
-// graph.RepairTree can, and rebuilt by a full run otherwise.
+// The central object is the Oracle, which keeps the latest shortest-path
+// tree of every origin it was asked about and converts (source, last VM,
+// chain length) queries into k-stroll instances on the auxiliary complete
+// graph 𝒢 of Procedure 1. Solved strolls are joined back into walks on the
+// real network with VNF placements (Procedure 2), and so are the
+// extension walks of Section VII-C. A tree that a cost change made stale
+// is carried or repaired from the origin's latest tree when
+// graph.RepairTree can, and rebuilt by a full run otherwise. Solved chains
+// and the VM–VM blocks of 𝒢 are memoized per cost epoch.
 package chain
 
 import (
@@ -136,32 +138,35 @@ type Options struct {
 	SourceSetupCost bool
 }
 
-// Oracle answers service-chain queries over one network. It caches Dijkstra
-// trees per origin node; the cache is safe for concurrent use and computes
-// each tree exactly once even under concurrent demand (per-origin
-// singleflight), so parallel candidate generation does not duplicate
-// Dijkstra work or serialize on one lock while trees are being built.
+// Oracle answers service-chain queries over one network. It is safe for
+// concurrent use.
 //
-// Entries are keyed by the graph's cost epoch: a tree computed at epoch e
-// is served only while graph.CostEpoch() == e, so cost mutations through
-// SetEdgeCost/SetNodeCost invalidate lazily — the next query at the new
-// epoch recomputes exactly the trees it touches, and an Oracle held across
-// a stream of unchanged-cost requests keeps answering from warm state.
-// Recomputing a stale tree first tries graph.RepairTree on the tree it
-// replaces: a carry when nothing the tree depends on changed, a repair of
-// the broken subtrees when few elements changed, and a full Dijkstra run
-// otherwise. All three give the tree a full run would.
+// It keeps one entry per origin node, holding the latest shortest-path
+// tree built from that origin and the cost epoch it is valid at. A lookup
+// at that epoch reads the tree without a lock. Otherwise it takes the
+// entry's lock, so each tree is built once even under concurrent demand,
+// and builds the tree from the latest one through graph.RepairTree: a
+// carry when nothing the tree depends on changed, a repair of the broken
+// subtrees when few elements changed, and a full Dijkstra run otherwise.
+// All three give the tree a full run would. Cost mutations through
+// SetEdgeCost/SetNodeCost thus invalidate lazily: the next query at the
+// new epoch rebuilds exactly the trees it touches, and an Oracle held
+// across a stream of unchanged-cost requests keeps answering from warm
+// state.
+//
+// Solved chains and the VM–VM blocks of Procedure 1's instances are
+// memoized per cost epoch (see memo).
 type Oracle struct {
 	g      *graph.Graph
 	solver kstroll.Solver
 	opts   Options
 
-	// mu guards the trees map itself; each entry synchronizes its own
-	// computation through its once, so readers only hold mu for the lookup.
+	// mu guards the trees map, which gains an entry on an origin's first
+	// lookup and never loses one.
 	mu    sync.RWMutex
 	trees map[graph.NodeID]*treeEntry
 
-	// hits counts tree lookups answered from a current-epoch cache entry.
+	// hits counts tree lookups answered from a current-epoch entry.
 	// Every cold or stale lookup is one of the other three: misses counts
 	// full Dijkstra runs, repaired and carried the stale trees
 	// graph.RepairTree repaired or carried.
@@ -170,35 +175,19 @@ type Oracle struct {
 	repaired atomic.Uint64
 	carried  atomic.Uint64
 
-	// Solved-chain memoization: Chain() results keyed by (source, last VM,
-	// chain length, candidate-set hash) within one cost epoch, with the
-	// same singleflight discipline as the tree cache. chainEpoch records
-	// the epoch the map was built at; a mismatch drops the map wholesale
-	// (unlike trees, solved chains are cheap to lose and expensive to keep
-	// per epoch). chainMu guards the map and epoch.
-	chainMu    sync.Mutex
-	chainEpoch uint64
-	chainCache map[chainKey]*chainEntry
-	chainHits  atomic.Uint64
-	chainMiss  atomic.Uint64
-
-	// VM–VM blocks of Procedure 1's instances (see block), keyed by the
-	// candidate set's hash within one cost epoch, under the solved-chain
-	// memo's discipline: singleflight entries, an exact set check, a cap,
-	// and a wholesale drop when the epoch moves. blockMu guards the map
-	// and epoch.
-	blockMu    sync.Mutex
-	blockEpoch uint64
-	blocks     map[uint64]*blockEntry
+	// chains holds Chain() results keyed by (source, last VM, chain
+	// length, candidate-set hash); blocks holds the VM–VM block of each
+	// candidate set (see block).
+	chains    memo[chainKey, *ServiceChain]
+	blocks    memo[uint64, []float64]
+	chainHits atomic.Uint64
+	chainMiss atomic.Uint64
 }
 
-// maxSolvedChains bounds the solved-chain cache within one cost epoch: a
+// maxSolvedChains bounds the solved-chain memo within one cost epoch: a
 // long-lived session under stable costs never sees an epoch bump, so
 // without a cap the memo would grow with every distinct query for the
-// process lifetime. When the map reaches the cap it is dropped wholesale
-// (hot keys re-solve once and re-warm immediately) — crude, but eviction
-// never costs more than the solve it saves. Variable, not const, so
-// tests can shrink it.
+// process lifetime. Variable, not const, so tests can shrink it.
 var maxSolvedChains = 1 << 14
 
 // maxBlocks bounds the block memo within one cost epoch the same way.
@@ -218,26 +207,62 @@ type chainKey struct {
 	vmsHash   uint64
 }
 
-// chainEntry is a singleflight slot for one solved chain: the first
-// goroutine computes inside once, concurrent same-key queries block on it
-// instead of re-solving the k-stroll instance. vms is the candidate set
-// the entry was created for, written under chainMu before the entry is
-// published — a lookup whose set differs (a 64-bit hash collision)
-// bypasses the cache instead of trusting the hash.
-type chainEntry struct {
-	vms  []graph.NodeID
+// memo maps keys derived from a candidate VM set to values computed from
+// the network's costs, within one cost epoch. Its map is dropped
+// wholesale when the epoch moves, and when a new key finds it at its cap
+// (hot keys recompute once and re-warm at once): crude, but a drop never
+// costs more than the computations it saves. The zero memo is empty.
+type memo[K comparable, V any] struct {
+	mu    sync.Mutex
+	epoch uint64
+	m     map[K]*memoEntry[V]
+}
+
+// memoEntry is a singleflight slot: the first goroutine computes the
+// value inside once, and concurrent same-key lookups block on it instead
+// of computing it again. set is the candidate set the entry was made
+// for: a lookup with another set under the same key (a hash collision)
+// computes uncached instead of trusting the hash.
+type memoEntry[V any] struct {
+	set  []graph.NodeID
 	once sync.Once
-	sc   *ServiceChain
+	v    V
 	err  error
 }
 
-// blockEntry is a singleflight slot for the VM–VM block of one candidate
-// set; vms is the set, for the exact check a hash collision needs.
-type blockEntry struct {
-	vms  []graph.NodeID
-	once sync.Once
-	cost []float64
-	err  error
+// get returns the value of key over set at g's current cost epoch,
+// computing it with build unless the memo holds it, and reports whether
+// this call computed it. At most limit keys are held. The value is the
+// memo's own, shared by every lookup of the epoch: callers never write
+// it. set must not be written after the call either.
+func (c *memo[K, V]) get(g *graph.Graph, limit int, key K, set []graph.NodeID, build func() (V, error)) (V, bool, error) {
+	c.mu.Lock()
+	// Read under the lock: a mutation landing while waiting must not let
+	// this call publish an entry into the pre-mutation epoch's map.
+	epoch := g.CostEpoch()
+	if c.m == nil || c.epoch != epoch {
+		c.m, c.epoch = make(map[K]*memoEntry[V]), epoch
+	}
+	e, ok := c.m[key]
+	if ok && !slices.Equal(e.set, set) {
+		c.mu.Unlock()
+		v, err := build()
+		return v, true, err
+	}
+	if !ok {
+		if len(c.m) >= limit {
+			c.m = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{set: set}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	computed := false
+	e.once.Do(func() {
+		computed = true
+		e.v, e.err = build()
+	})
+	return e.v, computed, e.err
 }
 
 // vmSet is a candidate VM set with its hashNodes hash. Memo entries keep
@@ -265,8 +290,8 @@ func (e unavailableError) Error() string {
 func (e unavailableError) Unwrap() error { return kstroll.ErrInfeasible }
 
 // hashNodes is FNV-1a over the ids in order, length-mixed. Collisions are
-// astronomically unlikely but not trusted: the entry stores the actual
-// set and mismatches fall back to an uncached solve.
+// astronomically unlikely but not trusted: memo entries store the actual
+// set and mismatches fall back to an uncached computation.
 func hashNodes(ns []graph.NodeID) uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)
@@ -283,59 +308,25 @@ func hashNodes(ns []graph.NodeID) uint64 {
 	return h
 }
 
-// treeEntry is a singleflight slot for one origin's Dijkstra tree at one
-// cost epoch: the first goroutine to reach the entry computes the tree
-// inside once, any concurrent goroutine blocks on it instead of
-// recomputing. A stale-epoch entry is replaced wholesale on next access;
-// the replacement keeps the stale entry's tree in prev, as the base of a
-// repair, until it is filled.
+// treeEntry holds one origin's latest shortest-path tree. latest is read
+// without mu; it is written, and a tree is built, only under mu.
 type treeEntry struct {
-	epoch uint64
-	once  sync.Once
+	mu     sync.Mutex
+	latest atomic.Pointer[epochTree]
+}
+
+// epochTree is a tree and the cost epoch it is valid at.
+type epochTree struct {
 	sp    *graph.ShortestPaths
-	// done is set once sp is; a replacement reads sp only after it.
-	done atomic.Bool
-	prev *graph.ShortestPaths
+	epoch uint64
 }
 
-// newTreeEntry returns an empty entry for epoch that replaces old (nil
-// when there is none). old's tree is read only once old is filled: an
-// entry another goroutine is still filling has no tree to offer.
-func newTreeEntry(epoch uint64, old *treeEntry) *treeEntry {
-	e := &treeEntry{epoch: epoch}
-	if old != nil && old.done.Load() {
-		e.prev = old.sp
+// current returns e's tree when it is valid at epoch, and nil otherwise.
+func (e *treeEntry) current(epoch uint64) *graph.ShortestPaths {
+	if t := e.latest.Load(); t != nil && t.epoch == epoch {
+		return t.sp
 	}
-	return e
-}
-
-// fill publishes sp as e's tree and drops the repair base. Callers run it
-// inside e.once.
-func (e *treeEntry) fill(sp *graph.ShortestPaths) {
-	e.sp = sp
-	e.prev = nil
-	e.done.Store(true)
-}
-
-// reuse returns prev, a stale tree, brought up to the current epoch by
-// graph.RepairTree: prev itself when carried, a repaired tree, or nil
-// when only a full run can build the tree (always when prev is nil).
-func (o *Oracle) reuse(prev *graph.ShortestPaths) *graph.ShortestPaths {
-	if prev == nil {
-		return nil
-	}
-	return graph.RepairTree(o.g, prev)
-}
-
-// countReuse charges a tree reuse returned from prev as a carry or a
-// repair. Callers run it inside the filled entry's once, so that every
-// cold or stale lookup is charged exactly once.
-func (o *Oracle) countReuse(sp, prev *graph.ShortestPaths) {
-	if sp == prev {
-		o.carried.Add(1)
-	} else {
-		o.repaired.Add(1)
-	}
+	return nil
 }
 
 // NewOracle returns an oracle over g.
@@ -355,137 +346,139 @@ func NewOracle(g *graph.Graph, opts Options) *Oracle {
 // Graph returns the underlying network.
 func (o *Oracle) Graph() *graph.Graph { return o.g }
 
-func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
+// entry returns n's tree entry, adding it on n's first lookup.
+func (o *Oracle) entry(n graph.NodeID) *treeEntry {
 	o.mu.RLock()
-	epoch := o.g.CostEpoch()
-	e, ok := o.trees[n]
+	e := o.trees[n]
 	o.mu.RUnlock()
-	if !ok || e.epoch != epoch {
-		o.mu.Lock()
-		// Re-read under the lock: a mutation that landed while waiting
-		// must not publish an entry stamped with the epoch observed
-		// before it (the costs Dijkstra reads are the post-mutation ones).
-		epoch = o.g.CostEpoch()
-		if e, ok = o.trees[n]; !ok || e.epoch != epoch {
-			e = newTreeEntry(epoch, e)
-			o.trees[n] = e
-		}
-		o.mu.Unlock()
+	if e != nil {
+		return e
 	}
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		sp := o.reuse(e.prev)
-		if sp != nil {
-			o.countReuse(sp, e.prev)
-		} else {
-			o.misses.Add(1)
-			sp = graph.Dijkstra(o.g, n)
-		}
-		e.fill(sp)
-	})
-	if hit {
-		o.hits.Add(1)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if e = o.trees[n]; e == nil {
+		e = new(treeEntry)
+		o.trees[n] = e
 	}
-	return e.sp
+	return e
 }
 
-// Tree returns the oracle's cached shortest-path tree rooted at n,
-// computing it (singleflight, epoch-keyed) on first demand. It satisfies
-// steiner.PathProvider, so KMB runs over the oracle's graph can feed off
-// the same cache as the chain queries.
+func (o *Oracle) tree(n graph.NodeID) *graph.ShortestPaths {
+	e := o.entry(n)
+	if sp := e.current(o.g.CostEpoch()); sp != nil {
+		o.hits.Add(1)
+		return sp
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	// Read again under the lock: a tree another goroutine built while
+	// this one waited is served, not replaced by one stamped with an
+	// older epoch. Read before the build, the stamp is never newer than
+	// the costs the build reads.
+	epoch := o.g.CostEpoch()
+	if sp := e.current(epoch); sp != nil {
+		o.hits.Add(1)
+		return sp
+	}
+	sp := o.reuse(e)
+	if sp == nil {
+		o.misses.Add(1)
+		sp = graph.Dijkstra(o.g, n)
+	}
+	e.latest.Store(&epochTree{sp: sp, epoch: epoch})
+	return sp
+}
+
+// reuse returns e's latest tree brought up to the current epoch by
+// graph.RepairTree, and charges it as a carry or a repair. It returns nil
+// when only a full run can build the tree (always when e has no tree).
+// The caller holds e.mu.
+func (o *Oracle) reuse(e *treeEntry) *graph.ShortestPaths {
+	t := e.latest.Load()
+	if t == nil {
+		return nil
+	}
+	sp := graph.RepairTree(o.g, t.sp)
+	switch {
+	case sp == t.sp:
+		o.carried.Add(1)
+	case sp != nil:
+		o.repaired.Add(1)
+	}
+	return sp
+}
+
+// Tree returns the shortest-path tree rooted at n at the current cost
+// epoch: n's latest tree when it is current, and otherwise one built once
+// (carried, repaired or run in full) for every concurrent caller. It
+// satisfies steiner.PathProvider, so KMB runs over the oracle's graph can
+// feed off the same trees as the chain queries.
 //
-// The returned tree is the live cache entry, shared by every consumer of
-// the session: callers must treat it as strictly read-only (Dist, Parent,
-// and ParentEdge included). Mutating it would silently corrupt every
-// later query until the next cost-epoch bump; callers that need a
-// scratch copy must take one themselves.
+// The returned tree is shared by every consumer of the session: callers
+// must treat it as strictly read-only (Dist, Parent, and ParentEdge
+// included). Mutating it would silently corrupt every later query, and
+// the repairs built from it; callers that need a scratch copy must take
+// one themselves.
 func (o *Oracle) Tree(n graph.NodeID) *graph.ShortestPaths { return o.tree(n) }
 
-// WarmTrees computes the shortest-path trees of every origin in origins
-// that is not already cached at the current epoch. A stale tree is first
-// carried or repaired, as a demand lookup would; the rest run in batched
-// Dijkstra passes (one shared arena and CSR fetch per chunk) instead of
-// one pooled run per origin. It returns the number of entries filled
-// here, of any kind. Origins whose tree another goroutine is already
-// computing are skipped — the singleflight entry covers them.
+// WarmTrees builds the tree of every origin in origins that is not
+// current, as a demand lookup would, but in chunks: it claims up to 16
+// stale entries at a time, carries or repairs their latest trees where
+// graph.RepairTree can, and builds the rest in one batched Dijkstra pass
+// (one shared arena and CSR fetch), releasing the chunk before claiming
+// the next. It never blocks on an entry: an origin whose tree another
+// goroutine is building, and a repeated origin, are skipped. It returns
+// the number of trees built here, of any kind.
 //
-// Warming is miss-neutral: each tree computed here counts as exactly the
+// Warming is miss-neutral: each tree built here counts as exactly the
 // one miss, repair or carry the first demand lookup would have charged,
 // so the counters (and the benchmarks gating on them) see the same
 // totals whether a session warms or faults trees in.
 //
-// ctx is checked between chunks: on cancellation the remaining entries
-// are left unfulfilled, and the next demand lookup computes them through
-// the usual singleflight path.
+// ctx is checked between chunks: on cancellation the remaining origins
+// are left stale, and the next demand lookup builds their trees.
 func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
-	// prev is e.prev, read while the entry is still private: fill clears
-	// e.prev, so it may not be read outside e.once after publication.
-	type slot struct {
-		n    graph.NodeID
-		e    *treeEntry
-		prev *graph.ShortestPaths
-	}
-	var pending []slot
-	seen := make(map[graph.NodeID]bool, len(origins))
-	o.mu.Lock()
-	// The epoch is read under the lock: entries published here must be
-	// stamped with the epoch the batched Dijkstra passes actually see,
-	// not one observed before a concurrent mutation.
-	epoch := o.g.CostEpoch()
-	for _, n := range origins {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		e, ok := o.trees[n]
-		if ok && e.epoch == epoch {
-			continue
-		}
-		e = newTreeEntry(epoch, e)
-		o.trees[n] = e
-		pending = append(pending, slot{n: n, e: e, prev: e.prev})
-	}
-	o.mu.Unlock()
-	if len(pending) == 0 {
-		return 0
-	}
 	const chunk = 16
-	rest := make([]slot, 0, chunk)
-	batch := make([]graph.NodeID, 0, chunk)
+	claimed := make([]*treeEntry, 0, chunk)
+	ids := make([]graph.NodeID, 0, chunk)
 	filled := 0
-	for lo := 0; lo < len(pending); lo += chunk {
+	for i := 0; i < len(origins); {
 		if ctx != nil && ctx.Err() != nil {
-			// Abandoned entries stay published with an unfired once; the
-			// next Tree() call on them computes as usual.
 			return filled
 		}
-		hi := min(lo+chunk, len(pending))
-		rest, batch = rest[:0], batch[:0]
-		for _, s := range pending[lo:hi] {
-			sp := o.reuse(s.prev)
-			if sp == nil {
-				rest = append(rest, s)
-				batch = append(batch, s.n)
+		// Read before the builds, as in tree: a cost write racing the chunk
+		// leaves its trees stamped older than their costs, and their next
+		// lookup builds them again.
+		epoch := o.g.CostEpoch()
+		claimed, ids = claimed[:0], ids[:0]
+		for ; i < len(origins) && len(claimed) < chunk; i++ {
+			e := o.entry(origins[i])
+			if e.current(epoch) != nil || !e.mu.TryLock() {
 				continue
 			}
-			s.e.once.Do(func() {
-				o.countReuse(sp, s.prev)
-				s.e.fill(sp)
-				filled++
-			})
+			if e.current(epoch) != nil {
+				e.mu.Unlock()
+				continue
+			}
+			claimed, ids = append(claimed, e), append(ids, origins[i])
 		}
-		if len(batch) == 0 {
-			continue
+		// Carry or repair what can be; the rest, filtered in place, take
+		// one batched run.
+		rest, batch := claimed[:0], ids[:0]
+		for k, e := range claimed {
+			if sp := o.reuse(e); sp != nil {
+				e.latest.Store(&epochTree{sp: sp, epoch: epoch})
+				e.mu.Unlock()
+			} else {
+				rest, batch = append(rest, e), append(batch, ids[k])
+			}
 		}
-		sps := graph.DijkstraBatch(o.g, batch, nil)
-		for i, s := range rest {
-			s.e.once.Do(func() {
-				o.misses.Add(1)
-				s.e.fill(sps[i])
-				filled++
-			})
+		for k, sp := range graph.DijkstraBatch(o.g, batch, nil) {
+			o.misses.Add(1)
+			rest[k].latest.Store(&epochTree{sp: sp, epoch: epoch})
+			rest[k].mu.Unlock()
 		}
+		filled += len(claimed)
 	}
 	return filled
 }
@@ -543,8 +536,8 @@ func (o *Oracle) InvalidateCache() {
 // Solved chains are memoized per cost epoch: a warm request stream pays
 // each distinct (source, last VM, chain length, candidate set) query one
 // k-stroll solve, and cost mutations through SetEdgeCost/SetNodeCost
-// invalidate lazily, exactly like the tree cache. Callers receive a
-// private copy, so mutating the result never corrupts the cache.
+// invalidate lazily, exactly like the trees. Callers receive a private
+// copy, so mutating the result never corrupts the memo.
 func (o *Oracle) Chain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*ServiceChain, error) {
 	sc, err := o.chain(newVMSet(vms), s, u, chainLen)
 	if err != nil {
@@ -558,43 +551,15 @@ func (o *Oracle) Chain(vms []graph.NodeID, s, u graph.NodeID, chainLen int) (*Se
 // the epoch, and callers must treat it as strictly read-only.
 func (o *Oracle) chain(set vmSet, s, u graph.NodeID, chainLen int) (*ServiceChain, error) {
 	key := chainKey{src: s, last: u, chainLen: chainLen, vmsHash: set.hash}
-	o.chainMu.Lock()
-	// Read under the lock: a mutation landing while waiting must not let
-	// this call publish an entry into the pre-mutation epoch's memo.
-	epoch := o.g.CostEpoch()
-	if o.chainCache == nil || o.chainEpoch != epoch {
-		o.chainCache = make(map[chainKey]*chainEntry)
-		o.chainEpoch = epoch
-	}
-	e, ok := o.chainCache[key]
-	if ok && !slices.Equal(e.vms, set.ids) {
-		// Hash collision between distinct candidate sets: solve uncached
-		// rather than alias the other set's chain.
-		o.chainMu.Unlock()
-		o.chainMiss.Add(1)
+	sc, solved, err := o.chains.get(o.g, maxSolvedChains, key, set.ids, func() (*ServiceChain, error) {
 		return o.solveChain(set, s, u, chainLen)
-	}
-	if !ok {
-		if len(o.chainCache) >= maxSolvedChains {
-			o.chainCache = make(map[chainKey]*chainEntry)
-		}
-		e = &chainEntry{vms: set.ids}
-		o.chainCache[key] = e
-	}
-	o.chainMu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		o.chainMiss.Add(1)
-		e.sc, e.err = o.solveChain(set, s, u, chainLen)
 	})
-	if hit {
+	if solved {
+		o.chainMiss.Add(1)
+	} else {
 		o.chainHits.Add(1)
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.sc, nil
+	return sc, err
 }
 
 // solveChain is the uncached Chain computation: build the auxiliary
@@ -711,29 +676,10 @@ func (o *Oracle) buildInstance(cand vmSet, spS *graph.ShortestPaths, uIdx, chain
 // cost epoch (see buildBlock). The block is the memo entry's own: callers
 // copy it and never write it.
 func (o *Oracle) block(cand vmSet) ([]float64, error) {
-	o.blockMu.Lock()
-	// Read under the lock, for the reason chain gives.
-	epoch := o.g.CostEpoch()
-	if o.blocks == nil || o.blockEpoch != epoch {
-		o.blocks = make(map[uint64]*blockEntry)
-		o.blockEpoch = epoch
-	}
-	e, ok := o.blocks[cand.hash]
-	if ok && !slices.Equal(e.vms, cand.ids) {
-		// Hash collision: build uncached, as chain solves uncached.
-		o.blockMu.Unlock()
+	blk, _, err := o.blocks.get(o.g, maxBlocks, cand.hash, cand.ids, func() ([]float64, error) {
 		return o.buildBlock(cand.ids)
-	}
-	if !ok {
-		if len(o.blocks) >= maxBlocks {
-			o.blocks = make(map[uint64]*blockEntry)
-		}
-		e = &blockEntry{vms: cand.ids}
-		o.blocks[cand.hash] = e
-	}
-	o.blockMu.Unlock()
-	e.once.Do(func() { e.cost, e.err = o.buildBlock(e.vms) })
-	return e.cost, e.err
+	})
+	return blk, err
 }
 
 // buildBlock computes the m×m VM–VM block of 𝒢 over vms, row-major: entry
@@ -762,35 +708,52 @@ func (o *Oracle) buildBlock(vms []graph.NodeID) ([]float64, error) {
 }
 
 // materialize converts a solved stroll on 𝒢 into a walk on the real network
-// (Procedure 2): consecutive stroll nodes are joined by shortest paths, and
-// VNF f_{j} is installed on the j-th stroll node after the source.
+// (Procedure 2): VNF f_j is installed on the j-th stroll node after the
+// source, and Appendix D's source setup cost is added last.
 func (o *Oracle) materialize(cand []graph.NodeID, s graph.NodeID, w *kstroll.Walk) (*ServiceChain, error) {
-	toNode := func(idx int) graph.NodeID {
-		if idx == 0 {
-			return s
+	stops := make([]graph.NodeID, len(w.Seq))
+	for i, idx := range w.Seq {
+		stops[i] = s
+		if idx > 0 {
+			stops[i] = cand[idx-1]
 		}
-		return cand[idx-1]
 	}
-	sc := &ServiceChain{Source: s}
-	sc.Nodes = append(sc.Nodes, s)
-	for i := 1; i < len(w.Seq); i++ {
-		a, b := toNode(w.Seq[i-1]), toNode(w.Seq[i])
-		sp := o.tree(a)
-		pathNodes := sp.PathTo(b)
-		pathEdges := sp.EdgesTo(b)
-		if pathNodes == nil {
-			return nil, fmt.Errorf("chain: no path %d→%d: %w", a, b, graph.ErrDisconnected)
-		}
-		sc.Nodes = append(sc.Nodes, pathNodes[1:]...)
-		sc.Edges = append(sc.Edges, pathEdges...)
-		sc.VMs = append(sc.VMs, b)
-		sc.VMPos = append(sc.VMPos, len(sc.Nodes)-1)
-		sc.SetupCost += o.g.NodeCost(b)
+	sc, err := o.walk(stops, len(stops)-1)
+	if err != nil {
+		return nil, err
 	}
 	if o.opts.SourceSetupCost {
 		sc.SetupCost += o.g.NodeCost(s)
 	}
-	sc.LastVM = sc.VMs[len(sc.VMs)-1]
+	return sc, nil
+}
+
+// walk joins consecutive stops by shortest paths into one walk from
+// stops[0] (Procedure 2). stops[1] … stops[vms] host VNFs f1 … f_vms in
+// order, and their setup costs make up SetupCost; LastVM is stops[vms],
+// or the last stop when vms is 0. ConnCost sums the walk's edges in
+// order.
+func (o *Oracle) walk(stops []graph.NodeID, vms int) (*ServiceChain, error) {
+	sc := &ServiceChain{Source: stops[0], LastVM: stops[len(stops)-1], Nodes: []graph.NodeID{stops[0]}}
+	for i := 1; i < len(stops); i++ {
+		a, b := stops[i-1], stops[i]
+		sp := o.tree(a)
+		path := sp.PathTo(b)
+		if path == nil {
+			// The instance build proved reachability, but the tree answering
+			// here may be a different (fresher) one than the build consulted;
+			// degrade to an error instead of indexing a nil path.
+			return nil, fmt.Errorf("chain: no path %d→%d: %w", a, b, graph.ErrDisconnected)
+		}
+		sc.Nodes = append(sc.Nodes, path[1:]...)
+		sc.Edges = append(sc.Edges, sp.EdgesTo(b)...)
+		if i <= vms {
+			sc.VMs = append(sc.VMs, b)
+			sc.VMPos = append(sc.VMPos, len(sc.Nodes)-1)
+			sc.SetupCost += o.g.NodeCost(b)
+			sc.LastVM = b
+		}
+	}
 	for _, e := range sc.Edges {
 		sc.ConnCost += o.g.EdgeCost(e)
 	}
@@ -817,16 +780,7 @@ func (o *Oracle) Extension(vms []graph.NodeID, from, to graph.NodeID, nVMs int) 
 		return nil, fmt.Errorf("chain: negative VM count %d", nVMs)
 	}
 	if nVMs == 0 {
-		sp := o.tree(from)
-		pathNodes := sp.PathTo(to)
-		if pathNodes == nil {
-			return nil, fmt.Errorf("chain: no path %d→%d: %w", from, to, graph.ErrDisconnected)
-		}
-		sc := &ServiceChain{Source: from, LastVM: to, Nodes: pathNodes, Edges: sp.EdgesTo(to)}
-		for _, e := range sc.Edges {
-			sc.ConnCost += o.g.EdgeCost(e)
-		}
-		return sc, nil
+		return o.walk([]graph.NodeID{from, to}, 0)
 	}
 	// Blocked VMs (failed or saturated) and VMs from cannot reach cannot
 	// host the missing VNFs; drop them like instance does so one dead or
@@ -886,31 +840,9 @@ func (o *Oracle) Extension(vms []graph.NodeID, from, to graph.NodeID, nVMs int) 
 	if err != nil {
 		return nil, fmt.Errorf("chain: extension stroll: %w", err)
 	}
-	sc := &ServiceChain{Source: from}
-	sc.Nodes = append(sc.Nodes, from)
-	for i := 1; i < len(w.Seq); i++ {
-		a, b := nodeAt(w.Seq[i-1]), nodeAt(w.Seq[i])
-		sp := o.tree(a)
-		pathNodes := sp.PathTo(b)
-		if pathNodes == nil {
-			// The instance build proved reachability, but the tree answering
-			// here may be a different (fresher) one than the build consulted;
-			// degrade to an error instead of indexing a nil path.
-			return nil, fmt.Errorf("chain: no path %d→%d: %w", a, b, graph.ErrDisconnected)
-		}
-		sc.Nodes = append(sc.Nodes, pathNodes[1:]...)
-		sc.Edges = append(sc.Edges, sp.EdgesTo(b)...)
-		if i < len(w.Seq)-1 {
-			sc.VMs = append(sc.VMs, b)
-			sc.VMPos = append(sc.VMPos, len(sc.Nodes)-1)
-			sc.SetupCost += o.g.NodeCost(b)
-		}
+	stops := make([]graph.NodeID, len(w.Seq))
+	for i, idx := range w.Seq {
+		stops[i] = nodeAt(idx)
 	}
-	if len(sc.VMs) > 0 {
-		sc.LastVM = sc.VMs[len(sc.VMs)-1]
-	}
-	for _, e := range sc.Edges {
-		sc.ConnCost += o.g.EdgeCost(e)
-	}
-	return sc, nil
+	return o.walk(stops, len(stops)-2)
 }

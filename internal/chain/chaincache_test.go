@@ -185,12 +185,12 @@ func TestSolvedChainCacheBounded(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("overflowing cache changed the chain for (%d,%d)", s, u)
 				}
-				o.chainMu.Lock()
-				if n := len(o.chainCache); n > maxSolvedChains {
-					o.chainMu.Unlock()
+				o.chains.mu.Lock()
+				if n := len(o.chains.m); n > maxSolvedChains {
+					o.chains.mu.Unlock()
 					t.Fatalf("cache grew to %d entries, cap is %d", n, maxSolvedChains)
 				}
-				o.chainMu.Unlock()
+				o.chains.mu.Unlock()
 			}
 		}
 	}
@@ -215,12 +215,12 @@ func TestSolvedChainCacheHashCollision(t *testing.T) {
 	key := chainKey{src: src, last: vms[2], chainLen: 2, vmsHash: hashNodes(vms)}
 	bogus := want.Clone()
 	bogus.VMs = []graph.NodeID{vms[1], vms[2]}
-	e := &chainEntry{vms: []graph.NodeID{vms[1], vms[2]}}
-	e.once.Do(func() { e.sc = bogus })
-	o.chainMu.Lock()
-	o.chainCache = map[chainKey]*chainEntry{key: e}
-	o.chainEpoch = epoch
-	o.chainMu.Unlock()
+	e := &memoEntry[*ServiceChain]{set: []graph.NodeID{vms[1], vms[2]}}
+	e.once.Do(func() { e.v = bogus })
+	o.chains.mu.Lock()
+	o.chains.m = map[chainKey]*memoEntry[*ServiceChain]{key: e}
+	o.chains.epoch = epoch
+	o.chains.mu.Unlock()
 
 	got, err := o.Chain(vms, src, vms[2], 2)
 	if err != nil {
@@ -290,11 +290,7 @@ func (p *poisoningSolver) Solve(in *kstroll.Instance) (*kstroll.Walk, error) {
 		sp.Parent[i] = graph.None
 		sp.ParentEdge[i] = graph.NoEdge
 	}
-	e := &treeEntry{epoch: p.o.g.CostEpoch()}
-	e.once.Do(func() { e.sp = sp })
-	p.o.mu.Lock()
-	p.o.trees[p.victim] = e
-	p.o.mu.Unlock()
+	p.o.entry(p.victim).latest.Store(&epochTree{sp: sp, epoch: p.o.g.CostEpoch()})
 	return w, nil
 }
 
