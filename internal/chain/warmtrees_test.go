@@ -165,3 +165,62 @@ func TestWarmTreesCancellation(t *testing.T) {
 		t.Fatalf("misses=%d after demand-faulting %d origins", st.Misses, len(origins))
 	}
 }
+
+// TestOracleRepairsAcrossSkippedEpochs: an entry's latest tree is a repair
+// base however many epochs passed since it was built, as long as the
+// change log covers them. Warmed trees left alone through five VM-cost
+// epochs are carried, and through three more, one of which raises a link
+// no tree crosses, repaired; neither takes a full run, and every served
+// tree is the full run's.
+func TestOracleRepairsAcrossSkippedEpochs(t *testing.T) {
+	net, err := topology.Inet(400, 800, 20, topology.Config{NumVMs: 20, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := net.G
+	o := NewOracle(g, Options{})
+	origins := net.VMs[:8]
+	if got := o.WarmTrees(context.Background(), origins); got != len(origins) {
+		t.Fatalf("warm built %d trees, want %d", got, len(origins))
+	}
+	crossed := make(map[graph.EdgeID]bool)
+	for _, n := range origins {
+		for _, e := range o.Tree(n).ParentEdge {
+			crossed[e] = true
+		}
+	}
+	spare := graph.NoEdge
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		if !crossed[e] {
+			spare = e
+			break
+		}
+	}
+	if spare == graph.NoEdge {
+		t.Fatal("test setup: every link is on some origin's tree")
+	}
+	vm := net.VMs[len(net.VMs)-1]
+	reprice := func() { g.SetNodeCost(vm, g.NodeCost(vm)+1) }
+	lookUp := func(stage string, carried, repaired uint64) {
+		t.Helper()
+		before := o.Stats()
+		for _, n := range origins {
+			sameTree(t, g, o.Tree(n))
+		}
+		st := o.Stats()
+		if st.Misses != before.Misses || st.Carried-before.Carried != carried || st.Repaired-before.Repaired != repaired {
+			t.Fatalf("%s: stats %+v after %+v, want %d carries and %d repairs, no full run",
+				stage, st, before, carried, repaired)
+		}
+	}
+
+	for i := 0; i < 5; i++ {
+		reprice()
+	}
+	lookUp("five VM-cost epochs", uint64(len(origins)), 0)
+
+	reprice()
+	g.SetEdgeCost(spare, 2*g.EdgeCost(spare))
+	reprice()
+	lookUp("three epochs, one raising a link no tree crosses", 0, uint64(len(origins)))
+}
