@@ -440,10 +440,10 @@ func (s *Solver) Accumulated() float64 {
 }
 
 // LinkLoad returns the demand currently reserved on link e (0 on
-// non-capacitated sessions).
+// non-capacitated sessions, and for a link outside the network).
 func (s *Solver) LinkLoad(e EdgeID) float64 {
 	cs := s.capacity
-	if cs == nil {
+	if cs == nil || !s.net.g.ValidEdge(e) {
 		return 0
 	}
 	cs.mu.Lock()
@@ -451,10 +451,11 @@ func (s *Solver) LinkLoad(e EdgeID) float64 {
 	return cs.links.Load(int(e))
 }
 
-// VMLoad returns the number of forests currently holding a slot on VM v.
+// VMLoad returns the number of forests currently holding a slot on VM v
+// (0 on non-capacitated sessions, and for a node outside the network).
 func (s *Solver) VMLoad(v NodeID) float64 {
 	cs := s.capacity
-	if cs == nil {
+	if cs == nil || !s.net.g.Valid(v) {
 		return 0
 	}
 	cs.mu.Lock()

@@ -270,8 +270,12 @@ func (f *Forest) Validate() error {
 // use are candidates for newly installed VNFs. The session cache is reused
 // as-is: if no cost changed since the last query, the extension walks are
 // computed from warm shortest-path trees (cost changes invalidate them
-// through the epoch, no explicit flush needed).
+// through the epoch, no explicit flush needed). A destination outside the
+// network is an error.
 func (f *Forest) Join(d NodeID) (float64, error) {
+	if !f.net.g.Valid(d) {
+		return 0, fmt.Errorf("sof: destination %d is not in the network", d)
+	}
 	return f.f.Join(f.oracle, f.candidateVMs(), d)
 }
 

@@ -2,9 +2,12 @@ package sof
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -209,5 +212,104 @@ func TestNetworkCostSettersRejectInvalid(t *testing.T) {
 	checkFreshTree(t, solver, s)
 	if math.Abs(f.TotalCost()-14) > 1e-9 {
 		t.Errorf("cost after the change = %v, want 14", f.TotalCost())
+	}
+}
+
+// TestPublicAPIChecksCallerIDs drives the calls that take node and link
+// ids from the caller with ids outside the network, a switch where a VM
+// belongs, and repeated VMs. Each must answer as documented, never panic.
+func TestPublicAPIChecksCallerIDs(t *testing.T) {
+	b := NewNetworkBuilder()
+	s := b.AddSwitch("s")
+	v1 := b.AddVM("v1", 2)
+	v2 := b.AddVM("v2", 3)
+	v3 := b.AddVM("v3", 4)
+	d := b.AddSwitch("d")
+	b.Link(s, v1, 1)
+	b.Link(v1, v2, 1)
+	b.Link(v2, d, 1)
+	b.Link(v2, v3, 1)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}
+	algos := []Algorithm{AlgorithmSOFDA, AlgorithmSOFDASS, AlgorithmENEMP, AlgorithmEST, AlgorithmST, AlgorithmExact}
+	embed := func(algo Algorithm, vms ...NodeID) error {
+		_, err := NewSolver(net, WithAlgorithm(algo), WithVMs(vms...)).Embed(context.Background(), req)
+		return err
+	}
+	type check struct {
+		name string
+		call func() error // nil when the call answered as documented
+	}
+	checks := []check{
+		{"Join(99)", func() error {
+			f, err := NewSolver(net).Embed(context.Background(), req)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Join(99); err == nil {
+				return errors.New("no error")
+			}
+			return nil
+		}},
+		{"Join(-1)", func() error {
+			f, err := NewSolver(net).Embed(context.Background(), req)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Join(-1); err == nil {
+				return errors.New("no error")
+			}
+			return nil
+		}},
+		{"LinkLoad(99)", func() error {
+			if l := NewSolver(net, WithCapacity(4, 4)).LinkLoad(99); l != 0 {
+				return fmt.Errorf("load %v, want 0", l)
+			}
+			return nil
+		}},
+		{"VMLoad(99)", func() error {
+			if l := NewSolver(net, WithCapacity(4, 4)).VMLoad(99); l != 0 {
+				return fmt.Errorf("load %v, want 0", l)
+			}
+			return nil
+		}},
+		{"FailVM(99)", func() error {
+			if NewSolver(net, WithRecovery()).FailVM(99) {
+				return errors.New("reported a state change")
+			}
+			return nil
+		}},
+	}
+	for _, algo := range algos {
+		for _, bad := range []NodeID{99, -1, s} {
+			checks = append(checks, check{fmt.Sprintf("%s WithVMs(v1, %d)", algo, bad), func() error {
+				err := embed(algo, v1, bad)
+				if err == nil {
+					return errors.New("embedded")
+				}
+				if !strings.Contains(err.Error(), "WithVMs") {
+					return fmt.Errorf("error %q does not blame the restriction", err)
+				}
+				return nil
+			}})
+		}
+		checks = append(checks, check{fmt.Sprintf("%s WithVMs(v1, v1, v2, v3, v2)", algo), func() error {
+			return embed(algo, v1, v1, v2, v3, v2)
+		}})
+	}
+	for _, c := range checks {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic: %v", c.name, r)
+				}
+			}()
+			if err := c.call(); err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		}()
 	}
 }

@@ -77,14 +77,23 @@ func WithParallelism(n int) Option {
 // WithVMs restricts the candidate VM set for every embed of the session;
 // the restriction is remembered by the returned forests, so dynamic
 // operations (Join, InsertVNF, MigrateVM) never graft onto VMs outside it.
-// No arguments (or an empty slice) means no restriction.
+// No arguments (or an empty slice) means no restriction. A repeated id
+// counts once, at its first occurrence. Every embed of the session fails
+// while the set names a node outside the network or one that is not a VM.
 func WithVMs(vms ...NodeID) Option {
 	return func(s *Solver) {
 		if len(vms) == 0 {
 			s.vms = nil
 			return
 		}
-		s.vms = append([]NodeID(nil), vms...)
+		seen := make(map[NodeID]bool, len(vms))
+		s.vms = make([]NodeID, 0, len(vms))
+		for _, v := range vms {
+			if !seen[v] {
+				seen[v] = true
+				s.vms = append(s.vms, v)
+			}
+		}
 	}
 }
 
@@ -153,6 +162,14 @@ func (s *Solver) embed(ctx context.Context, req Request, algo Algorithm, innerPa
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	for _, v := range s.vms {
+		if !s.net.g.Valid(v) {
+			return nil, fmt.Errorf("sof: WithVMs names node %d, which is not in the network", v)
+		}
+		if !s.net.g.IsVM(v) {
+			return nil, fmt.Errorf("sof: WithVMs names node %d, which is not a VM", v)
+		}
 	}
 	creq := core.Request{Sources: req.Sources, Dests: req.Destinations, ChainLen: req.ChainLength}
 	copts := &core.Options{

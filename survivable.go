@@ -88,11 +88,11 @@ func (s *Solver) LiveForests() []*Forest {
 func (s *Solver) FailLink(e EdgeID) bool { return s.net.g.FailEdge(e) }
 
 // FailVM marks VM v failed: no traversal enters it and no VNF may be
-// placed or kept on it. Reports whether the state changed; a non-VM node
-// is rejected (use FailLink for links — switch failures are modeled by
-// failing their links).
+// placed or kept on it. Reports whether the state changed; a node outside
+// the network or not a VM is rejected (use FailLink for links — switch
+// failures are modeled by failing their links).
 func (s *Solver) FailVM(v NodeID) bool {
-	if !s.net.g.IsVM(v) {
+	if !s.net.g.Valid(v) || !s.net.g.IsVM(v) {
 		return false
 	}
 	return s.net.g.FailNode(v)
