@@ -77,19 +77,15 @@ func benchSweepPoint(b *testing.B, kind exp.NetKind, withOpt bool) {
 			b.Fatal(err)
 		}
 		sums["SOFDA"] += f.TotalCost()
-		if f, err = baseline.ENEMP(net.G, req, opts); err == nil {
-			sums["eNEMP"] += f.TotalCost()
-		}
-		if f, err = baseline.EST(net.G, req, opts); err == nil {
-			sums["eST"] += f.TotalCost()
-		}
-		if f, err = baseline.ST(net.G, req, opts); err == nil {
-			sums["ST"] += f.TotalCost()
+		for _, kind := range []baseline.Kind{baseline.KindENEMP, baseline.KindEST, baseline.KindST} {
+			if f, err := baseline.SolveCtx(context.Background(), net.G, req, opts, kind); err == nil {
+				sums[kind.String()] += f.TotalCost()
+			}
 		}
 		if withOpt {
 			// Small branch budget: report the optimum only where it is
 			// proven quickly (see internal/exp).
-			if f, err := sofexact.Solve(net.G, req, &sofexact.Options{VMs: net.VMs, MaxBranchNodes: 400}); err == nil {
+			if f, err := sofexact.SolveCtx(context.Background(), net.G, req, &sofexact.Options{VMs: net.VMs, MaxBranchNodes: 400}); err == nil {
 				sums["OPT"] += f.TotalCost()
 			}
 		}
@@ -357,7 +353,7 @@ func BenchmarkDeltaStepping(b *testing.B) {
 
 // BenchmarkOnlineArrivals measures the session cache against the seed's
 // per-request re-derivation on an unchanged-cost arrival stream: "cold"
-// opens a fresh Solver per request (exactly what Network.Embed does),
+// opens a fresh Solver per request,
 // "warm" drives every request through one shared session whose
 // epoch-keyed Dijkstra cache persists across arrivals. The dijkstras/op
 // metric is the cache effect itself; the wall-clock ratio is the headline
@@ -427,7 +423,9 @@ func BenchmarkFig12Online(b *testing.B) {
 				cfg := online.DefaultSoftLayerConfig()
 				cfg.Seed = 42
 				sim := online.NewSimulator(net, algo, cfg)
-				sim.Run(10)
+				if _, err := sim.RunCtx(context.Background(), 10); err != nil {
+					b.Fatal(err)
+				}
 				acc += sim.Accumulated()
 			}
 			b.ReportMetric(acc/float64(b.N), "accumulated-cost")
@@ -466,7 +464,9 @@ func BenchmarkLifecycle(b *testing.B) {
 				b.Fatal(err)
 			}
 			sim := online.NewSimulator(net, algo, cfg)
-			sim.Run(arrivals)
+			if _, err := sim.RunCtx(context.Background(), arrivals); err != nil {
+				b.Fatal(err)
+			}
 			st := sim.Lifecycle()
 			if st.Arrivals != arrivals {
 				b.Fatalf("ran %d arrivals, want %d", st.Arrivals, arrivals)

@@ -1,14 +1,15 @@
 package sof_test
 
 import (
+	"context"
 	"fmt"
 
 	"sof"
 )
 
-// ExampleNetwork_Embed embeds a two-VNF chain on a line network with the
+// ExampleSolver_Embed embeds a two-VNF chain on a line network with the
 // paper's main algorithm.
-func ExampleNetwork_Embed() {
+func ExampleSolver_Embed() {
 	b := sof.NewNetworkBuilder()
 	src := b.AddSwitch("src")
 	transcoder := b.AddVM("transcoder", 2)
@@ -21,11 +22,11 @@ func ExampleNetwork_Embed() {
 	if err != nil {
 		panic(err)
 	}
-	forest, err := net.Embed(sof.Request{
+	forest, err := sof.NewSolver(net).Embed(context.Background(), sof.Request{
 		Sources:      []sof.NodeID{src},
 		Destinations: []sof.NodeID{dst},
 		ChainLength:  2,
-	}, sof.AlgorithmSOFDA)
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -52,11 +53,11 @@ func ExampleForest_Leave() {
 	if err != nil {
 		panic(err)
 	}
-	forest, err := net.Embed(sof.Request{
+	forest, err := sof.NewSolver(net).Embed(context.Background(), sof.Request{
 		Sources:      []sof.NodeID{src},
 		Destinations: []sof.NodeID{d1, d2},
 		ChainLength:  1,
-	}, sof.AlgorithmSOFDA)
+	})
 	if err != nil {
 		panic(err)
 	}

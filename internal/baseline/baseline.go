@@ -52,30 +52,12 @@ func (k Kind) String() string {
 	}
 }
 
-// ST embeds the request with a single Steiner tree plus one service chain,
-// choosing the best single source.
-func ST(g *graph.Graph, req core.Request, opts *core.Options) (*core.Forest, error) {
-	return run(context.Background(), g, req, opts, KindST)
-}
-
-// EST embeds the request with the enhanced Steiner tree heuristic.
-func EST(g *graph.Graph, req core.Request, opts *core.Options) (*core.Forest, error) {
-	return run(context.Background(), g, req, opts, KindEST)
-}
-
-// ENEMP embeds the request with the enhanced NEMP heuristic.
-func ENEMP(g *graph.Graph, req core.Request, opts *core.Options) (*core.Forest, error) {
-	return run(context.Background(), g, req, opts, KindENEMP)
-}
-
-// Solve dispatches on kind (convenience for the experiment harness).
-func Solve(g *graph.Graph, req core.Request, opts *core.Options, kind Kind) (*core.Forest, error) {
-	return run(context.Background(), g, req, opts, kind)
-}
-
-// SolveCtx is Solve with cancellation: ctx is observed between candidate
-// trees, mirroring the context support of the core algorithms so the whole
-// stack can be driven under one deadline.
+// SolveCtx embeds the request with the baseline of the given kind: ST, a
+// single Steiner tree plus one service chain from the best single source;
+// eST, the enhanced Steiner tree heuristic; or eNEMP, the enhanced NEMP
+// heuristic. ctx is observed between candidate trees, mirroring the
+// context support of the core algorithms so the whole stack can be driven
+// under one deadline.
 func SolveCtx(ctx context.Context, g *graph.Graph, req core.Request, opts *core.Options, kind Kind) (*core.Forest, error) {
 	return run(ctx, g, req, opts, kind)
 }

@@ -38,7 +38,7 @@ func twoIslandNet() (*graph.Graph, core.Request) {
 func TestAllBaselinesFeasible(t *testing.T) {
 	g, req := twoIslandNet()
 	for _, kind := range []Kind{KindST, KindEST, KindENEMP} {
-		f, err := Solve(g, req, nil, kind)
+		f, err := SolveCtx(context.Background(), g, req, nil, kind)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -50,7 +50,7 @@ func TestAllBaselinesFeasible(t *testing.T) {
 
 func TestSTUsesSingleTree(t *testing.T) {
 	g, req := twoIslandNet()
-	f, err := ST(g, req, nil)
+	f, err := SolveCtx(context.Background(), g, req, nil, KindST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestSTUsesSingleTree(t *testing.T) {
 
 func TestESTAddsSecondTreeWhenProfitable(t *testing.T) {
 	g, req := twoIslandNet()
-	est, err := EST(g, req, nil)
+	est, err := SolveCtx(context.Background(), g, req, nil, KindEST)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ST(g, req, nil)
+	st, err := SolveCtx(context.Background(), g, req, nil, KindST)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestENEMPLastVMInsideTree(t *testing.T) {
 	g.MustAddEdge(v2, d, 1)
 	g.MustAddEdge(s, far, 30)
 	req := core.Request{Sources: []graph.NodeID{s}, Dests: []graph.NodeID{d}, ChainLen: 1}
-	f, err := ENEMP(g, req, nil)
+	f, err := SolveCtx(context.Background(), g, req, nil, KindENEMP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBaselineZeroChain(t *testing.T) {
 	g, req := twoIslandNet()
 	req.ChainLen = 0
 	for _, kind := range []Kind{KindST, KindEST, KindENEMP} {
-		f, err := Solve(g, req, nil, kind)
+		f, err := SolveCtx(context.Background(), g, req, nil, kind)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -124,12 +124,12 @@ func TestBaselineZeroChain(t *testing.T) {
 func TestBaselineErrors(t *testing.T) {
 	g, req := twoIslandNet()
 	req.ChainLen = 10 // more VNFs than VMs
-	if _, err := EST(g, req, nil); err == nil {
+	if _, err := SolveCtx(context.Background(), g, req, nil, KindEST); err == nil {
 		t.Error("infeasible chain accepted")
 	}
 	bad := req
 	bad.Sources = nil
-	if _, err := EST(g, bad, nil); err == nil {
+	if _, err := SolveCtx(context.Background(), g, bad, nil, KindEST); err == nil {
 		t.Error("empty sources accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestSOFDABeatsBaselinesOnAverage(t *testing.T) {
 		}
 		sums["SOFDA"] += sofda.TotalCost()
 		for _, kind := range []Kind{KindST, KindEST, KindENEMP} {
-			f, err := Solve(net.G, req, opts, kind)
+			f, err := SolveCtx(context.Background(), net.G, req, opts, kind)
 			if err != nil {
 				t.Fatalf("seed %d %v: %v", seed, kind, err)
 			}

@@ -372,8 +372,11 @@ func Fig12(kind NetKind, steps int) (*Series, error) {
 			return nil, err
 		}
 		cfg.Seed = 42 // identical arrival sequence for every algorithm
-		sim := online.NewSimulator(netCopy, a, cfg)
-		curves[string(a)] = sim.Run(steps)
+		res, err := online.NewSimulator(netCopy, a, cfg).RunCtx(context.Background(), steps)
+		if err != nil {
+			return nil, err
+		}
+		curves[string(a)] = res
 	}
 	for i := 0; i < steps; i++ {
 		row := Row{X: i + 1, Values: map[string]float64{}}

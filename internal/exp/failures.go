@@ -5,6 +5,7 @@ package exp
 // and the repaired-vs-scratch cost comparison per failure mix.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -58,7 +59,9 @@ func FailureTable(kind NetKind, steps, events int) ([]FailureRow, error) {
 			Events: events, VMShare: share, Downtime: 3, Seed: 7,
 		}))
 		sim.CompareScratchCost(true)
-		sim.Run(steps)
+		if _, err := sim.RunCtx(context.Background(), steps); err != nil {
+			return nil, err
+		}
 		st := sim.Recovery()
 		out = append(out, FailureRow{
 			VMShare:       share,

@@ -8,6 +8,7 @@ package exp
 // to the paper's arrival-only Figure 12 setting.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -142,7 +143,9 @@ func LifecycleTable(kind NetKind, steps, inetNodes int) ([]LifecycleRow, error) 
 			algo = online.AlgoSOFDASS
 		}
 		sim := online.NewSimulator(net, algo, cfg)
-		sim.Run(steps)
+		if _, err := sim.RunCtx(context.Background(), steps); err != nil {
+			return nil, err
+		}
 		st := sim.Lifecycle()
 		out = append(out, LifecycleRow{
 			Label:            set.label,

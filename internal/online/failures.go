@@ -230,7 +230,8 @@ func (s *Simulator) recoverNow(ctx context.Context) error {
 	if s.compareScratch {
 		for _, fr := range rep.Forests {
 			s.recovery.RepairedCost += fr.Forest.TotalCost()
-			if nf, err := s.solver.Network().Embed(fr.Forest.Request(), sof.Algorithm(s.algo)); err == nil {
+			scratch := sof.NewSolver(s.solver.Network(), sof.WithAlgorithm(sof.Algorithm(s.algo)))
+			if nf, err := scratch.Embed(ctx, fr.Forest.Request()); err == nil {
 				s.recovery.ScratchCost += nf.TotalCost()
 			}
 		}

@@ -48,7 +48,7 @@ func TestFailureRunNeverDropsDestinations(t *testing.T) {
 	}))
 	sim.CompareScratchCost(true)
 
-	results := sim.Run(20)
+	results := run(t, sim, 20)
 	if len(results) != 20 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -94,7 +94,7 @@ func TestFailureLoadReaccounting(t *testing.T) {
 	sim.SetFailureSchedule(FailureSchedule(net, 12, FailureConfig{
 		Events: 6, VMShare: 0.5, Seed: 11, // permanent failures
 	}))
-	sim.Run(12)
+	run(t, sim, 12)
 
 	solver := sim.Solver()
 	wantLink := make(map[sof.EdgeID]float64)

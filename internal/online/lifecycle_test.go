@@ -22,7 +22,7 @@ func lifecycleConfig() Config {
 func TestLifecycleDepartures(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 7})
 	sim := NewSimulator(net, AlgoSOFDA, lifecycleConfig())
-	results := sim.Run(30)
+	results := run(t, sim, 30)
 
 	st := sim.Lifecycle()
 	if st.Arrivals != 30 {
@@ -75,7 +75,7 @@ func TestOnlineCapacityEnforced(t *testing.T) {
 	cfg.LinkCapacity = 20 // 4 requests per link
 	cfg.VMCapacity = 2
 	sim := NewSimulator(net, AlgoSOFDA, cfg)
-	sim.Run(25)
+	run(t, sim, 25)
 
 	st := sim.Lifecycle()
 	if st.Accepted == 0 {
@@ -107,7 +107,7 @@ func TestOnlineAdaptiveAdmission(t *testing.T) {
 	cfg.AdmissionMu = 16
 	cfg.AdmissionBudget = 0.05
 	sim := NewSimulator(net, AlgoSOFDA, cfg)
-	sim.Run(40)
+	run(t, sim, 40)
 
 	st := sim.Lifecycle()
 	if st.Accepted == 0 {

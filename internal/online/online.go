@@ -280,14 +280,8 @@ func (s *Simulator) drawTTL() int64 {
 	return int64(lo + s.rng.Intn(hi-lo+1))
 }
 
-// Step generates and embeds the next request, updates loads and prices,
-// and returns the step result; see StepCtx for the cancellable form.
-func (s *Simulator) Step() Result {
-	r, _ := s.StepCtx(context.Background())
-	return r
-}
-
-// StepCtx is Step with cancellation: once ctx is done the in-flight
+// StepCtx generates and embeds the next request, updates loads and
+// prices, and returns the step result. Once ctx is done the in-flight
 // embedding aborts and the step is not counted. Each step advances the
 // session's virtual clock by one (expiring lapsed TTLs), fires due failure
 // events, embeds one arrival, and re-prices. A request that cannot be
@@ -373,13 +367,6 @@ func (s *Simulator) StepCtx(ctx context.Context) (Result, error) {
 		s.sinceReprice = 0
 	}
 	return res, nil
-}
-
-// Run executes n steps and returns their results; see RunCtx for the
-// cancellable form.
-func (s *Simulator) Run(n int) []Result {
-	out, _ := s.RunCtx(context.Background(), n)
-	return out
 }
 
 // RunCtx executes up to n steps, stopping early (with the results

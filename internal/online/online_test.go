@@ -10,6 +10,16 @@ import (
 	"sof/internal/topology"
 )
 
+// run steps sim n times, failing the test on an error.
+func run(t *testing.T, sim *Simulator, n int) []Result {
+	t.Helper()
+	res, err := sim.RunCtx(context.Background(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func smallConfig() Config {
 	return Config{
 		LinkCapacity: 100, Demand: 5, VMCapacity: 10,
@@ -21,7 +31,7 @@ func smallConfig() Config {
 func TestSimulatorAccumulates(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 1})
 	sim := NewSimulator(net, AlgoSOFDA, smallConfig())
-	results := sim.Run(5)
+	results := run(t, sim, 5)
 	if len(results) != 5 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -52,7 +62,7 @@ func TestLoadRaisesPrices(t *testing.T) {
 	if firstCost != 5 {
 		t.Fatalf("unloaded marginal cost = %v, want 5", firstCost)
 	}
-	res := sim.Run(12)
+	res := run(t, sim, 12)
 	var grew bool
 	for e := 0; e < net.G.NumEdges(); e++ {
 		if net.G.EdgeCost(graph.EdgeID(e)) > firstCost+1e-9 {
@@ -75,7 +85,7 @@ func TestAllAlgorithmsRunOnline(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoSOFDA, AlgoENEMP, AlgoEST, AlgoST} {
 		net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 3})
 		sim := NewSimulator(net, algo, smallConfig())
-		res := sim.Run(3)
+		res := run(t, sim, 3)
 		for _, r := range res {
 			if r.Rejected {
 				t.Errorf("%s rejected request %d on an empty network", algo, r.Request)
@@ -123,7 +133,10 @@ func TestSimulationCancellable(t *testing.T) {
 	}
 	// A cancelled step must not count: the next background step continues
 	// the sequence.
-	r := sim.Step()
+	r, err := sim.StepCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Request != 3 {
 		t.Errorf("step counter = %d after cancelled steps, want 3", r.Request)
 	}
@@ -139,7 +152,7 @@ func TestSOFDAAccumulatesLessThanBaselines(t *testing.T) {
 		cfg.Seed = 5    // identical request stream for all algorithms
 		cfg.Demand = 20 // push links into the convex region quickly
 		sim := NewSimulator(net, algo, cfg)
-		sim.Run(12)
+		run(t, sim, 12)
 		totals[algo] = sim.Accumulated()
 	}
 	t.Logf("accumulated: SOFDA=%.1f eST=%.1f ST=%.1f",

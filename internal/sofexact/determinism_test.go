@@ -1,6 +1,7 @@
 package sofexact
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -99,7 +100,7 @@ func TestSolveDeterministicRepeatRuns(t *testing.T) {
 			}
 			// NoPrime exercises the raw search: priming shrinks the branch
 			// tree and could mask order instability behind early pruning.
-			f, err := Solve(g, req, &Options{NoPrime: true})
+			f, err := SolveCtx(context.Background(), g, req, &Options{NoPrime: true})
 			branchTrace = nil
 			if err != nil {
 				t.Fatalf("instance %d run %d: %v", seed, run, err)

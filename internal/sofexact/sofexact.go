@@ -126,16 +126,12 @@ func buildLayered(g *graph.Graph, sources []graph.NodeID, vms []graph.NodeID, ch
 // removed map-order dependence from buildLayered and the conflict pick.
 var branchTrace func(vm graph.NodeID, arcs int)
 
-// Solve returns an optimal forest for the request, or an error when the
+// SolveCtx returns an optimal forest for the request, or an error when the
 // instance is too large, infeasible, or the branch budget is exhausted.
-func Solve(g *graph.Graph, req core.Request, opts *Options) (*core.Forest, error) {
-	return SolveCtx(context.Background(), g, req, opts)
-}
-
-// SolveCtx is Solve with cancellation: ctx is observed at every
-// branch-and-bound node expansion, so a mid-run cancellation aborts the
-// search before the next relaxation is solved (each node still pays one
-// full Dreyfus–Wagner pass, which bounds the cancellation latency).
+// ctx is observed at every branch-and-bound node expansion, so a mid-run
+// cancellation aborts the search before the next relaxation is solved
+// (each node still pays one full Dreyfus–Wagner pass, which bounds the
+// cancellation latency).
 func SolveCtx(ctx context.Context, g *graph.Graph, req core.Request, opts *Options) (*core.Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -27,7 +27,7 @@ func lineNet() (*graph.Graph, core.Request) {
 
 func TestExactLine(t *testing.T) {
 	g, req := lineNet()
-	f, err := Solve(g, req, nil)
+	f, err := SolveCtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestExactPrefersForest(t *testing.T) {
 	g.MustAddEdge(e, d1, 1)
 	g.MustAddEdge(b, c, 20)
 	req := core.Request{Sources: []graph.NodeID{s0, s1}, Dests: []graph.NodeID{d0, d1}, ChainLen: 2}
-	f, err := Solve(g, req, nil)
+	f, err := SolveCtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExactEnforcesOneVNFPerVM(t *testing.T) {
 	g.MustAddEdge(v, d, 1)
 	g.MustAddEdge(v, w, 1)
 	req := core.Request{Sources: []graph.NodeID{s}, Dests: []graph.NodeID{d}, ChainLen: 2}
-	f, err := Solve(g, req, nil)
+	f, err := SolveCtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExactEnforcesOneVNFPerVM(t *testing.T) {
 func TestExactZeroChain(t *testing.T) {
 	g, req := lineNet()
 	req.ChainLen = 0
-	f, err := Solve(g, req, nil)
+	f, err := SolveCtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestExactInfeasible(t *testing.T) {
 	v := g.AddVM("v", 1)
 	g.MustAddEdge(s, v, 1) // d disconnected
 	req := core.Request{Sources: []graph.NodeID{s}, Dests: []graph.NodeID{d}, ChainLen: 1}
-	if _, err := Solve(g, req, nil); err == nil {
+	if _, err := SolveCtx(context.Background(), g, req, nil); err == nil {
 		t.Fatal("disconnected instance accepted")
 	}
 }
@@ -126,7 +126,7 @@ func TestExactInfeasible(t *testing.T) {
 func TestExactTooManyTerminals(t *testing.T) {
 	g, req := lineNet()
 	req.Dests = make([]graph.NodeID, MaxTerminals+1)
-	if _, err := Solve(g, req, nil); err == nil {
+	if _, err := SolveCtx(context.Background(), g, req, nil); err == nil {
 		t.Fatal("terminal limit not enforced")
 	}
 }
@@ -154,7 +154,7 @@ func TestExactMatchesChainOracleOnSingleDest(t *testing.T) {
 			continue
 		}
 		req := core.Request{Sources: []graph.NodeID{s}, Dests: []graph.NodeID{d}, ChainLen: chainLen}
-		f, err := Solve(g, req, nil)
+		f, err := SolveCtx(context.Background(), g, req, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -206,7 +206,7 @@ func TestSOFDAWithinBoundOfExact(t *testing.T) {
 			continue
 		}
 		req := core.Request{Sources: srcs, Dests: dsts, ChainLen: chainLen}
-		opt, err := Solve(g, req, nil)
+		opt, err := SolveCtx(context.Background(), g, req, nil)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package sofip
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestIPMatchesLayeredExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: IP: %v", seed, err)
 		}
-		exact, err := sofexact.Solve(g, req, nil)
+		exact, err := sofexact.SolveCtx(context.Background(), g, req, nil)
 		if err != nil {
 			t.Fatalf("seed %d: layered: %v", seed, err)
 		}
@@ -115,7 +116,7 @@ func TestIPTwoDestinationsShareTree(t *testing.T) {
 	if math.Abs(res.Cost-5) > 1e-6 {
 		t.Fatalf("cost = %v, want 5", res.Cost)
 	}
-	exact, err := sofexact.Solve(g, req, nil)
+	exact, err := sofexact.SolveCtx(context.Background(), g, req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

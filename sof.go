@@ -32,17 +32,9 @@
 // source), the baselines eNEMP/eST/ST, and Exact (optimal, small instances
 // only). Dynamic operations (join/leave/VNF changes) are exposed on the
 // Forest type and reuse the session cache of the Solver that embedded it.
-//
-// # Compatibility
-//
-// Network.Embed and Network.EmbedContext remain as thin wrappers that open
-// a one-shot Solver per call — existing callers keep working, but they pay
-// the full candidate-chain derivation on every request and should migrate
-// to a shared Solver.
 package sof
 
 import (
-	"context"
 	"fmt"
 
 	"sof/internal/chain"
@@ -170,50 +162,6 @@ func (n *Network) SetVMCost(v NodeID, cost float64) error {
 
 // VMs lists the VM nodes.
 func (n *Network) VMs() []NodeID { return n.g.VMs() }
-
-// EmbedOptions tune how an embedding is computed without changing the
-// problem it solves. They are the one-shot counterpart of the Solver
-// construction options.
-type EmbedOptions struct {
-	// Parallelism bounds the worker pool used for candidate-chain
-	// generation: GOMAXPROCS when <= 0 (or when EmbedOptions is nil),
-	// sequential when 1. Only SOFDA and SOFDA-SS generate candidates
-	// through the pool; the baselines and the exact solver ignore it.
-	Parallelism int
-	// VMs restricts the candidate VM set; all VMs of the network when nil.
-	VMs []NodeID
-}
-
-// Embed computes a service overlay forest for the request.
-//
-// Compatibility wrapper: it opens a one-shot Solver per call, so nothing
-// is cached across requests. Callers embedding more than once on the same
-// network should hold a Solver instead.
-func (n *Network) Embed(req Request, algo Algorithm) (*Forest, error) {
-	return n.EmbedContext(context.Background(), req, algo, nil)
-}
-
-// EmbedContext computes a service overlay forest with cancellation and
-// execution options: the embedding aborts with ctx.Err() once ctx is done,
-// and for SOFDA and SOFDA-SS candidate-chain generation fans out across
-// opts.Parallelism workers. A nil opts uses the defaults. AlgorithmExact
-// observes cancellation at every branch-and-bound node expansion.
-//
-// Compatibility wrapper: like Embed, it opens a one-shot Solver per call.
-func (n *Network) EmbedContext(ctx context.Context, req Request, algo Algorithm, opts *EmbedOptions) (*Forest, error) {
-	sopts := []Option{WithAlgorithm(algo)}
-	if opts != nil {
-		sopts = append(sopts, WithParallelism(opts.Parallelism))
-		if opts.VMs != nil {
-			// Not WithVMs: the wrapper must preserve EmbedOptions semantics
-			// exactly, where a non-nil empty slice means "no candidate VMs"
-			// (and fails the embed) rather than "no restriction".
-			vms := opts.VMs
-			sopts = append(sopts, func(s *Solver) { s.vms = vms })
-		}
-	}
-	return NewSolver(n, sopts...).Embed(ctx, req)
-}
 
 // Forest is an embedded service overlay forest with its dynamic
 // reconfiguration operations (Section VII-C of the paper). A forest keeps

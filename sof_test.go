@@ -31,7 +31,8 @@ func buildLine(t *testing.T) (*Network, NodeID, NodeID) {
 func TestPublicAPIQuickstart(t *testing.T) {
 	net, s, d := buildLine(t)
 	for _, algo := range []Algorithm{AlgorithmSOFDA, AlgorithmSOFDASS, AlgorithmENEMP, AlgorithmEST, AlgorithmST, AlgorithmExact} {
-		f, err := net.Embed(Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}, algo)
+		f, err := NewSolver(net, WithAlgorithm(algo)).Embed(context.Background(),
+			Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -60,12 +61,11 @@ func TestPublicAPIEmbedContext(t *testing.T) {
 	net, s, d := buildLine(t)
 	req := Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}
 
-	seq, err := net.Embed(req, AlgorithmSOFDA)
+	seq, err := NewSolver(net, WithParallelism(1)).Embed(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := net.EmbedContext(context.Background(), req, AlgorithmSOFDA,
-		&EmbedOptions{Parallelism: runtime.NumCPU()})
+	par, err := NewSolver(net, WithParallelism(runtime.NumCPU())).Embed(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPublicAPIEmbedContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, algo := range []Algorithm{AlgorithmSOFDA, AlgorithmSOFDASS, AlgorithmENEMP, AlgorithmEST, AlgorithmST, AlgorithmExact} {
-		if _, err := net.EmbedContext(ctx, req, algo, nil); err == nil {
+		if _, err := NewSolver(net, WithAlgorithm(algo)).Embed(ctx, req); err == nil {
 			t.Errorf("%s: cancelled context accepted", algo)
 		}
 	}
@@ -84,10 +84,12 @@ func TestPublicAPIEmbedContext(t *testing.T) {
 
 func TestPublicAPIErrors(t *testing.T) {
 	net, s, d := buildLine(t)
-	if _, err := net.Embed(Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}, "nope"); err == nil {
+	solver := NewSolver(net)
+	ctx := context.Background()
+	if _, err := solver.EmbedAlgorithm(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}, "nope"); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := net.Embed(Request{Sources: []NodeID{s, d}, Destinations: []NodeID{d}, ChainLength: 1}, AlgorithmSOFDASS); err == nil {
+	if _, err := solver.EmbedAlgorithm(ctx, Request{Sources: []NodeID{s, d}, Destinations: []NodeID{d}, ChainLength: 1}, AlgorithmSOFDASS); err == nil {
 		t.Error("SOFDA-SS with two sources accepted")
 	}
 	b := NewNetworkBuilder()
@@ -118,7 +120,7 @@ func TestPublicAPIDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := net.Embed(Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 2}, AlgorithmSOFDA)
+	f, err := NewSolver(net).Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,32 +25,27 @@ func solverTestRequests(net *topology.Network, n int) []Request {
 	return reqs
 }
 
-func TestSolverMatchesNetworkEmbed(t *testing.T) {
+// TestSolverMatchesOneShotSessions runs every algorithm through one
+// shared session and through a fresh session each: the costs must agree.
+func TestSolverMatchesOneShotSessions(t *testing.T) {
 	net, s, d := buildLine(t)
 	req := Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2}
 	solver := NewSolver(net)
 	for _, algo := range []Algorithm{AlgorithmSOFDA, AlgorithmSOFDASS, AlgorithmENEMP, AlgorithmEST, AlgorithmST, AlgorithmExact} {
-		want, err := net.Embed(req, algo)
+		want, err := NewSolver(net, WithAlgorithm(algo)).Embed(context.Background(), req)
 		if err != nil {
-			t.Fatalf("%s wrapper: %v", algo, err)
+			t.Fatalf("%s one-shot: %v", algo, err)
 		}
 		got, err := solver.EmbedAlgorithm(context.Background(), req, algo)
 		if err != nil {
 			t.Fatalf("%s solver: %v", algo, err)
 		}
 		if got.TotalCost() != want.TotalCost() {
-			t.Errorf("%s: solver cost %v != wrapper cost %v", algo, got.TotalCost(), want.TotalCost())
+			t.Errorf("%s: solver cost %v != one-shot cost %v", algo, got.TotalCost(), want.TotalCost())
 		}
 	}
 	if _, err := solver.EmbedAlgorithm(context.Background(), req, "nope"); err == nil {
 		t.Error("unknown algorithm accepted")
-	}
-
-	// Wrapper compatibility: a non-nil empty VMs slice means "no candidate
-	// VMs" (the embed must fail), not "no restriction".
-	if _, err := net.EmbedContext(context.Background(), req, AlgorithmSOFDA,
-		&EmbedOptions{VMs: []NodeID{}}); err == nil {
-		t.Error("empty non-nil EmbedOptions.VMs embedded against all VMs")
 	}
 }
 
@@ -124,7 +119,7 @@ func TestSolverWarmCacheEpochInvalidation(t *testing.T) {
 	for _, src := range req.Sources {
 		checkFreshTree(t, solver, src)
 	}
-	fresh, err := snet.Embed(req, AlgorithmSOFDA)
+	fresh, err := NewSolver(snet).Embed(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +189,8 @@ func TestSolverEmbedBatch(t *testing.T) {
 
 // TestSolverEmbedStreamFewerDijkstras is the acceptance bar of the session
 // API: a 50-request unchanged-cost stream through one Solver must perform
-// strictly fewer Dijkstra computations than 50 independent Network.Embed
-// calls. Network.Embed is by construction a one-shot Solver per call, so
-// the independent side is counted through 50 fresh sessions (identical
-// work) and cross-checked against actual Network.Embed costs.
+// strictly fewer Dijkstra computations than 50 one-shot sessions, one per
+// request, and return the same costs.
 func TestSolverEmbedStreamFewerDijkstras(t *testing.T) {
 	const n = 50
 	net := topology.SoftLayer(topology.Config{NumVMs: 15, Seed: 9})
@@ -214,14 +207,6 @@ func TestSolverEmbedStreamFewerDijkstras(t *testing.T) {
 		}
 		costs[i] = f.TotalCost()
 		independent += oneShot.CacheStats().Misses
-
-		wrapper, err := snet.EmbedContext(context.Background(), req, AlgorithmSOFDA, &EmbedOptions{VMs: net.VMs})
-		if err != nil {
-			t.Fatalf("Network.Embed %d: %v", i, err)
-		}
-		if wrapper.TotalCost() != costs[i] {
-			t.Fatalf("request %d: wrapper cost %v != one-shot session cost %v", i, wrapper.TotalCost(), costs[i])
-		}
 	}
 
 	shared := NewSolver(snet, WithVMs(net.VMs...))
