@@ -29,9 +29,8 @@ type auxGraph struct {
 	chains map[graph.EdgeID]*chain.ServiceChain
 	// dupToVM maps û back to its real VM u.
 	dupToVM map[graph.NodeID]graph.NodeID
-	// origNodes is the node count of the original graph; nodes below this
-	// threshold are real.
-	origNodes int
+	// origEdges is the edge count of the original graph; edges below it
+	// are real.
 	origEdges int
 }
 
@@ -52,7 +51,6 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		vmDup:     make(map[graph.NodeID]graph.NodeID, len(vms)),
 		chains:    make(map[graph.EdgeID]*chain.ServiceChain),
 		dupToVM:   make(map[graph.NodeID]graph.NodeID, len(vms)),
-		origNodes: g.NumNodes(),
 		origEdges: g.NumEdges(),
 	}
 	aux.sHat = aux.g.AddSwitch()
@@ -492,9 +490,6 @@ func (r *steinerRows) Tree(n graph.NodeID) *graph.ShortestPaths {
 	r.dests[n] = sp
 	return sp
 }
-
-// isReal reports whether n is a node of the original network.
-func (a *auxGraph) isReal(n graph.NodeID) bool { return int(n) < a.origNodes }
 
 // isRealEdge reports whether e is an edge of the original network.
 func (a *auxGraph) isRealEdge(e graph.EdgeID) bool { return int(e) < a.origEdges }

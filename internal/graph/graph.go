@@ -1,7 +1,7 @@
 // Package graph provides the weighted-graph substrate used by every other
 // package in this repository: an undirected multigraph with node setup costs
 // (for VMs) and edge connection costs (for links), plus shortest paths,
-// failure and capacity masks, union-find, and DOT export.
+// failure and capacity masks, and union-find.
 //
 // Shortest-path trees come from delta-stepping whenever the edge costs
 // admit a bucket width (a positive, finite largest cost, and no unblocked
@@ -65,7 +65,7 @@ type Node struct {
 	// Cost is the setup cost paid when the node hosts an enabled VNF.
 	// Always 0 for switches.
 	Cost float64
-	// Name is an optional label used in DOT export and error messages.
+	// Name is an optional label used in error messages.
 	Name string
 }
 

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -246,16 +245,6 @@ func TestMetricClosureTriangleInequality(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestDOT(t *testing.T) {
-	g := buildDiamond(t)
-	s := DOT(g, "diamond", map[EdgeID]bool{0: true})
-	for _, want := range []string{"graph \"diamond\"", "shape=box", "style=bold", "n0 -- n1"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, s)
 		}
 	}
 }

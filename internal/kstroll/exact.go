@@ -6,15 +6,11 @@ import (
 	"math/bits"
 )
 
-// DefaultExactLimit is the largest instance (node count) ExactSolver accepts
-// by default. The DP keeps a row of N entries for every node set that holds
+// DefaultExactLimit is the largest instance (node count) ExactSolver
+// accepts. The DP keeps a row of N entries for every node set that holds
 // Start and at most K-1 nodes: C(N-1, 0) + … + C(N-1, K-2) rows, fewer
-// than 2^(N-1) even at K = N.
+// than 2^(N-1) even at K = N. It also sizes the DP's fixed tables.
 const DefaultExactLimit = 18
-
-// exactMaxNodes caps ExactSolver.MaxNodes: node sets are bit masks over
-// the N-1 nodes other than Start, held in a uint64.
-const exactMaxNodes = 64
 
 // ExactSolver solves k-stroll optimally with a Held–Karp-style dynamic
 // program over visited subsets: dp[mask][v] is the cheapest simple path that
@@ -29,17 +25,13 @@ const exactMaxNodes = 64
 // finds: each dp cell is written only from the one mask a level below it,
 // in the same ascending order of v, and the last level is scanned in
 // ascending mask order for the first minimum.
-type ExactSolver struct {
-	// MaxNodes rejects instances larger than this (DefaultExactLimit when
-	// zero, and never more than 64).
-	MaxNodes int
-}
+type ExactSolver struct{}
 
 // Name implements Solver.
 func (s *ExactSolver) Name() string { return "exact" }
 
 // binom[a][b] is the binomial coefficient C(a, b), for mask ranks.
-var binom = func() (t [exactMaxNodes][exactMaxNodes]int) {
+var binom = func() (t [DefaultExactLimit][DefaultExactLimit]int) {
 	for a := range t {
 		t[a][0] = 1
 		for b := 1; b <= a; b++ {
@@ -74,13 +66,8 @@ func (s *ExactSolver) Solve(in *Instance) (*Walk, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	limit := s.MaxNodes
-	if limit == 0 {
-		limit = DefaultExactLimit
-	}
-	limit = min(limit, exactMaxNodes)
-	if in.N > limit {
-		return nil, fmt.Errorf("kstroll: exact solver limited to %d nodes, got %d", limit, in.N)
+	if in.N > DefaultExactLimit {
+		return nil, fmt.Errorf("kstroll: exact solver limited to %d nodes, got %d", DefaultExactLimit, in.N)
 	}
 	if w, ok := trivial(in); ok {
 		return w, nil
@@ -104,7 +91,7 @@ func (s *ExactSolver) Solve(in *Instance) (*Walk, error) {
 		return 1 << v
 	}
 	last := in.K - 2 // the widest stored level; its extension by End is the answer
-	var off [exactMaxNodes + 1]int
+	var off [DefaultExactLimit + 1]int
 	for l := 0; l <= last; l++ {
 		off[l+1] = off[l] + binom[m][l]*n
 	}
@@ -112,7 +99,7 @@ func (s *ExactSolver) Solve(in *Instance) (*Walk, error) {
 	parent := make([]int8, off[last+1])
 	dp[in.Start] = 0
 
-	var tgt [exactMaxNodes]int
+	var tgt [DefaultExactLimit]int
 	for l := 0; l < last; l++ {
 		mask := uint64(1)<<l - 1
 		for r := range binom[m][l] {

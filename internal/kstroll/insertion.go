@@ -9,11 +9,11 @@ import (
 // unused nodes). Deterministic: ties break toward lower node index. This is
 // the production path for large instances; tests bound its gap against
 // ExactSolver.
-type InsertionSolver struct {
-	// MaxRounds caps local-search sweeps (defaults to 64 when zero). Each
-	// sweep is O(K^2 + K·N).
-	MaxRounds int
-}
+type InsertionSolver struct{}
+
+// insertionRounds caps the local-search sweeps. Each sweep is
+// O(K^2 + K·N).
+const insertionRounds = 64
 
 // Name implements Solver.
 func (s *InsertionSolver) Name() string { return "insertion" }
@@ -27,15 +27,11 @@ func (s *InsertionSolver) Solve(in *Instance) (*Walk, error) {
 		return w, nil
 	}
 	seq := s.construct(in)
-	rounds := s.MaxRounds
-	if rounds == 0 {
-		rounds = 64
-	}
 	used := make([]bool, in.N)
 	for _, v := range seq {
 		used[v] = true
 	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < insertionRounds; r++ {
 		improved := orOpt(in, seq)
 		if twoOpt(in, seq) {
 			improved = true

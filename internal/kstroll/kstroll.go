@@ -156,13 +156,10 @@ func trivial(in *Instance) (w *Walk, ok bool) {
 	}
 }
 
-// AutoSolver picks ExactSolver for small instances and InsertionSolver
-// otherwise. It is the default used by the chain and core packages.
-type AutoSolver struct {
-	// ExactLimit is the largest N solved exactly (DefaultAutoExactLimit
-	// when zero).
-	ExactLimit int
-}
+// AutoSolver picks ExactSolver for instances of at most
+// DefaultAutoExactLimit nodes and InsertionSolver otherwise. It is the
+// default used by the chain and core packages.
+type AutoSolver struct{}
 
 // DefaultAutoExactLimit keeps the exact DP under a few milliseconds.
 const DefaultAutoExactLimit = 14
@@ -172,12 +169,8 @@ func (s *AutoSolver) Name() string { return "auto" }
 
 // Solve implements Solver.
 func (s *AutoSolver) Solve(in *Instance) (*Walk, error) {
-	limit := s.ExactLimit
-	if limit == 0 {
-		limit = DefaultAutoExactLimit
-	}
-	if in.N <= limit {
-		return (&ExactSolver{MaxNodes: limit}).Solve(in)
+	if in.N <= DefaultAutoExactLimit {
+		return (&ExactSolver{}).Solve(in)
 	}
 	return (&InsertionSolver{}).Solve(in)
 }
