@@ -241,31 +241,15 @@ func TestPublicAPIChecksCallerIDs(t *testing.T) {
 		_, err := NewSolver(net, WithAlgorithm(algo), WithVMs(vms...)).Embed(context.Background(), req)
 		return err
 	}
+	f, err := NewSolver(net).Embed(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	type check struct {
 		name string
 		call func() error // nil when the call answered as documented
 	}
 	checks := []check{
-		{"Join(99)", func() error {
-			f, err := NewSolver(net).Embed(context.Background(), req)
-			if err != nil {
-				return err
-			}
-			if _, err := f.Join(99); err == nil {
-				return errors.New("no error")
-			}
-			return nil
-		}},
-		{"Join(-1)", func() error {
-			f, err := NewSolver(net).Embed(context.Background(), req)
-			if err != nil {
-				return err
-			}
-			if _, err := f.Join(-1); err == nil {
-				return errors.New("no error")
-			}
-			return nil
-		}},
 		{"LinkLoad(99)", func() error {
 			if l := NewSolver(net, WithCapacity(4, 4)).LinkLoad(99); l != 0 {
 				return fmt.Errorf("load %v, want 0", l)
@@ -284,6 +268,14 @@ func TestPublicAPIChecksCallerIDs(t *testing.T) {
 			}
 			return nil
 		}},
+	}
+	for _, bad := range []NodeID{99, -1} {
+		checks = append(checks, check{fmt.Sprintf("Join(%d)", bad), func() error {
+			if _, err := f.Join(bad); err == nil {
+				return errors.New("no error")
+			}
+			return nil
+		}})
 	}
 	for _, algo := range algos {
 		for _, bad := range []NodeID{99, -1, s} {
