@@ -711,12 +711,13 @@ func (o *Oracle) buildBlock(vms []graph.NodeID) ([]float64, error) {
 // (Procedure 2): VNF f_j is installed on the j-th stroll node after the
 // source, and Appendix D's source setup cost is added last.
 func (o *Oracle) materialize(cand []graph.NodeID, s graph.NodeID, w *kstroll.Walk) (*ServiceChain, error) {
-	stops := make([]graph.NodeID, len(w.Seq))
-	for i, idx := range w.Seq {
-		stops[i] = s
+	stops := make([]graph.NodeID, 0, shortWalk)
+	for _, idx := range w.Seq {
+		v := s
 		if idx > 0 {
-			stops[i] = cand[idx-1]
+			v = cand[idx-1]
 		}
+		stops = append(stops, v)
 	}
 	sc, err := o.walk(stops, len(stops)-1)
 	if err != nil {
@@ -727,6 +728,11 @@ func (o *Oracle) materialize(cand []graph.NodeID, s graph.NodeID, w *kstroll.Wal
 	}
 	return sc, nil
 }
+
+// shortWalk is the stop count the callers of walk reserve: walk keeps no
+// reference to its stops, so a walk this short lists them without a heap
+// allocation.
+const shortWalk = 8
 
 // walk joins consecutive stops by shortest paths into one walk from
 // stops[0] (Procedure 2). stops[1] … stops[vms] host VNFs f1 … f_vms in
@@ -840,9 +846,9 @@ func (o *Oracle) Extension(vms []graph.NodeID, from, to graph.NodeID, nVMs int) 
 	if err != nil {
 		return nil, fmt.Errorf("chain: extension stroll: %w", err)
 	}
-	stops := make([]graph.NodeID, len(w.Seq))
-	for i, idx := range w.Seq {
-		stops[i] = nodeAt(idx)
+	stops := make([]graph.NodeID, 0, shortWalk)
+	for _, idx := range w.Seq {
+		stops = append(stops, nodeAt(idx))
 	}
 	return o.walk(stops, len(stops)-2)
 }
