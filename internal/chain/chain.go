@@ -746,9 +746,10 @@ func (o *Oracle) walk(stops []graph.NodeID, vms int) (*ServiceChain, error) {
 		sp := o.tree(a)
 		path := sp.PathTo(b)
 		if path == nil {
-			// The instance build proved reachability, but the tree answering
-			// here may be a different (fresher) one than the build consulted;
-			// degrade to an error instead of indexing a nil path.
+			// An instance build proved reachability, but the tree answering
+			// here may be a fresher one than the build read, and a plain
+			// shortest path checks nothing first: degrade to an error
+			// instead of indexing a nil path.
 			return nil, fmt.Errorf("chain: no path %d→%d: %w", a, b, graph.ErrDisconnected)
 		}
 		sc.Nodes = append(sc.Nodes, path[1:]...)
