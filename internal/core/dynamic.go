@@ -241,8 +241,10 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 	}
 	if j == f.chainLen {
 		// Appending at the end: the boundary sits just before each
-		// destination's serving clone.
-		for _, c := range f.dests {
+		// destination's serving clone. Destinations go in id order, so a
+		// corrupt one is reported the same way on every run.
+		for _, d := range f.Destinations() {
+			c := f.dests[d]
 			got, err := f.vnfProgress(c)
 			if err != nil {
 				return err
@@ -255,7 +257,8 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 	// Ancestors first: a splice on a shared path repairs every descendant
 	// boundary below it, and the parent-progress guard then skips them.
 	// Descendant-first order would instead stack two copies of the new
-	// VNF on one path.
+	// VNF on one path. The clone id breaks ties, which the destination
+	// map's order would otherwise decide.
 	depth := func(c CloneID) int {
 		d := 0
 		for cur := f.clones[c].Parent; cur != NoClone; cur = f.clones[cur].Parent {
@@ -263,7 +266,10 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		}
 		return d
 	}
-	sort.Slice(fixups, func(i, j int) bool { return depth(fixups[i]) < depth(fixups[j]) })
+	sort.Slice(fixups, func(a, b int) bool {
+		da, db := depth(fixups[a]), depth(fixups[b])
+		return da < db || da == db && fixups[a] < fixups[b]
+	})
 	done := make(map[CloneID]bool)
 	for _, c := range fixups {
 		if done[c] {

@@ -372,3 +372,45 @@ func TestInsertVNFFailureRollsBack(t *testing.T) {
 		})
 	}
 }
+
+// TestInsertVNFTiedBoundariesDeterministic: appending f1 to a chainless
+// forest splices both destinations, which sit at one depth, and the first
+// splice takes the one cheap VM. The clone id must break the tie, so every
+// insert on a fresh copy gives the same forest: d1, the lower clone, gets
+// w1.
+func TestInsertVNFTiedBoundariesDeterministic(t *testing.T) {
+	g := graph.New(5, 8)
+	s, d1, d2 := g.AddSwitch("s"), g.AddSwitch("d1"), g.AddSwitch("d2")
+	w1, w2 := g.AddVM("w1", 1), g.AddVM("w2", 1)
+	sd1, sd2 := g.MustAddEdge(s, d1, 1), g.MustAddEdge(s, d2, 1)
+	g.MustAddEdge(s, w1, 1)
+	g.MustAddEdge(w1, d1, 1)
+	g.MustAddEdge(w1, d2, 1)
+	g.MustAddEdge(s, w2, 5)
+	g.MustAddEdge(w2, d1, 5)
+	g.MustAddEdge(w2, d2, 5)
+	oracle := chain.NewOracle(g, chain.Options{})
+	insert := func() *Forest {
+		f := NewForest(g, 0)
+		root := f.NewRoot(s)
+		f.MarkDestination(d1, f.AppendClone(root, d1, sd1))
+		f.MarkDestination(d2, f.AppendClone(root, d2, sd2))
+		if err := f.InsertVNF(oracle, g.VMs(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Validate([]graph.NodeID{s}, []graph.NodeID{d1, d2}); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	first := insert()
+	c, _ := first.DestClone(d1)
+	if !slices.ContainsFunc(first.PathToRoot(c), func(id CloneID) bool { return first.Clone(id).Node == w1 }) {
+		t.Errorf("d1 is not served through w1")
+	}
+	for i := 0; i < 50; i++ {
+		if f := insert(); !reflect.DeepEqual(f, first) {
+			t.Fatalf("insert %d gave a different forest", i+1)
+		}
+	}
+}
