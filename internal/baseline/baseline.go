@@ -510,7 +510,7 @@ func (b *builder) assemble(cands []*candidate, assign map[graph.NodeID]int) (*co
 		if c.sc == nil {
 			anchor = f.NewRoot(c.source)
 		} else {
-			_, last, err := f.AttachChainWalk(c.sc)
+			last, _, err := f.AttachChainWalk(c.sc)
 			if err != nil {
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
@@ -163,77 +164,42 @@ func (r *resolver) AddWalk(sc *chain.ServiceChain) (CloneID, error) {
 // suffix from f_{prefVNFs+1}; the junction is bridged by the current
 // shortest path (the paper's walk-shortening step).
 func (r *resolver) install(sc *chain.ServiceChain, prefix *walkInfo, prefVNFs int) (CloneID, error) {
-	w := &walkInfo{source: sc.Source}
-	var cur CloneID
-	var startVM int // chain VNFs already covered
-	if prefix == nil {
-		cur = r.f.newRoot(sc.Source)
-		startVM = 0
-	} else {
-		if prefVNFs < 1 || prefVNFs > len(prefix.vnfClones) {
-			return NoClone, fmt.Errorf("core: bad prefix attach at f%d", prefVNFs)
-		}
-		cur = prefix.vnfClones[prefVNFs-1]
-		w.source = r.rootNodeOf(cur)
-		w.vnfClones = append(w.vnfClones, prefix.vnfClones[:prefVNFs]...)
-		startVM = prefVNFs
-	}
 	if prefix == nil {
 		// Follow sc's own walk in full.
-		vmIdx := 0
-		for i := 1; i < len(sc.Nodes); i++ {
-			cur = r.f.appendClone(cur, sc.Nodes[i], sc.Edges[i-1])
-			if vmIdx < len(sc.VMPos) && sc.VMPos[vmIdx] == i {
-				if err := r.f.enable(cur, vmIdx+1); err != nil {
-					return NoClone, err
-				}
-				w.vnfClones = append(w.vnfClones, cur)
-				vmIdx++
-			}
-		}
-		if vmIdx != len(sc.VMs) {
-			return NoClone, fmt.Errorf("core: walk enabled %d of %d VNFs", vmIdx, len(sc.VMs))
-		}
-	} else {
-		// Bridge from the junction to the next VNF VM (or to the last VM
-		// when the prefix already covers the whole chain), then follow sc's
-		// suffix.
-		junction := r.f.clones[cur].Node
-		var target graph.NodeID
-		var suffixFromPos int
-		if startVM < len(sc.VMs) {
-			target = sc.VMs[startVM]
-			suffixFromPos = sc.VMPos[startVM]
-		} else {
-			target = sc.LastVM
-			suffixFromPos = len(sc.Nodes) - 1
-		}
-		pathNodes, pathEdges, _, err := r.oracle.Path(junction, target)
+		last, hosts, err := r.f.AttachChainWalk(sc)
 		if err != nil {
 			return NoClone, err
 		}
-		for i := 1; i < len(pathNodes); i++ {
-			cur = r.f.appendClone(cur, pathNodes[i], pathEdges[i-1])
+		r.walks = append(r.walks, &walkInfo{source: sc.Source, vnfClones: hosts, last: last})
+		return last, nil
+	}
+	if prefVNFs < 1 || prefVNFs > len(prefix.vnfClones) {
+		return NoClone, fmt.Errorf("core: bad prefix attach at f%d", prefVNFs)
+	}
+	cur := prefix.vnfClones[prefVNFs-1]
+	w := &walkInfo{source: r.rootNodeOf(cur), vnfClones: slices.Clone(prefix.vnfClones[:prefVNFs])}
+	// Bridge from the junction to the next VNF VM (or to the last VM when
+	// the prefix already covers the whole chain), then follow sc's suffix.
+	target, suffixFrom := sc.LastVM, len(sc.Nodes)-1
+	if prefVNFs < len(sc.VMs) {
+		target, suffixFrom = sc.VMs[prefVNFs], sc.VMPos[prefVNFs]
+	}
+	pathNodes, pathEdges, _, err := r.oracle.Path(r.f.clones[cur].Node, target)
+	if err != nil {
+		return NoClone, err
+	}
+	cur, _, _ = r.f.lay(cur, pathNodes, pathEdges, 0, nil, 0)
+	if prefVNFs < len(sc.VMs) {
+		if err := r.f.enable(cur, prefVNFs+1); err != nil {
+			return NoClone, err
 		}
-		if startVM < len(sc.VMs) {
-			if err := r.f.enable(cur, startVM+1); err != nil {
-				return NoClone, err
-			}
-			w.vnfClones = append(w.vnfClones, cur)
-			vmIdx := startVM + 1
-			for i := suffixFromPos + 1; i < len(sc.Nodes); i++ {
-				cur = r.f.appendClone(cur, sc.Nodes[i], sc.Edges[i-1])
-				if vmIdx < len(sc.VMPos) && sc.VMPos[vmIdx] == i {
-					if err := r.f.enable(cur, vmIdx+1); err != nil {
-						return NoClone, err
-					}
-					w.vnfClones = append(w.vnfClones, cur)
-					vmIdx++
-				}
-			}
-			if vmIdx != len(sc.VMs) {
-				return NoClone, fmt.Errorf("core: spliced walk enabled %d of %d VNFs", vmIdx, len(sc.VMs))
-			}
+		w.vnfClones = append(w.vnfClones, cur)
+		var hosts []CloneID
+		if cur, hosts, err = r.f.lay(cur, sc.Nodes, sc.Edges, suffixFrom, sc.VMPos[prefVNFs+1:], prefVNFs+2); err != nil {
+			return NoClone, err
+		}
+		if w.vnfClones = append(w.vnfClones, hosts...); len(w.vnfClones) != len(sc.VMs) {
+			return NoClone, fmt.Errorf("core: spliced walk enabled %d of %d VNFs", len(w.vnfClones), len(sc.VMs))
 		}
 	}
 	w.last = cur
@@ -265,39 +231,26 @@ func (r *resolver) reroot(wk *walkInfo, sc *chain.ServiceChain, cIdx, i, j int) 
 			r.f.disable(wk.vnfClones[idx-1])
 		}
 	}
-	// Build sc's prefix clones up to (but excluding) position of m.
-	root := r.f.newRoot(sc.Source)
-	cur := root
-	vmIdx := 0
-	var newPrefix []CloneID
+	// Lay sc's prefix from a new root up to m's position, re-parent m's
+	// clone onto it, and give it f_j.
 	mPos := sc.VMPos[cIdx]
-	for p := 1; p < mPos; p++ {
-		cur = r.f.appendClone(cur, sc.Nodes[p], sc.Edges[p-1])
-		if vmIdx < cIdx && sc.VMPos[vmIdx] == p {
-			if err := r.f.enable(cur, vmIdx+1); err != nil {
-				return err
-			}
-			newPrefix = append(newPrefix, cur)
-			vmIdx++
-		}
+	newPrefix, err := r.f.splice(mClone, r.f.newRoot(sc.Source), sc.Nodes[:mPos+1], sc.Edges[:mPos], sc.VMPos[:cIdx], 1)
+	if err != nil {
+		return err
 	}
-	if vmIdx != cIdx {
-		return fmt.Errorf("core: reroot enabled %d of %d prefix VNFs", vmIdx, cIdx)
+	if len(newPrefix) != cIdx {
+		return fmt.Errorf("core: reroot enabled %d of %d prefix VNFs", len(newPrefix), cIdx)
 	}
-	// Re-parent m's clone into the new prefix and give it f_j.
-	r.f.clones[mClone].Parent = cur
-	r.f.clones[mClone].ParentEdge = sc.Edges[mPos-1]
 	if err := r.f.enable(mClone, j); err != nil {
 		return err
 	}
 	newPrefix = append(newPrefix, mClone)
 
 	// wk's VNF clones become: new prefix (f1…f_j) + its own f_{j+1}….
-	var tail []CloneID
 	if j < len(wk.vnfClones) {
-		tail = append(tail, wk.vnfClones[j:]...)
+		newPrefix = append(newPrefix, wk.vnfClones[j:]...)
 	}
-	wk.vnfClones = append(newPrefix, tail...)
+	wk.vnfClones = newPrefix
 	wk.source = sc.Source
 	return nil
 }
@@ -308,12 +261,7 @@ func (r *resolver) reroot(wk *walkInfo, sc *chain.ServiceChain, cIdx, i, j int) 
 // and extends to the last VM by shortest path so the tree anchor is
 // preserved.
 func (r *resolver) reroute(sc *chain.ServiceChain) (CloneID, error) {
-	free := make([]graph.NodeID, 0, len(r.vms))
-	for _, v := range r.vms {
-		if _, owned := r.f.owner[v]; !owned {
-			free = append(free, v)
-		}
-	}
+	free := r.f.free(r.vms)
 	chainLen := len(sc.VMs)
 	if len(free) < chainLen {
 		return r.lastResort(sc)
@@ -356,10 +304,7 @@ func (r *resolver) reroute(sc *chain.ServiceChain) (CloneID, error) {
 	if err != nil {
 		return NoClone, err
 	}
-	cur := last
-	for i := 1; i < len(pathNodes); i++ {
-		cur = r.f.appendClone(cur, pathNodes[i], pathEdges[i-1])
-	}
+	cur, _, _ := r.f.lay(last, pathNodes, pathEdges, 0, nil, 0)
 	r.walks[len(r.walks)-1].last = cur
 	return cur, nil
 }

@@ -83,9 +83,8 @@ func TestSOFDASSLine(t *testing.T) {
 	if math.Abs(f.TotalCost()-8) > 1e-9 {
 		t.Fatalf("cost = %v, want 8", f.TotalCost())
 	}
-	st := f.Stats()
-	if st.UsedVMs != 2 || st.Trees != 1 {
-		t.Fatalf("stats = %+v, want 2 VMs in 1 tree", st)
+	if len(f.UsedVMs()) != 2 || f.NumTrees() != 1 {
+		t.Fatalf("VMs %v in %d trees, want 2 VMs in 1 tree", f.UsedVMs(), f.NumTrees())
 	}
 }
 
@@ -409,12 +408,11 @@ func TestStatsAndAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := f.Stats()
-	if st.TotalCost != f.TotalCost() {
-		t.Error("Stats.TotalCost mismatch")
+	if setup, conn := f.Cost(); setup+conn != f.TotalCost() {
+		t.Error("Cost does not add up to TotalCost")
 	}
-	if st.UsedVMs != len(f.UsedVMs()) {
-		t.Error("Stats.UsedVMs mismatch")
+	if len(f.UsedVMs()) != len(f.owner) {
+		t.Error("UsedVMs does not list every owned VM")
 	}
 	if f.ChainLen() != 2 || f.Graph() != g {
 		t.Error("accessors broken")

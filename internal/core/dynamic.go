@@ -51,42 +51,7 @@ func (f *Forest) join(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.Node
 	if _, ok := f.dests[d]; ok {
 		return 0, fmt.Errorf("core: destination %d already served", d)
 	}
-	type attachPlan struct {
-		clone    CloneID
-		progress int
-		ext      *chain.ServiceChain
-	}
-	var best *attachPlan
-	bestCost := math.Inf(1)
-	// Exclude VMs already enabled anywhere in the forest.
-	avail := make([]graph.NodeID, 0, len(freeVMs))
-	for _, v := range freeVMs {
-		if _, used := f.owner[v]; !used {
-			avail = append(avail, v)
-		}
-	}
-	var metaErrs, extErrs []error
-	for id := range f.clones {
-		c := CloneID(id)
-		if f.clones[c].deleted {
-			continue
-		}
-		progress, err := f.vnfProgress(c)
-		if err != nil {
-			metaErrs = append(metaErrs, fmt.Errorf("clone %d: %w", c, err))
-			continue
-		}
-		remaining := f.chainLen - progress
-		ext, err := oracle.Extension(avail, f.clones[c].Node, d, remaining)
-		if err != nil {
-			extErrs = append(extErrs, fmt.Errorf("clone %d (node %d): %w", c, f.clones[c].Node, err))
-			continue
-		}
-		if ext.TotalCost() < bestCost {
-			bestCost = ext.TotalCost()
-			best = &attachPlan{clone: c, progress: progress, ext: ext}
-		}
-	}
+	best, metaErrs, extErrs := f.cheapestGraft(oracle, freeVMs, d, nil)
 	if best == nil {
 		joined := errors.Join(append(metaErrs, extErrs...)...)
 		switch {
@@ -99,47 +64,66 @@ func (f *Forest) join(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.Node
 			return 0, fmt.Errorf("core: no feasible join point for destination %d (forest has no live clones)", d)
 		}
 	}
-	if bestCost > budget {
+	if cost := best.ext.TotalCost(); cost > budget {
 		return 0, fmt.Errorf("core: cheapest graft for destination %d costs %.6g, budget %.6g: %w",
-			d, bestCost, budget, ErrOverBudget)
+			d, cost, budget, ErrOverBudget)
 	}
 	before := f.TotalCost()
-	last, err := f.graftWalk(best.clone, best.ext, best.progress)
-	if err != nil {
-		return 0, err
-	}
-	f.MarkDestination(d, last)
-	if err := f.checkDest(d); err != nil {
+	if err := f.serve(best, d); err != nil {
 		return 0, err
 	}
 	return f.TotalCost() - before, nil
 }
 
-// graftWalk appends ext's walk under anchor clone by clone, enabling
-// ext's VMs with chain indices baseVNF+1, baseVNF+2, …; it returns the
-// final clone of the walk (the one serving a joined destination).
-func (f *Forest) graftWalk(anchor CloneID, ext *chain.ServiceChain, baseVNF int) (CloneID, error) {
-	cur := anchor
-	vmIdx := 0
-	for i := 1; i < len(ext.Nodes); i++ {
-		cur = f.appendClone(cur, ext.Nodes[i], ext.Edges[i-1])
-		if vmIdx < len(ext.VMPos) && ext.VMPos[vmIdx] == i {
-			if err := f.enable(cur, baseVNF+vmIdx+1); err != nil {
-				return NoClone, err
-			}
-			vmIdx++
-		}
-	}
-	return cur, nil
+// graft is an attach plan for one destination: the live clone it hangs
+// under, that clone's VNF progress, and the extension walk that enables
+// the VNFs still missing. Join lays the cheapest one at once; PlanBackups
+// stores one per critical destination for Repair to revalidate and lay.
+type graft struct {
+	anchor   CloneID
+	progress int
+	ext      *chain.ServiceChain
 }
 
-// checkDest validates a single destination's chain.
-func (f *Forest) checkDest(d graph.NodeID) error {
-	c, ok := f.dests[d]
-	if !ok {
-		return fmt.Errorf("core: destination %d unserved", d)
+// cheapestGraft scans the live clones that skip does not exclude for the
+// cheapest extension walk to d through the free VMs of vms, the first
+// clone winning a tie. It returns nil when no clone has one, with the
+// per-clone causes: corrupt VNF order, and failed extensions.
+func (f *Forest) cheapestGraft(oracle *chain.Oracle, vms []graph.NodeID, d graph.NodeID, skip func(CloneID) bool) (best *graft, metaErrs, extErrs []error) {
+	avail := f.free(vms)
+	bestCost := math.Inf(1)
+	for id := range f.clones {
+		c := CloneID(id)
+		if f.clones[c].deleted || skip != nil && skip(c) {
+			continue
+		}
+		progress, err := f.vnfProgress(c)
+		if err != nil {
+			metaErrs = append(metaErrs, fmt.Errorf("clone %d: %w", c, err))
+			continue
+		}
+		ext, err := oracle.Extension(avail, f.clones[c].Node, d, f.chainLen-progress)
+		if err != nil {
+			extErrs = append(extErrs, fmt.Errorf("clone %d (node %d): %w", c, f.clones[c].Node, err))
+			continue
+		}
+		if ext.TotalCost() < bestCost {
+			bestCost = ext.TotalCost()
+			best = &graft{anchor: c, progress: progress, ext: ext}
+		}
 	}
-	got, err := f.vnfProgress(c)
+	return best, metaErrs, extErrs
+}
+
+// serve lays g's walk and serves destination d at its end, which must
+// then have received the whole chain.
+func (f *Forest) serve(g *graft, d graph.NodeID) error {
+	last, _, err := f.lay(g.anchor, g.ext.Nodes, g.ext.Edges, 0, g.ext.VMPos, g.progress+1)
+	if err != nil {
+		return err
+	}
+	f.MarkDestination(d, last)
+	got, err := f.vnfProgress(last)
 	if err != nil {
 		return err
 	}
@@ -219,24 +203,12 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		f.owner[c.Node] = use
 	}
 	f.chainLen++
-	// Find boundary clones: clones whose subtree needs f_j next — i.e.
-	// clones with progress j-1 whose children start the old f_j (now
-	// f_{j+1}) segment, or destinations lacking f_j.
-	avail := make([]graph.NodeID, 0, len(freeVMs))
-	for _, v := range freeVMs {
-		if _, used := f.owner[v]; !used {
-			avail = append(avail, v)
-		}
-	}
-	// Work per VNF-(j+1) clone and per destination with progress j-1.
+	// Find boundary clones, whose subtree needs f_j next: the clones
+	// running the old f_j (now f_{j+1}), or destinations lacking f_j.
 	var fixups []CloneID
 	for id := range f.clones {
-		c := CloneID(id)
-		if f.clones[c].deleted {
-			continue
-		}
-		if f.clones[c].VNF == j+1 {
-			fixups = append(fixups, c)
+		if !f.clones[id].deleted && f.clones[id].VNF == j+1 {
+			fixups = append(fixups, CloneID(id))
 		}
 	}
 	if j == f.chainLen {
@@ -270,12 +242,7 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		da, db := depth(fixups[a]), depth(fixups[b])
 		return da < db || da == db && fixups[a] < fixups[b]
 	})
-	done := make(map[CloneID]bool)
 	for _, c := range fixups {
-		if done[c] {
-			continue
-		}
-		done[c] = true
 		parent := f.clones[c].Parent
 		if parent == NoClone {
 			return fmt.Errorf("core: VNF clone %d has no parent", c)
@@ -289,35 +256,19 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		if parentProg != j-1 {
 			continue
 		}
+		avail := f.free(freeVMs)
 		if len(avail) == 0 {
 			return fmt.Errorf("core: no free VM for inserted VNF f%d", j)
 		}
 		// Splice: parent → (walk via new VM w) → c.
 		from := f.clones[parent].Node
 		to := f.clones[c].Node
-		bestExt, err := oracle.Extension(avail, from, to, 1)
+		ext, err := oracle.Extension(avail, from, to, 1)
 		if err != nil {
 			return fmt.Errorf("core: cannot splice VNF f%d between %d and %d: %w", j, from, to, err)
 		}
-		bestVM := bestExt.VMs[0]
-		cur := parent
-		for i := 1; i < len(bestExt.Nodes)-1; i++ {
-			cur = f.appendClone(cur, bestExt.Nodes[i], bestExt.Edges[i-1])
-			if bestExt.VMPos[0] == i {
-				if err := f.enable(cur, j); err != nil {
-					return err
-				}
-			}
-		}
-		// Re-parent c onto the spliced walk's last interior clone.
-		f.clones[c].Parent = cur
-		f.clones[c].ParentEdge = bestExt.Edges[len(bestExt.Edges)-1]
-		// The chosen VM is no longer available for other boundaries.
-		for i, v := range avail {
-			if v == bestVM {
-				avail = append(avail[:i], avail[i+1:]...)
-				break
-			}
+		if _, err := f.splice(c, parent, ext.Nodes, ext.Edges, ext.VMPos, j); err != nil {
+			return err
 		}
 	}
 	f.Prune()
@@ -351,12 +302,7 @@ func (f *Forest) RerouteCongestedEdge(oracle *chain.Oracle, e graph.EdgeID) (int
 		if len(nodes) < 2 {
 			continue
 		}
-		cur := cl.Parent
-		for i := 1; i < len(nodes)-1; i++ {
-			cur = f.appendClone(cur, nodes[i], edges[i-1])
-		}
-		f.clones[c].Parent = cur
-		f.clones[c].ParentEdge = edges[len(edges)-1]
+		f.splice(c, cl.Parent, nodes, edges, nil, 0)
 		rerouted++
 	}
 	return rerouted, errors.Join(errs...)
@@ -379,10 +325,7 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 	}
 	var bestVM graph.NodeID = graph.None
 	bestCost := math.Inf(1)
-	for _, w := range freeVMs {
-		if _, used := f.owner[w]; used || w == v {
-			continue
-		}
+	for _, w := range f.free(freeVMs) {
 		// Never migrate onto a blocked VM (failed, or saturated by a
 		// capacitated session): the oracle would report it unreachable
 		// anyway, but checking here keeps the error crisp and skips the
@@ -427,11 +370,7 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 		if err != nil {
 			return err
 		}
-		cur := parent
-		for i := 1; i < len(nodes); i++ {
-			cur = f.appendClone(cur, nodes[i], edges[i-1])
-		}
-		newClone = cur
+		newClone, _, _ = f.lay(parent, nodes, edges, 0, nil, 0)
 	}
 	if err := f.enable(newClone, vnf); err != nil {
 		return err
@@ -441,18 +380,7 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 		if err != nil {
 			return err
 		}
-		cur := newClone
-		for i := 1; i < len(nodes)-1; i++ {
-			cur = f.appendClone(cur, nodes[i], edges[i-1])
-		}
-		if len(edges) > 0 {
-			f.clones[k].Parent = cur
-			f.clones[k].ParentEdge = edges[len(edges)-1]
-		} else {
-			// Same node: link in place.
-			f.clones[k].Parent = newClone
-			f.clones[k].ParentEdge = graph.NoEdge
-		}
+		f.splice(k, newClone, nodes, edges, nil, 0)
 	}
 	// The old clone may now be a dead leaf; prune reclaims it and any
 	// stranded path.

@@ -60,7 +60,7 @@ type Forest struct {
 	dests map[graph.NodeID]CloneID
 	// backups holds pre-computed standby attach plans for critical
 	// destinations (see PlanBackups in survive.go); nil until planned.
-	backups map[graph.NodeID]backupPlan
+	backups map[graph.NodeID]graft
 }
 
 // NewForest returns an empty forest over g for a chain of chainLen VNFs.
@@ -257,27 +257,65 @@ func (f *Forest) MarkDestination(d graph.NodeID, c CloneID) {
 	f.dests[d] = c
 }
 
-// AttachChainWalk appends the full walk of sc as a new tree rooted at the
-// chain's source, enabling the chain's VNFs. It returns the root and final
-// clone of the walk. The caller is responsible for conflict-freedom; use
-// the resolver for general additions.
-func (f *Forest) AttachChainWalk(sc *chain.ServiceChain) (root, last CloneID, err error) {
-	root = f.newRoot(sc.Source)
-	cur := root
-	vmIdx := 0
-	for i := 1; i < len(sc.Nodes); i++ {
-		cur = f.appendClone(cur, sc.Nodes[i], sc.Edges[i-1])
-		if vmIdx < len(sc.VMPos) && sc.VMPos[vmIdx] == i {
-			if err := f.enable(cur, vmIdx+1); err != nil {
-				return NoClone, NoClone, err
+// AttachChainWalk lays sc's full walk as a new tree rooted at the chain's
+// source, enabling the chain's VNFs in order. It returns the walk's final
+// clone and the clones hosting f1, f2, …. The caller is responsible for
+// conflict-freedom; use the resolver for general additions.
+func (f *Forest) AttachChainWalk(sc *chain.ServiceChain) (last CloneID, hosts []CloneID, err error) {
+	last, hosts, err = f.lay(f.newRoot(sc.Source), sc.Nodes, sc.Edges, 0, sc.VMPos, 1)
+	if err != nil {
+		return NoClone, nil, err
+	}
+	if len(hosts) != len(sc.VMs) {
+		return NoClone, nil, fmt.Errorf("core: walk enabled %d of %d VNFs", len(hosts), len(sc.VMs))
+	}
+	return last, hosts, nil
+}
+
+// lay appends hops from+1…len(nodes)-1 of a walk under clone at, one clone
+// per hop (edges[i-1] leads to nodes[i]), and enables VNFs first, first+1,
+// … on the clones at the walk positions vmPos lists, in order. It returns
+// the last clone laid, at itself when there is no hop, and the clones
+// enabled. Only enabling fails, so a walk with no VM positions cannot.
+func (f *Forest) lay(at CloneID, nodes []graph.NodeID, edges []graph.EdgeID, from int, vmPos []int, first int) (CloneID, []CloneID, error) {
+	var hosts []CloneID
+	for i := from + 1; i < len(nodes); i++ {
+		at = f.appendClone(at, nodes[i], edges[i-1])
+		if len(hosts) < len(vmPos) && vmPos[len(hosts)] == i {
+			if err := f.enable(at, first+len(hosts)); err != nil {
+				return NoClone, nil, err
 			}
-			vmIdx++
+			hosts = append(hosts, at)
 		}
 	}
-	if vmIdx != len(sc.VMs) {
-		return NoClone, NoClone, fmt.Errorf("core: walk enabled %d of %d VNFs", vmIdx, len(sc.VMs))
+	return at, hosts, nil
+}
+
+// splice lays a walk from clone at to clone c's node, all but its last
+// hop, enabling VNFs as lay does, and re-parents c onto it: c keeps its
+// subtree and takes the walk's last edge as its uplink, or an in-place link
+// when the walk has no hop. It returns the clones enabled.
+func (f *Forest) splice(c, at CloneID, nodes []graph.NodeID, edges []graph.EdgeID, vmPos []int, first int) ([]CloneID, error) {
+	last, hosts, err := f.lay(at, nodes[:len(nodes)-1], edges, 0, vmPos, first)
+	if err != nil {
+		return nil, err
 	}
-	return root, cur, nil
+	f.clones[c].Parent, f.clones[c].ParentEdge = last, graph.NoEdge
+	if len(edges) > 0 {
+		f.clones[c].ParentEdge = edges[len(edges)-1]
+	}
+	return hosts, nil
+}
+
+// free returns the VMs of vms that run no VNF in the forest.
+func (f *Forest) free(vms []graph.NodeID) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(vms))
+	for _, v := range vms {
+		if _, used := f.owner[v]; !used {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // AttachTree hangs a tree of real edges off the anchor clone: edges must
@@ -471,35 +509,6 @@ func (f *Forest) Prune() {
 			f.disable(CloneID(id))
 			f.clones[id].deleted = true
 		}
-	}
-}
-
-// Stats summarizes a forest for reporting.
-type Stats struct {
-	SetupCost float64
-	ConnCost  float64
-	TotalCost float64
-	Trees     int
-	UsedVMs   int
-	Clones    int
-}
-
-// Stats returns summary statistics of the forest.
-func (f *Forest) Stats() Stats {
-	setup, conn := f.Cost()
-	live := 0
-	for _, c := range f.clones {
-		if !c.deleted {
-			live++
-		}
-	}
-	return Stats{
-		SetupCost: setup,
-		ConnCost:  conn,
-		TotalCost: setup + conn,
-		Trees:     f.NumTrees(),
-		UsedVMs:   len(f.owner),
-		Clones:    live,
 	}
 }
 

@@ -27,8 +27,6 @@ type auxGraph struct {
 	vmDup  map[graph.NodeID]graph.NodeID
 	// chains maps a virtual EdgeID to its candidate service chain.
 	chains map[graph.EdgeID]*chain.ServiceChain
-	// dupToVM maps û back to its real VM u.
-	dupToVM map[graph.NodeID]graph.NodeID
 	// origEdges is the edge count of the original graph; edges below it
 	// are real.
 	origEdges int
@@ -50,7 +48,6 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		srcDup:    make(map[graph.NodeID]graph.NodeID, len(sources)),
 		vmDup:     make(map[graph.NodeID]graph.NodeID, len(vms)),
 		chains:    make(map[graph.EdgeID]*chain.ServiceChain),
-		dupToVM:   make(map[graph.NodeID]graph.NodeID, len(vms)),
 		origEdges: g.NumEdges(),
 	}
 	aux.sHat = aux.g.AddSwitch()
@@ -77,7 +74,6 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		}
 		d := aux.g.AddSwitch()
 		aux.vmDup[u] = d
-		aux.dupToVM[d] = u
 		aux.g.MustAddEdge(d, u, 0)
 	}
 	return aux
@@ -141,7 +137,6 @@ func buildAuxGraph(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, so
 type AuxGraphBuilder struct {
 	g      *graph.Graph
 	req    Request
-	o      Options
 	vms    []graph.NodeID
 	oracle *chain.Oracle
 	aux    *auxGraph
@@ -173,7 +168,7 @@ func NewAuxGraphBuilder(g *graph.Graph, req Request, opts *Options) (*AuxGraphBu
 		return nil, errors.New("core: aux-graph builder requires chainLen >= 1 (chainLen 0 degenerates to a Steiner forest)")
 	}
 	o := optsOrDefault(opts)
-	b := &AuxGraphBuilder{g: g, req: req, o: o}
+	b := &AuxGraphBuilder{g: g, req: req}
 	b.vms = o.vms(g)
 	b.oracle = o.oracle(g)
 	b.aux = newAuxSkeleton(g, req.Sources, b.vms, req.ChainLen)

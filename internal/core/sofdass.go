@@ -125,7 +125,7 @@ func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests 
 		if err != nil {
 			return nil, err
 		}
-		return forestFromTree(g, source, tree, dests, 0)
+		return ssForest(g, source, nil, tree, dests, 0)
 	}
 
 	chains, err := oracle.Chains(ctx, vms, chain.Pairs([]graph.NodeID{source}, vms), chainLen, o.Parallelism)
@@ -140,10 +140,22 @@ func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests 
 		return nil, err
 	}
 
+	return ssForest(g, source, sc, tree, dests, chainLen)
+}
+
+// ssForest assembles a SOFDA-SS forest over g: sc's walk from source, or
+// a bare root at source when sc is nil (a chain of length 0), with tree's
+// edges hung off the walk's end, pruned and validated.
+func ssForest(g *graph.Graph, source graph.NodeID, sc *chain.ServiceChain, tree *steiner.Tree, dests []graph.NodeID, chainLen int) (*Forest, error) {
 	f := NewForest(g, chainLen)
-	_, last, err := f.AttachChainWalk(sc)
-	if err != nil {
-		return nil, err
+	last := NoClone
+	if sc == nil {
+		last = f.newRoot(source)
+	} else {
+		var err error
+		if last, _, err = f.AttachChainWalk(sc); err != nil {
+			return nil, err
+		}
 	}
 	destSet := make(map[graph.NodeID]bool, len(dests))
 	for _, d := range dests {
@@ -153,7 +165,7 @@ func SOFDASSCtx(ctx context.Context, g *graph.Graph, source graph.NodeID, dests 
 		return nil, err
 	}
 	f.Prune()
-	if err := f.Validate(req.Sources, req.Dests); err != nil {
+	if err := f.Validate([]graph.NodeID{source}, dests); err != nil {
 		return nil, fmt.Errorf("core: SOFDA-SS produced infeasible forest: %w", err)
 	}
 	return f, nil
@@ -256,25 +268,6 @@ func bestLastVM(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, resul
 		return nil, nil, 0, fmt.Errorf("core: SOFDA-SS found no feasible forest: %w", lastErr)
 	}
 	return best.sc, bestTree, bestCost, nil
-}
-
-// forestFromTree builds a forest from a plain Steiner tree anchored at
-// `anchor`, used for the chainLen==0 degenerate case and by baselines.
-func forestFromTree(g *graph.Graph, anchor graph.NodeID, tree *steiner.Tree, dests []graph.NodeID, chainLen int) (*Forest, error) {
-	f := NewForest(g, chainLen)
-	root := f.newRoot(anchor)
-	destSet := make(map[graph.NodeID]bool, len(dests))
-	for _, d := range dests {
-		destSet[d] = true
-	}
-	if _, err := f.AttachTree(root, tree.Edges, destSet); err != nil {
-		return nil, err
-	}
-	f.Prune()
-	if err := f.Validate([]graph.NodeID{anchor}, dests); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // lowerBoundCost is a cheap sanity lower bound used in tests: the cost of

@@ -36,10 +36,6 @@ type Damage struct {
 	// hangs off a failed parent edge (the destination node itself
 	// included).
 	Orphans []graph.NodeID
-	// BreakAt maps each orphan to the last healthy clone above its
-	// topmost break — the natural re-attach anchor — or NoClone when the
-	// break is at the tree root itself.
-	BreakAt map[graph.NodeID]CloneID
 	// LostVNFs counts enabled VNF clones inside severed subtrees; their
 	// VMs become free again once the severed subtrees are pruned.
 	LostVNFs int
@@ -100,32 +96,18 @@ func (f *Forest) severedSet(fs *graph.FailState) []bool {
 // snapshot. It does not mutate the forest; with no failures present it
 // returns an empty (non-broken) Damage.
 func (f *Forest) Damage() *Damage {
-	dmg := &Damage{BreakAt: make(map[graph.NodeID]CloneID)}
+	dmg := &Damage{}
 	fs := f.g.Failures()
 	if fs == nil {
 		return dmg
 	}
+	sev := f.severedSet(fs)
 	for d, c := range f.dests {
-		path := f.PathToRoot(c) // dest clone first, root last
-		breakIdx := -1
-		for i := len(path) - 1; i >= 0; i-- { // root → dest
-			if brokenClone(fs, &f.clones[path[i]]) {
-				breakIdx = i
-				break
-			}
-		}
-		if breakIdx < 0 {
-			continue
-		}
-		dmg.Orphans = append(dmg.Orphans, d)
-		if breakIdx == len(path)-1 {
-			dmg.BreakAt[d] = NoClone
-		} else {
-			dmg.BreakAt[d] = path[breakIdx+1]
+		if sev[c] {
+			dmg.Orphans = append(dmg.Orphans, d)
 		}
 	}
 	sort.Slice(dmg.Orphans, func(i, j int) bool { return dmg.Orphans[i] < dmg.Orphans[j] })
-	sev := f.severedSet(fs)
 	for id := range f.clones {
 		if !f.clones[id].deleted && f.clones[id].VNF != 0 && sev[id] {
 			dmg.LostVNFs++
@@ -242,16 +224,6 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 	return rep, nil
 }
 
-// backupPlan is a pre-computed standby graft for one destination: an
-// anchor clone plus the extension walk to replay under it. Plans are
-// validated cheaply at repair time (anchor alive, progress unchanged, no
-// failed elements on the walk, VMs still free) and consumed on use.
-type backupPlan struct {
-	anchor   CloneID
-	progress int
-	ext      *chain.ServiceChain
-}
-
 // PlanBackups pre-computes standby attach plans for the given critical
 // destinations. Each plan anchors at a live clone OFF the destination's
 // current serving path, so a failure that severs the primary path tends to
@@ -264,13 +236,7 @@ type backupPlan struct {
 // anchor reaches them) and is advisory — planning is best-effort.
 func (f *Forest) PlanBackups(oracle *chain.Oracle, freeVMs []graph.NodeID, critical []graph.NodeID) (int, error) {
 	if f.backups == nil {
-		f.backups = make(map[graph.NodeID]backupPlan)
-	}
-	avail := make([]graph.NodeID, 0, len(freeVMs))
-	for _, v := range freeVMs {
-		if _, used := f.owner[v]; !used {
-			avail = append(avail, v)
-		}
+		f.backups = make(map[graph.NodeID]graft)
 	}
 	planned := 0
 	var errs []error
@@ -284,26 +250,7 @@ func (f *Forest) PlanBackups(oracle *chain.Oracle, freeVMs []graph.NodeID, criti
 		for _, c := range f.PathToRoot(serving) {
 			onPath[c] = true
 		}
-		var best *backupPlan
-		bestCost := math.Inf(1)
-		for id := range f.clones {
-			c := CloneID(id)
-			if f.clones[c].deleted || onPath[c] {
-				continue
-			}
-			progress, err := f.vnfProgress(c)
-			if err != nil {
-				continue
-			}
-			ext, err := oracle.Extension(avail, f.clones[c].Node, d, f.chainLen-progress)
-			if err != nil {
-				continue
-			}
-			if ext.TotalCost() < bestCost {
-				bestCost = ext.TotalCost()
-				best = &backupPlan{anchor: c, progress: progress, ext: ext}
-			}
-		}
+		best, _, _ := f.cheapestGraft(oracle, freeVMs, d, func(c CloneID) bool { return onPath[c] })
 		if best == nil {
 			errs = append(errs, fmt.Errorf("destination %d: no off-path backup anchor", d))
 			continue
@@ -350,12 +297,7 @@ func (f *Forest) tryBackup(d graph.NodeID, fs *graph.FailState) bool {
 			return false
 		}
 	}
-	last, err := f.graftWalk(plan.anchor, plan.ext, plan.progress)
-	if err != nil {
-		return false
-	}
-	f.MarkDestination(d, last)
-	if err := f.checkDest(d); err != nil {
+	if err := f.serve(&plan, d); err != nil {
 		delete(f.dests, d)
 		return false
 	}

@@ -67,10 +67,6 @@ func TestDamageDetectsSeveredDest(t *testing.T) {
 	if len(dmg.Orphans) != 1 || dmg.Orphans[0] != n.d1 {
 		t.Fatalf("orphans = %v, want [%d]", dmg.Orphans, n.d1)
 	}
-	anchor, ok := dmg.BreakAt[n.d1]
-	if !ok || anchor == NoClone || f.clones[anchor].Node != n.v1 {
-		t.Fatalf("BreakAt[%d] = %v, want the v1 clone", n.d1, anchor)
-	}
 	if dmg.LostVNFs != 0 {
 		t.Fatalf("LostVNFs = %d, want 0 (v1 sits above the break)", dmg.LostVNFs)
 	}
