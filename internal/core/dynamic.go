@@ -176,9 +176,11 @@ func (f *Forest) RemoveVNF(j int) error {
 // boundary a fresh VM is spliced in. freeVMs are candidates for the new
 // VNF instances. The implementation reroutes each affected boundary: the
 // path between the VM of f_{j-1} (or the root) and the VM of old f_j is
-// replaced by a walk through a newly enabled VM. On error the forest is
-// left exactly as it was: the index shift and any splices already made
-// are undone.
+// replaced by a walk through a newly enabled VM. When f_j is appended, a
+// destination that runs f_{j-1} itself, or roots its tree, is served at
+// the end of a walk from it through the new VM back to it. On error the
+// forest is left exactly as it was: the index shift and any splices
+// already made are undone.
 func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) (err error) {
 	if j < 1 || j > f.chainLen+1 {
 		return fmt.Errorf("core: VNF insert index %d out of range [1,%d]", j, f.chainLen+1)
@@ -243,33 +245,49 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		return da < db || da == db && fixups[a] < fixups[b]
 	})
 	for _, c := range fixups {
-		parent := f.clones[c].Parent
-		if parent == NoClone {
+		// The new VM goes after the boundary clone at: c's parent, or c
+		// itself when f_j is appended and c, a destination, runs f_{j-1}
+		// or roots its tree. There a walk from c through the new VM back
+		// to c's node is grafted under c and serves the destination.
+		at := f.clones[c].Parent
+		tail := j == f.chainLen && (at == NoClone || f.clones[c].VNF != 0)
+		if tail {
+			at = c
+		}
+		if at == NoClone {
 			return fmt.Errorf("core: VNF clone %d has no parent", c)
 		}
 		// Skip boundaries already repaired by a splice on a shared
 		// ancestor path (e.g. two destinations served through one walk).
-		parentProg, err := f.vnfProgress(parent)
+		prog, err := f.vnfProgress(at)
 		if err != nil {
 			return err
 		}
-		if parentProg != j-1 {
+		if prog != j-1 {
 			continue
 		}
 		avail := f.free(freeVMs)
 		if len(avail) == 0 {
 			return fmt.Errorf("core: no free VM for inserted VNF f%d", j)
 		}
-		// Splice: parent → (walk via new VM w) → c.
-		from := f.clones[parent].Node
+		// Walk at → new VM w → c, and splice c onto it or serve its end.
+		from := f.clones[at].Node
 		to := f.clones[c].Node
 		ext, err := oracle.Extension(avail, from, to, 1)
 		if err != nil {
 			return fmt.Errorf("core: cannot splice VNF f%d between %d and %d: %w", j, from, to, err)
 		}
-		if _, err := f.splice(c, parent, ext.Nodes, ext.Edges, ext.VMPos, j); err != nil {
+		if !tail {
+			if _, err := f.splice(c, at, ext.Nodes, ext.Edges, ext.VMPos, j); err != nil {
+				return err
+			}
+			continue
+		}
+		last, _, err := f.lay(c, ext.Nodes, ext.Edges, 0, ext.VMPos, j)
+		if err != nil {
 			return err
 		}
+		f.MarkDestination(to, last)
 	}
 	f.Prune()
 	return nil

@@ -414,3 +414,42 @@ func TestInsertVNFTiedBoundariesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertVNFAtEndOfChainOnDestinationVM: on the path s–v1–d–v3, where
+// the VM d is the destination and hosts f2, appending f3 must serve d
+// through v3. The boundary sits at d's own serving clone, so no splice
+// above it can add the missing VNF.
+func TestInsertVNFAtEndOfChainOnDestinationVM(t *testing.T) {
+	g := graph.New(4, 3)
+	s, v1, d, v3 := g.AddSwitch("s"), g.AddVM("v1", 1), g.AddVM("d", 1), g.AddVM("v3", 1)
+	g.MustAddEdge(s, v1, 1)
+	g.MustAddEdge(v1, d, 1)
+	g.MustAddEdge(d, v3, 1)
+	sources, dests := []graph.NodeID{s}, []graph.NodeID{d}
+	embeds := map[string]func() (*Forest, error){
+		"SOFDA": func() (*Forest, error) {
+			return SOFDACtx(context.Background(), g, Request{Sources: sources, Dests: dests, ChainLen: 2}, nil)
+		},
+		"SOFDA-SS": func() (*Forest, error) { return SOFDASSCtx(context.Background(), g, s, dests, 2, nil) },
+	}
+	for name, embed := range embeds {
+		t.Run(name, func(t *testing.T) {
+			f, err := embed()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.VNFOf(d) != 2 {
+				t.Fatalf("fixture: d runs f%d, want f2", f.VNFOf(d))
+			}
+			if err := f.InsertVNF(chain.NewOracle(g, chain.Options{}), g.VMs(), 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Validate(sources, dests); err != nil {
+				t.Fatal(err)
+			}
+			if f.VNFOf(v3) != 3 {
+				t.Errorf("v3 runs f%d, want f3", f.VNFOf(v3))
+			}
+		})
+	}
+}
