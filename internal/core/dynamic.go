@@ -329,17 +329,29 @@ func (f *Forest) RerouteCongestedEdge(oracle *chain.Oracle, e graph.EdgeID) (int
 // MigrateOverloadedVM moves the VNF hosted on VM v to a fresh VM
 // (Section VII-C case 6): the replacement is chosen to minimize the
 // connection cost to the old VM's parent and children, then spliced in.
+// The VNF runs on a new clone of the replacement, in place when that is
+// the parent's node, so no clone another branch shares gains a VNF. A VNF
+// on a tree's root moves below the root, which stays, so every tree keeps
+// a source as its root. When v is a destination served at the old clone,
+// it is served again below the replacement, whose cost counts that walk.
 func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeID, v graph.NodeID) error {
 	use, ok := f.owner[v]
 	if !ok {
 		return fmt.Errorf("core: VM %d hosts no VNF", v)
 	}
 	old := use.clone
-	parent := f.clones[old].Parent
+	above := f.clones[old].Parent
+	if above == NoClone {
+		above = old
+	}
+	from := f.clones[above].Node
 	kids := f.children(old)
-	var parentNode graph.NodeID = graph.None
-	if parent != NoClone {
-		parentNode = f.clones[parent].Node
+	targets := make([]graph.NodeID, 0, len(kids)+1)
+	for _, k := range kids {
+		targets = append(targets, f.clones[k].Node)
+	}
+	if c, served := f.dests[v]; served && c == old {
+		targets = append(targets, v)
 	}
 	var bestVM graph.NodeID = graph.None
 	bestCost := math.Inf(1)
@@ -352,16 +364,14 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 			continue
 		}
 		cost := f.g.NodeCost(w)
-		if parentNode != graph.None {
-			_, _, d, err := oracle.Path(parentNode, w)
-			if err != nil {
-				continue
-			}
-			cost += d
+		_, _, d, err := oracle.Path(from, w)
+		if err != nil {
+			continue
 		}
+		cost += d
 		feasible := true
-		for _, k := range kids {
-			_, _, d, err := oracle.Path(w, f.clones[k].Node)
+		for _, x := range targets {
+			_, _, d, err := oracle.Path(w, x)
 			if err != nil {
 				feasible = false
 				break
@@ -376,29 +386,31 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 	if bestVM == graph.None {
 		return fmt.Errorf("core: no migration target for VM %d", v)
 	}
-	vnf := use.vnf
 	f.disable(old)
-	// Build the path parent → bestVM, enable the VNF there, then re-parent
-	// the children via paths bestVM → child.
-	var newClone CloneID
-	if parent == NoClone {
-		newClone = f.newRoot(bestVM)
-	} else {
-		nodes, edges, _, err := oracle.Path(parentNode, bestVM)
-		if err != nil {
-			return err
-		}
-		newClone, _, _ = f.lay(parent, nodes, edges, 0, nil, 0)
-	}
-	if err := f.enable(newClone, vnf); err != nil {
+	// Lay the path above → bestVM and enable the VNF at its end, then
+	// re-parent the children (and re-serve v) via paths bestVM → target.
+	nodes, edges, _, err := oracle.Path(from, bestVM)
+	if err != nil {
 		return err
 	}
-	for _, k := range kids {
-		nodes, edges, _, err := oracle.Path(bestVM, f.clones[k].Node)
+	newClone, _, _ := f.lay(above, nodes, edges, 0, nil, 0)
+	if newClone == above {
+		newClone = f.AppendInPlace(above)
+	}
+	if err := f.enable(newClone, use.vnf); err != nil {
+		return err
+	}
+	for i, x := range targets {
+		nodes, edges, _, err := oracle.Path(bestVM, x)
 		if err != nil {
 			return err
 		}
-		f.splice(k, newClone, nodes, edges, nil, 0)
+		if i < len(kids) {
+			f.splice(kids[i], newClone, nodes, edges, nil, 0)
+			continue
+		}
+		last, _, _ := f.lay(newClone, nodes, edges, 0, nil, 0)
+		f.MarkDestination(v, last)
 	}
 	// The old clone may now be a dead leaf; prune reclaims it and any
 	// stranded path.

@@ -453,3 +453,83 @@ func TestInsertVNFAtEndOfChainOnDestinationVM(t *testing.T) {
 		})
 	}
 }
+
+// TestMigrateOverloadedVMKeepsForestFeasible: a migration must leave a
+// forest that validates. Three shapes broke it: the migrated VM is itself
+// the destination; the VNF runs on a tree's root, a source VM; and the
+// replacement VM is the node of the old clone's parent, a clone another
+// branch shares.
+func TestMigrateOverloadedVMKeepsForestFeasible(t *testing.T) {
+	type migrateCase struct {
+		name            string
+		g               *graph.Graph
+		f               *Forest
+		sources, dests  []graph.NodeID
+		victim, replace graph.NodeID
+	}
+	embed := func(g *graph.Graph, s graph.NodeID, dests []graph.NodeID) *Forest {
+		f, err := SOFDASSCtx(context.Background(), g, s, dests, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// s–v–w: the VM v is the destination and runs f1.
+	destOnVictim := func() migrateCase {
+		g := graph.New(3, 2)
+		s, v, w := g.AddSwitch("s"), g.AddVM("v", 1), g.AddVM("w", 1)
+		g.MustAddEdge(s, v, 1)
+		g.MustAddEdge(v, w, 1)
+		dests := []graph.NodeID{v}
+		return migrateCase{"destination on the migrated VM", g, embed(g, s, dests), []graph.NodeID{s}, dests, v, w}
+	}
+	// The source VM s runs f1 on the root clone; d hangs below it.
+	rootVNF := func() migrateCase {
+		g := graph.New(3, 3)
+		s, w, d := g.AddVM("s", 1), g.AddVM("w", 1), g.AddSwitch("d")
+		sd := g.MustAddEdge(s, d, 1)
+		g.MustAddEdge(s, w, 1)
+		g.MustAddEdge(w, d, 1)
+		f := NewForest(g, 1)
+		root := f.NewRoot(s)
+		if err := f.Enable(root, 1); err != nil {
+			t.Fatal(err)
+		}
+		f.MarkDestination(d, f.AppendClone(root, d, sd))
+		return migrateCase{"VNF on a root clone", g, f, []graph.NodeID{s}, []graph.NodeID{d}, s, w}
+	}
+	// s–a–v1–d1 and a–v2–d2: d2 joins through a's clone, then a turns
+	// cheap, so v1's VNF moves onto the clone of a both branches share.
+	parentNode := func() migrateCase {
+		g := graph.New(6, 5)
+		s, a, v1, d1 := g.AddSwitch("s"), g.AddVM("a", 10), g.AddVM("v1", 1), g.AddSwitch("d1")
+		v2, d2 := g.AddVM("v2", 1), g.AddSwitch("d2")
+		g.MustAddEdge(s, a, 1)
+		g.MustAddEdge(a, v1, 1)
+		g.MustAddEdge(v1, d1, 1)
+		g.MustAddEdge(a, v2, 1)
+		g.MustAddEdge(v2, d2, 1)
+		f := embed(g, s, []graph.NodeID{d1})
+		if _, err := f.Join(chain.NewOracle(g, chain.Options{}), g.VMs(), d2); err != nil {
+			t.Fatal(err)
+		}
+		g.SetNodeCost(a, 0.1)
+		return migrateCase{"replacement is the parent's node", g, f, []graph.NodeID{s}, []graph.NodeID{d1, d2}, v1, a}
+	}
+	for _, tc := range []migrateCase{destOnVictim(), rootVNF(), parentNode()} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.f.Validate(tc.sources, tc.dests); err != nil {
+				t.Fatalf("fixture invalid: %v", err)
+			}
+			if err := tc.f.MigrateOverloadedVM(chain.NewOracle(tc.g, chain.Options{}), tc.g.VMs(), tc.victim); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.f.Validate(tc.sources, tc.dests); err != nil {
+				t.Fatal(err)
+			}
+			if tc.f.VNFOf(tc.victim) != 0 || tc.f.VNFOf(tc.replace) != 1 {
+				t.Errorf("VMs in use %v, want f1 moved from %d to %d", tc.f.UsedVMs(), tc.victim, tc.replace)
+			}
+		})
+	}
+}
