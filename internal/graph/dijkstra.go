@@ -356,45 +356,3 @@ func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
 		}
 	}
 }
-
-// BellmanFord computes single-source shortest paths by relaxation. It exists
-// as an independent oracle for property-testing Dijkstra; it is O(V·E).
-func BellmanFord(g *Graph, src NodeID) *ShortestPaths {
-	n := g.NumNodes()
-	sp := newShortestPaths(src, n)
-	for i := range sp.Dist {
-		sp.Dist[i] = math.Inf(1)
-		sp.Parent[i] = None
-		sp.ParentEdge[i] = NoEdge
-	}
-	fs := g.block.blocked.Load()
-	if fs.NodeFailed(src) {
-		return sp
-	}
-	sp.Dist[src] = 0
-	for iter := 0; iter < n; iter++ {
-		changed := false
-		for id := 0; id < g.NumEdges(); id++ {
-			e := g.Edge(EdgeID(id))
-			if fs != nil && (fs.EdgeFailed(EdgeID(id)) || fs.NodeFailed(e.U) || fs.NodeFailed(e.V)) {
-				continue
-			}
-			if sp.Dist[e.U]+e.Cost < sp.Dist[e.V] {
-				sp.Dist[e.V] = sp.Dist[e.U] + e.Cost
-				sp.Parent[e.V] = e.U
-				sp.ParentEdge[e.V] = EdgeID(id)
-				changed = true
-			}
-			if sp.Dist[e.V]+e.Cost < sp.Dist[e.U] {
-				sp.Dist[e.U] = sp.Dist[e.V] + e.Cost
-				sp.Parent[e.U] = e.V
-				sp.ParentEdge[e.U] = EdgeID(id)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return sp
-}

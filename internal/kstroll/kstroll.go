@@ -103,35 +103,6 @@ func (in *Instance) WalkCost(seq []int) float64 {
 	return c
 }
 
-// VerifyWalk checks that w is a feasible solution: endpoints match, exactly
-// K distinct nodes, no repeats, recorded cost correct.
-func (in *Instance) VerifyWalk(w *Walk) error {
-	if len(w.Seq) == 0 {
-		return errors.New("kstroll: empty walk")
-	}
-	if w.Seq[0] != in.Start || w.Seq[len(w.Seq)-1] != in.End {
-		return fmt.Errorf("kstroll: walk endpoints (%d,%d), want (%d,%d)",
-			w.Seq[0], w.Seq[len(w.Seq)-1], in.Start, in.End)
-	}
-	seen := make(map[int]bool, len(w.Seq))
-	for _, v := range w.Seq {
-		if v < 0 || v >= in.N {
-			return fmt.Errorf("kstroll: walk node %d out of range", v)
-		}
-		if seen[v] {
-			return fmt.Errorf("kstroll: walk repeats node %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != in.K {
-		return fmt.Errorf("kstroll: walk visits %d distinct nodes, want %d", len(seen), in.K)
-	}
-	if got := in.WalkCost(w.Seq); math.Abs(got-w.Cost) > 1e-6 {
-		return fmt.Errorf("kstroll: recorded cost %v != recomputed %v", w.Cost, got)
-	}
-	return nil
-}
-
 // Solver finds a low-cost k-stroll walk.
 type Solver interface {
 	// Solve returns a feasible walk or an error.

@@ -1,7 +1,7 @@
-// Package steiner provides Steiner tree solvers over the graph substrate:
-// the classic Kou–Markowsky–Berman (KMB) 2-approximation used as the ρST
-// building block of SOFDA, and the Dreyfus–Wagner exact dynamic program used
-// for small instances and as a test oracle.
+// Package steiner provides the Steiner tree solver over the graph
+// substrate: the classic Kou–Markowsky–Berman (KMB) 2-approximation used as
+// the ρST building block of SOFDA. Its tests carry the Dreyfus–Wagner exact
+// dynamic program as an oracle.
 //
 // The paper invokes the LP-based 1.39-approximation of Byrka et al. [20] as
 // a black box; KMB is the standard practical stand-in. All algorithms in
@@ -12,7 +12,6 @@ package steiner
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -324,47 +323,4 @@ func peelLeaves(edges []pathEdge, deg []int32, isTerminal []bool) {
 			}
 		}
 	}
-}
-
-// Verify checks that tree is a valid Steiner tree for terminals in g: it is
-// connected, acyclic, spans all terminals, and its recorded cost matches its
-// edges.
-func Verify(g *graph.Graph, tree *Tree, terminals []graph.NodeID) error {
-	terminals = dedupeTerminals(terminals)
-	if len(terminals) == 0 {
-		return nil
-	}
-	inTree := make(map[graph.NodeID]bool, len(tree.Nodes))
-	for _, n := range tree.Nodes {
-		inTree[n] = true
-	}
-	for _, t := range terminals {
-		if !inTree[t] {
-			return fmt.Errorf("steiner: terminal %d not spanned", t)
-		}
-	}
-	if len(tree.Edges) != len(tree.Nodes)-1 {
-		return fmt.Errorf("steiner: %d edges for %d nodes (not a tree)", len(tree.Edges), len(tree.Nodes))
-	}
-	uf := graph.NewUnionFind(g.NumNodes())
-	var cost float64
-	for _, id := range tree.Edges {
-		e := g.Edge(id)
-		if !inTree[e.U] || !inTree[e.V] {
-			return fmt.Errorf("steiner: edge %d leaves the node set", id)
-		}
-		if !uf.Union(int(e.U), int(e.V)) {
-			return fmt.Errorf("steiner: edge %d closes a cycle", id)
-		}
-		cost += e.Cost
-	}
-	for _, t := range terminals[1:] {
-		if !uf.Same(int(terminals[0]), int(t)) {
-			return fmt.Errorf("steiner: terminals %d and %d disconnected in tree", terminals[0], t)
-		}
-	}
-	if math.Abs(cost-tree.Cost) > 1e-6 {
-		return fmt.Errorf("steiner: recorded cost %v != edge sum %v", tree.Cost, cost)
-	}
-	return nil
 }

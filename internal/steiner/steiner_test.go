@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,4 +253,47 @@ func TestTreeContains(t *testing.T) {
 	if !tr.Contains(3) || tr.Contains(2) {
 		t.Fatal("Contains gave wrong answer")
 	}
+}
+
+// Verify checks that tree is a valid Steiner tree for terminals in g: it is
+// connected, acyclic, spans all terminals, and its recorded cost matches its
+// edges.
+func Verify(g *graph.Graph, tree *Tree, terminals []graph.NodeID) error {
+	terminals = dedupeTerminals(terminals)
+	if len(terminals) == 0 {
+		return nil
+	}
+	inTree := make(map[graph.NodeID]bool, len(tree.Nodes))
+	for _, n := range tree.Nodes {
+		inTree[n] = true
+	}
+	for _, t := range terminals {
+		if !inTree[t] {
+			return fmt.Errorf("steiner: terminal %d not spanned", t)
+		}
+	}
+	if len(tree.Edges) != len(tree.Nodes)-1 {
+		return fmt.Errorf("steiner: %d edges for %d nodes (not a tree)", len(tree.Edges), len(tree.Nodes))
+	}
+	uf := graph.NewUnionFind(g.NumNodes())
+	var cost float64
+	for _, id := range tree.Edges {
+		e := g.Edge(id)
+		if !inTree[e.U] || !inTree[e.V] {
+			return fmt.Errorf("steiner: edge %d leaves the node set", id)
+		}
+		if !uf.Union(int(e.U), int(e.V)) {
+			return fmt.Errorf("steiner: edge %d closes a cycle", id)
+		}
+		cost += e.Cost
+	}
+	for _, t := range terminals[1:] {
+		if !uf.Same(int(terminals[0]), int(t)) {
+			return fmt.Errorf("steiner: terminals %d and %d disconnected in tree", terminals[0], t)
+		}
+	}
+	if math.Abs(cost-tree.Cost) > 1e-6 {
+		return fmt.Errorf("steiner: recorded cost %v != edge sum %v", tree.Cost, cost)
+	}
+	return nil
 }
