@@ -188,7 +188,7 @@ func (r *resolver) install(sc *chain.ServiceChain, prefix *walkInfo, prefVNFs in
 	if err != nil {
 		return NoClone, err
 	}
-	cur, _, _ = r.f.lay(cur, pathNodes, pathEdges, 0, nil, 0)
+	cur, _, _ = r.f.lay(cur, pathNodes, pathEdges, 0, nil, 0) // no VM positions, so no error
 	if prefVNFs < len(sc.VMs) {
 		if err := r.f.enable(cur, prefVNFs+1); err != nil {
 			return NoClone, err
@@ -304,7 +304,7 @@ func (r *resolver) reroute(sc *chain.ServiceChain) (CloneID, error) {
 	if err != nil {
 		return NoClone, err
 	}
-	cur, _, _ := r.f.lay(last, pathNodes, pathEdges, 0, nil, 0)
+	cur, _, _ := r.f.lay(last, pathNodes, pathEdges, 0, nil, 0) // no VM positions, so no error
 	r.walks[len(r.walks)-1].last = cur
 	return cur, nil
 }

@@ -277,17 +277,15 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		if err != nil {
 			return fmt.Errorf("core: cannot splice VNF f%d between %d and %d: %w", j, from, to, err)
 		}
-		if !tail {
-			if _, err := f.splice(c, at, ext.Nodes, ext.Edges, ext.VMPos, j); err != nil {
+		if tail {
+			last, _, err := f.lay(c, ext.Nodes, ext.Edges, 0, ext.VMPos, j)
+			if err != nil {
 				return err
 			}
-			continue
-		}
-		last, _, err := f.lay(c, ext.Nodes, ext.Edges, 0, ext.VMPos, j)
-		if err != nil {
+			f.MarkDestination(to, last)
+		} else if _, err := f.splice(c, at, ext.Nodes, ext.Edges, ext.VMPos, j); err != nil {
 			return err
 		}
-		f.MarkDestination(to, last)
 	}
 	f.Prune()
 	return nil
@@ -320,7 +318,7 @@ func (f *Forest) RerouteCongestedEdge(oracle *chain.Oracle, e graph.EdgeID) (int
 		if len(nodes) < 2 {
 			continue
 		}
-		f.splice(c, cl.Parent, nodes, edges, nil, 0)
+		_, _ = f.splice(c, cl.Parent, nodes, edges, nil, 0) // no VM positions, so no error
 		rerouted++
 	}
 	return rerouted, errors.Join(errs...)
@@ -389,6 +387,7 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 	f.disable(old)
 	// Lay the path above → bestVM and enable the VNF at its end, then
 	// re-parent the children (and re-serve v) via paths bestVM → target.
+	// Paths have no VM positions, so laying them returns no error.
 	nodes, edges, _, err := oracle.Path(from, bestVM)
 	if err != nil {
 		return err
@@ -406,7 +405,7 @@ func (f *Forest) MigrateOverloadedVM(oracle *chain.Oracle, freeVMs []graph.NodeI
 			return err
 		}
 		if i < len(kids) {
-			f.splice(kids[i], newClone, nodes, edges, nil, 0)
+			_, _ = f.splice(kids[i], newClone, nodes, edges, nil, 0)
 			continue
 		}
 		last, _, _ := f.lay(newClone, nodes, edges, 0, nil, 0)
