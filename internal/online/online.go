@@ -138,8 +138,8 @@ type Result struct {
 type LifecycleStats struct {
 	// Arrivals counts completed steps; Accepted the requests that got a
 	// lease. Rejections are split by cause: capacity (the footprint did
-	// not fit), admission (the static or adaptive threshold), and Infeasible
-	// (no route existed, or the algorithm failed).
+	// not fit), admission (the adaptive threshold), and Infeasible (no
+	// route existed, or the algorithm failed).
 	Arrivals         int
 	Accepted         int
 	CapacityRejects  int
