@@ -141,10 +141,10 @@ type AuxGraphBuilder struct {
 	oracle *chain.Oracle
 	aux    *auxGraph
 
-	pruning   bool
-	destTrees map[graph.NodeID]*graph.ShortestPaths
-	mst       map[graph.NodeID]float64
-	accepted  map[graph.NodeID][]auxCand
+	pruning  bool
+	dests    *destClosure
+	mst      map[graph.NodeID]float64
+	accepted map[graph.NodeID][]auxCand
 
 	added, pruned int
 }
@@ -188,10 +188,11 @@ func (b *AuxGraphBuilder) EnablePruning(ctx context.Context) {
 	}
 	b.pruning = true
 	b.oracle.WarmTrees(ctxOrBackground(ctx), b.req.Dests)
-	b.destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(b.req.Dests))
-	for _, d := range b.req.Dests {
-		b.destTrees[d] = b.oracle.Tree(d)
+	trees := make([]*graph.ShortestPaths, len(b.req.Dests))
+	for i, d := range b.req.Dests {
+		trees[i] = b.oracle.Tree(d)
 	}
+	b.dests = newDestClosure(b.req.Dests, trees)
 	b.mst = make(map[graph.NodeID]float64)
 	b.accepted = make(map[graph.NodeID][]auxCand)
 }
@@ -201,7 +202,7 @@ func (b *AuxGraphBuilder) closure(u graph.NodeID) float64 {
 	if c, ok := b.mst[u]; ok {
 		return c
 	}
-	c := closureMST(u, b.req.Dests, b.destTrees)
+	c, _ := b.dests.mst(u)
 	b.mst[u] = c
 	return c
 }
@@ -328,7 +329,7 @@ func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, op
 // under concurrent cost or failure writers both see the same epoch's
 // state only when no write lands in between.
 func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph) (*Forest, error) {
-	tree, destTrees, err := steinerPhase(g, oracle, req.Dests, aux)
+	tree, dests, err := steinerPhase(g, oracle, req.Dests, aux)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +354,7 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
+		cand := bestSingleTree(g, oracle, aux, s, req, dests)
 		if cand == nil {
 			continue
 		}
@@ -369,15 +370,16 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 }
 
 // steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ, an
-// overlay on g (see completeForest), and returns it with the
-// destinations' oracle trees.
-func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, map[graph.NodeID]*graph.ShortestPaths, error) {
+// overlay on g (see completeForest), and returns it with the closure of
+// the destinations' oracle trees.
+func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, *destClosure, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, dests...)
 	rows := &steinerRows{
 		sHat:   aux.sHat,
 		sHatSP: sourceRow(g, aux.g, aux.sHat, dests),
 		oracle: oracle,
-		dests:  make(map[graph.NodeID]*graph.ShortestPaths, len(dests)),
+		dests:  dests,
+		trees:  make([]*graph.ShortestPaths, len(dests)),
 	}
 	if err := steiner.Unreachable(rows.sHatSP, terminals); err != nil {
 		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
@@ -386,7 +388,7 @@ func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, au
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
-	return tree, rows.dests, nil
+	return tree, newDestClosure(dests, rows.trees), nil
 }
 
 // sourceRow returns the row of Ĝ's virtual source ŝ, exact at every
@@ -469,12 +471,14 @@ func sourceRow(g *graph.Graph, aux *graph.Overlay, sHat graph.NodeID, dests []gr
 
 // steinerRows answers the Steiner phase's closure queries: ŝ with its
 // row over Ĝ (see sourceRow), and each destination with the oracle's tree
-// over the real network, which it keeps for the refinement.
+// over the real network, which it keeps for the refinement at every
+// position of dests that names it.
 type steinerRows struct {
 	sHat   graph.NodeID
 	sHatSP *graph.ShortestPaths
 	oracle *chain.Oracle
-	dests  map[graph.NodeID]*graph.ShortestPaths
+	dests  []graph.NodeID
+	trees  []*graph.ShortestPaths
 }
 
 func (r *steinerRows) Tree(n graph.NodeID) *graph.ShortestPaths {
@@ -482,7 +486,11 @@ func (r *steinerRows) Tree(n graph.NodeID) *graph.ShortestPaths {
 		return r.sHatSP
 	}
 	sp := r.oracle.Tree(n)
-	r.dests[n] = sp
+	for i, d := range r.dests {
+		if d == n {
+			r.trees[i] = sp
+		}
+	}
 	return sp
 }
 
@@ -518,7 +526,7 @@ func SOFDACtx(ctx context.Context, g *graph.Graph, req Request, opts *Options) (
 // are ranked by chain cost + the metric-closure MST over {u} ∪ dests
 // (KMB's own upper bound) in Ĝ adjacency order, so the first strict
 // minimum wins, and only the winner gets a full KMB run.
-func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph.NodeID, req Request, destTrees map[graph.NodeID]*graph.ShortestPaths) []graph.EdgeID {
+func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph.NodeID, req Request, dests *destClosure) []graph.EdgeID {
 	sHatDup, ok := aux.srcDup[s]
 	if !ok {
 		return nil
@@ -531,7 +539,8 @@ func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph
 		if !ok {
 			continue
 		}
-		r := sc.TotalCost() + closureMST(sc.LastVM, req.Dests, destTrees)
+		mst, _ := dests.mst(sc.LastVM)
+		r := sc.TotalCost() + mst
 		if winner == graph.NoEdge || r < bestCost {
 			winner, winnerChain, bestCost = a.Edge, sc, r
 		}
@@ -548,48 +557,75 @@ func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph
 	return append(edges, winner)
 }
 
-// closureMST is the MST cost of the metric closure over {u} ∪ dests, using
-// precomputed per-destination shortest-path trees. It is KMB's upper bound
-// on its Steiner tree over {u} ∪ dests and, scaled by t/(2(t−1)) for
-// t = len(dests)+1 terminals, a lower bound on any such tree (see
-// bestLastVM).
-func closureMST(u graph.NodeID, dests []graph.NodeID, destTrees map[graph.NodeID]*graph.ShortestPaths) float64 {
-	nodes := append([]graph.NodeID{u}, dests...)
-	const inf = math.MaxFloat64
-	inTree := make([]bool, len(nodes))
-	minCost := make([]float64, len(nodes))
-	for i := range minCost {
-		minCost[i] = inf
-	}
-	minCost[0] = 0
-	total := 0.0
-	dist := func(i, j int) float64 {
-		// At least one of the pair is a destination with a full tree.
-		if i > 0 {
-			return destTrees[nodes[i]].Dist[nodes[j]]
+// destClosure is the destination half of the metric closure over
+// {u} ∪ dests, read once per embed: the destinations' shortest-path trees
+// and the |D|×|D| matrix of their distances, position for position, so
+// duplicate destinations keep their own rows. Row i is read from
+// dests[i]'s tree, as every closure MST over {u} ∪ dests reads it; a
+// candidate u then costs its own column and a Prim over cached values.
+// It is not safe for concurrent use.
+type destClosure struct {
+	trees []*graph.ShortestPaths
+	// dist[i*len(trees)+j] is trees[i].Dist[dests[j]].
+	dist []float64
+	// key and done are mst's Prim state over the destinations.
+	key  []float64
+	done []bool
+}
+
+// newDestClosure reads the distance matrix of dests from trees, where
+// trees[i] is dests[i]'s shortest-path tree.
+func newDestClosure(dests []graph.NodeID, trees []*graph.ShortestPaths) *destClosure {
+	k := len(dests)
+	c := &destClosure{trees: trees, dist: make([]float64, k*k), key: make([]float64, k), done: make([]bool, k)}
+	for i, sp := range trees {
+		for j, d := range dests {
+			c.dist[i*k+j] = sp.Dist[d]
 		}
-		return destTrees[nodes[j]].Dist[nodes[i]]
 	}
-	for iter := 0; iter < len(nodes); iter++ {
+	return c
+}
+
+// mst returns the MST cost of the metric closure over {u} ∪ dests and
+// far, u's largest distance to a destination. The MST is KMB's upper
+// bound on its Steiner tree over {u} ∪ dests and, scaled by t/(2(t−1))
+// for t = len(dests)+1 terminals, a lower bound on any such tree (see
+// bestLastVM). Prim scans by index, u first, and takes the first
+// smallest key; a distance pair is read from the tree of the terminal
+// just added, a destination's row or, for u, its column, so a +Inf pair
+// never becomes a key and leaves its terminal at math.MaxFloat64, which
+// the sum skips.
+func (c *destClosure) mst(u graph.NodeID) (cost, far float64) {
+	const inf = math.MaxFloat64
+	k := len(c.trees)
+	key, done := c.key, c.done
+	for i, sp := range c.trees {
+		d := sp.Dist[u]
+		far = max(far, d)
+		key[i], done[i] = inf, false
+		if d < key[i] {
+			key[i] = d
+		}
+	}
+	for range k {
 		best := -1
-		for i := range nodes {
-			if !inTree[i] && (best < 0 || minCost[i] < minCost[best]) {
+		for i := range key {
+			if !done[i] && (best < 0 || key[i] < key[best]) {
 				best = i
 			}
 		}
-		inTree[best] = true
-		if minCost[best] < inf {
-			total += minCost[best]
+		done[best] = true
+		if key[best] < inf {
+			cost += key[best]
 		}
-		for i := range nodes {
-			if !inTree[i] {
-				if d := dist(best, i); d < minCost[i] {
-					minCost[i] = d
-				}
+		row := c.dist[best*k : (best+1)*k]
+		for i, d := range row {
+			if !done[i] && d < key[i] {
+				key[i] = d
 			}
 		}
 	}
-	return total
+	return cost, far
 }
 
 // assembleForest converts a Steiner tree in Ĝ into a feasible service

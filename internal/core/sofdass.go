@@ -211,28 +211,28 @@ func bestLastVM(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, resul
 	var lastErr error
 	lastErrIdx := -1
 	var cands []lastVMCandidate
-	var destTrees map[graph.NodeID]*graph.ShortestPaths
+	var closure *destClosure
 	t := float64(len(dests) + 1)
 	for i, r := range results {
 		if r.Err != nil {
 			lastErr, lastErrIdx = r.Err, i
 			continue
 		}
-		if destTrees == nil {
-			// The first KMB would fetch these trees anyway.
-			destTrees = make(map[graph.NodeID]*graph.ShortestPaths, len(dests))
-			for _, d := range dests {
-				if _, ok := destTrees[d]; !ok {
-					destTrees[d] = oracle.Tree(d)
+		if closure == nil {
+			// The first KMB would fetch these trees anyway, once per
+			// distinct destination.
+			trees := make([]*graph.ShortestPaths, len(dests))
+			for j, d := range dests {
+				if k := slices.Index(dests[:j], d); k >= 0 {
+					trees[j] = trees[k]
+				} else {
+					trees[j] = oracle.Tree(d)
 				}
 			}
+			closure = newDestClosure(dests, trees)
 		}
-		u := r.Chain.LastVM
-		far := 0.0
-		for _, d := range dests {
-			far = max(far, destTrees[d].Dist[u])
-		}
-		steinerLB := max(closureMST(u, dests, destTrees)*t/(2*(t-1)), far)
+		mst, far := closure.mst(r.Chain.LastVM)
+		steinerLB := max(mst*t/(2*(t-1)), far)
 		cands = append(cands, lastVMCandidate{idx: i, sc: r.Chain, lb: r.Chain.TotalCost() + steinerLB*(1-boundSlack)})
 	}
 	slices.SortStableFunc(cands, func(a, b lastVMCandidate) int { return cmp.Compare(a.lb, b.lb) })
@@ -240,6 +240,8 @@ func bestLastVM(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, resul
 	var best *lastVMCandidate
 	var bestTree *steiner.Tree
 	bestCost := 0.0
+	terminals := append([]graph.NodeID{graph.None}, dests...)
+	kmb := &steiner.KMBOptions{Provider: oracle}
 	for i := range cands {
 		c := &cands[i]
 		if best != nil && c.lb > bestCost {
@@ -248,8 +250,8 @@ func bestLastVM(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, resul
 		if err := ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		tree, err := steiner.KMBWith(g, append([]graph.NodeID{c.sc.LastVM}, dests...),
-			&steiner.KMBOptions{Provider: oracle})
+		terminals[0] = c.sc.LastVM
+		tree, err := steiner.KMBWith(g, terminals, kmb)
 		if err != nil {
 			if c.idx > lastErrIdx {
 				lastErr, lastErrIdx = err, c.idx

@@ -75,12 +75,13 @@ func referenceForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, r
 	if err != nil || req.ChainLen == 0 {
 		return best, err
 	}
-	destTrees := make(map[graph.NodeID]*graph.ShortestPaths)
-	for _, d := range req.Dests {
-		destTrees[d] = oracle.Tree(d)
+	trees := make([]*graph.ShortestPaths, len(req.Dests))
+	for i, d := range req.Dests {
+		trees[i] = oracle.Tree(d)
 	}
+	dests := newDestClosure(req.Dests, trees)
 	for _, s := range req.Sources {
-		cand := bestSingleTree(g, oracle, aux, s, req, destTrees)
+		cand := bestSingleTree(g, oracle, aux, s, req, dests)
 		if cand == nil {
 			continue
 		}

@@ -10,15 +10,24 @@ type UnionFind struct {
 
 // NewUnionFind returns a union-find over n singleton elements.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int, n),
-		rank:   make([]int, n),
-		sets:   n,
+	uf := &UnionFind{}
+	uf.Reset(n)
+	return uf
+}
+
+// Reset makes uf a union-find over n singleton elements again, reusing
+// its arrays when they are long enough. The zero UnionFind is ready for
+// Reset.
+func (uf *UnionFind) Reset(n int) {
+	if cap(uf.parent) < n {
+		uf.parent, uf.rank = make([]int, n), make([]int, n)
 	}
+	uf.parent, uf.rank = uf.parent[:n], uf.rank[:n]
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
-	return uf
+	clear(uf.rank)
+	uf.sets = n
 }
 
 // Find returns the representative of x's set.

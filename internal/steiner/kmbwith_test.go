@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -33,6 +34,18 @@ func (p *memoProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
 		p.m[n] = sp
 	}
 	return sp
+}
+
+// dedupeTerminals returns the unique terminals, preserving first-seen
+// order: the terminal list the references run on.
+func dedupeTerminals(terminals []graph.NodeID) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(terminals))
+	for _, t := range terminals {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // fullClosureKMB is the reference KMB and KMBWith are pinned to: every

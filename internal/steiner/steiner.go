@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"sof/internal/graph"
 )
@@ -37,17 +38,6 @@ type Tree struct {
 func (t *Tree) Contains(n graph.NodeID) bool {
 	i := sort.Search(len(t.Nodes), func(i int) bool { return t.Nodes[i] >= n })
 	return i < len(t.Nodes) && t.Nodes[i] == n
-}
-
-// dedupeTerminals returns the unique terminals, preserving first-seen order.
-func dedupeTerminals(terminals []graph.NodeID) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(terminals))
-	for _, t := range terminals {
-		if !slices.Contains(out, t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // PathProvider supplies single-source shortest-path trees over the graph
@@ -81,11 +71,13 @@ type KMBOptions struct {
 // graph.DijkstraBatch. Returns an error if the terminals are not mutually
 // reachable.
 func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
-	terminals = dedupeTerminals(terminals)
-	if len(terminals) < 2 {
-		return trivialTree(terminals), nil
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	if s.dedupe(terminals) < 2 {
+		return trivialTree(s.terms), nil
 	}
-	return closureTree(g, terminals, graph.DijkstraBatch(g, terminals, nil))
+	s.trees = append(s.trees, graph.DijkstraBatch(g, s.terms, nil)...)
+	return s.closureTree(g)
 }
 
 // KMBWith is KMB with the terminals' shortest-path trees taken from
@@ -106,15 +98,20 @@ func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 // run truncated at the destinations (see core's sourceRow and
 // completeForest).
 func KMBWith(g EdgeSource, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
-	terminals = dedupeTerminals(terminals)
-	if len(terminals) < 2 {
-		return trivialTree(terminals), nil
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.kmbWith(g, terminals, opts.Provider)
+}
+
+// kmbWith is KMBWith's run on s.
+func (s *scratch) kmbWith(g EdgeSource, terminals []graph.NodeID, p PathProvider) (*Tree, error) {
+	if s.dedupe(terminals) < 2 {
+		return trivialTree(s.terms), nil
 	}
-	trees := make([]*graph.ShortestPaths, len(terminals))
-	for i, tm := range terminals {
-		trees[i] = opts.Provider.Tree(tm)
+	for _, tm := range s.terms {
+		s.trees = append(s.trees, p.Tree(tm))
 	}
-	return closureTree(g, terminals, trees)
+	return s.closureTree(g)
 }
 
 // trivialTree is the Steiner tree of fewer than two distinct terminals.
@@ -138,158 +135,244 @@ func Unreachable(sp *graph.ShortestPaths, terminals []graph.NodeID) error {
 	return nil
 }
 
+// scratch is the working state of one KMB run, kept across runs in
+// scratchPool so that a run allocates only the Tree it returns. Every
+// array is grown, never shrunk, and reset by the run that uses it.
+//
+// A node's local index, its position in nodes, lives in slot while its
+// stamp equals gen. A run takes the next generation, so the slots of
+// earlier runs go stale without a reset; only a wrap of gen clears them.
+type scratch struct {
+	// terms are the distinct terminals in first-seen order, local indices
+	// 0 to len(terms)-1, and trees their shortest-path trees.
+	terms []graph.NodeID
+	trees []*graph.ShortestPaths
+
+	// Prim's MST over the closure: the heap over terminal indices, the
+	// settled marks, each terminal's closest settled terminal, and the
+	// chosen closure edges.
+	heap    graph.IndexedHeap
+	settled []bool
+	minFrom []int32
+	closure []closureEdge
+
+	// The expansion: node ids by local index, the paths' edges, the
+	// union-find of Kruskal and the tree degrees.
+	slot  []int32
+	stamp []uint32
+	gen   uint32
+	nodes []graph.NodeID
+	edges []pathEdge
+	uf    graph.UnionFind
+	deg   []int32
+
+	// peelLeaves' CSR of the tree edges by node, its fill cursors and its
+	// stack of leaves.
+	off, inc, next, leaves []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// dedupe starts a run: it takes a new generation and makes terms the
+// distinct terminals in first-seen order, each stamped with its local
+// index. It returns how many there are.
+func (s *scratch) dedupe(terminals []graph.NodeID) int {
+	if s.gen++; s.gen == 0 {
+		clear(s.stamp)
+		s.gen = 1
+	}
+	top := graph.NodeID(-1)
+	for _, tm := range terminals {
+		top = max(top, tm)
+	}
+	s.cover(int(top) + 1)
+	s.terms, s.trees = s.terms[:0], s.trees[:0]
+	for _, tm := range terminals {
+		if s.stamp[tm] != s.gen {
+			s.stamp[tm] = s.gen
+			s.slot[tm] = int32(len(s.terms))
+			s.terms = append(s.terms, tm)
+		}
+	}
+	return len(s.terms)
+}
+
+// cover grows slot and stamp to address node ids below n.
+func (s *scratch) cover(n int) {
+	if n > len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+		s.slot = append(s.slot, make([]int32, n-len(s.slot))...)
+	}
+}
+
+// local returns n's local index, giving it the next one the first time
+// the run meets it.
+func (s *scratch) local(n graph.NodeID) int32 {
+	if s.stamp[n] != s.gen {
+		s.stamp[n] = s.gen
+		s.slot[n] = int32(len(s.nodes))
+		s.nodes = append(s.nodes, n)
+	}
+	return s.slot[n]
+}
+
 // closureTree is KMB's body over two or more distinct terminals and their
-// shortest-path trees, in the same order.
-func closureTree(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths) (*Tree, error) {
-	if err := Unreachable(trees[0], terminals); err != nil {
+// shortest-path trees, in s.terms and s.trees. It drops the trees when it
+// returns, so a pooled scratch keeps none alive.
+func (s *scratch) closureTree(g EdgeSource) (*Tree, error) {
+	defer clear(s.trees)
+	if err := Unreachable(s.trees[0], s.terms); err != nil {
 		return nil, err
 	}
 	// Prim's MST on the dense closure, selecting through the indexed heap
 	// (smallest-id tie-break matches the linear scan it replaced, so the
 	// chosen closure edges are unchanged — only the selection cost drops).
-	t := len(terminals)
-	settled := make([]bool, t)
-	minFrom := make([]int32, t)
+	t := len(s.terms)
+	s.heap.Grow(t)
+	settled := grow(&s.settled, t)
+	clear(settled)
+	minFrom := grow(&s.minFrom, t)
 	for i := range minFrom {
 		minFrom[i] = -1
 	}
-	h := graph.NewIndexedHeap(t)
+	h := &s.heap
 	h.Update(0, 0)
-	closureEdges := make([]closureEdge, 0, t-1)
+	s.closure = s.closure[:0]
 	for h.Len() > 0 {
 		best, _ := h.Pop()
 		settled[best] = true
 		if minFrom[best] >= 0 {
-			closureEdges = append(closureEdges, closureEdge{a: minFrom[best], b: best})
+			s.closure = append(s.closure, closureEdge{a: minFrom[best], b: best})
 		}
-		dist := trees[best].Dist
+		dist := s.trees[best].Dist
 		for i := int32(0); i < int32(t); i++ {
 			if settled[i] {
 				continue
 			}
-			if d := dist[terminals[i]]; !h.Contains(i) || d < h.Key(i) {
+			if d := dist[s.terms[i]]; !h.Contains(i) || d < h.Key(i) {
 				h.Update(i, d)
 				minFrom[i] = best
 			}
 		}
 	}
-	return expand(g, terminals, trees, closureEdges), nil
+	return s.expand(g), nil
+}
+
+// grow returns (*buf)[:n], reallocating *buf when it is too short. The
+// contents are not cleared.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // closureEdge is an edge of the closure MST between terminals[a] and
 // terminals[b], expanded along the shortest path in terminals[a]'s tree.
 type closureEdge struct{ a, b int32 }
 
-// expand turns the closure MST into KMB's tree: each closure edge becomes
-// its shortest path, then the MST of the union of those paths is pruned
-// of non-terminal leaves. It runs on slices: a node's local index is its
-// position in the union's sorted node list, and Kruskal and the pruning
-// work on those indices. Kruskal takes the edges by (cost, id), a total
-// order, and the pruned tree is the unique minimal subtree of the MST
-// spanning the terminals, so the tree depends only on the paths. Nodes
-// and Edges come out ascending, and Cost is summed in edge-id order.
-func expand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
-	nodes, ids := pathUnion(terminals, trees, closureEdges)
-	local := func(n graph.NodeID) int32 {
-		i, _ := slices.BinarySearch(nodes, n)
-		return int32(i)
-	}
-
-	// One record read per edge, then Kruskal by (cost, id). edges stays in
-	// id order; byCost is the Kruskal order over its indices.
-	edges := make([]pathEdge, len(ids))
-	byCost := make([]int32, len(ids))
-	for i, id := range ids {
-		e := g.Edge(id)
-		edges[i] = pathEdge{cost: e.Cost, u: local(e.U), v: local(e.V)}
-		byCost[i] = int32(i)
-	}
-	slices.SortFunc(byCost, func(a, b int32) int {
-		if c := cmp.Compare(edges[a].cost, edges[b].cost); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	uf := graph.NewUnionFind(len(nodes))
-	deg := make([]int32, len(nodes))
-	for _, i := range byCost {
-		e := &edges[i]
-		if uf.Union(int(e.u), int(e.v)) {
-			e.inTree = true
-			deg[e.u]++
-			deg[e.v]++
-		}
-	}
-
-	isTerminal := make([]bool, len(nodes))
-	for _, tm := range terminals {
-		isTerminal[local(tm)] = true
-	}
-	peelLeaves(edges, deg, isTerminal)
-
-	// A node stays while it is a terminal or keeps a tree edge. Both
-	// filters run in ascending order, in place.
-	tree := &Tree{Nodes: nodes[:0], Edges: ids[:0]}
-	for n, v := range nodes {
-		if isTerminal[n] || deg[n] > 0 {
-			tree.Nodes = append(tree.Nodes, v)
-		}
-	}
-	for i, id := range ids {
-		if edges[i].inTree {
-			tree.Edges = append(tree.Edges, id)
-			tree.Cost += edges[i].cost
-		}
-	}
-	return tree
-}
-
-// pathEdge is an edge of expand's path union: its cost, its endpoints'
-// local indices, and whether it is in the tree (the MST, then the pruned
-// tree).
+// pathEdge is an edge of expand's path union: its id and cost, its
+// endpoints' local indices, and whether it is in the tree (the MST, then
+// the pruned tree).
 type pathEdge struct {
+	id     graph.EdgeID
 	cost   float64
 	u, v   int32
 	inTree bool
 }
 
-// pathUnion returns the nodes and edge ids of the closure edges' paths,
-// read from the trees' Parent and ParentEdge arrays, with the terminals
-// among the nodes. Both come back sorted and free of duplicates.
-func pathUnion(terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) ([]graph.NodeID, []graph.EdgeID) {
-	hops := 0
-	for _, ce := range closureEdges {
-		sp := trees[ce.a]
-		for v := terminals[ce.b]; sp.Parent[v] != graph.None; v = sp.Parent[v] {
-			hops++
+// expand turns the closure MST into KMB's tree: each closure edge becomes
+// its shortest path, then the MST of the union of those paths is pruned
+// of non-terminal leaves. The paths are read from the trees' Parent and
+// ParentEdge arrays, one record read per hop. A node's local index is
+// the order the run met it in, so the terminals are 0 to t-1. One sort
+// by (cost, id), a total order, both drops the edges two paths share and
+// gives Kruskal its order, and the pruned tree is the unique minimal
+// subtree of the MST spanning the terminals, so the tree depends only on
+// the paths. Nodes and Edges come out ascending, and Cost is summed in
+// edge-id order.
+func (s *scratch) expand(g EdgeSource) *Tree {
+	t := int32(len(s.terms))
+	top := 0
+	for _, sp := range s.trees {
+		top = max(top, len(sp.Parent))
+	}
+	s.cover(top)
+	s.nodes = append(s.nodes[:0], s.terms...)
+	s.edges = s.edges[:0]
+	for _, ce := range s.closure {
+		sp := s.trees[ce.a]
+		for v := s.terms[ce.b]; sp.Parent[v] != graph.None; v = sp.Parent[v] {
+			id := sp.ParentEdge[v]
+			e := g.Edge(id)
+			s.edges = append(s.edges, pathEdge{id: id, cost: e.Cost, u: s.local(e.U), v: s.local(e.V)})
 		}
 	}
-	nodes := append(make([]graph.NodeID, 0, len(terminals)+hops), terminals...)
-	ids := make([]graph.EdgeID, 0, hops)
-	for _, ce := range closureEdges {
-		sp := trees[ce.a]
-		for v := terminals[ce.b]; sp.Parent[v] != graph.None; v = sp.Parent[v] {
-			nodes = append(nodes, sp.Parent[v])
-			ids = append(ids, sp.ParentEdge[v])
+	slices.SortFunc(s.edges, func(a, b pathEdge) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	s.edges = slices.CompactFunc(s.edges, func(a, b pathEdge) bool { return a.id == b.id })
+
+	n := len(s.nodes)
+	s.uf.Reset(n)
+	deg := grow(&s.deg, n)
+	clear(deg)
+	for i := range s.edges {
+		e := &s.edges[i]
+		if s.uf.Union(int(e.u), int(e.v)) {
+			e.inTree = true
+			deg[e.u]++
+			deg[e.v]++
 		}
 	}
-	slices.Sort(nodes)
-	slices.Sort(ids)
-	return slices.Compact(nodes), slices.Compact(ids)
+	s.peelLeaves(t)
+
+	// A node stays while it is a terminal or keeps a tree edge; the tree
+	// edges move to the front of edges and are put in id order.
+	kept := 0
+	for i, v := range s.nodes {
+		if int32(i) < t || deg[i] > 0 {
+			s.nodes[kept] = v
+			kept++
+		}
+	}
+	tree := &Tree{Nodes: slices.Clone(s.nodes[:kept])}
+	slices.Sort(tree.Nodes)
+	inTree := s.edges[:0]
+	for _, e := range s.edges {
+		if e.inTree {
+			inTree = append(inTree, e)
+		}
+	}
+	slices.SortFunc(inTree, func(a, b pathEdge) int { return cmp.Compare(a.id, b.id) })
+	tree.Edges = make([]graph.EdgeID, len(inTree))
+	for i, e := range inTree {
+		tree.Edges[i] = e.id
+		tree.Cost += e.cost
+	}
+	return tree
 }
 
 // peelLeaves repeatedly removes non-terminal leaves from the tree formed
 // by the edges marked inTree, clearing their marks and updating deg, the
-// nodes' tree degrees. It walks each node's tree edges through a local
-// CSR: node n's edges are inc[off[n]:off[n+1]].
-func peelLeaves(edges []pathEdge, deg []int32, isTerminal []bool) {
-	off := make([]int32, len(deg)+1)
+// nodes' tree degrees. Local indices below t are the terminals. It walks
+// each node's tree edges through a local CSR: node n's edges are
+// inc[off[n]:off[n+1]].
+func (s *scratch) peelLeaves(t int32) {
+	deg := s.deg
+	off := grow(&s.off, len(deg)+1)
+	off[0] = 0
 	for n, d := range deg {
 		off[n+1] = off[n] + d
 	}
-	inc := make([]int32, off[len(deg)])
-	next := slices.Clone(off[:len(deg)])
-	for i, e := range edges {
+	inc := grow(&s.inc, int(off[len(deg)]))
+	next := grow(&s.next, len(deg))
+	copy(next, off)
+	for i, e := range s.edges {
 		if e.inTree {
 			inc[next[e.u]] = int32(i)
 			next[e.u]++
@@ -297,9 +380,9 @@ func peelLeaves(edges []pathEdge, deg []int32, isTerminal []bool) {
 			next[e.v]++
 		}
 	}
-	var leaves []int32
+	leaves := s.leaves[:0]
 	for n, d := range deg {
-		if !isTerminal[n] && d == 1 {
+		if int32(n) >= t && d == 1 {
 			leaves = append(leaves, int32(n))
 		}
 	}
@@ -307,7 +390,7 @@ func peelLeaves(edges []pathEdge, deg []int32, isTerminal []bool) {
 		n := leaves[len(leaves)-1]
 		leaves = leaves[:len(leaves)-1]
 		for _, i := range inc[off[n]:off[n+1]] {
-			e := &edges[i]
+			e := &s.edges[i]
 			if !e.inTree {
 				continue
 			}
@@ -318,9 +401,10 @@ func peelLeaves(edges []pathEdge, deg []int32, isTerminal []bool) {
 			}
 			deg[n]--
 			deg[other]--
-			if !isTerminal[other] && deg[other] == 1 {
+			if other >= t && deg[other] == 1 {
 				leaves = append(leaves, other)
 			}
 		}
 	}
+	s.leaves = leaves
 }
