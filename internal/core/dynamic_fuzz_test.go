@@ -29,12 +29,15 @@ const (
 
 // dynRun is one FuzzDynamicOps instance: a network, the oracle every
 // operation shares, the embedded forest, and the endpoints it serves.
+// rejoin is set when the last operation was a repair that reported an
+// orphan failed which could still join the repaired forest.
 type dynRun struct {
 	g       *graph.Graph
 	oracle  *chain.Oracle
 	f       *Forest
 	sources []graph.NodeID
 	dests   []graph.NodeID
+	rejoin  error
 }
 
 // newDynRun builds the instance of seed: a random connected network of
@@ -89,6 +92,7 @@ func (r *dynRun) step(op, arg byte) (string, bool, error) {
 		return edges[int(arg)%len(edges)], true
 	}
 	var err error
+	r.rejoin = nil
 	switch op % dynOps {
 	case dynJoin:
 		d := graph.NodeID(arg) % n
@@ -130,6 +134,9 @@ func (r *dynRun) step(op, arg byte) (string, bool, error) {
 		planned, perr := f.PlanBackups(r.oracle, vms, r.dests)
 		g.FailEdge(e)
 		rep, err := f.Repair(r.oracle, vms, nil)
+		if rep != nil {
+			r.rejoin = r.joinable(rep.Failed, vms)
+		}
 		g.RestoreEdge(e)
 		out := fmt.Sprint("repair ", e, ": planned ", planned, " ", perr, "; ", err)
 		if rep != nil {
@@ -144,6 +151,23 @@ func (r *dynRun) step(op, arg byte) (string, bool, error) {
 	}
 }
 
+// joinable returns an error naming the first failed orphan, its node
+// alive, that a copy of the repaired forest can still Join under the
+// failure, or nil when there is none.
+func (r *dynRun) joinable(failed []RepairFailure, vms []graph.NodeID) error {
+	for _, fl := range failed {
+		if r.g.Failures().NodeFailed(fl.Dest) {
+			continue
+		}
+		c := snapshot(r.f)
+		c.g = r.g
+		if _, err := c.Join(r.oracle, vms, fl.Dest); err == nil {
+			return fmt.Errorf("repair failed destination %d (%v), yet it joins the repaired forest", fl.Dest, fl.Err)
+		}
+	}
+	return nil
+}
+
 // snapshot is a deep copy of f's state, its network left out, for
 // comparing forests across operations and across copies.
 func snapshot(f *Forest) Forest {
@@ -156,6 +180,9 @@ func snapshot(f *Forest) Forest {
 
 // check reports the first broken invariant of r after an operation.
 func (r *dynRun) check() error {
+	if r.rejoin != nil {
+		return r.rejoin
+	}
 	if err := r.f.Validate(r.sources, r.dests); err != nil {
 		return err
 	}
@@ -179,8 +206,9 @@ func (r *dynRun) check() error {
 // embedded forest. After every operation the forest must validate for the
 // destinations it serves and cost what its footprint costs; a failed Join,
 // Leave, InsertVNF, RemoveVNF or MigrateOverloadedVM must leave it exactly
-// as it was; and a replay on a fresh copy of the instance must give an
-// equal forest and equal outcomes.
+// as it was; a repair must not report an orphan failed that could still
+// join the repaired forest; and a replay on a fresh copy of the instance
+// must give an equal forest and equal outcomes.
 func FuzzDynamicOps(f *testing.F) {
 	// A mix of every operation.
 	f.Add(int64(1), []byte{0, 3, 2, 1, 4, 0, 6, 2, 5, 1, 3, 0})
@@ -195,6 +223,9 @@ func FuzzDynamicOps(f *testing.F) {
 	f.Add(int64(1051), []byte{242, 164})
 	f.Add(int64(1857), []byte{193, 74, 25, 198})
 	f.Add(int64(1017), []byte{128, 6, 102, 75})
+	// Repair fails an orphan whose anchor a later orphan's graft lays.
+	f.Add(int64(2002), []byte{210, 104, 69, 128})
+	f.Add(int64(1768), []byte{198, 106, 98, 107, 39, 73, 41, 133})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		a := newDynRun(seed)
 		if a == nil {

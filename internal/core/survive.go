@@ -198,6 +198,11 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 	for _, n := range reseed {
 		f.newRoot(n)
 	}
+	// failed holds the orphans whose graft failed, and again reports
+	// whether a graft was laid after one of them: only that can give an
+	// orphan the anchor it lacked.
+	var failed []RepairFailure
+	again := false
 	for _, d := range dmg.Orphans {
 		if fs.NodeFailed(d) {
 			rep.Failed = append(rep.Failed, RepairFailure{
@@ -209,14 +214,33 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 		if f.tryBackup(d, fs) {
 			rep.Reattached++
 			rep.BackupHits++
+			again = len(failed) > 0
 			continue
 		}
 		if _, err := f.join(oracle, freeVMs, d, budget); err != nil {
-			rep.Failed = append(rep.Failed, RepairFailure{Dest: d, Err: err})
+			failed = append(failed, RepairFailure{Dest: d, Err: err})
 			continue
 		}
 		rep.Reattached++
+		again = len(failed) > 0
 	}
+	// The failed orphans are grafted again, in id order, until a pass
+	// lays no graft after a failure.
+	for again {
+		again = false
+		kept := failed[:0]
+		for _, fl := range failed {
+			if _, err := f.join(oracle, freeVMs, fl.Dest, budget); err != nil {
+				kept = append(kept, RepairFailure{Dest: fl.Dest, Err: err})
+				continue
+			}
+			rep.Reattached++
+			again = len(kept) > 0
+		}
+		failed = kept
+	}
+	rep.Failed = append(rep.Failed, failed...)
+	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Dest < rep.Failed[j].Dest })
 	// A graft that died halfway (enable error) leaves dead-leaf clones;
 	// prune reclaims them before the final cost accounting.
 	f.Prune()
