@@ -291,7 +291,7 @@ func BenchmarkStreamedJoin(b *testing.B) {
 // isolation: one DijkstraBatch call over k sources against k independent
 // pooled Dijkstra runs on the same graph. Both share the arena pool; the
 // batch variant additionally carves all per-source result arrays from
-// three batch-wide allocations and fetches the CSR once, so allocs/op is
+// two batch-wide allocations and fetches the CSR once, so allocs/op is
 // the headline — it must sit well under the independent variant's.
 func BenchmarkDijkstraBatch(b *testing.B) {
 	net := topology.Cogent(topology.Config{NumVMs: exp.DefaultVMs, Seed: 1})

@@ -74,12 +74,10 @@ type candidate struct {
 	extNodes []graph.NodeID
 	extEdges []graph.EdgeID
 	extCost  float64
-	// per-destination path data within the tree, rooted at attach.
+	// per-destination path data within the tree, rooted at attach: each
+	// node's distance and the edge toward attach.
 	dist       map[graph.NodeID]float64
-	parent     map[graph.NodeID]graph.NodeID
 	parentEdge map[graph.NodeID]graph.EdgeID
-	// costFn prices tree edges (injected to avoid carrying the graph).
-	costFn func(graph.EdgeID) float64
 }
 
 // chainCost is the candidate's fixed cost (chain + extension).
@@ -95,27 +93,27 @@ func (c *candidate) chainCost() float64 {
 // tree's own source, with their total cost. The source branch is kept
 // even though the chain re-enters the tree at the attach node: the
 // baseline trees are rooted at their source (that structural rigidity is
-// the weakness SOFDA removes).
-func (c *candidate) prunedTree(assigned []graph.NodeID) ([]graph.EdgeID, float64) {
+// the weakness SOFDA removes). g is the network the tree spans.
+func (c *candidate) prunedTree(g *graph.Graph, assigned []graph.NodeID) ([]graph.EdgeID, float64) {
 	seen := make(map[graph.EdgeID]bool)
 	var edges []graph.EdgeID
 	var cost float64
 	targets := append([]graph.NodeID{c.source}, assigned...)
 	for _, d := range targets {
-		for cur := d; cur != c.attach; cur = c.parent[cur] {
+		for cur := d; cur != c.attach; {
 			e := c.parentEdge[cur]
 			if seen[e] {
 				break // the rest of the path is already included
 			}
 			seen[e] = true
 			edges = append(edges, e)
-			cost += c.edgeCostOf(e)
+			ed := g.Edge(e)
+			cost += ed.Cost
+			cur = ed.Other(cur)
 		}
 	}
 	return edges, cost
 }
-
-func (c *candidate) edgeCostOf(e graph.EdgeID) float64 { return c.costFn(e) }
 
 type builder struct {
 	ctx    context.Context
@@ -225,7 +223,7 @@ func (b *builder) bestCandidate(used, usedSrc map[graph.NodeID]bool) (*candidate
 			lastErr = err
 			continue
 		}
-		cost := c.chainCost() + b.treeCost(c.tree)
+		cost := c.chainCost() + c.tree.Cost
 		if cost < bestCost {
 			best = c
 			bestCost = cost
@@ -239,8 +237,6 @@ func (b *builder) bestCandidate(used, usedSrc map[graph.NodeID]bool) (*candidate
 	}
 	return best, nil
 }
-
-func (b *builder) treeCost(t *steiner.Tree) float64 { return t.Cost }
 
 // buildCandidate constructs the service tree rooted at s with its chain.
 func (b *builder) buildCandidate(s graph.NodeID, used map[graph.NodeID]bool) (*candidate, error) {
@@ -366,11 +362,8 @@ func (b *builder) greedyChain(s graph.NodeID, free []graph.NodeID, lastInside ma
 			if isLast && lastInside != nil && !lastInside[v] {
 				continue
 			}
-			_, _, d, err := b.oracle.Path(cur, v)
-			if err != nil {
-				continue
-			}
-			if c := d + b.g.NodeCost(v); c < bestCost {
+			// An unreachable VM sits at +Inf and never wins.
+			if c := b.oracle.Tree(cur).Dist[v] + b.g.NodeCost(v); c < bestCost {
 				bestCost = c
 				bestVM = v
 			}
@@ -408,11 +401,7 @@ func (b *builder) nearestTreeNode(u graph.NodeID, treeNodes map[graph.NodeID]boo
 	bestNode := graph.None
 	bestDist := math.Inf(1)
 	for _, n := range nodes {
-		_, _, d, err := b.oracle.Path(u, n)
-		if err != nil {
-			continue
-		}
-		if d < bestDist {
+		if d := b.oracle.Tree(u).Dist[n]; d < bestDist {
 			bestDist = d
 			bestNode = n
 		}
@@ -433,7 +422,6 @@ func (b *builder) rootTreeAt(c *candidate) error {
 		adj[ed.V] = append(adj[ed.V], e)
 	}
 	c.dist = make(map[graph.NodeID]float64)
-	c.parent = make(map[graph.NodeID]graph.NodeID)
 	c.parentEdge = make(map[graph.NodeID]graph.EdgeID)
 	c.dist[c.attach] = 0
 	queue := []graph.NodeID{c.attach}
@@ -446,7 +434,6 @@ func (b *builder) rootTreeAt(c *candidate) error {
 				continue
 			}
 			c.dist[other] = c.dist[n] + b.g.EdgeCost(e)
-			c.parent[other] = n
 			c.parentEdge[other] = e
 			queue = append(queue, other)
 		}
@@ -456,7 +443,6 @@ func (b *builder) rootTreeAt(c *candidate) error {
 			return fmt.Errorf("baseline: destination %d not in tree of source %d", d, c.source)
 		}
 	}
-	c.costFn = func(e graph.EdgeID) float64 { return b.g.EdgeCost(e) }
 	return nil
 }
 
@@ -486,7 +472,7 @@ func (b *builder) totalCost(cands []*candidate) (float64, map[graph.NodeID]int) 
 		if len(mine) == 0 {
 			continue
 		}
-		_, treeCost := c.prunedTree(mine)
+		_, treeCost := c.prunedTree(b.g, mine)
 		total += c.chainCost() + treeCost
 	}
 	return total, assign
@@ -523,7 +509,7 @@ func (b *builder) assemble(cands []*candidate, assign map[graph.NodeID]int) (*co
 		for _, d := range mine {
 			destSet[d] = true
 		}
-		edges, _ := c.prunedTree(mine)
+		edges, _ := c.prunedTree(b.g, mine)
 		if _, err := f.AttachTree(anchor, edges, destSet); err != nil {
 			return nil, err
 		}

@@ -415,10 +415,10 @@ func (o *Oracle) reuse(e *treeEntry) *graph.ShortestPaths {
 // feed off the same trees as the chain queries.
 //
 // The returned tree is shared by every consumer of the session: callers
-// must treat it as strictly read-only (Dist, Parent, and ParentEdge
-// included). Mutating it would silently corrupt every later query, and
-// the repairs built from it; callers that need a scratch copy must take
-// one themselves.
+// must treat it as strictly read-only (Dist and ParentEdge included), and
+// walk it with ShortestPaths.Path over the oracle's graph. Mutating it
+// would silently corrupt every later query, and the repairs built from
+// it; callers that need a scratch copy must take one themselves.
 func (o *Oracle) Tree(n graph.NodeID) *graph.ShortestPaths { return o.tree(n) }
 
 // WarmTrees builds the tree of every origin in origins that is not
@@ -743,8 +743,7 @@ func (o *Oracle) walk(stops []graph.NodeID, vms int) (*ServiceChain, error) {
 	sc := &ServiceChain{Source: stops[0], LastVM: stops[len(stops)-1], Nodes: []graph.NodeID{stops[0]}}
 	for i := 1; i < len(stops); i++ {
 		a, b := stops[i-1], stops[i]
-		sp := o.tree(a)
-		path := sp.PathTo(b)
+		path, edges := o.tree(a).Path(o.g, b)
 		if path == nil {
 			// An instance build proved reachability, but the tree answering
 			// here may be a fresher one than the build read, and a plain
@@ -753,7 +752,7 @@ func (o *Oracle) walk(stops []graph.NodeID, vms int) (*ServiceChain, error) {
 			return nil, fmt.Errorf("chain: no path %d→%d: %w", a, b, graph.ErrDisconnected)
 		}
 		sc.Nodes = append(sc.Nodes, path[1:]...)
-		sc.Edges = append(sc.Edges, sp.EdgesTo(b)...)
+		sc.Edges = append(sc.Edges, edges...)
 		if i <= vms {
 			sc.VMs = append(sc.VMs, b)
 			sc.VMPos = append(sc.VMPos, len(sc.Nodes)-1)
@@ -771,10 +770,11 @@ func (o *Oracle) walk(stops []graph.NodeID, vms int) (*ServiceChain, error) {
 // its connection cost. Used by conflict resolution to splice walks.
 func (o *Oracle) Path(a, b graph.NodeID) ([]graph.NodeID, []graph.EdgeID, float64, error) {
 	sp := o.tree(a)
-	if !sp.Reachable(b) {
+	nodes, edges := sp.Path(o.g, b)
+	if nodes == nil {
 		return nil, nil, 0, fmt.Errorf("chain: no path %d→%d: %w", a, b, graph.ErrDisconnected)
 	}
-	return sp.PathTo(b), sp.EdgesTo(b), sp.Dist[b], nil
+	return nodes, edges, sp.Dist[b], nil
 }
 
 // Extension finds a low-cost walk from an arbitrary node `from` to an

@@ -282,12 +282,10 @@ func (p *poisoningSolver) Solve(in *kstroll.Instance) (*kstroll.Walk, error) {
 	sp := &graph.ShortestPaths{
 		Source:     p.victim,
 		Dist:       make([]float64, n),
-		Parent:     make([]graph.NodeID, n),
 		ParentEdge: make([]graph.EdgeID, n),
 	}
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
-		sp.Parent[i] = graph.None
 		sp.ParentEdge[i] = graph.NoEdge
 	}
 	p.o.entry(p.victim).latest.Store(&epochTree{sp: sp, epoch: p.o.g.CostEpoch()})

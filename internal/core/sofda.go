@@ -423,16 +423,15 @@ func sourceRow(g *graph.Graph, aux *graph.Overlay, sHat graph.NodeID, dests []gr
 	sp := &graph.ShortestPaths{
 		Source:     sHat,
 		Dist:       make([]float64, n),
-		Parent:     make([]graph.NodeID, n),
 		ParentEdge: make([]graph.EdgeID, n),
 	}
 	for i := range sp.Dist {
-		sp.Dist[i], sp.Parent[i], sp.ParentEdge[i] = math.Inf(1), graph.None, graph.NoEdge
+		sp.Dist[i], sp.ParentEdge[i] = math.Inf(1), graph.NoEdge
 	}
 	sp.Dist[sHat] = 0
 	srcDups := aux.Adj(sHat)
 	for _, a := range srcDups {
-		sp.Dist[a.To], sp.Parent[a.To], sp.ParentEdge[a.To] = 0, sHat, a.Edge
+		sp.Dist[a.To], sp.ParentEdge[a.To] = 0, a.Edge
 	}
 	for _, a := range srcDups {
 		for _, c := range aux.Adj(a.To) {
@@ -440,7 +439,7 @@ func sourceRow(g *graph.Graph, aux *graph.Overlay, sHat graph.NodeID, dests []gr
 				continue
 			}
 			if w := aux.Edge(c.Edge).Cost; w < sp.Dist[c.To] {
-				sp.Dist[c.To], sp.Parent[c.To], sp.ParentEdge[c.To] = w, a.To, c.Edge
+				sp.Dist[c.To], sp.ParentEdge[c.To] = w, c.Edge
 			}
 		}
 	}
@@ -451,18 +450,18 @@ func sourceRow(g *graph.Graph, aux *graph.Overlay, sHat graph.NodeID, dests []gr
 		}
 		for _, c := range aux.Adj(x) {
 			if c.To < n0 {
-				sp.Dist[c.To], sp.Parent[c.To], sp.ParentEdge[c.To] = sp.Dist[x], x, c.Edge
+				sp.Dist[c.To], sp.ParentEdge[c.To] = sp.Dist[x], c.Edge
 				seeds = append(seeds, c.To)
 			}
 		}
 	}
-	if !graph.DijkstraSeeded(g, sp, seeds, dests) {
+	if !graph.DijkstraSeeded(aux, sp, seeds, dests) {
 		return aux.Dijkstra(sHat)
 	}
 	for x := sHat + 1; int(x) < n; x++ {
 		for _, c := range aux.Adj(x) {
 			if c.To < n0 && sp.Dist[c.To] < sp.Dist[x] {
-				sp.Dist[x], sp.Parent[x], sp.ParentEdge[x] = sp.Dist[c.To], c.To, c.Edge
+				sp.Dist[x], sp.ParentEdge[x] = sp.Dist[c.To], c.Edge
 			}
 		}
 	}

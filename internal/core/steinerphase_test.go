@@ -152,9 +152,9 @@ func checkSHatRow(t *testing.T, label string, g, ref *graph.Graph, aux *auxGraph
 	t.Helper()
 	want := graph.NewArena().DijkstraHeap(ref, aux.sHat)
 	same := func(what string, row *graph.ShortestPaths, v graph.NodeID) {
-		if math.Float64bits(row.Dist[v]) != math.Float64bits(want.Dist[v]) || row.Parent[v] != want.Parent[v] || row.ParentEdge[v] != want.ParentEdge[v] {
-			t.Fatalf("%s: %s ŝ row at node %d is (%v,%d,%d), clone's (%v,%d,%d)", label, what, v,
-				row.Dist[v], row.Parent[v], row.ParentEdge[v], want.Dist[v], want.Parent[v], want.ParentEdge[v])
+		if math.Float64bits(row.Dist[v]) != math.Float64bits(want.Dist[v]) || row.ParentEdge[v] != want.ParentEdge[v] {
+			t.Fatalf("%s: %s ŝ row at node %d is (%v,%d), clone's (%v,%d)", label, what, v,
+				row.Dist[v], row.ParentEdge[v], want.Dist[v], want.ParentEdge[v])
 		}
 	}
 	all := make([]graph.NodeID, g.NumNodes())
@@ -175,8 +175,16 @@ func checkSHatRow(t *testing.T, label string, g, ref *graph.Graph, aux *auxGraph
 		if row.Reachable(d) != want.Reachable(d) {
 			t.Fatalf("%s: truncated ŝ row reaches destination %d: %v, clone's: %v", label, d, row.Reachable(d), want.Reachable(d))
 		}
-		for v := d; row.Reachable(d) && v != graph.None; v = row.Parent[v] {
+		if !row.Reachable(d) {
+			continue
+		}
+		for v := d; ; {
 			same("truncated", row, v)
+			e := row.ParentEdge[v]
+			if e == graph.NoEdge {
+				break
+			}
+			v = aux.g.Edge(e).Other(v)
 		}
 	}
 }
@@ -243,8 +251,8 @@ func perturb(g *graph.Graph, rng *rand.Rand, costs []float64) {
 // run without seeds settles nothing, and ran tells whether g admits one.
 func takesSeeded(g *graph.Graph) bool {
 	n := g.NumNodes()
-	sp := &graph.ShortestPaths{Dist: make([]float64, n), Parent: make([]graph.NodeID, n), ParentEdge: make([]graph.EdgeID, n)}
-	return graph.DijkstraSeeded(g, sp, nil, nil)
+	sp := &graph.ShortestPaths{Dist: make([]float64, n), ParentEdge: make([]graph.EdgeID, n)}
+	return graph.DijkstraSeeded(graph.NewOverlay(g), sp, nil, nil)
 }
 
 // phaseRequest draws 1–4 sources (a repeated source now and then, which
@@ -523,7 +531,7 @@ func BenchmarkSteinerPhase(b *testing.B) {
 			}
 			seeded, heap := sourceRow(g, aux.g, aux.sHat, req.Dests), aux.g.Dijkstra(aux.sHat)
 			for _, d := range req.Dests {
-				if seeded.Dist[d] != heap.Dist[d] || seeded.Parent[d] != heap.Parent[d] {
+				if seeded.Dist[d] != heap.Dist[d] || seeded.ParentEdge[d] != heap.ParentEdge[d] {
 					b.Fatalf("%s costs, request %d: seeded row differs from the heap's at destination %d", costs, i, d)
 				}
 			}

@@ -242,15 +242,21 @@ type deltaScratch struct {
 	relaxedAt []float64
 	roundGen  []uint64
 	round     uint64
+	// parent[v] is v's parent in the current run, which the tie rule
+	// reads and the result keeps only as the edge. The run writes a row
+	// for each seed before it starts and for each node it reaches, and
+	// reads only rows it wrote, so a reused arena needs no reset.
+	parent []NodeID
 	// seeds are the current run's seeds, sorted by (distance, id).
 	seeds []deltaSeed
 }
 
 // deltaSeed is a node a run starts from, at the distance its row held
-// when the run began.
+// when the run began, below parent p: an appended node, or None.
 type deltaSeed struct {
 	d float64
 	v int32
+	p NodeID
 }
 
 // deltaBucketCap is the starting capacity of each calendar bucket.
@@ -270,6 +276,7 @@ func (ds *deltaScratch) ensure(n int) {
 	at := make([]float64, n)
 	copy(at, ds.relaxedAt)
 	ds.relaxedAt = at
+	ds.parent = make([]NodeID, n)
 	// Every bucket starts with capacity carved from one block and each
 	// staging list with room for every node, so a fresh arena's first runs
 	// make a handful of allocations instead of growing 1,024 buckets one
@@ -289,7 +296,7 @@ func (ds *deltaScratch) ensure(n int) {
 // deltaRun bundles the per-run state the relaxation loops share. The
 // hot loops live on its methods as plain slice scans, so the strict-
 // improvement path (the overwhelmingly common case) runs without any
-// closure indirection.
+// closure indirection. parent is the arena's (see deltaScratch.parent).
 type deltaRun struct {
 	dist   []float64
 	parent []NodeID
@@ -399,8 +406,8 @@ func (r *deltaRun) relaxSeeded(list []int32, row, to, eid []int32, cost []float6
 // parent pops, and then pops it next, after every base node at that
 // distance, since appended ids follow every base id.
 func (r *deltaRun) rank(v NodeID) NodeID {
-	if p := r.parent[v]; v < r.n && p >= r.n && r.dist[p] == r.dist[v] {
-		return p
+	if v < r.n && r.parent[v] >= r.n && r.dist[r.parent[v]] == r.dist[v] {
+		return r.parent[v]
 	}
 	return v
 }
@@ -413,7 +420,6 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 	inf := math.Inf(1)
 	for i := range sp.Dist {
 		sp.Dist[i] = inf
-		sp.Parent[i] = None
 		sp.ParentEdge[i] = NoEdge
 	}
 	sp.built = treeStamp{g: g, epoch: lay.epoch, edges: lay.edges}
@@ -421,15 +427,15 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 		return
 	}
 	sp.Dist[sp.Source] = 0
-	a.ds.seeds = append(a.ds.seeds[:0], deltaSeed{v: int32(sp.Source)})
+	a.ds.seeds = append(a.ds.seeds[:0], deltaSeed{v: int32(sp.Source), p: None})
 	a.settleDelta(lay, sp, nil, false)
 }
 
 // settleDelta runs the delta-stepping rounds over lay from the seeds in
 // a.ds.seeds, sorted by (distance, id), whose rows sp already holds; every
-// other base row holds +Inf/None/NoEdge. Rows from lay.nodes up are read
-// (a seed's appended parent) and never written. seeded selects
-// relaxSeeded over relax for the whole run.
+// other base row holds +Inf/NoEdge. Rows from lay.nodes up are read (a
+// seed's appended parent) and never written. seeded selects relaxSeeded
+// over relax for the whole run.
 //
 // Seeds are admitted lazily. The calendar is one lap of 1,024 buckets,
 // and a relaxation lands at most maxC, under a lap, past the current
@@ -455,9 +461,12 @@ func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeI
 			left++
 		}
 	}
-	r := &deltaRun{dist: sp.Dist, parent: sp.Parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta, n: NodeID(lay.nodes), gen: gen}
+	r := &deltaRun{dist: sp.Dist, parent: ds.parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta, n: NodeID(lay.nodes), gen: gen}
 	dist, inv := r.dist, r.inv
 	seeds := ds.seeds
+	for _, s := range seeds {
+		ds.parent[s.v] = s.p
+	}
 	// cur is the current bucket's absolute index; its calendar slot is
 	// cur mod deltaBucketCount.
 	var cur int64
@@ -539,14 +548,14 @@ func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeI
 // truncate ends a run after the light phase of bucket cur. Every node
 // whose distance lies above that bucket is still tentative: it is either
 // queued in the calendar or one of the seeds not yet admitted. Each is
-// reset to +Inf/None/NoEdge, as if unreachable; a seed a base path
-// already settled keeps its row. Draining the calendar leaves the arena
+// reset to +Inf/NoEdge, as if unreachable; a seed a base path already
+// settled keeps its row. Draining the calendar leaves the arena
 // ready for its next run, as a completed run does.
 func (r *deltaRun) truncate(cur int64, unadmitted []deltaSeed) {
 	limit := float64(cur + 1)
 	reset := func(v int32) {
 		if r.dist[v]*r.inv >= limit {
-			r.dist[v], r.parent[v], r.pedge[v] = math.Inf(1), None, NoEdge
+			r.dist[v], r.pedge[v] = math.Inf(1), NoEdge
 		}
 	}
 	for b := range r.ds.buckets {

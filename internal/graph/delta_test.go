@@ -9,14 +9,13 @@ import (
 )
 
 // sameTree fails the test unless got and want agree bit for bit on
-// every node's distance, parent and parent edge.
+// every node's distance and parent edge.
 func sameTree(t *testing.T, label string, got, want *ShortestPaths) {
 	t.Helper()
 	for u := range want.Dist {
-		if got.Dist[u] != want.Dist[u] || got.Parent[u] != want.Parent[u] || got.ParentEdge[u] != want.ParentEdge[u] {
-			t.Fatalf("%s node %d: got (%v,%d,%d) != heap (%v,%d,%d)", label, u,
-				got.Dist[u], got.Parent[u], got.ParentEdge[u],
-				want.Dist[u], want.Parent[u], want.ParentEdge[u])
+		if got.Dist[u] != want.Dist[u] || got.ParentEdge[u] != want.ParentEdge[u] {
+			t.Fatalf("%s node %d: got (%v,%d) != heap (%v,%d)", label, u,
+				got.Dist[u], got.ParentEdge[u], want.Dist[u], want.ParentEdge[u])
 		}
 	}
 }
@@ -191,7 +190,7 @@ func TestDeltaSteppingBlockedSource(t *testing.T) {
 	g.FailNode(4)
 	sp := arena.Dijkstra(g, 4)
 	for v := range sp.Dist {
-		if !math.IsInf(sp.Dist[v], 1) || sp.Parent[v] != None {
+		if !math.IsInf(sp.Dist[v], 1) || sp.ParentEdge[v] != NoEdge {
 			t.Fatalf("failed source: node %d reachable", v)
 		}
 	}
@@ -255,8 +254,8 @@ func TestDeltaSteppingInfiniteCostFallback(t *testing.T) {
 			DijkstraBatch(g, []NodeID{0}, nil)[0],
 		} {
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: run (%v,%v,%v) != heap (%v,%v,%v)", label,
-					got.Dist, got.Parent, got.ParentEdge, want.Dist, want.Parent, want.ParentEdge)
+				t.Fatalf("%s: run (%v,%v) != heap (%v,%v)", label,
+					got.Dist, got.ParentEdge, want.Dist, want.ParentEdge)
 			}
 		}
 	}

@@ -15,10 +15,8 @@ type ShortestPaths struct {
 	// Dist[v] is the cost of the shortest path Source→v, +Inf if
 	// unreachable.
 	Dist []float64
-	// Parent[v] is the predecessor of v on the shortest path, None for the
-	// source and unreachable nodes.
-	Parent []NodeID
-	// ParentEdge[v] is the edge used to reach v from Parent[v].
+	// ParentEdge[v] is the edge that reaches v on its shortest path, NoEdge
+	// for the source and unreachable nodes. Its other end is v's parent.
 	ParentEdge []EdgeID
 	// built records the layout that built the tree, which RepairTree
 	// reads to decide whether the tree can be its base.
@@ -30,46 +28,36 @@ func (sp *ShortestPaths) Reachable(t NodeID) bool {
 	return !math.IsInf(sp.Dist[t], 1)
 }
 
-// PathTo returns the node sequence Source…t inclusive, or nil if t is
-// unreachable.
-func (sp *ShortestPaths) PathTo(t NodeID) []NodeID {
+// Path returns the shortest path Source…t as its nodes, Source and t
+// inclusive, and its edges, one fewer; both are nil when t is
+// unreachable. It walks the recorded parent edges back from t, reading
+// each hop's other end from g, the graph the tree was built over.
+func (sp *ShortestPaths) Path(g *Graph, t NodeID) ([]NodeID, []EdgeID) {
 	if !sp.Reachable(t) {
-		return nil
+		return nil, nil
 	}
-	var rev []NodeID
-	for v := t; v != None; v = sp.Parent[v] {
-		rev = append(rev, v)
+	nodes := []NodeID{t}
+	var edges []EdgeID
+	for v := t; sp.ParentEdge[v] != NoEdge; {
+		e := sp.ParentEdge[v]
+		v = g.Edge(e).Other(v)
+		nodes = append(nodes, v)
+		edges = append(edges, e)
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// EdgesTo returns the edge sequence of the shortest path Source…t, or nil if
-// t is unreachable. The result has len(PathTo(t))-1 entries.
-func (sp *ShortestPaths) EdgesTo(t NodeID) []EdgeID {
-	if !sp.Reachable(t) {
-		return nil
-	}
-	var rev []EdgeID
-	for v := t; sp.Parent[v] != None; v = sp.Parent[v] {
-		rev = append(rev, sp.ParentEdge[v])
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	slices.Reverse(nodes)
+	slices.Reverse(edges)
+	return nodes, edges
 }
 
 // Arena is the reusable scratch state of the SSSP core: the
-// delta-stepping calendar and staging lists, the indexed heap (whose
-// position index self-restores on drain), and a generation-stamped
-// settled marker, so one arena is ready for the next run without any
-// O(n) reset. The package-level entry points borrow arenas from an
-// internal pool; a caller running many batches back to back may hold its
-// own instead. The result arrays are NOT part of the arena — callers (the
-// chain oracle in particular) retain ShortestPaths indefinitely.
+// delta-stepping calendar, staging lists and run parents, the indexed
+// heap (whose position index self-restores on drain), and a
+// generation-stamped settled marker, so one arena is ready for the next
+// run without any O(n) reset. The package-level entry points borrow
+// arenas from an internal pool; a caller running many batches back to
+// back may hold its own instead. The result arrays are NOT part of the
+// arena — callers (the chain oracle in particular) retain ShortestPaths
+// indefinitely.
 //
 // An Arena is not safe for concurrent use; concurrent runs take separate
 // arenas (or pass nil and share the pool).
@@ -124,7 +112,6 @@ func newShortestPaths(src NodeID, n int) *ShortestPaths {
 	return &ShortestPaths{
 		Source:     src,
 		Dist:       make([]float64, n),
-		Parent:     make([]NodeID, n),
 		ParentEdge: make([]EdgeID, n),
 	}
 }
@@ -169,8 +156,8 @@ func (a *Arena) DijkstraHeap(g *Graph, src NodeID) *ShortestPaths {
 
 // DijkstraBatch runs Dijkstra from every source through one shared arena
 // and one partition fetch, with the per-source result arrays carved from
-// three batch-wide backing allocations, so k trees take 4 allocations
-// instead of 4k. Results are returned in source order; duplicate sources
+// two batch-wide backing allocations, so k trees take 3 allocations
+// instead of 3k. Results are returned in source order; duplicate sources
 // share one tree (the same *ShortestPaths pointer). A nil arena borrows
 // one from the internal pool for the whole batch, which is the right
 // choice for a one-off batch.
@@ -198,13 +185,11 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 	k := len(uniq)
 	sps := make([]ShortestPaths, k)
 	dist := make([]float64, k*n)
-	parent := make([]NodeID, k*n)
 	pedge := make([]EdgeID, k*n)
 	for i, s := range uniq {
 		sp := &sps[i]
 		sp.Source = s
 		sp.Dist = dist[i*n : (i+1)*n : (i+1)*n]
-		sp.Parent = parent[i*n : (i+1)*n : (i+1)*n]
 		sp.ParentEdge = pedge[i*n : (i+1)*n : (i+1)*n]
 		if lay != nil {
 			dijkstraDelta(g, lay, a, sp)
@@ -218,38 +203,40 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 	return out
 }
 
-// DijkstraSeeded settles g from several seeds at once, through a pooled
-// arena; see Arena.DijkstraSeeded.
-func DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
+// DijkstraSeeded settles ov's base from several seeds at once, through a
+// pooled arena; see Arena.DijkstraSeeded.
+func DijkstraSeeded(ov *Overlay, sp *ShortestPaths, seeds, targets []NodeID) bool {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
-	return a.DijkstraSeeded(g, sp, seeds, targets)
+	return a.DijkstraSeeded(ov, sp, seeds, targets)
 }
 
-// DijkstraSeeded runs delta-stepping over g from seeds whose rows the
-// caller wrote into sp, and reports whether it ran. It returns false,
-// touching nothing, when g's costs admit no bucket width (see pick), when
-// some distance of the run, the seeds' distances included, absorbs the
-// cost of an arc of g (D + c == D), or when a distance of the run would
-// put its bucket index at 2^52 or past; the caller then runs the heap
-// instead.
+// DijkstraSeeded runs delta-stepping over ov's base network g from seeds
+// whose rows the caller wrote into sp, and reports whether it ran. It
+// returns false, touching nothing, when g's costs admit no bucket width
+// (see pick), when some distance of the run, the seeds' distances
+// included, absorbs the cost of an arc of g (D + c == D), or when a
+// distance of the run would put its bucket index at 2^52 or past; the
+// caller then runs the heap instead. It panics if g grew after ov was
+// made.
 //
-// It computes the rows of a heap run over an overlay of g whose appended
-// nodes reach the network only through zero-cost arcs into the seeds.
-// Each seed's row holds its finite distance and its parent and parent
-// edge: the appended node above it, or None for a plain source. Every
-// other row of g's nodes holds +Inf/None/NoEdge. sp's arrays may be
-// longer than g's node count, and the rows past it, the appended nodes',
-// must hold their final distances: the run reads them, to rank a seed
-// below its parent, and never writes them. A blocked seed is reset to
-// +Inf/None/NoEdge, as the heap never enters a blocked node.
+// It computes the rows of a heap run over ov whose appended nodes reach
+// the network only through zero-cost arcs into the seeds. Each seed's row
+// holds its finite distance and its parent edge: an edge of ov from the
+// appended node above it, or NoEdge for a plain source. Every other row
+// of g's nodes holds +Inf/NoEdge. sp has a row for every node of ov, and
+// the rows past g's, the appended nodes', must hold their final
+// distances: the run reads them, to rank a seed below its parent, and
+// never writes them. A blocked seed is reset to +Inf/NoEdge, as the heap
+// never enters a blocked node.
 //
 // Non-empty targets, all nodes of g, truncate the run once every one of
 // them is settled. Every node the run settled then carries the full
-// run's Dist, Parent and ParentEdge, each reachable target and every node
-// on its path included; every other row of g's nodes reads
-// +Inf/None/NoEdge, as if unreachable. Duplicate targets are allowed.
-func (a *Arena) DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []NodeID) bool {
+// run's Dist and ParentEdge, each reachable target and every node on its
+// path included; every other row of g's nodes reads +Inf/NoEdge, as if
+// unreachable. Duplicate targets are allowed.
+func (a *Arena) DijkstraSeeded(ov *Overlay, sp *ShortestPaths, seeds, targets []NodeID) bool {
+	g := ov.live()
 	lay := pick(g)
 	if lay == nil {
 		return false
@@ -274,10 +261,14 @@ func (a *Arena) DijkstraSeeded(g *Graph, sp *ShortestPaths, seeds, targets []Nod
 	ss := a.ds.seeds[:0]
 	for _, s := range seeds {
 		if fs.NodeFailed(s) {
-			sp.Dist[s], sp.Parent[s], sp.ParentEdge[s] = math.Inf(1), None, NoEdge
+			sp.Dist[s], sp.ParentEdge[s] = math.Inf(1), NoEdge
 			continue
 		}
-		ss = append(ss, deltaSeed{d: sp.Dist[s], v: int32(s)})
+		p := None
+		if e := sp.ParentEdge[s]; e != NoEdge {
+			p = ov.Edge(e).Other(s)
+		}
+		ss = append(ss, deltaSeed{d: sp.Dist[s], v: int32(s), p: p})
 	}
 	slices.SortFunc(ss, func(x, y deltaSeed) int {
 		if c := cmp.Compare(x.d, y.d); c != 0 {
@@ -305,7 +296,6 @@ func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
 	c := g.csr()
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
-		sp.Parent[i] = None
 		sp.ParentEdge[i] = NoEdge
 	}
 	fs := g.block.blocked.Load()
@@ -332,7 +322,6 @@ func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
 				nd := du + g.edges[c.eid[i]].Cost
 				if nd < sp.Dist[v] {
 					sp.Dist[v] = nd
-					sp.Parent[v] = NodeID(u)
 					sp.ParentEdge[v] = EdgeID(c.eid[i])
 					h.Update(v, nd)
 				}
@@ -349,7 +338,6 @@ func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
 			nd := du + ov.edges[int(arc.Edge)-ov.m0].Cost
 			if nd < sp.Dist[v] {
 				sp.Dist[v] = nd
-				sp.Parent[v] = NodeID(u)
 				sp.ParentEdge[v] = arc.Edge
 				h.Update(int32(v), nd)
 			}

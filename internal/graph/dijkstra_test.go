@@ -67,23 +67,25 @@ func verifyTree(t *testing.T, g *Graph, sp *ShortestPaths) {
 	var chain []EdgeID
 	for v := 0; v < g.NumNodes(); v++ {
 		if !sp.Reachable(NodeID(v)) {
-			if sp.Parent[v] != None || sp.ParentEdge[v] != NoEdge {
-				t.Fatalf("unreachable node %d has parent data", v)
+			if sp.ParentEdge[v] != NoEdge {
+				t.Fatalf("unreachable node %d has a parent edge", v)
 			}
 			continue
 		}
 		chain = chain[:0]
-		for cur := NodeID(v); cur != sp.Source; cur = sp.Parent[cur] {
+		for cur := NodeID(v); cur != sp.Source; {
 			e := sp.ParentEdge[cur]
 			if e == NoEdge {
 				t.Fatalf("node %d: parent chain broken at %d", v, cur)
 			}
-			if other := g.Edge(e).Other(cur); other != sp.Parent[cur] {
-				t.Fatalf("node %d: ParentEdge does not join %d and Parent", v, cur)
+			ed := g.Edge(e)
+			if ed.U != cur && ed.V != cur {
+				t.Fatalf("node %d: ParentEdge %d of %d does not touch it", v, e, cur)
 			}
 			if chain = append(chain, e); len(chain) > g.NumNodes() {
 				t.Fatalf("node %d: parent chain cycles", v)
 			}
+			cur = ed.Other(cur)
 		}
 		var sum float64
 		for i := len(chain) - 1; i >= 0; i-- {
@@ -114,7 +116,7 @@ func TestDijkstraZeroCostComponent(t *testing.T) {
 	}
 	again := Dijkstra(g, 2)
 	for v := 0; v < 5; v++ {
-		if sp.Parent[v] != again.Parent[v] || sp.ParentEdge[v] != again.ParentEdge[v] {
+		if sp.ParentEdge[v] != again.ParentEdge[v] {
 			t.Fatalf("tree not deterministic at node %d", v)
 		}
 	}
@@ -128,7 +130,7 @@ func TestDijkstraDeterministic(t *testing.T) {
 	a := Dijkstra(g, 0)
 	b := Dijkstra(g, 0)
 	for v := 0; v < g.NumNodes(); v++ {
-		if a.Parent[v] != b.Parent[v] || a.ParentEdge[v] != b.ParentEdge[v] || a.Dist[v] != b.Dist[v] {
+		if a.ParentEdge[v] != b.ParentEdge[v] || a.Dist[v] != b.Dist[v] {
 			t.Fatalf("non-deterministic tree at node %d", v)
 		}
 	}
@@ -288,10 +290,9 @@ func TestDijkstraBatchMatchesSingle(t *testing.T) {
 				t.Fatalf("seed %d: result %d has source %d, want %d", seed, i, got.Source, s)
 			}
 			for v := 0; v < g.NumNodes(); v++ {
-				if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] || got.ParentEdge[v] != want.ParentEdge[v] {
-					t.Fatalf("seed %d source %d node %d: batch (%v,%d,%d) != single (%v,%d,%d)",
-						seed, s, v, got.Dist[v], got.Parent[v], got.ParentEdge[v],
-						want.Dist[v], want.Parent[v], want.ParentEdge[v])
+				if got.Dist[v] != want.Dist[v] || got.ParentEdge[v] != want.ParentEdge[v] {
+					t.Fatalf("seed %d source %d node %d: batch (%v,%d) != single (%v,%d)",
+						seed, s, v, got.Dist[v], got.ParentEdge[v], want.Dist[v], want.ParentEdge[v])
 				}
 			}
 		}
@@ -325,7 +326,6 @@ func BellmanFord(g *Graph, src NodeID) *ShortestPaths {
 	sp := newShortestPaths(src, n)
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
-		sp.Parent[i] = None
 		sp.ParentEdge[i] = NoEdge
 	}
 	fs := g.block.blocked.Load()
@@ -342,13 +342,11 @@ func BellmanFord(g *Graph, src NodeID) *ShortestPaths {
 			}
 			if sp.Dist[e.U]+e.Cost < sp.Dist[e.V] {
 				sp.Dist[e.V] = sp.Dist[e.U] + e.Cost
-				sp.Parent[e.V] = e.U
 				sp.ParentEdge[e.V] = EdgeID(id)
 				changed = true
 			}
 			if sp.Dist[e.V]+e.Cost < sp.Dist[e.U] {
 				sp.Dist[e.U] = sp.Dist[e.V] + e.Cost
-				sp.Parent[e.U] = e.V
 				sp.ParentEdge[e.U] = EdgeID(id)
 				changed = true
 			}

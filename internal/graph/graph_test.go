@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -134,26 +135,52 @@ func TestDijkstraDiamond(t *testing.T) {
 			t.Errorf("Dist[%d] = %v, want %v", i, got, w)
 		}
 	}
-	path := sp.PathTo(3)
-	wantPath := []NodeID{0, 1, 2, 3}
-	if len(path) != len(wantPath) {
-		t.Fatalf("PathTo(3) = %v, want %v", path, wantPath)
+}
+
+// TestPath walks trees through Path: a diamond, the source itself, an
+// unreachable node, and a multigraph whose tree reaches each node over
+// the later, cheaper of two parallel edges, so a walk that took the first
+// edge between two nodes instead of the recorded one would differ. The
+// edges always sum to the target's distance.
+func TestPath(t *testing.T) {
+	multi := New(3, 4)
+	for i := 0; i < 3; i++ {
+		multi.AddSwitch("")
 	}
-	for i := range path {
-		if path[i] != wantPath[i] {
-			t.Fatalf("PathTo(3) = %v, want %v", path, wantPath)
+	multi.MustAddEdge(0, 1, 5)
+	multi.MustAddEdge(0, 1, 2)
+	multi.MustAddEdge(1, 2, 4)
+	multi.MustAddEdge(1, 2, 1)
+	isolated := New(2, 0)
+	isolated.AddSwitch("")
+	isolated.AddSwitch("")
+	for _, c := range []struct {
+		name   string
+		g      *Graph
+		src, t NodeID
+		nodes  []NodeID // nil when t is unreachable
+		edges  []EdgeID
+	}{
+		{"diamond", buildDiamond(t), 0, 3, []NodeID{0, 1, 2, 3}, []EdgeID{0, 2, 4}},
+		{"source", buildDiamond(t), 2, 2, []NodeID{2}, nil},
+		{"unreachable", isolated, 0, 1, nil, nil},
+		{"parallel edges", multi, 0, 2, []NodeID{0, 1, 2}, []EdgeID{1, 3}},
+	} {
+		sp := Dijkstra(c.g, c.src)
+		nodes, edges := sp.Path(c.g, c.t)
+		if !slices.Equal(nodes, c.nodes) || !slices.Equal(edges, c.edges) {
+			t.Fatalf("%s: Path = %v, %v, want %v, %v", c.name, nodes, edges, c.nodes, c.edges)
 		}
-	}
-	edges := sp.EdgesTo(3)
-	if len(edges) != 3 {
-		t.Fatalf("EdgesTo(3) = %v, want 3 edges", edges)
-	}
-	var sum float64
-	for _, e := range edges {
-		sum += g.EdgeCost(e)
-	}
-	if math.Abs(sum-sp.Dist[3]) > 1e-9 {
-		t.Fatalf("edge sum %v != dist %v", sum, sp.Dist[3])
+		if (nodes == nil) != (c.nodes == nil) {
+			t.Fatalf("%s: Path nodes = %#v, want nil exactly when unreachable", c.name, nodes)
+		}
+		sum := 0.0
+		for _, e := range edges {
+			sum += c.g.EdgeCost(e)
+		}
+		if nodes != nil && sum != sp.Dist[c.t] {
+			t.Fatalf("%s: edges sum to %v, Dist is %v", c.name, sum, sp.Dist[c.t])
+		}
 	}
 }
 
@@ -165,11 +192,8 @@ func TestDijkstraUnreachable(t *testing.T) {
 	if sp.Reachable(b) {
 		t.Fatal("b should be unreachable")
 	}
-	if sp.PathTo(b) != nil {
-		t.Fatal("PathTo unreachable should be nil")
-	}
-	if sp.EdgesTo(b) != nil {
-		t.Fatal("EdgesTo unreachable should be nil")
+	if sp.ParentEdge[b] != NoEdge {
+		t.Fatalf("unreachable b has parent edge %d", sp.ParentEdge[b])
 	}
 }
 

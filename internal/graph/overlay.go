@@ -131,12 +131,19 @@ func (o *Overlay) Dijkstra(src NodeID) *ShortestPaths {
 }
 
 func (o *Overlay) dijkstra(a *Arena, src NodeID) *ShortestPaths {
-	if n, m := o.base.NumNodes(), o.base.NumEdges(); n != o.n0 || m != o.m0 {
-		panic(fmt.Sprintf("graph: overlay base grew from %d nodes, %d edges to %d, %d", o.n0, o.m0, n, m))
-	}
+	g := o.live()
 	n := o.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(o.base, o, a, sp)
+	dijkstraHeap(g, o, a, sp)
 	return sp
+}
+
+// live returns the base, and panics if its topology grew after the
+// overlay was made: the appended ids would collide with the new ones.
+func (o *Overlay) live() *Graph {
+	if n, m := o.base.NumNodes(), o.base.NumEdges(); n != o.n0 || m != o.m0 {
+		panic(fmt.Sprintf("graph: overlay base grew from %d nodes, %d edges to %d, %d", o.n0, o.m0, n, m))
+	}
+	return o.base
 }

@@ -164,8 +164,8 @@ func RepairTree(g *Graph, base *ShortestPaths) *ShortestPaths {
 // current state would build, derived from base, an earlier tree over g.
 // It returns base itself when nothing the tree depends on has changed,
 // a new tree when it could repair base, and nil when only a full run can
-// build the tree. A returned tree is bit for bit the full run's: Dist,
-// Parent and ParentEdge.
+// build the tree. A returned tree is bit for bit the full run's: Dist and
+// ParentEdge, the two arrays a repair copies from base and patches.
 //
 // It returns nil unless all of these hold: g's costs admit a bucket width,
 // which a zero-cost or absorbed arc rules out (see pick); delta-stepping
@@ -275,10 +275,9 @@ func (a *Arena) repair(g *Graph, lay *deltaLayout, fs *FailState, base *Shortest
 	// seed is the length of a real path, so an upper bound.
 	inf := math.Inf(1)
 	dist := append([]float64(nil), base.Dist...)
-	parent := append([]NodeID(nil), base.Parent...)
 	pedge := append([]EdgeID(nil), base.ParentEdge...)
 	for _, v := range inv {
-		dist[v], parent[v], pedge[v] = inf, None, NoEdge
+		dist[v], pedge[v] = inf, NoEdge
 	}
 	h := &a.h
 	seed := func(v int32) {
@@ -336,7 +335,7 @@ func (a *Arena) repair(g *Graph, lay *deltaLayout, fs *FailState, base *Shortest
 			return
 		}
 		fixed[v] = gen
-		deriveParent(lay, dist, parent, pedge, v)
+		deriveParent(lay, dist, pedge, v)
 	}
 	for _, u := range popped {
 		derive(u)
@@ -358,7 +357,6 @@ func (a *Arena) repair(g *Graph, lay *deltaLayout, fs *FailState, base *Shortest
 	return &ShortestPaths{
 		Source:     base.Source,
 		Dist:       dist,
-		Parent:     parent,
 		ParentEdge: pedge,
 		built:      treeStamp{g: g, epoch: lay.epoch, edges: lay.edges},
 	}
@@ -386,22 +384,18 @@ func relaxFrom(row, to []int32, cost, dist []float64, h *IndexedHeap, u int32, d
 	}
 }
 
-// deriveParent sets v's parent to the one delta-stepping commits: the
-// tight arc (u, v) whose tail minimizes (dist[u], u). Among parallel
+// deriveParent sets v's parent edge to the one delta-stepping commits:
+// the tight arc (u, v) whose tail minimizes (dist[u], u). Among parallel
 // arcs the first one in layout order wins, light arcs before heavy ones,
 // which is the order deltaRun.relax commits them in. An unreachable node
-// gets no parent.
-func deriveParent(lay *deltaLayout, dist []float64, parent []NodeID, pedge []EdgeID, v int32) {
-	bu, be := int32(-1), int32(-1)
+// gets NoEdge.
+func deriveParent(lay *deltaLayout, dist []float64, pedge []EdgeID, v int32) {
+	bu, be := int32(-1), int32(NoEdge)
 	if d := dist[v]; !math.IsInf(d, 1) {
 		bu, be = tightest(lay.lrow, lay.lto, lay.leid, lay.lcost, dist, v, d, bu, be)
-		bu, be = tightest(lay.hrow, lay.hto, lay.heid, lay.hcost, dist, v, d, bu, be)
+		_, be = tightest(lay.hrow, lay.hto, lay.heid, lay.hcost, dist, v, d, bu, be)
 	}
-	if bu < 0 {
-		parent[v], pedge[v] = None, NoEdge
-		return
-	}
-	parent[v], pedge[v] = NodeID(bu), EdgeID(be)
+	pedge[v] = EdgeID(be)
 }
 
 // tightest scans v's arcs row[v]:row[v+1] for tight arcs, dist[u] +

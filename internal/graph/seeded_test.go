@@ -37,11 +37,11 @@ func zeroFree(g *Graph) *Graph {
 	return g
 }
 
-// unreachedRows returns result arrays of n rows, all +Inf/None/NoEdge.
+// unreachedRows returns result arrays of n rows, all +Inf/NoEdge.
 func unreachedRows(src NodeID, n int) *ShortestPaths {
 	sp := newShortestPaths(src, n)
 	for i := range sp.Dist {
-		sp.Dist[i], sp.Parent[i], sp.ParentEdge[i] = math.Inf(1), None, NoEdge
+		sp.Dist[i], sp.ParentEdge[i] = math.Inf(1), NoEdge
 	}
 	return sp
 }
@@ -52,7 +52,7 @@ func plainSeeded(t *testing.T, a *Arena, g *Graph, src NodeID, targets []NodeID)
 	t.Helper()
 	sp := unreachedRows(src, g.NumNodes())
 	sp.Dist[src] = 0
-	if !a.DijkstraSeeded(g, sp, []NodeID{src}, targets) {
+	if !a.DijkstraSeeded(NewOverlay(g), sp, []NodeID{src}, targets) {
 		t.Fatal("seeded run refused a zero-free graph")
 	}
 	return sp
@@ -60,8 +60,8 @@ func plainSeeded(t *testing.T, a *Arena, g *Graph, src NodeID, targets []NodeID)
 
 // checkTruncated pins a truncated seeded run against the full run over
 // the same instance, at g's nodes. Every node the truncated run settled
-// carries the full run's Dist, Parent and ParentEdge; every other node
-// reads +Inf/None/NoEdge. Every reachable target is settled, and the
+// carries the full run's Dist and ParentEdge; every other node reads
+// +Inf/NoEdge. Every reachable target is settled, and the
 // settled set is a prefix of whole buckets: it holds every node strictly
 // closer than the farthest target and nothing past that target's bucket.
 // It reports whether the run stopped before settling everything
@@ -81,17 +81,17 @@ func checkTruncated(t *testing.T, label string, g *Graph, got, full *ShortestPat
 	truncated := false
 	for v := 0; v < g.NumNodes(); v++ {
 		if got.Reachable(NodeID(v)) {
-			if got.Dist[v] != full.Dist[v] || got.Parent[v] != full.Parent[v] || got.ParentEdge[v] != full.ParentEdge[v] {
-				t.Fatalf("%s node %d: truncated (%v,%d,%d) != full (%v,%d,%d)", label, v,
-					got.Dist[v], got.Parent[v], got.ParentEdge[v], full.Dist[v], full.Parent[v], full.ParentEdge[v])
+			if got.Dist[v] != full.Dist[v] || got.ParentEdge[v] != full.ParentEdge[v] {
+				t.Fatalf("%s node %d: truncated (%v,%d) != full (%v,%d)", label, v,
+					got.Dist[v], got.ParentEdge[v], full.Dist[v], full.ParentEdge[v])
 			}
 			if full.Dist[v] > stop && int64(full.Dist[v]*inv) > int64(stop*inv) {
 				t.Fatalf("%s: node %d at %v settled past the farthest target's bucket, at %v", label, v, full.Dist[v], stop)
 			}
 			continue
 		}
-		if got.Parent[v] != None || got.ParentEdge[v] != NoEdge {
-			t.Fatalf("%s: unsettled node %d kept parent data (%d,%d)", label, v, got.Parent[v], got.ParentEdge[v])
+		if got.ParentEdge[v] != NoEdge {
+			t.Fatalf("%s: unsettled node %d kept parent edge %d", label, v, got.ParentEdge[v])
 		}
 		if full.Reachable(NodeID(v)) {
 			truncated = true
@@ -144,7 +144,7 @@ func TestSeededTruncationMatchesFullRun(t *testing.T) {
 		}
 		pooled := unreachedRows(0, n)
 		pooled.Dist[0] = 0
-		if !DijkstraSeeded(g, pooled, []NodeID{0}, []NodeID{1}) {
+		if !DijkstraSeeded(NewOverlay(g), pooled, []NodeID{0}, []NodeID{1}) {
 			t.Fatalf("seed %d: pooled seeded run refused a zero-free graph", seed)
 		}
 		if want := plainSeeded(t, arena, g, 0, []NodeID{1}); !reflect.DeepEqual(pooled, want) {
@@ -177,8 +177,8 @@ func TestSeededSourceAndEmptyTargets(t *testing.T) {
 			t.Fatalf("node %d settled past the bucket of the run's only target, its source", v)
 		}
 	}
-	if got.Dist[2] != 0 || got.Parent[2] != None || got.ParentEdge[2] != NoEdge {
-		t.Fatalf("source entry = (%v,%d,%d), want (0,None,NoEdge)", got.Dist[2], got.Parent[2], got.ParentEdge[2])
+	if got.Dist[2] != 0 || got.ParentEdge[2] != NoEdge {
+		t.Fatalf("source entry = (%v,%d), want (0,NoEdge)", got.Dist[2], got.ParentEdge[2])
 	}
 
 	for _, c := range []struct {
@@ -213,7 +213,7 @@ func TestSeededSourceAndEmptyTargets(t *testing.T) {
 		sp.Dist[2] = c.d
 		want := unreachedRows(2, c.g.NumNodes())
 		want.Dist[2] = c.d
-		if a.DijkstraSeeded(c.g, sp, []NodeID{2}, nil) {
+		if a.DijkstraSeeded(NewOverlay(c.g), sp, []NodeID{2}, nil) {
 			t.Errorf("%s: seeded run ran", c.name)
 		}
 		if !reflect.DeepEqual(sp, want) {
@@ -245,7 +245,7 @@ func TestSeededTruncationLeavesArenaClean(t *testing.T) {
 				} else {
 					c := seededCase(seed*64+int64(src), seededRegimes[2]) // spread: seeds left unadmitted
 					sp, seeds := c.rows()
-					arena.DijkstraSeeded(c.ov.base, sp, seeds, c.targets)
+					arena.DijkstraSeeded(c.ov, sp, seeds, c.targets)
 				}
 				next := NodeID((src + 5) % other.NumNodes())
 				got := v.run(arena, other, next)
@@ -314,7 +314,7 @@ func (h gHat) rows() (*ShortestPaths, []NodeID) {
 	sp := unreachedRows(h.sHat, ov.NumNodes())
 	sp.Dist[h.sHat] = 0
 	for _, a := range ov.appended(h.sHat) {
-		sp.Dist[a.To], sp.Parent[a.To], sp.ParentEdge[a.To] = 0, h.sHat, a.Edge
+		sp.Dist[a.To], sp.ParentEdge[a.To] = 0, a.Edge
 	}
 	for _, a := range ov.appended(h.sHat) {
 		for _, b := range ov.appended(a.To) {
@@ -322,7 +322,7 @@ func (h gHat) rows() (*ShortestPaths, []NodeID) {
 				continue
 			}
 			if c := ov.Edge(b.Edge).Cost; c < sp.Dist[b.To] {
-				sp.Dist[b.To], sp.Parent[b.To], sp.ParentEdge[b.To] = c, a.To, b.Edge
+				sp.Dist[b.To], sp.ParentEdge[b.To] = c, b.Edge
 			}
 		}
 	}
@@ -333,7 +333,7 @@ func (h gHat) rows() (*ShortestPaths, []NodeID) {
 		}
 		for _, b := range ov.appended(x) {
 			if int(b.To) < n0 {
-				sp.Dist[b.To], sp.Parent[b.To], sp.ParentEdge[b.To] = sp.Dist[x], x, b.Edge
+				sp.Dist[b.To], sp.ParentEdge[b.To] = sp.Dist[x], b.Edge
 				seeds = append(seeds, b.To)
 			}
 		}
@@ -348,7 +348,7 @@ func (h gHat) finish(sp *ShortestPaths) {
 	for x := h.sHat + 1; int(x) < h.ov.NumNodes(); x++ {
 		for _, b := range h.ov.appended(x) {
 			if int(b.To) < h.ov.n0 && sp.Dist[b.To] < sp.Dist[x] {
-				sp.Dist[x], sp.Parent[x], sp.ParentEdge[x] = sp.Dist[b.To], b.To, b.Edge
+				sp.Dist[x], sp.ParentEdge[x] = sp.Dist[b.To], b.Edge
 			}
 		}
 	}
@@ -545,7 +545,7 @@ func checkSeeded(t *testing.T, label string, a *Arena, h gHat) (refused, truncat
 	for _, s := range seeds {
 		refused = refused || !g.Blocked().NodeFailed(s) && sp.Dist[s] >= 1e17
 	}
-	if a.DijkstraSeeded(g, sp, seeds, nil) == refused {
+	if a.DijkstraSeeded(h.ov, sp, seeds, nil) == refused {
 		t.Fatalf("%s: seeded run ran: %v, want %v", label, refused, !refused)
 	}
 	if refused {
@@ -560,13 +560,13 @@ func checkSeeded(t *testing.T, label string, a *Arena, h gHat) (refused, truncat
 		return false, false
 	}
 	sp, seeds = h.rows()
-	a.DijkstraSeeded(g, sp, seeds, h.targets)
+	a.DijkstraSeeded(h.ov, sp, seeds, h.targets)
 	return false, checkTruncated(t, label+" truncated", g, sp, want, h.targets)
 }
 
 // TestSeededRunMatchesHeap pins the seeded run to the heap's run over a
 // Ĝ-shaped overlay, under every cost regime of seededRegimes, through one
-// arena: Dist bits, Parent and ParentEdge at every row of a full run, and
+// arena: Dist bits and ParentEdge at every row of a full run, and
 // at every node a truncated run settled.
 func TestSeededRunMatchesHeap(t *testing.T) {
 	a := NewArena()

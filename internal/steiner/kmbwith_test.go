@@ -99,8 +99,8 @@ func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 }
 
 // refExpand is the map-based KMB expansion the production expand is pinned
-// to: the closure edges' paths (EdgesTo and PathTo) collected into edge and
-// node sets, Kruskal over the edge set by (cost, id) with a map union-find,
+// to: the closure edges' paths, walked hop by hop over each node's parent
+// edge, collected into edge and node sets, Kruskal over the edge set by (cost, id) with a map union-find,
 // leaf-peeling prune over degree and incidence maps, then sorted nodes and
 // edges with the cost summed in edge-id order.
 func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
@@ -110,12 +110,12 @@ func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPa
 		nodeSet[tm] = true
 	}
 	for _, ce := range closureEdges {
-		b := terminals[ce.b]
-		for _, e := range trees[ce.a].EdgesTo(b) {
+		sp := trees[ce.a]
+		for v := terminals[ce.b]; sp.ParentEdge[v] != graph.NoEdge; {
+			e := sp.ParentEdge[v]
 			edgeSet[e] = true
-		}
-		for _, n := range trees[ce.a].PathTo(b) {
-			nodeSet[n] = true
+			v = g.Edge(e).Other(v)
+			nodeSet[v] = true
 		}
 	}
 	tree := &Tree{}

@@ -284,29 +284,30 @@ type pathEdge struct {
 
 // expand turns the closure MST into KMB's tree: each closure edge becomes
 // its shortest path, then the MST of the union of those paths is pruned
-// of non-terminal leaves. The paths are read from the trees' Parent and
-// ParentEdge arrays, one record read per hop. A node's local index is
-// the order the run met it in, so the terminals are 0 to t-1. One sort
-// by (cost, id), a total order, both drops the edges two paths share and
-// gives Kruskal its order, and the pruned tree is the unique minimal
-// subtree of the MST spanning the terminals, so the tree depends only on
-// the paths. Nodes and Edges come out ascending, and Cost is summed in
-// edge-id order.
+// of non-terminal leaves. The paths are read from the trees' ParentEdge
+// arrays, one record read per hop, whose other end is the next hop. A
+// node's local index is the order the run met it in, so the terminals
+// are 0 to t-1. One sort by (cost, id), a total order, both drops the
+// edges two paths share and gives Kruskal its order, and the pruned tree
+// is the unique minimal subtree of the MST spanning the terminals, so
+// the tree depends only on the paths. Nodes and Edges come out
+// ascending, and Cost is summed in edge-id order.
 func (s *scratch) expand(g EdgeSource) *Tree {
 	t := int32(len(s.terms))
 	top := 0
 	for _, sp := range s.trees {
-		top = max(top, len(sp.Parent))
+		top = max(top, len(sp.ParentEdge))
 	}
 	s.cover(top)
 	s.nodes = append(s.nodes[:0], s.terms...)
 	s.edges = s.edges[:0]
 	for _, ce := range s.closure {
 		sp := s.trees[ce.a]
-		for v := s.terms[ce.b]; sp.Parent[v] != graph.None; v = sp.Parent[v] {
+		for v := s.terms[ce.b]; sp.ParentEdge[v] != graph.NoEdge; {
 			id := sp.ParentEdge[v]
 			e := g.Edge(id)
 			s.edges = append(s.edges, pathEdge{id: id, cost: e.Cost, u: s.local(e.U), v: s.local(e.V)})
+			v = e.Other(v)
 		}
 	}
 	slices.SortFunc(s.edges, func(a, b pathEdge) int {

@@ -245,8 +245,12 @@ func (f *Forest) RemoveVNF(j int) error { return f.f.RemoveVNF(j) }
 // invalidates the session's stale trees via the epoch). Segments that
 // cannot be moved (e.g. severed by failures) stay on e and their causes
 // come back joined in the error, alongside the count that did move — a
-// partial reroute is progress, not an abort.
+// partial reroute is progress, not an abort. A link outside the network
+// is rejected, and nothing moves.
 func (f *Forest) RerouteCongestedLink(e EdgeID) (int, error) {
+	if !f.net.g.ValidEdge(e) {
+		return 0, fmt.Errorf("sof: no link %d", e)
+	}
 	return f.f.RerouteCongestedEdge(f.oracle, e)
 }
 

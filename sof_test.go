@@ -142,6 +142,61 @@ func TestPublicAPIDynamics(t *testing.T) {
 	}
 }
 
+// TestRerouteCongestedLink rejects links outside the network, -1 (a
+// root clone's missing uplink) and one past the last link, without moving
+// anything, and moves the one segment on a used link once SetLinkCost
+// has made that link dearer than the detour.
+func TestRerouteCongestedLink(t *testing.T) {
+	b := NewNetworkBuilder()
+	s := b.AddSwitch("s")
+	v1 := b.AddVM("v1", 1)
+	v2 := b.AddVM("v2", 1)
+	a := b.AddSwitch("a")
+	c := b.AddSwitch("c")
+	d := b.AddSwitch("d")
+	b.Link(s, v1, 1)
+	b.Link(v1, v2, 1)
+	b.Link(v2, a, 1)
+	congested := b.Link(a, d, 1)
+	b.Link(v2, c, 2)
+	b.Link(c, d, 2)
+	net, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewSolver(net).Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := func(e EdgeID) bool { return slices.Contains(f.Internal().Footprint().Edges, e) }
+	if !uses(congested) {
+		t.Fatalf("forest does not use link %d (a–d)", congested)
+	}
+	cost := f.TotalCost()
+	for _, e := range []EdgeID{-1, EdgeID(net.Graph().NumEdges())} {
+		moved, err := f.RerouteCongestedLink(e)
+		if want := fmt.Sprintf("sof: no link %d", e); err == nil || err.Error() != want {
+			t.Fatalf("RerouteCongestedLink(%d) error = %v, want %q", e, err, want)
+		}
+		if moved != 0 || f.TotalCost() != cost {
+			t.Fatalf("RerouteCongestedLink(%d) moved %d segments, cost %v → %v", e, moved, cost, f.TotalCost())
+		}
+	}
+	if err := net.SetLinkCost(congested, 10); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := f.RerouteCongestedLink(congested)
+	if err != nil || moved != 1 {
+		t.Fatalf("RerouteCongestedLink(%d) = %d, %v, want 1, nil", congested, moved, err)
+	}
+	if uses(congested) {
+		t.Fatalf("forest still uses link %d after the reroute", congested)
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNetworkCostSettersRejectInvalid: the public cost setters reject
 // what Build rejects — an unknown link or node, a switch given a setup
 // cost, a negative, NaN or infinite cost — and a rejected call leaves
