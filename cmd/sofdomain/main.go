@@ -30,6 +30,7 @@ import (
 	"syscall"
 
 	"sof/internal/chain"
+	"sof/internal/dist"
 	distrpc "sof/internal/dist/rpc"
 	"sof/internal/exp"
 )
@@ -55,8 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds := distrpc.NewDomainServer(network.G, chain.Options{SourceSetupCost: *sourceSetup})
-	srv := distrpc.Serve(lis, ds)
+	srv := distrpc.Serve(lis, dist.NewDomain(network.G, chain.Options{SourceSetupCost: *sourceSetup}))
 	log.Printf("serving %s (seed %d, %d nodes, %d VMs, cost epoch %d) on %s",
 		*netKind, *seed, network.G.NumNodes(), len(network.VMs), network.G.CostEpoch(), srv.Addr())
 

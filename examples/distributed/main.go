@@ -1,6 +1,7 @@
 // Distributed scenario: the SoftLayer network is split into three
 // controller domains and embedded twice (Section VI) — once with the
-// in-process channel transport (domains are worker goroutines), and once
+// in-process channel transport (domains answer on the leader's own
+// goroutines), and once
 // with domains behind real TCP servers on loopback listeners, each owning
 // its own reconstruction of the network, the way separate OS processes
 // would (see cmd/sofdomain for the standalone binary). Either way domains
@@ -51,15 +52,15 @@ func main() {
 	req := core.Request{Sources: sources, Dests: dests, ChainLen: 2}
 	opts := dist.Options{Core: &core.Options{VMs: leaderNet.VMs}}
 
-	// In-process transport: domains are worker goroutines with private
-	// oracles, fed through channels.
+	// In-process transport: domains with private oracles, each answering
+	// on the leader goroutine that streams its pairs.
 	cluster := dist.NewCluster(leaderNet.G, domains, chain.Options{})
 	inproc, err := cluster.SOFDA(context.Background(), req, opts)
 	cluster.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed (inproc):     cost=%.2f trees=%d (%d channel domains)\n",
+	fmt.Printf("distributed (inproc):     cost=%.2f trees=%d (%d in-process domains)\n",
 		inproc.TotalCost(), inproc.NumTrees(), domains)
 
 	// RPC transport: each domain server rebuilds the network from the same
@@ -71,7 +72,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := distrpc.Serve(lis, distrpc.NewDomainServer(build().G, chain.Options{}))
+		srv := distrpc.Serve(lis, dist.NewDomain(build().G, chain.Options{}))
 		defer srv.Close()
 		addrs[i] = srv.Addr()
 	}

@@ -26,8 +26,8 @@ type Result struct {
 }
 
 // Pairs enumerates the candidate (source, lastVM) pairs of Procedure 3 in
-// the canonical order buildAuxGraph iterates them: sources outermost (with
-// multiplicity), VMs innermost, skipping self-pairs. The distributed
+// the canonical order core.AuxGraphBuilder is fed them: sources outermost
+// (with multiplicity), VMs innermost, skipping self-pairs. The distributed
 // leader relies on this order to reproduce the centralized auxiliary graph
 // bit for bit.
 func Pairs(sources, vms []graph.NodeID) []Pair {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sof/internal/chain"
@@ -36,23 +37,16 @@ func auxBuilderInstance(t *testing.T, seed int64) (*topology.Network, Request, *
 	return net, req, opts, candidates
 }
 
-// TestAuxBuilderMatchesBatchPath feeds the centralized candidate set
-// through the incremental builder one chain at a time — with and without
-// pruning — and pins the forest cost to SOFDAFromCandidates and to the
-// direct SOFDA solve.
+// TestAuxBuilderMatchesBatchPath feeds the centralized candidate set,
+// computed on a separate oracle, through the builder one chain at a time —
+// with and without pruning — and pins the forest cost to the direct SOFDA
+// solve, which builds Ĝ from its own oracle's batch.
 func TestAuxBuilderMatchesBatchPath(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts, candidates := auxBuilderInstance(t, seed)
 		direct, err := SOFDACtx(context.Background(), net.G, req, opts)
 		if err != nil {
 			t.Fatalf("seed %d: SOFDA: %v", seed, err)
-		}
-		batch, err := SOFDAFromCandidatesCtx(context.Background(), net.G, req, opts, candidates)
-		if err != nil {
-			t.Fatalf("seed %d: batch from candidates: %v", seed, err)
-		}
-		if batch.TotalCost() != direct.TotalCost() {
-			t.Errorf("seed %d: batch-from-candidates %v != SOFDA %v", seed, batch.TotalCost(), direct.TotalCost())
 		}
 		for _, prune := range []bool{false, true} {
 			b, err := NewAuxGraphBuilder(net.G, req, opts)
@@ -153,7 +147,16 @@ func TestDominatedPairNeverEntersAuxGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SOFDAFromCandidatesCtx(context.Background(), g, req, nil, []*chain.ServiceChain{chainNear, chainFar})
+	unpruned, err := NewAuxGraphBuilder(g, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []*chain.ServiceChain{chainNear, chainFar} {
+		if ok, err := unpruned.AddCandidate(sc); err != nil || !ok {
+			t.Fatalf("unpruned builder: ok=%v err=%v", ok, err)
+		}
+	}
+	full, err := unpruned.Complete(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +195,36 @@ func TestAuxBuilderRejectsForeignChains(t *testing.T) {
 	if ok, err := b.AddCandidate(short); err != nil || ok {
 		t.Errorf("wrong-length chain: ok=%v err=%v, want skipped", ok, err)
 	}
-	if _, err := NewAuxGraphBuilder(net.G, Request{Sources: req.Sources, Dests: req.Dests, ChainLen: 0}, opts); err == nil {
-		t.Error("builder accepted chainLen 0")
+}
+
+// TestAuxBuilderChainLenZero: at chain length 0 the skeleton is the whole
+// Ĝ. The builder skips every chain it is fed, a chain without VMs
+// included, and completes to SOFDACtx's forest.
+func TestAuxBuilderChainLenZero(t *testing.T) {
+	for _, seed := range []int64{1, 7, 23, 42} {
+		net, req, opts, candidates := auxBuilderInstance(t, seed)
+		req.ChainLen = 0
+		want, err := SOFDACtx(context.Background(), net.G, req, opts)
+		if err != nil {
+			t.Fatalf("seed %d: SOFDA: %v", seed, err)
+		}
+		b, err := NewAuxGraphBuilder(net.G, req, opts)
+		if err != nil {
+			t.Fatalf("seed %d: builder: %v", seed, err)
+		}
+		empty := candidates[0].Clone()
+		empty.VMs = nil
+		for _, sc := range append(candidates, empty) {
+			if ok, err := b.AddCandidate(sc); err != nil || ok {
+				t.Fatalf("seed %d: chain %d→%d: ok=%v err=%v, want skipped", seed, sc.Source, sc.LastVM, ok, err)
+			}
+		}
+		got, err := b.Complete(context.Background())
+		if err != nil {
+			t.Fatalf("seed %d: Complete: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: builder forest (cost %v) differs from SOFDACtx's (cost %v)", seed, got.TotalCost(), want.TotalCost())
+		}
 	}
 }

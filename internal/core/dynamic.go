@@ -299,8 +299,12 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 // is left on its old parent edge; the sweep continues to the remaining
 // clones and the per-clone causes come back joined (errors.Join) alongside
 // the count of clones that did move, so callers see partial progress
-// instead of an all-or-nothing abort.
+// instead of an all-or-nothing abort. An edge outside the network is
+// rejected before the sweep, and nothing moves.
 func (f *Forest) RerouteCongestedEdge(oracle *chain.Oracle, e graph.EdgeID) (int, error) {
+	if !f.g.ValidEdge(e) {
+		return 0, fmt.Errorf("core: no edge %d in the network", e)
+	}
 	rerouted := 0
 	var errs []error
 	for id := range f.clones {

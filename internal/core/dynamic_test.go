@@ -201,6 +201,22 @@ func TestRerouteCongestedEdge(t *testing.T) {
 	}
 }
 
+// TestRerouteCongestedEdgeRejectsForeignEdge: an edge outside the network
+// is an error, and the forest stays as it was. NoEdge is every root
+// clone's parent edge, so a sweep for it would reach past the roots.
+func TestRerouteCongestedEdgeRejectsForeignEdge(t *testing.T) {
+	f, oracle, _, _ := buildDynForest(t, 13)
+	for _, e := range []graph.EdgeID{graph.NoEdge, graph.EdgeID(f.Graph().NumEdges())} {
+		before := snapshot(f)
+		if n, err := f.RerouteCongestedEdge(oracle, e); err == nil {
+			t.Errorf("edge %d: rerouted %d clones, want an error", e, n)
+		}
+		if after := snapshot(f); !reflect.DeepEqual(after, before) {
+			t.Errorf("edge %d: the forest changed", e)
+		}
+	}
+}
+
 func TestMigrateOverloadedVM(t *testing.T) {
 	f, oracle, vms, req := buildDynForest(t, 15)
 	usedVMs := f.UsedVMs()

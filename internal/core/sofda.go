@@ -39,9 +39,8 @@ type auxGraph struct {
 // and no VM duplicates exist. Everything is appended in request order —
 // ŝ, then each source's duplicate and ŝ–v̂ edge, then the v̂–v edges or
 // each VM's duplicate and û–u edge — so every build of one request
-// assigns the same ids. Candidate edges are added afterwards — all at
-// once by buildAuxGraph, or one at a time by AuxGraphBuilder as a
-// streamed candidate arrives.
+// assigns the same ids. AuxGraphBuilder adds the candidate edges
+// afterwards, one at a time.
 func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *auxGraph {
 	aux := &auxGraph{
 		g:         graph.NewOverlay(g),
@@ -79,42 +78,13 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 	return aux
 }
 
-// buildAuxGraph constructs Ĝ. For chainLen == 0 the sources connect to
-// their duplicates directly (the problem degenerates to a Steiner forest).
-// Candidate chains for all (source, last VM) pairs are generated
-// concurrently through the oracle's fan-out pool; infeasible pairs
-// (unreachable or too few VMs) are skipped.
-func buildAuxGraph(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, sources, vms []graph.NodeID, chainLen, parallelism int) (*auxGraph, error) {
-	aux := newAuxSkeleton(g, sources, vms, chainLen)
-	if chainLen == 0 {
-		return aux, nil
-	}
-	results, err := oracle.Chains(ctx, vms, chain.Pairs(sources, vms), chainLen, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	feasible := 0
-	for _, r := range results {
-		if r.Err != nil {
-			continue // unreachable or too few VMs via this pair
-		}
-		id := aux.g.MustAddEdge(aux.srcDup[r.Pair.Source], aux.vmDup[r.Pair.LastVM], r.Chain.TotalCost())
-		aux.chains[id] = r.Chain
-		feasible++
-	}
-	if feasible == 0 {
-		return nil, errors.New("core: no feasible candidate service chain for any (source, last VM) pair")
-	}
-	return aux, nil
-}
-
-// AuxGraphBuilder assembles Ĝ incrementally from candidate chains as they
-// arrive: the distributed leader (Section VI) feeds it fragment by
-// fragment while slower domains are still solving, and finalizes into the
-// same completion path SOFDACtx uses.
-// Feed candidates with AddCandidate in the centralized enumeration order
-// and finish with Complete; the resulting forest is identical to handing
-// the same candidates to SOFDAFromCandidatesCtx at once.
+// AuxGraphBuilder assembles Ĝ from candidate chains one at a time, and is
+// the only way Ĝ is built: SOFDACtx feeds it the oracle's whole candidate
+// batch, and the distributed leader (Section VI) feeds it fragment by
+// fragment while slower domains are still solving. Feed candidates with
+// AddCandidate in the centralized enumeration order (chain.Pairs) and
+// finish with Complete; equal candidates in equal order give equal Ĝ, and
+// so equal forests.
 //
 // With EnablePruning, dominated candidates are rejected on arrival and
 // never allocate aux-graph state (no overlay edge, no chain entry).
@@ -157,15 +127,13 @@ type auxCand struct {
 	rank   float64
 }
 
-// NewAuxGraphBuilder validates the request and builds Ĝ's skeleton. It
-// requires chainLen >= 1: with no chains to stream, the problem is a plain
-// Steiner forest and SOFDACtx solves it directly.
+// NewAuxGraphBuilder validates the request and builds Ĝ's skeleton. At
+// chain length 0 the skeleton is the whole Ĝ (the problem degenerates to
+// a Steiner forest): AddCandidate skips every chain, and Complete needs
+// none.
 func NewAuxGraphBuilder(g *graph.Graph, req Request, opts *Options) (*AuxGraphBuilder, error) {
 	if err := req.Validate(g); err != nil {
 		return nil, err
-	}
-	if req.ChainLen < 1 {
-		return nil, errors.New("core: aux-graph builder requires chainLen >= 1 (chainLen 0 degenerates to a Steiner forest)")
 	}
 	o := optsOrDefault(opts)
 	b := &AuxGraphBuilder{g: g, req: req}
@@ -214,8 +182,8 @@ func (b *AuxGraphBuilder) dominated(s, u graph.NodeID, w, rank float64) bool {
 		// dist(u′,u) comes from the oracle's cached tree rooted at u′; an
 		// unreachable u yields +Inf and the strict inequality keeps the
 		// candidate. dist(u,u) == 0 keeps duplicate pairs too (equal cost
-		// never strictly exceeds), matching the batch builder, which adds
-		// duplicate edges verbatim.
+		// never strictly exceeds), as the unpruned builder adds duplicate
+		// edges verbatim.
 		if w > c.cost+b.oracle.Tree(c.lastVM).Dist[u] && rank > c.rank {
 			return true
 		}
@@ -224,12 +192,12 @@ func (b *AuxGraphBuilder) dominated(s, u graph.NodeID, w, rank float64) bool {
 }
 
 // AddCandidate feeds one candidate chain into Ĝ. It reports whether the
-// chain was admitted: nil chains and wrong-length chains are skipped (as
-// the batch path skips them), and with pruning enabled a dominated
+// chain was admitted: nil chains, wrong-length chains and every chain at
+// chain length 0 are skipped, and with pruning enabled a dominated
 // candidate is rejected without allocating any aux-graph state. Chains
 // from sources or to VMs outside the request are an error.
 func (b *AuxGraphBuilder) AddCandidate(sc *chain.ServiceChain) (bool, error) {
-	if sc == nil || len(sc.VMs) != b.req.ChainLen {
+	if sc == nil || b.req.ChainLen == 0 || len(sc.VMs) != b.req.ChainLen {
 		return false, nil
 	}
 	sd, ok := b.aux.srcDup[sc.Source]
@@ -262,38 +230,13 @@ func (b *AuxGraphBuilder) Added() int { return b.added }
 func (b *AuxGraphBuilder) Pruned() int { return b.pruned }
 
 // Complete runs the shared tail of Algorithm 2 (Steiner phase, forest
-// assembly, per-source refinement) over the incrementally built Ĝ.
+// assembly, per-source refinement) over the built Ĝ. At chain length 1 or
+// more it needs at least one admitted candidate.
 func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
-	if b.added == 0 {
-		return nil, errors.New("core: no feasible candidate service chain supplied")
+	if b.added == 0 && b.req.ChainLen > 0 {
+		return nil, errors.New("core: no feasible candidate service chain for any (source, last VM) pair")
 	}
 	return completeForest(ctxOrBackground(ctx), b.g, b.oracle, b.vms, b.req, b.aux)
-}
-
-// SOFDAFromCandidatesCtx runs Algorithm 2's Steiner, conflict-resolution,
-// and assembly phases over externally supplied candidate chains. It is the
-// leader-side entry point of the distributed implementation (Section VI);
-// SOFDACtx itself is equivalent to computing all |S|·|M| candidates
-// centrally and calling this. ctx is observed between the Steiner,
-// assembly, and per-source refinement phases.
-func SOFDAFromCandidatesCtx(ctx context.Context, g *graph.Graph, req Request, opts *Options, candidates []*chain.ServiceChain) (*Forest, error) {
-	ctx = ctxOrBackground(ctx)
-	if req.ChainLen == 0 {
-		if err := req.Validate(g); err != nil {
-			return nil, err
-		}
-		return SOFDACtx(ctx, g, req, opts)
-	}
-	b, err := NewAuxGraphBuilder(g, req, opts)
-	if err != nil {
-		return nil, err
-	}
-	for _, sc := range candidates {
-		if _, err := b.AddCandidate(sc); err != nil {
-			return nil, err
-		}
-	}
-	return b.Complete(ctx)
 }
 
 // completeForest runs the shared tail of Algorithm 2 over a built Ĝ: the
@@ -502,21 +445,38 @@ func (a *auxGraph) isRealEdge(e graph.EdgeID) bool { return int(e) < a.origEdges
 // chains as walks (resolving VNF conflicts per Procedure 4), and attaches
 // the tree's real-edge components to the walks' last VMs. The |S|·|M|
 // candidate chains of Procedure 3 are computed on a worker pool bounded
-// by opts.Parallelism, and ctx is observed throughout.
+// by opts.Parallelism, and ctx is observed throughout. It is the
+// unpruned reference the distributed leader's pruning is pinned to.
 func SOFDACtx(ctx context.Context, g *graph.Graph, req Request, opts *Options) (*Forest, error) {
 	ctx = ctxOrBackground(ctx)
-	if err := req.Validate(g); err != nil {
-		return nil, err
-	}
-	o := optsOrDefault(opts)
-	vms := o.vms(g)
-	oracle := o.oracle(g)
-
-	aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, vms, req.ChainLen, o.Parallelism)
+	b, err := candidateBuilder(ctx, g, req, opts)
 	if err != nil {
 		return nil, err
 	}
-	return completeForest(ctx, g, oracle, vms, req, aux)
+	return b.Complete(ctx)
+}
+
+// candidateBuilder returns SOFDACtx's Ĝ, unpruned: the skeleton plus every
+// feasible candidate chain of the chain.Pairs enumeration, fed in pair
+// order. Infeasible pairs (unreachable, or too few VMs) are skipped.
+func candidateBuilder(ctx context.Context, g *graph.Graph, req Request, opts *Options) (*AuxGraphBuilder, error) {
+	b, err := NewAuxGraphBuilder(g, req, opts)
+	if err != nil || req.ChainLen == 0 {
+		return b, err
+	}
+	results, err := b.oracle.Chains(ctx, b.vms, chain.Pairs(req.Sources, b.vms), req.ChainLen, optsOrDefault(opts).Parallelism)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		if r.Err != nil {
+			continue
+		}
+		if _, err := b.AddCandidate(r.Chain); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // bestSingleTree returns Ĝ tree edges for the cheapest single-chain

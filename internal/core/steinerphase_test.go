@@ -18,7 +18,7 @@ import (
 
 // cloneAux is the reference Ĝ: a Graph.Clone of the network with ŝ, the
 // duplicates, the structural edges and the candidate edges added in the
-// order newAuxSkeleton and the builders use. It returns the clone and ŝ.
+// order newAuxSkeleton and the builder use. It returns the clone and ŝ.
 func cloneAux(g *graph.Graph, req Request, vms []graph.NodeID, cands []*chain.ServiceChain) (*graph.Graph, graph.NodeID) {
 	c := g.Clone()
 	sHat := c.AddSwitch("ŝ")
@@ -278,8 +278,8 @@ func phaseRequest(rng *rand.Rand, g *graph.Graph, chainLen int) Request {
 // into Ĝ and searched by steiner.KMB with its own trees. Each network
 // serves several rounds through one session oracle, with costs, failures
 // and masks moved between rounds, over chain lengths 0–2 and all entry
-// points: SOFDACtx, SOFDAFromCandidatesCtx with repeated candidates
-// (parallel equal-cost virtual edges), and AuxGraphBuilder with pruning.
+// points: SOFDACtx, AuxGraphBuilder fed repeated candidates (parallel
+// equal-cost virtual edges), and AuxGraphBuilder with pruning.
 // Networks with zero-cost links take ŝ's row from the overlay heap; those
 // drawn from the zero-free cost sets take it from the seeded run, which
 // stops once every destination is settled. In "far VMs", every VM costs
@@ -330,8 +330,13 @@ func cloneReferenceRounds(t *testing.T, costs []float64, seeded bool, farVM floa
 			req := phaseRequest(rng, g, round%3)
 			label := fmt.Sprintf("seed %d round %d chainLen %d", seed, round, req.ChainLen)
 
-			aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, vms, req.ChainLen, 1)
-			if err == nil {
+			b, err := candidateBuilder(ctx, g, req, opts)
+			if err != nil {
+				t.Fatalf("%s: Ĝ build: %v", label, err)
+			}
+			aux := b.aux
+			built := req.ChainLen == 0 || b.Added() > 0
+			if built {
 				// ŝ's row is checked before the embed runs, so a wrong row
 				// fails here instead of sending KMB's path walk round a
 				// parent cycle.
@@ -339,9 +344,9 @@ func cloneReferenceRounds(t *testing.T, costs []float64, seeded bool, farVM floa
 				checkSHatRow(t, label, g, ref, aux, req.Dests)
 			}
 			f, ferr := SOFDACtx(ctx, g, req, opts)
-			if err != nil {
+			if !built {
 				if ferr == nil {
-					t.Fatalf("%s: Ĝ build failed (%v), SOFDACtx did not", label, err)
+					t.Fatalf("%s: no candidate entered Ĝ, yet SOFDACtx did not fail", label)
 				}
 				continue
 			}
@@ -368,8 +373,7 @@ func cloneReferenceRounds(t *testing.T, costs []float64, seeded bool, farVM floa
 					}
 				}
 			}
-			f, ferr = SOFDAFromCandidatesCtx(ctx, g, req, opts, cands)
-			b, err := NewAuxGraphBuilder(g, req, opts)
+			b, err = NewAuxGraphBuilder(g, req, opts)
 			if err != nil {
 				t.Fatalf("%s: builder: %v", label, err)
 			}
@@ -378,7 +382,8 @@ func cloneReferenceRounds(t *testing.T, costs []float64, seeded bool, farVM floa
 					t.Fatalf("%s: AddCandidate: %v", label, err)
 				}
 			}
-			checkAgainstClone(t, label+" FromCandidates", g, oracle, vms, req, b.aux, f, ferr)
+			f, ferr = b.Complete(ctx)
+			checkAgainstClone(t, label+" repeated candidates", g, oracle, vms, req, b.aux, f, ferr)
 
 			b, err = NewAuxGraphBuilder(g, req, opts)
 			if err != nil {
@@ -489,8 +494,7 @@ func TestSteinerPhaseOracleAccounting(t *testing.T) {
 // shortest-path run of SOFDA's Steiner phase, on sofda-5k's network shape:
 // Inet-5000 with 500 data centers and 30 VMs, and 40 requests of chain
 // length 2 with 2–4 sources and 4–8 destinations drawn from the first 64
-// access nodes. Each request's Ĝ is built untimed, by buildAuxGraph as
-// SOFDA builds it. The seeded rows run sourceRow, which settles the
+// access nodes. Each request's Ĝ is built untimed, as SOFDA builds it. The seeded rows run sourceRow, which settles the
 // network from Ĝ's seeds with delta-stepping and stops once every
 // destination is settled; the heap rows run the overlay heap over Ĝ in
 // full, the reference the seeded run is pinned to. "initial" keeps the
@@ -522,13 +526,14 @@ func BenchmarkSteinerPhase(b *testing.B) {
 		if !takesSeeded(g) {
 			b.Fatalf("%s costs admit no seeded run", costs)
 		}
-		oracle := chain.NewOracle(g, chain.Options{})
+		opts := &Options{Oracle: chain.NewOracle(g, chain.Options{}), VMs: net.VMs, Parallelism: 1}
 		auxes := make([]*auxGraph, len(reqs))
 		for i, req := range reqs {
-			aux, err := buildAuxGraph(ctx, g, oracle, req.Sources, net.VMs, req.ChainLen, 1)
+			built, err := candidateBuilder(ctx, g, req, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
+			aux := built.aux
 			seeded, heap := sourceRow(g, aux.g, aux.sHat, req.Dests), aux.g.Dijkstra(aux.sHat)
 			for _, d := range req.Dests {
 				if seeded.Dist[d] != heap.Dist[d] || seeded.ParentEdge[d] != heap.ParentEdge[d] {

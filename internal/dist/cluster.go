@@ -3,8 +3,8 @@
 // generates candidate service chains for the sources it owns with its own
 // chain oracle (private Dijkstra cache, private worker pool), and a leader
 // merges the per-domain candidates and completes the forest through
-// core.AuxGraphBuilder, the incremental form of
-// core.SOFDAFromCandidatesCtx.
+// core.AuxGraphBuilder, the builder core.SOFDACtx feeds its own candidate
+// batch to.
 //
 // Because every domain answers its queries with the same deterministic
 // k-stroll reduction the centralized solver uses, and the leader restores
@@ -18,19 +18,18 @@
 // pair index, spliced back into the centralized order). The leader feeds
 // every spliced candidate into the builder, pruning dominated ones, while
 // slower domains are still solving. ChannelTransport keeps the domains
-// in-process (the reference implementation and test double); package
-// dist/rpc carries the same messages over TCP so domains run as separate
-// OS processes. The leader survives transport failure: a failed stream is
-// retried on a budget for its undelivered pairs, which the leader then
-// solves on a local fallback oracle, so a domain crash degrades latency,
-// never correctness.
+// in-process and answers on the leader's own goroutines (the reference
+// implementation and test double); package dist/rpc carries the same
+// messages over TCP so domains run as separate OS processes. The leader
+// survives transport failure: a failed stream is retried on a budget for
+// its undelivered pairs, which the leader then solves on a local fallback
+// oracle, so a domain crash degrades latency, never correctness.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,10 +59,10 @@ type Options struct {
 // Config configures a Cluster beyond the NewCluster defaults.
 type Config struct {
 	// Transport carries the leader↔domain protocol. Nil means an
-	// in-process ChannelTransport, which the cluster then owns and closes;
-	// a supplied transport stays the caller's to close.
+	// in-process ChannelTransport over the cluster's own graph; a
+	// supplied transport stays the caller's to close.
 	Transport Transport
-	// Chain configures the domain oracles of an owned ChannelTransport and
+	// Chain configures the domain oracles of the in-process transport and
 	// the leader's local fallback oracle. For the distributed cost to match
 	// the centralized one it must equal the options remote domains run.
 	Chain chain.Options
@@ -81,13 +80,13 @@ type Config struct {
 // candidate queries across domain controllers by source ownership, moves
 // them over a Transport, and completes the forest from the gathered
 // candidates. Create it with NewCluster or NewClusterWith, run embeddings
-// with SOFDA, and release owned resources with Close.
+// with SOFDA, and end it with Close.
 type Cluster struct {
 	g         *graph.Graph
 	transport Transport
-	// owned is the transport Close tears down (nil when the caller
-	// supplied their own).
-	owned      io.Closer
+	// owned marks the in-process transport NewClusterWith built over the
+	// cluster's own graph, which skips the digest handshake.
+	owned      bool
 	numDomains int
 	numNodes   int
 	cfg        Config
@@ -109,8 +108,8 @@ type Cluster struct {
 	streamOverlapNS  atomic.Int64
 
 	// mu is held read-side for the duration of every SOFDA call and
-	// write-side by Close, so Close cannot pull the transport out from
-	// under an in-flight embedding.
+	// write-side by Close, so Close returns only once the embeddings in
+	// flight have finished.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -142,9 +141,8 @@ func NewClusterWith(g *graph.Graph, numDomains int, cfg Config) *Cluster {
 		transport:  cfg.Transport,
 	}
 	if c.transport == nil {
-		ct := NewChannelTransport(g, numDomains, cfg.Chain)
-		c.transport = ct
-		c.owned = ct
+		c.transport = NewChannelTransport(g, numDomains, cfg.Chain)
+		c.owned = true
 	}
 	return c
 }
@@ -241,7 +239,7 @@ func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*c
 	// verify the graph against itself. Wire/supplied transports get the
 	// real digest.
 	digest := uint64(0)
-	if c.owned == nil {
+	if !c.owned {
 		digest = c.memo.of(c.g)
 	}
 
@@ -342,17 +340,11 @@ func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*c
 	return builder.Complete(ctx)
 }
 
-// Close shuts down the transport the cluster created (a Config-supplied
-// transport is the caller's to close). It is idempotent; SOFDA calls after
-// Close return ErrClosed.
+// Close waits for the embeddings in flight, after which SOFDA returns
+// ErrClosed. It is idempotent. The in-process transport holds nothing to
+// release; a Config-supplied transport stays the caller's to close.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return
-	}
 	c.closed = true
-	if c.owned != nil {
-		c.owned.Close()
-	}
 }

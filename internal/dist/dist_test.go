@@ -203,7 +203,6 @@ func TestEmptyDomainReceivesNoPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := NewChannelTransport(net.G, 5, chain.Options{})
-	defer inner.Close()
 	counter := &countingTransport{inner: inner, domains: make(map[int]int)}
 	cluster := NewClusterWith(net.G, 5, Config{Transport: counter})
 	defer cluster.Close()

@@ -108,7 +108,6 @@ func TestFlakyTransportRetryAndFallback(t *testing.T) {
 			}
 		}
 		cluster.Close()
-		inner.Close()
 	}
 }
 
@@ -164,7 +163,6 @@ func TestUndersizedTransportFailsLoudly(t *testing.T) {
 	// (one the 2-domain transport does not serve) certainly owns pairs.
 	req.Sources = []graph.NodeID{net.Access[0], net.Access[len(net.Access)-1]}
 	inner := NewChannelTransport(net.G, 2, chain.Options{})
-	defer inner.Close()
 	cluster := NewClusterWith(net.G, 4, Config{Transport: inner, RetryBudget: 3})
 	defer cluster.Close()
 	if _, err := cluster.SOFDA(context.Background(), req, Options{Core: opts}); !errors.Is(err, ErrNoSuchDomain) {
@@ -205,7 +203,6 @@ func TestCancellationMidSplice(t *testing.T) {
 		ChainLen: 2,
 	}
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
-	defer inner.Close()
 	gate := &gateTransport{inner: inner, firstDone: make(chan struct{})}
 	cluster := NewClusterWith(net.G, 3, Config{Transport: gate})
 	defer cluster.Close()

@@ -1,17 +1,18 @@
 // Package rpc carries the dist candidate protocol over TCP, so domain
-// controllers run as separate OS processes: a DomainServer answers
-// dist.CandidateRequests with its own graph and oracle (served by
-// cmd/sofdomain or embedded in a test), and Transport is the leader-side
-// dist.Transport that pools connections per domain and propagates context
-// deadlines onto the wire.
+// controllers run as separate OS processes: Serve answers
+// dist.CandidateRequests with a dist.Domain, its own graph and oracle
+// (served by cmd/sofdomain or embedded in a test), and Transport is the
+// leader-side dist.Transport that pools connections per domain and
+// propagates context deadlines onto the wire.
 //
 // The wire protocol is a framed gob exchange (see stream.go): the leader
 // writes one dist.CandidateRequest, the domain answers with a stream of
 // dist.CandidateFragments ending in a Done trailer. The messages are
-// exactly the ones the in-process ChannelTransport moves; the equivalence
-// tests pin the two transports to bit-identical forest costs, and the
-// codec helpers in this package apply the same gob encoding so captured
-// payloads can be replayed and fuzzed. A leader that gives up severs the
+// exactly the ones the in-process ChannelTransport hands its sink; the
+// equivalence tests pin the two transports to bit-identical forest costs,
+// and the codec helpers in this package apply the same gob encoding so
+// captured payloads can be replayed and fuzzed. A request the domain
+// refuses (ids outside its graph) comes back as an errored trailer. A leader that gives up severs the
 // connection, and the domain aborts its batch at the next fragment write.
 package rpc
 
@@ -19,30 +20,14 @@ import (
 	"net"
 	"sync"
 
-	"sof/internal/chain"
 	"sof/internal/dist"
-	"sof/internal/graph"
 )
-
-// DomainServer answers candidate requests for one domain controller. It
-// wraps the shared domain-side handler (dist.Domain): a private oracle
-// over the domain's view of the network, which must be built identically
-// to the leader's (same topology generator, seed, costs, failures, and
-// chain options) for the graph-state handshake to pass.
-type DomainServer struct {
-	dom *dist.Domain
-}
-
-// NewDomainServer returns a domain controller over g.
-func NewDomainServer(g *graph.Graph, chainOpts chain.Options) *DomainServer {
-	return &DomainServer{dom: dist.NewDomain(g, chainOpts)}
-}
 
 // Server is a running serve loop: a listener plus the connections it has
 // accepted, all torn down by Close.
 type Server struct {
 	lis net.Listener
-	ds  *DomainServer
+	dom *dist.Domain
 	wg  sync.WaitGroup
 
 	mu     sync.Mutex
@@ -51,10 +36,13 @@ type Server struct {
 }
 
 // Serve starts accepting connections on lis in a background goroutine,
-// one stream-serving goroutine per connection, each answered by ds. The
-// caller owns the returned Server and must Close it.
-func Serve(lis net.Listener, ds *DomainServer) *Server {
-	s := &Server{lis: lis, ds: ds, conns: make(map[net.Conn]struct{})}
+// one stream-serving goroutine per connection, each answered by dom. The
+// domain's graph must be built identically to the leader's (same topology
+// generator, seed, costs, failures, and chain options) for the
+// graph-state handshake to pass. The caller owns the returned Server and
+// must Close it.
+func Serve(lis net.Listener, dom *dist.Domain) *Server {
+	s := &Server{lis: lis, dom: dom, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s

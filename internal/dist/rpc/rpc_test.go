@@ -59,7 +59,7 @@ func startCountedDomains(t testing.TB, n int, build func(i int) *topology.Networ
 		if err != nil {
 			t.Fatalf("listen domain %d: %v", i, err)
 		}
-		srv := Serve(countingListener{Listener: lis, accepted: accepted}, NewDomainServer(build(i).G, chain.Options{}))
+		srv := Serve(countingListener{Listener: lis, accepted: accepted}, dist.NewDomain(build(i).G, chain.Options{}))
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
@@ -231,10 +231,10 @@ func TestRPCStreamCancellationAbortsRemoteBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := NewDomainServer(buildSoftLayer(7).G, chain.Options{
+	dom := dist.NewDomain(buildSoftLayer(7).G, chain.Options{
 		Solver: slowSolver{inner: kstroll.Auto(), delay: 2 * time.Millisecond},
 	})
-	srv := Serve(lis, ds)
+	srv := Serve(lis, dom)
 	defer srv.Close()
 	tr := NewTransport([]string{srv.Addr()})
 	defer tr.Close()
@@ -263,7 +263,7 @@ func TestRPCStreamCancellationAbortsRemoteBatch(t *testing.T) {
 	var solved uint64
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s := ds.dom.CacheStats().ChainMisses
+		s := dom.CacheStats().ChainMisses
 		if s == solved && s > 0 {
 			break // stable across a polling interval
 		}
@@ -275,6 +275,45 @@ func TestRPCStreamCancellationAbortsRemoteBatch(t *testing.T) {
 	}
 	if solved >= uint64(len(pairs))/2 {
 		t.Fatalf("domain solved %d of %d pairs after the leader cancelled — abandoned batch not aborted", solved, len(pairs))
+	}
+}
+
+// TestRPCServerSurvivesMalformedRequest sends a request whose first pair
+// names a node outside the domain's graph. The domain refuses it, the
+// refusal crosses the wire as an errored trailer, and the server then
+// serves a valid request on the next connection the transport dials.
+func TestRPCServerSurvivesMalformedRequest(t *testing.T) {
+	network, req, opts := softLayerInstance(7)
+	addrs, accepted := startCountedDomains(t, 1, func(int) *topology.Network { return buildSoftLayer(7) })
+	tr := NewTransport(addrs)
+	defer tr.Close()
+	good := &dist.CandidateRequest{
+		CostEpoch:   network.G.CostEpoch(),
+		GraphDigest: dist.GraphDigest(network.G),
+		ChainLen:    req.ChainLen,
+		Parallelism: 1,
+		VMs:         opts.VMs,
+		Pairs:       chain.Pairs(req.Sources, opts.VMs),
+	}
+	bad := *good
+	bad.Pairs = append([]chain.Pair(nil), good.Pairs...)
+	bad.Pairs[0].Source = 1 << 20
+	got := 0
+	sink := func(f *dist.CandidateFragment) error {
+		got += len(f.Results)
+		return nil
+	}
+	if err := tr.SendStream(context.Background(), 0, &bad, sink); err == nil || got != 0 {
+		t.Fatalf("malformed request: SendStream = %v after %d results, want the domain's refusal before any", err, got)
+	}
+	if err := tr.SendStream(context.Background(), 0, good, sink); err != nil {
+		t.Fatalf("valid request after a malformed one: %v", err)
+	}
+	if got != len(good.Pairs) {
+		t.Errorf("valid request after a malformed one: %d of %d results", got, len(good.Pairs))
+	}
+	if n := accepted.Load(); n != 2 {
+		t.Errorf("server accepted %d connections, want 2: the refused exchange's and the next one", n)
 	}
 }
 
@@ -415,7 +454,7 @@ func TestRPCTopologyDivergenceFallsBack(t *testing.T) {
 // duration, so the test needs no clock agreement with the "leader".
 func TestDomainServerExpiredTimeout(t *testing.T) {
 	network, req, opts := softLayerInstance(1)
-	ds := NewDomainServer(network.G, chain.Options{})
+	dom := dist.NewDomain(network.G, chain.Options{})
 	creq := &dist.CandidateRequest{
 		CostEpoch:   network.G.CostEpoch(),
 		GraphDigest: dist.GraphDigest(network.G),
@@ -425,7 +464,7 @@ func TestDomainServerExpiredTimeout(t *testing.T) {
 		Timeout:     -int64(time.Second),
 	}
 	emitted := 0
-	err := ds.dom.AnswerStream(context.Background(), creq, func(*dist.CandidateFragment) error {
+	err := dom.AnswerStream(context.Background(), creq, func(*dist.CandidateFragment) error {
 		emitted++
 		return nil
 	})
@@ -437,7 +476,7 @@ func TestDomainServerExpiredTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(lis, ds)
+	srv := Serve(lis, dom)
 	defer srv.Close()
 	tr := NewTransport([]string{srv.Addr()})
 	defer tr.Close()
@@ -467,7 +506,7 @@ func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := Serve(lis, NewDomainServer(buildSoftLayer(7).G, chain.Options{SourceSetupCost: true}))
+		srv := Serve(lis, dist.NewDomain(buildSoftLayer(7).G, chain.Options{SourceSetupCost: true}))
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = srv.Addr()
 	}
@@ -500,7 +539,7 @@ func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 // equality is what the handshake protects.
 func TestDomainServerGraphMismatch(t *testing.T) {
 	network, req, opts := softLayerInstance(1)
-	ds := NewDomainServer(network.G, chain.Options{})
+	dom := dist.NewDomain(network.G, chain.Options{})
 	pairs := chain.Pairs(req.Sources, opts.VMs)
 
 	refusal := &dist.CandidateRequest{
@@ -511,7 +550,7 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 		Pairs:       pairs,
 	}
 	var frags []*dist.CandidateFragment
-	if err := ds.dom.AnswerStream(context.Background(), refusal, func(f *dist.CandidateFragment) error {
+	if err := dom.AnswerStream(context.Background(), refusal, func(f *dist.CandidateFragment) error {
 		frags = append(frags, f)
 		return nil
 	}); err != nil {
@@ -532,7 +571,7 @@ func TestDomainServerGraphMismatch(t *testing.T) {
 		Pairs:       pairs,
 	}
 	results := 0
-	if err := ds.dom.AnswerStream(context.Background(), drifted, func(f *dist.CandidateFragment) error {
+	if err := dom.AnswerStream(context.Background(), drifted, func(f *dist.CandidateFragment) error {
 		results += len(f.Results)
 		return nil
 	}); err != nil {

@@ -158,9 +158,10 @@ func (t *Transport) SendStream(ctx context.Context, domainID int, req *dist.Cand
 				return fmt.Errorf("rpc: domain %d stream: %w", domainID, d.err)
 			}
 			if d.frag.Done && d.frag.Err != "" {
-				// Batch-level failure flattened by the domain (remote
-				// context error). The domain drops the connection after an
-				// errored exchange; so do we.
+				// Batch-level failure flattened by the domain (a remote
+				// context error, or a request the domain refused). The
+				// domain drops the connection after an errored exchange;
+				// so do we.
 				t.releaseStream(domainID, sc, false)
 				return fmt.Errorf("rpc: domain %d stream: %s", domainID, d.frag.Err)
 			}
@@ -196,7 +197,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // peer closed (or a framing error — either way the conn is done)
 		}
 		//sofvet:ignore ctxflow the conn is the cancellation signal: a dead peer fails the next per-fragment flush
-		err := s.ds.dom.AnswerStream(context.Background(), req, func(f *dist.CandidateFragment) error {
+		err := s.dom.AnswerStream(context.Background(), req, func(f *dist.CandidateFragment) error {
 			if err := enc.Encode(f); err != nil {
 				return err
 			}
@@ -205,10 +206,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			return bw.Flush()
 		})
 		if err != nil {
-			// Best-effort errored trailer (a remote context error, not an
-			// emit failure, can still reach a live leader), then drop the
-			// connection: its codec state is ambiguous after a failed
-			// exchange.
+			// Best-effort errored trailer (a remote context error or a
+			// refused request, not an emit failure, can still reach a live
+			// leader), then drop the connection: its codec state is
+			// ambiguous after a failed exchange.
 			enc.Encode(&dist.CandidateFragment{Done: true, Err: err.Error()})
 			bw.Flush()
 			return

@@ -5,21 +5,24 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sof/internal/chain"
 	"sof/internal/core"
+	"sof/internal/graph"
 	"sof/internal/kstroll"
 )
 
 // TestStreamedMatchesBatchAndCentralized is the streaming correctness
 // claim: on the 4-seed × 3-domain-count matrix, the server-streamed
 // fragment exchange costs exactly what the batch path costs — every
-// candidate computed in one shot and fed to core.SOFDAFromCandidatesCtx —
-// and what the centralized solver costs. Every one of the |S|·|M| pairs
-// must cross the domain boundary as a streamed result.
+// candidate computed in one shot on a separate oracle and fed to an
+// unpruned core.AuxGraphBuilder — and what the centralized solver costs.
+// Every one of the |S|·|M| pairs must cross the domain boundary as a
+// streamed result.
 func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23, 42} {
 		net, req, opts := softLayerInstance(seed)
@@ -32,13 +35,19 @@ func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: batch candidates: %v", seed, err)
 		}
-		var candidates []*chain.ServiceChain
+		builder, err := core.NewAuxGraphBuilder(net.G, req, opts)
+		if err != nil {
+			t.Fatalf("seed %d: builder: %v", seed, err)
+		}
 		for _, r := range results {
-			if r.Err == nil && r.Chain != nil {
-				candidates = append(candidates, r.Chain)
+			if r.Err != nil {
+				continue
+			}
+			if _, err := builder.AddCandidate(r.Chain); err != nil {
+				t.Fatalf("seed %d: AddCandidate: %v", seed, err)
 			}
 		}
-		batch, err := core.SOFDAFromCandidatesCtx(context.Background(), net.G, req, opts, candidates)
+		batch, err := builder.Complete(context.Background())
 		if err != nil {
 			t.Fatalf("seed %d: batch: %v", seed, err)
 		}
@@ -160,7 +169,6 @@ func TestStreamingCancellationAbortsDomainFanout(t *testing.T) {
 	net, req, opts := softLayerInstance(7)
 	gate := newGateSolver(2)
 	tr := NewChannelTransport(net.G, 1, chain.Options{Solver: gate})
-	defer tr.Close()
 	pairs := chain.Pairs(req.Sources, opts.VMs)
 	creq := &CandidateRequest{
 		ChainLen:    req.ChainLen,
@@ -183,13 +191,8 @@ func TestStreamingCancellationAbortsDomainFanout(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("SendStream after mid-stream cancel = %v, want context.Canceled", err)
 	}
-	// SendStream returns on cancellation without waiting for the domain.
-	// The domain serves one exchange at a time, so an empty exchange
-	// completes only once the aborted one has wound down.
-	if err := tr.SendStream(context.Background(), 0, &CandidateRequest{ChainLen: req.ChainLen, VMs: opts.VMs},
-		func(*CandidateFragment) error { return nil }); err != nil {
-		t.Fatalf("empty exchange after the aborted one: %v", err)
-	}
+	// SendStream returns only once the domain has wound down, so the
+	// solve count is final here.
 	checkAbortBound(t, gate, creq)
 	// The transport must stay usable for a healthy follow-up exchange.
 	got := 0
@@ -212,7 +215,6 @@ func TestStreamingSinkErrorAbortsDomain(t *testing.T) {
 	net, req, opts := softLayerInstance(9)
 	gate := newGateSolver(2)
 	tr := NewChannelTransport(net.G, 1, chain.Options{Solver: gate})
-	defer tr.Close()
 	pairs := chain.Pairs(req.Sources, opts.VMs)
 	creq := &CandidateRequest{ChainLen: req.ChainLen, Parallelism: 1, VMs: opts.VMs, Pairs: pairs}
 	errSink := errors.New("sink gave up")
@@ -307,7 +309,6 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
-	defer inner.Close()
 	flaky := &partialStreamTransport{inner: inner, failAfter: 5}
 	cluster := NewClusterWith(net.G, 3, Config{Transport: flaky, RetryBudget: 1})
 	defer cluster.Close()
@@ -320,50 +321,112 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	}
 }
 
-// TestAnswerStreamCheapestFirstFragments pins the domain-side emission
-// order: with a slow sink forcing coalesced fragments, every fragment
-// lists its feasible results in ascending chain cost (infeasible last,
-// ties by index) — cheap chains reach the leader first, fragment by
-// fragment.
-func TestAnswerStreamCheapestFirstFragments(t *testing.T) {
+// TestChannelTransportConcurrentExchanges pins that exchanges to one
+// in-process domain run at once: while a solve of the first exchange is
+// held, a second exchange to the same domain completes. The second asks
+// from another source, so it shares no memo entry with the held solve.
+func TestChannelTransportConcurrentExchanges(t *testing.T) {
+	net, req, opts := softLayerInstance(7)
+	gate := newGateSolver(1)
+	tr := NewChannelTransport(net.G, 1, chain.Options{Solver: gate})
+	exchange := func(s graph.NodeID) (*CandidateRequest, *atomic.Int32, chan error) {
+		creq := &CandidateRequest{ChainLen: req.ChainLen, Parallelism: 1, VMs: opts.VMs, Pairs: chain.Pairs([]graph.NodeID{s}, opts.VMs)}
+		results := new(atomic.Int32)
+		done := make(chan error, 1)
+		go func() {
+			done <- tr.SendStream(context.Background(), 0, creq, func(f *CandidateFragment) error {
+				results.Add(int32(len(f.Results)))
+				return nil
+			})
+		}()
+		return creq, results, done
+	}
+	firstReq, firstResults, firstDone := exchange(req.Sources[0])
+	<-gate.held
+	secondReq, secondResults, secondDone := exchange(req.Sources[1])
+	var err error
+	select {
+	case err = <-secondDone:
+	case <-time.After(10 * time.Second):
+		err = errors.New("it did not complete in 10s")
+	}
+	close(gate.release)
+	if err != nil {
+		t.Fatalf("second exchange while the first one's solve is held: %v", err)
+	}
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first exchange: %v", err)
+	}
+	for _, x := range []struct {
+		req     *CandidateRequest
+		results *atomic.Int32
+	}{{firstReq, firstResults}, {secondReq, secondResults}} {
+		if got := int(x.results.Load()); got != len(x.req.Pairs) {
+			t.Errorf("exchange from %d delivered %d of %d results", x.req.Pairs[0].Source, got, len(x.req.Pairs))
+		}
+	}
+}
+
+// TestAnswerStreamRefusesForeignIDs pins the domain's guard against ids
+// its graph does not have: each request below names a node outside the
+// graph, or a switch among its candidate VMs. Each is refused with an
+// error before any fragment and before the oracle reads the ids, and the
+// same domain then answers a valid request.
+func TestAnswerStreamRefusesForeignIDs(t *testing.T) {
 	net, req, opts := softLayerInstance(7)
 	dom := NewDomain(net.G, chain.Options{})
-	pairs := chain.Pairs(req.Sources, opts.VMs)
-	creq := &CandidateRequest{
-		ChainLen:    req.ChainLen,
-		Parallelism: 4,
-		VMs:         opts.VMs,
-		Pairs:       pairs,
+	sw := graph.NodeID(0)
+	for net.G.IsVM(sw) {
+		sw++
 	}
-	coalesced := false
-	if err := dom.AnswerStream(context.Background(), creq, func(f *CandidateFragment) error {
-		if len(f.Results) > 1 {
-			coalesced = true
+	valid := func() *CandidateRequest {
+		return &CandidateRequest{
+			ChainLen:    req.ChainLen,
+			Parallelism: 2,
+			VMs:         slices.Clone(opts.VMs),
+			Pairs:       chain.Pairs(req.Sources, opts.VMs),
 		}
-		prev := math.Inf(-1)
-		prevIdx := -1
-		seenInfeasible := false
-		for _, fr := range f.Results {
-			if fr.Result.Chain == nil {
-				seenInfeasible = true
-				continue
-			}
-			if seenInfeasible {
-				t.Fatalf("fragment %d: feasible result after an infeasible one", f.Seq)
-			}
-			c := fr.Result.Chain.TotalCost()
-			if c < prev || (c == prev && fr.Index < prevIdx) {
-				t.Fatalf("fragment %d: result order not cheapest-first: %v after %v", f.Seq, c, prev)
-			}
-			prev, prevIdx = c, fr.Index
-		}
-		// A slow sink lets later solves pile up, forcing coalescing.
-		time.Sleep(2 * time.Millisecond)
-		return nil
-	}); err != nil {
-		t.Fatalf("AnswerStream: %v", err)
 	}
-	if !coalesced {
-		t.Skip("no fragment coalesced more than one result; ordering not exercised")
+	const far = graph.NodeID(1 << 20)
+	for _, row := range []struct {
+		name  string
+		spoil func(r *CandidateRequest)
+	}{
+		{"source outside", func(r *CandidateRequest) { r.Pairs[0].Source = far }},
+		{"negative source", func(r *CandidateRequest) { r.Pairs[0].Source = -5 }},
+		{"last VM outside", func(r *CandidateRequest) { r.Pairs[len(r.Pairs)-1].LastVM = far }},
+		{"candidate VM outside", func(r *CandidateRequest) { r.VMs[len(r.VMs)-1] = far }},
+		{"switch among VMs", func(r *CandidateRequest) {
+			r.VMs = append(r.VMs, sw)
+			r.Pairs = append(r.Pairs, chain.Pair{Source: req.Sources[0], LastVM: sw})
+		}},
+	} {
+		bad := valid()
+		row.spoil(bad)
+		frags := 0
+		err := dom.AnswerStream(context.Background(), bad, func(*CandidateFragment) error {
+			frags++
+			return nil
+		})
+		if err == nil || frags != 0 {
+			t.Errorf("%s: AnswerStream = %v after %d fragments, want an error before any", row.name, err, frags)
+		}
+		good := valid()
+		var got atomic.Int32
+		done := make(chan error, 1)
+		go func() {
+			done <- dom.AnswerStream(context.Background(), good, func(f *CandidateFragment) error {
+				got.Add(int32(len(f.Results)))
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil || int(got.Load()) != len(good.Pairs) {
+				t.Errorf("%s: valid request afterwards = %v after %d of %d results", row.name, err, got.Load(), len(good.Pairs))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the domain did not answer a valid request afterwards", row.name)
+		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,27 +32,17 @@ type Transport interface {
 	SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error
 }
 
-// ChannelTransport is the in-process reference Transport: one long-lived
-// worker goroutine per domain, each owning a private chain oracle over the
-// shared graph, fed through unbuffered job channels. It is both the
-// deployment used by NewCluster (a multi-controller emulation inside one
-// process) and the test double RPC transports are checked against — the
-// payloads it moves are exactly the messages a wire transport carries.
+// ChannelTransport is the in-process reference Transport: one Domain per
+// controller, each owning a private chain oracle over the shared graph.
+// SendStream answers on the caller's goroutine (the leader already runs
+// one per domain), so exchanges to one domain run concurrently, as they
+// do on an rpc domain server. It is both the deployment used by
+// NewCluster (a multi-controller emulation inside one process) and the
+// test double RPC transports are checked against — the payloads it moves
+// are exactly the messages a wire transport carries.
 type ChannelTransport struct {
-	g       *graph.Graph
-	domains []*domainWorker
-	wg      sync.WaitGroup
-	// done is closed by Close; SendStreams and workers select on it, so a
-	// SendStream racing Close degrades to ErrTransportClosed instead of
-	// touching a closed channel (the leader's fallback then answers).
-	done chan struct{}
-
-	mu     sync.Mutex
-	closed bool
+	domains []*Domain
 }
-
-// ErrTransportClosed is returned by ChannelTransport.SendStream after Close.
-var ErrTransportClosed = errors.New("dist: transport is closed")
 
 // ErrNoSuchDomain is wrapped by Transport.SendStream when the domain ID is not
 // one the transport serves — a leader misconfiguration (cluster domain
@@ -63,73 +51,21 @@ var ErrTransportClosed = errors.New("dist: transport is closed")
 // fails loudly so the operator learns the deployment is undersized.
 var ErrNoSuchDomain = errors.New("dist: transport has no such domain")
 
-// domainWorker is one emulated controller: the shared domain-side handler
-// plus the job stream its goroutine serves.
-type domainWorker struct {
-	dom  *Domain
-	jobs chan chanJob
-}
-
-// chanJob is one in-flight SendStream: the request, the caller's context,
-// the channel the worker emits fragments into (and closes when the
-// exchange ends), and a buffered reply slot for the exchange-level error,
-// so the worker never blocks on a caller that gave up.
-type chanJob struct {
-	ctx   context.Context
-	req   *CandidateRequest
-	frags chan *CandidateFragment
-	reply chan<- error
-}
-
-// NewChannelTransport starts numDomains domain workers over g, each with a
-// private oracle configured by chainOpts. Callers must Close it to stop
-// the workers; Cluster does so automatically for the transport it creates.
+// NewChannelTransport returns numDomains domains over g, each with a
+// private oracle configured by chainOpts. It starts no goroutines and
+// holds nothing to release.
 func NewChannelTransport(g *graph.Graph, numDomains int, chainOpts chain.Options) *ChannelTransport {
-	if numDomains < 1 {
-		numDomains = 1
-	}
-	t := &ChannelTransport{g: g, done: make(chan struct{})}
-	for i := 0; i < numDomains; i++ {
-		d := &domainWorker{
-			dom:  NewDomain(g, chainOpts),
-			jobs: make(chan chanJob),
-		}
-		t.domains = append(t.domains, d)
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			d.serve(t.done)
-		}()
+	t := &ChannelTransport{domains: make([]*Domain, max(numDomains, 1))}
+	for i := range t.domains {
+		t.domains[i] = NewDomain(g, chainOpts)
 	}
 	return t
 }
 
-// serve answers jobs until the transport closes.
-func (d *domainWorker) serve(done <-chan struct{}) {
-	for {
-		select {
-		case job := <-d.jobs:
-			err := d.dom.AnswerStream(job.ctx, job.req, func(f *CandidateFragment) error {
-				select {
-				case job.frags <- f:
-					return nil
-				case <-job.ctx.Done():
-					return job.ctx.Err()
-				case <-done:
-					return ErrTransportClosed
-				}
-			})
-			close(job.frags)
-			job.reply <- err
-		case <-done:
-			return
-		}
-	}
-}
-
-// Domain is the domain-side half of the protocol, shared by the channel
-// transport's workers and rpc.DomainServer: one controller's graph view,
-// private oracle, and epoch-memoized topology digest.
+// Domain is the domain-side half of the protocol, shared by
+// ChannelTransport and the rpc server: one controller's graph view,
+// private oracle, and epoch-memoized topology digest. It answers
+// concurrent exchanges.
 type Domain struct {
 	g      *graph.Graph
 	oracle *chain.Oracle
@@ -150,9 +86,10 @@ func (d *Domain) CacheStats() chain.CacheStats { return d.oracle.Stats() }
 
 // AnswerStream handles one candidate request: verify the request's
 // topology digest and source-setup pricing against this domain's view,
-// rebuild the leader's cancellation horizon from the wire timeout, fan the
-// pairs out over the oracle, and emit the results as CandidateFragments as
-// pairs complete (coalescing whatever is ready into each fragment). The
+// refuse ids the graph does not have, rebuild the leader's cancellation
+// horizon from the wire timeout, fan the pairs out over the oracle in
+// request order, and emit the results as CandidateFragments as pairs
+// complete (coalescing whatever is ready into each fragment). The
 // exchange ends with a Done trailer.
 //
 // Fragments carry completion-order results located by FragmentResult.Index
@@ -161,11 +98,13 @@ func (d *Domain) CacheStats() chain.CacheStats { return d.oracle.Stats() }
 // fragment carrying the domain's own epoch/digest/pricing and no results:
 // transports may flatten errors to strings, but a fragment crosses any
 // codec intact, so the leader can classify the mismatch as non-retryable
-// (ErrGraphMismatch) instead of burning its retry budget. An emit error
-// aborts the oracle fan-out before the next fragment: the feeder stops,
-// in-flight solves finish, and the error is returned — this is how a
-// severed stream (dead leader, sink failure) cancels a remote batch
-// mid-flight instead of burning the domain's oracle on abandoned work.
+// (ErrGraphMismatch) instead of burning its retry budget. A request that
+// names a node outside the graph, or a non-VM among its VMs, is an error,
+// returned before the oracle is touched. An emit error aborts the oracle
+// fan-out before the next fragment: the feeder stops, in-flight solves
+// finish, and the error is returned — this is how a severed stream (dead
+// leader, sink failure) cancels a remote batch mid-flight instead of
+// burning the domain's oracle on abandoned work.
 func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit func(*CandidateFragment) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -203,6 +142,9 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 	if digest != req.GraphDigest || d.opts.SourceSetupCost != req.SourceSetup {
 		return emit(stamp(&CandidateFragment{Done: true}))
 	}
+	if err := d.checkIDs(req); err != nil {
+		return err
+	}
 	if req.Timeout != 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.Timeout))
@@ -223,44 +165,18 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 		par = n
 	}
 
-	// Cheapest-first scheduling: the batch's full tree demand (every pair
-	// source plus every candidate VM) is known up front, so warm it in one
-	// batched pass — miss-neutral, see chain.Oracle.WarmTrees — and order
-	// the solves within each source block by the chain-cost lower bound
-	// dist(source, lastVM). Cheap chains then tend to finish (and stream)
-	// first, tightening the leader's prune bound sooner. Source blocks keep
-	// their request order so the leader's in-order reorder-buffer prefix
-	// still fills front to back; and since the leader splices by index, the
-	// solve order changes wall-clock shape only, never any result.
-	origins := make([]graph.NodeID, 0, len(req.Pairs)+len(req.VMs))
-	firstAt := make(map[graph.NodeID]int, len(req.Pairs))
+	// Warm every tree the batch reads, each pair source and every
+	// candidate VM, in one batched pass (miss-neutral, see
+	// chain.Oracle.WarmTrees). The pairs are then solved in request order:
+	// the leader feeds Ĝ strictly in pair order from its reorder buffer,
+	// so request order fills the buffer's prefix soonest.
+	origins := make([]graph.NodeID, 0, n+len(req.VMs))
 	for i, p := range req.Pairs {
-		if _, ok := firstAt[p.Source]; !ok {
-			firstAt[p.Source] = i
+		if i == 0 || p.Source != req.Pairs[i-1].Source {
 			origins = append(origins, p.Source)
 		}
 	}
-	origins = append(origins, req.VMs...)
-	d.oracle.WarmTrees(ctx, origins)
-	lb := make([]float64, n)
-	for i, p := range req.Pairs {
-		lb[i] = d.oracle.Tree(p.Source).Dist[p.LastVM]
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		sa, sb := firstAt[req.Pairs[ia].Source], firstAt[req.Pairs[ib].Source]
-		if sa != sb {
-			return sa < sb
-		}
-		if lb[ia] != lb[ib] {
-			return lb[ia] < lb[ib]
-		}
-		return ia < ib
-	})
+	d.oracle.WarmTrees(ctx, append(origins, req.VMs...))
 
 	// completed is buffered to the pair count so workers never block on it:
 	// the emitter can bail out on a dead stream and the pool still drains.
@@ -297,7 +213,7 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 	go func() {
 		defer wg.Done()
 		defer close(jobs)
-		for _, i := range order {
+		for i := range n {
 			// A select with both cases ready picks at random, so an
 			// abort that is already visible must be checked first: only
 			// the job on offer when it lands can still go out.
@@ -336,26 +252,6 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 				break coalesce
 			}
 		}
-		// Cheapest-first emission within the fragment: feasible results
-		// ascending by chain cost, infeasible last, ties by index. The
-		// leader splices by index, so this is presentation order for
-		// consumers that act on fragments as they arrive — combined with
-		// the lower-bound solve order it makes "cheap chains early" hold
-		// fragment by fragment, not just stream-wide.
-		sort.SliceStable(frag.Results, func(a, b int) bool {
-			ra, rb := &frag.Results[a], &frag.Results[b]
-			ca, cb := math.Inf(1), math.Inf(1)
-			if ra.Result.Chain != nil {
-				ca = ra.Result.Chain.TotalCost()
-			}
-			if rb.Result.Chain != nil {
-				cb = rb.Result.Chain.TotalCost()
-			}
-			if ca != cb {
-				return ca < cb
-			}
-			return ra.Index < rb.Index
-		})
 		frag.Seq = seq
 		if err := emit(stamp(&frag)); err != nil {
 			return err
@@ -365,72 +261,31 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 	return emit(stamp(&CandidateFragment{Seq: seq, Done: true}))
 }
 
-// NumDomains returns the number of domain workers.
-func (t *ChannelTransport) NumDomains() int { return len(t.domains) }
+// checkIDs refuses a request whose pairs name a node outside the graph,
+// or whose candidate VMs name a node outside it or one that is not a VM:
+// the oracle indexes its arrays by these ids.
+func (d *Domain) checkIDs(req *CandidateRequest) error {
+	for i, p := range req.Pairs {
+		if !d.g.Valid(p.Source) || !d.g.Valid(p.LastVM) {
+			return fmt.Errorf("dist: pair %d (%d→%d) names a node outside the domain's %d nodes", i, p.Source, p.LastVM, d.g.NumNodes())
+		}
+	}
+	for _, u := range req.VMs {
+		if !d.g.Valid(u) || !d.g.IsVM(u) {
+			return fmt.Errorf("dist: candidate %d is not a VM of the domain's graph", u)
+		}
+	}
+	return nil
+}
 
-// SendStream dispatches the request to the domain's worker and invokes
-// sink for each fragment the domain emits, on the calling goroutine. A
-// sink error cancels the worker-side fan-out (the domain aborts before its
-// next fragment) and is returned after the stream winds down; caller
-// cancellation propagates the same way.
+// SendStream answers the request on the domain, on the calling
+// goroutine, handing sink every fragment as it is emitted. A sink error or
+// a cancelled ctx aborts the domain's fan-out at the next fragment, and
+// SendStream returns once the domain has wound down: after at most
+// Parallelism+1 more solves.
 func (t *ChannelTransport) SendStream(ctx context.Context, domainID int, req *CandidateRequest, sink func(*CandidateFragment) error) error {
 	if domainID < 0 || domainID >= len(t.domains) {
 		return fmt.Errorf("dist: domain %d out of range [0,%d): %w", domainID, len(t.domains), ErrNoSuchDomain)
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The worker emits under sctx, so cancelling it — on a sink error —
-	// aborts the domain-side oracle fan-out at the next fragment.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	reply := make(chan error, 1)
-	job := chanJob{ctx: sctx, req: req, frags: make(chan *CandidateFragment), reply: reply}
-	select {
-	case t.domains[domainID].jobs <- job:
-	case <-t.done:
-		return ErrTransportClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	var sinkErr error
-	for {
-		select {
-		case f, ok := <-job.frags:
-			if !ok {
-				err := <-reply
-				if sinkErr != nil {
-					return sinkErr
-				}
-				return err
-			}
-			if sinkErr == nil {
-				if err := sink(f); err != nil {
-					sinkErr = err
-					cancel() // abort the domain; keep draining until it closes frags
-				}
-			}
-		case <-ctx.Done():
-			// The worker shares (a child of) ctx and winds down on its own.
-			return ctx.Err()
-		case <-t.done:
-			return ErrTransportClosed
-		}
-	}
-}
-
-// Close stops the domain workers and waits for them to drain. Idempotent
-// and safe against concurrent SendStreams: late ones fail with
-// ErrTransportClosed rather than panicking.
-func (t *ChannelTransport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	close(t.done)
-	t.mu.Unlock()
-	t.wg.Wait()
-	return nil
+	return t.domains[domainID].AnswerStream(ctx, req, sink)
 }

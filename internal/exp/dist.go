@@ -22,8 +22,9 @@ type DistTransport string
 
 // Transports of the distributed comparison.
 const (
-	// TransportInproc uses dist.ChannelTransport: domains are worker
-	// goroutines inside the leader process (the reference deployment).
+	// TransportInproc uses dist.ChannelTransport: domains inside the
+	// leader process, each answering on the leader goroutine that streams
+	// its pairs (the reference deployment).
 	TransportInproc DistTransport = "inproc"
 	// TransportRPC spins one dist/rpc domain server per domain on
 	// 127.0.0.1:0 and reaches them through dist/rpc.Transport, so every
@@ -155,7 +156,7 @@ func newDistCluster(n *topology.Network, domains int, transport DistTransport) (
 				cleanup()
 				return nil, nil, fmt.Errorf("exp: listen for domain %d: %w", i, err)
 			}
-			srv := distrpc.Serve(lis, distrpc.NewDomainServer(n.G, chain.Options{}))
+			srv := distrpc.Serve(lis, dist.NewDomain(n.G, chain.Options{}))
 			servers = append(servers, srv)
 			addrs = append(addrs, srv.Addr())
 		}
