@@ -427,8 +427,9 @@ func (o *Oracle) Tree(n graph.NodeID) *graph.ShortestPaths { return o.tree(n) }
 // graph.RepairTree can, and builds the rest in one batched Dijkstra pass
 // (one shared arena and CSR fetch), releasing the chunk before claiming
 // the next. It never blocks on an entry: an origin whose tree another
-// goroutine is building, and a repeated origin, are skipped. It returns
-// the number of trees built here, of any kind.
+// goroutine is building, and a repeated origin, are skipped, and so is
+// an origin outside the graph, which claims no entry. It returns the
+// number of trees built here, of any kind.
 //
 // Warming is miss-neutral: each tree built here counts as exactly the
 // one miss, repair or carry the first demand lookup would have charged,
@@ -452,6 +453,9 @@ func (o *Oracle) WarmTrees(ctx context.Context, origins []graph.NodeID) int {
 		epoch := o.g.CostEpoch()
 		claimed, ids = claimed[:0], ids[:0]
 		for ; i < len(origins) && len(claimed) < chunk; i++ {
+			if !o.g.Valid(origins[i]) {
+				continue
+			}
 			e := o.entry(origins[i])
 			if e.current(epoch) != nil || !e.mu.TryLock() {
 				continue

@@ -2,9 +2,8 @@ package chain
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
+	"sof/internal/fanout"
 	"sof/internal/graph"
 )
 
@@ -43,18 +42,18 @@ func Pairs(sources, vms []graph.NodeID) []Pair {
 	return pairs
 }
 
-// Chains computes a candidate service chain for every pair over a bounded
-// worker pool, fanning queries out across parallelism goroutines. Results
-// are returned in pair order; per-pair failures (unreachable VMs, too few
+// Chains computes a candidate service chain for every pair, fanning the
+// queries out with fanout.For: fanout.Width(parallelism, len(pairs))
+// goroutines, or the calling goroutine alone at width 1. Results are
+// returned in pair order; per-pair failures (unreachable VMs, too few
 // candidates) are recorded in Result.Err rather than aborting the batch.
 // The only call-level error is context cancellation, in which case the
 // partial results are discarded.
 //
-// parallelism <= 0 uses GOMAXPROCS; parallelism == 1 runs sequentially on
-// the calling goroutine. The oracle's caches are shared across workers:
-// each origin's Dijkstra tree, each candidate set's VM–VM block and each
-// solved chain is computed once (singleflight), whichever worker needs it
-// first. vms is hashed and copied once for the whole batch.
+// The oracle's caches are shared across workers: each origin's Dijkstra
+// tree, each candidate set's VM–VM block and each solved chain is
+// computed once (singleflight), whichever worker needs it first. vms is
+// hashed and copied once for the whole batch.
 func (o *Oracle) Chains(ctx context.Context, vms []graph.NodeID, pairs []Pair, chainLen, parallelism int) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -65,12 +64,6 @@ func (o *Oracle) Chains(ctx context.Context, vms []graph.NodeID, pairs []Pair, c
 	results := make([]Result, len(pairs))
 	if len(pairs) == 0 {
 		return results, nil
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(pairs) {
-		parallelism = len(pairs)
 	}
 
 	// Every instance build touches tree(source) and tree(v) for each
@@ -90,47 +83,12 @@ func (o *Oracle) Chains(ctx context.Context, vms []graph.NodeID, pairs []Pair, c
 	o.WarmTrees(ctx, origins)
 
 	set := newVMSet(vms)
-	solve := func(i int) {
+	if err := fanout.For(ctx, len(pairs), parallelism, func(i int) {
 		p := pairs[i]
 		sc, err := o.chain(set, p.Source, p.LastVM, chainLen)
 		results[i] = Result{Pair: p, Chain: sc, Err: err}
-	}
-
-	if parallelism == 1 {
-		for i := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			solve(i)
-		}
-		return results, nil
-	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				solve(i)
-			}
-		}()
-	}
-	var cancelled error
-feed:
-	for i := range pairs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
-		return nil, cancelled
+	}); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"sof/internal/graph"
 	"sof/internal/topology"
@@ -163,6 +164,41 @@ func TestWarmTreesCancellation(t *testing.T) {
 	}
 	if st := o.Stats(); st.Misses != uint64(len(origins)) {
 		t.Fatalf("misses=%d after demand-faulting %d origins", st.Misses, len(origins))
+	}
+}
+
+// TestWarmTreesSkipsForeignOrigins: origins outside the graph beside a
+// valid one are skipped before any entry is claimed. They used to panic
+// the batched run with the valid origin's entry still locked, so every
+// later lookup of that origin blocked for good.
+func TestWarmTreesSkipsForeignOrigins(t *testing.T) {
+	net := topology.SoftLayer(topology.Config{NumVMs: 8, Seed: 7})
+	o := NewOracle(net.G, Options{})
+	v := net.VMs[0]
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("WarmTrees panicked on origins outside the graph: %v", r)
+			}
+		}()
+		if got := o.WarmTrees(context.Background(), []graph.NodeID{v, 1 << 20, -1}); got != 1 {
+			t.Errorf("WarmTrees built %d trees, want 1", got)
+		}
+	}()
+	o.mu.RLock()
+	for _, n := range []graph.NodeID{1 << 20, -1} {
+		if o.trees[n] != nil {
+			t.Errorf("WarmTrees added an entry for foreign origin %d", n)
+		}
+	}
+	o.mu.RUnlock()
+	served := make(chan *graph.ShortestPaths, 1)
+	go func() { served <- o.Tree(v) }()
+	select {
+	case sp := <-served:
+		sameTree(t, net.G, sp)
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Tree(%d) still blocked 2 s after WarmTrees", v)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
-	"sof/internal/chain"
 )
 
 // StreamStats is a snapshot of the cluster's streaming-exchange counters,
@@ -137,15 +135,8 @@ func (c *Cluster) streamDomain(ctx context.Context, domainID int, req *Candidate
 		return fmt.Errorf("dist: domain %d failed past retry budget %d: %w",
 			domainID, c.cfg.RetryBudget, lastErr)
 	}
-	var fbPairs []chain.Pair
-	var fbLocal []int
-	for i, d := range delivered {
-		if !d {
-			fbPairs = append(fbPairs, req.Pairs[i])
-			fbLocal = append(fbLocal, i)
-		}
-	}
-	results, err := c.fallbackOracle().Chains(ctx, req.VMs, fbPairs, req.ChainLen, req.Parallelism)
+	fbReq, fbLocal := undeliveredRemainder(req, delivered)
+	results, err := c.fallbackOracle().Chains(ctx, req.VMs, fbReq.Pairs, req.ChainLen, req.Parallelism)
 	if err != nil {
 		return err
 	}

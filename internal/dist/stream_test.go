@@ -145,7 +145,7 @@ func (s *gateSolver) Name() string { return "gate-" + s.inner.Name() }
 // checkAbortBound requires the aborted exchange to have stopped solving:
 // with solve number 2 held when the abort landed, exactly one solve had
 // finished, and at most Parallelism+1 may follow it — the solves in
-// flight, plus the one job the feeder had on offer as the abort landed.
+// flight, plus the one pair handed out as the abort landed.
 func checkAbortBound(t *testing.T, gate *gateSolver, req *CandidateRequest) {
 	t.Helper()
 	solved := int(gate.solves.Load())
@@ -224,7 +224,7 @@ func TestStreamingSinkErrorAbortsDomain(t *testing.T) {
 		// then waits for the domain to wind down, so no event marks the
 		// abort for the test to wait on: release the held solve shortly
 		// after it instead. Released early, the bound still admits the
-		// job on offer.
+		// pair handed out as the abort lands.
 		time.AfterFunc(10*time.Millisecond, func() { close(gate.release) })
 		return errSink
 	})

@@ -4,11 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"sof/internal/chain"
+	"sof/internal/fanout"
 	"sof/internal/graph"
 )
 
@@ -88,7 +87,8 @@ func (d *Domain) CacheStats() chain.CacheStats { return d.oracle.Stats() }
 // topology digest and source-setup pricing against this domain's view,
 // refuse ids the graph does not have, rebuild the leader's cancellation
 // horizon from the wire timeout, fan the pairs out over the oracle in
-// request order, and emit the results as CandidateFragments as pairs
+// request order (fanout.For on fanout.Width(req.Parallelism, pairs)
+// goroutines), and emit the results as CandidateFragments as pairs
 // complete (coalescing whatever is ready into each fragment). The
 // exchange ends with a Done trailer.
 //
@@ -101,10 +101,10 @@ func (d *Domain) CacheStats() chain.CacheStats { return d.oracle.Stats() }
 // (ErrGraphMismatch) instead of burning its retry budget. A request that
 // names a node outside the graph, or a non-VM among its VMs, is an error,
 // returned before the oracle is touched. An emit error aborts the oracle
-// fan-out before the next fragment: the feeder stops, in-flight solves
-// finish, and the error is returned — this is how a severed stream (dead
-// leader, sink failure) cancels a remote batch mid-flight instead of
-// burning the domain's oracle on abandoned work.
+// fan-out before the next fragment: no further pair is handed out,
+// in-flight solves finish, and the error is returned — this is how a
+// severed stream (dead leader, sink failure) cancels a remote batch
+// mid-flight instead of burning the domain's oracle on abandoned work.
 func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit func(*CandidateFragment) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -157,14 +157,6 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 	if n == 0 {
 		return emit(stamp(&CandidateFragment{Done: true}))
 	}
-	par := req.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
-
 	// Warm every tree the batch reads, each pair source and every
 	// candidate VM, in one batched pass (miss-neutral, see
 	// chain.Oracle.WarmTrees). The pairs are then solved in request order:
@@ -193,39 +185,17 @@ func (d *Domain) AnswerStream(ctx context.Context, req *CandidateRequest, emit f
 		return fr
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	// Defers run LIFO: cancel first (stops the feeder), then wait for the
-	// workers' in-flight solves — so an early return aborts the fan-out
-	// promptly instead of finishing the abandoned batch.
-	defer wg.Wait()
+	// Defers run LIFO: cancel first (no pair is handed out after it), then
+	// wait for the fan-out's end with its in-flight solves — so an early
+	// return aborts the fan-out promptly instead of finishing the
+	// abandoned batch. The emitter watches sctx itself, so For's verdict
+	// is not needed.
+	end := make(chan struct{})
+	defer func() { <-end }()
 	defer cancel()
-	jobs := make(chan int)
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				completed <- solve(i)
-			}
-		}()
-	}
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		defer close(jobs)
-		for i := range n {
-			// A select with both cases ready picks at random, so an
-			// abort that is already visible must be checked first: only
-			// the job on offer when it lands can still go out.
-			if sctx.Err() != nil {
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-sctx.Done():
-				return
-			}
-		}
+		defer close(end)
+		_ = fanout.For(sctx, n, req.Parallelism, func(i int) { completed <- solve(i) })
 	}()
 
 	seq := 0

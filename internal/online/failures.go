@@ -144,18 +144,7 @@ func (st *RecoveryStats) FastPathRate() float64 {
 
 // LatencyP99 returns the 99th-percentile recovery latency (0 without
 // sweeps).
-func (st *RecoveryStats) LatencyP99() time.Duration {
-	if len(st.Latencies) == 0 {
-		return 0
-	}
-	lat := append([]time.Duration(nil), st.Latencies...)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	idx := (len(lat)*99 + 99) / 100
-	if idx > len(lat) {
-		idx = len(lat)
-	}
-	return lat[idx-1]
-}
+func (st *RecoveryStats) LatencyP99() time.Duration { return p99(st.Latencies) }
 
 // Recovery exposes the run's failure/recovery counters.
 func (s *Simulator) Recovery() *RecoveryStats { return &s.recovery }

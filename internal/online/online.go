@@ -181,11 +181,15 @@ func (st *LifecycleStats) MeanDijkstras() float64 {
 
 // LatencyP99 returns the 99th-percentile embedding latency (0 without
 // arrivals).
-func (st *LifecycleStats) LatencyP99() time.Duration {
-	if len(st.EmbedLatencies) == 0 {
+func (st *LifecycleStats) LatencyP99() time.Duration { return p99(st.EmbedLatencies) }
+
+// p99 returns the 99th percentile of lat (0 when lat is empty), sorting a
+// copy so the caller's record keeps its order.
+func p99(lat []time.Duration) time.Duration {
+	if len(lat) == 0 {
 		return 0
 	}
-	lat := append([]time.Duration(nil), st.EmbedLatencies...)
+	lat = append([]time.Duration(nil), lat...)
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	idx := (len(lat)*99 + 99) / 100
 	if idx > len(lat) {

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"sync"
 
 	"sof/internal/baseline"
 	"sof/internal/chain"
 	"sof/internal/core"
+	"sof/internal/fanout"
 	"sof/internal/sofexact"
 )
 
@@ -64,8 +65,9 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(s *Solver) { s.algo = a }
 }
 
-// WithParallelism bounds the session's worker width: GOMAXPROCS when
-// <= 0, sequential when 1. A lone Embed spends the width on
+// WithParallelism bounds the session's worker width by fanout.Width's
+// rule: GOMAXPROCS when <= 0, sequential when 1, and never more
+// goroutines than jobs. A lone Embed spends the width on
 // candidate-chain generation; EmbedBatch and EmbedStream spend it on
 // concurrent requests (each embed then generates candidates sequentially),
 // so the total concurrency stays at the configured width rather than its
@@ -236,23 +238,12 @@ type Result struct {
 	Err    error
 }
 
-// workers resolves the session's fan-out width for n queued requests.
-func (s *Solver) workers(n int) int {
-	par := s.parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if n > 0 && par > n {
-		par = n
-	}
-	return par
-}
-
 // EmbedBatch embeds every request of the batch over the session's worker
 // pool (Rost & Schmid's batch setting: the solver, not the caller, owns
-// the fan-out). Results are returned in request order; per-request
-// failures are recorded in Result.Err rather than aborting the batch. The
-// only call-level error is context cancellation, which also marks every
+// the fan-out): fanout.For on fanout.Width(parallelism, len(reqs))
+// goroutines. Results are returned in request order; per-request failures
+// are recorded in Result.Err rather than aborting the batch. The only
+// call-level error is context cancellation, which also marks every
 // request that had not finished.
 func (s *Solver) EmbedBatch(ctx context.Context, reqs []Request) ([]Result, error) {
 	if ctx == nil {
@@ -262,58 +253,30 @@ func (s *Solver) EmbedBatch(ctx context.Context, reqs []Request) ([]Result, erro
 	for i := range results {
 		results[i] = Result{Index: i}
 	}
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			results[i].Err = err
-		}
-		return results, err
-	}
-	if len(reqs) == 0 {
-		return results, nil
-	}
-	par := s.workers(len(reqs))
 	innerPar := s.parallelism
-	if par > 1 {
+	if fanout.Width(s.parallelism, len(reqs)) > 1 {
 		innerPar = 1 // request-level fan-out is the pool; see WithParallelism
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				f, err := s.embed(ctx, reqs[i], s.algo, innerPar, true)
-				results[i] = Result{Index: i, Forest: f, Err: err}
-			}
-		}()
+	err := ctx.Err()
+	if err == nil {
+		err = fanout.For(ctx, len(reqs), s.parallelism, func(i int) {
+			results[i].Forest, results[i].Err = s.embed(ctx, reqs[i], s.algo, innerPar, true)
+		})
 	}
-	var cancelled error
-feed:
-	for i := range reqs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			cancelled = ctx.Err()
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled != nil {
+	if err != nil {
 		for i := range results {
 			if results[i].Forest == nil && results[i].Err == nil {
-				results[i].Err = cancelled
+				results[i].Err = err
 			}
 		}
-		return results, cancelled
 	}
-	return results, nil
+	return results, err
 }
 
 // EmbedStream embeds requests as they arrive on reqs (the online setting
 // of Section VIII-C and Lukovszki & Schmid's request-stream model),
-// fanning them out over the session's worker pool. Each Result carries the
+// fanning them out over a pool of fanout.Width(parallelism, ∞) workers
+// fed from reqs, since the stream has no length. Each Result carries the
 // arrival Index of its request; with parallelism > 1 results may be
 // delivered out of arrival order. Every admitted request produces exactly
 // one Result — cancellation stops admission, not delivery. The returned
@@ -333,7 +296,7 @@ func (s *Solver) EmbedStream(ctx context.Context, reqs <-chan Request) <-chan Re
 		req Request
 	}
 	jobs := make(chan job)
-	par := s.workers(0)
+	par := fanout.Width(s.parallelism, math.MaxInt)
 	innerPar := s.parallelism
 	if par > 1 {
 		innerPar = 1 // request-level fan-out is the pool; see WithParallelism

@@ -185,6 +185,57 @@ func TestSolverEmbedBatch(t *testing.T) {
 			t.Errorf("request %d has no error after pre-cancelled batch", i)
 		}
 	}
+
+	// Cancelled mid-batch: the context cancels itself once the session
+	// has registered two forests, so the batch stops handing out requests
+	// right after them. Sequentially exactly two finish; at width 2 the
+	// one in flight may finish too.
+	for _, par := range []int{1, 2} {
+		rec := NewSolver(FromGraph(net.G), WithVMs(net.VMs...), WithRecovery(), WithParallelism(par))
+		inner, cancel := context.WithCancel(context.Background())
+		const k = 2
+		ctx := cancelAfterForests{Context: inner, cancel: cancel, s: rec, k: k}
+		results, err := rec.EmbedBatch(ctx, solverTestRequests(net, 10))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("par %d: mid-batch cancel returned %v", par, err)
+		}
+		finished := 0
+		for i, r := range results {
+			if r.Index != i {
+				t.Errorf("par %d: result %d carries index %d", par, i, r.Index)
+			}
+			switch {
+			case r.Forest != nil && r.Err == nil:
+				finished++
+			case r.Forest == nil && errors.Is(r.Err, context.Canceled):
+			default:
+				t.Errorf("par %d: request %d has forest %v and error %v", par, i, r.Forest != nil, r.Err)
+			}
+		}
+		if finished < k || finished > k+par-1 {
+			t.Errorf("par %d: %d requests kept a forest, want %d to %d", par, finished, k, k+par-1)
+		}
+	}
+}
+
+// cancelAfterForests is a context that cancels itself at the first Err
+// call that finds at least k forests registered on the session s.
+type cancelAfterForests struct {
+	context.Context
+	cancel context.CancelFunc
+	s      *Solver
+	k      int
+}
+
+func (c cancelAfterForests) Err() error {
+	c.s.fmu.Lock()
+	n := len(c.s.forests)
+	c.s.fmu.Unlock()
+	if n >= c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // TestSolverEmbedStreamFewerDijkstras is the acceptance bar of the session
