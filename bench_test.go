@@ -570,18 +570,11 @@ func BenchmarkFailureRecovery(b *testing.B) {
 		}
 		// Sever half the forests at their deepest carried link (a leaf-side
 		// cut keeps the rest of the network routable, so repair has a
-		// fighting chance and the fast-path rate is meaningful).
+		// fighting chance and the fast-path rate is meaningful): the last
+		// link of the footprint, the uplink of the forest's newest clone.
 		for fi, f := range solver.LiveForests() {
-			if fi%2 != 0 {
-				continue
-			}
-			cf := f.Internal()
-			for id := cf.NumClones() - 1; id >= 0; id-- {
-				c := cf.Clone(core.CloneID(id))
-				if !cf.CloneDeleted(core.CloneID(id)) && c.ParentEdge != graph.NoEdge {
-					solver.FailLink(c.ParentEdge)
-					break
-				}
+			if edges, _ := f.Footprint(); fi%2 == 0 && len(edges) > 0 {
+				solver.FailLink(edges[len(edges)-1])
 			}
 		}
 		base := solver.CacheStats()

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"sof"
-	"sof/internal/core"
 	"sof/internal/costmodel"
 	"sof/internal/graph"
 	"sof/internal/online"
@@ -109,51 +108,35 @@ func Evaluate(algo online.Algorithm, p Profile) (*QoE, error) {
 	}
 	// Two random video sources, four random destinations (Section VIII-D).
 	picks := graph.SampleDistinct(rng, net.Access, 6)
-	req := core.Request{Sources: picks[:2], Dests: picks[2:], ChainLen: 2}
+	req := sof.Request{Sources: picks[:2], Destinations: picks[2:], ChainLength: 2}
 
 	solver := sof.NewSolver(sof.FromGraph(net.G),
 		sof.WithAlgorithm(sof.Algorithm(algo)),
 		sof.WithVMs(net.VMs...))
-	embedded, err := solver.Embed(context.Background(), sof.Request{
-		Sources: req.Sources, Destinations: req.Dests, ChainLength: req.ChainLen,
-	})
+	forest, err := solver.Embed(context.Background(), req)
 	if err != nil {
 		return nil, fmt.Errorf("emu: embedding failed: %w", err)
 	}
-	forest := embedded.Internal()
 
-	// Copies per physical edge: each live clone's parent link carries one
-	// copy of the stream (multicast duplicates only at branch clones).
+	// Copies per physical edge: each crossing of a link carries one copy
+	// of the stream (multicast duplicates only at branch clones).
 	copies := make(map[graph.EdgeID]int)
-	for id := 0; id < forest.NumClones(); id++ {
-		c := forest.Clone(core.CloneID(id))
-		if !forest.CloneDeleted(core.CloneID(id)) && c.Parent != core.NoClone && c.ParentEdge != graph.NoEdge {
-			copies[c.ParentEdge]++
-		}
+	edges, _ := forest.Footprint()
+	for _, e := range edges {
+		copies[e]++
 	}
 
 	out := &QoE{Algorithm: algo, Profile: p.Name, ForestCost: forest.TotalCost()}
-	for _, d := range req.Dests {
-		cid, ok := forest.DestClone(d)
+	for _, d := range req.Destinations {
+		route, ok := forest.Route(d)
 		if !ok {
 			return nil, fmt.Errorf("emu: destination %d unserved", d)
 		}
 		rate := p.VideoBitrateMbps
-		hops := 0
-		vnfs := 0
-		for cur := cid; cur != core.NoClone; {
-			c := forest.Clone(cur)
-			if c.VNF != 0 {
-				vnfs++
+		for _, e := range route {
+			if share := avail[e] / float64(copies[e]); share < rate {
+				rate = share
 			}
-			if c.Parent != core.NoClone && c.ParentEdge != graph.NoEdge {
-				hops++
-				share := avail[c.ParentEdge] / float64(copies[c.ParentEdge])
-				if share < rate {
-					rate = share
-				}
-			}
-			cur = c.Parent
 		}
 		// Playback consumes the transcoded rate (the transcoder adapts
 		// the 8 Mbps source for congested delivery).
@@ -163,9 +146,9 @@ func Evaluate(algo online.Algorithm, p Profile) (*QoE, error) {
 		}
 		q := DestQoE{Dest: d, ThroughputMbps: rate}
 		// Startup: fill the playout buffer at the delivery rate, plus the
-		// fixed pipeline latency of the chain.
+		// fixed pipeline latency of the chain, which every route runs whole.
 		q.StartupSec = p.StartupBufferSec*playRate/rate +
-			float64(vnfs)*p.PerVNFDelaySec + float64(hops)*p.PerHopDelaySec
+			float64(req.ChainLength)*p.PerVNFDelaySec + float64(len(route))*p.PerHopDelaySec
 		// Re-buffering (fluid model): when the delivery rate is below the
 		// playback bitrate, playback stalls for the accumulated deficit.
 		if rate < playRate {

@@ -1,13 +1,18 @@
 package sof
 
-// Capacitated lifecycle sessions: a Solver built WithCapacity tracks the
-// load every accepted embedding places on links and VM slots, enforces the
-// capacities, and releases the load when the service departs — explicitly
-// (Leave) or by TTL expiry against the session's virtual clock
-// (AdvanceTime). Each accepted embed owns a lease recording its resource
-// footprint; the lease is the unit of release, so load conservation is an
-// invariant: at any instant every tracker's load equals the sum of the
-// live leases' demands.
+// The session ledger and capacitated lifecycle sessions. A session built
+// WithRecovery or WithCapacity books every forest it commits as one entry
+// of one table, keyed by a commit-order id and guarded by the session's
+// mu: RepairAll sweeps the entries still marked swept, and on a
+// capacitated session each entry is also the forest's lease.
+//
+// A Solver built WithCapacity tracks the load every accepted embedding
+// places on links and VM slots, enforces the capacities, and releases the
+// load when the service departs — explicitly (Leave) or by TTL expiry
+// against the session's virtual clock (AdvanceTime). Each accepted embed
+// owns a lease recording its resource footprint; the lease is the unit of
+// release, so load conservation is an invariant: at any instant every
+// tracker's load equals the sum of the live leases' demands.
 //
 // Enforcement reaches the embedding algorithms through the graph's
 // capacity-mask layer: the moment a link or VM slot has no headroom for one
@@ -30,8 +35,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
+	"sof/internal/core"
 	"sof/internal/costmodel"
 	"sof/internal/graph"
 )
@@ -55,40 +60,36 @@ var ErrUnknownLease = errors.New("sof: unknown lease")
 // zero id is never issued.
 type LeaseID int64
 
-// leaseState is the exactly-once release state machine. A lease releases
-// its load exactly once no matter how departure, TTL expiry, and repair
-// suspension interleave: suspension moves active→suspended (load off the
-// trackers while the forest is reshaped), resumption moves it back, and
-// any path to ended — Leave, expiry — releases only from active, because a
-// suspended lease's load is already off the books.
-type leaseState int
-
-const (
-	leaseActive leaseState = iota
-	leaseSuspended
-	leaseEnded
-)
-
-// lease records one accepted embedding's resource footprint as last
-// applied to the trackers: Edges with multiplicity (each crossing carries
-// demand), VMs once each (one slot per forest per VM).
-type lease struct {
-	id     LeaseID
-	forest *Forest
-	demand float64
+// entry is one committed forest's row in the session ledger. swept marks
+// a forest RepairAll sweeps: set on sessions built WithRecovery, cleared
+// by Release. On a capacitated session the entry is also the forest's
+// lease: its footprint as last applied to the trackers — edges with
+// multiplicity (each crossing carries the session's demand), VMs once each
+// (one slot per forest per VM) — and its expiry. The entry leaves the
+// table when the lease ends (Leave, expiry), or at Release on a session
+// without capacity; absence from the table means ended.
+//
+// A lease releases its load exactly once no matter how departure, TTL
+// expiry and repair suspension interleave: a suspended lease's load is
+// already off the trackers while a repair reshapes its forest, so ending
+// it releases nothing, and resuming an ended lease does nothing.
+type entry struct {
+	id        LeaseID
+	forest    *Forest
+	swept     bool
+	suspended bool
 	// expiry is the virtual time at which the lease lapses; 0 means it
 	// never expires on its own.
 	expiry int64
-	state  leaseState
 	edges  []graph.EdgeID
 	vms    []graph.NodeID
-	// heapIdx is the lease's position in the expiry heap, -1 when not
+	// heapIdx is the entry's position in the expiry heap, -1 when not
 	// queued (no TTL, or already popped).
 	heapIdx int
 }
 
 // leaseHeap is a min-heap on (expiry, id); only TTL-bearing leases enter.
-type leaseHeap []*lease
+type leaseHeap []*entry
 
 func (h leaseHeap) Len() int { return len(h) }
 func (h leaseHeap) Less(i, j int) bool {
@@ -102,31 +103,28 @@ func (h leaseHeap) Swap(i, j int) {
 	h[i].heapIdx, h[j].heapIdx = i, j
 }
 func (h *leaseHeap) Push(x any) {
-	l := x.(*lease)
-	l.heapIdx = len(*h)
-	*h = append(*h, l)
+	e := x.(*entry)
+	e.heapIdx = len(*h)
+	*h = append(*h, e)
 }
 func (h *leaseHeap) Pop() any {
 	old := *h
 	n := len(old)
-	l := old[n-1]
+	e := old[n-1]
 	old[n-1] = nil
-	l.heapIdx = -1
+	e.heapIdx = -1
 	*h = old[:n-1]
-	return l
+	return e
 }
 
-// capacityState is the session's load ledger. mu serializes every
-// reservation, release, and clock advance; the graph's mask layer is
-// updated inside the same critical section so the mask can never disagree
-// with the headroom it advertises.
+// capacityState is a capacitated session's load accounting, guarded by
+// the session's mu; the graph's mask layer is updated inside the same
+// critical section so the mask can never disagree with the headroom it
+// advertises.
 type capacityState struct {
-	mu      sync.Mutex
 	links   *costmodel.Tracker // indexed by EdgeID
 	vmSlots *costmodel.Tracker // indexed by NodeID; only VM nodes carry load
 	demand  float64            // per-link-crossing demand of one request
-	leases  map[LeaseID]*lease
-	nextID  LeaseID
 	expiry  leaseHeap
 	now     int64
 
@@ -148,20 +146,9 @@ type capacityState struct {
 // cannot fit fail with ErrCapacityExceeded.
 func WithCapacity(linkCap, vmCap float64) Option {
 	return func(s *Solver) {
-		g := s.net.g
-		cs := &capacityState{
-			links:   costmodel.NewTracker(g.NumEdges(), linkCap),
-			vmSlots: costmodel.NewTracker(g.NumNodes(), vmCap),
-			demand:  1,
-			leases:  make(map[LeaseID]*lease),
-		}
-		if s.capacity != nil { // preserve WithDemand/WithAdaptiveAdmission given first
-			cs.demand = s.capacity.demand
-			cs.adaptive = s.capacity.adaptive
-			cs.admitMu = s.capacity.admitMu
-			cs.admitBudget = s.capacity.admitBudget
-		}
-		s.capacity = cs
+		cs := s.ensureCapacity()
+		cs.links = costmodel.NewTracker(s.net.g.NumEdges(), linkCap)
+		cs.vmSlots = costmodel.NewTracker(s.net.g.NumNodes(), vmCap)
 	}
 }
 
@@ -215,14 +202,10 @@ func (s *Solver) ensureCapacity() *capacityState {
 			links:   costmodel.NewTracker(g.NumEdges(), math.Inf(1)),
 			vmSlots: costmodel.NewTracker(g.NumNodes(), math.Inf(1)),
 			demand:  1,
-			leases:  make(map[LeaseID]*lease),
 		}
 	}
 	return s.capacity
 }
-
-// Capacitated reports whether the session tracks load under leases.
-func (s *Solver) Capacitated() bool { return s.capacity != nil }
 
 // aggregateDemand folds a footprint's edge list (with multiplicity) into
 // per-edge demand.
@@ -234,67 +217,72 @@ func aggregateDemand(edges []graph.EdgeID, demand float64) map[graph.EdgeID]floa
 	return need
 }
 
-// admitAndLease prices, reserves, and leases a freshly embedded forest.
-// Called from embed after the algorithm has found it. On any error the
-// trackers, masks, and lease table are exactly as before the call.
-func (s *Solver) admitAndLease(out *Forest, req Request) error {
+// commit books a solved forest and wraps it. On a capacitated session it
+// prices the footprint (adaptive admission), reserves it and opens the
+// lease; on any error the trackers, masks and ledger are exactly as
+// before the call. The entry gets the next commit-order id, which is also
+// its lease id. A session built with neither WithRecovery nor
+// WithCapacity books nothing.
+func (s *Solver) commit(cf *core.Forest, req Request) (*Forest, error) {
+	f := &Forest{f: cf, sources: req.Sources, s: s}
 	cs := s.capacity
-	fp := out.f.Footprint()
-	need := aggregateDemand(fp.Edges, cs.demand)
-
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-
-	if cs.adaptive {
-		price := 0.0
-		for e := range need {
-			price += math.Pow(cs.admitMu, cs.links.Utilization(int(e))) - 1
-		}
-		for _, v := range fp.VMs {
-			price += math.Pow(cs.admitMu, cs.vmSlots.Utilization(int(v))) - 1
-		}
-		if revenue := float64(len(req.Destinations)); price > cs.admitBudget*revenue {
-			return fmt.Errorf("%w (utilization price %.3f > budget %.3f)",
-				ErrAdmissionRejected, price, cs.admitBudget*revenue)
-		}
+	if cs == nil && !s.recovery {
+		return f, nil
+	}
+	e := &entry{forest: f, swept: s.recovery, heapIdx: -1}
+	var need map[graph.EdgeID]float64
+	if cs != nil {
+		fp := cf.Footprint()
+		e.edges, e.vms = fp.Edges, fp.VMs
+		need = aggregateDemand(fp.Edges, cs.demand)
 	}
 
-	// Two-phase reservation: validate the whole footprint, then apply.
-	// Nothing is written before everything fits, so failure needs no
-	// rollback.
-	for e, d := range need {
-		if !cs.links.Fits(int(e), d) {
-			return fmt.Errorf("link %d: %w", e, ErrCapacityExceeded)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cs != nil {
+		if cs.adaptive {
+			price := 0.0
+			for id := range need {
+				price += math.Pow(cs.admitMu, cs.links.Utilization(int(id))) - 1
+			}
+			for _, v := range e.vms {
+				price += math.Pow(cs.admitMu, cs.vmSlots.Utilization(int(v))) - 1
+			}
+			if revenue := float64(len(req.Destinations)); price > cs.admitBudget*revenue {
+				return nil, fmt.Errorf("%w (utilization price %.3f > budget %.3f)",
+					ErrAdmissionRejected, price, cs.admitBudget*revenue)
+			}
 		}
-	}
-	for _, v := range fp.VMs {
-		if !cs.vmSlots.Fits(int(v), 1) {
-			return fmt.Errorf("vm %d: %w", v, ErrCapacityExceeded)
+		// Two-phase reservation: validate the whole footprint, then apply.
+		// Nothing is written before everything fits, so failure needs no
+		// rollback.
+		for id, d := range need {
+			if !cs.links.Fits(int(id), d) {
+				return nil, fmt.Errorf("link %d: %w", id, ErrCapacityExceeded)
+			}
 		}
+		for _, v := range e.vms {
+			if !cs.vmSlots.Fits(int(v), 1) {
+				return nil, fmt.Errorf("vm %d: %w", v, ErrCapacityExceeded)
+			}
+		}
+		cs.apply(s.net.g, need, e.vms)
+		cs.accumulated += float64(len(req.Destinations))
 	}
-	cs.apply(s.net.g, need, fp.VMs)
-
-	cs.nextID++
-	l := &lease{
-		id:      cs.nextID,
-		forest:  out,
-		demand:  cs.demand,
-		edges:   fp.Edges,
-		vms:     fp.VMs,
-		heapIdx: -1,
+	s.lastID++
+	e.id, f.id = s.lastID, s.lastID
+	if cs != nil && req.TTL > 0 {
+		// Saturate at the clock's end: now + TTL must not wrap negative,
+		// which would lapse the lease at the next advance.
+		e.expiry = cs.now + min(req.TTL, math.MaxInt64-cs.now)
+		heap.Push(&cs.expiry, e)
 	}
-	if req.TTL > 0 {
-		l.expiry = cs.now + req.TTL
-		heap.Push(&cs.expiry, l)
-	}
-	cs.leases[l.id] = l
-	cs.accumulated += float64(len(req.Destinations))
-	out.lease = l.id
-	return nil
+	s.entries[e.id] = e
+	return f, nil
 }
 
 // apply adds a footprint's demand to the trackers and masks whatever
-// saturates. Callers hold cs.mu.
+// saturates. Callers hold the session's mu.
 func (cs *capacityState) apply(g *graph.Graph, need map[graph.EdgeID]float64, vms []graph.NodeID) {
 	for e, d := range need {
 		cs.links.Add(int(e), d)
@@ -311,14 +299,14 @@ func (cs *capacityState) apply(g *graph.Graph, need map[graph.EdgeID]float64, vm
 }
 
 // release removes a lease's footprint from the trackers and unmasks
-// whatever regained headroom. Callers hold cs.mu. Tracker underflow — the
-// session's books drifting from the lease's — is propagated, never
-// swallowed: every error is joined so one bad edge does not hide another,
-// and the remaining releases still run (leaving load behind on purpose
-// would compound the drift).
-func (cs *capacityState) release(g *graph.Graph, l *lease) error {
+// whatever regained headroom. Callers hold the session's mu. Tracker
+// underflow — the session's books drifting from the lease's — is
+// propagated, never swallowed: every error is joined so one bad edge does
+// not hide another, and the remaining releases still run (leaving load
+// behind on purpose would compound the drift).
+func (cs *capacityState) release(g *graph.Graph, l *entry) error {
 	var errs []error
-	need := aggregateDemand(l.edges, l.demand)
+	need := aggregateDemand(l.edges, cs.demand)
 	edges := make([]graph.EdgeID, 0, len(need))
 	for e := range need {
 		edges = append(edges, e)
@@ -343,75 +331,65 @@ func (cs *capacityState) release(g *graph.Graph, l *lease) error {
 	return errors.Join(errs...)
 }
 
-// endLocked finishes a lease: releases its load if it still holds any,
-// marks it ended, and drops it from the table. Callers hold cs.mu and are
-// responsible for unregistering the forest outside the lock.
-func (cs *capacityState) endLocked(g *graph.Graph, l *lease) error {
+// endLocked ends an entry's lease and drops the entry from the ledger: it
+// releases the load unless a repair holds the lease suspended, and
+// unqueues its expiry. Callers hold s.mu.
+func (s *Solver) endLocked(e *entry) error {
 	var err error
-	if l.state == leaseActive {
-		err = cs.release(g, l)
+	if !e.suspended {
+		err = s.capacity.release(s.net.g, e)
 	}
-	l.state = leaseEnded
-	delete(cs.leases, l.id)
-	if l.heapIdx >= 0 {
-		heap.Remove(&cs.expiry, l.heapIdx)
+	delete(s.entries, e.id)
+	if e.heapIdx >= 0 {
+		heap.Remove(&s.capacity.expiry, e.heapIdx)
 	}
 	return err
 }
 
-// Leave departs the service holding lease id: its load is released, its
-// saturated elements regain headroom, and its forest leaves the recovery
-// registry. Departing mid-repair is safe — a suspended lease's load is
-// already off the trackers and is not released twice. Returns
-// ErrUnknownLease for ids the session does not hold and ErrNotCapacitated
-// on sessions without capacity tracking.
+// Leave departs the service holding lease id. In one critical section its
+// load is released, its saturated elements regain headroom, and its
+// forest leaves the ledger, so RepairAll no longer sweeps it. Departing
+// mid-repair is safe — a suspended lease's load is already off the
+// trackers and is not released twice. Returns ErrUnknownLease for ids the
+// session does not hold and ErrNotCapacitated on sessions without
+// capacity tracking.
 func (s *Solver) Leave(id LeaseID) error {
-	cs := s.capacity
-	if cs == nil {
+	if s.capacity == nil {
 		return ErrNotCapacitated
 	}
-	cs.mu.Lock()
-	l, ok := cs.leases[id]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[id]
 	if !ok {
-		cs.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
 	}
-	err := cs.endLocked(s.net.g, l)
-	cs.mu.Unlock()
-	l.forest.Release()
-	return err
+	return s.endLocked(e)
 }
 
 // AdvanceTime moves the session's virtual clock to now (monotone: an
 // earlier value only reads the clock) and expires every lease whose TTL
-// has lapsed, releasing its load and unregistering its forest exactly as
-// Leave would. The expired lease ids are returned in expiry order. Online
-// simulators drive this once per arrival step.
+// has lapsed, ending it exactly as Leave would: its load is released and
+// its forest leaves the ledger in the same critical section. The expired
+// lease ids are returned in expiry order. Online simulators drive this
+// once per arrival step.
 func (s *Solver) AdvanceTime(now int64) ([]LeaseID, error) {
 	cs := s.capacity
 	if cs == nil {
 		return nil, ErrNotCapacitated
 	}
-	cs.mu.Lock()
-	if now > cs.now {
-		cs.now = now
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cs.now = max(cs.now, now)
 	var (
 		expired []LeaseID
-		forests []*Forest
 		errs    []error
 	)
 	for cs.expiry.Len() > 0 && cs.expiry[0].expiry <= cs.now {
-		l := heap.Pop(&cs.expiry).(*lease)
-		expired = append(expired, l.id)
-		forests = append(forests, l.forest)
-		if err := cs.endLocked(s.net.g, l); err != nil {
-			errs = append(errs, fmt.Errorf("lease %d: %w", l.id, err))
+		e := heap.Pop(&cs.expiry).(*entry)
+		expired = append(expired, e.id)
+		if err := s.endLocked(e); err != nil {
+			errs = append(errs, fmt.Errorf("lease %d: %w", e.id, err))
 		}
-	}
-	cs.mu.Unlock()
-	for _, f := range forests {
-		f.Release()
 	}
 	return expired, errors.Join(errs...)
 }
@@ -422,8 +400,8 @@ func (s *Solver) Now() int64 {
 	if cs == nil {
 		return 0
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return cs.now
 }
 
@@ -434,8 +412,8 @@ func (s *Solver) Accumulated() float64 {
 	if cs == nil {
 		return 0
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return cs.accumulated
 }
 
@@ -446,8 +424,8 @@ func (s *Solver) LinkLoad(e EdgeID) float64 {
 	if cs == nil || !s.net.g.ValidEdge(e) {
 		return 0
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return cs.links.Load(int(e))
 }
 
@@ -458,8 +436,8 @@ func (s *Solver) VMLoad(v NodeID) float64 {
 	if cs == nil || !s.net.g.Valid(v) {
 		return 0
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return cs.vmSlots.Load(int(v))
 }
 
@@ -484,19 +462,19 @@ func (s *Solver) Leases() []LeaseInfo {
 	if cs == nil {
 		return nil
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	out := make([]LeaseInfo, 0, len(cs.leases))
-	for _, l := range cs.leases {
-		if l.state != leaseActive {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]LeaseInfo, 0, len(s.entries))
+	for _, e := range s.entries {
+		if e.suspended {
 			continue
 		}
 		out = append(out, LeaseInfo{
-			ID:     l.id,
-			Expiry: l.expiry,
-			Demand: l.demand,
-			Edges:  append([]EdgeID(nil), l.edges...),
-			VMs:    append([]NodeID(nil), l.vms...),
+			ID:     e.id,
+			Expiry: e.expiry,
+			Demand: cs.demand,
+			Edges:  append([]EdgeID(nil), e.edges...),
+			VMs:    append([]NodeID(nil), e.vms...),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -506,15 +484,14 @@ func (s *Solver) Leases() []LeaseInfo {
 // LiveLeases returns the number of live leases — len(Leases()) without
 // copying or sorting them, for callers that only need the count.
 func (s *Solver) LiveLeases() int {
-	cs := s.capacity
-	if cs == nil {
+	if s.capacity == nil {
 		return 0
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
-	for _, l := range cs.leases {
-		if l.state == leaseActive {
+	for _, e := range s.entries {
+		if !e.suspended {
 			n++
 		}
 	}
@@ -524,16 +501,16 @@ func (s *Solver) LiveLeases() int {
 // Lease returns the forest's lease id, false when the forest holds none
 // (non-capacitated session, or the lease already ended).
 func (f *Forest) Lease() (LeaseID, bool) {
-	if f.lease == 0 || f.owner == nil || f.owner.capacity == nil {
+	s := f.s
+	if s.capacity == nil {
 		return 0, false
 	}
-	cs := f.owner.capacity
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if _, ok := cs.leases[f.lease]; !ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[f.id]; !ok {
 		return 0, false
 	}
-	return f.lease, true
+	return f.id, true
 }
 
 // suspendLease takes the forest's load off the trackers while a repair
@@ -543,17 +520,17 @@ func (f *Forest) Lease() (LeaseID, bool) {
 // the exactly-once guard).
 func (s *Solver) suspendLease(f *Forest) (bool, error) {
 	cs := s.capacity
-	if cs == nil || f.lease == 0 {
+	if cs == nil {
 		return false, nil
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	l, ok := cs.leases[f.lease]
-	if !ok || l.state != leaseActive {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[f.id]
+	if !ok || e.suspended {
 		return false, nil
 	}
-	err := cs.release(s.net.g, l)
-	l.state = leaseSuspended
+	err := cs.release(s.net.g, e)
+	e.suspended = true
 	return true, err
 }
 
@@ -565,19 +542,19 @@ func (s *Solver) suspendLease(f *Forest) (bool, error) {
 // departed) is left alone.
 func (s *Solver) resumeLease(f *Forest) {
 	cs := s.capacity
-	if cs == nil || f.lease == 0 {
+	if cs == nil {
 		return
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	l, ok := cs.leases[f.lease]
-	if !ok || l.state != leaseSuspended {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[f.id]
+	if !ok || !e.suspended {
 		return
 	}
 	fp := f.f.Footprint()
-	l.edges, l.vms = fp.Edges, fp.VMs
-	cs.apply(s.net.g, aggregateDemand(fp.Edges, l.demand), fp.VMs)
-	l.state = leaseActive
+	e.edges, e.vms = fp.Edges, fp.VMs
+	cs.apply(s.net.g, aggregateDemand(fp.Edges, cs.demand), fp.VMs)
+	e.suspended = false
 }
 
 // Reprice writes load-dependent costs back to the network: every link's
@@ -593,8 +570,8 @@ func (s *Solver) Reprice() {
 	if cs == nil {
 		return
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	g := s.net.g
 	for e := 0; e < g.NumEdges(); e++ {
 		g.SetEdgeCost(graph.EdgeID(e), costmodel.MarginalCost(cs.links.Load(e), cs.demand, cs.links.Capacity(e)))

@@ -259,6 +259,31 @@ func TestTTLExpiryAdvanceTime(t *testing.T) {
 	checkConservation(t, solver)
 }
 
+// TestTTLExpirySaturates pins the expiry of a TTL that would carry it
+// past math.MaxInt64: it saturates rather than wrapping negative, so the
+// lease survives the next clock advance.
+func TestTTLExpirySaturates(t *testing.T) {
+	net, s, d := buildLine(t)
+	solver := NewSolver(net, WithCapacity(10, 5))
+	if _, err := solver.AdvanceTime(5); err != nil {
+		t.Fatal(err)
+	}
+	f, err := solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2, TTL: math.MaxInt64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expired, err := solver.AdvanceTime(6); err != nil || len(expired) != 0 {
+		t.Fatalf("AdvanceTime(6) = %v, %v; want nothing expired", expired, err)
+	}
+	if _, ok := f.Lease(); !ok {
+		t.Fatal("lease with TTL MaxInt64 ended at t=6")
+	}
+	if leases := solver.Leases(); len(leases) != 1 || leases[0].Expiry != math.MaxInt64 {
+		t.Fatalf("Leases() = %+v, want one lease expiring at %d", leases, int64(math.MaxInt64))
+	}
+	checkConservation(t, solver)
+}
+
 func TestAdaptiveAdmission(t *testing.T) {
 	net, s, d := buildLine(t)
 	solver := NewSolver(net,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -149,6 +150,79 @@ func TestLoadConservationProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLedgerMatchesForests pins the session's one ledger: after every
+// lifecycle step the forests RepairAll sweeps are exactly the forests of
+// the live leases, in lease-id order, and every lease charges its
+// forest's footprint. Release stops the sweep but keeps the lease; Leave
+// ends both.
+func TestLedgerMatchesForests(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 8; seed++ {
+		h := newLifecycleHarness(t, seed)
+		for i := 0; i < 150; i++ {
+			label := h.step(ctx)
+			leases := h.solver.Leases()
+			live := h.solver.LiveForests()
+			if len(live) != len(leases) {
+				t.Fatalf("seed %d, step %d (%s): %d live forests, %d leases", seed, i, label, len(live), len(leases))
+			}
+			for j, f := range live {
+				l := leases[j]
+				if id, ok := f.Lease(); !ok || id != l.ID {
+					t.Fatalf("seed %d, step %d (%s): live forest %d holds lease %d, %v; want %d", seed, i, label, j, id, ok, l.ID)
+				}
+				edges, vms := f.Footprint()
+				slices.Sort(edges)
+				slices.Sort(l.Edges)
+				if !slices.Equal(edges, l.Edges) || !slices.Equal(vms, l.VMs) {
+					t.Fatalf("seed %d, step %d (%s): lease %d charges %v, %v; forest has %v, %v",
+						seed, i, label, l.ID, l.Edges, l.VMs, edges, vms)
+				}
+			}
+		}
+	}
+
+	net, s, _, _, d1, _, _ := buildSurvivable(t)
+	solver := NewSolver(net, WithCapacity(100, 10), WithRecovery())
+	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := f.Lease()
+	edges, _ := f.Footprint()
+	f.Release()
+	if live := solver.LiveForests(); len(live) != 0 {
+		t.Fatalf("LiveForests() = %v after Release, want none", live)
+	}
+	if got, ok := f.Lease(); !ok || got != id || len(solver.Leases()) != 1 || solver.LinkLoad(edges[0]) != 1 {
+		t.Fatalf("Release ended lease %d: Lease() = %d, %v; link %d load %v", id, got, ok, edges[0], solver.LinkLoad(edges[0]))
+	}
+	if err := solver.Leave(id); err != nil {
+		t.Fatalf("Leave(%d) after Release: %v", id, err)
+	}
+	f.Release()
+	if _, ok := f.Lease(); ok || len(solver.Leases()) != 0 || len(solver.LiveForests()) != 0 {
+		t.Fatal("Release after Leave revived the forest")
+	}
+	for _, e := range edges {
+		if load := solver.LinkLoad(e); load != 0 {
+			t.Fatalf("link %d load = %v after Leave, want 0", e, load)
+		}
+	}
+	checkConservation(t, solver)
+
+	// Without capacity the entry holds no lease, so Release drops it.
+	tracked := NewSolver(net, WithRecovery())
+	f, err = tracked.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if n := len(tracked.entries); n != 0 {
+		t.Fatalf("released forest left %d ledger entries behind", n)
 	}
 }
 

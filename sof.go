@@ -37,7 +37,6 @@ package sof
 import (
 	"fmt"
 
-	"sof/internal/chain"
 	"sof/internal/core"
 	"sof/internal/graph"
 )
@@ -165,32 +164,27 @@ func (n *Network) VMs() []NodeID { return n.g.VMs() }
 
 // Forest is an embedded service overlay forest with its dynamic
 // reconfiguration operations (Section VII-C of the paper). A forest keeps
-// the Solver session state it was embedded under: the shared shortest-path
+// the Solver session it was embedded under: the shared shortest-path
 // cache (dynamic operations run warm when costs have not changed since the
 // embed) and the candidate-VM restriction (Join, InsertVNF, and MigrateVM
-// never graft onto VMs the original embed was forbidden to use).
+// never graft onto VMs the original embed was forbidden to use). Callers
+// read its shape through Footprint and Route and change it only through
+// its methods.
 type Forest struct {
-	f      *core.Forest
-	net    *Network
-	req    core.Request
-	oracle *chain.Oracle
-	// vms is the embed-time candidate restriction; nil means every VM of
-	// the network is eligible.
-	vms []NodeID
-	// owner is the session that embedded the forest; recovery sweeps and
-	// Release go through it.
-	owner *Solver
-	// lease is the forest's resource reservation on a capacitated session
-	// (0 = none); see Lease.
-	lease LeaseID
+	f       *core.Forest
+	sources []NodeID
+	s       *Solver
+	// id is the forest's row in the session ledger and, on a capacitated
+	// session, its lease id; 0 when the session books nothing.
+	id LeaseID
 }
 
 // candidateVMs returns the VM set dynamic operations may draw from.
 func (f *Forest) candidateVMs() []NodeID {
-	if f.vms != nil {
-		return f.vms
+	if f.s.vms != nil {
+		return f.s.vms
 	}
-	return f.net.g.VMs()
+	return f.s.net.g.VMs()
 }
 
 // TotalCost returns setup + connection cost.
@@ -210,7 +204,7 @@ func (f *Forest) Destinations() []NodeID { return f.f.Destinations() }
 
 // Validate re-checks feasibility for the forest's current destinations.
 func (f *Forest) Validate() error {
-	return f.f.Validate(f.req.Sources, f.f.Destinations())
+	return f.f.Validate(f.sources, f.f.Destinations())
 }
 
 // Join grafts a new destination onto the forest at minimum extension cost,
@@ -221,10 +215,10 @@ func (f *Forest) Validate() error {
 // through the epoch, no explicit flush needed). A destination outside the
 // network is an error.
 func (f *Forest) Join(d NodeID) (float64, error) {
-	if !f.net.g.Valid(d) {
+	if !f.s.net.g.Valid(d) {
 		return 0, fmt.Errorf("sof: destination %d is not in the network", d)
 	}
-	return f.f.Join(f.oracle, f.candidateVMs(), d)
+	return f.f.Join(f.s.oracle, f.candidateVMs(), d)
 }
 
 // Leave removes a destination, pruning the branch it exclusively used, and
@@ -234,7 +228,7 @@ func (f *Forest) Leave(d NodeID) (float64, error) { return f.f.Leave(d) }
 // InsertVNF adds a VNF at 1-based chain position j, drawing the new VM
 // from the embed-time candidate set.
 func (f *Forest) InsertVNF(j int) error {
-	return f.f.InsertVNF(f.oracle, f.candidateVMs(), j)
+	return f.f.InsertVNF(f.s.oracle, f.candidateVMs(), j)
 }
 
 // RemoveVNF deletes the VNF at 1-based chain position j.
@@ -248,20 +242,44 @@ func (f *Forest) RemoveVNF(j int) error { return f.f.RemoveVNF(j) }
 // partial reroute is progress, not an abort. A link outside the network
 // is rejected, and nothing moves.
 func (f *Forest) RerouteCongestedLink(e EdgeID) (int, error) {
-	if !f.net.g.ValidEdge(e) {
+	if !f.s.net.g.ValidEdge(e) {
 		return 0, fmt.Errorf("sof: no link %d", e)
 	}
-	return f.f.RerouteCongestedEdge(f.oracle, e)
+	return f.f.RerouteCongestedEdge(f.s.oracle, e)
 }
 
 // MigrateVM moves the VNF off an overloaded VM to the best replacement
 // from the embed-time candidate set; update costs first.
 func (f *Forest) MigrateVM(v NodeID) error {
-	return f.f.MigrateOverloadedVM(f.oracle, f.candidateVMs(), v)
+	return f.f.MigrateOverloadedVM(f.s.oracle, f.candidateVMs(), v)
 }
 
-// Internal returns the underlying core forest for advanced inspection.
-func (f *Forest) Internal() *core.Forest { return f.f }
+// Footprint returns the links the forest crosses, once per crossing (a
+// link two of its clones cross appears twice), and the VMs running its
+// VNFs, sorted. A capacitated session charges exactly this to the
+// forest's lease.
+func (f *Forest) Footprint() (edges []EdgeID, vms []NodeID) {
+	fp := f.f.Footprint()
+	return fp.Edges, fp.VMs
+}
+
+// Route returns the links that carry the service from its source to
+// destination d, in that order, and false when the forest does not serve
+// d.
+func (f *Forest) Route(d NodeID) ([]EdgeID, bool) {
+	c, ok := f.f.DestClone(d)
+	if !ok {
+		return nil, false
+	}
+	path := f.f.PathToRoot(c)
+	var route []EdgeID
+	for i := len(path) - 1; i >= 0; i-- {
+		if cl := f.f.Clone(path[i]); cl.Parent != core.NoClone && cl.ParentEdge != graph.NoEdge {
+			route = append(route, cl.ParentEdge)
+		}
+	}
+	return route, true
+}
 
 // Request returns the embedding request behind the forest, with the
 // destination list as it stands now (joins, leaves, and repairs move it
@@ -269,7 +287,7 @@ func (f *Forest) Internal() *core.Forest { return f.f }
 // scratch, e.g. to compare against a repaired forest.
 func (f *Forest) Request() Request {
 	return Request{
-		Sources:      append([]NodeID(nil), f.req.Sources...),
+		Sources:      append([]NodeID(nil), f.sources...),
 		Destinations: f.f.Destinations(),
 		ChainLength:  f.f.ChainLen(),
 	}

@@ -5,10 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+
+	"sof/internal/graph"
+	"sof/internal/topology"
 )
 
 func buildLine(t *testing.T) (*Network, NodeID, NodeID) {
@@ -168,7 +172,7 @@ func TestRerouteCongestedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uses := func(e EdgeID) bool { return slices.Contains(f.Internal().Footprint().Edges, e) }
+	uses := func(e EdgeID) bool { return slices.Contains(f.f.Footprint().Edges, e) }
 	if !uses(congested) {
 		t.Fatalf("forest does not use link %d (a–d)", congested)
 	}
@@ -202,6 +206,55 @@ func TestRerouteCongestedLink(t *testing.T) {
 // cost, a negative, NaN or infinite cost — and a rejected call leaves
 // every cost and the cost epoch as they were. A valid change still
 // advances the epoch and invalidates a session's cached trees.
+// TestForestFootprintAndRoute pins the read-only views of a forest: on a
+// capacitated session Footprint is exactly what the lease charges, and
+// Route(d) is the uplinks of d's clone path, from the source down, for
+// every destination. A node the forest does not serve has no route.
+func TestForestFootprintAndRoute(t *testing.T) {
+	topo := topology.SoftLayer(topology.Config{NumVMs: 8, Seed: 3})
+	g := topo.G
+	solver := NewSolver(FromGraph(g), WithCapacity(100, 10))
+	nodes := topo.RandomNodes(rand.New(rand.NewSource(5)), 6)
+	req := Request{Sources: nodes[:2], Destinations: nodes[2:], ChainLength: 2}
+	f, err := solver.Embed(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, vms := f.Footprint()
+	leases := solver.Leases()
+	if len(leases) != 1 || !slices.Equal(edges, leases[0].Edges) || !slices.Equal(vms, leases[0].VMs) {
+		t.Fatalf("Footprint() = %v, %v; leases %+v", edges, vms, leases)
+	}
+	for _, d := range req.Destinations {
+		route, ok := f.Route(d)
+		if !ok {
+			t.Fatalf("Route(%d) reports destination unserved", d)
+		}
+		c, _ := f.f.DestClone(d)
+		path := f.f.PathToRoot(c)
+		var want []EdgeID
+		for i := len(path) - 1; i >= 0; i-- {
+			if e := f.f.Clone(path[i]).ParentEdge; e != graph.NoEdge {
+				want = append(want, e)
+			}
+		}
+		if !slices.Equal(route, want) {
+			t.Fatalf("Route(%d) = %v, clone path crosses %v", d, route, want)
+		}
+		root := f.f.Clone(path[len(path)-1]).Node
+		at := root
+		for _, e := range route {
+			at = g.Edge(e).Other(at)
+		}
+		if !slices.Contains(req.Sources, root) || at != d {
+			t.Fatalf("Route(%d) = %v walks %d to %d", d, route, root, at)
+		}
+	}
+	if route, ok := f.Route(req.Sources[0]); ok {
+		t.Fatalf("Route(%d) of a source the forest does not serve = %v", req.Sources[0], route)
+	}
+}
+
 func TestNetworkCostSettersRejectInvalid(t *testing.T) {
 	net, s, d := buildLine(t)
 	g := net.Graph()
@@ -328,6 +381,12 @@ func TestPublicAPIChecksCallerIDs(t *testing.T) {
 		checks = append(checks, check{fmt.Sprintf("Join(%d)", bad), func() error {
 			if _, err := f.Join(bad); err == nil {
 				return errors.New("no error")
+			}
+			return nil
+		}})
+		checks = append(checks, check{fmt.Sprintf("Route(%d)", bad), func() error {
+			if route, ok := f.Route(bad); ok {
+				return fmt.Errorf("route %v", route)
 			}
 			return nil
 		}})

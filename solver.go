@@ -21,6 +21,11 @@ import (
 // SetVMCost invalidate lazily (only the trees the next request touches are
 // recomputed) instead of dropping the whole cache.
 //
+// A session built WithRecovery or WithCapacity keeps one ledger of the
+// forests it commits (lease.go), numbered in commit order: the forests
+// RepairAll sweeps and the leases that hold their load are rows of the
+// same table, under one lock.
+//
 // Create one Solver per network and reuse it for every request — online
 // arrival loops, batch workloads, and dynamic reconfiguration all benefit
 // from the shared cache. A Solver is safe for concurrent use: EmbedBatch
@@ -35,17 +40,15 @@ type Solver struct {
 	exactBudget int
 	oracle      *chain.Oracle
 
-	// Recovery state (see survivable.go). The registry only fills on
-	// sessions built WithRecovery; fmu guards it against concurrent
-	// embeds and sweeps.
 	recovery     bool
 	repairBudget float64
-	fmu          sync.Mutex
-	forests      map[*Forest]int64
-	fseq         int64
 
-	// capacity is the load ledger of a capacitated lifecycle session (see
-	// lease.go); nil on sessions built without WithCapacity.
+	// mu guards the ledger — entries, keyed by commit-order id, and lastID,
+	// the last id issued — and capacity, the load accounting of a session
+	// built WithCapacity (nil otherwise).
+	mu       sync.Mutex
+	entries  map[LeaseID]*entry
+	lastID   LeaseID
 	capacity *capacityState
 }
 
@@ -108,7 +111,7 @@ func WithExactBranchBudget(n int) Option {
 
 // NewSolver opens an embedding session on net.
 func NewSolver(net *Network, opts ...Option) *Solver {
-	s := &Solver{net: net, algo: AlgorithmSOFDA}
+	s := &Solver{net: net, algo: AlgorithmSOFDA, entries: make(map[LeaseID]*entry)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -148,17 +151,24 @@ func (s *Solver) Embed(ctx context.Context, req Request) (*Forest, error) {
 // still runs inside the session — the shortest-path cache is shared, so
 // comparing algorithms on one network pays the Dijkstra work once.
 func (s *Solver) EmbedAlgorithm(ctx context.Context, req Request, algo Algorithm) (*Forest, error) {
-	return s.embed(ctx, req, algo, s.parallelism, true)
+	return s.embed(ctx, req, algo, s.parallelism)
 }
 
-// embed runs one embedding with an explicit candidate-generation width
+// embed solves req and commits the forest to the session's books.
+func (s *Solver) embed(ctx context.Context, req Request, algo Algorithm, innerPar int) (*Forest, error) {
+	f, err := s.solve(ctx, req, algo, innerPar)
+	if err != nil {
+		return nil, err
+	}
+	return s.commit(f, req)
+}
+
+// solve runs one embedding with an explicit candidate-generation width
 // (innerPar): the batch/stream fan-outs pass 1 so their request-level
-// concurrency is the only pool, single embeds pass the session width.
-// newLease gates the capacitated session's reservation: user-facing embeds
-// pass true; the repair re-embed tier passes false, because the damaged
-// forest already holds a (suspended) lease that resumes over the repaired
-// shape — reserving again would double-charge the trackers.
-func (s *Solver) embed(ctx context.Context, req Request, algo Algorithm, innerPar int, newLease bool) (*Forest, error) {
+// concurrency is the only pool, single embeds pass the session width. It
+// books nothing: commit does, and the repair re-embed tier swaps the
+// result into a forest the ledger already holds.
+func (s *Solver) solve(ctx context.Context, req Request, algo Algorithm, innerPar int) (*core.Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -179,54 +189,28 @@ func (s *Solver) embed(ctx context.Context, req Request, algo Algorithm, innerPa
 		VMs:         s.vms,
 		Oracle:      s.oracle,
 	}
-	var (
-		f   *core.Forest
-		err error
-	)
 	switch algo {
 	case AlgorithmSOFDA:
-		f, err = core.SOFDACtx(ctx, s.net.g, creq, copts)
+		return core.SOFDACtx(ctx, s.net.g, creq, copts)
 	case AlgorithmSOFDASS:
 		if len(req.Sources) != 1 {
 			return nil, errors.New("sof: SOFDA-SS requires exactly one source")
 		}
-		f, err = core.SOFDASSCtx(ctx, s.net.g, req.Sources[0], req.Destinations, req.ChainLength, copts)
+		return core.SOFDASSCtx(ctx, s.net.g, req.Sources[0], req.Destinations, req.ChainLength, copts)
 	case AlgorithmENEMP:
-		f, err = baseline.SolveCtx(ctx, s.net.g, creq, copts, baseline.KindENEMP)
+		return baseline.SolveCtx(ctx, s.net.g, creq, copts, baseline.KindENEMP)
 	case AlgorithmEST:
-		f, err = baseline.SolveCtx(ctx, s.net.g, creq, copts, baseline.KindEST)
+		return baseline.SolveCtx(ctx, s.net.g, creq, copts, baseline.KindEST)
 	case AlgorithmST:
-		f, err = baseline.SolveCtx(ctx, s.net.g, creq, copts, baseline.KindST)
+		return baseline.SolveCtx(ctx, s.net.g, creq, copts, baseline.KindST)
 	case AlgorithmExact:
-		f, err = sofexact.SolveCtx(ctx, s.net.g, creq, &sofexact.Options{
+		return sofexact.SolveCtx(ctx, s.net.g, creq, &sofexact.Options{
 			VMs:            s.vms,
 			MaxBranchNodes: s.exactBudget,
 		})
 	default:
 		return nil, fmt.Errorf("sof: unknown algorithm %q", algo)
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := &Forest{
-		f:      f,
-		net:    s.net,
-		req:    creq,
-		oracle: s.oracle,
-		vms:    s.vms,
-		owner:  s,
-	}
-	if s.capacity != nil && newLease {
-		// Adaptive admission, capacity reservation, lease creation — all or
-		// nothing; a rejected request leaves the session untouched.
-		if err := s.admitAndLease(out, req); err != nil {
-			return nil, err
-		}
-	}
-	if s.recovery {
-		s.register(out)
-	}
-	return out, nil
 }
 
 // Result couples one request of a batch or stream with its outcome.
@@ -260,7 +244,7 @@ func (s *Solver) EmbedBatch(ctx context.Context, reqs []Request) ([]Result, erro
 	err := ctx.Err()
 	if err == nil {
 		err = fanout.For(ctx, len(reqs), s.parallelism, func(i int) {
-			results[i].Forest, results[i].Err = s.embed(ctx, reqs[i], s.algo, innerPar, true)
+			results[i].Forest, results[i].Err = s.embed(ctx, reqs[i], s.algo, innerPar)
 		})
 	}
 	if err != nil {
@@ -307,7 +291,7 @@ func (s *Solver) EmbedStream(ctx context.Context, reqs <-chan Request) <-chan Re
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				f, err := s.embed(ctx, j.req, s.algo, innerPar, true)
+				f, err := s.embed(ctx, j.req, s.algo, innerPar)
 				out <- Result{Index: j.idx, Forest: f, Err: err}
 			}
 		}()

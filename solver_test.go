@@ -220,7 +220,7 @@ func TestSolverEmbedBatch(t *testing.T) {
 }
 
 // cancelAfterForests is a context that cancels itself at the first Err
-// call that finds at least k forests registered on the session s.
+// call that finds at least k of the session s's LiveForests.
 type cancelAfterForests struct {
 	context.Context
 	cancel context.CancelFunc
@@ -229,10 +229,7 @@ type cancelAfterForests struct {
 }
 
 func (c cancelAfterForests) Err() error {
-	c.s.fmu.Lock()
-	n := len(c.s.forests)
-	c.s.fmu.Unlock()
-	if n >= c.k {
+	if len(c.s.LiveForests()) >= c.k {
 		c.cancel()
 	}
 	return c.Context.Err()

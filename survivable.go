@@ -28,10 +28,10 @@ import (
 var ErrUnrecoverable = errors.New("sof: destination unrecoverable")
 
 // WithRecovery enables forest tracking on the session: every forest the
-// session embeds is registered (until Release) so FailLink/FailVM impact
-// queries and RepairAll can sweep them. Off by default — an untracked
-// session never retains forests, so long request streams that drop their
-// results do not leak.
+// session commits stays in its ledger (until Release, Leave or expiry) so
+// FailLink/FailVM impact queries and RepairAll can sweep them. Off by
+// default — an untracked session never retains forests, so long request
+// streams that drop their results do not leak.
 func WithRecovery() Option {
 	return func(s *Solver) { s.recovery = true }
 }
@@ -45,39 +45,35 @@ func WithRepairBudget(budget float64) Option {
 	return func(s *Solver) { s.repairBudget = budget }
 }
 
-// register tracks a freshly embedded forest in the recovery registry.
-func (s *Solver) register(f *Forest) {
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	if s.forests == nil {
-		s.forests = make(map[*Forest]int64)
-	}
-	s.fseq++
-	s.forests[f] = s.fseq
-}
-
-// Release removes the forest from its session's recovery registry; the
-// forest itself stays usable, it just stops being swept by RepairAll.
-// Releasing an untracked forest is a no-op.
+// Release stops RepairAll from sweeping the forest; the forest itself
+// stays usable. On a capacitated session its lease, and the load the
+// lease holds, stay until Leave or expiry. Releasing a forest twice, after
+// its lease ended, or on a session that tracks nothing is a no-op.
 func (f *Forest) Release() {
-	if f.owner == nil {
-		return
+	s := f.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.entries[f.id]; ok {
+		e.swept = false
+		if s.capacity == nil { // no lease left to hold the entry
+			delete(s.entries, f.id)
+		}
 	}
-	f.owner.fmu.Lock()
-	defer f.owner.fmu.Unlock()
-	delete(f.owner.forests, f)
 }
 
-// LiveForests returns the tracked forests in embedding order. Only
-// sessions built WithRecovery track forests.
+// LiveForests returns the forests RepairAll sweeps, in commit order: on a
+// session built WithRecovery, every forest it committed that has not been
+// released, departed or expired.
 func (s *Solver) LiveForests() []*Forest {
-	s.fmu.Lock()
-	defer s.fmu.Unlock()
-	out := make([]*Forest, 0, len(s.forests))
-	for f := range s.forests {
-		out = append(out, f)
+	s.mu.Lock()
+	out := make([]*Forest, 0, len(s.entries))
+	for _, e := range s.entries {
+		if e.swept {
+			out = append(out, e.forest)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return s.forests[out[i]] < s.forests[out[j]] })
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -136,7 +132,7 @@ func (f *Forest) PlanBackups(critical ...NodeID) (int, error) {
 	if len(critical) == 0 {
 		critical = f.f.Destinations()
 	}
-	return f.f.PlanBackups(f.oracle, f.candidateVMs(), critical)
+	return f.f.PlanBackups(f.s.oracle, f.candidateVMs(), critical)
 }
 
 // DestFailure records one destination a recovery sweep could not restore;
@@ -257,7 +253,7 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 		defer s.resumeLease(f)
 	}
 	fr := &ForestRecovery{Forest: f}
-	rep, err := f.f.Repair(f.oracle, f.candidateVMs(), &core.RepairOptions{Budget: s.repairBudget})
+	rep, err := f.f.Repair(s.oracle, f.candidateVMs(), &core.RepairOptions{Budget: s.repairBudget})
 	if err != nil {
 		return nil, fmt.Errorf("sof: repair of forest: %w", err)
 	}
@@ -281,14 +277,13 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 	if len(wantBack) > 0 {
 		dests := append(f.f.Destinations(), wantBack...)
 		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-		// newLease=false: the forest's own (suspended) lease resumes over
-		// whatever shape comes back; a fresh reservation here would
-		// double-charge the trackers.
-		nf, err := s.embed(ctx, Request{
-			Sources:      f.req.Sources,
+		// solve books nothing: the forest's own (suspended) lease resumes
+		// over whatever shape comes back, so nothing is charged twice.
+		cf, err := s.solve(ctx, Request{
+			Sources:      f.sources,
 			Destinations: dests,
 			ChainLength:  f.f.ChainLen(),
-		}, s.algo, s.parallelism, false)
+		}, s.algo, s.parallelism)
 		if err != nil {
 			for _, d := range wantBack {
 				fr.Failed = append(fr.Failed, DestFailure{
@@ -297,13 +292,9 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 				})
 			}
 		} else {
-			// Swap the embedded core forest in place: the caller's *Forest
-			// keeps its identity, registry entry, and session state. The
-			// scratch wrapper must leave the registry or the sweep would
-			// track a forest nobody holds.
-			nf.Release()
-			f.f = nf.f
-			f.req = nf.req
+			// Swap the core forest in place: the caller's *Forest keeps its
+			// identity, its ledger entry and its lease.
+			f.f = cf
 			fr.Reembedded = true
 		}
 	}

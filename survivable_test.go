@@ -243,8 +243,8 @@ func TestForestChainLengthFollowsVNFOps(t *testing.T) {
 	}
 	// Sever d1's uplink. The graft budget is unpayable, so the sweep must
 	// re-embed.
-	c, _ := f.Internal().DestClone(d1)
-	if !solver.FailLink(f.Internal().Clone(c).ParentEdge) {
+	c, _ := f.f.DestClone(d1)
+	if !solver.FailLink(f.f.Clone(c).ParentEdge) {
 		t.Fatal("FailLink reported no change")
 	}
 	rep, err := solver.RepairAll(ctx)
@@ -254,7 +254,7 @@ func TestForestChainLengthFollowsVNFOps(t *testing.T) {
 	if rep.Reembeds != 1 {
 		t.Fatalf("report = %+v, want one re-embed", rep)
 	}
-	if got := f.Internal().ChainLen(); got != 2 {
+	if got := f.f.ChainLen(); got != 2 {
 		t.Fatalf("re-embedded forest serves %d VNFs, want 2 (the inserted one was dropped)", got)
 	}
 	if err := f.Validate(); err != nil {
