@@ -21,11 +21,14 @@ import (
 //     the function;
 //   - a send on a channel declared outside the loop;
 //   - the range *key* assigned to a variable declared outside the loop
-//     (nondeterministic winner selection among ties).
+//     (nondeterministic winner selection among ties);
+//   - `+=` or `-=` onto a floating-point variable declared outside the
+//     loop, or onto a field selected from one: float addition is not
+//     associative, so the sum's low bits follow map order.
 //
-// Value-only aggregation (sums, maxima of the values) is not flagged:
-// those are order-independent. The fix is almost always to collect and
-// sort the keys, then range over the sorted slice.
+// Other value-only aggregation (integer sums, maxima of the values) is not
+// flagged: it is order-independent. The fix is almost always to collect
+// and sort the keys, then range over the sorted slice.
 var DetOrder = &Analyzer{
 	Name: "detorder",
 	Doc:  "map iteration must not feed ordered output without a deterministic sort between",
@@ -111,6 +114,15 @@ func checkMapRange(pass *Pass, fd *ast.FuncDecl, rs *ast.RangeStmt, appendingClo
 				return true
 			}
 			for i, lhs := range n.Lhs {
+				if n.Tok == token.ADD_ASSIGN || n.Tok == token.SUB_ASSIGN {
+					if root := sumRoot(lhs); root != nil && isFloat(info.TypeOf(lhs)) &&
+						declaredOutside(objectOf(info, root), rs.Pos(), rs.End()) {
+						pass.Reportf(n.Pos(),
+							"float sum into %q inside map iteration: rounding follows randomized map order; iterate sorted keys",
+							types.ExprString(lhs))
+					}
+					continue
+				}
 				id, ok := ast.Unparen(lhs).(*ast.Ident)
 				if !ok {
 					continue
@@ -189,6 +201,28 @@ func closureWritesOrderedState(pass *Pass, fl *ast.FuncLit) bool {
 		return !found
 	})
 	return found
+}
+
+// sumRoot returns the variable an accumulation target lives in: e itself
+// when it is an identifier, the variable x when it is a field x.f (or
+// x.f.g), and nil for any other expression.
+func sumRoot(e ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return sumRoot(e.X)
+	}
+	return nil
+}
+
+// isFloat reports whether t is a floating-point type.
+func isFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }
 
 // isAppendCall reports whether e is a call of the append builtin.

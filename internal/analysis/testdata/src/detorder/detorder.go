@@ -1,9 +1,13 @@
 // Package detorder is the fixture for the detorder pass: map-range loops
-// feeding ordered output are flagged; value aggregation and the
-// collect-then-sort repair are not.
+// feeding ordered output or a float sum are flagged; integer aggregation
+// and the collect-then-sort repair are not.
 package detorder
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 func badAppend(m map[int]string) []string {
 	var out []string
@@ -49,14 +53,58 @@ func badClosure(m map[int]string) []string {
 	return out
 }
 
-// valueAggregation is order-independent: sums and maxima of the values do
-// not depend on iteration order.
-func valueAggregation(m map[int]float64) float64 {
+// badFloatSum: float addition is not associative, so the low bits of the
+// total follow map order.
+func badFloatSum(m map[int]float64) float64 {
 	total := 0.0
 	for _, v := range m {
-		total += v
+		total += v // want "float sum into .total. inside map iteration"
 	}
 	return total
+}
+
+type account struct{ cost float64 }
+
+func badFloatField(m map[int]float64) account {
+	var a account
+	for _, v := range m {
+		a.cost -= v // want "float sum into .a.cost. inside map iteration"
+	}
+	return a
+}
+
+// intCount is order-independent: integer sums do not round.
+func intCount(m map[int]float64) int {
+	n := 0
+	for k := range m {
+		n += k
+	}
+	return n
+}
+
+// sortedFloatSum is the repair: the sum runs over sorted keys, not the map.
+func sortedFloatSum(m map[int]float64) float64 {
+	total := 0.0
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		total += m[k]
+	}
+	return total
+}
+
+// innerFloat sums into a float declared inside the loop: each iteration
+// starts afresh, so order cannot leak out.
+func innerFloat(m map[int][]float64) int {
+	n := 0
+	for _, vs := range m {
+		sum := 0.0
+		for _, v := range vs {
+			sum += v
+		}
+		if sum > 1 {
+			n++
+		}
+	}
+	return n
 }
 
 // innerSlice appends to a slice declared inside the loop — each iteration

@@ -40,18 +40,10 @@ func (f *Forest) Leave(d graph.NodeID) (float64, error) {
 // (vnfProgress found out-of-order VNFs) — the latter is named explicitly
 // in the message.
 func (f *Forest) Join(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.NodeID) (float64, error) {
-	return f.join(oracle, freeVMs, d, math.Inf(1))
-}
-
-// join is Join with a graft budget: a cheapest plan whose extension cost
-// exceeds budget is rejected with ErrOverBudget before any mutation, which
-// is what lets Repair bound the fast path and fall back to a full
-// re-embed instead of paying an arbitrarily bad graft.
-func (f *Forest) join(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.NodeID, budget float64) (float64, error) {
 	if _, ok := f.dests[d]; ok {
 		return 0, fmt.Errorf("core: destination %d already served", d)
 	}
-	best, metaErrs, extErrs := f.cheapestGraft(oracle, freeVMs, d, nil)
+	best, metaErrs, extErrs := f.cheapestGraft(oracle, freeVMs, d)
 	if best == nil {
 		joined := errors.Join(append(metaErrs, extErrs...)...)
 		switch {
@@ -64,10 +56,6 @@ func (f *Forest) join(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.Node
 			return 0, fmt.Errorf("core: no feasible join point for destination %d (forest has no live clones)", d)
 		}
 	}
-	if cost := best.ext.TotalCost(); cost > budget {
-		return 0, fmt.Errorf("core: cheapest graft for destination %d costs %.6g, budget %.6g: %w",
-			d, cost, budget, ErrOverBudget)
-	}
 	before := f.TotalCost()
 	if err := f.serve(best, d); err != nil {
 		return 0, err
@@ -77,24 +65,26 @@ func (f *Forest) join(oracle *chain.Oracle, freeVMs []graph.NodeID, d graph.Node
 
 // graft is an attach plan for one destination: the live clone it hangs
 // under, that clone's VNF progress, and the extension walk that enables
-// the VNFs still missing. Join lays the cheapest one at once; PlanBackups
-// stores one per critical destination for Repair to revalidate and lay.
+// the VNFs still missing. Join, and through it every repair graft, lays
+// the cheapest one at once.
 type graft struct {
 	anchor   CloneID
 	progress int
 	ext      *chain.ServiceChain
 }
 
-// cheapestGraft scans the live clones that skip does not exclude for the
-// cheapest extension walk to d through the free VMs of vms, the first
-// clone winning a tie. It returns nil when no clone has one, with the
-// per-clone causes: corrupt VNF order, and failed extensions.
-func (f *Forest) cheapestGraft(oracle *chain.Oracle, vms []graph.NodeID, d graph.NodeID, skip func(CloneID) bool) (best *graft, metaErrs, extErrs []error) {
+// cheapestGraft scans the live clones for the cheapest extension walk to
+// d through the free VMs of vms, the first clone winning a tie. The walks
+// come from the oracle at the network's current costs and avoid every
+// failed and capacity-masked element. It returns nil when no clone has
+// one, with the per-clone causes: corrupt VNF order, and failed
+// extensions.
+func (f *Forest) cheapestGraft(oracle *chain.Oracle, vms []graph.NodeID, d graph.NodeID) (best *graft, metaErrs, extErrs []error) {
 	avail := f.free(vms)
 	bestCost := math.Inf(1)
 	for id := range f.clones {
 		c := CloneID(id)
-		if f.clones[c].deleted || skip != nil && skip(c) {
+		if f.clones[c].deleted {
 			continue
 		}
 		progress, err := f.vnfProgress(c)
@@ -187,7 +177,7 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 	}
 	saved := *f
 	saved.clones, saved.roots = slices.Clone(f.clones), slices.Clone(f.roots)
-	saved.owner, saved.dests, saved.backups = maps.Clone(f.owner), maps.Clone(f.dests), maps.Clone(f.backups)
+	saved.owner, saved.dests = maps.Clone(f.owner), maps.Clone(f.dests)
 	defer func() {
 		if err != nil {
 			*f = saved

@@ -131,17 +131,16 @@ func (r *dynRun) step(op, arg byte) (string, bool, error) {
 		if !ok {
 			e = graph.EdgeID(int(arg) % g.NumEdges())
 		}
-		planned, perr := f.PlanBackups(r.oracle, vms, r.dests)
 		g.FailEdge(e)
-		rep, err := f.Repair(r.oracle, vms, nil)
+		rep, err := f.Repair(r.oracle, vms)
 		if rep != nil {
 			r.rejoin = r.joinable(rep.Failed, vms)
 		}
 		g.RestoreEdge(e)
-		out := fmt.Sprint("repair ", e, ": planned ", planned, " ", perr, "; ", err)
+		out := fmt.Sprint("repair ", e, ": ", err)
 		if rep != nil {
-			out += fmt.Sprintf("; orphans %d reattached %d backups %d delta %x",
-				rep.Orphans, rep.Reattached, rep.BackupHits, math.Float64bits(rep.CostDelta))
+			out += fmt.Sprintf("; orphans %d reattached %d delta %x",
+				rep.Orphans, rep.Reattached, math.Float64bits(rep.CostDelta))
 			for _, fl := range rep.Failed {
 				out += fmt.Sprint("; failed ", fl.Dest, ": ", fl.Err)
 				r.dests = slices.DeleteFunc(r.dests, func(x graph.NodeID) bool { return x == fl.Dest })
@@ -174,7 +173,7 @@ func snapshot(f *Forest) Forest {
 	s := *f
 	s.g = nil
 	s.clones, s.roots = slices.Clone(f.clones), slices.Clone(f.roots)
-	s.owner, s.dests, s.backups = maps.Clone(f.owner), maps.Clone(f.dests), maps.Clone(f.backups)
+	s.owner, s.dests = maps.Clone(f.owner), maps.Clone(f.dests)
 	return s
 }
 

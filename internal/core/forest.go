@@ -58,9 +58,6 @@ type Forest struct {
 	owner map[graph.NodeID]vmUse
 	// dests maps each destination to the clone that serves it.
 	dests map[graph.NodeID]CloneID
-	// backups holds pre-computed standby attach plans for critical
-	// destinations (see PlanBackups in survive.go); nil until planned.
-	backups map[graph.NodeID]graft
 }
 
 // NewForest returns an empty forest over g for a chain of chainLen VNFs.

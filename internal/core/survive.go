@@ -6,27 +6,18 @@ package core
 // (graph.FailEdge / graph.FailNode); the forest's clone structure is NOT
 // mutated by a failure. Damage walks the clone trees against the current
 // snapshot to find the destinations whose root paths cross a failed
-// element, and Repair re-attaches them: first from a pre-planned backup
-// graft (PlanBackups), then via the cheapest live join point (the same
-// machinery as the Section VII-C Join operation), bounded by an optional
-// cost budget so a caller can prefer a full re-embed over a pathological
-// graft.
+// element, and Repair re-attaches each of them at its cheapest live join
+// point, through the same graft search as the Section VII-C Join
+// operation, so every repair walk is priced at current costs and avoids
+// failed and capacity-masked elements.
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
 )
-
-// ErrOverBudget is returned (wrapped) when the cheapest feasible graft for
-// a destination exceeds the caller's repair budget. The forest is not
-// mutated in that case; the caller decides between raising the budget and
-// re-embedding from scratch.
-var ErrOverBudget = errors.New("core: graft cost over budget")
 
 // Damage describes the effect of the graph's current failure state on one
 // forest.
@@ -116,14 +107,6 @@ func (f *Forest) Damage() *Damage {
 	return dmg
 }
 
-// RepairOptions tunes Repair.
-type RepairOptions struct {
-	// Budget caps the graft cost accepted for any single destination on
-	// the fast path; a dearer cheapest-graft fails that destination with
-	// ErrOverBudget. Zero or negative means unbounded.
-	Budget float64
-}
-
 // RepairFailure records one destination Repair could not re-attach and why.
 type RepairFailure struct {
 	Dest graph.NodeID
@@ -134,10 +117,8 @@ type RepairFailure struct {
 type RepairReport struct {
 	// Orphans is the number of severed destinations found.
 	Orphans int
-	// Reattached counts destinations re-attached (backup hits included).
+	// Reattached counts destinations re-attached.
 	Reattached int
-	// BackupHits counts re-attachments served from a PlanBackups plan.
-	BackupHits int
 	// CostDelta is the forest cost after repair minus the cost before the
 	// failure (a damaged forest's cost equals its pre-failure cost, since
 	// costs are structural). Pruned dead weight can make it negative.
@@ -149,23 +130,19 @@ type RepairReport struct {
 
 // Repair re-attaches every severed destination it can. The severed
 // subtrees are detached and pruned first — freeing their VMs for reuse —
-// then each orphan is re-attached via its backup plan if one validates, or
-// else grafted at the cheapest live join point within opts.Budget. Every
-// re-attached destination is feasibility-checked (full chain, in order).
+// then each orphan is grafted at its cheapest live join point, as Join
+// grafts a new destination. Every re-attached destination is
+// feasibility-checked (full chain, in order).
 //
 // Orphans that cannot be re-attached (failed destination node, no feasible
-// graft, over budget) are returned in RepairReport.Failed — never silently
-// dropped — and the forest keeps serving all healthy destinations. The
-// error return is non-nil only when the forest itself is corrupt.
-func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *RepairOptions) (*RepairReport, error) {
+// graft) are returned in RepairReport.Failed — never silently dropped —
+// and the forest keeps serving all healthy destinations. The error return
+// is non-nil only when the forest itself is corrupt.
+func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID) (*RepairReport, error) {
 	dmg := f.Damage()
 	rep := &RepairReport{Orphans: len(dmg.Orphans)}
 	if !dmg.Broken() {
 		return rep, nil
-	}
-	budget := math.Inf(1)
-	if opts != nil && opts.Budget > 0 {
-		budget = opts.Budget
 	}
 	before := f.TotalCost()
 	fs := f.g.Failures()
@@ -211,13 +188,7 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 			})
 			continue
 		}
-		if f.tryBackup(d, fs) {
-			rep.Reattached++
-			rep.BackupHits++
-			again = len(failed) > 0
-			continue
-		}
-		if _, err := f.join(oracle, freeVMs, d, budget); err != nil {
+		if _, err := f.Join(oracle, freeVMs, d); err != nil {
 			failed = append(failed, RepairFailure{Dest: d, Err: err})
 			continue
 		}
@@ -230,7 +201,7 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 		again = false
 		kept := failed[:0]
 		for _, fl := range failed {
-			if _, err := f.join(oracle, freeVMs, fl.Dest, budget); err != nil {
+			if _, err := f.Join(oracle, freeVMs, fl.Dest); err != nil {
 				kept = append(kept, RepairFailure{Dest: fl.Dest, Err: err})
 				continue
 			}
@@ -246,85 +217,4 @@ func (f *Forest) Repair(oracle *chain.Oracle, freeVMs []graph.NodeID, opts *Repa
 	f.Prune()
 	rep.CostDelta = f.TotalCost() - before
 	return rep, nil
-}
-
-// PlanBackups pre-computes standby attach plans for the given critical
-// destinations. Each plan anchors at a live clone OFF the destination's
-// current serving path, so a failure that severs the primary path tends to
-// leave the backup intact; plans avoid VMs the forest already uses but may
-// share spare VMs with each other — conflicts surface at repair time, when
-// a stale plan simply falls back to the normal graft search.
-//
-// It returns how many plans were stored; the error joins the per-dest
-// reasons for destinations that got none (not served, or no off-path
-// anchor reaches them) and is advisory — planning is best-effort.
-func (f *Forest) PlanBackups(oracle *chain.Oracle, freeVMs []graph.NodeID, critical []graph.NodeID) (int, error) {
-	if f.backups == nil {
-		f.backups = make(map[graph.NodeID]graft)
-	}
-	planned := 0
-	var errs []error
-	for _, d := range critical {
-		serving, ok := f.dests[d]
-		if !ok {
-			errs = append(errs, fmt.Errorf("destination %d not served", d))
-			continue
-		}
-		onPath := make(map[CloneID]bool)
-		for _, c := range f.PathToRoot(serving) {
-			onPath[c] = true
-		}
-		best, _, _ := f.cheapestGraft(oracle, freeVMs, d, func(c CloneID) bool { return onPath[c] })
-		if best == nil {
-			errs = append(errs, fmt.Errorf("destination %d: no off-path backup anchor", d))
-			continue
-		}
-		f.backups[d] = *best
-		planned++
-	}
-	return planned, errors.Join(errs...)
-}
-
-// HasBackup reports whether destination d has a stored backup plan.
-func (f *Forest) HasBackup(d graph.NodeID) bool {
-	_, ok := f.backups[d]
-	return ok
-}
-
-// tryBackup attempts to re-attach orphan d from its stored backup plan.
-// It revalidates the plan against the live forest and failure snapshot and
-// reports whether the graft succeeded; a stale or infeasible plan is
-// dropped so the caller falls through to the normal join search.
-func (f *Forest) tryBackup(d graph.NodeID, fs *graph.FailState) bool {
-	plan, ok := f.backups[d]
-	if !ok {
-		return false
-	}
-	if int(plan.anchor) >= len(f.clones) || f.clones[plan.anchor].deleted {
-		return false
-	}
-	if got, err := f.vnfProgress(plan.anchor); err != nil || got != plan.progress {
-		return false
-	}
-	for _, e := range plan.ext.Edges {
-		if e != graph.NoEdge && fs.EdgeFailed(e) {
-			return false
-		}
-	}
-	for _, n := range plan.ext.Nodes {
-		if fs.NodeFailed(n) {
-			return false
-		}
-	}
-	for _, vm := range plan.ext.VMs {
-		if _, used := f.owner[vm]; used {
-			return false
-		}
-	}
-	if err := f.serve(&plan, d); err != nil {
-		delete(f.dests, d)
-		return false
-	}
-	delete(f.backups, d)
-	return true
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"sof/internal/chain"
@@ -88,7 +87,7 @@ func TestDamageDetectsSeveredDest(t *testing.T) {
 func TestRepairReattachesViaJoin(t *testing.T) {
 	f, oracle, req, n := surviveForest(t)
 	f.Graph().FailEdge(n.ev1d1)
-	rep, err := f.Repair(oracle, f.Graph().VMs(), nil)
+	rep, err := f.Repair(oracle, f.Graph().VMs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestRepairReattachesViaJoin(t *testing.T) {
 func TestRepairFailedVMReembedsThroughSpare(t *testing.T) {
 	f, oracle, req, n := surviveForest(t)
 	f.Graph().FailNode(n.v1)
-	rep, err := f.Repair(oracle, f.Graph().VMs(), nil)
+	rep, err := f.Repair(oracle, f.Graph().VMs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestRepairFailedVMReembedsThroughSpare(t *testing.T) {
 func TestRepairFailedDestNodeIsSurfaced(t *testing.T) {
 	f, oracle, req, n := surviveForest(t)
 	f.Graph().FailNode(n.d1)
-	rep, err := f.Repair(oracle, f.Graph().VMs(), nil)
+	rep, err := f.Repair(oracle, f.Graph().VMs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,54 +144,6 @@ func TestRepairFailedDestNodeIsSurfaced(t *testing.T) {
 	// The healthy destination keeps its service.
 	if err := f.Validate(req.Sources, []graph.NodeID{n.d2}); err != nil {
 		t.Fatalf("healthy dest lost: %v", err)
-	}
-}
-
-func TestRepairBudgetRejectsDearGraft(t *testing.T) {
-	f, oracle, _, n := surviveForest(t)
-	f.Graph().FailEdge(n.ev1d1)
-	rep, err := f.Repair(oracle, f.Graph().VMs(), &RepairOptions{Budget: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reattached != 0 || len(rep.Failed) != 1 {
-		t.Fatalf("report = %+v, want over-budget failure", rep)
-	}
-	if !errors.Is(rep.Failed[0].Err, ErrOverBudget) {
-		t.Fatalf("err = %v, want ErrOverBudget", rep.Failed[0].Err)
-	}
-}
-
-func TestPlanBackupsFastPath(t *testing.T) {
-	f, oracle, req, n := surviveForest(t)
-	planned, err := f.PlanBackups(oracle, f.Graph().VMs(), []graph.NodeID{n.d1})
-	if err != nil {
-		t.Fatalf("PlanBackups: %v", err)
-	}
-	if planned != 1 || !f.HasBackup(n.d1) {
-		t.Fatalf("planned = %d, HasBackup = %v", planned, f.HasBackup(n.d1))
-	}
-	f.Graph().FailEdge(n.ev1d1)
-	rep, rerr := f.Repair(oracle, f.Graph().VMs(), nil)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if rep.BackupHits != 1 || rep.Reattached != 1 {
-		t.Fatalf("report = %+v, want one backup hit", rep)
-	}
-	if f.HasBackup(n.d1) {
-		t.Fatal("backup plan not consumed")
-	}
-	if err := f.Validate(req.Sources, req.Dests); err != nil {
-		t.Fatalf("repaired forest invalid: %v", err)
-	}
-}
-
-func TestPlanBackupsUnservedDest(t *testing.T) {
-	f, oracle, _, n := surviveForest(t)
-	planned, err := f.PlanBackups(oracle, f.Graph().VMs(), []graph.NodeID{n.s})
-	if planned != 0 || err == nil {
-		t.Fatalf("planned = %d, err = %v; want 0 with an error", planned, err)
 	}
 }
 
@@ -223,7 +174,7 @@ func TestRepairRandomNetworks(t *testing.T) {
 			}
 		}
 		before := f.Damage()
-		rep, err := f.Repair(oracle, vms, nil)
+		rep, err := f.Repair(oracle, vms)
 		if err != nil {
 			t.Fatalf("seed %d: Repair: %v", seed, err)
 		}

@@ -113,12 +113,11 @@ type RecoveryStats struct {
 	Sweeps         int
 	ForestsTouched int
 	// Orphans counts severed destinations across all sweeps; each one is
-	// Reattached (FastPath by graft — BackupHits of those from a backup
-	// plan — the rest by re-embed) or Unrecoverable, never dropped.
+	// Reattached (FastPath by graft, the rest by re-embed) or
+	// Unrecoverable, never dropped.
 	Orphans       int
 	Reattached    int
 	FastPath      int
-	BackupHits    int
 	Reembeds      int
 	Unrecoverable int
 	// RepairCost sums the cost deltas recovery paid (repaired cost minus
@@ -188,28 +187,22 @@ func (s *Simulator) fireFailures(ctx context.Context) error {
 // load itself — each damaged forest's lease is suspended (load off the
 // trackers) while the repair reshapes it and resumed for whatever shape it
 // comes back in — so the simulator only gathers counters and re-prices
-// afterwards, letting post-repair pricing see the recovered routes.
+// afterwards, letting post-repair pricing see the recovered routes. A
+// sweep that finds no damaged forest counts for nothing.
 func (s *Simulator) recoverNow(ctx context.Context) error {
-	damaged := 0
-	for _, f := range s.solver.LiveForests() {
-		if f.Damage().Broken() {
-			damaged++
-		}
-	}
-	if damaged == 0 {
-		return nil
-	}
 	start := time.Now()
 	rep, err := s.solver.RepairAll(ctx)
 	if err != nil && !errors.Is(err, sof.ErrUnrecoverable) {
 		return err
+	}
+	if rep.ForestsTouched == 0 {
+		return nil
 	}
 	s.recovery.Latencies = append(s.recovery.Latencies, time.Since(start))
 	s.recovery.Sweeps++
 	s.recovery.ForestsTouched += rep.ForestsTouched
 	s.recovery.Reattached += rep.Reattached
 	s.recovery.FastPath += rep.FastPath
-	s.recovery.BackupHits += rep.BackupHits
 	s.recovery.Reembeds += rep.Reembeds
 	s.recovery.RepairCost += rep.CostDelta
 	for _, fr := range rep.Forests {

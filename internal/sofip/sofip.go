@@ -8,6 +8,8 @@ package sofip
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"sof/internal/core"
 	"sof/internal/graph"
@@ -89,8 +91,12 @@ func Solve(g *graph.Graph, req core.Request, maxNodes int) (*Result, error) {
 	for key, v := range m.sigma {
 		if sol.X[v] > 0.5 {
 			res.SigmaVMs[graph.NodeID(key[1])] = key[0]
-			res.SetupCost += g.NodeCost(graph.NodeID(key[1]))
 		}
+	}
+	// Constraint (6) gives each VM one VNF at most, so this counts every
+	// enabled VM once, in id order.
+	for _, vm := range slices.Sorted(maps.Keys(res.SigmaVMs)) {
+		res.SetupCost += g.NodeCost(vm)
 	}
 	res.ConnCost = res.Cost - res.SetupCost
 	return res, nil

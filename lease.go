@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sof/internal/core"
@@ -207,12 +208,25 @@ func (s *Solver) ensureCapacity() *capacityState {
 	return s.capacity
 }
 
+// linkNeed is the demand a footprint places on one link.
+type linkNeed struct {
+	e graph.EdgeID
+	d float64
+}
+
 // aggregateDemand folds a footprint's edge list (with multiplicity) into
-// per-edge demand.
-func aggregateDemand(edges []graph.EdgeID, demand float64) map[graph.EdgeID]float64 {
-	need := make(map[graph.EdgeID]float64, len(edges))
-	for _, e := range edges {
-		need[e] += demand
+// per-link demand, one entry per distinct link in id order, so pricing,
+// the fit check, apply and release all walk the links in one fixed order:
+// the first link that does not fit is the one reported, and float sums
+// over the links come out the same on every run.
+func aggregateDemand(edges []graph.EdgeID, demand float64) []linkNeed {
+	var need []linkNeed
+	for _, e := range slices.Sorted(slices.Values(edges)) {
+		if n := len(need); n > 0 && need[n-1].e == e {
+			need[n-1].d += demand
+			continue
+		}
+		need = append(need, linkNeed{e: e, d: demand})
 	}
 	return need
 }
@@ -230,7 +244,7 @@ func (s *Solver) commit(cf *core.Forest, req Request) (*Forest, error) {
 		return f, nil
 	}
 	e := &entry{forest: f, swept: s.recovery, heapIdx: -1}
-	var need map[graph.EdgeID]float64
+	var need []linkNeed
 	if cs != nil {
 		fp := cf.Footprint()
 		e.edges, e.vms = fp.Edges, fp.VMs
@@ -242,8 +256,8 @@ func (s *Solver) commit(cf *core.Forest, req Request) (*Forest, error) {
 	if cs != nil {
 		if cs.adaptive {
 			price := 0.0
-			for id := range need {
-				price += math.Pow(cs.admitMu, cs.links.Utilization(int(id))) - 1
+			for _, n := range need {
+				price += math.Pow(cs.admitMu, cs.links.Utilization(int(n.e))) - 1
 			}
 			for _, v := range e.vms {
 				price += math.Pow(cs.admitMu, cs.vmSlots.Utilization(int(v))) - 1
@@ -256,9 +270,9 @@ func (s *Solver) commit(cf *core.Forest, req Request) (*Forest, error) {
 		// Two-phase reservation: validate the whole footprint, then apply.
 		// Nothing is written before everything fits, so failure needs no
 		// rollback.
-		for id, d := range need {
-			if !cs.links.Fits(int(id), d) {
-				return nil, fmt.Errorf("link %d: %w", id, ErrCapacityExceeded)
+		for _, n := range need {
+			if !cs.links.Fits(int(n.e), n.d) {
+				return nil, fmt.Errorf("link %d: %w", n.e, ErrCapacityExceeded)
 			}
 		}
 		for _, v := range e.vms {
@@ -283,11 +297,11 @@ func (s *Solver) commit(cf *core.Forest, req Request) (*Forest, error) {
 
 // apply adds a footprint's demand to the trackers and masks whatever
 // saturates. Callers hold the session's mu.
-func (cs *capacityState) apply(g *graph.Graph, need map[graph.EdgeID]float64, vms []graph.NodeID) {
-	for e, d := range need {
-		cs.links.Add(int(e), d)
-		if cs.links.Saturated(int(e), cs.demand) {
-			g.MaskEdge(e)
+func (cs *capacityState) apply(g *graph.Graph, need []linkNeed, vms []graph.NodeID) {
+	for _, n := range need {
+		cs.links.Add(int(n.e), n.d)
+		if cs.links.Saturated(int(n.e), cs.demand) {
+			g.MaskEdge(n.e)
 		}
 	}
 	for _, v := range vms {
@@ -306,18 +320,12 @@ func (cs *capacityState) apply(g *graph.Graph, need map[graph.EdgeID]float64, vm
 // behind on purpose would compound the drift).
 func (cs *capacityState) release(g *graph.Graph, l *entry) error {
 	var errs []error
-	need := aggregateDemand(l.edges, cs.demand)
-	edges := make([]graph.EdgeID, 0, len(need))
-	for e := range need {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-	for _, e := range edges {
-		if err := cs.links.Remove(int(e), need[e]); err != nil {
+	for _, n := range aggregateDemand(l.edges, cs.demand) {
+		if err := cs.links.Remove(int(n.e), n.d); err != nil {
 			errs = append(errs, err)
 		}
-		if !cs.links.Saturated(int(e), cs.demand) {
-			g.UnmaskEdge(e)
+		if !cs.links.Saturated(int(n.e), cs.demand) {
+			g.UnmaskEdge(n.e)
 		}
 	}
 	for _, v := range l.vms {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -131,28 +132,41 @@ func TestUncapacitatedSessionLifecycleErrors(t *testing.T) {
 // linkCap = 1.5 the solve succeeds (each single crossing fits, nothing is
 // masked) but the aggregated footprint does not — the embed must fail with
 // the typed ErrCapacityExceeded and leave no state behind.
+// TestCapacityExceededTyped: the walk s–a–v1–a–b–v2–b–d crosses links 3
+// (a–v1) and 4 (b–v2) twice each, so neither fits a capacity of 1.5. The
+// fit check walks the links in id order, so every fresh session names
+// link 3, and a rejected embed leaves no lease state behind.
 func TestCapacityExceededTyped(t *testing.T) {
 	b := NewNetworkBuilder()
 	s := b.AddSwitch("s")
+	a := b.AddSwitch("a")
+	sb := b.AddSwitch("b")
+	d := b.AddSwitch("d")
 	v1 := b.AddVM("v1", 1)
 	v2 := b.AddVM("v2", 1)
-	d := b.AddSwitch("d")
-	b.Link(s, v1, 1)
-	b.Link(v1, v2, 1) // crossed twice: out to v2's VNF and back toward d
-	b.Link(v1, d, 1)
+	b.Link(s, a, 1)
+	b.Link(a, sb, 1)
+	b.Link(sb, d, 1)
+	b.Link(a, v1, 1)
+	b.Link(sb, v2, 1)
 	net, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := NewSolver(net, WithCapacity(1.5, 4))
-	_, err = solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2})
-	if !errors.Is(err, ErrCapacityExceeded) {
-		t.Fatalf("err = %v, want ErrCapacityExceeded", err)
+	for run := 0; run < 40; run++ {
+		solver := NewSolver(net, WithCapacity(1.5, 4))
+		_, err = solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2})
+		if !errors.Is(err, ErrCapacityExceeded) {
+			t.Fatalf("run %d: err = %v, want ErrCapacityExceeded", run, err)
+		}
+		if !strings.HasPrefix(err.Error(), "link 3:") {
+			t.Fatalf("run %d: err = %v, want link 3, the lowest id that does not fit", run, err)
+		}
+		if len(solver.Leases()) != 0 || solver.Accumulated() != 0 {
+			t.Fatal("rejected embed left lease state behind")
+		}
+		checkConservation(t, solver)
 	}
-	if len(solver.Leases()) != 0 || solver.Accumulated() != 0 {
-		t.Fatal("rejected embed left lease state behind")
-	}
-	checkConservation(t, solver)
 }
 
 // TestSaturationMasksRoutes pins the enforcement path through the oracle's
@@ -392,6 +406,63 @@ func TestRepairResumesLease(t *testing.T) {
 		if load := solver.LinkLoad(EdgeID(e)); load != 0 {
 			t.Fatalf("link %d load = %v after departure, want 0", e, load)
 		}
+	}
+	checkConservation(t, solver)
+}
+
+// TestRepairAllKeepsForeignMasks: a repair must not route over a link
+// another forest saturated. The first forest serves d0 over a–d0 and d
+// over b–d; the second saturates a–d, the only other way into d. Once b–d
+// fails, d could come back only over the masked a–d, so RepairAll surfaces
+// it as unrecoverable and a–d keeps the second forest's one unit of load.
+func TestRepairAllKeepsForeignMasks(t *testing.T) {
+	nb := NewNetworkBuilder()
+	s := nb.AddSwitch("s")
+	v1 := nb.AddVM("v1", 1)
+	a := nb.AddSwitch("a")
+	d0 := nb.AddSwitch("d0")
+	b := nb.AddSwitch("b")
+	d := nb.AddSwitch("d")
+	s2 := nb.AddSwitch("s2")
+	v2 := nb.AddVM("v2", 1)
+	nb.Link(s, v1, 1)
+	nb.Link(v1, a, 1)
+	nb.Link(a, d0, 1)
+	nb.Link(v1, b, 1)
+	bd := nb.Link(b, d, 1)
+	ad := nb.Link(a, d, 5)
+	nb.Link(s2, v2, 1)
+	nb.Link(v2, a, 1)
+	net, err := nb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := NewSolver(net, WithRecovery(), WithCapacity(1, 4))
+	ctx := context.Background()
+	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d0, d}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := solver.Embed(ctx, Request{Sources: []NodeID{s2}, Destinations: []NodeID{d}, ChainLength: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if load := solver.LinkLoad(ad); load != 1 {
+		t.Fatalf("a–d load = %v after the second embed, want 1", load)
+	}
+	solver.FailLink(bd)
+	rep, err := solver.RepairAll(ctx)
+	if !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("sweep error = %v, want ErrUnrecoverable", err)
+	}
+	lost := rep.Unrecoverable()
+	if len(lost) != 1 || lost[0].Dest != d || !errors.Is(lost[0].Err, ErrUnrecoverable) {
+		t.Fatalf("Unrecoverable() = %+v, want [%d]", lost, d)
+	}
+	if load := solver.LinkLoad(ad); load != 1 {
+		t.Fatalf("a–d load = %v after repair, want 1 (capacity 1)", load)
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatalf("surviving forest invalid: %v", err)
 	}
 	checkConservation(t, solver)
 }

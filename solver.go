@@ -40,8 +40,7 @@ type Solver struct {
 	exactBudget int
 	oracle      *chain.Oracle
 
-	recovery     bool
-	repairBudget float64
+	recovery bool
 
 	// mu guards the ledger — entries, keyed by commit-order id, and lastID,
 	// the last id issued — and capacity, the load accounting of a session

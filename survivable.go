@@ -7,18 +7,17 @@ package sof
 // layer), so injecting one is O(1) and bumps the cost epoch — every
 // session cache over the network invalidates lazily, exactly as a cost
 // change would. Recovery is two-tier: a fast path grafts each severed
-// destination back at its cheapest live join point (bounded by the repair
-// budget), and forests the fast path cannot fix are re-embedded from
-// scratch through the owning session. Destinations for which no repair
-// exists are surfaced with ErrUnrecoverable, never silently dropped.
+// destination back at its cheapest live join point, through the same graft
+// search as Join, and forests the fast path cannot fix are re-embedded
+// from scratch through the owning session. Destinations for which no
+// repair exists are surfaced with ErrUnrecoverable, never silently
+// dropped.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"sort"
-
-	"sof/internal/core"
 )
 
 // ErrUnrecoverable is wrapped into every per-destination error of a
@@ -34,15 +33,6 @@ var ErrUnrecoverable = errors.New("sof: destination unrecoverable")
 // streams that drop their results do not leak.
 func WithRecovery() Option {
 	return func(s *Solver) { s.recovery = true }
-}
-
-// WithRepairBudget caps the graft cost RepairAll accepts for any single
-// destination on the fast path; a destination whose cheapest graft is
-// dearer falls through to the full re-embed tier. Zero or negative (the
-// default) means the fast path is unbounded and re-embed only runs when
-// no graft exists at all.
-func WithRepairBudget(budget float64) Option {
-	return func(s *Solver) { s.repairBudget = budget }
 }
 
 // Release stops RepairAll from sweeping the forest; the forest itself
@@ -122,19 +112,6 @@ func (f *Forest) Damage() Damage {
 	return Damage{Orphans: d.Orphans, LostVNFs: d.LostVNFs}
 }
 
-// PlanBackups pre-computes standby attach plans for the given critical
-// destinations (all current destinations when none are given): each plan
-// anchors off the destination's serving path, so a failure on that path
-// usually leaves the backup valid and repair becomes a cheap replay
-// instead of a fresh search. Returns how many plans were stored; the
-// error joins the destinations that got none and is advisory.
-func (f *Forest) PlanBackups(critical ...NodeID) (int, error) {
-	if len(critical) == 0 {
-		critical = f.f.Destinations()
-	}
-	return f.f.PlanBackups(f.s.oracle, f.candidateVMs(), critical)
-}
-
 // DestFailure records one destination a recovery sweep could not restore;
 // Err wraps ErrUnrecoverable.
 type DestFailure struct {
@@ -150,11 +127,9 @@ type ForestRecovery struct {
 	// Orphans is how many destinations the failure severed.
 	Orphans int
 	// Reattached counts destinations restored by any tier; FastPath of
-	// them by grafting (BackupHits of those by replaying a PlanBackups
-	// plan), the rest by a full re-embed.
+	// them by grafting, the rest by a full re-embed.
 	Reattached int
 	FastPath   int
-	BackupHits int
 	// Reembedded is true when the fast path was insufficient and the
 	// forest was re-embedded from scratch through the session.
 	Reembedded bool
@@ -172,11 +147,10 @@ type RecoveryReport struct {
 	// Forests holds the per-forest outcomes, in embedding order,
 	// damaged forests only.
 	Forests []ForestRecovery
-	// Reattached, FastPath, BackupHits, Reembeds and CostDelta aggregate
-	// the per-forest outcomes.
+	// Reattached, FastPath, Reembeds and CostDelta aggregate the
+	// per-forest outcomes.
 	Reattached int
 	FastPath   int
-	BackupHits int
 	Reembeds   int
 	CostDelta  float64
 }
@@ -193,8 +167,8 @@ func (r *RecoveryReport) Unrecoverable() []DestFailure {
 // RepairAll sweeps every tracked forest (in embedding order) and repairs
 // the damage the current failure state inflicts. Per forest: severed
 // subtrees are detached (freeing their VMs), each orphaned destination is
-// re-attached at its cheapest live join point — backup plans first, then
-// the graft search, within the session's repair budget — and if orphans
+// re-attached at its cheapest live join point by Join's graft search, at
+// current costs and around failed and saturated elements, and if orphans
 // remain the whole forest is re-embedded from scratch through the
 // session. Destinations that still cannot be served are reported per
 // forest with errors wrapping ErrUnrecoverable, and the sweep error joins
@@ -224,7 +198,6 @@ func (s *Solver) RepairAll(ctx context.Context) (*RecoveryReport, error) {
 		report.Forests = append(report.Forests, *fr)
 		report.Reattached += fr.Reattached
 		report.FastPath += fr.FastPath
-		report.BackupHits += fr.BackupHits
 		if fr.Reembedded {
 			report.Reembeds++
 		}
@@ -253,16 +226,15 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 		defer s.resumeLease(f)
 	}
 	fr := &ForestRecovery{Forest: f}
-	rep, err := f.f.Repair(s.oracle, f.candidateVMs(), &core.RepairOptions{Budget: s.repairBudget})
+	rep, err := f.f.Repair(s.oracle, f.candidateVMs())
 	if err != nil {
 		return nil, fmt.Errorf("sof: repair of forest: %w", err)
 	}
 	fr.Orphans = rep.Orphans
 	fr.FastPath = rep.Reattached
-	fr.BackupHits = rep.BackupHits
 
 	// Re-embed tier: destinations whose node is alive but that no graft
-	// could reach (or afford) get one full re-embed of the forest.
+	// could reach get one full re-embed of the forest.
 	var wantBack []NodeID
 	for _, rf := range rep.Failed {
 		if s.net.g.NodeFailed(rf.Dest) {

@@ -78,47 +78,52 @@ func TestSolverRecoveryFastPath(t *testing.T) {
 	}
 }
 
-func TestSolverRecoveryBackupPlans(t *testing.T) {
-	net, s, _, _, d1, d2, cheap := buildSurvivable(t)
-	solver := NewSolver(net, WithRecovery())
-	ctx := context.Background()
-	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1, d2}, ChainLength: 1})
+// buildTwoSided builds the re-embed fixture: two candidate sources on
+// opposite sides of d, a cheap route s1–v1–v3–d and a dear one s2–v2–v4–d.
+// A request from both sources embeds on the cheap side, and failing v3 or
+// v3–d leaves no live clone of the forest that can reach d, so no graft
+// exists and recovery takes the re-embed tier through the dear side.
+func buildTwoSided(t *testing.T) (net *Network, req Request, v2, v3, v4 NodeID, v3d EdgeID) {
+	t.Helper()
+	b := NewNetworkBuilder()
+	s1 := b.AddSwitch("s1")
+	s2 := b.AddSwitch("s2")
+	v1 := b.AddVM("v1", 1)
+	v2 = b.AddVM("v2", 1)
+	v3 = b.AddVM("v3", 1)
+	v4 = b.AddVM("v4", 1)
+	d := b.AddSwitch("d")
+	b.Link(s1, v1, 1)
+	b.Link(v1, v3, 1)
+	v3d = b.Link(v3, d, 1)
+	b.Link(s2, v2, 5)
+	b.Link(v2, v4, 5)
+	b.Link(v4, d, 5)
+	var err error
+	net, err = b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := f.PlanBackups() // all destinations critical
-	if err != nil || planned != 2 {
-		t.Fatalf("PlanBackups: planned %d, err %v", planned, err)
-	}
-	solver.FailLink(cheap[1])
-	rep, err := solver.RepairAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BackupHits != 1 || rep.Reattached != 1 {
-		t.Fatalf("report = %+v, want one backup hit", rep)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	req = Request{Sources: []NodeID{s1, s2}, Destinations: []NodeID{d}, ChainLength: 1}
+	return
 }
 
 func TestSolverFailVMAndReembed(t *testing.T) {
-	net, s, v1, v2, d1, d2, _ := buildSurvivable(t)
-	solver := NewSolver(net, WithRecovery(), WithRepairBudget(1e-9))
+	net, req, v2, v3, _, _ := buildTwoSided(t)
+	solver := NewSolver(net, WithRecovery())
 	ctx := context.Background()
-	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1, d2}, ChainLength: 1})
+	f, err := solver.Embed(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if solver.FailVM(s) {
+	if solver.FailVM(req.Sources[0]) {
 		t.Fatal("FailVM accepted a switch")
 	}
-	if !solver.FailVM(v1) {
+	if !solver.FailVM(v3) {
 		t.Fatal("FailVM reported no change")
 	}
-	// The graft budget is unpayable, so the sweep must take the re-embed
-	// tier — and succeed through the spare VM.
+	// No clone left on the cheap side reaches d, so the sweep must take
+	// the re-embed tier — and succeed through the dear side.
 	rep, err := solver.RepairAll(ctx)
 	if err != nil {
 		t.Fatalf("RepairAll: %v", err)
@@ -129,11 +134,10 @@ func TestSolverFailVMAndReembed(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatalf("re-embedded forest invalid: %v", err)
 	}
-	used := f.UsedVMs()
-	if len(used) != 1 || used[0] != v2 {
-		t.Fatalf("UsedVMs = %v, want [%d] (v1 is dead)", used, v2)
+	if used := f.UsedVMs(); !slices.Equal(used, []NodeID{v2}) {
+		t.Fatalf("UsedVMs = %v, want [%d] (v3 is dead)", used, v2)
 	}
-	if !solver.RestoreVM(v1) {
+	if !solver.RestoreVM(v3) {
 		t.Fatal("RestoreVM reported no change")
 	}
 }
@@ -228,10 +232,10 @@ func TestInsertVNFSkipsCutOffVM(t *testing.T) {
 // that falls through to the re-embed tier rebuilds the forest with every
 // VNF it has now — not the length it was first embedded with.
 func TestForestChainLengthFollowsVNFOps(t *testing.T) {
-	net, s, _, _, d1, _, _ := buildSurvivable(t)
-	solver := NewSolver(net, WithRecovery(), WithRepairBudget(1e-9))
+	net, req, v2, _, v4, v3d := buildTwoSided(t)
+	solver := NewSolver(net, WithRecovery())
 	ctx := context.Background()
-	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1})
+	f, err := solver.Embed(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +245,9 @@ func TestForestChainLengthFollowsVNFOps(t *testing.T) {
 	if got := f.Request().ChainLength; got != 2 {
 		t.Fatalf("Request().ChainLength = %d after InsertVNF, want 2", got)
 	}
-	// Sever d1's uplink. The graft budget is unpayable, so the sweep must
-	// re-embed.
-	c, _ := f.f.DestClone(d1)
-	if !solver.FailLink(f.f.Clone(c).ParentEdge) {
+	// Cut v3–d. No clone left on the cheap side reaches d, so the sweep
+	// must re-embed.
+	if !solver.FailLink(v3d) {
 		t.Fatal("FailLink reported no change")
 	}
 	rep, err := solver.RepairAll(ctx)
@@ -259,6 +262,9 @@ func TestForestChainLengthFollowsVNFOps(t *testing.T) {
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("re-embedded forest invalid: %v", err)
+	}
+	if used := f.UsedVMs(); !slices.Equal(used, []NodeID{v2, v4}) {
+		t.Fatalf("UsedVMs = %v, want [%d %d] (the dear side)", used, v2, v4)
 	}
 	if err := f.RemoveVNF(1); err != nil {
 		t.Fatalf("RemoveVNF: %v", err)
