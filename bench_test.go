@@ -415,7 +415,7 @@ func BenchmarkOnlineArrivals(b *testing.B) {
 // BenchmarkFig12Online reproduces the accumulative-cost experiment over a
 // short arrival prefix on SoftLayer.
 func BenchmarkFig12Online(b *testing.B) {
-	for _, algo := range []online.Algorithm{online.AlgoSOFDA, online.AlgoST} {
+	for _, algo := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmST} {
 		b.Run(string(algo), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
@@ -455,7 +455,7 @@ func BenchmarkFig12Online(b *testing.B) {
 // the trees the session built. accept-% and the tree counters are
 // deterministic and exact-gated; wall clock is informational.
 func BenchmarkLifecycle(b *testing.B) {
-	run := func(b *testing.B, algo online.Algorithm, nodes, access, vms, arrivals int, cfg online.Config) {
+	run := func(b *testing.B, algo sof.Algorithm, nodes, access, vms, arrivals int, cfg online.Config) {
 		var accepted, departed, live, dijkstras, repairs, carries float64
 		var latencies []time.Duration
 		for i := 0; i < b.N; i++ {
@@ -493,14 +493,14 @@ func BenchmarkLifecycle(b *testing.B) {
 		b.ReportMetric(float64(p99.Microseconds())/1e3, "p99-embed-ms")
 	}
 	b.Run("classic", func(b *testing.B) {
-		run(b, online.AlgoSOFDA, 300, 30, 30, 5000, online.Config{
+		run(b, sof.AlgorithmSOFDA, 300, 30, 30, 5000, online.Config{
 			LinkCapacity: 30, Demand: 5, VMCapacity: 3,
 			SrcRange: [2]int{2, 4}, DstRange: [2]int{4, 8},
 			ChainLen: 2, Seed: 42, TTLRange: [2]int{30, 90},
 		})
 	})
 	b.Run("scaled", func(b *testing.B) {
-		run(b, online.AlgoSOFDASS, 10000, 1000, 30, 100000, online.Config{
+		run(b, sof.AlgorithmSOFDASS, 10000, 1000, 30, 100000, online.Config{
 			LinkCapacity: 1000, Demand: 5, VMCapacity: 100,
 			SrcRange: [2]int{1, 1}, DstRange: [2]int{3, 6},
 			ChainLen: 2, Seed: 42, TTLRange: [2]int{30, 90},
@@ -511,7 +511,7 @@ func BenchmarkLifecycle(b *testing.B) {
 
 // BenchmarkTable2QoE reproduces the video QoE experiment on both profiles.
 func BenchmarkTable2QoE(b *testing.B) {
-	for _, algo := range []online.Algorithm{online.AlgoSOFDA, online.AlgoENEMP, online.AlgoEST} {
+	for _, algo := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmENEMP, sof.AlgorithmEST} {
 		b.Run(string(algo), func(b *testing.B) {
 			var startup, rebuf float64
 			runs := 0

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"sof"
 	"sof/internal/online"
 	"sof/internal/topology"
 )
@@ -20,7 +21,7 @@ import (
 func main() {
 	const arrivals = 15
 	ctx := context.Background()
-	for _, algo := range []online.Algorithm{online.AlgoSOFDA, online.AlgoST} {
+	for _, algo := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmST} {
 		net := topology.Cogent(topology.Config{NumVMs: 200, Seed: 3})
 		cfg := online.DefaultCogentConfig()
 		cfg.Seed = 99 // same request stream for both algorithms

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sof/internal/chain"
@@ -242,6 +243,63 @@ func TestResolverConflictingWalks(t *testing.T) {
 	f.MarkDestination(d2, f.appendClone(last2, d2, g.FindEdge(f.clones[last2].Node, d2)))
 	if err := f.Validate([]graph.NodeID{s1, s2}, []graph.NodeID{d1, d2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolverLastResortMergesWalk: walks s1–a(f1)–b(f2) and
+// s2–c(f1)–e(f2) own every VM. A third walk s3–c–a plans f1 on c, which
+// the second walk owns, and f2 on a, which the first owns with f1, so no
+// Procedure 4 case applies. reroute finds no free VM for its two VNFs, and
+// the last resort shares the whole chain of the walk whose f2 is nearest a
+// (b), then bridges b–a. Every destination is then served in chain order.
+func TestResolverLastResortMergesWalk(t *testing.T) {
+	g := graph.New(10, 12)
+	s1, s2, s3 := g.AddSwitch("s1"), g.AddSwitch("s2"), g.AddSwitch("s3")
+	a, b, c, e := g.AddVM("a", 1), g.AddVM("b", 1), g.AddVM("c", 1), g.AddVM("e", 1)
+	d1, d2, d3 := g.AddSwitch("d1"), g.AddSwitch("d2"), g.AddSwitch("d3")
+	g.MustAddEdge(s1, a, 1)
+	g.MustAddEdge(a, b, 1)
+	g.MustAddEdge(b, d1, 1)
+	g.MustAddEdge(s2, c, 1)
+	g.MustAddEdge(c, e, 1)
+	g.MustAddEdge(e, d2, 1)
+	g.MustAddEdge(s3, c, 1)
+	g.MustAddEdge(c, a, 1)
+	g.MustAddEdge(a, d3, 1)
+	vms := []graph.NodeID{a, b, c, e}
+	oracle := chain.NewOracle(g, chain.Options{})
+	f := NewForest(g, 2)
+	r := newResolver(f, oracle, vms)
+	var lasts []CloneID
+	for _, w := range []struct {
+		vms      []graph.NodeID
+		src, end graph.NodeID
+	}{{[]graph.NodeID{a, b}, s1, b}, {[]graph.NodeID{c, e}, s2, e}, {[]graph.NodeID{c, a}, s3, a}} {
+		sc, err := oracle.Chain(w.vms, w.src, w.end, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, err := r.AddWalk(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lasts = append(lasts, last)
+	}
+	if got, want := r.walks[2].vnfClones, r.walks[0].vnfClones; !slices.Equal(got, want) {
+		t.Fatalf("third walk runs its VNFs on clones %v, want the first walk's %v", got, want)
+	}
+	if f.clones[lasts[2]].Node != a {
+		t.Fatalf("third walk ends at node %d, want a (%d)", f.clones[lasts[2]].Node, a)
+	}
+	dests := []graph.NodeID{d1, d2, d3}
+	for i, d := range dests {
+		f.MarkDestination(d, f.appendClone(lasts[i], d, g.FindEdge(f.clones[lasts[i]].Node, d)))
+	}
+	if err := f.Validate([]graph.NodeID{s1, s2, s3}, dests); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Destinations(); !slices.Equal(got, dests) {
+		t.Fatalf("forest serves %v, want %v", got, dests)
 	}
 }
 

@@ -168,9 +168,11 @@ func (f *Forest) RemoveVNF(j int) error {
 // path between the VM of f_{j-1} (or the root) and the VM of old f_j is
 // replaced by a walk through a newly enabled VM. When f_j is appended, a
 // destination that runs f_{j-1} itself, or roots its tree, is served at
-// the end of a walk from it through the new VM back to it. On error the
-// forest is left exactly as it was: the index shift and any splices
-// already made are undone.
+// the end of a walk from it through the new VM back to it. A free VM at
+// either end of the boundary's link may instead run f_j in place, keeping
+// the link, when that costs no more than the walk; the walk's own ends are
+// never enabled. On error the forest is left exactly as it was: the index
+// shift and any splices already made are undone.
 func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) (err error) {
 	if j < 1 || j > f.chainLen+1 {
 		return fmt.Errorf("core: VNF insert index %d out of range [1,%d]", j, f.chainLen+1)
@@ -234,6 +236,10 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		da, db := depth(fixups[a]), depth(fixups[b])
 		return da < db || da == db && fixups[a] < fixups[b]
 	})
+	// served marks the boundary parents already handled: the new VNF runs
+	// on them or below them, so an in-place f_j there would run twice on
+	// one path.
+	served := make(map[CloneID]bool)
 	for _, c := range fixups {
 		// The new VM goes after the boundary clone at: c's parent, or c
 		// itself when f_j is appended and c, a destination, runs f_{j-1}
@@ -263,9 +269,17 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 		// Walk at → new VM w → c, and splice c onto it or serve its end.
 		from := f.clones[at].Node
 		to := f.clones[c].Node
-		ext, err := oracle.Extension(avail, from, to, 1)
-		if err != nil {
-			return fmt.Errorf("core: cannot splice VNF f%d between %d and %d: %w", j, from, to, err)
+		ext, extErr := oracle.Extension(avail, from, to, 1)
+		host, cost := f.inPlaceHost(avail, at, c, served[at])
+		served[at] = true
+		if host != NoClone && (extErr != nil || cost <= ext.TotalCost()) {
+			if err := f.enable(host, j); err != nil {
+				return err
+			}
+			continue
+		}
+		if extErr != nil {
+			return fmt.Errorf("core: cannot splice VNF f%d between %d and %d: %w", j, from, to, extErr)
 		}
 		if tail {
 			last, _, err := f.lay(c, ext.Nodes, ext.Edges, 0, ext.VMPos, j)
@@ -279,6 +293,30 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 	}
 	f.Prune()
 	return nil
+}
+
+// inPlaceHost returns the clone at the end of one InsertVNF boundary, at
+// or c, that can run the new VNF where it stands — a pass-through clone of
+// an unblocked VM in avail — and what the boundary then costs: the VM's
+// setup and the link from at to c, which stays. A clone with the new VNF
+// already below it (taken) cannot host at, and the cheaper VM wins, at on
+// a tie. It returns NoClone when neither end can.
+func (f *Forest) inPlaceHost(avail []graph.NodeID, at, c CloneID, taken bool) (CloneID, float64) {
+	link := 0.0
+	if e := f.clones[c].ParentEdge; c != at && e != graph.NoEdge {
+		link = f.g.EdgeCost(e)
+	}
+	host, best := NoClone, math.Inf(1)
+	for _, h := range []CloneID{at, c} {
+		node := f.clones[h].Node
+		if f.clones[h].VNF != 0 || h == at && taken || !slices.Contains(avail, node) || f.g.NodeBlocked(node) {
+			continue
+		}
+		if cost := f.g.NodeCost(node) + link; cost < best {
+			host, best = h, cost
+		}
+	}
+	return host, best
 }
 
 // RerouteCongestedEdge re-connects every clone whose parent edge is e using

@@ -431,6 +431,32 @@ func TestInsertVNFTiedBoundariesDeterministic(t *testing.T) {
 	}
 }
 
+// TestInsertVNFInPlaceOnDestinationVM: on s–v1(f1)–d, where the
+// destination d is a free VM, appending f2 runs it on d in place (setup 1,
+// total 4); the walk v1–w–d through the other free VM would total 9.
+func TestInsertVNFInPlaceOnDestinationVM(t *testing.T) {
+	g := graph.New(4, 4)
+	s, v1, d, w := g.AddSwitch("s"), g.AddVM("v1", 1), g.AddVM("d", 1), g.AddVM("w", 1)
+	sv1, v1d := g.MustAddEdge(s, v1, 1), g.MustAddEdge(v1, d, 1)
+	g.MustAddEdge(v1, w, 3)
+	g.MustAddEdge(w, d, 3)
+	f := NewForest(g, 1)
+	c1 := f.AppendClone(f.NewRoot(s), v1, sv1)
+	if err := f.Enable(c1, 1); err != nil {
+		t.Fatal(err)
+	}
+	f.MarkDestination(d, f.AppendClone(c1, d, v1d))
+	if err := f.InsertVNF(chain.NewOracle(g, chain.Options{}), g.VMs(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Validate([]graph.NodeID{s}, []graph.NodeID{d}); err != nil {
+		t.Fatal(err)
+	}
+	if f.VNFOf(d) != 2 || f.TotalCost() != 4 {
+		t.Fatalf("d runs f%d, cost %v; want f2 and 4", f.VNFOf(d), f.TotalCost())
+	}
+}
+
 // TestInsertVNFAtEndOfChainOnDestinationVM: on the path s–v1–d–v3, where
 // the VM d is the destination and hosts f2, appending f3 must serve d
 // through v3. The boundary sits at d's own serving clone, so no splice

@@ -20,7 +20,6 @@ import (
 	"sof"
 	"sof/internal/costmodel"
 	"sof/internal/graph"
-	"sof/internal/online"
 	"sof/internal/topology"
 )
 
@@ -80,7 +79,7 @@ type DestQoE struct {
 
 // QoE aggregates a run.
 type QoE struct {
-	Algorithm online.Algorithm
+	Algorithm sof.Algorithm
 	Profile   string
 	PerDest   []DestQoE
 	// AvgStartupSec and AvgRebufferSec are the Table II quantities.
@@ -92,7 +91,7 @@ type QoE struct {
 // Evaluate embeds the video service with the given algorithm on the
 // Figure-13 testbed and plays the stream through the resulting forest.
 // The chain is (transcoder, watermarker), |C| = 2.
-func Evaluate(algo online.Algorithm, p Profile) (*QoE, error) {
+func Evaluate(algo sof.Algorithm, p Profile) (*QoE, error) {
 	net := topology.Testbed(topology.Config{Seed: p.Seed})
 	rng := rand.New(rand.NewSource(p.Seed))
 
@@ -111,7 +110,7 @@ func Evaluate(algo online.Algorithm, p Profile) (*QoE, error) {
 	req := sof.Request{Sources: picks[:2], Destinations: picks[2:], ChainLength: 2}
 
 	solver := sof.NewSolver(sof.FromGraph(net.G),
-		sof.WithAlgorithm(sof.Algorithm(algo)),
+		sof.WithAlgorithm(algo),
 		sof.WithVMs(net.VMs...))
 	forest, err := solver.Embed(context.Background(), req)
 	if err != nil {
@@ -166,7 +165,7 @@ func Evaluate(algo online.Algorithm, p Profile) (*QoE, error) {
 
 // EvaluateAveraged runs Evaluate over several seeds and averages the
 // Table II quantities (the paper averages repeated plays).
-func EvaluateAveraged(algo online.Algorithm, mkProfile func(seed int64) Profile, runs int) (*QoE, error) {
+func EvaluateAveraged(algo sof.Algorithm, mkProfile func(seed int64) Profile, runs int) (*QoE, error) {
 	agg := &QoE{Algorithm: algo}
 	for s := 0; s < runs; s++ {
 		q, err := Evaluate(algo, mkProfile(int64(s)))

@@ -4,11 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"sof/internal/online"
+	"sof"
 )
 
 func TestEvaluateBasics(t *testing.T) {
-	q, err := Evaluate(online.AlgoSOFDA, Testbed(1))
+	q, err := Evaluate(sof.AlgorithmSOFDA, Testbed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestEvaluateBasics(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	a, err := Evaluate(online.AlgoEST, Testbed(7))
+	a, err := Evaluate(sof.AlgorithmEST, Testbed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(online.AlgoEST, Testbed(7))
+	b, err := Evaluate(sof.AlgorithmEST, Testbed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestEmulabProfileFaster(t *testing.T) {
 	var tb, em float64
 	const runs = 10
 	for s := int64(0); s < runs; s++ {
-		qt, err := Evaluate(online.AlgoSOFDA, Testbed(s))
+		qt, err := Evaluate(sof.AlgorithmSOFDA, Testbed(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		qe, err := Evaluate(online.AlgoSOFDA, Emulab(s))
+		qe, err := Evaluate(sof.AlgorithmSOFDA, Emulab(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,8 +76,8 @@ func TestEmulabProfileFaster(t *testing.T) {
 // eST, averaged over runs.
 func TestTableIIOrdering(t *testing.T) {
 	const runs = 12
-	res := map[online.Algorithm]*QoE{}
-	for _, algo := range []online.Algorithm{online.AlgoSOFDA, online.AlgoENEMP, online.AlgoEST} {
+	res := map[sof.Algorithm]*QoE{}
+	for _, algo := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmENEMP, sof.AlgorithmEST} {
 		q, err := EvaluateAveraged(algo, Testbed, runs)
 		if err != nil {
 			t.Fatal(err)
@@ -85,11 +85,11 @@ func TestTableIIOrdering(t *testing.T) {
 		res[algo] = q
 	}
 	t.Logf("testbed: SOFDA %.1fs/%.1fs  eNEMP %.1fs/%.1fs  eST %.1fs/%.1fs",
-		res[online.AlgoSOFDA].AvgStartupSec, res[online.AlgoSOFDA].AvgRebufferSec,
-		res[online.AlgoENEMP].AvgStartupSec, res[online.AlgoENEMP].AvgRebufferSec,
-		res[online.AlgoEST].AvgStartupSec, res[online.AlgoEST].AvgRebufferSec)
-	if res[online.AlgoSOFDA].AvgRebufferSec > res[online.AlgoEST].AvgRebufferSec+1e-6 {
+		res[sof.AlgorithmSOFDA].AvgStartupSec, res[sof.AlgorithmSOFDA].AvgRebufferSec,
+		res[sof.AlgorithmENEMP].AvgStartupSec, res[sof.AlgorithmENEMP].AvgRebufferSec,
+		res[sof.AlgorithmEST].AvgStartupSec, res[sof.AlgorithmEST].AvgRebufferSec)
+	if res[sof.AlgorithmSOFDA].AvgRebufferSec > res[sof.AlgorithmEST].AvgRebufferSec+1e-6 {
 		t.Errorf("SOFDA rebuffering %.2f exceeds eST %.2f",
-			res[online.AlgoSOFDA].AvgRebufferSec, res[online.AlgoEST].AvgRebufferSec)
+			res[sof.AlgorithmSOFDA].AvgRebufferSec, res[sof.AlgorithmEST].AvgRebufferSec)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -71,9 +72,12 @@ func buildNet(kind NetKind, numVMs int, seed int64, setupMult float64, inetNodes
 	}
 }
 
-// Row is one x-axis point of a figure: values keyed by algorithm name.
+// Row is one x-axis point of a figure: values keyed by algorithm name. N
+// is the number of instances a cost sweep's row averages, the same for
+// every column; other series leave it 0.
 type Row struct {
 	X      int
+	N      int
 	Values map[string]float64
 }
 
@@ -85,12 +89,17 @@ type Series struct {
 	Rows   []Row
 }
 
-// Format renders the series as an aligned text table.
+// Format renders the series as an aligned text table, with a last column
+// n when the rows count the instances they average.
 func (s *Series) Format() string {
+	counted := slices.ContainsFunc(s.Rows, func(r Row) bool { return r.N > 0 })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%-14s", s.Title, s.XLabel)
 	for _, a := range s.Algos {
 		fmt.Fprintf(&b, "%12s", a)
+	}
+	if counted {
+		fmt.Fprintf(&b, "%6s", "n")
 	}
 	b.WriteByte('\n')
 	for _, r := range s.Rows {
@@ -101,6 +110,9 @@ func (s *Series) Format() string {
 			} else {
 				fmt.Fprintf(&b, "%12s", "-")
 			}
+		}
+		if counted {
+			fmt.Fprintf(&b, "%6d", r.N)
 		}
 		b.WriteByte('\n')
 	}
@@ -146,56 +158,90 @@ func CostSweep(kind NetKind, param SweepParam, runs int, withOptimal bool, inetN
 		Algos:  algos,
 	}
 	for _, x := range sweepValues(param) {
-		nSrc, nDst, nVM, chainLen := DefaultSources, DefaultDests, DefaultVMs, DefaultChain
-		switch param {
-		case ParamSources:
-			nSrc = x
-		case ParamDests:
-			nDst = x
-		case ParamVMs:
-			nVM = x
-		case ParamChain:
-			chainLen = x
-		}
-		sums := make(map[string]float64, len(algos))
-		counts := make(map[string]int, len(algos))
-		for r := 0; r < runs; r++ {
-			seed := int64(r)*1001 + int64(x)
-			net, err := buildNet(kind, nVM, seed, 1, inetNodes)
-			if err != nil {
-				return nil, err
-			}
-			rng := rand.New(rand.NewSource(seed))
-			req := sof.Request{
-				Sources:      net.RandomNodes(rng, min(nSrc, len(net.Access))),
-				Destinations: net.RandomNodes(rng, min(nDst, len(net.Access))),
-				ChainLength:  chainLen,
-			}
-			if chainLen > nVM {
-				continue
-			}
-			// One session per instance: all algorithms of the comparison
-			// share its shortest-path cache, so the per-point Dijkstra
-			// work is paid once rather than once per algorithm.
-			solver := newSolver(net)
-			for _, a := range algos {
-				f, err := runAlgo(solver, a, req)
-				if err != nil {
-					continue
-				}
-				sums[a] += f
-				counts[a]++
-			}
-		}
-		row := Row{X: x, Values: make(map[string]float64, len(algos))}
-		for _, a := range algos {
-			if counts[a] > 0 {
-				row.Values[a] = sums[a] / float64(counts[a])
-			}
+		row, err := costPoint(kind, param, x, runs, algos, inetNodes)
+		if err != nil {
+			return nil, err
 		}
 		s.Rows = append(s.Rows, row)
 	}
 	return s, nil
+}
+
+// costPoint solves the runs instances of one sweep point with every
+// algorithm and averages each column over the same instances: those every
+// heuristic solved, and of those the ones OPT proved, when it proved any.
+// OPT is proven within its branch budget on few instances, so averaging
+// each column over the instances it alone solved would set OPT's mean
+// over one instance beside a heuristic's over three, and could print OPT
+// above a heuristic, which no single instance can do.
+func costPoint(kind NetKind, param SweepParam, x, runs int, algos []string, inetNodes int) (Row, error) {
+	nSrc, nDst, nVM, chainLen := DefaultSources, DefaultDests, DefaultVMs, DefaultChain
+	switch param {
+	case ParamSources:
+		nSrc = x
+	case ParamDests:
+		nDst = x
+	case ParamVMs:
+		nVM = x
+	case ParamChain:
+		chainLen = x
+	}
+	var solved []map[string]float64 // per instance, cost by algorithm
+	for r := 0; r < runs && chainLen <= nVM; r++ {
+		seed := int64(r)*1001 + int64(x)
+		net, err := buildNet(kind, nVM, seed, 1, inetNodes)
+		if err != nil {
+			return Row{}, err
+		}
+		rng := rand.New(rand.NewSource(seed))
+		req := sof.Request{
+			Sources:      net.RandomNodes(rng, min(nSrc, len(net.Access))),
+			Destinations: net.RandomNodes(rng, min(nDst, len(net.Access))),
+			ChainLength:  chainLen,
+		}
+		// One session per instance: all algorithms of the comparison
+		// share its shortest-path cache, so the per-point Dijkstra work
+		// is paid once rather than once per algorithm.
+		solver := newSolver(net)
+		costs := make(map[string]float64, len(algos))
+		for _, a := range algos {
+			if f, err := runAlgo(solver, a, req); err == nil {
+				costs[a] = f
+			}
+		}
+		solved = append(solved, costs)
+	}
+	cols := slices.DeleteFunc(slices.Clone(algos), func(a string) bool { return a == "OPT" })
+	if len(cols) < len(algos) && slices.ContainsFunc(solved, func(costs map[string]float64) bool { return solvedBy(costs, algos) }) {
+		cols = algos
+	}
+	row := Row{X: x, Values: make(map[string]float64, len(cols))}
+	for _, costs := range solved {
+		if !solvedBy(costs, cols) {
+			continue
+		}
+		row.N++
+		for _, a := range cols {
+			row.Values[a] += costs[a]
+		}
+	}
+	for _, a := range cols {
+		if row.N > 0 {
+			row.Values[a] /= float64(row.N)
+		}
+	}
+	return row, nil
+}
+
+// solvedBy reports whether every algorithm of cols solved the instance
+// with the given costs.
+func solvedBy(costs map[string]float64, cols []string) bool {
+	for _, a := range cols {
+		if _, ok := costs[a]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // newSolver opens the harness's standard session on net: all VMs of the
@@ -341,7 +387,7 @@ func FormatTable1(rows []Table1Row) string {
 // Fig12 reproduces the online accumulative-cost curves: one series per
 // algorithm over arrivals on the given network.
 func Fig12(kind NetKind, steps int) (*Series, error) {
-	algos := []online.Algorithm{online.AlgoSOFDA, online.AlgoENEMP, online.AlgoEST, online.AlgoST}
+	algos := []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmENEMP, sof.AlgorithmEST, sof.AlgorithmST}
 	s := &Series{
 		Title:  fmt.Sprintf("Fig 12: accumulative cost on %s", kind),
 		XLabel: "arrivals",
@@ -400,7 +446,7 @@ type Table2Row struct {
 // Table2 reproduces the QoE experiment on both emulator profiles.
 func Table2(runs int) ([]Table2Row, error) {
 	var out []Table2Row
-	for _, a := range []online.Algorithm{online.AlgoSOFDA, online.AlgoENEMP, online.AlgoEST} {
+	for _, a := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmENEMP, sof.AlgorithmEST} {
 		tb, err := emu.EvaluateAveraged(a, emu.Testbed, runs)
 		if err != nil {
 			return nil, err

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"sof"
 	"sof/internal/online"
 )
 
@@ -54,7 +55,7 @@ func FailureTable(kind NetKind, steps, events int) ([]FailureRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim := online.NewSimulator(net, online.AlgoSOFDA, cfg)
+		sim := online.NewSimulator(net, sof.AlgorithmSOFDA, cfg)
 		sim.SetFailureSchedule(online.FailureSchedule(net, steps, online.FailureConfig{
 			Events: events, VMShare: share, Downtime: 3, Seed: 7,
 		}))

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"sof"
 	"sof/internal/online"
 	"sof/internal/topology"
 )
@@ -136,11 +137,11 @@ func LifecycleTable(kind NetKind, steps, inetNodes int) ([]LifecycleRow, error) 
 		}
 		cfg := lifecycleBase(kind)
 		set.mut(&cfg)
-		algo := online.AlgoSOFDA
+		algo := sof.AlgorithmSOFDA
 		if kind == NetInet {
 			// The scaled soak embeds single-source requests through
 			// SOFDA-SS; see lifecycleBase.
-			algo = online.AlgoSOFDASS
+			algo = sof.AlgorithmSOFDASS
 		}
 		sim := online.NewSimulator(net, algo, cfg)
 		if _, err := sim.RunCtx(context.Background(), steps); err != nil {

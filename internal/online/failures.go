@@ -4,9 +4,10 @@ package online
 // failures (and restores) interleaved with the arrival stream. Events fire
 // before the arrival of their step; every failure triggers a recovery
 // sweep through the session (sof.Solver.RepairAll). The capacitated
-// session suspends each damaged forest's lease during its repair and
-// resumes it for whatever shape it comes back in, so repaired routes are
-// priced like any other traffic.
+// session repairs each damaged forest through the same ledger path as the
+// dynamic operations: under its lock, the forest's lease is released while
+// the repair runs and charged for whatever shape it leaves, so repaired
+// routes are priced like any other traffic.
 
 import (
 	"context"
@@ -82,17 +83,14 @@ func sortFailureEvents(events []FailureEvent) {
 	})
 }
 
-// SetFailureSchedule installs a failure schedule on the simulator and
-// turns on forest tracking in its Solver session (sof.WithRecovery), so
-// subsequently accepted forests are swept by the recovery pass. Install
-// the schedule before the first step; events whose step has already passed
-// fire on the next one.
+// SetFailureSchedule installs a failure schedule on the simulator. The
+// session sweeps every live forest, those accepted before the call
+// included. Events whose step has already passed fire on the next one.
 func (s *Simulator) SetFailureSchedule(events []FailureEvent) {
 	evs := append([]FailureEvent(nil), events...)
 	sortFailureEvents(evs)
 	s.failures = evs
 	s.nextFail = 0
-	sof.WithRecovery()(s.solver)
 }
 
 // CompareScratchCost makes every recovery sweep additionally re-embed each
@@ -184,9 +182,9 @@ func (s *Simulator) fireFailures(ctx context.Context) error {
 }
 
 // recoverNow sweeps the session. The capacitated Solver re-accounts the
-// load itself — each damaged forest's lease is suspended (load off the
-// trackers) while the repair reshapes it and resumed for whatever shape it
-// comes back in — so the simulator only gathers counters and re-prices
+// load itself — each damaged forest is reshaped under the session's lock,
+// its lease released while the repair runs and charged for the shape it
+// leaves — so the simulator only gathers counters and re-prices
 // afterwards, letting post-repair pricing see the recovered routes. A
 // sweep that finds no damaged forest counts for nothing.
 func (s *Simulator) recoverNow(ctx context.Context) error {
@@ -212,7 +210,7 @@ func (s *Simulator) recoverNow(ctx context.Context) error {
 	if s.compareScratch {
 		for _, fr := range rep.Forests {
 			s.recovery.RepairedCost += fr.Forest.TotalCost()
-			scratch := sof.NewSolver(s.solver.Network(), sof.WithAlgorithm(sof.Algorithm(s.algo)))
+			scratch := sof.NewSolver(s.solver.Network(), sof.WithAlgorithm(s.algo))
 			if nf, err := scratch.Embed(ctx, fr.Forest.Request()); err == nil {
 				s.recovery.ScratchCost += nf.TotalCost()
 			}

@@ -42,7 +42,7 @@ func TestFailureScheduleDeterministic(t *testing.T) {
 // Unrecoverable holding across all sweeps proves nothing was dropped.
 func TestFailureRunNeverDropsDestinations(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 3})
-	sim := NewSimulator(net, AlgoSOFDA, smallConfig())
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, smallConfig())
 	sim.SetFailureSchedule(FailureSchedule(net, 20, FailureConfig{
 		Events: 10, VMShare: 0.3, Downtime: 3, Seed: 9,
 	}))
@@ -83,14 +83,34 @@ func TestFailureRunNeverDropsDestinations(t *testing.T) {
 	}
 }
 
+// TestFailureScheduleSweepsEarlierForests: a schedule installed mid-run
+// repairs the forests accepted before it. The failure fires before step
+// 7's arrival, on a link of a forest from the first six steps, so only
+// that forest can be touched.
+func TestFailureScheduleSweepsEarlierForests(t *testing.T) {
+	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 4})
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, smallConfig())
+	run(t, sim, 6)
+	leases := sim.Solver().Leases()
+	if len(leases) == 0 || len(leases[0].Edges) == 0 {
+		t.Fatalf("leases after six steps: %+v, want one crossing a link", leases)
+	}
+	sim.SetFailureSchedule([]FailureEvent{{Step: 7, Link: leases[0].Edges[0], VM: graph.None}})
+	run(t, sim, 1)
+	if st := sim.Recovery(); st.Failures != 1 || st.ForestsTouched == 0 {
+		t.Fatalf("recovery %+v, want one failure that touches a forest accepted before the schedule", st)
+	}
+}
+
 // TestFailureLoadReaccounting pins the session bookkeeping around repairs:
-// suspending a damaged forest's lease and resuming its repaired shape must
-// keep every tracker non-negative and, lease by lease, load conservation
-// must hold — each link's load is exactly the summed demand of the live
-// leases crossing it, each VM's the count of leases holding its slot.
+// releasing a damaged forest's lease while the repair reshapes it and
+// charging its repaired shape must keep every tracker non-negative and,
+// lease by lease, load conservation must hold — each link's load is
+// exactly the summed demand of the live leases crossing it, each VM's the
+// count of leases holding its slot.
 func TestFailureLoadReaccounting(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 4})
-	sim := NewSimulator(net, AlgoSOFDA, smallConfig())
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, smallConfig())
 	sim.SetFailureSchedule(FailureSchedule(net, 12, FailureConfig{
 		Events: 6, VMShare: 0.5, Seed: 11, // permanent failures
 	}))

@@ -21,7 +21,7 @@ func lifecycleConfig() Config {
 // leases, and the live-lease count the results report matches the session.
 func TestLifecycleDepartures(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 7})
-	sim := NewSimulator(net, AlgoSOFDA, lifecycleConfig())
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, lifecycleConfig())
 	results := run(t, sim, 30)
 
 	st := sim.Lifecycle()
@@ -74,7 +74,7 @@ func TestOnlineCapacityEnforced(t *testing.T) {
 	cfg := smallConfig()
 	cfg.LinkCapacity = 20 // 4 requests per link
 	cfg.VMCapacity = 2
-	sim := NewSimulator(net, AlgoSOFDA, cfg)
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, cfg)
 	run(t, sim, 25)
 
 	st := sim.Lifecycle()
@@ -106,7 +106,7 @@ func TestOnlineAdaptiveAdmission(t *testing.T) {
 	cfg := lifecycleConfig()
 	cfg.AdmissionMu = 16
 	cfg.AdmissionBudget = 0.05
-	sim := NewSimulator(net, AlgoSOFDA, cfg)
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, cfg)
 	run(t, sim, 40)
 
 	st := sim.Lifecycle()

@@ -27,25 +27,6 @@ import (
 	"sof/internal/topology"
 )
 
-// Algorithm names an embedding algorithm for the simulator. The values
-// coincide with the public sof.Algorithm identifiers; the simulator
-// forwards them to its Solver session (there is deliberately no second
-// dispatch switch here).
-type Algorithm string
-
-// Supported algorithms.
-const (
-	AlgoSOFDA Algorithm = "SOFDA"
-	// AlgoSOFDASS is the single-source variant (Section V). Its embeds run
-	// entirely on the real network through the session oracle — no per-
-	// request auxiliary graph — so a warm-cache arrival stream pays almost
-	// no shortest-path work. The scaled soak uses it with SrcRange {1,1}.
-	AlgoSOFDASS Algorithm = "SOFDA-SS"
-	AlgoENEMP   Algorithm = "eNEMP"
-	AlgoEST     Algorithm = "eST"
-	AlgoST      Algorithm = "ST"
-)
-
 // Config parameterizes a simulation run.
 type Config struct {
 	// LinkCapacity and demand follow Section VIII-A: 100 Mbps links,
@@ -199,11 +180,15 @@ func p99(lat []time.Duration) time.Duration {
 }
 
 // Simulator owns the request stream and the capacitated Solver session all
-// arrivals are embedded through; the session owns the load ledger.
+// arrivals are embedded through; the session owns the load ledger. Any
+// sof.Algorithm runs; SOFDA-SS embeds entirely on the real network through
+// the session oracle, with no per-request auxiliary graph, so a warm-cache
+// arrival stream pays almost no shortest-path work (the scaled soak runs
+// it with SrcRange {1,1}).
 type Simulator struct {
 	net    *topology.Network
 	cfg    Config
-	algo   Algorithm
+	algo   sof.Algorithm
 	solver *sof.Solver
 	rng    *rand.Rand
 
@@ -222,11 +207,13 @@ type Simulator struct {
 
 // NewSimulator builds a simulator over net. The network starts unloaded
 // (Section VIII-A: "the node/link usages are zero initially"). Extra
-// Solver options are appended to the simulator's own (algorithm, VM
-// restriction, and the capacitated lifecycle session); SetFailureSchedule
-// adds sof.WithRecovery itself, so plain arrival-only runs track no
-// forests.
-func NewSimulator(net *topology.Network, algo Algorithm, cfg Config, opts ...sof.Option) *Simulator {
+// Solver options are appended to the simulator's own: the algorithm, the
+// VM restriction, and the capacitated lifecycle session built
+// WithRecovery, so a failure schedule sweeps every forest accepted before
+// it. The capacitated ledger holds an entry per live lease anyway, and
+// RepairAll runs only after a failure, so arrival-only runs pay nothing
+// for the sweep.
+func NewSimulator(net *topology.Network, algo sof.Algorithm, cfg Config, opts ...sof.Option) *Simulator {
 	linkCap, vmCap := cfg.LinkCapacity, cfg.VMCapacity
 	if linkCap <= 0 {
 		linkCap = math.Inf(1)
@@ -235,10 +222,11 @@ func NewSimulator(net *topology.Network, algo Algorithm, cfg Config, opts ...sof
 		vmCap = math.Inf(1)
 	}
 	sopts := []sof.Option{
-		sof.WithAlgorithm(sof.Algorithm(algo)),
+		sof.WithAlgorithm(algo),
 		sof.WithVMs(net.VMs...),
 		sof.WithCapacity(linkCap, vmCap),
 		sof.WithDemand(cfg.Demand),
+		sof.WithRecovery(),
 	}
 	if cfg.AdmissionMu > 0 {
 		sopts = append(sopts, sof.WithAdaptiveAdmission(cfg.AdmissionMu, cfg.AdmissionBudget))

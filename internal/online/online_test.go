@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sof"
 	"sof/internal/graph"
 	"sof/internal/topology"
 )
@@ -30,7 +31,7 @@ func smallConfig() Config {
 
 func TestSimulatorAccumulates(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 1})
-	sim := NewSimulator(net, AlgoSOFDA, smallConfig())
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, smallConfig())
 	results := run(t, sim, 5)
 	if len(results) != 5 {
 		t.Fatalf("got %d results", len(results))
@@ -55,7 +56,7 @@ func TestSimulatorAccumulates(t *testing.T) {
 
 func TestLoadRaisesPrices(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 2})
-	sim := NewSimulator(net, AlgoSOFDA, smallConfig())
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, smallConfig())
 	// After repricing an unloaded network, marginal link costs are in the
 	// linear region: exactly the demand.
 	firstCost := net.G.EdgeCost(0)
@@ -82,7 +83,7 @@ func TestLoadRaisesPrices(t *testing.T) {
 }
 
 func TestAllAlgorithmsRunOnline(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoSOFDA, AlgoENEMP, AlgoEST, AlgoST} {
+	for _, algo := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmENEMP, sof.AlgorithmEST, sof.AlgorithmST} {
 		net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 3})
 		sim := NewSimulator(net, algo, smallConfig())
 		res := run(t, sim, 3)
@@ -111,7 +112,7 @@ func TestUnknownAlgorithmRejects(t *testing.T) {
 
 func TestSimulationCancellable(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 6})
-	sim := NewSimulator(net, AlgoSOFDA, smallConfig())
+	sim := NewSimulator(net, sof.AlgorithmSOFDA, smallConfig())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -145,8 +146,8 @@ func TestSimulationCancellable(t *testing.T) {
 // TestSOFDAAccumulatesLessThanBaselines mirrors Figure 12's claim on a
 // short prefix of the arrival sequence.
 func TestSOFDAAccumulatesLessThanBaselines(t *testing.T) {
-	totals := map[Algorithm]float64{}
-	for _, algo := range []Algorithm{AlgoSOFDA, AlgoEST, AlgoST} {
+	totals := map[sof.Algorithm]float64{}
+	for _, algo := range []sof.Algorithm{sof.AlgorithmSOFDA, sof.AlgorithmEST, sof.AlgorithmST} {
 		net := topology.SoftLayer(topology.Config{NumVMs: 25, Seed: 5})
 		cfg := smallConfig()
 		cfg.Seed = 5    // identical request stream for all algorithms
@@ -156,11 +157,11 @@ func TestSOFDAAccumulatesLessThanBaselines(t *testing.T) {
 		totals[algo] = sim.Accumulated()
 	}
 	t.Logf("accumulated: SOFDA=%.1f eST=%.1f ST=%.1f",
-		totals[AlgoSOFDA], totals[AlgoEST], totals[AlgoST])
+		totals[sof.AlgorithmSOFDA], totals[sof.AlgorithmEST], totals[sof.AlgorithmST])
 	// Figure 12 shape: SOFDA's accumulated cost stays below the single-
 	// tree baseline once congestion pricing matters (small tolerance for
 	// tie-breaking noise on the early flat region).
-	if totals[AlgoSOFDA] > totals[AlgoST]*1.02 {
-		t.Errorf("SOFDA accumulated %v exceeds ST %v", totals[AlgoSOFDA], totals[AlgoST])
+	if totals[sof.AlgorithmSOFDA] > totals[sof.AlgorithmST]*1.02 {
+		t.Errorf("SOFDA accumulated %v exceeds ST %v", totals[sof.AlgorithmSOFDA], totals[sof.AlgorithmST])
 	}
 }

@@ -70,15 +70,13 @@ type LeaseID int64
 // table when the lease ends (Leave, expiry), or at Release on a session
 // without capacity; absence from the table means ended.
 //
-// A lease releases its load exactly once no matter how departure, TTL
-// expiry and repair suspension interleave: a suspended lease's load is
-// already off the trackers while a repair reshapes its forest, so ending
-// it releases nothing, and resuming an ended lease does nothing.
+// Only commit, reshape and endLocked touch a lease's load, each in one
+// critical section under mu, so the footprint a lease charges is its
+// forest's between any two of them, and ending a lease releases it once.
 type entry struct {
-	id        LeaseID
-	forest    *Forest
-	swept     bool
-	suspended bool
+	id     LeaseID
+	forest *Forest
+	swept  bool
 	// expiry is the virtual time at which the lease lapses; 0 means it
 	// never expires on its own.
 	expiry int64
@@ -340,13 +338,9 @@ func (cs *capacityState) release(g *graph.Graph, l *entry) error {
 }
 
 // endLocked ends an entry's lease and drops the entry from the ledger: it
-// releases the load unless a repair holds the lease suspended, and
-// unqueues its expiry. Callers hold s.mu.
+// releases the load and unqueues its expiry. Callers hold s.mu.
 func (s *Solver) endLocked(e *entry) error {
-	var err error
-	if !e.suspended {
-		err = s.capacity.release(s.net.g, e)
-	}
+	err := s.capacity.release(s.net.g, e)
 	delete(s.entries, e.id)
 	if e.heapIdx >= 0 {
 		heap.Remove(&s.capacity.expiry, e.heapIdx)
@@ -356,11 +350,11 @@ func (s *Solver) endLocked(e *entry) error {
 
 // Leave departs the service holding lease id. In one critical section its
 // load is released, its saturated elements regain headroom, and its
-// forest leaves the ledger, so RepairAll no longer sweeps it. Departing
-// mid-repair is safe — a suspended lease's load is already off the
-// trackers and is not released twice. Returns ErrUnknownLease for ids the
-// session does not hold and ErrNotCapacitated on sessions without
-// capacity tracking.
+// forest leaves the ledger, so RepairAll no longer sweeps it. A departure
+// waits for a repair or dynamic operation in flight, which holds the same
+// lock, so it releases whatever shape that left. Returns ErrUnknownLease
+// for ids the session does not hold and ErrNotCapacitated on sessions
+// without capacity tracking.
 func (s *Solver) Leave(id LeaseID) error {
 	if s.capacity == nil {
 		return ErrNotCapacitated
@@ -451,8 +445,8 @@ func (s *Solver) VMLoad(v NodeID) float64 {
 
 // LeaseInfo is a read-only snapshot of one live lease: its footprint as
 // currently charged to the trackers (edges with multiplicity — each
-// crossing carries Demand) and its expiry (0 = no TTL). Suspended leases
-// (mid-repair) are excluded: their load is off the trackers.
+// crossing carries Demand), which is its forest's Footprint, and its
+// expiry (0 = no TTL).
 type LeaseInfo struct {
 	ID     LeaseID
 	Expiry int64
@@ -474,9 +468,6 @@ func (s *Solver) Leases() []LeaseInfo {
 	defer s.mu.Unlock()
 	out := make([]LeaseInfo, 0, len(s.entries))
 	for _, e := range s.entries {
-		if e.suspended {
-			continue
-		}
 		out = append(out, LeaseInfo{
 			ID:     e.id,
 			Expiry: e.expiry,
@@ -497,13 +488,7 @@ func (s *Solver) LiveLeases() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.entries {
-		if !e.suspended {
-			n++
-		}
-	}
-	return n
+	return len(s.entries)
 }
 
 // Lease returns the forest's lease id, false when the forest holds none
@@ -521,48 +506,31 @@ func (f *Forest) Lease() (LeaseID, bool) {
 	return f.id, true
 }
 
-// suspendLease takes the forest's load off the trackers while a repair
-// reshapes it, so the repair's own route search sees the network without
-// this forest's footprint pinning masks. Reports whether a lease was
-// suspended (false: none, not capacitated, or already suspended/ended —
-// the exactly-once guard).
-func (s *Solver) suspendLease(f *Forest) (bool, error) {
-	cs := s.capacity
-	if cs == nil {
-		return false, nil
-	}
+// reshape runs op, a change to f's core forest, as one critical section of
+// the ledger: it holds mu, releases the footprint f's lease charges, so
+// op's route searches see the network without this forest's own masks,
+// runs op, and charges the footprint op leaves, whether op failed or not.
+// Every repair and dynamic operation goes through here, so a lease charges
+// its forest's footprint between any two of them. The charge is
+// unconditional (apply, not commit's two-phase check): a reshaped forest
+// keeps serving even where it overshoots a capacity, and the overshoot is
+// masked so no new embed piles on. A forest with no live lease just runs
+// op, under mu all the same. The trade-off: commits, Leave and AdvanceTime
+// on other goroutines wait while op runs, a repair's re-embed included.
+func (s *Solver) reshape(f *Forest, op func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cs := s.capacity
 	e, ok := s.entries[f.id]
-	if !ok || e.suspended {
-		return false, nil
+	if cs == nil || !ok {
+		return op()
 	}
 	err := cs.release(s.net.g, e)
-	e.suspended = true
-	return true, err
-}
-
-// resumeLease re-applies a suspended lease for whatever shape the forest
-// has now — repaired routes are charged like any other traffic. The
-// re-apply is unconditional (Add, not Reserve): a repaired forest keeps
-// serving even where the detour overshoots capacity; the overshoot is
-// masked so no new embed piles on. A lease ended mid-repair (the forest
-// departed) is left alone.
-func (s *Solver) resumeLease(f *Forest) {
-	cs := s.capacity
-	if cs == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[f.id]
-	if !ok || !e.suspended {
-		return
-	}
+	err = errors.Join(op(), err)
 	fp := f.f.Footprint()
 	e.edges, e.vms = fp.Edges, fp.VMs
 	cs.apply(s.net.g, aggregateDemand(fp.Edges, cs.demand), fp.VMs)
-	e.suspended = false
+	return err
 }
 
 // Reprice writes load-dependent costs back to the network: every link's

@@ -5,16 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // conservationError checks the lifecycle invariant: for every link and VM,
 // the tracker load equals the summed demand of the live leases' footprints,
-// no load is negative, and LiveLeases counts the leases Leases lists. It
-// returns the first violation (nil when the
-// books balance) so property tests can assert it holds after every step and
-// the negative-control test can assert it catches deliberate drift.
+// no load is negative, LiveLeases counts the leases Leases lists, and every
+// leased forest RepairAll sweeps is charged its footprint. It returns the
+// first violation (nil when the books balance) so property tests can
+// assert it holds after every step and the negative-control test can
+// assert it catches deliberate drift.
 func conservationError(s *Solver) error {
 	g := s.Network().Graph()
 	wantLink := make([]float64, g.NumEdges())
@@ -49,7 +51,37 @@ func conservationError(s *Solver) error {
 			return fmt.Errorf("vm %d: load %v, live leases sum to %v", v, got, wantVM[v])
 		}
 	}
+	for _, f := range s.LiveForests() {
+		if _, ok := f.Lease(); ok {
+			if err := leaseError(s, f); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
+}
+
+// leaseError reports a lease that charges anything but its forest's
+// footprint: the lease's edges, as a multiset, and its VMs must equal
+// Footprint().
+func leaseError(s *Solver, f *Forest) error {
+	id, ok := f.Lease()
+	if !ok {
+		return errors.New("forest holds no lease")
+	}
+	for _, l := range s.Leases() {
+		if l.ID != id {
+			continue
+		}
+		edges, vms := f.Footprint()
+		slices.Sort(edges)
+		slices.Sort(l.Edges)
+		if !slices.Equal(edges, l.Edges) || !slices.Equal(vms, l.VMs) {
+			return fmt.Errorf("lease %d charges %v, %v; its forest has %v, %v", id, l.Edges, l.VMs, edges, vms)
+		}
+		return nil
+	}
+	return fmt.Errorf("lease %d is not listed", id)
 }
 
 // checkConservation fails the test on the first conservation violation.
@@ -327,59 +359,56 @@ func TestAdaptiveAdmission(t *testing.T) {
 	checkConservation(t, solver)
 }
 
-// TestMidRepairDepartureReleasesOnce is the failure×departure interaction
-// guard: a forest departing while its lease is suspended for repair must
-// release its load exactly once — the suspension already took it off the
-// trackers, Leave must not subtract it again, and the deferred resume must
-// not re-apply a dead lease.
-func TestMidRepairDepartureReleasesOnce(t *testing.T) {
-	net, s, _, _, d1, d2, cheap := buildSurvivable(t)
-	solver := NewSolver(net, WithCapacity(100, 10), WithRecovery())
-	ctx := context.Background()
-	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1, d2}, ChainLength: 1})
+// TestDynamicOpsChargeTheLease: on the path s–v1–d–d2 at link capacity 1,
+// a forest serving d charges s–v1 and v1–d. Join(d2) grows it over d–d2,
+// so its lease must charge that link too and mask it, and Forest.Leave(d2)
+// must hand the link back.
+func TestDynamicOpsChargeTheLease(t *testing.T) {
+	b := NewNetworkBuilder()
+	s := b.AddSwitch("s")
+	v1 := b.AddVM("v1", 1)
+	d := b.AddSwitch("d")
+	d2 := b.AddSwitch("d2")
+	b.Link(s, v1, 1)
+	b.Link(v1, d, 1)
+	dd2 := b.Link(d, d2, 1)
+	net, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _ := f.Lease()
-	solver.FailLink(cheap[1])
-
-	// Deterministic interleaving of what RepairAll does around a concurrent
-	// Leave: suspend (repair begins) → Leave (service departs mid-repair) →
-	// resume (repair ends).
-	suspended, err := solver.suspendLease(f)
-	if !suspended || err != nil {
-		t.Fatalf("suspendLease = %v, %v", suspended, err)
-	}
-	if err := solver.Leave(id); err != nil {
-		t.Fatalf("Leave mid-repair: %v", err)
-	}
-	solver.resumeLease(f) // must be a no-op on the ended lease
-
-	g := net.Graph()
-	for e := 0; e < g.NumEdges(); e++ {
-		if load := solver.LinkLoad(EdgeID(e)); load != 0 {
-			t.Fatalf("link %d load = %v after mid-repair departure, want 0", e, load)
-		}
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if load := solver.VMLoad(NodeID(v)); load != 0 {
-			t.Fatalf("vm %d load = %v after mid-repair departure, want 0", v, load)
-		}
-	}
-	if len(solver.Leases()) != 0 {
-		t.Fatal("lease survived mid-repair departure")
+	solver := NewSolver(net, WithCapacity(1, 4))
+	f, err := solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	checkConservation(t, solver)
 
-	// A second suspend/resume cycle on the departed forest stays a no-op.
-	if suspended, _ := solver.suspendLease(f); suspended {
-		t.Fatal("suspend succeeded on an ended lease")
+	if _, err := f.Join(d2); err != nil {
+		t.Fatalf("Join(d2): %v", err)
 	}
+	if err := leaseError(solver, f); err != nil {
+		t.Fatalf("after Join: %v", err)
+	}
+	if load := solver.LinkLoad(dd2); load != 1 || !net.Graph().EdgeMasked(dd2) {
+		t.Fatalf("after Join: d–d2 load %v, masked %v; want 1, true", load, net.Graph().EdgeMasked(dd2))
+	}
+	checkConservation(t, solver)
+
+	if _, err := f.Leave(d2); err != nil {
+		t.Fatalf("Leave(d2): %v", err)
+	}
+	if err := leaseError(solver, f); err != nil {
+		t.Fatalf("after Leave: %v", err)
+	}
+	if load := solver.LinkLoad(dd2); load != 0 || net.Graph().EdgeMasked(dd2) {
+		t.Fatalf("after Leave: d–d2 load %v, masked %v; want 0, false", load, net.Graph().EdgeMasked(dd2))
+	}
+	checkConservation(t, solver)
 }
 
 // TestRepairResumesLease runs a real RepairAll on a capacitated session:
-// the repaired forest's lease must resume over the post-repair shape, and
-// conservation must hold for the detoured footprint.
+// the repaired forest keeps its lease, which charges the post-repair
+// shape, and conservation must hold for the detoured footprint.
 func TestRepairResumesLease(t *testing.T) {
 	net, s, _, _, d1, d2, cheap := buildSurvivable(t)
 	solver := NewSolver(net, WithCapacity(100, 10), WithRecovery())

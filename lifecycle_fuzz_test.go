@@ -6,17 +6,22 @@ import (
 )
 
 // FuzzLifecycleSchedule decodes a byte stream into an arrival / departure /
-// clock-advance / fail / restore / repair schedule and replays it on a
-// capacitated recovery session. Whatever schedule the fuzzer invents, the
-// session must not panic, no tracker may go negative, Accumulated() must be
-// monotone, and load conservation must hold at every step.
+// clock-advance / fail / restore / repair / dynamic-operation schedule and
+// replays it on a capacitated recovery session. Whatever schedule the
+// fuzzer invents, the session must not panic, no tracker may go negative,
+// Accumulated() must be monotone, and load conservation must hold at every
+// step, every lease charging its forest's footprint.
 func FuzzLifecycleSchedule(f *testing.F) {
 	// Seed corpus: an idle run, a dense arrival burst, arrivals with
-	// departures and expiries, and a fail/repair-heavy mix.
+	// departures and expiries, a fail/repair-heavy mix, and two runs of
+	// every dynamic operation around a failure and its repair, one joining
+	// before the insert and one after.
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 2, 0, 3})
 	f.Add([]byte{0, 4, 1, 0, 2, 9, 0, 0, 1, 1, 2, 200})
 	f.Add([]byte{0, 2, 3, 5, 5, 0, 3, 5, 4, 0, 5, 0, 0, 1, 3, 9, 5, 0})
+	f.Add([]byte{0, 0, 6, 4, 20, 1, 3, 2, 5, 0, 41, 0, 27, 0, 34, 0, 13, 0})
+	f.Add([]byte{0, 0, 20, 1, 6, 4, 3, 2, 5, 0, 41, 0, 27, 0, 34, 0, 13, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		net, s, _, _, d1, d2, _ := buildSurvivable(t)
@@ -27,7 +32,7 @@ func FuzzLifecycleSchedule(f *testing.F) {
 		var clock int64
 		lastAcc := 0.0
 		step := func(op, arg byte) {
-			switch op % 6 {
+			switch op % 7 {
 			case 0: // arrival: TTL from the argument (0 = until Leave)
 				dests := []NodeID{d1}
 				if arg%2 == 1 {
@@ -56,8 +61,10 @@ func FuzzLifecycleSchedule(f *testing.F) {
 				}
 			case 4: // restore everything
 				solver.RestoreAllFailures()
-			default: // repair sweep (errors allowed: losses are surfaced)
+			case 5: // repair sweep (errors allowed: losses are surfaced)
 				_, _ = solver.RepairAll(ctx)
+			default: // dynamic operation op/7 on the arg-th live forest
+				dynamicOp(solver, int(op/7), int(arg))
 			}
 		}
 

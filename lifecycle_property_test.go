@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 
 // lifecycleHarness drives a capacitated recovery session with a seeded
 // random schedule of embeds, departures, clock advances, failures,
-// restores, and repair sweeps — the full lifecycle interleaving space the
-// conservation invariant must survive.
+// restores, repair sweeps and dynamic operations — the full lifecycle
+// interleaving space the conservation invariant must survive.
 type lifecycleHarness struct {
 	t        *testing.T
 	rng      *rand.Rand
@@ -43,7 +42,7 @@ func newLifecycleHarness(t *testing.T, seed int64) *lifecycleHarness {
 // step applies one random lifecycle operation and returns its label.
 func (h *lifecycleHarness) step(ctx context.Context) string {
 	g := h.net.G
-	switch op := h.rng.Intn(10); {
+	switch op := h.rng.Intn(11); {
 	case op < 4: // embed, possibly with TTL
 		k := 1 + h.rng.Intn(2)
 		nodes := h.net.RandomNodes(h.rng, k+1+h.rng.Intn(2))
@@ -81,11 +80,61 @@ func (h *lifecycleHarness) step(ctx context.Context) string {
 	case op < 9: // restore everything failed so far
 		h.solver.RestoreAllFailures()
 		return "restore"
+	case op < 10: // reshape a live forest
+		return dynamicOp(h.solver, h.rng.Intn(6), h.rng.Intn(1<<20))
 	default: // repair sweep
 		if _, err := h.solver.RepairAll(ctx); err != nil && !errors.Is(err, ErrUnrecoverable) {
 			h.t.Fatalf("RepairAll: %v", err)
 		}
 		return "repair"
+	}
+}
+
+// dynamicOp applies dynamic operation kind%6 to a live forest of s, the
+// forest and the operation's argument both drawn from arg, and returns the
+// operation's name. Errors are outcomes: an operation that does not apply
+// (a Join of a served node, say) leaves the forest as it was. A reroute
+// first raises the link's cost, so the congested segments have somewhere
+// cheaper to go.
+func dynamicOp(s *Solver, kind, arg int) string {
+	live := s.LiveForests()
+	if len(live) == 0 {
+		return "dynamic op on no forest"
+	}
+	f := live[arg%len(live)]
+	arg /= len(live)
+	g := s.Network().Graph()
+	switch kind % 6 {
+	case 0:
+		_, _ = f.Join(NodeID(arg % g.NumNodes()))
+		return "join"
+	case 1:
+		if dests := f.Destinations(); len(dests) > 0 {
+			_, _ = f.Leave(dests[arg%len(dests)])
+		}
+		return "forest leave"
+	case 2:
+		_ = f.InsertVNF(1 + arg%(f.Request().ChainLength+1))
+		return "insert VNF"
+	case 3:
+		if n := f.Request().ChainLength; n > 0 {
+			_ = f.RemoveVNF(1 + arg%n)
+		}
+		return "remove VNF"
+	case 4:
+		if edges, _ := f.Footprint(); len(edges) > 0 {
+			e := edges[arg%len(edges)]
+			// Capped, the cost stays finite over any number of reroutes,
+			// so the setter cannot refuse it.
+			_ = s.Network().SetLinkCost(e, min(2*g.EdgeCost(e)+10, 1e6))
+			_, _ = f.RerouteCongestedLink(e)
+		}
+		return "reroute"
+	default:
+		if vms := f.UsedVMs(); len(vms) > 0 {
+			_ = f.MigrateVM(vms[arg%len(vms)])
+		}
+		return "migrate"
 	}
 }
 
@@ -102,10 +151,11 @@ func (h *lifecycleHarness) verify(label string) {
 	}
 }
 
-// TestLoadConservationProperty is the PR's anchor property: after ANY
-// interleaving of accepted embeds, departures, TTL expiries, failures, and
-// repairs, every tracker's load equals the sum of the live leases'
-// demands. Seeded schedules keep failures reproducible; run it under
+// TestLoadConservationProperty is the lifecycle's anchor property: after
+// ANY interleaving of accepted embeds, departures, TTL expiries, failures,
+// repairs and dynamic operations, every tracker's load equals the sum of
+// the live leases' demands, and every lease charges its forest's
+// footprint. Seeded schedules keep failures reproducible; run it under
 // -race together with TestConcurrentLifecycleRace for the concurrent
 // interleavings.
 func TestLoadConservationProperty(t *testing.T) {
@@ -154,10 +204,10 @@ func TestLoadConservationProperty(t *testing.T) {
 }
 
 // TestLedgerMatchesForests pins the session's one ledger: after every
-// lifecycle step the forests RepairAll sweeps are exactly the forests of
-// the live leases, in lease-id order, and every lease charges its
-// forest's footprint. Release stops the sweep but keeps the lease; Leave
-// ends both.
+// lifecycle step, dynamic operations included, the forests RepairAll
+// sweeps are exactly the forests of the live leases, in lease-id order,
+// and every lease charges its forest's footprint. Release stops the sweep
+// but keeps the lease; Leave ends both.
 func TestLedgerMatchesForests(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
@@ -174,12 +224,8 @@ func TestLedgerMatchesForests(t *testing.T) {
 				if id, ok := f.Lease(); !ok || id != l.ID {
 					t.Fatalf("seed %d, step %d (%s): live forest %d holds lease %d, %v; want %d", seed, i, label, j, id, ok, l.ID)
 				}
-				edges, vms := f.Footprint()
-				slices.Sort(edges)
-				slices.Sort(l.Edges)
-				if !slices.Equal(edges, l.Edges) || !slices.Equal(vms, l.VMs) {
-					t.Fatalf("seed %d, step %d (%s): lease %d charges %v, %v; forest has %v, %v",
-						seed, i, label, l.ID, l.Edges, l.VMs, edges, vms)
+				if err := leaseError(h.solver, f); err != nil {
+					t.Fatalf("seed %d, step %d (%s): %v", seed, i, label, err)
 				}
 			}
 		}
@@ -250,40 +296,53 @@ func TestConservationCheckerDetectsDrift(t *testing.T) {
 	}
 }
 
-// TestConcurrentLifecycleRace interleaves embeds, departures, and clock
-// advances from concurrent goroutines with a failure/repair sweeper (one
-// sweeper — RepairAll's documented contract is one sweep at a time; embeds
-// and departures may race it freely, which is exactly the mid-repair
-// departure path). Run under -race; after quiescence the conservation
-// invariant must hold and a full drain must zero the books.
+// TestConcurrentLifecycleRace interleaves embeds, departures, clock
+// advances and dynamic operations on the swept forests from concurrent
+// goroutines with a failure/repair sweeper (one sweeper — RepairAll's
+// documented contract is one sweep at a time; embeds, departures and
+// dynamic operations may race it freely, and wait for the forest it is
+// repairing). Run under -race; after quiescence the conservation
+// invariant must hold, every lease charging its forest's footprint, and a
+// full drain must zero the books.
 func TestConcurrentLifecycleRace(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 8, Seed: 99})
 	solver := NewSolver(FromGraph(net.G), WithCapacity(8, 4), WithRecovery())
 	ctx := context.Background()
 
-	const perWorker = 25
+	const perWorker = 40
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			// This worker's forests and their destinations at embed time;
+			// the sweeper repairs the same forests.
+			var mine []*Forest
+			var dests [][]NodeID
 			for i := 0; i < perWorker; i++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(6) {
 				case 0, 1:
 					nodes := graphSample(rng, net, 3)
-					_, _ = solver.Embed(ctx, Request{
+					if f, err := solver.Embed(ctx, Request{
 						Sources:      nodes[:1],
 						Destinations: nodes[1:],
 						ChainLength:  1,
 						TTL:          int64(rng.Intn(5)),
-					})
+					}); err == nil {
+						mine, dests = append(mine, f), append(dests, nodes[1:])
+					}
 				case 2:
 					if leases := solver.Leases(); len(leases) > 0 {
 						_ = solver.Leave(leases[rng.Intn(len(leases))].ID)
 					}
-				default:
+				case 3:
 					_, _ = solver.AdvanceTime(solver.Now() + 1)
+				default:
+					if len(mine) > 0 {
+						j := rng.Intn(len(mine))
+						reshapeBlind(rng, net, mine[j], dests[j])
+					}
 				}
 			}
 		}(int64(w + 1))
@@ -311,6 +370,67 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 		if load := solver.LinkLoad(EdgeID(e)); load != 0 {
 			t.Fatalf("link %d: residual load %v after drain", e, load)
 		}
+	}
+}
+
+// TestRepairAllRacesDynamicOps: a sweeper and a goroutine that joins and
+// leaves a destination of the same forest take turns on the session's
+// lock. With v1–d2 failed, every sweep reads the forest's damage, and
+// every Join grafts d2 around the failed link, so the forest is never
+// damaged. Run under -race, which reports a damage read made outside the
+// lock; afterwards the books must balance.
+func TestRepairAllRacesDynamicOps(t *testing.T) {
+	net, s, _, _, d1, d2, cheap := buildSurvivable(t)
+	solver := NewSolver(net, WithCapacity(100, 10), WithRecovery())
+	ctx := context.Background()
+	f, err := solver.Embed(ctx, Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver.FailLink(cheap[2])
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := f.Join(d2); err != nil {
+				t.Errorf("Join(d2): %v", err)
+				return
+			}
+			if _, err := f.Leave(d2); err != nil {
+				t.Errorf("Leave(d2): %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if rep, err := solver.RepairAll(ctx); err != nil || rep.ForestsTouched != 0 {
+			t.Fatalf("RepairAll = %+v, %v; want nothing damaged", rep, err)
+		}
+	}
+	wg.Wait()
+	checkConservation(t, solver)
+}
+
+// reshapeBlind applies a random dynamic operation to f with an argument
+// drawn from the network and the destinations f was embedded for:
+// reading f to pick one would race the sweeper, which repairs f under the
+// session's lock. Draws that do not apply change nothing.
+func reshapeBlind(rng *rand.Rand, net *topology.Network, f *Forest, dests []NodeID) {
+	g := net.G
+	switch rng.Intn(6) {
+	case 0:
+		_, _ = f.Join(graphSample(rng, net, 1)[0])
+	case 1:
+		_, _ = f.Leave(dests[rng.Intn(len(dests))])
+	case 2:
+		_ = f.InsertVNF(1 + rng.Intn(2))
+	case 3:
+		_ = f.RemoveVNF(1 + rng.Intn(2))
+	case 4:
+		_, _ = f.RerouteCongestedLink(EdgeID(rng.Intn(g.NumEdges())))
+	default:
+		_ = f.MigrateVM(net.VMs[rng.Intn(len(net.VMs))])
 	}
 }
 

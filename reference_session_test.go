@@ -46,7 +46,7 @@ func newRefSession(t *testing.T, next func(k int) int) *refSession {
 func (r *refSession) step(ctx context.Context) {
 	g := r.net.G
 	s := r.solver
-	switch r.next(12) {
+	switch r.next(13) {
 	case 0, 1, 2, 3:
 		r.embed(ctx)
 	case 4:
@@ -75,10 +75,15 @@ func (r *refSession) step(ctx context.Context) {
 		if err := s.Network().SetLinkCost(e, []float64{0, 1, 2, 5, 10, 20}[r.next(6)]); err != nil {
 			r.t.Fatalf("SetLinkCost: %v", err)
 		}
-	default:
+	case 10, 11:
 		v := r.net.VMs[r.next(len(r.net.VMs))]
 		if err := s.Network().SetVMCost(v, float64(1+r.next(6))); err != nil {
 			r.t.Fatalf("SetVMCost: %v", err)
+		}
+	default:
+		dynamicOp(s, r.next(6), r.next(256))
+		if err := conservationError(s); err != nil {
+			r.t.Fatalf("after a dynamic operation: %v", err)
 		}
 	}
 }

@@ -169,7 +169,9 @@ func (n *Network) VMs() []NodeID { return n.g.VMs() }
 // embed) and the candidate-VM restriction (Join, InsertVNF, and MigrateVM
 // never graft onto VMs the original embed was forbidden to use). Callers
 // read its shape through Footprint and Route and change it only through
-// its methods.
+// its methods, each of which holds the session's lock while it runs and,
+// on a capacitated session, leaves the forest's lease charging the
+// footprint it leaves.
 type Forest struct {
 	f       *core.Forest
 	sources []NodeID
@@ -214,25 +216,37 @@ func (f *Forest) Validate() error {
 // computed from warm shortest-path trees (cost changes invalidate them
 // through the epoch, no explicit flush needed). A destination outside the
 // network is an error.
-func (f *Forest) Join(d NodeID) (float64, error) {
+func (f *Forest) Join(d NodeID) (delta float64, err error) {
 	if !f.s.net.g.Valid(d) {
 		return 0, fmt.Errorf("sof: destination %d is not in the network", d)
 	}
-	return f.f.Join(f.s.oracle, f.candidateVMs(), d)
+	err = f.s.reshape(f, func() (err error) {
+		delta, err = f.f.Join(f.s.oracle, f.candidateVMs(), d)
+		return err
+	})
+	return delta, err
 }
 
 // Leave removes a destination, pruning the branch it exclusively used, and
 // returns the (non-positive) cost change.
-func (f *Forest) Leave(d NodeID) (float64, error) { return f.f.Leave(d) }
+func (f *Forest) Leave(d NodeID) (delta float64, err error) {
+	err = f.s.reshape(f, func() (err error) {
+		delta, err = f.f.Leave(d)
+		return err
+	})
+	return delta, err
+}
 
 // InsertVNF adds a VNF at 1-based chain position j, drawing the new VM
 // from the embed-time candidate set.
 func (f *Forest) InsertVNF(j int) error {
-	return f.f.InsertVNF(f.s.oracle, f.candidateVMs(), j)
+	return f.s.reshape(f, func() error { return f.f.InsertVNF(f.s.oracle, f.candidateVMs(), j) })
 }
 
 // RemoveVNF deletes the VNF at 1-based chain position j.
-func (f *Forest) RemoveVNF(j int) error { return f.f.RemoveVNF(j) }
+func (f *Forest) RemoveVNF(j int) error {
+	return f.s.reshape(f, func() error { return f.f.RemoveVNF(j) })
+}
 
 // RerouteCongestedLink re-routes every forest segment using link e over
 // the current cheapest paths; update costs first (the cost change itself
@@ -241,17 +255,21 @@ func (f *Forest) RemoveVNF(j int) error { return f.f.RemoveVNF(j) }
 // come back joined in the error, alongside the count that did move — a
 // partial reroute is progress, not an abort. A link outside the network
 // is rejected, and nothing moves.
-func (f *Forest) RerouteCongestedLink(e EdgeID) (int, error) {
+func (f *Forest) RerouteCongestedLink(e EdgeID) (moved int, err error) {
 	if !f.s.net.g.ValidEdge(e) {
 		return 0, fmt.Errorf("sof: no link %d", e)
 	}
-	return f.f.RerouteCongestedEdge(f.s.oracle, e)
+	err = f.s.reshape(f, func() (err error) {
+		moved, err = f.f.RerouteCongestedEdge(f.s.oracle, e)
+		return err
+	})
+	return moved, err
 }
 
 // MigrateVM moves the VNF off an overloaded VM to the best replacement
 // from the embed-time candidate set; update costs first.
 func (f *Forest) MigrateVM(v NodeID) error {
-	return f.f.MigrateOverloadedVM(f.s.oracle, f.candidateVMs(), v)
+	return f.s.reshape(f, func() error { return f.f.MigrateOverloadedVM(f.s.oracle, f.candidateVMs(), v) })
 }
 
 // Footprint returns the links the forest crosses, once per crossing (a

@@ -149,7 +149,8 @@ func TestPublicAPIDynamics(t *testing.T) {
 // TestRerouteCongestedLink rejects links outside the network, -1 (a
 // root clone's missing uplink) and one past the last link, without moving
 // anything, and moves the one segment on a used link once SetLinkCost
-// has made that link dearer than the detour.
+// has made that link dearer than the detour; the forest's lease then
+// charges the detour and leaves the congested link empty.
 func TestRerouteCongestedLink(t *testing.T) {
 	b := NewNetworkBuilder()
 	s := b.AddSwitch("s")
@@ -168,7 +169,8 @@ func TestRerouteCongestedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewSolver(net).Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2})
+	solver := NewSolver(net, WithCapacity(10, 4))
+	f, err := solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d}, ChainLength: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +201,14 @@ func TestRerouteCongestedLink(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// The lease follows the reroute: it charges the new route, not a–d.
+	if err := leaseError(solver, f); err != nil {
+		t.Fatal(err)
+	}
+	if load := solver.LinkLoad(congested); load != 0 {
+		t.Fatalf("link %d (a–d) load = %v after the reroute, want 0", congested, load)
+	}
+	checkConservation(t, solver)
 }
 
 // TestNetworkCostSettersRejectInvalid: the public cost setters reject

@@ -11,7 +11,9 @@ package sof
 // search as Join, and forests the fast path cannot fix are re-embedded
 // from scratch through the owning session. Destinations for which no
 // repair exists are surfaced with ErrUnrecoverable, never silently
-// dropped.
+// dropped. Both tiers reshape a forest through the ledger, as the dynamic
+// operations do (lease.go): on a capacitated session its lease is released
+// while they run and charged for the shape they leave.
 
 import (
 	"context"
@@ -175,8 +177,13 @@ func (r *RecoveryReport) Unrecoverable() []DestFailure {
 // them; forests keep serving every destination that survived or was
 // restored either way.
 //
-// The sweep stops early with ctx.Err() if ctx is cancelled between
-// forests.
+// Each damaged forest is repaired inside one critical section of the
+// session's lock: on a capacitated session its lease is released, both
+// tiers run, and the lease charges the repaired footprint, with no
+// capacity check (a detour that overshoots is masked, not refused). Embeds'
+// commits, Leave, AdvanceTime and dynamic operations on other goroutines
+// wait for that forest's repair. The sweep stops early with ctx.Err() if
+// ctx is cancelled between forests.
 func (s *Solver) RepairAll(ctx context.Context) (*RecoveryReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -209,26 +216,31 @@ func (s *Solver) RepairAll(ctx context.Context) (*RecoveryReport, error) {
 	return report, errors.Join(sweepErrs...)
 }
 
-// repairForest recovers one forest; nil means it was undamaged.
+// repairForest recovers one forest; nil means it was undamaged. The
+// damage check reads the forest under the session's lock, and both tiers
+// run inside one reshape, so a capacitated forest's lease charges
+// whatever shape the repair leaves.
 func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, error) {
-	if !f.f.Damage().Broken() {
+	s.mu.Lock()
+	broken := f.f.Damage().Broken()
+	s.mu.Unlock()
+	if !broken {
 		return nil, nil
 	}
-	before := f.TotalCost() // damage is non-structural: this is the pre-failure cost
-	// On a capacitated session, take the forest's lease off the books while
-	// its shape is in flux: the repair's route searches then price the
-	// network without this forest's own footprint pinning saturation masks.
-	// The deferred resume re-applies whatever shape the repair produced —
-	// and is a no-op if the service departed mid-repair (exactly-once).
-	if suspended, err := s.suspendLease(f); err != nil {
-		return nil, fmt.Errorf("sof: suspending lease for repair: %w", err)
-	} else if suspended {
-		defer s.resumeLease(f)
-	}
 	fr := &ForestRecovery{Forest: f}
+	if err := s.reshape(f, func() error { return s.repair(ctx, f, fr) }); err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// repair runs both recovery tiers on a damaged forest and records the
+// outcome in fr. Callers go through reshape.
+func (s *Solver) repair(ctx context.Context, f *Forest, fr *ForestRecovery) error {
+	before := f.TotalCost() // damage is non-structural: this is the pre-failure cost
 	rep, err := f.f.Repair(s.oracle, f.candidateVMs())
 	if err != nil {
-		return nil, fmt.Errorf("sof: repair of forest: %w", err)
+		return fmt.Errorf("sof: repair of forest: %w", err)
 	}
 	fr.Orphans = rep.Orphans
 	fr.FastPath = rep.Reattached
@@ -249,8 +261,8 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 	if len(wantBack) > 0 {
 		dests := append(f.f.Destinations(), wantBack...)
 		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-		// solve books nothing: the forest's own (suspended) lease resumes
-		// over whatever shape comes back, so nothing is charged twice.
+		// solve books nothing: reshape charges the forest's own lease for
+		// whatever shape comes back, so nothing is charged twice.
 		cf, err := s.solve(ctx, Request{
 			Sources:      f.sources,
 			Destinations: dests,
@@ -272,5 +284,5 @@ func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, 
 	}
 	fr.Reattached = fr.Orphans - len(fr.Failed)
 	fr.CostDelta = f.TotalCost() - before
-	return fr, nil
+	return nil
 }

@@ -227,6 +227,30 @@ func TestInsertVNFSkipsCutOffVM(t *testing.T) {
 	}
 }
 
+// TestInsertVNFUsesFreeBoundaryVM: the forest s1–v1(f1)–v3–d on
+// buildTwoSided costs 4. Appending f2 on v3, a free VM the forest already
+// crosses at the boundary, costs 5; a walk from v3 through another VM and
+// back to d would go over the dear side, v3–d–v4–d, for 15.
+func TestInsertVNFUsesFreeBoundaryVM(t *testing.T) {
+	net, req, _, v3, _, _ := buildTwoSided(t)
+	f, err := NewSolver(net).Embed(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.TotalCost(); got != 4 {
+		t.Fatalf("embed costs %v, want 4", got)
+	}
+	if err := f.InsertVNF(2); err != nil {
+		t.Fatalf("InsertVNF(2): %v", err)
+	}
+	if got := f.TotalCost(); got != 5 || f.f.VNFOf(v3) != 2 {
+		t.Fatalf("after InsertVNF(2): cost %v, v3 runs f%d; want 5 and f2", got, f.f.VNFOf(v3))
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestForestChainLengthFollowsVNFOps: InsertVNF and RemoveVNF change the
 // chain a forest serves, so Request reports the live length, and a repair
 // that falls through to the re-embed tier rebuilds the forest with every
