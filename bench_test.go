@@ -238,7 +238,6 @@ func BenchmarkDistributedSOFDA(b *testing.B) {
 	for _, domains := range []int{1, 3, 5} {
 		b.Run(fmt.Sprintf("domains%d", domains), func(b *testing.B) {
 			cluster := dist.NewCluster(net.G, domains, chain.Options{})
-			defer cluster.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts}); err != nil {
@@ -268,7 +267,6 @@ func BenchmarkStreamedJoin(b *testing.B) {
 	opts := &core.Options{VMs: net.VMs}
 	b.Run("stream", func(b *testing.B) {
 		cluster := dist.NewCluster(net.G, 3, chain.Options{})
-		defer cluster.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts}); err != nil {
@@ -410,6 +408,65 @@ func BenchmarkOnlineArrivals(b *testing.B) {
 			b.ReportMetric(100*float64(stats.ChainHits)/float64(total), "chainhit-%")
 		}
 	})
+}
+
+// BenchmarkEmbedBatch times EmbedBatch's ordered pipeline at widths 1 and
+// 2 on 6 Inet-1000 networks with 25 VMs, 32 requests each (2 sources, 4
+// destinations, chain length 2), in two regimes. "ample" has no capacity,
+// so no commit moves the cost epoch and no solve is redone. "saturating"
+// is WithCapacity(4, 3): commits mask links and VMs, so most solves begun
+// beside an earlier commit are redone at their turn. Every width accepts
+// what a sequential Embed loop accepts, so accepted/op is the same at
+// both widths. ns/request is wall clock, from fresh networks and
+// sessions, and says what the second core buys in each regime; it is
+// recorded, not gated.
+func BenchmarkEmbedBatch(b *testing.B) {
+	const seeds, perSeed = 6, 32
+	for _, regime := range []struct {
+		name string
+		opts []sof.Option
+	}{
+		{"ample", nil},
+		{"saturating", []sof.Option{sof.WithCapacity(4, 3)}},
+	} {
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/width%d", regime.name, width), func(b *testing.B) {
+				accepted := 0
+				for i := 0; i < b.N; i++ {
+					for seed := int64(0); seed < seeds; seed++ {
+						b.StopTimer()
+						net, err := topology.Inet(1000, 2000, 100, topology.Config{NumVMs: 25, Seed: seed})
+						if err != nil {
+							b.Fatal(err)
+						}
+						rng := rand.New(rand.NewSource(seed))
+						reqs := make([]sof.Request, perSeed)
+						for j := range reqs {
+							reqs[j] = sof.Request{
+								Sources:      net.RandomNodes(rng, 2),
+								Destinations: net.RandomNodes(rng, 4),
+								ChainLength:  2,
+							}
+						}
+						solver := sof.NewSolver(sof.FromGraph(net.G),
+							append([]sof.Option{sof.WithParallelism(width)}, regime.opts...)...)
+						b.StartTimer()
+						results, err := solver.EmbedBatch(context.Background(), reqs)
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, r := range results {
+							if r.Err == nil {
+								accepted++
+							}
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*seeds*perSeed), "ns/request")
+				b.ReportMetric(float64(accepted)/float64(b.N), "accepted/op")
+			})
+		}
+	}
 }
 
 // BenchmarkFig12Online reproduces the accumulative-cost experiment over a

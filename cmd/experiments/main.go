@@ -234,7 +234,6 @@ func runAgainstDomains(addrs []string, kind exp.NetKind, seed int64, inetNodes i
 	cluster := dist.NewClusterWith(network.G, len(addrs), dist.Config{
 		Transport: tr, RetryBudget: 1, DisableFallback: true,
 	})
-	defer cluster.Close()
 	start := time.Now()
 	f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
 	if err != nil {

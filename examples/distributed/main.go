@@ -56,7 +56,6 @@ func main() {
 	// on the leader goroutine that streams its pairs.
 	cluster := dist.NewCluster(leaderNet.G, domains, chain.Options{})
 	inproc, err := cluster.SOFDA(context.Background(), req, opts)
-	cluster.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +80,6 @@ func main() {
 	rpcCluster := dist.NewClusterWith(leaderNet.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
 	overRPC, err := rpcCluster.SOFDA(context.Background(), req, opts)
 	stats := rpcCluster.StreamStats()
-	rpcCluster.Close()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -177,12 +176,10 @@ func (f *Forest) InsertVNF(oracle *chain.Oracle, freeVMs []graph.NodeID, j int) 
 	if j < 1 || j > f.chainLen+1 {
 		return fmt.Errorf("core: VNF insert index %d out of range [1,%d]", j, f.chainLen+1)
 	}
-	saved := *f
-	saved.clones, saved.roots = slices.Clone(f.clones), slices.Clone(f.roots)
-	saved.owner, saved.dests = maps.Clone(f.owner), maps.Clone(f.dests)
+	saved := f.Copy()
 	defer func() {
 		if err != nil {
-			*f = saved
+			*f = *saved
 		}
 	}()
 	// Shift indices ≥ j up.

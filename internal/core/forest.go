@@ -15,7 +15,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"sof/internal/chain"
@@ -68,6 +70,15 @@ func NewForest(g *graph.Graph, chainLen int) *Forest {
 		owner:    make(map[graph.NodeID]vmUse),
 		dests:    make(map[graph.NodeID]CloneID),
 	}
+}
+
+// Copy returns a deep copy of f: changing either leaves the other as it
+// was.
+func (f *Forest) Copy() *Forest {
+	c := *f
+	c.clones, c.roots = slices.Clone(f.clones), slices.Clone(f.roots)
+	c.owner, c.dests = maps.Clone(f.owner), maps.Clone(f.dests)
+	return &c
 }
 
 // Graph returns the underlying network.

@@ -28,7 +28,6 @@ package dist
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,9 +37,6 @@ import (
 	"sof/internal/core"
 	"sof/internal/graph"
 )
-
-// ErrClosed is returned by Cluster.SOFDA after Close.
-var ErrClosed = errors.New("dist: cluster is closed")
 
 // Options configure one distributed embedding.
 type Options struct {
@@ -79,8 +75,10 @@ type Config struct {
 // Cluster is the leader of a multi-domain SDN deployment: it partitions
 // candidate queries across domain controllers by source ownership, moves
 // them over a Transport, and completes the forest from the gathered
-// candidates. Create it with NewCluster or NewClusterWith, run embeddings
-// with SOFDA, and end it with Close.
+// candidates. Create it with NewCluster or NewClusterWith and run
+// embeddings with SOFDA, from any number of goroutines. It owns no
+// goroutine and no connection, so nothing needs closing: a transport
+// supplied in Config stays the caller's to close.
 type Cluster struct {
 	g         *graph.Graph
 	transport Transport
@@ -106,12 +104,6 @@ type Cluster struct {
 	streamPruned     atomic.Uint64
 	streamEpochDrift atomic.Uint64
 	streamOverlapNS  atomic.Int64
-
-	// mu is held read-side for the duration of every SOFDA call and
-	// write-side by Close, so Close returns only once the embeddings in
-	// flight have finished.
-	mu     sync.RWMutex
-	closed bool
 }
 
 // NewCluster partitions the network into numDomains controller domains
@@ -192,11 +184,6 @@ func (c *Cluster) fallbackOracle() *chain.Oracle {
 // answers for them, because the fallback runs the identical deterministic
 // reduction.
 func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*core.Forest, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -338,13 +325,4 @@ func (c *Cluster) SOFDA(ctx context.Context, req core.Request, opts Options) (*c
 		return nil, fmt.Errorf("dist: no domain produced a feasible candidate chain")
 	}
 	return builder.Complete(ctx)
-}
-
-// Close waits for the embeddings in flight, after which SOFDA returns
-// ErrClosed. It is idempotent. The in-process transport holds nothing to
-// release; a Config-supplied transport stays the caller's to close.
-func (c *Cluster) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
 }

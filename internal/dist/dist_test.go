@@ -37,7 +37,6 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 		for _, domains := range []int{1, 3, 5} {
 			cluster := NewCluster(net.G, domains, chain.Options{})
 			f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
-			cluster.Close()
 			if err != nil {
 				t.Fatalf("seed %d domains %d: distributed: %v", seed, domains, err)
 			}
@@ -60,7 +59,6 @@ func TestDistributedZeroChainDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(net.G, 3, chain.Options{})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -70,20 +68,9 @@ func TestDistributedZeroChainDegenerate(t *testing.T) {
 	}
 }
 
-func TestClusterCloseIdempotentAndRejects(t *testing.T) {
-	net, req, opts := softLayerInstance(5)
-	cluster := NewCluster(net.G, 2, chain.Options{})
-	cluster.Close()
-	cluster.Close() // must not panic or deadlock
-	if _, err := cluster.SOFDA(context.Background(), req, Options{Core: opts}); err != ErrClosed {
-		t.Fatalf("SOFDA after Close = %v, want ErrClosed", err)
-	}
-}
-
 func TestClusterCancelledContext(t *testing.T) {
 	net, req, opts := softLayerInstance(9)
 	cluster := NewCluster(net.G, 3, chain.Options{})
-	defer cluster.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := cluster.SOFDA(ctx, req, Options{Core: opts}); err == nil {
@@ -105,7 +92,6 @@ func TestClusterConcurrentSOFDA(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(net.G, 3, chain.Options{})
-	defer cluster.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 2*runtime.NumCPU(); w++ {
 		wg.Add(1)
@@ -130,7 +116,6 @@ func TestClusterConcurrentSOFDA(t *testing.T) {
 func TestInvalidateCacheAfterCostChange(t *testing.T) {
 	net, req, opts := softLayerInstance(21)
 	cluster := NewCluster(net.G, 3, chain.Options{})
-	defer cluster.Close()
 	if _, err := cluster.SOFDA(context.Background(), req, Options{Core: opts}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +148,6 @@ func TestDomainsExceedNodeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(net.G, 2*net.G.NumNodes(), chain.Options{})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
 		t.Fatalf("SOFDA with %d domains over %d nodes: %v", cluster.NumDomains(), net.G.NumNodes(), err)
@@ -182,7 +166,6 @@ func TestSingleNodeDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(net.G, net.G.NumNodes(), chain.Options{})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
 		t.Fatalf("SOFDA with one node per domain: %v", err)
@@ -205,7 +188,6 @@ func TestEmptyDomainReceivesNoPairs(t *testing.T) {
 	inner := NewChannelTransport(net.G, 5, chain.Options{})
 	counter := &countingTransport{inner: inner, domains: make(map[int]int)}
 	cluster := NewClusterWith(net.G, 5, Config{Transport: counter})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +229,6 @@ func TestDomainWithoutCandidateVMs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewCluster(net.G, 3, chain.Options{})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: restricted})
 	if err != nil {
 		t.Fatalf("SOFDA with VM-free domains: %v", err)
@@ -272,7 +253,6 @@ func TestDomainPartitionCoversAllNodes(t *testing.T) {
 			}
 			counts[d]++
 		}
-		cluster.Close()
 		total := 0
 		for _, c := range counts {
 			total += c

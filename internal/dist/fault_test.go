@@ -107,7 +107,6 @@ func TestFlakyTransportRetryAndFallback(t *testing.T) {
 					seed, i, f.TotalCost(), central.TotalCost())
 			}
 		}
-		cluster.Close()
 	}
 }
 
@@ -129,7 +128,6 @@ func TestDeadTransportFallsBackToLocalOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster := NewClusterWith(net.G, 3, Config{Transport: deadTransport{}, RetryBudget: 2})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
 		t.Fatalf("SOFDA over a dead transport: %v", err)
@@ -145,7 +143,6 @@ func TestDeadTransportFallsBackToLocalOracle(t *testing.T) {
 func TestDeadTransportNoFallbackSurfacesError(t *testing.T) {
 	net, req, opts := softLayerInstance(13)
 	cluster := NewClusterWith(net.G, 3, Config{Transport: deadTransport{}, RetryBudget: 1, DisableFallback: true})
-	defer cluster.Close()
 	_, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("SOFDA over a dead transport without fallback = %v, want wrapped errInjected", err)
@@ -164,7 +161,6 @@ func TestUndersizedTransportFailsLoudly(t *testing.T) {
 	req.Sources = []graph.NodeID{net.Access[0], net.Access[len(net.Access)-1]}
 	inner := NewChannelTransport(net.G, 2, chain.Options{})
 	cluster := NewClusterWith(net.G, 4, Config{Transport: inner, RetryBudget: 3})
-	defer cluster.Close()
 	if _, err := cluster.SOFDA(context.Background(), req, Options{Core: opts}); !errors.Is(err, ErrNoSuchDomain) {
 		t.Fatalf("SOFDA over an undersized transport = %v, want wrapped ErrNoSuchDomain", err)
 	}
@@ -205,7 +201,6 @@ func TestCancellationMidSplice(t *testing.T) {
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
 	gate := &gateTransport{inner: inner, firstDone: make(chan struct{})}
 	cluster := NewClusterWith(net.G, 3, Config{Transport: gate})
-	defer cluster.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -225,7 +220,6 @@ func TestCancellationMidSplice(t *testing.T) {
 	// The transport must remain usable for a healthy follow-up embedding
 	// (the hung domain's goroutine drains into the event buffer).
 	healthy := NewClusterWith(net.G, 3, Config{Transport: inner})
-	defer healthy.Close()
 	if _, err := healthy.SOFDA(context.Background(), req, Options{Core: opts}); err != nil {
 		t.Fatalf("embedding after cancellation: %v", err)
 	}

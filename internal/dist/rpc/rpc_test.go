@@ -101,7 +101,6 @@ func TestRPCEquivalenceMatrix(t *testing.T) {
 			cluster := dist.NewClusterWith(network.G, domains, dist.Config{Transport: tr, RetryBudget: 1})
 			f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
 			st := cluster.StreamStats()
-			cluster.Close()
 			tr.Close()
 			if err != nil {
 				t.Fatalf("seed %d domains %d: rpc distributed: %v", seed, domains, err)
@@ -133,7 +132,6 @@ func TestRPCStreamConnectionReuse(t *testing.T) {
 	tr := NewTransport(addrs)
 	defer tr.Close()
 	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
-	defer cluster.Close()
 	var dialed int64
 	for i := 0; i < 4; i++ {
 		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
@@ -172,7 +170,6 @@ func TestRPCConnectionReuseAcrossEmbeddings(t *testing.T) {
 	tr := NewTransport(addrs)
 	defer tr.Close()
 	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
-	defer cluster.Close()
 	const workers = 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -388,7 +385,6 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 
 		cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
 		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-		cluster.Close()
 		if err != nil {
 			t.Fatalf("%s: SOFDA with stale domains: %v", row.name, err)
 		}
@@ -406,7 +402,6 @@ func TestRPCRepricedLeaderFallsBack(t *testing.T) {
 		// as a flattened error string), so errors.Is finds it leader-side.
 		strict := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
 		_, err = strict.SOFDA(context.Background(), req, dist.Options{Core: opts})
-		strict.Close()
 		if !errors.Is(err, dist.ErrGraphMismatch) {
 			t.Fatalf("%s: SOFDA with stale domains and no fallback = %v, want wrapped ErrGraphMismatch", row.name, err)
 		}
@@ -431,7 +426,6 @@ func TestRPCTopologyDivergenceFallsBack(t *testing.T) {
 	defer tr.Close()
 
 	cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
 	if err != nil {
 		t.Fatalf("SOFDA against wrong-seed domains: %v", err)
@@ -441,7 +435,6 @@ func TestRPCTopologyDivergenceFallsBack(t *testing.T) {
 	}
 
 	strict := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
-	defer strict.Close()
 	if _, err := strict.SOFDA(context.Background(), req, dist.Options{Core: opts}); !errors.Is(err, dist.ErrGraphMismatch) {
 		t.Fatalf("strict SOFDA against wrong-seed domains = %v, want wrapped ErrGraphMismatch", err)
 	}
@@ -514,13 +507,11 @@ func TestRPCSourceSetupMismatchRefused(t *testing.T) {
 	defer tr.Close()
 
 	strict := dist.NewClusterWith(network.G, 2, dist.Config{Transport: tr, DisableFallback: true})
-	defer strict.Close()
 	if _, err := strict.SOFDA(context.Background(), req, dist.Options{Core: opts}); !errors.Is(err, dist.ErrGraphMismatch) {
 		t.Fatalf("strict SOFDA against source-setup domains = %v, want wrapped ErrGraphMismatch", err)
 	}
 
 	lenient := dist.NewClusterWith(network.G, 2, dist.Config{Transport: tr})
-	defer lenient.Close()
 	f, err := lenient.SOFDA(context.Background(), req, dist.Options{Core: opts})
 	if err != nil {
 		t.Fatalf("SOFDA with fallback against source-setup domains: %v", err)
@@ -619,7 +610,6 @@ func TestRPCEpochDriftOverIdenticalGraphStaysDistributed(t *testing.T) {
 		}
 		cluster := dist.NewClusterWith(network.G, 3, dist.Config{Transport: tr, DisableFallback: true})
 		f, err := cluster.SOFDA(context.Background(), req, dist.Options{Core: opts})
-		cluster.Close()
 		if err != nil {
 			t.Fatalf("%s: SOFDA after leader epoch drift (no fallback armed): %v", row.name, err)
 		}

@@ -58,7 +58,6 @@ func TestStreamedMatchesBatchAndCentralized(t *testing.T) {
 			cluster := NewCluster(net.G, domains, chain.Options{})
 			f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 			st := cluster.StreamStats()
-			cluster.Close()
 			if err != nil {
 				t.Fatalf("seed %d domains %d: streamed: %v", seed, domains, err)
 			}
@@ -95,7 +94,6 @@ func TestStreamedPruneOnOffIdenticalCost(t *testing.T) {
 			cluster := NewCluster(net.G, domains, chain.Options{})
 			f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 			if err != nil {
-				cluster.Close()
 				t.Fatalf("seed %d domains %d: %v", seed, domains, err)
 			}
 			if math.Float64bits(f.TotalCost()) != math.Float64bits(central.TotalCost()) {
@@ -107,7 +105,6 @@ func TestStreamedPruneOnOffIdenticalCost(t *testing.T) {
 					seed, domains, got, want)
 			}
 			pruned += cluster.StreamStats().PrunedCandidates
-			cluster.Close()
 		}
 	}
 	if pruned == 0 {
@@ -311,7 +308,6 @@ func TestStreamingPartialFailureRetriesRemainder(t *testing.T) {
 	inner := NewChannelTransport(net.G, 3, chain.Options{})
 	flaky := &partialStreamTransport{inner: inner, failAfter: 5}
 	cluster := NewClusterWith(net.G, 3, Config{Transport: flaky, RetryBudget: 1})
-	defer cluster.Close()
 	f, err := cluster.SOFDA(context.Background(), req, Options{Core: opts})
 	if err != nil {
 		t.Fatalf("streamed SOFDA over a mid-stream-failing transport: %v", err)

@@ -104,7 +104,6 @@ func DistTable(kinds []NetKind, domainCounts []int, runs, inetNodes int, transpo
 				start := time.Now()
 				distributed, err := cluster.SOFDA(context.Background(), in.req, dist.Options{Core: in.opts})
 				stats := cluster.StreamStats()
-				cluster.Close()
 				cleanup()
 				if err != nil {
 					return nil, fmt.Errorf("exp: distributed SOFDA on %s (%d domains, %s): %w",

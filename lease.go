@@ -236,7 +236,8 @@ func aggregateDemand(edges []graph.EdgeID, demand float64) []linkNeed {
 // its lease id. A session built with neither WithRecovery nor
 // WithCapacity books nothing.
 func (s *Solver) commit(cf *core.Forest, req Request) (*Forest, error) {
-	f := &Forest{f: cf, sources: req.Sources, s: s}
+	f := &Forest{sources: req.Sources, s: s}
+	f.published.Store(cf)
 	cs := s.capacity
 	if cs == nil && !s.recovery {
 		return f, nil
@@ -506,28 +507,33 @@ func (f *Forest) Lease() (LeaseID, bool) {
 	return f.id, true
 }
 
-// reshape runs op, a change to f's core forest, as one critical section of
-// the ledger: it holds mu, releases the footprint f's lease charges, so
-// op's route searches see the network without this forest's own masks,
-// runs op, and charges the footprint op leaves, whether op failed or not.
-// Every repair and dynamic operation goes through here, so a lease charges
-// its forest's footprint between any two of them. The charge is
-// unconditional (apply, not commit's two-phase check): a reshaped forest
-// keeps serving even where it overshoots a capacity, and the overshoot is
-// masked so no new embed piles on. A forest with no live lease just runs
-// op, under mu all the same. The trade-off: commits, Leave and AdvanceTime
-// on other goroutines wait while op runs, a repair's re-embed included.
-func (s *Solver) reshape(f *Forest, op func() error) error {
+// reshape runs op, a change to f's shape, as one critical section of the
+// ledger: it holds mu, releases the footprint f's lease charges, so op's
+// route searches see the network without this forest's own masks, runs op
+// on a copy of the published shape, and charges the footprint op leaves.
+// It publishes the copy whether op failed or not, as a change in place
+// would have left it, so readers never see a shape op is still changing,
+// and a shape they hold never changes. Every repair and dynamic operation
+// goes through here, so a lease charges its forest's footprint between any
+// two of them. The charge is unconditional (apply, not commit's two-phase
+// check): a reshaped forest keeps serving even where it overshoots a
+// capacity, and the overshoot is masked so no new embed piles on. A forest
+// with no live lease just runs op, under mu all the same. The trade-off:
+// commits, Leave and AdvanceTime on other goroutines wait while op runs, a
+// repair's re-embed included.
+func (s *Solver) reshape(f *Forest, op func(cf *core.Forest) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	cf := f.shape().Copy()
+	defer f.published.Store(cf)
 	cs := s.capacity
 	e, ok := s.entries[f.id]
 	if cs == nil || !ok {
-		return op()
+		return op(cf)
 	}
 	err := cs.release(s.net.g, e)
-	err = errors.Join(op(), err)
-	fp := f.f.Footprint()
+	err = errors.Join(op(cf), err)
+	fp := cf.Footprint()
 	e.edges, e.vms = fp.Edges, fp.VMs
 	cs.apply(s.net.g, aggregateDemand(fp.Edges, cs.demand), fp.VMs)
 	return err

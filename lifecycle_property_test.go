@@ -3,7 +3,9 @@ package sof
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -298,12 +300,12 @@ func TestConservationCheckerDetectsDrift(t *testing.T) {
 
 // TestConcurrentLifecycleRace interleaves embeds, departures, clock
 // advances and dynamic operations on the swept forests from concurrent
-// goroutines with a failure/repair sweeper (one sweeper — RepairAll's
-// documented contract is one sweep at a time; embeds, departures and
-// dynamic operations may race it freely, and wait for the forest it is
-// repairing). Run under -race; after quiescence the conservation
-// invariant must hold, every lease charging its forest's footprint, and a
-// full drain must zero the books.
+// goroutines with a reader of every forest and a failure/repair sweeper
+// (one sweeper — RepairAll's documented contract is one sweep at a time;
+// embeds, departures and dynamic operations may race it freely, and wait
+// for the forest it is repairing). Run under -race; after quiescence the
+// conservation invariant must hold, every lease charging its forest's
+// footprint, and a full drain must zero the books.
 func TestConcurrentLifecycleRace(t *testing.T) {
 	net := topology.SoftLayer(topology.Config{NumVMs: 8, Seed: 99})
 	solver := NewSolver(FromGraph(net.G), WithCapacity(8, 4), WithRecovery())
@@ -347,6 +349,28 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 			}
 		}(int64(w + 1))
 	}
+	// A reader of every worker's forests, through their read methods and
+	// without the session's lock, until the workers and the sweeper are
+	// done reshaping them.
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, f := range solver.LiveForests() {
+				_, _ = f.TotalCost(), f.Trees()
+				_, _ = f.Footprint()
+				for _, d := range f.Destinations() {
+					_, _ = f.Route(d)
+				}
+				_, _, _ = f.Validate(), f.Damage(), f.Request()
+			}
+		}
+	}()
 	// The single sweeper: fail, repair, restore, repeat.
 	wg.Add(1)
 	go func() {
@@ -359,6 +383,8 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(stop)
+	<-read
 
 	checkConservation(t, solver)
 	for _, l := range solver.Leases() {
@@ -374,11 +400,11 @@ func TestConcurrentLifecycleRace(t *testing.T) {
 }
 
 // TestRepairAllRacesDynamicOps: a sweeper and a goroutine that joins and
-// leaves a destination of the same forest take turns on the session's
-// lock. With v1–d2 failed, every sweep reads the forest's damage, and
-// every Join grafts d2 around the failed link, so the forest is never
-// damaged. Run under -race, which reports a damage read made outside the
-// lock; afterwards the books must balance.
+// leaves a destination of the same forest run side by side. With v1–d2
+// failed, every sweep reads the forest's damage from its published shape,
+// and every Join grafts d2 around the failed link, so the forest is never
+// damaged. Run under -race, which reports a damage read of a shape a
+// reshape is still changing; afterwards the books must balance.
 func TestRepairAllRacesDynamicOps(t *testing.T) {
 	net, s, _, _, d1, d2, cheap := buildSurvivable(t)
 	solver := NewSolver(net, WithCapacity(100, 10), WithRecovery())
@@ -412,10 +438,65 @@ func TestRepairAllRacesDynamicOps(t *testing.T) {
 	checkConservation(t, solver)
 }
 
+// TestForestReadsBesideReshapes: one goroutine joins and leaves a
+// destination of a leased forest while another reads the forest through
+// its read methods, without the session's lock. A reshape changes a copy
+// and publishes it whole, so under -race no read overlaps a write, and
+// every read sees the forest with or without d2, never between the two.
+func TestForestReadsBesideReshapes(t *testing.T) {
+	net, s, _, _, d1, d2, cheap := buildSurvivable(t)
+	solver := NewSolver(net, WithCapacity(100, 10), WithRecovery())
+	f, err := solver.Embed(context.Background(), Request{Sources: []NodeID{s}, Destinations: []NodeID{d1}, ChainLength: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if _, err := f.Join(d2); err != nil {
+				t.Errorf("Join(d2): %v", err)
+				return
+			}
+			if _, err := f.Leave(d2); err != nil {
+				t.Errorf("Leave(d2): %v", err)
+				return
+			}
+		}
+	}()
+	// Each call reads one shape; two calls may read two.
+	read := func() error {
+		if cost := f.TotalCost(); cost != 4 && cost != 6 {
+			return fmt.Errorf("cost %v; want 4 for s–v1–d1 or 6 with v1–d2", cost)
+		}
+		if edges, _ := f.Footprint(); !slices.Equal(edges, cheap[:2]) && !slices.Equal(edges, cheap[:]) {
+			return fmt.Errorf("footprint %v; want %v or %v", edges, cheap[:2], cheap)
+		}
+		if _, ok := f.Route(d1); !ok || f.Validate() != nil || f.Damage().Broken() {
+			return errors.New("d1 unserved or forest invalid")
+		}
+		_, _, _ = f.Destinations(), f.UsedVMs(), f.Request()
+		return nil
+	}
+	for {
+		select {
+		case <-done:
+			checkConservation(t, solver)
+			return
+		default:
+		}
+		if err := read(); err != nil {
+			t.Error(err)
+			<-done
+			return
+		}
+	}
+}
+
 // reshapeBlind applies a random dynamic operation to f with an argument
-// drawn from the network and the destinations f was embedded for:
-// reading f to pick one would race the sweeper, which repairs f under the
-// session's lock. Draws that do not apply change nothing.
+// drawn from the network and the destinations f was embedded for, so the
+// draws do not depend on what the sweeper did to f. Draws that do not
+// apply change nothing.
 func reshapeBlind(rng *rand.Rand, net *topology.Network, f *Forest, dests []NodeID) {
 	g := net.G
 	switch rng.Intn(6) {

@@ -158,7 +158,7 @@ func zeroCostLink(g *graph.Graph) bool {
 // same to the bit.
 func sameForest(t *testing.T, label string, warm, cold *Forest) {
 	t.Helper()
-	fw, fc := warm.f.Footprint(), cold.f.Footprint()
+	fw, fc := warm.shape().Footprint(), cold.shape().Footprint()
 	slices.Sort(fw.Edges)
 	slices.Sort(fc.Edges)
 	if !slices.Equal(fw.Edges, fc.Edges) {
@@ -168,7 +168,7 @@ func sameForest(t *testing.T, label string, warm, cold *Forest) {
 		t.Fatalf("%s: warm forest VMs %v, cold %v", label, fw.VMs, fc.VMs)
 	}
 	for _, v := range fw.VMs {
-		if w, c := warm.f.VNFOf(v), cold.f.VNFOf(v); w != c {
+		if w, c := warm.shape().VNFOf(v), cold.shape().VNFOf(v); w != c {
 			t.Fatalf("%s: VM %d runs VNF %d warm, %d cold", label, v, w, c)
 		}
 	}

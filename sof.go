@@ -36,6 +36,7 @@ package sof
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"sof/internal/core"
 	"sof/internal/graph"
@@ -171,15 +172,20 @@ func (n *Network) VMs() []NodeID { return n.g.VMs() }
 // read its shape through Footprint and Route and change it only through
 // its methods, each of which holds the session's lock while it runs and,
 // on a capacitated session, leaves the forest's lease charging the
-// footprint it leaves.
+// footprint it leaves. A shape, once published, never changes: a change
+// works on a copy and publishes it whole, so the read methods take no lock
+// and each sees one shape, before a change or after it.
 type Forest struct {
-	f       *core.Forest
-	sources []NodeID
-	s       *Solver
+	published atomic.Pointer[core.Forest]
+	sources   []NodeID
+	s         *Solver
 	// id is the forest's row in the session ledger and, on a capacitated
 	// session, its lease id; 0 when the session books nothing.
 	id LeaseID
 }
+
+// shape returns the forest's published core forest, which nothing changes.
+func (f *Forest) shape() *core.Forest { return f.published.Load() }
 
 // candidateVMs returns the VM set dynamic operations may draw from.
 func (f *Forest) candidateVMs() []NodeID {
@@ -190,23 +196,24 @@ func (f *Forest) candidateVMs() []NodeID {
 }
 
 // TotalCost returns setup + connection cost.
-func (f *Forest) TotalCost() float64 { return f.f.TotalCost() }
+func (f *Forest) TotalCost() float64 { return f.shape().TotalCost() }
 
 // Cost returns the setup and connection costs separately.
-func (f *Forest) Cost() (setup, connection float64) { return f.f.Cost() }
+func (f *Forest) Cost() (setup, connection float64) { return f.shape().Cost() }
 
 // Trees returns the number of service trees in the forest.
-func (f *Forest) Trees() int { return f.f.NumTrees() }
+func (f *Forest) Trees() int { return f.shape().NumTrees() }
 
 // UsedVMs returns the VMs running a VNF.
-func (f *Forest) UsedVMs() []NodeID { return f.f.UsedVMs() }
+func (f *Forest) UsedVMs() []NodeID { return f.shape().UsedVMs() }
 
 // Destinations returns the currently served destinations.
-func (f *Forest) Destinations() []NodeID { return f.f.Destinations() }
+func (f *Forest) Destinations() []NodeID { return f.shape().Destinations() }
 
 // Validate re-checks feasibility for the forest's current destinations.
 func (f *Forest) Validate() error {
-	return f.f.Validate(f.sources, f.f.Destinations())
+	cf := f.shape()
+	return cf.Validate(f.sources, cf.Destinations())
 }
 
 // Join grafts a new destination onto the forest at minimum extension cost,
@@ -220,8 +227,8 @@ func (f *Forest) Join(d NodeID) (delta float64, err error) {
 	if !f.s.net.g.Valid(d) {
 		return 0, fmt.Errorf("sof: destination %d is not in the network", d)
 	}
-	err = f.s.reshape(f, func() (err error) {
-		delta, err = f.f.Join(f.s.oracle, f.candidateVMs(), d)
+	err = f.s.reshape(f, func(cf *core.Forest) (err error) {
+		delta, err = cf.Join(f.s.oracle, f.candidateVMs(), d)
 		return err
 	})
 	return delta, err
@@ -230,8 +237,8 @@ func (f *Forest) Join(d NodeID) (delta float64, err error) {
 // Leave removes a destination, pruning the branch it exclusively used, and
 // returns the (non-positive) cost change.
 func (f *Forest) Leave(d NodeID) (delta float64, err error) {
-	err = f.s.reshape(f, func() (err error) {
-		delta, err = f.f.Leave(d)
+	err = f.s.reshape(f, func(cf *core.Forest) (err error) {
+		delta, err = cf.Leave(d)
 		return err
 	})
 	return delta, err
@@ -240,12 +247,12 @@ func (f *Forest) Leave(d NodeID) (delta float64, err error) {
 // InsertVNF adds a VNF at 1-based chain position j, drawing the new VM
 // from the embed-time candidate set.
 func (f *Forest) InsertVNF(j int) error {
-	return f.s.reshape(f, func() error { return f.f.InsertVNF(f.s.oracle, f.candidateVMs(), j) })
+	return f.s.reshape(f, func(cf *core.Forest) error { return cf.InsertVNF(f.s.oracle, f.candidateVMs(), j) })
 }
 
 // RemoveVNF deletes the VNF at 1-based chain position j.
 func (f *Forest) RemoveVNF(j int) error {
-	return f.s.reshape(f, func() error { return f.f.RemoveVNF(j) })
+	return f.s.reshape(f, func(cf *core.Forest) error { return cf.RemoveVNF(j) })
 }
 
 // RerouteCongestedLink re-routes every forest segment using link e over
@@ -259,8 +266,8 @@ func (f *Forest) RerouteCongestedLink(e EdgeID) (moved int, err error) {
 	if !f.s.net.g.ValidEdge(e) {
 		return 0, fmt.Errorf("sof: no link %d", e)
 	}
-	err = f.s.reshape(f, func() (err error) {
-		moved, err = f.f.RerouteCongestedEdge(f.s.oracle, e)
+	err = f.s.reshape(f, func(cf *core.Forest) (err error) {
+		moved, err = cf.RerouteCongestedEdge(f.s.oracle, e)
 		return err
 	})
 	return moved, err
@@ -269,7 +276,7 @@ func (f *Forest) RerouteCongestedLink(e EdgeID) (moved int, err error) {
 // MigrateVM moves the VNF off an overloaded VM to the best replacement
 // from the embed-time candidate set; update costs first.
 func (f *Forest) MigrateVM(v NodeID) error {
-	return f.s.reshape(f, func() error { return f.f.MigrateOverloadedVM(f.s.oracle, f.candidateVMs(), v) })
+	return f.s.reshape(f, func(cf *core.Forest) error { return cf.MigrateOverloadedVM(f.s.oracle, f.candidateVMs(), v) })
 }
 
 // Footprint returns the links the forest crosses, once per crossing (a
@@ -277,7 +284,7 @@ func (f *Forest) MigrateVM(v NodeID) error {
 // VNFs, sorted. A capacitated session charges exactly this to the
 // forest's lease.
 func (f *Forest) Footprint() (edges []EdgeID, vms []NodeID) {
-	fp := f.f.Footprint()
+	fp := f.shape().Footprint()
 	return fp.Edges, fp.VMs
 }
 
@@ -285,14 +292,15 @@ func (f *Forest) Footprint() (edges []EdgeID, vms []NodeID) {
 // destination d, in that order, and false when the forest does not serve
 // d.
 func (f *Forest) Route(d NodeID) ([]EdgeID, bool) {
-	c, ok := f.f.DestClone(d)
+	cf := f.shape()
+	c, ok := cf.DestClone(d)
 	if !ok {
 		return nil, false
 	}
-	path := f.f.PathToRoot(c)
+	path := cf.PathToRoot(c)
 	var route []EdgeID
 	for i := len(path) - 1; i >= 0; i-- {
-		if cl := f.f.Clone(path[i]); cl.Parent != core.NoClone && cl.ParentEdge != graph.NoEdge {
+		if cl := cf.Clone(path[i]); cl.Parent != core.NoClone && cl.ParentEdge != graph.NoEdge {
 			route = append(route, cl.ParentEdge)
 		}
 	}
@@ -304,9 +312,10 @@ func (f *Forest) Route(d NodeID) ([]EdgeID, bool) {
 // away from the original). Useful for re-embedding the same service from
 // scratch, e.g. to compare against a repaired forest.
 func (f *Forest) Request() Request {
+	cf := f.shape()
 	return Request{
 		Sources:      append([]NodeID(nil), f.sources...),
-		Destinations: f.f.Destinations(),
-		ChainLength:  f.f.ChainLen(),
+		Destinations: cf.Destinations(),
+		ChainLength:  cf.ChainLen(),
 	}
 }

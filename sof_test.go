@@ -174,7 +174,7 @@ func TestRerouteCongestedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uses := func(e EdgeID) bool { return slices.Contains(f.f.Footprint().Edges, e) }
+	uses := func(e EdgeID) bool { return slices.Contains(f.shape().Footprint().Edges, e) }
 	if !uses(congested) {
 		t.Fatalf("forest does not use link %d (a–d)", congested)
 	}
@@ -240,18 +240,18 @@ func TestForestFootprintAndRoute(t *testing.T) {
 		if !ok {
 			t.Fatalf("Route(%d) reports destination unserved", d)
 		}
-		c, _ := f.f.DestClone(d)
-		path := f.f.PathToRoot(c)
+		c, _ := f.shape().DestClone(d)
+		path := f.shape().PathToRoot(c)
 		var want []EdgeID
 		for i := len(path) - 1; i >= 0; i-- {
-			if e := f.f.Clone(path[i]).ParentEdge; e != graph.NoEdge {
+			if e := f.shape().Clone(path[i]).ParentEdge; e != graph.NoEdge {
 				want = append(want, e)
 			}
 		}
 		if !slices.Equal(route, want) {
 			t.Fatalf("Route(%d) = %v, clone path crosses %v", d, route, want)
 		}
-		root := f.f.Clone(path[len(path)-1]).Node
+		root := f.shape().Clone(path[len(path)-1]).Node
 		at := root
 		for _, e := range route {
 			at = g.Edge(e).Other(at)

@@ -1,6 +1,7 @@
 package sof
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -28,10 +29,13 @@ import (
 //
 // Create one Solver per network and reuse it for every request — online
 // arrival loops, batch workloads, and dynamic reconfiguration all benefit
-// from the shared cache. A Solver is safe for concurrent use: EmbedBatch
-// and EmbedStream fan out over it, and concurrent Embed calls share the
-// singleflight tree cache. Mutating costs concurrently with an in-flight
-// embed is not synchronized (same as mutating the Network itself).
+// from the shared cache. A Solver is safe for concurrent use. EmbedBatch
+// and EmbedStream run their requests through one pipeline that solves
+// several at once and commits them in request order, so they give what a
+// sequential Embed loop gives; concurrent Embed calls share the
+// singleflight tree cache and commit in the order they finish. Mutating
+// costs concurrently with an in-flight embed is not synchronized (same as
+// mutating the Network itself).
 type Solver struct {
 	net         *Network
 	algo        Algorithm
@@ -71,9 +75,10 @@ func WithAlgorithm(a Algorithm) Option {
 // rule: GOMAXPROCS when <= 0, sequential when 1, and never more
 // goroutines than jobs. A lone Embed spends the width on
 // candidate-chain generation; EmbedBatch and EmbedStream spend it on
-// concurrent requests (each embed then generates candidates sequentially),
-// so the total concurrency stays at the configured width rather than its
-// square.
+// solving requests concurrently (each solve then generates candidates
+// sequentially), so the total concurrency stays at the configured width
+// rather than its square. The width changes no result: their commits run
+// in request order at any width.
 func WithParallelism(n int) Option {
 	return func(s *Solver) { s.parallelism = n }
 }
@@ -148,25 +153,22 @@ func (s *Solver) Embed(ctx context.Context, req Request) (*Forest, error) {
 
 // EmbedAlgorithm is Embed with a per-call algorithm override. The call
 // still runs inside the session — the shortest-path cache is shared, so
-// comparing algorithms on one network pays the Dijkstra work once.
+// comparing algorithms on one network pays the Dijkstra work once. It
+// solves req, then commits the forest to the session's books.
 func (s *Solver) EmbedAlgorithm(ctx context.Context, req Request, algo Algorithm) (*Forest, error) {
-	return s.embed(ctx, req, algo, s.parallelism)
-}
-
-// embed solves req and commits the forest to the session's books.
-func (s *Solver) embed(ctx context.Context, req Request, algo Algorithm, innerPar int) (*Forest, error) {
-	f, err := s.solve(ctx, req, algo, innerPar)
+	cf, err := s.solve(ctx, req, algo, s.parallelism)
 	if err != nil {
 		return nil, err
 	}
-	return s.commit(f, req)
+	return s.commit(cf, req)
 }
 
 // solve runs one embedding with an explicit candidate-generation width
-// (innerPar): the batch/stream fan-outs pass 1 so their request-level
-// concurrency is the only pool, single embeds pass the session width. It
-// books nothing: commit does, and the repair re-embed tier swaps the
-// result into a forest the ledger already holds.
+// (innerPar): single embeds pass the session width, and the request
+// pipeline passes 1, so its concurrent solves are the only pool (at
+// pipeline width 1 the session width is 1 as well). It books nothing:
+// commit does, and the repair re-embed tier copies the result into a
+// forest the ledger already holds.
 func (s *Solver) solve(ctx context.Context, req Request, algo Algorithm, innerPar int) (*core.Forest, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -221,103 +223,109 @@ type Result struct {
 	Err    error
 }
 
-// EmbedBatch embeds every request of the batch over the session's worker
-// pool (Rost & Schmid's batch setting: the solver, not the caller, owns
-// the fan-out): fanout.For on fanout.Width(parallelism, len(reqs))
-// goroutines. Results are returned in request order; per-request failures
-// are recorded in Result.Err rather than aborting the batch. The only
-// call-level error is context cancellation, which also marks every
-// request that had not finished.
+// EmbedBatch embeds every request of the batch through EmbedStream (Rost
+// & Schmid's batch setting: the solver, not the caller, owns the
+// fan-out), so each result, lease id and LiveForests position is the one
+// a sequential Embed loop over reqs gives, at any width. Results are
+// returned in request order; per-request failures are recorded in
+// Result.Err rather than aborting the batch. The only call-level error is
+// context cancellation, which also marks every request the stream never
+// admitted.
 func (s *Solver) EmbedBatch(ctx context.Context, reqs []Request) ([]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	in := make(chan Request, len(reqs))
+	for _, r := range reqs {
+		in <- r
 	}
+	close(in)
 	results := make([]Result, len(reqs))
-	for i := range results {
-		results[i] = Result{Index: i}
+	n := 0
+	for r := range s.EmbedStream(ctx, in) {
+		results[r.Index] = r
+		n++
 	}
-	innerPar := s.parallelism
-	if fanout.Width(s.parallelism, len(reqs)) > 1 {
-		innerPar = 1 // request-level fan-out is the pool; see WithParallelism
-	}
-	err := ctx.Err()
-	if err == nil {
-		err = fanout.For(ctx, len(reqs), s.parallelism, func(i int) {
-			results[i].Forest, results[i].Err = s.embed(ctx, reqs[i], s.algo, innerPar)
-		})
-	}
-	if err != nil {
-		for i := range results {
-			if results[i].Forest == nil && results[i].Err == nil {
-				results[i].Err = err
-			}
-		}
+	// The stream admits in order and stops early only once ctx is done.
+	var err error
+	for i := n; i < len(reqs); i++ {
+		err = ctx.Err()
+		results[i] = Result{Index: i, Err: err}
 	}
 	return results, err
 }
 
 // EmbedStream embeds requests as they arrive on reqs (the online setting
-// of Section VIII-C and Lukovszki & Schmid's request-stream model),
-// fanning them out over a pool of fanout.Width(parallelism, ∞) workers
-// fed from reqs, since the stream has no length. Each Result carries the
-// arrival Index of its request; with parallelism > 1 results may be
-// delivered out of arrival order. Every admitted request produces exactly
-// one Result — cancellation stops admission, not delivery. The returned
-// channel is closed once reqs is closed (or ctx is done) and every
-// in-flight embed has finished; consumers must drain it until then (after
-// cancellation at most parallelism results remain, each failing fast with
-// ctx.Err()). Consumers that need strict arrival-order feedback between
-// requests (e.g. load-aware re-pricing) should use WithParallelism(1) or
-// call Embed directly.
+// of Section VIII-C and Lukovszki & Schmid's request-stream model, where
+// the arrival order defines the outcome). Up to fanout.Width(parallelism,
+// ∞) requests are solved at once, each booking nothing, and one goroutine
+// commits them in arrival order. A request whose solve began before the
+// network's cost epoch last moved — an earlier commit's capacity mask, a
+// cost write or a failure all move it — is solved again at its turn. So
+// each Result, with its forest or error, its lease id and its place in
+// LiveForests, is the one a sequential Embed loop gives, at any width,
+// and results are delivered in arrival order, each carrying its arrival
+// Index. At width 1 no solve starts before the previous commit. Every
+// admitted request produces exactly one Result: cancellation stops
+// admission, not delivery, and a request not committed by then fails with
+// ctx.Err(). The returned channel is closed once reqs is closed (or ctx is
+// done) and every admitted request's Result is delivered; consumers must
+// drain it until then.
 func (s *Solver) EmbedStream(ctx context.Context, reqs <-chan Request) <-chan Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan Result)
-	type job struct {
-		idx int
-		req Request
-	}
-	jobs := make(chan job)
 	par := fanout.Width(s.parallelism, math.MaxInt)
-	innerPar := s.parallelism
-	if par > 1 {
-		innerPar = 1 // request-level fan-out is the pool; see WithParallelism
+	type arrival struct {
+		idx   int
+		req   Request
+		epoch uint64 // the cost epoch the solve began on
+		cf    *core.Forest
+		err   error
+		done  chan struct{} // closed when the solve has finished
 	}
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				f, err := s.embed(ctx, j.req, s.algo, innerPar)
-				out <- Result{Index: j.idx, Forest: f, Err: err}
-			}
-		}()
-	}
+	// queue holds the admitted arrivals in order for the committer, and
+	// slots bounds the solves running at once. Unbuffered at width 1, the
+	// queue admits the next arrival only once the committer is free. At
+	// width > 1 up to 4·(width−1) arrivals wait beside the running solves:
+	// a shorter queue idles free slots while a slow solve holds its head,
+	// and a longer one only starts more solves that a moving epoch voids.
+	queue := make(chan *arrival, 4*(par-1))
+	slots := make(chan struct{}, par)
 	go func() {
-		defer close(jobs)
-		idx := 0
-		for {
+		defer close(queue)
+		for idx := 0; ctx.Err() == nil; idx++ {
+			a := &arrival{idx: idx, done: make(chan struct{})}
+			var ok bool
 			select {
-			case req, ok := <-reqs:
+			case a.req, ok = <-reqs:
 				if !ok {
-					return
-				}
-				select {
-				case jobs <- job{idx: idx, req: req}:
-					idx++
-				case <-ctx.Done():
 					return
 				}
 			case <-ctx.Done():
 				return
 			}
+			queue <- a // the committer drains the queue until it is closed
+			slots <- struct{}{}
+			go func() {
+				a.epoch = s.net.g.CostEpoch()
+				a.cf, a.err = s.solve(ctx, a.req, s.algo, 1)
+				<-slots
+				close(a.done)
+			}()
 		}
 	}()
+	out := make(chan Result)
 	go func() {
-		wg.Wait()
-		close(out)
+		defer close(out)
+		for a := range queue {
+			<-a.done
+			if a.epoch != s.net.g.CostEpoch() { // the network moved since this solve began
+				a.cf, a.err = s.solve(ctx, a.req, s.algo, 1)
+			}
+			r := Result{Index: a.idx, Err: cmp.Or(ctx.Err(), a.err)}
+			if r.Err == nil {
+				r.Forest, r.Err = s.commit(a.cf, a.req)
+			}
+			out <- r
+		}
 	}()
 	return out
 }

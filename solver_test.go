@@ -3,6 +3,8 @@ package sof
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -187,9 +189,8 @@ func TestSolverEmbedBatch(t *testing.T) {
 	}
 
 	// Cancelled mid-batch: the context cancels itself once the session
-	// has registered two forests, so the batch stops handing out requests
-	// right after them. Sequentially exactly two finish; at width 2 the
-	// one in flight may finish too.
+	// has registered two forests. Commits run in request order and each
+	// checks ctx first, so at either width exactly the first two finish.
 	for _, par := range []int{1, 2} {
 		rec := NewSolver(FromGraph(net.G), WithVMs(net.VMs...), WithRecovery(), WithParallelism(par))
 		inner, cancel := context.WithCancel(context.Background())
@@ -200,23 +201,114 @@ func TestSolverEmbedBatch(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("par %d: mid-batch cancel returned %v", par, err)
 		}
-		finished := 0
 		for i, r := range results {
 			if r.Index != i {
 				t.Errorf("par %d: result %d carries index %d", par, i, r.Index)
 			}
-			switch {
-			case r.Forest != nil && r.Err == nil:
-				finished++
-			case r.Forest == nil && errors.Is(r.Err, context.Canceled):
-			default:
-				t.Errorf("par %d: request %d has forest %v and error %v", par, i, r.Forest != nil, r.Err)
+			finished := r.Forest != nil && r.Err == nil
+			cancelled := r.Forest == nil && errors.Is(r.Err, context.Canceled)
+			if i < k && !finished || i >= k && !cancelled {
+				t.Errorf("par %d: request %d has forest %v and error %v; want the first %d finished, the rest cancelled",
+					par, i, r.Forest != nil, r.Err, k)
 			}
 		}
-		if finished < k || finished > k+par-1 {
-			t.Errorf("par %d: %d requests kept a forest, want %d to %d", par, finished, k, k+par-1)
+	}
+}
+
+// TestEmbedBatchAndStreamCommitInRequestOrder is the parallelism matrix on
+// capacitated sessions. On 20 SoftLayer seeds, 24 requests whose commits
+// saturate links and VMs, with TTLs and adaptive admission, go through a
+// sequential Embed loop and through EmbedBatch and EmbedStream at widths
+// 1, 2 and 4. Each run must give every request the loop's outcome (the
+// same error, or a forest with the same cost bits, lease id and
+// footprint), deliver the stream's results in request order, and leave
+// the loop's leases and LiveForests order.
+func TestEmbedBatchAndStreamCommitInRequestOrder(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(0); seed < 20; seed++ {
+		session := func(par int) *Solver {
+			net := topology.SoftLayer(topology.Config{NumVMs: 10, Seed: seed})
+			return NewSolver(FromGraph(net.G), WithParallelism(par),
+				WithCapacity(3, 2), WithAdaptiveAdmission(16, 2), WithRecovery())
+		}
+		net := topology.SoftLayer(topology.Config{NumVMs: 10, Seed: seed})
+		rng := rand.New(rand.NewSource(seed))
+		reqs := make([]Request, 24)
+		for i := range reqs {
+			reqs[i] = Request{
+				Sources:      net.RandomNodes(rng, 2),
+				Destinations: net.RandomNodes(rng, 4),
+				ChainLength:  2,
+				TTL:          1 + rng.Int63n(5),
+			}
+		}
+
+		loop := session(1)
+		want := make([]string, len(reqs))
+		for i, r := range reqs {
+			want[i] = requestOutcome(loop.Embed(ctx, r))
+		}
+		wantBooks := sessionBooks(loop)
+
+		check := func(label string, s *Solver, results []Result) {
+			t.Helper()
+			for i, r := range results {
+				if got := requestOutcome(r.Forest, r.Err); r.Index != i || got != want[i] {
+					t.Errorf("seed %d %s: result %d (index %d) is %s, the loop's is %s", seed, label, i, r.Index, got, want[i])
+					return
+				}
+			}
+			if got := sessionBooks(s); got != wantBooks {
+				t.Errorf("seed %d %s: books\n%s\nthe loop's\n%s", seed, label, got, wantBooks)
+			}
+		}
+		for _, par := range []int{1, 2, 4} {
+			s := session(par)
+			results, err := s.EmbedBatch(ctx, reqs)
+			if err != nil {
+				t.Fatalf("seed %d: EmbedBatch at width %d: %v", seed, par, err)
+			}
+			check(fmt.Sprintf("EmbedBatch width %d", par), s, results)
+
+			s = session(par)
+			in := make(chan Request)
+			go func() {
+				defer close(in)
+				for _, r := range reqs {
+					in <- r
+				}
+			}()
+			var streamed []Result
+			for r := range s.EmbedStream(ctx, in) {
+				streamed = append(streamed, r)
+			}
+			if len(streamed) != len(reqs) {
+				t.Fatalf("seed %d: EmbedStream at width %d delivered %d of %d results", seed, par, len(streamed), len(reqs))
+			}
+			check(fmt.Sprintf("EmbedStream width %d", par), s, streamed)
 		}
 	}
+}
+
+// requestOutcome is what one request's result shows: its error text, or
+// its forest's lease id, cost bits and footprint.
+func requestOutcome(f *Forest, err error) string {
+	if err != nil {
+		return "error " + err.Error()
+	}
+	id, _ := f.Lease()
+	edges, vms := f.Footprint()
+	return fmt.Sprintf("lease %d cost %x edges %v vms %v", id, math.Float64bits(f.TotalCost()), edges, vms)
+}
+
+// sessionBooks renders a session's leases and its LiveForests order.
+func sessionBooks(s *Solver) string {
+	var live []LeaseID
+	for _, f := range s.LiveForests() {
+		id, _ := f.Lease()
+		live = append(live, id)
+	}
+	return fmt.Sprintf("leases %+v\nlive %v", s.Leases(), live)
 }
 
 // cancelAfterForests is a context that cancels itself at the first Err
@@ -267,6 +359,9 @@ func TestSolverEmbedStreamFewerDijkstras(t *testing.T) {
 	}()
 	got := 0
 	for res := range shared.EmbedStream(context.Background(), in) {
+		if res.Index != got {
+			t.Fatalf("stream delivered request %d as result %d; want arrival order", res.Index, got)
+		}
 		if res.Err != nil {
 			t.Fatalf("stream request %d: %v", res.Index, res.Err)
 		}

@@ -20,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"sof/internal/core"
 )
 
 // ErrUnrecoverable is wrapped into every per-destination error of a
@@ -110,7 +112,7 @@ func (d Damage) Broken() bool { return len(d.Orphans) > 0 }
 // Damage reports which of the forest's destinations the current failure
 // state severs. Read-only: the forest is not modified.
 func (f *Forest) Damage() Damage {
-	d := f.f.Damage()
+	d := f.shape().Damage()
 	return Damage{Orphans: d.Orphans, LostVNFs: d.LostVNFs}
 }
 
@@ -217,28 +219,25 @@ func (s *Solver) RepairAll(ctx context.Context) (*RecoveryReport, error) {
 }
 
 // repairForest recovers one forest; nil means it was undamaged. The
-// damage check reads the forest under the session's lock, and both tiers
-// run inside one reshape, so a capacitated forest's lease charges
+// damage check reads the published shape, which needs no lock, and both
+// tiers run inside one reshape, so a capacitated forest's lease charges
 // whatever shape the repair leaves.
 func (s *Solver) repairForest(ctx context.Context, f *Forest) (*ForestRecovery, error) {
-	s.mu.Lock()
-	broken := f.f.Damage().Broken()
-	s.mu.Unlock()
-	if !broken {
+	if !f.shape().Damage().Broken() {
 		return nil, nil
 	}
 	fr := &ForestRecovery{Forest: f}
-	if err := s.reshape(f, func() error { return s.repair(ctx, f, fr) }); err != nil {
+	if err := s.reshape(f, func(cf *core.Forest) error { return s.repair(ctx, f, cf, fr) }); err != nil {
 		return nil, err
 	}
 	return fr, nil
 }
 
-// repair runs both recovery tiers on a damaged forest and records the
-// outcome in fr. Callers go through reshape.
-func (s *Solver) repair(ctx context.Context, f *Forest, fr *ForestRecovery) error {
-	before := f.TotalCost() // damage is non-structural: this is the pre-failure cost
-	rep, err := f.f.Repair(s.oracle, f.candidateVMs())
+// repair runs both recovery tiers on cf, the copy of f's shape that
+// reshape publishes, and records the outcome in fr.
+func (s *Solver) repair(ctx context.Context, f *Forest, cf *core.Forest, fr *ForestRecovery) error {
+	before := cf.TotalCost() // damage is non-structural: this is the pre-failure cost
+	rep, err := cf.Repair(s.oracle, f.candidateVMs())
 	if err != nil {
 		return fmt.Errorf("sof: repair of forest: %w", err)
 	}
@@ -259,14 +258,14 @@ func (s *Solver) repair(ctx context.Context, f *Forest, fr *ForestRecovery) erro
 		wantBack = append(wantBack, rf.Dest)
 	}
 	if len(wantBack) > 0 {
-		dests := append(f.f.Destinations(), wantBack...)
+		dests := append(cf.Destinations(), wantBack...)
 		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
 		// solve books nothing: reshape charges the forest's own lease for
 		// whatever shape comes back, so nothing is charged twice.
-		cf, err := s.solve(ctx, Request{
+		fresh, err := s.solve(ctx, Request{
 			Sources:      f.sources,
 			Destinations: dests,
-			ChainLength:  f.f.ChainLen(),
+			ChainLength:  cf.ChainLen(),
 		}, s.algo, s.parallelism)
 		if err != nil {
 			for _, d := range wantBack {
@@ -276,13 +275,13 @@ func (s *Solver) repair(ctx context.Context, f *Forest, fr *ForestRecovery) erro
 				})
 			}
 		} else {
-			// Swap the core forest in place: the caller's *Forest keeps its
-			// identity, its ledger entry and its lease.
-			f.f = cf
+			// Overwrite the copy: the caller's *Forest keeps its identity,
+			// its ledger entry and its lease.
+			*cf = *fresh
 			fr.Reembedded = true
 		}
 	}
 	fr.Reattached = fr.Orphans - len(fr.Failed)
-	fr.CostDelta = f.TotalCost() - before
+	fr.CostDelta = cf.TotalCost() - before
 	return nil
 }

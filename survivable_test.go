@@ -243,8 +243,8 @@ func TestInsertVNFUsesFreeBoundaryVM(t *testing.T) {
 	if err := f.InsertVNF(2); err != nil {
 		t.Fatalf("InsertVNF(2): %v", err)
 	}
-	if got := f.TotalCost(); got != 5 || f.f.VNFOf(v3) != 2 {
-		t.Fatalf("after InsertVNF(2): cost %v, v3 runs f%d; want 5 and f2", got, f.f.VNFOf(v3))
+	if got := f.TotalCost(); got != 5 || f.shape().VNFOf(v3) != 2 {
+		t.Fatalf("after InsertVNF(2): cost %v, v3 runs f%d; want 5 and f2", got, f.shape().VNFOf(v3))
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestForestChainLengthFollowsVNFOps(t *testing.T) {
 	if rep.Reembeds != 1 {
 		t.Fatalf("report = %+v, want one re-embed", rep)
 	}
-	if got := f.f.ChainLen(); got != 2 {
+	if got := f.shape().ChainLen(); got != 2 {
 		t.Fatalf("re-embedded forest serves %d VNFs, want 2 (the inserted one was dropped)", got)
 	}
 	if err := f.Validate(); err != nil {
