@@ -52,18 +52,18 @@ func dedupeTerminals(terminals []graph.NodeID) []graph.NodeID {
 // terminal's full shortest-path tree (DijkstraBatch), a linear-scan Prim over
 // the complete closure with smallest-index tie-break, and the map-based
 // expansion refExpand.
-func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
+func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (tree *Tree, cyclic bool, err error) {
 	terminals = dedupeTerminals(terminals)
 	switch len(terminals) {
 	case 0:
-		return &Tree{}, nil
+		return &Tree{}, false, nil
 	case 1:
-		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, nil
+		return &Tree{Nodes: []graph.NodeID{terminals[0]}}, false, nil
 	}
 	trees := graph.DijkstraBatch(g, terminals, nil)
 	for i := 1; i < len(terminals); i++ {
 		if math.IsInf(trees[0].Dist[terminals[i]], 1) {
-			return nil, fmt.Errorf("steiner: terminal %d unreachable from %d: %w",
+			return nil, false, fmt.Errorf("steiner: terminal %d unreachable from %d: %w",
 				terminals[i], terminals[0], graph.ErrDisconnected)
 		}
 	}
@@ -95,15 +95,18 @@ func fullClosureKMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 			}
 		}
 	}
-	return refExpand(g, terminals, trees, edges), nil
+	tree, cyclic = refExpand(g, terminals, trees, edges)
+	return tree, cyclic, nil
 }
 
 // refExpand is the map-based KMB expansion the production expand is pinned
 // to: the closure edges' paths, walked hop by hop over each node's parent
-// edge, collected into edge and node sets, Kruskal over the edge set by (cost, id) with a map union-find,
-// leaf-peeling prune over degree and incidence maps, then sorted nodes and
-// edges with the cost summed in edge-id order.
-func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) *Tree {
+// edge, collected into edge and node sets, Kruskal over the edge set by
+// (cost, id) with a map union-find, leaf-peeling prune over degree and
+// incidence maps, then sorted nodes and edges with the cost summed in
+// edge-id order. It also reports whether the path union had a cycle,
+// which is whether Kruskal dropped an edge.
+func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPaths, closureEdges []closureEdge) (tree *Tree, cyclic bool) {
 	edgeSet := make(map[graph.EdgeID]bool)
 	nodeSet := make(map[graph.NodeID]bool)
 	for _, tm := range terminals {
@@ -118,7 +121,7 @@ func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPa
 			nodeSet[v] = true
 		}
 	}
-	tree := &Tree{}
+	tree = &Tree{}
 	for n := range nodeSet {
 		tree.Nodes = append(tree.Nodes, n)
 	}
@@ -139,12 +142,14 @@ func refExpand(g EdgeSource, terminals []graph.NodeID, trees []*graph.ShortestPa
 	for _, id := range cs {
 		if e := g.Edge(id); uf.union(e.U, e.V) {
 			tree.Edges = append(tree.Edges, id)
+		} else {
+			cyclic = true
 		}
 	}
 	refPrune(g, tree, terminals)
 	normalize(tree)
 	recost(g, tree)
-	return tree
+	return tree, cyclic
 }
 
 // mapUnionFind is a disjoint-set forest over node ids, each a singleton
@@ -231,10 +236,11 @@ func refPrune(g EdgeSource, tree *Tree, terminals []graph.NodeID) {
 
 // checkMatchesFullClosure requires KMB, with its batched trees, and
 // KMBWith, with a provider's, to return the reference's tree bit for bit,
-// or the reference's error. It reports whether the instance was feasible.
-func checkMatchesFullClosure(t *testing.T, name string, g *graph.Graph, terms []graph.NodeID) bool {
+// or the reference's error. It reports whether the instance was feasible
+// and whether the reference's path union had a cycle.
+func checkMatchesFullClosure(t *testing.T, name string, g *graph.Graph, terms []graph.NodeID) (feasible, cyclic bool) {
 	t.Helper()
-	want, wantErr := fullClosureKMB(g, terms)
+	want, cyclic, wantErr := fullClosureKMB(g, terms)
 	for mode, kmb := range map[string]func() (*Tree, error){
 		"batch":    func() (*Tree, error) { return KMB(g, terms) },
 		"provider": func() (*Tree, error) { return KMBWith(g, terms, &KMBOptions{Provider: &memoProvider{g: g}}) },
@@ -256,13 +262,16 @@ func checkMatchesFullClosure(t *testing.T, name string, g *graph.Graph, terms []
 			t.Fatalf("%s %s: %v", name, mode, err)
 		}
 	}
-	return wantErr == nil
+	return wantErr == nil, cyclic
 }
 
 // TestKMBWithMatchesKMB pins KMB and KMBWith — batched trees, and a
-// provider's — to the full-closure reference:
-// identical trees (nodes, edges, and cost bit-for-bit) on random graphs
-// and terminal-set sizes including the Fig. 10 regime's larger sets.
+// provider's — to the full-closure reference: identical trees (nodes,
+// edges, and cost bit-for-bit) on random graphs and terminal-set sizes
+// including the Fig. 10 regime's larger sets, and on cyclicCorpus. Only a
+// path union with a cycle reaches the expansion's Kruskal and peel, and
+// the random graphs never give one, so the test fails when it sees fewer
+// than five.
 func TestKMBWithMatchesKMB(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		g := graph.RandomConnected(graph.RandomConfig{
@@ -273,10 +282,19 @@ func TestKMBWithMatchesKMB(t *testing.T) {
 			pool[i] = graph.NodeID(i)
 		}
 		for _, nTerms := range []int{2, 5, 17} {
-			if !checkMatchesFullClosure(t, fmt.Sprintf("seed %d t=%d", seed, nTerms), g, pool[:nTerms]) {
+			if feasible, _ := checkMatchesFullClosure(t, fmt.Sprintf("seed %d t=%d", seed, nTerms), g, pool[:nTerms]); !feasible {
 				t.Fatalf("seed %d t=%d: connected instance reported infeasible", seed, nTerms)
 			}
 		}
+	}
+	cyclic := 0
+	for _, in := range cyclicCorpus {
+		if _, cyc := in.check(t); cyc {
+			cyclic++
+		}
+	}
+	if cyclic < 5 {
+		t.Fatalf("only %d of %d corpus instances had a cyclic path union, want at least 5", cyclic, len(cyclicCorpus))
 	}
 }
 
@@ -286,6 +304,16 @@ func TestKMBWithMatchesKMB(t *testing.T) {
 // cost-1 edge, so Kruskal's (cost, id) order decides which route stays
 // (an id-only order keeps the other).
 func TestKMBCyclicPathUnion(t *testing.T) {
+	g, terms := cyclicUnionGraph()
+	if _, cyclic := checkMatchesFullClosure(t, "cyclic path union", g, terms); !cyclic {
+		t.Fatal("the reference's path union has no cycle")
+	}
+}
+
+// cyclicUnionGraph is TestKMBCyclicPathUnion's instance: a graph of 9
+// nodes and 15 edges and three terminals whose closure paths' union has a
+// cycle.
+func cyclicUnionGraph() (*graph.Graph, []graph.NodeID) {
 	g := graph.New(9, 15)
 	for i := 0; i < 9; i++ {
 		g.AddSwitch("")
@@ -299,7 +327,7 @@ func TestKMBCyclicPathUnion(t *testing.T) {
 	} {
 		g.MustAddEdge(e.u, e.v, e.cost)
 	}
-	checkMatchesFullClosure(t, "cyclic path union", g, []graph.NodeID{6, 5, 3})
+	return g, []graph.NodeID{6, 5, 3}
 }
 
 // auxShaped builds a graph shaped like SOFDA's auxiliary graph Ĝ over a
@@ -368,14 +396,14 @@ func TestKMBWithMatchesFullClosureAuxShaped(t *testing.T) {
 				terms = append(terms, pool[rng.Intn(len(pool))])
 			}
 			terms = append(terms, terms[1], sHat)
-			if checkMatchesFullClosure(t, fmt.Sprintf("seed %d dests=%d", seed, nDests), g, terms) {
+			if ok, _ := checkMatchesFullClosure(t, fmt.Sprintf("seed %d dests=%d", seed, nDests), g, terms); ok {
 				feasible++
 			}
 		}
 		blocked := g.Clone()
 		dead := pool[rng.Intn(len(pool))]
 		blocked.FailNode(dead)
-		if checkMatchesFullClosure(t, fmt.Sprintf("seed %d blocked", seed), blocked, []graph.NodeID{sHat, pool[0], dead, pool[1]}) {
+		if ok, _ := checkMatchesFullClosure(t, fmt.Sprintf("seed %d blocked", seed), blocked, []graph.NodeID{sHat, pool[0], dead, pool[1]}); ok {
 			t.Fatalf("seed %d: a failed destination was reported reachable", seed)
 		}
 	}
@@ -440,22 +468,56 @@ func randomMultigraph(seed int64, n int) *graph.Graph {
 	return g
 }
 
+// kmbInput is one input of FuzzKMBMatchesReference: a randomMultigraph
+// seed, and bytes that pick its node count and the length of its
+// terminal list.
+type kmbInput struct {
+	seed         int64
+	nodes, terms uint8
+}
+
+// cyclicCorpus holds fuzz inputs whose reference path union has a cycle,
+// so that the expansion's Kruskal and peel run on every test run, not
+// only under -fuzz. A scan of seeds 0 to 1,499 found about one such input
+// in 800.
+var cyclicCorpus = []kmbInput{
+	{155, 164, 127}, {397, 44, 9}, {158, 45, 7}, {230, 59, 15},
+	{306, 38, 7}, {310, 31, 15}, {317, 17, 7}, {611, 24, 7},
+}
+
+// instance builds the input's multigraph and terminal list, duplicates
+// allowed.
+func (in kmbInput) instance() (*graph.Graph, []graph.NodeID) {
+	n := 2 + int(in.nodes)%60
+	g := randomMultigraph(in.seed, n)
+	rng := rand.New(rand.NewSource(^in.seed))
+	list := make([]graph.NodeID, 1+int(in.terms)%16)
+	for i := range list {
+		list[i] = graph.NodeID(rng.Intn(n))
+	}
+	return g, list
+}
+
+// check runs checkMatchesFullClosure on the input's instance.
+func (in kmbInput) check(t *testing.T) (feasible, cyclic bool) {
+	t.Helper()
+	g, list := in.instance()
+	return checkMatchesFullClosure(t, fmt.Sprintf("seed %d n=%d terminals %v", in.seed, g.NumNodes(), list), g, list)
+}
+
 // FuzzKMBMatchesReference pins KMB and KMBWith to the full-closure
 // reference with the map-based expansion, bit for bit or error for error,
 // on random multigraphs with zero-cost and parallel edges and terminal
-// lists with duplicates.
+// lists with duplicates. The seed corpus spreads 24 seeds over sizes and
+// adds cyclicCorpus.
 func FuzzKMBMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 24; seed++ {
 		f.Add(seed, uint8(4+3*seed), uint8(2+seed%9))
 	}
+	for _, in := range cyclicCorpus {
+		f.Add(in.seed, in.nodes, in.terms)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nodes, terms uint8) {
-		n := 2 + int(nodes)%60
-		g := randomMultigraph(seed, n)
-		rng := rand.New(rand.NewSource(^seed))
-		list := make([]graph.NodeID, 1+int(terms)%16)
-		for i := range list {
-			list[i] = graph.NodeID(rng.Intn(n))
-		}
-		checkMatchesFullClosure(t, fmt.Sprintf("seed %d n=%d terminals %v", seed, n, list), g, list)
+		kmbInput{seed, nodes, terms}.check(t)
 	})
 }

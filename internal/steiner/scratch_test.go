@@ -26,13 +26,20 @@ type scratchCase struct {
 // duplicates sit at the top of the id range), a third of them with a
 // failed destination, with smaller random multigraphs, so a reused
 // scratch keeps slots and stamps for ids the next instance does not have,
-// and arrays longer than it needs.
-func scratchCases(n int) []scratchCase {
+// and arrays longer than it needs. Every fourth case is a cyclicCorpus
+// instance, so the arrays only a cyclic path union uses are reused too;
+// t fails when fewer than five cases have a cyclic union.
+func scratchCases(t *testing.T, n int) []scratchCase {
+	t.Helper()
 	var cases []scratchCase
+	cyclic := 0
 	for seed := int64(0); len(cases) < n; seed++ {
 		var c scratchCase
 		rng := rand.New(rand.NewSource(seed ^ 0x2f2f))
-		if seed%2 == 0 {
+		switch {
+		case seed%4 == 3:
+			c.g, c.terms = cyclicCorpus[int(seed/4)%len(cyclicCorpus)].instance()
+		case seed%2 == 0:
 			g, sHat, pool := auxShaped(seed)
 			c.g, c.terms = g, []graph.NodeID{sHat}
 			for range 1 + rng.Intn(9) {
@@ -42,7 +49,7 @@ func scratchCases(n int) []scratchCase {
 				// A failed destination: both sides must fail alike.
 				g.FailNode(c.terms[len(c.terms)-1])
 			}
-		} else {
+		default:
 			nodes := 2 + rng.Intn(20)
 			c.g = randomMultigraph(seed, nodes)
 			for range 1 + rng.Intn(8) {
@@ -51,8 +58,15 @@ func scratchCases(n int) []scratchCase {
 		}
 		c.name = fmt.Sprintf("seed %d terminals %v", seed, c.terms)
 		c.p = &memoProvider{g: c.g}
-		c.want, c.wantErr = fullClosureKMB(c.g, c.terms)
+		var cyc bool
+		c.want, cyc, c.wantErr = fullClosureKMB(c.g, c.terms)
+		if cyc {
+			cyclic++
+		}
 		cases = append(cases, c)
+	}
+	if cyclic < 5 {
+		t.Fatalf("only %d of %d cases have a cyclic path union", cyclic, n)
 	}
 	return cases
 }
@@ -82,7 +96,7 @@ func (c *scratchCase) check(got *Tree, err error) error {
 // generation the first run stamped its nodes with, so it must clear the
 // stamps or it would take every terminal for a duplicate.
 func TestKMBScratchReuse(t *testing.T) {
-	cases := scratchCases(40)
+	cases := scratchCases(t, 40)
 	s := new(scratch)
 	run := func(label string, c *scratchCase) {
 		t.Helper()
@@ -112,7 +126,7 @@ func TestKMBScratchReuse(t *testing.T) {
 // order, so the pooled scratches move between instances of every size.
 // Every result is pinned to the full-closure reference.
 func TestKMBWithConcurrent(t *testing.T) {
-	cases := scratchCases(24)
+	cases := scratchCases(t, 24)
 	workers := max(2, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for w := range workers {

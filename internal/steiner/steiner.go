@@ -156,12 +156,14 @@ type scratch struct {
 	minFrom []int32
 	closure []closureEdge
 
-	// The expansion: node ids by local index, the paths' edges, the
-	// union-find of Kruskal and the tree degrees.
+	// The expansion: node ids by local index and the paths' edge ids;
+	// for a union with a cycle, its edge records, the union-find of
+	// Kruskal and the tree degrees.
 	slot  []int32
 	stamp []uint32
 	gen   uint32
 	nodes []graph.NodeID
+	ids   []graph.EdgeID
 	edges []pathEdge
 	uf    graph.UnionFind
 	deg   []int32
@@ -272,7 +274,7 @@ func grow[T any](buf *[]T, n int) []T {
 // terminals[b], expanded along the shortest path in terminals[a]'s tree.
 type closureEdge struct{ a, b int32 }
 
-// pathEdge is an edge of expand's path union: its id and cost, its
+// pathEdge is an edge of a cyclic path union: its id and cost, its
 // endpoints' local indices, and whether it is in the tree (the MST, then
 // the pruned tree).
 type pathEdge struct {
@@ -282,33 +284,59 @@ type pathEdge struct {
 	inTree bool
 }
 
-// expand turns the closure MST into KMB's tree: each closure edge becomes
-// its shortest path, then the MST of the union of those paths is pruned
-// of non-terminal leaves. The paths are read from the trees' ParentEdge
-// arrays, one record read per hop, whose other end is the next hop. A
-// node's local index is the order the run met it in, so the terminals
-// are 0 to t-1. One sort by (cost, id), a total order, both drops the
-// edges two paths share and gives Kruskal its order, and the pruned tree
-// is the unique minimal subtree of the MST spanning the terminals, so
-// the tree depends only on the paths. Nodes and Edges come out
+// expand turns the closure MST into KMB's tree. Each closure edge becomes
+// its shortest path, read from the trees' ParentEdge arrays one record
+// per hop, whose other end is the next hop. A node's local index is the
+// order the run met it in, so the terminals are 0 to t-1. One sort of the
+// path edge ids drops the edges two paths share.
+//
+// The union of the paths is connected, since the closure MST spans the
+// terminals and each of its edges becomes a path between its two ends.
+// So a union of exactly |nodes| − 1 edges is a tree, which Kruskal would
+// keep whole, and each of its leaves ends a simple path, so it is a
+// terminal, which the peel would keep: the union is KMB's tree. Only a
+// union with a cycle goes through spanTree. Nodes and Edges come out
 // ascending, and Cost is summed in edge-id order.
 func (s *scratch) expand(g EdgeSource) *Tree {
-	t := int32(len(s.terms))
 	top := 0
 	for _, sp := range s.trees {
 		top = max(top, len(sp.ParentEdge))
 	}
 	s.cover(top)
 	s.nodes = append(s.nodes[:0], s.terms...)
-	s.edges = s.edges[:0]
+	ids := s.ids[:0]
 	for _, ce := range s.closure {
 		sp := s.trees[ce.a]
 		for v := s.terms[ce.b]; sp.ParentEdge[v] != graph.NoEdge; {
 			id := sp.ParentEdge[v]
-			e := g.Edge(id)
-			s.edges = append(s.edges, pathEdge{id: id, cost: e.Cost, u: s.local(e.U), v: s.local(e.V)})
-			v = e.Other(v)
+			ids = append(ids, id)
+			v = g.Edge(id).Other(v)
+			s.local(v)
 		}
+	}
+	slices.Sort(ids)
+	s.ids = slices.Compact(ids)
+	if len(s.ids) != len(s.nodes)-1 {
+		s.spanTree(g)
+	}
+	tree := &Tree{Nodes: slices.Clone(s.nodes), Edges: slices.Clone(s.ids)}
+	slices.Sort(tree.Nodes)
+	for _, id := range tree.Edges {
+		tree.Cost += g.Edge(id).Cost
+	}
+	return tree
+}
+
+// spanTree cuts a path union with a cycle down to KMB's tree: Kruskal
+// over its edges in (cost, id) order, a total order, then the peel of
+// non-terminal leaves. The result is the unique minimal subtree of the
+// MST spanning the terminals, so it depends only on the union. It leaves
+// the tree's edges in s.ids, ascending, and its nodes in s.nodes.
+func (s *scratch) spanTree(g EdgeSource) {
+	s.edges = s.edges[:0]
+	for _, id := range s.ids {
+		e := g.Edge(id)
+		s.edges = append(s.edges, pathEdge{id: id, cost: e.Cost, u: s.local(e.U), v: s.local(e.V)})
 	}
 	slices.SortFunc(s.edges, func(a, b pathEdge) int {
 		if c := cmp.Compare(a.cost, b.cost); c != 0 {
@@ -316,7 +344,6 @@ func (s *scratch) expand(g EdgeSource) *Tree {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	s.edges = slices.CompactFunc(s.edges, func(a, b pathEdge) bool { return a.id == b.id })
 
 	n := len(s.nodes)
 	s.uf.Reset(n)
@@ -330,10 +357,10 @@ func (s *scratch) expand(g EdgeSource) *Tree {
 			deg[e.v]++
 		}
 	}
+	t := int32(len(s.terms))
 	s.peelLeaves(t)
 
-	// A node stays while it is a terminal or keeps a tree edge; the tree
-	// edges move to the front of edges and are put in id order.
+	// A node stays while it is a terminal or keeps a tree edge.
 	kept := 0
 	for i, v := range s.nodes {
 		if int32(i) < t || deg[i] > 0 {
@@ -341,21 +368,14 @@ func (s *scratch) expand(g EdgeSource) *Tree {
 			kept++
 		}
 	}
-	tree := &Tree{Nodes: slices.Clone(s.nodes[:kept])}
-	slices.Sort(tree.Nodes)
-	inTree := s.edges[:0]
+	s.nodes = s.nodes[:kept]
+	s.ids = s.ids[:0]
 	for _, e := range s.edges {
 		if e.inTree {
-			inTree = append(inTree, e)
+			s.ids = append(s.ids, e.id)
 		}
 	}
-	slices.SortFunc(inTree, func(a, b pathEdge) int { return cmp.Compare(a.id, b.id) })
-	tree.Edges = make([]graph.EdgeID, len(inTree))
-	for i, e := range inTree {
-		tree.Edges[i] = e.id
-		tree.Cost += e.cost
-	}
-	return tree
+	slices.Sort(s.ids)
 }
 
 // peelLeaves repeatedly removes non-terminal leaves from the tree formed
