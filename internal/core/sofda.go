@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sof/internal/chain"
@@ -245,12 +246,13 @@ func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
 // here, which is what makes their costs provably identical on equal Ĝ.
 //
 // The Steiner phase is KMB over {ŝ} ∪ dests on Ĝ with one shortest-path
-// run on Ĝ: ŝ's, which may stop once every destination is settled (see
-// sourceRow). If it misses a destination, the phase fails before it touches
-// the oracle. Every destination's closure row is the oracle's
-// shortest-path tree over the real network — the trees the refinement
-// reads anyway, so a warm session answers them from cache and the
-// refinement reuses them. The tree is the one full Ĝ rows would give:
+// run on Ĝ: ŝ's, confined to the few nodes within rounding of a shortest
+// path to a destination (see sourceRow). If no seed reaches a
+// destination, the phase fails before it fetches any destination tree.
+// Every destination's closure row is the oracle's shortest-path tree
+// over the real network — the trees the refinement reads anyway, so a
+// warm session answers them from cache, and the row hands them on to KMB
+// and the refinement. The tree is the one full Ĝ rows would give:
 //
 //   - ŝ is connected first, so while a destination d′ is still open its
 //     Prim key is at most dist_Ĝ(ŝ,d′).
@@ -317,108 +319,163 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 // the destinations' oracle trees.
 func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, *destClosure, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, dests...)
-	rows := &steinerRows{
-		sHat:   aux.sHat,
-		sHatSP: sourceRow(g, aux.g, aux.sHat, dests),
-		oracle: oracle,
-		dests:  dests,
-		trees:  make([]*graph.ShortestPaths, len(dests)),
-	}
-	if err := steiner.Unreachable(rows.sHatSP, terminals); err != nil {
+	row, trees, _ := sourceRow(g, oracle, aux.g, aux.sHat, dests)
+	if err := steiner.Unreachable(row, terminals); err != nil {
 		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
+	rows := &steinerRows{sHat: aux.sHat, sHatSP: row, dests: dests, trees: trees}
 	tree, err := steiner.KMBWith(aux.g, terminals, &steiner.KMBOptions{Provider: rows})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
-	return tree, newDestClosure(dests, rows.trees), nil
+	return tree, newDestClosure(dests, trees), nil
 }
 
 // sourceRow returns the row of Ĝ's virtual source ŝ, exact at every
-// destination and along every destination's path. aux is Ĝ as an overlay
-// on g, in the shape newAuxSkeleton and the candidate builders give it:
-// ŝ appended first, each source duplicate v̂ hung off ŝ by a zero-cost
-// edge, and after them either each VM's duplicate û with its zero-cost
-// edge û–u and the candidate edges v̂–û, or, at chain length 0, the
-// zero-cost edges v̂–s. The Steiner phase reads it, and so does the
-// benchmark that times it.
+// destination and along every destination's path; trees[i], the tree of
+// dests[i] from provider; and whether the row was confined to its tight
+// set (see below). aux is Ĝ as an overlay on g, in the shape
+// newAuxSkeleton and the candidate builders give it: ŝ appended first,
+// each source duplicate v̂ hung off ŝ by a zero-cost edge, and after them
+// either each VM's duplicate û with its zero-cost edge û–u and the
+// candidate edges v̂–û, or, at chain length 0, the zero-cost edges v̂–s.
+// provider must answer with true shortest-path trees over g; the Steiner
+// phase passes its oracle.
 //
-// When g admits a seeded run from Ĝ's seeds (graph.DijkstraSeeded: a
-// bucket width, which a zero-cost or absorbed arc rules out, and no arc
-// whose cost a distance of the run absorbs, a seed's included), Ĝ's few
-// virtual rows are filled here, and the run settles the network from the
-// seeds they imply until every destination is settled. Otherwise the
-// overlay heap runs over Ĝ in full.
+// The heap's run over Ĝ pops ŝ at 0 and hands every v̂ distance 0; each û
+// takes its cheapest candidate. So its row at a network node x is
+// D(x) = min over the seeds u of seed(u) + dist(u, x): the seeds are the
+// network nodes below a reached duplicate, each VM u at its û's distance
+// (each source at 0, at chain length 0). Each dist(u, ·) is read from u's
+// tree, which the chain solves already built for a VM. A destination no
+// seed reaches leaves the row unreachable there, and the whole row then
+// comes from the overlay heap, before any destination tree is fetched.
 //
-// The virtual rows are the heap run's. ŝ pops first, at 0, and hands
-// every v̂ distance 0 over its zero-cost edge. The v̂ pop next, in id
-// order, and relax their candidate edges in insertion order, so each û
-// takes its cheapest candidate, the first one met on an equal cost. Every
-// v̂ sits at 0, so a route real → û → v̂ → û′ never improves anything.
-// The only virtual → real arcs are the zero-cost û–u (or, at chain
-// length 0, v̂–s), so the rest of the run is a run over the network from
-// seeds: each VM at its û's distance with û as its parent (each source at
-// 0 below its v̂). The network's only arcs back into Ĝ's virtual part are
-// the u–û, which give û distance Dist(u) and parent u where that is
-// strictly smaller.
-func sourceRow(g *graph.Graph, aux *graph.Overlay, sHat graph.NodeID, dests []graph.NodeID) *graph.ShortestPaths {
-	n, n0 := aux.NumNodes(), graph.NodeID(g.NumNodes())
-	sp := &graph.ShortestPaths{
-		Source:     sHat,
-		Dist:       make([]float64, n),
-		ParentEdge: make([]graph.EdgeID, n),
+// Otherwise the row is the heap's run over Ĝ confined to its appended
+// nodes and the tight set T: the network nodes x with seed(u) +
+// dist(u, x) + dist(x, d) ≤ D(d)·(1+ε) for some destination d and some
+// seed u within that bound of D(d). T is found by walking each d's tree
+// outward from d, since a node's tree path to d is as tight as the node.
+// Every neighbour that offers a node of a shortest path its final
+// distance lies on a shortest path too, so T holds every such neighbour,
+// and the confined run gives the destinations and their paths the heap's
+// Dist and ParentEdge bit for bit, ties included (see
+// graph.Overlay.DijkstraWithin).
+//
+// ε covers rounding only. Every distance here is a float64 sum of at most
+// n terms, n being Ĝ's node count, so each is within a relative n·2⁻⁵³ of
+// its exact value, and a chain of first offers ending at d loses at most
+// 2⁻⁵² per link. The test's three sums against D(d) therefore need about
+// 12n·2⁻⁵³; ε = 32n·2⁻⁵³ doubles that.
+//
+// Two cases take the overlay heap over all of Ĝ instead. T grows past
+// half the network, as a seed far out or a cluster of zero-cost or
+// absorbed links makes it, where the walk costs about what it saves. Or
+// the cost epoch moved between the first tree read and the end, so the
+// trees and the live costs the run reads may disagree.
+func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay, sHat graph.NodeID, dests []graph.NodeID) (row *graph.ShortestPaths, trees []*graph.ShortestPaths, confined bool) {
+	epoch := g.CostEpoch()
+	n, n0 := aux.NumNodes(), g.NumNodes()
+	// at[x-n0] is appended node x's distance from ŝ in the heap's run: 0
+	// for each v̂, and each û's cheapest candidate, or +Inf without one.
+	at := make([]float64, n-n0)
+	for i := range at {
+		at[i] = math.Inf(1)
 	}
-	for i := range sp.Dist {
-		sp.Dist[i], sp.ParentEdge[i] = math.Inf(1), graph.NoEdge
+	for _, a := range aux.Adj(sHat) {
+		at[int(a.To)-n0] = 0
 	}
-	sp.Dist[sHat] = 0
-	srcDups := aux.Adj(sHat)
-	for _, a := range srcDups {
-		sp.Dist[a.To], sp.ParentEdge[a.To] = 0, a.Edge
-	}
-	for _, a := range srcDups {
+	for _, a := range aux.Adj(sHat) {
 		for _, c := range aux.Adj(a.To) {
-			if c.To == sHat || c.To < n0 {
-				continue
-			}
-			if w := aux.Edge(c.Edge).Cost; w < sp.Dist[c.To] {
-				sp.Dist[c.To], sp.ParentEdge[c.To] = w, c.Edge
+			if int(c.To) >= n0 {
+				at[int(c.To)-n0] = min(at[int(c.To)-n0], aux.Edge(c.Edge).Cost)
 			}
 		}
 	}
-	seeds := make([]graph.NodeID, 0, n-int(sHat)-1)
+	type seed struct {
+		d  float64
+		sp *graph.ShortestPaths
+	}
+	seeds := make([]seed, 0, n-n0)
 	for x := sHat + 1; int(x) < n; x++ {
-		if math.IsInf(sp.Dist[x], 1) {
+		if d := at[int(x)-n0]; !math.IsInf(d, 1) {
+			for _, c := range aux.Adj(x) {
+				if int(c.To) < n0 {
+					seeds = append(seeds, seed{d: d, sp: provider.Tree(c.To)})
+				}
+			}
+		}
+	}
+	bound := make([]float64, len(dests))
+	for i, d := range dests {
+		bound[i] = math.Inf(1)
+		for _, s := range seeds {
+			bound[i] = min(bound[i], s.d+s.sp.Dist[d])
+		}
+		if math.IsInf(bound[i], 1) {
+			return aux.Dijkstra(sHat), nil, false
+		}
+	}
+	trees = make([]*graph.ShortestPaths, len(dests))
+	for i, d := range dests {
+		if j := slices.Index(dests[:i], d); j >= 0 {
+			trees[i] = trees[j]
+		} else {
+			trees[i] = provider.Tree(d)
+		}
+	}
+	eps := float64(n) * 0x1p-48
+	in := make([]bool, n0)
+	size, limit := 0, n0/2
+	near := make([]seed, 0, len(seeds))
+	var stack []graph.NodeID
+	for i, d := range dests {
+		if slices.Index(dests[:i], d) >= 0 {
 			continue
 		}
-		for _, c := range aux.Adj(x) {
-			if c.To < n0 {
-				sp.Dist[c.To], sp.ParentEdge[c.To] = sp.Dist[x], c.Edge
-				seeds = append(seeds, c.To)
+		limitD := bound[i] * (1 + eps)
+		near = near[:0]
+		for _, s := range seeds {
+			if s.d+s.sp.Dist[d] <= limitD {
+				near = append(near, s)
+			}
+		}
+		tree := trees[i]
+		stack = append(stack[:0], d)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !in[x] {
+				if in[x], size = true, size+1; size > limit {
+					return aux.Dijkstra(sHat), trees, false
+				}
+			}
+			for _, a := range g.Adj(x) {
+				if tree.ParentEdge[a.To] != a.Edge {
+					continue
+				}
+				for _, s := range near {
+					if s.d+s.sp.Dist[a.To]+tree.Dist[a.To] <= limitD {
+						stack = append(stack, a.To)
+						break
+					}
+				}
 			}
 		}
 	}
-	if !graph.DijkstraSeeded(aux, sp, seeds, dests) {
-		return aux.Dijkstra(sHat)
+	row = aux.DijkstraWithin(sHat, in)
+	if g.CostEpoch() != epoch {
+		return aux.Dijkstra(sHat), trees, false
 	}
-	for x := sHat + 1; int(x) < n; x++ {
-		for _, c := range aux.Adj(x) {
-			if c.To < n0 && sp.Dist[c.To] < sp.Dist[x] {
-				sp.Dist[x], sp.ParentEdge[x] = sp.Dist[c.To], c.Edge
-			}
-		}
-	}
-	return sp
+	return row, trees, true
 }
 
-// steinerRows answers the Steiner phase's closure queries: ŝ with its
-// row over Ĝ (see sourceRow), and each destination with the oracle's tree
-// over the real network, which it keeps for the refinement at every
-// position of dests that names it.
+// steinerRows answers the Steiner phase's closure queries from the rows
+// sourceRow returned: ŝ's row over Ĝ, and each destination's tree over
+// the real network.
 type steinerRows struct {
 	sHat   graph.NodeID
 	sHatSP *graph.ShortestPaths
-	oracle *chain.Oracle
 	dests  []graph.NodeID
 	trees  []*graph.ShortestPaths
 }
@@ -427,13 +484,7 @@ func (r *steinerRows) Tree(n graph.NodeID) *graph.ShortestPaths {
 	if n == r.sHat {
 		return r.sHatSP
 	}
-	sp := r.oracle.Tree(n)
-	for i, d := range r.dests {
-		if d == n {
-			r.trees[i] = sp
-		}
-	}
-	return sp
+	return r.trees[slices.Index(r.dests, n)]
 }
 
 // isRealEdge reports whether e is an edge of the original network.

@@ -13,10 +13,9 @@ import (
 // at drain time — so a relaxation is one compare plus an append, with no
 // decrease-key bookkeeping at all.
 //
-// Every full run and every seeded run (DijkstraSeeded) takes this variant
-// whenever the graph's costs admit a bucket width (see pick); the indexed
-// heap runs only without a width, for full overlay runs, and as the
-// reference (Arena.DijkstraHeap).
+// Every run over a graph takes this variant whenever the graph's costs
+// admit a bucket width (see pick); the indexed heap runs only without a
+// width, for overlay runs, and as the reference (Arena.DijkstraHeap).
 // The heap pays O(log n) sift work per settle, while a bucket here is
 // drained wholesale. The arc partition is precomputed per cost epoch with
 // the edge costs inlined (deltaLayout), so the inner loop runs over three
@@ -45,12 +44,6 @@ import (
 // distance settles), and so does a positive cost small enough to vanish
 // in the sum (D + c == D, an absorbed cost). A graph with either arc gets
 // no bucket width (see buildDeltaLayout), so the heap runs on it.
-//
-// A full run is the bucket loop of settleDelta with one seed, the source.
-// A seeded run (DijkstraSeeded) starts it from several seeds whose rows
-// the caller wrote, each hanging off an appended node of an overlay, and
-// may stop once its targets are settled; see settleDelta and relaxSeeded
-// for the rules that keep it equal to the heap's run over the overlay.
 
 // deltaLayout is the per-cost-epoch arc partition: node u's light arcs
 // occupy lto/leid/lcost[lrow[u]:lrow[u+1]] and its heavy arcs the hrow
@@ -67,21 +60,14 @@ type deltaLayout struct {
 	// or a kept arc that costs 0 or that a distance absorbs; see
 	// buildDeltaLayout), and then the heap runs and no run reads the arcs.
 	delta float64
-	// bound is twice the total edge cost, which bounds every distance of
-	// a full run, and minCost the cheapest kept arc's cost; a layout with
-	// a width has minCost above half an ulp of bound. A seeded run, whose
-	// seed distances the bound does not cover, checks its own bound
-	// against minCost.
-	bound   float64
-	minCost float64
-	lrow    []int32
-	lto     []int32
-	leid    []int32
-	lcost   []float64
-	hrow    []int32
-	hto     []int32
-	heid    []int32
-	hcost   []float64
+	lrow  []int32
+	lto   []int32
+	leid  []int32
+	lcost []float64
+	hrow  []int32
+	hto   []int32
+	heid  []int32
+	hcost []float64
 }
 
 // deltaBucketCount is the fixed calendar size of the delta-stepping
@@ -158,7 +144,7 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 	d.delta = deltaWidth(maxC, sum/float64(len(g.edges)))
 	// Every distance is a sum of distinct edge costs, so twice the total
 	// (margin for summation order) bounds them all.
-	d.bound, d.minCost = 2*sum, math.Inf(1)
+	bound, minCost := 2*sum, math.Inf(1)
 	// Count, then fill: two passes keep the arc arrays exactly sized and
 	// CSR-ordered within each partition.
 	var nl, nh int32
@@ -172,7 +158,7 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 				continue
 			}
 			cost := g.edges[c.eid[i]].Cost
-			d.minCost = min(d.minCost, cost)
+			minCost = min(minCost, cost)
 			if cost <= d.delta {
 				nl++
 			} else {
@@ -180,7 +166,7 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 			}
 		}
 	}
-	if absorbs(d.bound, d.minCost) {
+	if absorbs(bound, minCost) {
 		// A kept arc costs 0, or vanishes when added to a distance (see
 		// absorbs). Either breaks the plain (dist, id) settle order the
 		// commit rule reproduces (see the header), so the layout gets no
@@ -243,20 +229,10 @@ type deltaScratch struct {
 	roundGen  []uint64
 	round     uint64
 	// parent[v] is v's parent in the current run, which the tie rule
-	// reads and the result keeps only as the edge. The run writes a row
-	// for each seed before it starts and for each node it reaches, and
-	// reads only rows it wrote, so a reused arena needs no reset.
+	// reads and the result keeps only as the edge. The run writes the
+	// source's row before it starts and a row for each node it reaches,
+	// and reads only rows it wrote, so a reused arena needs no reset.
 	parent []NodeID
-	// seeds are the current run's seeds, sorted by (distance, id).
-	seeds []deltaSeed
-}
-
-// deltaSeed is a node a run starts from, at the distance its row held
-// when the run began, below parent p: an appended node, or None.
-type deltaSeed struct {
-	d float64
-	v int32
-	p NodeID
 }
 
 // deltaBucketCap is the starting capacity of each calendar bucket.
@@ -303,10 +279,6 @@ type deltaRun struct {
 	pedge  []EdgeID
 	ds     *deltaScratch
 	inv    float64
-	// n is the base node count; rows from n up belong to an overlay's
-	// appended nodes, which only a seeded run's caller writes.
-	n   NodeID
-	gen uint64
 }
 
 // tieBreak applies the deterministic parent rule to an exact tie: the
@@ -353,65 +325,6 @@ func (r *deltaRun) relax(list []int32, row, to, eid []int32, cost []float64) int
 	return pushes
 }
 
-// relaxSeeded is relax for a seeded run, selected per run, not per arc,
-// so that relax and its inlined tieBreak stay the full run's kernel. An
-// exact tie compares candidate parents by (dist, rank) instead of (dist,
-// id) (see rank). A tie from a base node also takes a seed off its
-// appended parent, which drops the seed's rank to its own id; if the seed
-// already relaxed its arcs at this distance, it is queued again, so its
-// neighbours' ties are judged once more with the new rank. A rank drops
-// at most once, and only a tie inside the current bucket can meet a seed
-// that already relaxed, so only light arcs queue one again.
-func (r *deltaRun) relaxSeeded(list []int32, row, to, eid []int32, cost []float64) int {
-	dist, parent, ds := r.dist, r.parent, r.ds
-	pushes := 0
-	for _, v := range list {
-		dv := dist[v]
-		rv := r.rank(NodeID(v))
-		for i := row[v]; i < row[v+1]; i++ {
-			w := to[i]
-			nd := dv + cost[i]
-			if dw := dist[w]; nd < dw {
-				dist[w] = nd
-				parent[w] = NodeID(v)
-				r.pedge[w] = EdgeID(eid[i])
-				b := int(int64(nd*r.inv)) & (deltaBucketCount - 1)
-				ds.buckets[b] = append(ds.buckets[b], w)
-				pushes++
-			} else if nd == dw {
-				p := parent[w]
-				if p == None {
-					continue // w is a seed without a parent; it keeps none
-				}
-				if dp := dist[p]; dv < dp || (dv == dp && rv < r.rank(p)) {
-					parent[w] = NodeID(v)
-					r.pedge[w] = EdgeID(eid[i])
-					if p >= r.n && dp == dw && ds.relaxGen[w] == r.gen && ds.relaxedAt[w] == dw {
-						ds.relaxGen[w] = 0
-						b := int(int64(dw*r.inv)) & (deltaBucketCount - 1)
-						ds.buckets[b] = append(ds.buckets[b], w)
-						pushes++
-					}
-				}
-			}
-		}
-	}
-	return pushes
-}
-
-// rank is v's place among the nodes at its distance in the heap's settle
-// order over the overlay: its own id, or, for a base node whose parent is
-// an appended node at the same distance (a seed below its zero-cost
-// arc), that parent's id. The heap queues such a node only when the
-// parent pops, and then pops it next, after every base node at that
-// distance, since appended ids follow every base id.
-func (r *deltaRun) rank(v NodeID) NodeID {
-	if v < r.n && r.parent[v] >= r.n && r.dist[r.parent[v]] == r.dist[v] {
-		return r.parent[v]
-	}
-	return v
-}
-
 // dijkstraDelta fills sp in place through the delta-stepping rounds.
 // The caller has verified lay.delta > 0. Blocked elements never appear
 // in the layout, and a blocked source yields an all-unreachable tree
@@ -427,68 +340,24 @@ func dijkstraDelta(g *Graph, lay *deltaLayout, a *Arena, sp *ShortestPaths) {
 		return
 	}
 	sp.Dist[sp.Source] = 0
-	a.ds.seeds = append(a.ds.seeds[:0], deltaSeed{v: int32(sp.Source), p: None})
-	a.settleDelta(lay, sp, nil, false)
+	a.settleDelta(lay, sp)
 }
 
-// settleDelta runs the delta-stepping rounds over lay from the seeds in
-// a.ds.seeds, sorted by (distance, id), whose rows sp already holds; every
-// other base row holds +Inf/NoEdge. Rows from lay.nodes up are read (a
-// seed's appended parent) and never written. seeded selects relaxSeeded
-// over relax for the whole run.
-//
-// Seeds are admitted lazily. The calendar is one lap of 1,024 buckets,
-// and a relaxation lands at most maxC, under a lap, past the current
-// bucket, but seed distances may lie many laps apart, and queuing them
-// all at once would alias buckets. So a seed is queued only once its
-// bucket lies under a lap ahead of the current one, and when nothing is
-// in flight the run jumps to the next seed. A seed a base path already
-// improved was queued by that improvement and is skipped.
-//
-// Non-empty targets truncate the run after the light phase of the bucket
-// that settles the last of them: every node at or below that bucket is
-// final then, each target and every node on its path included (see
-// truncate). A target that is never settled lets the run complete.
-func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeID, seeded bool) {
+// settleDelta runs the delta-stepping rounds over lay from sp.Source,
+// whose row sp holds at distance 0; every other row holds +Inf/NoEdge.
+func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths) {
 	ds := &a.ds
 	ds.ensure(lay.nodes)
 	a.gen++
 	gen := a.gen
-	left := 0
-	for _, t := range targets {
-		if a.tgt[t] != gen {
-			a.tgt[t] = gen
-			left++
-		}
-	}
-	r := &deltaRun{dist: sp.Dist, parent: ds.parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta, n: NodeID(lay.nodes), gen: gen}
+	r := &deltaRun{dist: sp.Dist, parent: ds.parent, pedge: sp.ParentEdge, ds: ds, inv: 1 / lay.delta}
 	dist, inv := r.dist, r.inv
-	seeds := ds.seeds
-	for _, s := range seeds {
-		ds.parent[s.v] = s.p
-	}
+	ds.parent[sp.Source] = None
+	ds.buckets[0] = append(ds.buckets[0], int32(sp.Source))
 	// cur is the current bucket's absolute index; its calendar slot is
 	// cur mod deltaBucketCount.
 	var cur int64
-	if len(seeds) > 0 {
-		cur = int64(seeds[0].d * inv)
-	}
-	next, inFlight := 0, 0
-	for {
-		for ; next < len(seeds) && int64(seeds[next].d*inv) < cur+deltaBucketCount; next++ {
-			if s := seeds[next]; dist[s.v] == s.d {
-				b := int(int64(s.d*inv)) & (deltaBucketCount - 1)
-				ds.buckets[b] = append(ds.buckets[b], s.v)
-				inFlight++
-			}
-		}
-		if inFlight == 0 {
-			if next == len(seeds) {
-				return
-			}
-			cur = int64(seeds[next].d * inv)
-			continue
-		}
+	for inFlight := 1; inFlight > 0; {
 		for len(ds.buckets[cur&(deltaBucketCount-1)]) == 0 {
 			cur++
 		}
@@ -518,53 +387,10 @@ func (a *Arena) settleDelta(lay *deltaLayout, sp *ShortestPaths, targets []NodeI
 				act = append(act, v)
 			}
 			ds.active = act
-			if seeded {
-				inFlight += r.relaxSeeded(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
-			} else {
-				inFlight += r.relax(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
-			}
-		}
-		if left > 0 {
-			for _, v := range ds.settled {
-				if a.tgt[v] == gen {
-					left--
-				}
-			}
-			if left == 0 {
-				r.truncate(cur, seeds[next:])
-				return
-			}
+			inFlight += r.relax(act, lay.lrow, lay.lto, lay.leid, lay.lcost)
 		}
 		// Heavy phase: every node settled in this bucket relaxes its
 		// heavy arcs once, at its now-final distance.
-		if seeded {
-			inFlight += r.relaxSeeded(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
-		} else {
-			inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
-		}
-	}
-}
-
-// truncate ends a run after the light phase of bucket cur. Every node
-// whose distance lies above that bucket is still tentative: it is either
-// queued in the calendar or one of the seeds not yet admitted. Each is
-// reset to +Inf/NoEdge, as if unreachable; a seed a base path already
-// settled keeps its row. Draining the calendar leaves the arena
-// ready for its next run, as a completed run does.
-func (r *deltaRun) truncate(cur int64, unadmitted []deltaSeed) {
-	limit := float64(cur + 1)
-	reset := func(v int32) {
-		if r.dist[v]*r.inv >= limit {
-			r.dist[v], r.pedge[v] = math.Inf(1), NoEdge
-		}
-	}
-	for b := range r.ds.buckets {
-		for _, v := range r.ds.buckets[b] {
-			reset(v)
-		}
-		r.ds.buckets[b] = r.ds.buckets[b][:0]
-	}
-	for _, s := range unadmitted {
-		reset(s.v)
+		inFlight += r.relax(ds.settled, lay.hrow, lay.hto, lay.heid, lay.hcost)
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -64,10 +63,9 @@ func (sp *ShortestPaths) Path(g *Graph, t NodeID) ([]NodeID, []EdgeID) {
 type Arena struct {
 	h    IndexedHeap
 	done []uint64
-	// tgt stamps the targets of a truncated seeded run (DijkstraSeeded)
-	// with the run's generation, like done stamps the heap's settled
-	// nodes. RepairTree stamps its invalidated nodes in done and its
-	// re-derived ones in tgt.
+	// tgt stamps the nodes whose parent RepairTree re-derived with the
+	// repair's generation, as done stamps the heap's settled nodes and the
+	// repair's invalidated ones.
 	tgt []uint64
 	gen uint64
 	ds  deltaScratch
@@ -97,8 +95,8 @@ func (a *Arena) ensure(n int) {
 // or nil when the heap must run instead. It is the one place that
 // decides: a layout has no bucket width (delta 0) when g's costs are all
 // zero or one is +Inf, or when a kept arc costs 0 or vanishes when added
-// to a distance (see buildDeltaLayout). Full runs, batches, seeded runs
-// and tree repairs all follow it.
+// to a distance (see buildDeltaLayout). Full runs, batches and tree
+// repairs all follow it.
 func pick(g *Graph) *deltaLayout {
 	if lay := g.deltaLayoutFor(); lay.delta > 0 {
 		return lay
@@ -137,7 +135,7 @@ func (a *Arena) Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 	if lay := pick(g); lay != nil {
 		dijkstraDelta(g, lay, a, sp)
 	} else {
-		dijkstraHeap(g, nil, a, sp)
+		dijkstraHeap(g, nil, nil, a, sp)
 	}
 	return sp
 }
@@ -150,7 +148,7 @@ func (a *Arena) DijkstraHeap(g *Graph, src NodeID) *ShortestPaths {
 	n := g.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(g, nil, a, sp)
+	dijkstraHeap(g, nil, nil, a, sp)
 	return sp
 }
 
@@ -194,91 +192,13 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 		if lay != nil {
 			dijkstraDelta(g, lay, a, sp)
 		} else {
-			dijkstraHeap(g, nil, a, sp)
+			dijkstraHeap(g, nil, nil, a, sp)
 		}
 	}
 	for i, s := range sources {
 		out[i] = &sps[firstIdx[s]]
 	}
 	return out
-}
-
-// DijkstraSeeded settles ov's base from several seeds at once, through a
-// pooled arena; see Arena.DijkstraSeeded.
-func DijkstraSeeded(ov *Overlay, sp *ShortestPaths, seeds, targets []NodeID) bool {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return a.DijkstraSeeded(ov, sp, seeds, targets)
-}
-
-// DijkstraSeeded runs delta-stepping over ov's base network g from seeds
-// whose rows the caller wrote into sp, and reports whether it ran. It
-// returns false, touching nothing, when g's costs admit no bucket width
-// (see pick), when some distance of the run, the seeds' distances
-// included, absorbs the cost of an arc of g (D + c == D), or when a
-// distance of the run would put its bucket index at 2^52 or past; the
-// caller then runs the heap instead. It panics if g grew after ov was
-// made.
-//
-// It computes the rows of a heap run over ov whose appended nodes reach
-// the network only through zero-cost arcs into the seeds. Each seed's row
-// holds its finite distance and its parent edge: an edge of ov from the
-// appended node above it, or NoEdge for a plain source. Every other row
-// of g's nodes holds +Inf/NoEdge. sp has a row for every node of ov, and
-// the rows past g's, the appended nodes', must hold their final
-// distances: the run reads them, to rank a seed below its parent, and
-// never writes them. A blocked seed is reset to +Inf/NoEdge, as the heap
-// never enters a blocked node.
-//
-// Non-empty targets, all nodes of g, truncate the run once every one of
-// them is settled. Every node the run settled then carries the full
-// run's Dist and ParentEdge, each reachable target and every node on its
-// path included; every other row of g's nodes reads +Inf/NoEdge, as if
-// unreachable. Duplicate targets are allowed.
-func (a *Arena) DijkstraSeeded(ov *Overlay, sp *ShortestPaths, seeds, targets []NodeID) bool {
-	g := ov.live()
-	lay := pick(g)
-	if lay == nil {
-		return false
-	}
-	fs := g.block.blocked.Load()
-	maxSeed := 0.0
-	for _, s := range seeds {
-		if !fs.NodeFailed(s) {
-			maxSeed = max(maxSeed, sp.Dist[s])
-		}
-	}
-	// The layout's bound covers distances from a source at 0, not from a
-	// seed far out: a seed at D = 1e17 absorbs a unit arc, ties with its
-	// neighbour, and the two would take each other as parents. Every
-	// distance of this run is at most maxSeed + lay.bound, which must
-	// absorb no arc and must keep every bucket index, distance/Δ, exact
-	// in float64 and in int64.
-	if b := maxSeed + lay.bound; absorbs(b, lay.minCost) || !(b/lay.delta < 1<<52) {
-		return false
-	}
-	a.ensure(lay.nodes)
-	ss := a.ds.seeds[:0]
-	for _, s := range seeds {
-		if fs.NodeFailed(s) {
-			sp.Dist[s], sp.ParentEdge[s] = math.Inf(1), NoEdge
-			continue
-		}
-		p := None
-		if e := sp.ParentEdge[s]; e != NoEdge {
-			p = ov.Edge(e).Other(s)
-		}
-		ss = append(ss, deltaSeed{d: sp.Dist[s], v: int32(s), p: p})
-	}
-	slices.SortFunc(ss, func(x, y deltaSeed) int {
-		if c := cmp.Compare(x.d, y.d); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.v, y.v)
-	})
-	a.ds.seeds = ss
-	a.settleDelta(lay, sp, targets, true)
-	return true
 }
 
 // dijkstraHeap is the indexed-heap SSSP core: it fills sp (whose Source
@@ -291,8 +211,10 @@ func (a *Arena) DijkstraSeeded(ov *Overlay, sp *ShortestPaths, seeds, targets []
 // A non-nil ov runs over that overlay of g: a popped node's appended arcs
 // are relaxed after its CSR arcs, in insertion order, which is the arc
 // order of g's clone with the same elements added. Appended edges are
-// never blocked; a base node they enter still is.
-func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
+// never blocked; a base node they enter still is. A non-nil in confines
+// the run to the appended nodes and the base nodes v with in[v]: every
+// arc into another base node is skipped, as if blocked.
+func dijkstraHeap(g *Graph, ov *Overlay, in []bool, a *Arena, sp *ShortestPaths) {
 	c := g.csr()
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
@@ -313,7 +235,7 @@ func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
 		if int(u) < c.nodes {
 			for i := c.row[u]; i < c.row[u+1]; i++ {
 				v := c.to[i]
-				if done[v] == gen {
+				if done[v] == gen || in != nil && !in[v] {
 					continue
 				}
 				if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(v))) {
@@ -332,7 +254,7 @@ func dijkstraHeap(g *Graph, ov *Overlay, a *Arena, sp *ShortestPaths) {
 		}
 		for _, arc := range ov.appended(NodeID(u)) {
 			v := arc.To
-			if done[v] == gen || fs.NodeFailed(v) {
+			if done[v] == gen || fs.NodeFailed(v) || in != nil && int(v) < c.nodes && !in[v] {
 				continue
 			}
 			nd := du + ov.edges[int(arc.Edge)-ov.m0].Cost

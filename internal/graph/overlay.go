@@ -121,21 +121,31 @@ func (o *Overlay) Adj(n NodeID) []Arc {
 // Dijkstra computes shortest paths over the overlay from src, through a
 // pooled arena. An overlay with nothing appended answers as Dijkstra over
 // the base does. Runs always use the indexed heap, whose settle order is
-// the reference delta-stepping is proven against; DijkstraSeeded computes
-// the same rows from the network's side when the appended nodes reach it
-// only through zero-cost arcs.
+// the reference delta-stepping is proven against.
 func (o *Overlay) Dijkstra(src NodeID) *ShortestPaths {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return o.dijkstra(a, src)
+	return o.DijkstraWithin(src, nil)
 }
 
-func (o *Overlay) dijkstra(a *Arena, src NodeID) *ShortestPaths {
+// DijkstraWithin is Dijkstra confined to the appended nodes and the base
+// nodes v with within[v]; a nil within confines nothing. The run never
+// enters another base node, as if it were blocked. Take a set S of nodes
+// inside that holds, with each of its nodes, every neighbour offering
+// that node its final distance in the unconfined run. Then every node of
+// S gets the unconfined run's Dist and ParentEdge: the heap pops S's
+// nodes in the same order either way, and keeps the first offer of each
+// final distance.
+func (o *Overlay) DijkstraWithin(src NodeID, within []bool) *ShortestPaths {
+	a := arenaPool.Get().(*Arena)
+	defer arenaPool.Put(a)
+	return o.dijkstra(a, src, within)
+}
+
+func (o *Overlay) dijkstra(a *Arena, src NodeID, within []bool) *ShortestPaths {
 	g := o.live()
 	n := o.NumNodes()
 	sp := newShortestPaths(src, n)
 	a.ensure(n)
-	dijkstraHeap(g, o, a, sp)
+	dijkstraHeap(g, o, within, a, sp)
 	return sp
 }
 

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// blockedMultigraph is randomMultigraph plus two isolated nodes (targets
+// no run can reach) and, on most seeds, failed and capacity-masked edges
+// and nodes.
+func blockedMultigraph(seed int64) *Graph {
+	g := randomMultigraph(seed)
+	g.AddSwitch("")
+	g.AddSwitch("")
+	if seed%4 != 0 {
+		rng := rand.New(rand.NewSource(seed ^ 0x7e7e))
+		for i := 0; i < 3; i++ {
+			g.FailEdge(EdgeID(rng.Intn(g.NumEdges())))
+			g.MaskEdge(EdgeID(rng.Intn(g.NumEdges())))
+		}
+		g.FailNode(NodeID(rng.Intn(g.NumNodes())))
+		g.MaskNode(NodeID(rng.Intn(g.NumNodes())))
+	}
+	return g
+}
+
 // growPair appends the same random nodes and edges to a clone of g and to
 // an overlay over g: unnamed switches, edges between appended and base
 // nodes alike, zero-cost edges, and parallel copies of equal cost, so arc
@@ -143,7 +162,7 @@ func TestOverlayArenaReuse(t *testing.T) {
 		_, ov := growPair(t, g, rand.New(rand.NewSource(seed)))
 		n := ov.NumNodes()
 		for src := 0; src < n; src += 3 {
-			if got, want := ov.dijkstra(arena, NodeID(src)), ov.dijkstra(NewArena(), NodeID(src)); !reflect.DeepEqual(got, want) {
+			if got, want := ov.dijkstra(arena, NodeID(src), nil), ov.dijkstra(NewArena(), NodeID(src), nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: overlay run on a reused arena differs", seed)
 			}
 			next := NodeID(src % g.NumNodes())
@@ -255,6 +274,47 @@ func TestCloneSharedAdjacencyIsolated(t *testing.T) {
 		checkAdj(t, "original after both grew", g, grown)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("seed %d: clone: %v", seed, err)
+		}
+	}
+}
+
+// TestOverlayDijkstraWithin confines overlay runs to a ball of the
+// unconfined run, every base node at most a random radius from the
+// source, plus a few base nodes outside it. A ball holds every neighbour
+// that offers one of its nodes its final distance, so the confined run
+// must give every base node of the ball the unconfined row, bit for bit,
+// and must never enter a base node left out. A nil set confines nothing.
+func TestOverlayDijkstraWithin(t *testing.T) {
+	arena := NewArena()
+	for seed := int64(0); seed < 40; seed++ {
+		g := blockedMultigraph(seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x3c3c))
+		_, ov := growPair(t, g, rng)
+		n0 := g.NumNodes()
+		for src := 0; src < ov.NumNodes(); src += 2 {
+			full := ov.dijkstra(arena, NodeID(src), nil)
+			if want := ov.Dijkstra(NodeID(src)); !reflect.DeepEqual(full, want) {
+				t.Fatalf("seed %d src %d: a run confined to nil differs from Dijkstra", seed, src)
+			}
+			radius := float64(rng.Intn(8))
+			within := make([]bool, n0)
+			for v := range within {
+				within[v] = full.Dist[v] <= radius || rng.Intn(8) == 0
+			}
+			got := ov.DijkstraWithin(NodeID(src), within)
+			for v := 0; v < n0; v++ {
+				switch {
+				case full.Dist[v] <= radius:
+					if math.Float64bits(got.Dist[v]) != math.Float64bits(full.Dist[v]) || got.ParentEdge[v] != full.ParentEdge[v] {
+						t.Fatalf("seed %d src %d: node %d inside the ball is (%v,%d), unconfined (%v,%d)",
+							seed, src, v, got.Dist[v], got.ParentEdge[v], full.Dist[v], full.ParentEdge[v])
+					}
+				case !within[v] && v != src:
+					if got.Reachable(NodeID(v)) || got.ParentEdge[v] != NoEdge {
+						t.Fatalf("seed %d src %d: the confined run entered node %d, which it leaves out", seed, src, v)
+					}
+				}
+			}
 		}
 	}
 }

@@ -91,11 +91,11 @@ func KMB(g *graph.Graph, terminals []graph.NodeID) (*Tree, error) {
 // first terminal's tree at every other terminal, and each later
 // terminal's tree only at the terminals still unconnected when Prim
 // connects it; the expansion reads a tree along the paths to the
-// terminals it was chosen to reach. A tree that is exact there — a run
-// truncated once the terminals are settled, or a tree over a subgraph
-// that provably holds those paths — gives the same Steiner tree. SOFDA's
-// Steiner phase relies on this: its first terminal's tree is a seeded
-// run truncated at the destinations (see core's sourceRow and
+// terminals it was chosen to reach. A tree that is exact there, such as
+// a run over a subgraph that provably holds those paths, gives the same
+// Steiner tree. SOFDA's Steiner phase relies on this: its first
+// terminal's tree is a run confined to the nodes within rounding of a
+// shortest path to a destination (see core's sourceRow and
 // completeForest).
 func KMBWith(g EdgeSource, terminals []graph.NodeID, opts *KMBOptions) (*Tree, error) {
 	s := scratchPool.Get().(*scratch)
