@@ -316,10 +316,11 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 
 // steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ, an
 // overlay on g (see completeForest), and returns it with the closure of
-// the destinations' oracle trees.
-func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, *destClosure, error) {
+// the destinations' trees. provider answers the trees; SOFDA passes its
+// oracle.
+func steinerPhase(g *graph.Graph, provider steiner.PathProvider, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, *destClosure, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, dests...)
-	row, trees, _ := sourceRow(g, oracle, aux.g, aux.sHat, dests)
+	row, trees, _ := sourceRow(g, provider, aux.g, aux.sHat, dests)
 	if err := steiner.Unreachable(row, terminals); err != nil {
 		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
@@ -333,8 +334,8 @@ func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, au
 
 // sourceRow returns the row of Ĝ's virtual source ŝ, exact at every
 // destination and along every destination's path; trees[i], the tree of
-// dests[i] from provider; and whether the row was confined to its tight
-// set (see below). aux is Ĝ as an overlay on g, in the shape
+// dests[i] from provider, or nil trees when the row misses a destination;
+// and whether the row was confined to its tight set (see below). aux is Ĝ as an overlay on g, in the shape
 // newAuxSkeleton and the candidate builders give it: ŝ appended first,
 // each source duplicate v̂ hung off ŝ by a zero-cost edge, and after them
 // either each VM's duplicate û with its zero-cost edge û–u and the
@@ -350,6 +351,10 @@ func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, au
 // tree, which the chain solves already built for a VM. A destination no
 // seed reaches leaves the row unreachable there, and the whole row then
 // comes from the overlay heap, before any destination tree is fetched.
+// That row reads the live costs, so a writer that joined the destination
+// to a seed after its tree was read can leave it reaching every
+// destination; only then are the destination trees fetched, so the trees
+// are nil exactly when the row misses a destination.
 //
 // Otherwise the row is the heap's run over Ĝ confined to its appended
 // nodes and the tight set T: the network nodes x with seed(u) +
@@ -370,9 +375,11 @@ func steinerPhase(g *graph.Graph, oracle *chain.Oracle, dests []graph.NodeID, au
 //
 // Two cases take the overlay heap over all of Ĝ instead. T grows past
 // half the network, as a seed far out or a cluster of zero-cost or
-// absorbed links makes it, where the walk costs about what it saves. Or
-// the cost epoch moved between the first tree read and the end, so the
-// trees and the live costs the run reads may disagree.
+// absorbed links makes it. That share bounds the walk's work before the
+// heap takes over; it is not a break-even, since a walk and a confined
+// run over nearly half of a large network already cost more than the
+// heap. Or the cost epoch moved between the first tree read and the end,
+// so the trees and the live costs the run reads may disagree.
 func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay, sHat graph.NodeID, dests []graph.NodeID) (row *graph.ShortestPaths, trees []*graph.ShortestPaths, confined bool) {
 	epoch := g.CostEpoch()
 	n, n0 := aux.NumNodes(), g.NumNodes()
@@ -413,17 +420,16 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 			bound[i] = min(bound[i], s.d+s.sp.Dist[d])
 		}
 		if math.IsInf(bound[i], 1) {
-			return aux.Dijkstra(sHat), nil, false
+			row = aux.Dijkstra(sHat)
+			for _, d := range dests {
+				if !row.Reachable(d) {
+					return row, nil, false
+				}
+			}
+			return row, destTrees(provider, dests), false
 		}
 	}
-	trees = make([]*graph.ShortestPaths, len(dests))
-	for i, d := range dests {
-		if j := slices.Index(dests[:i], d); j >= 0 {
-			trees[i] = trees[j]
-		} else {
-			trees[i] = provider.Tree(d)
-		}
-	}
+	trees = destTrees(provider, dests)
 	eps := float64(n) * 0x1p-48
 	in := make([]bool, n0)
 	size, limit := 0, n0/2
@@ -468,6 +474,20 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 		return aux.Dijkstra(sHat), trees, false
 	}
 	return row, trees, true
+}
+
+// destTrees returns the tree of each of dests from provider, fetching a
+// repeated destination's tree once.
+func destTrees(provider steiner.PathProvider, dests []graph.NodeID) []*graph.ShortestPaths {
+	trees := make([]*graph.ShortestPaths, len(dests))
+	for i, d := range dests {
+		if j := slices.Index(dests[:i], d); j >= 0 {
+			trees[i] = trees[j]
+		} else {
+			trees[i] = provider.Tree(d)
+		}
+	}
+	return trees
 }
 
 // steinerRows answers the Steiner phase's closure queries from the rows

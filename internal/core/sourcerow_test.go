@@ -8,6 +8,7 @@ import (
 
 	"sof/internal/chain"
 	"sof/internal/graph"
+	"sof/internal/steiner"
 )
 
 // sameRowAlongPaths fails the test unless row reaches each destination
@@ -304,27 +305,25 @@ func FuzzSourceRowMatchesHeap(f *testing.F) {
 	})
 }
 
-// raisingProvider answers Tree from an oracle and, on its k-th call, first
-// raises the cost of edge e by 100, as a writer running beside the row
-// would.
-type raisingProvider struct {
-	oracle *chain.Oracle
-	g      *graph.Graph
-	e      graph.EdgeID
-	k      int
-	calls  int
+// writingProvider answers Tree from an oracle and, on its k-th call, runs
+// write after reading the tree, as a writer running beside the row would.
+type writingProvider struct {
+	oracle   *chain.Oracle
+	write    func()
+	k, calls int
 }
 
-func (p *raisingProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
+func (p *writingProvider) Tree(n graph.NodeID) *graph.ShortestPaths {
+	sp := p.oracle.Tree(n)
 	if p.calls++; p.calls == p.k {
-		p.g.SetEdgeCost(p.e, p.g.EdgeCost(p.e)+100)
+		p.write()
 	}
-	return p.oracle.Tree(n)
+	return sp
 }
 
 // TestSourceRowEpochFallback raises the cost of a network link on a
-// destination's path in Ĝ while the row reads its trees, at the last
-// Tree call and at a random one. The trees read before the raise then
+// destination's path in Ĝ while the row reads its trees, after the last
+// Tree call and after a random one. The trees read before the raise then
 // disagree with the live costs, so the row must fall back to the overlay
 // heap over the live Ĝ, and equal it along every destination's path.
 func TestSourceRowEpochFallback(t *testing.T) {
@@ -349,13 +348,14 @@ func TestSourceRowEpochFallback(t *testing.T) {
 			if e == graph.NoEdge {
 				continue
 			}
-			count := &raisingProvider{oracle: chain.NewOracle(g, chain.Options{})}
+			count := &writingProvider{oracle: chain.NewOracle(g, chain.Options{})}
 			sourceRow(g, count, aux.g, aux.sHat, dests)
 			rng := rand.New(rand.NewSource(seed))
 			for _, k := range []int{count.calls, 1 + rng.Intn(count.calls)} {
-				label := fmt.Sprintf("%s seed %d raise at call %d of %d", reg.name, seed, k, count.calls)
+				label := fmt.Sprintf("%s seed %d raise after call %d of %d", reg.name, seed, k, count.calls)
 				cost := g.EdgeCost(e)
-				p := &raisingProvider{oracle: chain.NewOracle(g, chain.Options{}), g: g, e: e, k: k}
+				raise := func() { g.SetEdgeCost(e, cost+100) }
+				p := &writingProvider{oracle: chain.NewOracle(g, chain.Options{}), write: raise, k: k}
 				row, _, confined := sourceRow(g, p, aux.g, aux.sHat, dests)
 				want := aux.g.Dijkstra(aux.sHat)
 				sameRowAlongPaths(t, label, aux.g, row, want, dests)
@@ -373,5 +373,64 @@ func TestSourceRowEpochFallback(t *testing.T) {
 	t.Logf("%d rows read across a raise; it moved the destination's distance in %d", raised, moved)
 	if moved < 100 {
 		t.Fatalf("only %d raises moved a destination's distance; the fallback is barely exercised", moved)
+	}
+}
+
+// TestSourceRowDestinationJoined masks every network link of a
+// destination that Ĝ reaches, so no seed's tree reaches it, and unmasks
+// them after the row reads its last seed tree, as a departure that frees
+// capacity or a restored link would. The live overlay heap the row then
+// takes reaches every destination again, so the row must hand on every
+// destination's tree, and the Steiner phase built on it must complete.
+func TestSourceRowDestinationJoined(t *testing.T) {
+	joined := 0
+	for _, reg := range rowRegimes[:2] {
+		for seed := int64(0); seed < 300; seed++ {
+			g, aux, dests := rowCase(seed, reg)
+			if len(dests) == 0 || steiner.Unreachable(aux.g.Dijkstra(aux.sHat), append([]graph.NodeID{aux.sHat}, dests...)) != nil {
+				continue
+			}
+			d := dests[len(dests)-1]
+			var links []graph.EdgeID
+			for _, a := range g.Adj(d) {
+				if g.MaskEdge(a.Edge) {
+					links = append(links, a.Edge)
+				}
+			}
+			unmask := func() {
+				for _, e := range links {
+					g.UnmaskEdge(e)
+				}
+			}
+			if aux.g.Dijkstra(aux.sHat).Reachable(d) {
+				unmask() // d is a seed, or a link to it was failed rather than masked
+				continue
+			}
+			count := &writingProvider{oracle: chain.NewOracle(g, chain.Options{})}
+			sourceRow(g, count, aux.g, aux.sHat, dests)
+			label := fmt.Sprintf("%s seed %d unmask after call %d", reg.name, seed, count.calls)
+
+			p := &writingProvider{oracle: chain.NewOracle(g, chain.Options{}), write: unmask, k: count.calls}
+			row, trees, _ := sourceRow(g, p, aux.g, aux.sHat, dests)
+			sameRowAlongPaths(t, label, aux.g, row, aux.g.Dijkstra(aux.sHat), dests)
+			for i, dd := range dests {
+				if trees == nil || trees[i].Source != dd {
+					t.Fatalf("%s: the row reaches every destination, yet tree %d is not destination %d's", label, i, dd)
+				}
+			}
+
+			for _, e := range links {
+				g.MaskEdge(e)
+			}
+			p = &writingProvider{oracle: chain.NewOracle(g, chain.Options{}), write: unmask, k: count.calls}
+			if _, _, err := steinerPhase(g, p, dests, aux); err != nil {
+				t.Fatalf("%s: Steiner phase: %v", label, err)
+			}
+			joined++
+		}
+	}
+	t.Logf("%d rows read a destination joined after the last seed tree", joined)
+	if joined < 100 {
+		t.Fatalf("only %d rows read a joined destination; the case is barely exercised", joined)
 	}
 }
