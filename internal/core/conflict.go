@@ -177,7 +177,7 @@ func (r *resolver) install(sc *chain.ServiceChain, prefix *walkInfo, prefVNFs in
 		return NoClone, fmt.Errorf("core: bad prefix attach at f%d", prefVNFs)
 	}
 	cur := prefix.vnfClones[prefVNFs-1]
-	w := &walkInfo{source: r.rootNodeOf(cur), vnfClones: slices.Clone(prefix.vnfClones[:prefVNFs])}
+	w := &walkInfo{source: r.f.clones[r.f.root(cur)].Node, vnfClones: slices.Clone(prefix.vnfClones[:prefVNFs])}
 	// Bridge from the junction to the next VNF VM (or to the last VM when
 	// the prefix already covers the whole chain), then follow sc's suffix.
 	target, suffixFrom := sc.LastVM, len(sc.Nodes)-1
@@ -205,14 +205,6 @@ func (r *resolver) install(sc *chain.ServiceChain, prefix *walkInfo, prefVNFs in
 	w.last = cur
 	r.walks = append(r.walks, w)
 	return cur, nil
-}
-
-// rootNodeOf returns the real node of the root above clone c.
-func (r *resolver) rootNodeOf(c CloneID) graph.NodeID {
-	for r.f.clones[c].Parent != NoClone {
-		c = r.f.clones[c].Parent
-	}
-	return r.f.clones[c].Node
 }
 
 // reroot performs case-3 surgery: the owner walk wk is re-rooted onto sc's

@@ -349,18 +349,83 @@ func TestForestPruneRemovesDeadWood(t *testing.T) {
 	}
 }
 
+// TestForestValidateRejectsBadForests breaks a valid forest once per
+// check Validate makes and requires the message of that check. The forest
+// serves d1 from s1 over s1 → a (f1) → b (f2) → d1, as clones 0 to 3; a
+// is node 2, b node 3 and d1 node 4.
 func TestForestValidateRejectsBadForests(t *testing.T) {
-	g, s1, _, d1, _, vms := conflictNet()
-	f := NewForest(g, 2)
-	root := f.newRoot(s1)
-	c := f.appendClone(root, vms[0], g.FindEdge(s1, vms[0]))
-	if err := f.enable(c, 1); err != nil {
-		t.Fatal(err)
+	g, s1, s2, d1, d2, vms := conflictNet()
+	a, b := vms[0], vms[1]
+	valid := func() *Forest {
+		f := NewForest(g, 2)
+		c := f.newRoot(s1)
+		for i, v := range []graph.NodeID{a, b, d1} {
+			c = f.appendClone(c, v, g.FindEdge(f.clones[c].Node, v))
+			if i < 2 {
+				if err := f.enable(c, i+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f.MarkDestination(d1, c)
+		return f
 	}
-	f.MarkDestination(d1, c)
-	// d1's clone is actually a clone of vms[0], and the chain is short.
-	if err := f.Validate([]graph.NodeID{s1}, []graph.NodeID{d1}); err == nil {
-		t.Error("validate accepted mismatched destination clone")
+	if err := valid().Validate([]graph.NodeID{s1}, []graph.NodeID{d1}); err != nil {
+		t.Fatalf("the unbroken forest: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		breakIt func(f *Forest)
+		sources []graph.NodeID // {s1} when nil
+		dests   []graph.NodeID // {d1} when nil
+		want    string
+	}{
+		{"deleted parent", func(f *Forest) { f.clones[2].deleted = true }, nil, nil,
+			"core: clone 3 has deleted parent 2"},
+		{"in-place link across nodes", func(f *Forest) { f.clones[3].ParentEdge = graph.NoEdge }, nil, nil,
+			"core: clone 3 in-place link to different node 3"},
+		{"parent edge elsewhere", func(f *Forest) { f.clones[3].ParentEdge = g.FindEdge(s1, a) }, nil, nil,
+			"core: clone 3 parent edge 0 does not connect 4-3"},
+		{"parent cycle", func(f *Forest) { f.clones[1].Parent, f.clones[1].ParentEdge = 2, g.FindEdge(a, b) }, nil, nil,
+			"core: parent cycle at clone 1"},
+		{"VNF on a switch", func(f *Forest) { f.clones[0].VNF = 1 }, nil, nil,
+			"core: non-VM node 0 runs f1"},
+		{"VNF out of range", func(f *Forest) { f.clones[2].VNF = 3 }, nil, nil,
+			"core: clone 2 runs out-of-range VNF f3"},
+		{"VM runs two VNFs", func(f *Forest) { f.clones[f.appendClone(2, a, g.FindEdge(a, b))].VNF = 2 }, nil, nil,
+			"core: VM 2 runs two VNFs (f1 and f2)"},
+		{"owner record inconsistent", func(f *Forest) { f.owner[a] = vmUse{vnf: 2, clone: 1} }, nil, nil,
+			"core: owner record for VM 2 inconsistent"},
+		{"owner record extra", func(f *Forest) { f.owner[d1] = vmUse{vnf: 1, clone: 3} }, nil, nil,
+			"core: 2 enabled clones but 3 owner records"},
+		{"destination not served", func(*Forest) {}, nil, []graph.NodeID{d1, d2},
+			"core: destination 5 not served"},
+		{"destination at a deleted clone", func(f *Forest) { f.clones[3].deleted = true }, nil, nil,
+			"core: destination 4 served by deleted clone 3"},
+		{"destination at another node", func(f *Forest) { f.dests[d1] = 2 }, nil, nil,
+			"core: destination 4 served by clone of node 3"},
+		{"VNFs out of order twice", func(f *Forest) {
+			f.clones[1].VNF, f.clones[2].VNF = 2, 1
+			f.owner[a], f.owner[b] = vmUse{vnf: 2, clone: 1}, vmUse{vnf: 1, clone: 2}
+		}, nil, nil,
+			"core: destination 4: core: VNF f2 out of order (expected f1) at clone 1"},
+		{"chain cut short", func(f *Forest) { f.disable(2) }, nil, nil,
+			"core: destination 4 received 1 of 2 VNFs"},
+		{"rooted off the sources", func(*Forest) {}, []graph.NodeID{s2}, nil,
+			"core: destination 4 rooted at non-source node 0"},
+	} {
+		f := valid()
+		tc.breakIt(f)
+		sources, dests := tc.sources, tc.dests
+		if sources == nil {
+			sources = []graph.NodeID{s1}
+		}
+		if dests == nil {
+			dests = []graph.NodeID{d1}
+		}
+		if err := f.Validate(sources, dests); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate returned %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -330,47 +330,73 @@ func (f *Forest) free(vms []graph.NodeID) []graph.NodeID {
 // form a tree in g containing anchor's real node. Every destination in
 // dests found in the component is marked as served. Returns the number of
 // destinations attached.
+//
+// The tree's nodes get local indices in ascending order, and a local CSR
+// lists each node's edges in input order, which is the order the
+// breadth-first walk from the anchor takes them in; a node is cloned the
+// first time the walk reaches it. A cycle or a parallel edge leaves an
+// edge unused, and so does an edge outside the anchor's component.
 func (f *Forest) AttachTree(anchor CloneID, edges []graph.EdgeID, dests map[graph.NodeID]bool) (int, error) {
 	anchorNode := f.clones[anchor].Node
-	adj := make(map[graph.NodeID][]graph.EdgeID)
-	for _, id := range edges {
-		e := f.g.Edge(id)
-		adj[e.U] = append(adj[e.U], id)
-		adj[e.V] = append(adj[e.V], id)
-	}
-	if len(edges) > 0 {
-		if _, ok := adj[anchorNode]; !ok {
-			return 0, fmt.Errorf("core: anchor node %d not in attached tree", anchorNode)
-		}
+	nodes := endpoints(f.g, edges)
+	root, inTree := slices.BinarySearch(nodes, anchorNode)
+	if len(edges) > 0 && !inTree {
+		return 0, fmt.Errorf("core: anchor node %d not in attached tree", anchorNode)
 	}
 	served := 0
 	if dests[anchorNode] {
 		f.MarkDestination(anchorNode, anchor)
 		served++
 	}
-	type item struct {
-		node  graph.NodeID
-		clone CloneID
+	if len(edges) == 0 {
+		return served, nil
 	}
-	visited := map[graph.NodeID]bool{anchorNode: true}
-	queue := []item{{node: anchorNode, clone: anchor}}
+	// Node i's edges are inc[off[i]:off[i+1]]: off counts them two slots
+	// up, and the fill then runs off[i+1] from node i's start to its end.
+	// queue holds the walk's local indices, and at[i] is node i's clone,
+	// NoClone until the walk reaches it.
+	n, m := len(nodes), len(edges)
+	buf := make([]int32, n+2+2*m+n)
+	off, inc, queue := buf[:n+2], buf[n+2:n+2+2*m], buf[n+2+2*m:n+2+2*m]
+	for _, id := range edges {
+		e := f.g.Edge(id)
+		off[localOf(nodes, e.U)+2]++
+		off[localOf(nodes, e.V)+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for i, id := range edges {
+		e := f.g.Edge(id)
+		for _, v := range [2]graph.NodeID{e.U, e.V} {
+			x := localOf(nodes, v) + 1
+			inc[off[x]] = int32(i)
+			off[x]++
+		}
+	}
+	at := make([]CloneID, n)
+	for i := range at {
+		at[i] = NoClone
+	}
+	at[root] = anchor
+	queue = append(queue, int32(root))
 	usedEdges := 0
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		for _, id := range adj[it.node] {
-			other := f.g.Edge(id).Other(it.node)
-			if visited[other] {
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		for _, i := range inc[off[x]:off[x+1]] {
+			id := edges[i]
+			other := f.g.Edge(id).Other(nodes[x])
+			o := localOf(nodes, other)
+			if at[o] != NoClone {
 				continue
 			}
-			visited[other] = true
 			usedEdges++
-			c := f.appendClone(it.clone, other, id)
+			at[o] = f.appendClone(at[x], other, id)
 			if dests[other] {
-				f.MarkDestination(other, c)
+				f.MarkDestination(other, at[o])
 				served++
 			}
-			queue = append(queue, item{node: other, clone: c})
+			queue = append(queue, int32(o))
 		}
 	}
 	if usedEdges != len(edges) {
@@ -378,6 +404,24 @@ func (f *Forest) AttachTree(anchor CloneID, edges []graph.EdgeID, dests map[grap
 			usedEdges, len(edges), anchorNode)
 	}
 	return served, nil
+}
+
+// endpoints returns the nodes the edges touch, ascending and each once:
+// the local indices of componentsOf and AttachTree.
+func endpoints(g *graph.Graph, edges []graph.EdgeID) []graph.NodeID {
+	nodes := make([]graph.NodeID, 0, 2*len(edges))
+	for _, id := range edges {
+		e := g.Edge(id)
+		nodes = append(nodes, e.U, e.V)
+	}
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
+}
+
+// localOf returns v's local index in nodes, an endpoints list holding v.
+func localOf(nodes []graph.NodeID, v graph.NodeID) int {
+	i, _ := slices.BinarySearch(nodes, v)
+	return i
 }
 
 // PathToRoot returns the clone path from c up to its root, inclusive.
@@ -389,23 +433,39 @@ func (f *Forest) PathToRoot(c CloneID) []CloneID {
 	return out
 }
 
-// vnfProgress returns how many chain VNFs have been applied on the path
-// from the root down to clone c, and an error if they are out of order.
-func (f *Forest) vnfProgress(c CloneID) (int, error) {
-	path := f.PathToRoot(c)
-	// path is c..root; walk it in reverse (root→c) collecting VNF indices.
-	next := 1
-	for i := len(path) - 1; i >= 0; i-- {
-		v := f.clones[path[i]].VNF
-		if v == 0 {
-			continue
-		}
-		if v != next {
-			return 0, fmt.Errorf("core: VNF f%d out of order (expected f%d) at clone %d", v, next, path[i])
-		}
-		next++
+// root returns the root clone above clone c, c itself for a root.
+func (f *Forest) root(c CloneID) CloneID {
+	for f.clones[c].Parent != NoClone {
+		c = f.clones[c].Parent
 	}
-	return next - 1, nil
+	return c
+}
+
+// vnfProgress returns how many chain VNFs have been applied on the path
+// from the root down to clone c, and an error if they are out of order,
+// naming the topmost clone out of order. It walks c's parent links twice,
+// first to count the path's VNF clones, k of them, and allocates nothing:
+// in order, the VNF clones met walking up run fk, fk−1, …, f1.
+func (f *Forest) vnfProgress(c CloneID) (int, error) {
+	k := 0
+	for cur := c; cur != NoClone; cur = f.clones[cur].Parent {
+		if f.clones[cur].VNF != 0 {
+			k++
+		}
+	}
+	bad, want := NoClone, 0
+	for cur, i := c, k; cur != NoClone; cur = f.clones[cur].Parent {
+		if v := f.clones[cur].VNF; v != 0 {
+			if v != i {
+				bad, want = cur, i
+			}
+			i--
+		}
+	}
+	if bad != NoClone {
+		return 0, fmt.Errorf("core: VNF f%d out of order (expected f%d) at clone %d", f.clones[bad].VNF, want, bad)
+	}
+	return k, nil
 }
 
 // Validate checks the full feasibility of the forest for the given request:
@@ -491,10 +551,8 @@ func (f *Forest) Validate(sources, dests []graph.NodeID) error {
 		if got != f.chainLen {
 			return fmt.Errorf("core: destination %d received %d of %d VNFs", d, got, f.chainLen)
 		}
-		path := f.PathToRoot(c)
-		rootClone := f.clones[path[len(path)-1]]
-		if !srcSet[rootClone.Node] {
-			return fmt.Errorf("core: destination %d rooted at non-source node %d", d, rootClone.Node)
+		if r := f.clones[f.root(c)].Node; !srcSet[r] {
+			return fmt.Errorf("core: destination %d rooted at non-source node %d", d, r)
 		}
 	}
 	return nil

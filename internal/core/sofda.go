@@ -244,6 +244,8 @@ func (b *AuxGraphBuilder) Complete(ctx context.Context) (*Forest, error) {
 // Steiner phase, forest assembly, and the per-source single-tree
 // refinement. Both the centralized SOFDA and the distributed leader end
 // here, which is what makes their costs provably identical on equal Ĝ.
+// It validates the KMB forest, and a refinement candidate only once it
+// would replace the kept forest; it skips the candidates that cannot.
 //
 // The Steiner phase is KMB over {ŝ} ∪ dests on Ĝ with one shortest-path
 // run on Ĝ: ŝ's, confined to the few nodes within rounding of a shortest
@@ -285,6 +287,9 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 	if err != nil {
 		return nil, err
 	}
+	if err := best.Validate(req.Sources, req.Dests); err != nil {
+		return nil, fmt.Errorf("core: SOFDA produced infeasible forest: %w", err)
+	}
 	if req.ChainLen == 0 {
 		return best, nil
 	}
@@ -295,23 +300,67 @@ func completeForest(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, v
 	// cheapest assembled forest. This keeps the 3ρST guarantee — the KMB
 	// candidate is never discarded for a worse one — while shaving the
 	// 2-approximation noise on instances where one tree is optimal.
+	//
+	// A candidate replaces the kept forest only when it is valid and
+	// strictly cheaper, so only a strictly cheaper candidate is validated,
+	// and two kinds are not even assembled, since neither can be strictly
+	// cheaper:
+	//   - one whose lower bound (see bestSingleTree) exceeds the kept
+	//     forest's cost: it costs at least its bound;
+	//   - one whose real edges are the KMB tree's, and whose chain edge is
+	//     the KMB tree's only one: it assembles to the KMB forest itself,
+	//     and the kept forest never costs more than that.
+	// Both skips are exact: they drop only candidates the comparison
+	// would drop. Under a concurrent cost writer a bound can be stale, and
+	// a skip can then only forgo a refinement: the kept forest is the
+	// validated KMB forest or a validated, cheaper candidate, so validity
+	// and 3ρST hold either way.
+	bestCost := best.TotalCost()
+	kmbReal, kmbChain := splitTree(aux, tree.Edges)
+	ranks := make([]float64, aux.g.NumNodes()-g.NumNodes())
+	for i := range ranks {
+		ranks[i] = math.NaN()
+	}
 	for _, s := range req.Sources {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cand := bestSingleTree(g, oracle, aux, s, req, dests)
-		if cand == nil {
+		cand, lb := bestSingleTree(g, oracle, aux, s, req, dests, ranks)
+		if cand == nil || lb > bestCost {
+			continue
+		}
+		if last := len(cand) - 1; cand[last] == kmbChain && slices.Equal(cand[:last], kmbReal) {
 			continue
 		}
 		f, err := assembleForest(g, oracle, vms, req, aux, cand)
 		if err != nil {
 			continue
 		}
-		if f.TotalCost() < best.TotalCost() {
-			best = f
+		if c := f.TotalCost(); c < bestCost && f.Validate(req.Sources, req.Dests) == nil {
+			best, bestCost = f, c
 		}
 	}
 	return best, nil
+}
+
+// splitTree returns the real edges of a Ĝ tree whose edges ascend, a
+// prefix since real edges have the lowest ids, and its one chain edge, or
+// graph.NoEdge when it has none or several.
+func splitTree(aux *auxGraph, edges []graph.EdgeID) (real []graph.EdgeID, chainEdge graph.EdgeID) {
+	k := 0
+	for k < len(edges) && aux.isRealEdge(edges[k]) {
+		k++
+	}
+	chainEdge = graph.NoEdge
+	for _, id := range edges[k:] {
+		if _, ok := aux.chains[id]; ok {
+			if chainEdge != graph.NoEdge {
+				return edges[:k], graph.NoEdge
+			}
+			chainEdge = id
+		}
+	}
+	return edges[:k], chainEdge
 }
 
 // steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ, an
@@ -335,11 +384,12 @@ func steinerPhase(g *graph.Graph, provider steiner.PathProvider, dests []graph.N
 // sourceRow returns the row of Ĝ's virtual source ŝ, exact at every
 // destination and along every destination's path; trees[i], the tree of
 // dests[i] from provider, or nil trees when the row misses a destination;
-// and whether the row was confined to its tight set (see below). aux is Ĝ as an overlay on g, in the shape
-// newAuxSkeleton and the candidate builders give it: ŝ appended first,
-// each source duplicate v̂ hung off ŝ by a zero-cost edge, and after them
-// either each VM's duplicate û with its zero-cost edge û–u and the
-// candidate edges v̂–û, or, at chain length 0, the zero-cost edges v̂–s.
+// and whether the row was confined to its tight set (see below). aux is
+// Ĝ as an overlay on g, in the shape newAuxSkeleton and the candidate
+// builders give it: ŝ appended first, each source duplicate v̂ hung off ŝ
+// by a zero-cost edge, and after them either each VM's duplicate û with
+// its zero-cost edge û–u and the candidate edges v̂–û, or, at chain
+// length 0, the zero-cost edges v̂–s.
 // provider must answer with true shortest-path trees over g; the Steiner
 // phase passes its oracle.
 //
@@ -555,12 +605,23 @@ func candidateBuilder(ctx context.Context, g *graph.Graph, req Request, opts *Op
 // {u} ∪ dests, the virtual edge last, or nil when infeasible. Candidates
 // are ranked by chain cost + the metric-closure MST over {u} ∪ dests
 // (KMB's own upper bound) in Ĝ adjacency order, so the first strict
-// minimum wins, and only the winner gets a full KMB run.
-func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph.NodeID, req Request, dests *destClosure) []graph.EdgeID {
+// minimum wins, and only the winner gets a full KMB run. ranks memoizes
+// the MST of each û, at index û − g.NumNodes(), NaN until computed, so an
+// embed ranks each last VM once over all its sources.
+//
+// It also returns lb, a lower bound on the cost of the forest the edges
+// assemble to. That forest prunes nothing: KMB's leaves are terminals,
+// and the walk ends at the anchor u. So it costs the setups of the
+// chain's VMs, the walk's links and the KMB tree's links, the terms
+// Forest.Cost sums in another order; lb is their sum less boundSlack. It
+// leaves out the source's setup that the chain's TotalCost holds under
+// chain.Options.SourceSetupCost, since no clone pays it.
+func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph.NodeID, req Request, dests *destClosure, ranks []float64) (edges []graph.EdgeID, lb float64) {
 	sHatDup, ok := aux.srcDup[s]
 	if !ok {
-		return nil
+		return nil, 0
 	}
+	n0 := g.NumNodes()
 	winner := graph.NoEdge
 	var winnerChain *chain.ServiceChain
 	bestCost := 0.0
@@ -569,22 +630,30 @@ func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph
 		if !ok {
 			continue
 		}
-		mst, _ := dests.mst(sc.LastVM)
+		mst := ranks[int(a.To)-n0]
+		if math.IsNaN(mst) {
+			mst, _ = dests.mst(sc.LastVM)
+			ranks[int(a.To)-n0] = mst
+		}
 		r := sc.TotalCost() + mst
 		if winner == graph.NoEdge || r < bestCost {
 			winner, winnerChain, bestCost = a.Edge, sc, r
 		}
 	}
 	if winner == graph.NoEdge {
-		return nil
+		return nil, 0
 	}
 	tree, err := steiner.KMBWith(g, append([]graph.NodeID{winnerChain.LastVM}, req.Dests...),
 		&steiner.KMBOptions{Provider: oracle})
 	if err != nil {
-		return nil
+		return nil, 0
 	}
-	edges := append([]graph.EdgeID(nil), tree.Edges...)
-	return append(edges, winner)
+	setup := 0.0
+	for _, v := range winnerChain.VMs {
+		setup += g.NodeCost(v)
+	}
+	edges = append(append(make([]graph.EdgeID, 0, len(tree.Edges)+1), tree.Edges...), winner)
+	return edges, (setup + winnerChain.ConnCost + tree.Cost) * (1 - boundSlack)
 }
 
 // destClosure is the destination half of the metric closure over
@@ -658,18 +727,21 @@ func (c *destClosure) mst(u graph.NodeID) (cost, far float64) {
 	return cost, far
 }
 
-// assembleForest converts a Steiner tree in Ĝ into a feasible service
-// overlay forest (Algorithm 2 steps 3–9).
+// assembleForest converts a Steiner tree in Ĝ into a service overlay
+// forest (Algorithm 2 steps 3–9) and prunes it. It does not validate it:
+// completeForest validates the KMB forest and each candidate that would
+// replace it. Beyond the forest, it allocates working lists only, and the
+// destination set AttachTree takes.
 func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, treeEdges []graph.EdgeID) (*Forest, error) {
 	// Partition the tree's edges: real edges form the distribution
 	// components; virtual ESM edges select candidate chains.
-	var realEdges []graph.EdgeID
+	realEdges := make([]graph.EdgeID, 0, len(treeEdges))
 	type anchorInfo struct {
-		sc *chain.ServiceChain // nil for chainLen==0 source anchors
-		at graph.NodeID        // real anchor node
+		sc    *chain.ServiceChain // nil for chainLen==0 source anchors
+		at    graph.NodeID        // real anchor node
+		clone CloneID             // the clone the anchor's component hangs off
 	}
 	var anchors []anchorInfo
-	seenAnchor := make(map[graph.NodeID]bool)
 	for _, id := range treeEdges {
 		if aux.isRealEdge(id) {
 			realEdges = append(realEdges, id)
@@ -688,8 +760,7 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 		if req.ChainLen == 0 {
 			for s, d := range aux.srcDup {
 				if (e.U == d && e.V == s) || (e.V == d && e.U == s) {
-					if !seenAnchor[s] {
-						seenAnchor[s] = true
+					if !slices.ContainsFunc(anchors, func(a anchorInfo) bool { return a.at == s }) {
 						anchors = append(anchors, anchorInfo{at: s})
 					}
 				}
@@ -717,17 +788,27 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 
 	f := NewForest(g, req.ChainLen)
 	res := newResolver(f, oracle, vms)
-	anchorClone := make(map[graph.NodeID]CloneID, len(anchors))
-	for _, a := range anchors {
+	for i := range anchors {
+		a := &anchors[i]
 		if a.sc == nil {
-			anchorClone[a.at] = f.newRoot(a.at)
+			a.clone = f.newRoot(a.at)
 			continue
 		}
 		last, err := res.AddWalk(a.sc)
 		if err != nil {
 			return nil, fmt.Errorf("core: adding walk %d→%d: %w", a.sc.Source, a.sc.LastVM, err)
 		}
-		anchorClone[a.at] = last
+		a.clone = last
+	}
+	// anchorAt returns the clone anchoring real node n, the last anchor at
+	// n in walk order, or NoClone when n anchors nothing.
+	anchorAt := func(n graph.NodeID) CloneID {
+		for i := len(anchors) - 1; i >= 0; i-- {
+			if anchors[i].at == n {
+				return anchors[i].clone
+			}
+		}
+		return NoClone
 	}
 
 	// Group real tree edges into connected components and attach each to
@@ -736,30 +817,28 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 	for _, d := range req.Dests {
 		destSet[d] = true
 	}
-	comps := componentsOf(g, realEdges)
 	served := 0
-	for _, comp := range comps {
-		anchor := graph.None
-		for n := range comp.nodes {
-			if _, ok := anchorClone[n]; ok {
-				if anchor != graph.None {
-					return nil, fmt.Errorf("core: tree component holds two anchors (%d, %d)", anchor, n)
+	for _, comp := range componentsOf(g, realEdges) {
+		anchor, node := NoClone, graph.None
+		for _, n := range comp.nodes {
+			if c := anchorAt(n); c != NoClone {
+				if anchor != NoClone {
+					return nil, fmt.Errorf("core: tree component holds two anchors (%d, %d)", node, n)
 				}
-				//sofvet:ignore detorder at most one anchor exists per component (two is an error above), so no tie for map order to break
-				anchor = n
+				anchor, node = c, n
 			}
 		}
-		if anchor == graph.None {
+		if anchor == NoClone {
 			// A component not reachable from any chain: tolerated only if
 			// it serves no destination (pruned dead weight).
-			for n := range comp.nodes {
+			for _, n := range comp.nodes {
 				if destSet[n] {
 					return nil, fmt.Errorf("core: destination %d in component with no anchor", n)
 				}
 			}
 			continue
 		}
-		n, err := f.AttachTree(anchorClone[anchor], comp.edges, destSet)
+		n, err := f.AttachTree(anchor, comp.edges, destSet)
 		if err != nil {
 			return nil, err
 		}
@@ -770,7 +849,7 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 		if _, ok := f.dests[d]; ok {
 			continue
 		}
-		if c, ok := anchorClone[d]; ok {
+		if c := anchorAt(d); c != NoClone {
 			f.MarkDestination(d, c)
 			served++
 		}
@@ -779,61 +858,78 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 		return nil, fmt.Errorf("core: only %d of %d destinations attached", served, len(req.Dests))
 	}
 	f.Prune()
-	if err := f.Validate(req.Sources, req.Dests); err != nil {
-		return nil, fmt.Errorf("core: SOFDA produced infeasible forest: %w", err)
-	}
 	return f, nil
 }
 
-// component is a connected set of real edges with its node set.
+// component is a connected set of real edges: its nodes, ascending, and
+// its edges in input order.
 type component struct {
-	nodes map[graph.NodeID]bool
+	nodes []graph.NodeID
 	edges []graph.EdgeID
 }
 
-// componentsOf groups edges into connected components.
-func componentsOf(g *graph.Graph, edges []graph.EdgeID) []*component {
-	parent := make(map[graph.NodeID]graph.NodeID)
-	var find func(x graph.NodeID) graph.NodeID
-	find = func(x graph.NodeID) graph.NodeID {
-		if p, ok := parent[x]; ok && p != x {
-			r := find(p)
-			parent[x] = r
-			return r
+// componentsOf groups edges into connected components, ordered by the node
+// their union-find root is. The union-find runs over local indices, the
+// endpoints ascending, and links the first edge end's root under the
+// second's, so the roots, and with them the components' order, depend on
+// the edges' order alone. Each component's nodes and edges are carved
+// from one array each.
+func componentsOf(g *graph.Graph, edges []graph.EdgeID) []component {
+	nodes := endpoints(g, edges)
+	n := len(nodes)
+	// parent is the union-find forest; comp[i] is then node i's component,
+	// and size[c] counts component c's nodes, then its edges.
+	buf := make([]int32, 3*n)
+	parent, comp, size := buf[:n], buf[n:2*n], buf[2*n:]
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		r := x
+		for parent[r] != r {
+			r = parent[r]
 		}
-		if _, ok := parent[x]; !ok {
-			parent[x] = x
+		for parent[x] != r {
+			parent[x], x = r, parent[x]
 		}
-		return parent[x]
+		return r
 	}
 	for _, id := range edges {
 		e := g.Edge(id)
-		ru, rv := find(e.U), find(e.V)
-		if ru != rv {
+		if ru, rv := find(int32(localOf(nodes, e.U))), find(int32(localOf(nodes, e.V))); ru != rv {
 			parent[ru] = rv
 		}
 	}
-	byRoot := make(map[graph.NodeID]*component)
-	for _, id := range edges {
-		e := g.Edge(id)
-		r := find(e.U)
-		c, ok := byRoot[r]
-		if !ok {
-			c = &component{nodes: make(map[graph.NodeID]bool)}
-			byRoot[r] = c
+	k := int32(0)
+	for i := range parent {
+		if parent[i] == int32(i) {
+			comp[i] = k
+			k++
 		}
+	}
+	for i := range comp {
+		comp[i] = comp[find(int32(i))]
+		size[comp[i]]++
+	}
+	out := make([]component, k)
+	restN := make([]graph.NodeID, n)
+	for c := range out {
+		out[c].nodes, restN = restN[:0:size[c]], restN[size[c]:]
+		size[c] = 0
+	}
+	for i, v := range nodes {
+		out[comp[i]].nodes = append(out[comp[i]].nodes, v)
+	}
+	for _, id := range edges {
+		size[comp[localOf(nodes, g.Edge(id).U)]]++
+	}
+	restE := make([]graph.EdgeID, len(edges))
+	for c := range out {
+		out[c].edges, restE = restE[:0:size[c]], restE[size[c]:]
+	}
+	for _, id := range edges {
+		c := &out[comp[localOf(nodes, g.Edge(id).U)]]
 		c.edges = append(c.edges, id)
-		c.nodes[e.U] = true
-		c.nodes[e.V] = true
-	}
-	out := make([]*component, 0, len(byRoot))
-	roots := make([]graph.NodeID, 0, len(byRoot))
-	for r := range byRoot {
-		roots = append(roots, r)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	for _, r := range roots {
-		out = append(out, byRoot[r])
 	}
 	return out
 }

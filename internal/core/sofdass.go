@@ -171,11 +171,14 @@ func ssForest(g *graph.Graph, source graph.NodeID, sc *chain.ServiceChain, tree 
 	return f, nil
 }
 
-// boundSlack is the relative slack bestLastVM takes off a candidate's
-// Steiner lower bound. The bound's distances are Dijkstra sums along a
-// path, while a tree's cost is summed in edge-id order, so the two can
-// disagree in the last bits; 1e-9 is far above that rounding and far
-// below any real gap between candidates.
+// boundSlack is the relative slack a lower bound takes off a sum that
+// its forest adds up in another order. bestLastVM takes it off a
+// candidate's Steiner lower bound, whose distances are Dijkstra sums
+// along a path while a tree's cost is summed in edge-id order; SOFDA's
+// bestSingleTree takes it off its candidate's setups and links, which
+// Forest.Cost sums in clone order. Either pair can disagree in the last
+// bits; 1e-9 is far above that rounding and far below any real gap
+// between candidates.
 const boundSlack = 1e-9
 
 // lastVMCandidate is a feasible chain of Algorithm 1's per-VM loop: its

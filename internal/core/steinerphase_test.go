@@ -68,10 +68,18 @@ func admitted(aux *auxGraph) []*chain.ServiceChain {
 }
 
 // referenceForest is Algorithm 2's tail over the clone reference's
-// Steiner tree: assembly, then the per-source refinement over destination
-// trees fetched from the oracle.
-func referenceForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, tree *steiner.Tree) (*Forest, error) {
+// Steiner tree without completeForest's skips: it assembles and validates
+// the KMB forest, then every source's single-chain candidate, ranked
+// afresh, over destination trees fetched from the oracle, and keeps the
+// first strictly cheaper one. It fails t when a candidate costs less than
+// the lower bound bestSingleTree gave it, or when its assembly pruned a
+// clone, which the bound's derivation rules out.
+func referenceForest(t *testing.T, label string, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, tree *steiner.Tree) (*Forest, error) {
+	t.Helper()
 	best, err := assembleForest(g, oracle, vms, req, aux, tree.Edges)
+	if err == nil {
+		err = best.Validate(req.Sources, req.Dests)
+	}
 	if err != nil || req.ChainLen == 0 {
 		return best, err
 	}
@@ -81,11 +89,27 @@ func referenceForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, r
 	}
 	dests := newDestClosure(req.Dests, trees)
 	for _, s := range req.Sources {
-		cand := bestSingleTree(g, oracle, aux, s, req, dests)
+		ranks := make([]float64, aux.g.NumNodes()-g.NumNodes())
+		for i := range ranks {
+			ranks[i] = math.NaN()
+		}
+		cand, lb := bestSingleTree(g, oracle, aux, s, req, dests, ranks)
 		if cand == nil {
 			continue
 		}
-		if f, err := assembleForest(g, oracle, vms, req, aux, cand); err == nil && f.TotalCost() < best.TotalCost() {
+		f, err := assembleForest(g, oracle, vms, req, aux, cand)
+		if err != nil {
+			continue
+		}
+		if f.TotalCost() < lb {
+			t.Fatalf("%s: source %d's candidate costs %v, below its bound %v", label, s, f.TotalCost(), lb)
+		}
+		for id := range f.NumClones() {
+			if f.CloneDeleted(CloneID(id)) {
+				t.Fatalf("%s: source %d's candidate pruned clone %d", label, s, id)
+			}
+		}
+		if f.Validate(req.Sources, req.Dests) == nil && f.TotalCost() < best.TotalCost() {
 			best = f
 		}
 	}
@@ -95,8 +119,9 @@ func referenceForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, r
 // checkAgainstClone requires aux (the overlay Ĝ an entry point built) to
 // match the clone reference element for element, the Steiner phase to
 // return the reference KMB tree (nodes, edges and cost bits), and the
-// entry point's forest f (or its error) to match the reference forest's
-// cost bits (or error). It reports whether the instance was feasible.
+// entry point's forest f (or its error) to equal the reference forest
+// clone for clone, with its roots, destinations and VM owners (or to
+// fail where it fails). It reports whether the instance was feasible.
 func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, f *Forest, ferr error) bool {
 	t.Helper()
 	ref, sHat := cloneAux(g, req, vms, admitted(aux))
@@ -125,7 +150,7 @@ func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain
 		math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
 		t.Fatalf("%s: Steiner tree %+v differs from the clone reference %+v", label, got, want)
 	}
-	wantF, err := referenceForest(g, oracle, vms, req, aux, want)
+	wantF, err := referenceForest(t, label, g, oracle, vms, req, aux, want)
 	if err != nil {
 		if ferr == nil {
 			t.Fatalf("%s: reference assembly failed (%v), entry point did not", label, err)
@@ -135,8 +160,9 @@ func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain
 	if ferr != nil {
 		t.Fatalf("%s: entry point: %v", label, ferr)
 	}
-	if math.Float64bits(f.TotalCost()) != math.Float64bits(wantF.TotalCost()) {
-		t.Fatalf("%s: forest cost %v, clone reference %v", label, f.TotalCost(), wantF.TotalCost())
+	if !reflect.DeepEqual(snapshot(f), snapshot(wantF)) {
+		t.Fatalf("%s: forest (cost %v) differs from the clone reference's (cost %v)\ngot  %+v\nwant %+v", label,
+			f.TotalCost(), wantF.TotalCost(), snapshot(f), snapshot(wantF))
 	}
 	return true
 }
@@ -239,26 +265,33 @@ func phaseRequest(rng *rand.Rand, g *graph.Graph, chainLen int) Request {
 // zero-cost links included. In "far VMs", every VM costs 1e17 to set up
 // beside unit links, so at chain lengths 1 and 2 every seed lies where it
 // absorbs a unit arc; its rounding tolerance spans the network, and those
-// rows must fall back to the overlay heap.
+// rows must fall back to the overlay heap. In "source setup", the oracle
+// adds each source's setup cost to its chains (Appendix D) and every
+// switch costs 0.5 to set up, so a chain's TotalCost exceeds what its
+// forest pays by the source's setup: the refinement's lower bound must
+// leave that out.
 func TestSteinerPhaseMatchesCloneReference(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		costs []float64
-		farVM float64 // when set, the setup cost of every VM
+		name     string
+		costs    []float64
+		farVM    float64 // when set, the setup cost of every VM
+		srcSetup bool    // the oracle charges each chain its source's setup
 	}{
-		{"integer", integerCosts, 0},
-		{"mixed", mixedCosts, 0},
-		{"wide", wideCosts, 0},
-		{"far VMs", unitCosts, 1e17},
+		{"integer", integerCosts, 0, false},
+		{"mixed", mixedCosts, 0, false},
+		{"wide", wideCosts, 0, false},
+		{"far VMs", unitCosts, 1e17, false},
+		{"source setup", mixedCosts, 0, true},
 	} {
-		t.Run(tc.name, func(t *testing.T) { cloneReferenceRounds(t, tc.costs, tc.farVM) })
+		t.Run(tc.name, func(t *testing.T) { cloneReferenceRounds(t, tc.costs, tc.farVM, tc.srcSetup) })
 	}
 }
 
 // cloneReferenceRounds is TestSteinerPhaseMatchesCloneReference over
 // networks with link costs from costs and, when farVM is set, every VM at
-// setup cost farVM.
-func cloneReferenceRounds(t *testing.T, costs []float64, farVM float64) {
+// setup cost farVM. With srcSetup the oracle charges each chain its
+// source's setup cost, and every switch costs 0.5 to set up.
+func cloneReferenceRounds(t *testing.T, costs []float64, farVM float64, srcSetup bool) {
 	ctx := context.Background()
 	feasible, farSeeds, rows, confined := 0, 0, 0, 0
 	for seed := int64(0); seed < 24; seed++ {
@@ -270,7 +303,14 @@ func cloneReferenceRounds(t *testing.T, costs []float64, farVM float64) {
 				g.SetNodeCost(u, farVM)
 			}
 		}
-		oracle := chain.NewOracle(g, chain.Options{})
+		if srcSetup {
+			for v := range g.NumNodes() {
+				if !g.IsVM(graph.NodeID(v)) {
+					g.SetNodeCost(graph.NodeID(v), 0.5)
+				}
+			}
+		}
+		oracle := chain.NewOracle(g, chain.Options{SourceSetupCost: srcSetup})
 		opts := &Options{Oracle: oracle, VMs: vms, Parallelism: 1}
 		for round := 0; round < 6; round++ {
 			if round > 0 {
