@@ -139,8 +139,8 @@ func TestDominatedPairNeverEntersAuxGraph(t *testing.T) {
 	if got := b.aux.g.NumEdges(); got != edgesBefore+1 {
 		t.Fatalf("aux graph grew %d edges for 1 admitted candidate — the pruned pair allocated state", got-edgesBefore)
 	}
-	if len(b.aux.chains) != 1 {
-		t.Fatalf("chains map holds %d entries, want 1", len(b.aux.chains))
+	if len(b.aux.chains) != 1 || b.aux.chainOf(graph.EdgeID(edgesBefore)) != chainNear {
+		t.Fatalf("chains hold %d entries, want the near candidate's alone", len(b.aux.chains))
 	}
 
 	pruned, err := b.Complete(context.Background())

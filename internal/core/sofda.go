@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"sof/internal/chain"
 	"sof/internal/graph"
@@ -26,8 +27,11 @@ type auxGraph struct {
 	// srcDup maps each source to its duplicate v̂; vmDup maps each VM to û.
 	srcDup map[graph.NodeID]graph.NodeID
 	vmDup  map[graph.NodeID]graph.NodeID
-	// chains maps a virtual EdgeID to its candidate service chain.
-	chains map[graph.EdgeID]*chain.ServiceChain
+	// chains[i] is the candidate service chain of edge firstChain+i:
+	// AddCandidate appends the candidate edges one after another, after
+	// the skeleton.
+	chains     []*chain.ServiceChain
+	firstChain graph.EdgeID
 	// origEdges is the edge count of the original graph; edges below it
 	// are real.
 	origEdges int
@@ -47,7 +51,6 @@ func newAuxSkeleton(g *graph.Graph, sources, vms []graph.NodeID, chainLen int) *
 		g:         graph.NewOverlay(g),
 		srcDup:    make(map[graph.NodeID]graph.NodeID, len(sources)),
 		vmDup:     make(map[graph.NodeID]graph.NodeID, len(vms)),
-		chains:    make(map[graph.EdgeID]*chain.ServiceChain),
 		origEdges: g.NumEdges(),
 	}
 	aux.sHat = aux.g.AddSwitch()
@@ -219,7 +222,10 @@ func (b *AuxGraphBuilder) AddCandidate(sc *chain.ServiceChain) (bool, error) {
 		b.accepted[sc.Source] = append(b.accepted[sc.Source], auxCand{lastVM: sc.LastVM, cost: w, rank: rank})
 	}
 	id := b.aux.g.MustAddEdge(sd, ud, w)
-	b.aux.chains[id] = sc
+	if len(b.aux.chains) == 0 {
+		b.aux.firstChain = id
+	}
+	b.aux.chains = append(b.aux.chains, sc)
 	b.added++
 	return true, nil
 }
@@ -353,7 +359,7 @@ func splitTree(aux *auxGraph, edges []graph.EdgeID) (real []graph.EdgeID, chainE
 	}
 	chainEdge = graph.NoEdge
 	for _, id := range edges[k:] {
-		if _, ok := aux.chains[id]; ok {
+		if aux.chainOf(id) != nil {
 			if chainEdge != graph.NoEdge {
 				return edges[:k], graph.NoEdge
 			}
@@ -366,10 +372,12 @@ func splitTree(aux *auxGraph, edges []graph.EdgeID) (real []graph.EdgeID, chainE
 // steinerPhase computes the Steiner tree over {ŝ} ∪ dests on Ĝ, an
 // overlay on g (see completeForest), and returns it with the closure of
 // the destinations' trees. provider answers the trees; SOFDA passes its
-// oracle.
+// oracle. It releases ŝ's row once KMB returns, on every path: KMB keeps
+// no tree past its run, and the Steiner tree holds only ids.
 func steinerPhase(g *graph.Graph, provider steiner.PathProvider, dests []graph.NodeID, aux *auxGraph) (*steiner.Tree, *destClosure, error) {
 	terminals := append([]graph.NodeID{aux.sHat}, dests...)
-	row, trees, _ := sourceRow(g, provider, aux.g, aux.sHat, dests)
+	row, trees, _, release := sourceRow(g, provider, aux.g, aux.sHat, dests)
+	defer release()
 	if err := steiner.Unreachable(row, terminals); err != nil {
 		return nil, nil, fmt.Errorf("core: SOFDA Steiner phase: %w", err)
 	}
@@ -384,12 +392,12 @@ func steinerPhase(g *graph.Graph, provider steiner.PathProvider, dests []graph.N
 // sourceRow returns the row of Ĝ's virtual source ŝ, exact at every
 // destination and along every destination's path; trees[i], the tree of
 // dests[i] from provider, or nil trees when the row misses a destination;
-// and whether the row was confined to its tight set (see below). aux is
-// Ĝ as an overlay on g, in the shape newAuxSkeleton and the candidate
-// builders give it: ŝ appended first, each source duplicate v̂ hung off ŝ
-// by a zero-cost edge, and after them either each VM's duplicate û with
-// its zero-cost edge û–u and the candidate edges v̂–û, or, at chain
-// length 0, the zero-cost edges v̂–s.
+// whether the row was confined to its tight set (see below); and the
+// function that releases the row. aux is Ĝ as an overlay on g, in the
+// shape newAuxSkeleton and the candidate builders give it: ŝ appended
+// first, each source duplicate v̂ hung off ŝ by a zero-cost edge, and after
+// them either each VM's duplicate û with its zero-cost edge û–u and the
+// candidate edges v̂–û, or, at chain length 0, the zero-cost edges v̂–s.
 // provider must answer with true shortest-path trees over g; the Steiner
 // phase passes its oracle.
 //
@@ -415,7 +423,12 @@ func steinerPhase(g *graph.Graph, provider steiner.PathProvider, dests []graph.N
 // distance lies on a shortest path too, so T holds every such neighbour,
 // and the confined run gives the destinations and their paths the heap's
 // Dist and ParentEdge bit for bit, ties included (see
-// graph.Overlay.DijkstraWithin).
+// graph.Overlay.DijkstraWithin). That row is pooled: it is sized to the
+// network, but only T's entries and the appended nodes' are written, and
+// release resets just those, so a confined row allocates and fills
+// nothing over the network; T's marks over the network are pooled too.
+// Call release once nothing reads the row; it does nothing for the
+// overlay heap's rows, which are allocated afresh.
 //
 // ε covers rounding only. Every distance here is a float64 sum of at most
 // n terms, n being Ĝ's node count, so each is within a relative n·2⁻⁵³ of
@@ -430,7 +443,7 @@ func steinerPhase(g *graph.Graph, provider steiner.PathProvider, dests []graph.N
 // run over nearly half of a large network already cost more than the
 // heap. Or the cost epoch moved between the first tree read and the end,
 // so the trees and the live costs the run reads may disagree.
-func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay, sHat graph.NodeID, dests []graph.NodeID) (row *graph.ShortestPaths, trees []*graph.ShortestPaths, confined bool) {
+func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay, sHat graph.NodeID, dests []graph.NodeID) (row *graph.ShortestPaths, trees []*graph.ShortestPaths, confined bool, release func()) {
 	epoch := g.CostEpoch()
 	n, n0 := aux.NumNodes(), g.NumNodes()
 	// at[x-n0] is appended node x's distance from ŝ in the heap's run: 0
@@ -439,11 +452,11 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 	for i := range at {
 		at[i] = math.Inf(1)
 	}
-	for _, a := range aux.Adj(sHat) {
+	for a := range aux.Arcs(sHat) {
 		at[int(a.To)-n0] = 0
 	}
-	for _, a := range aux.Adj(sHat) {
-		for _, c := range aux.Adj(a.To) {
+	for a := range aux.Arcs(sHat) {
+		for c := range aux.Arcs(a.To) {
 			if int(c.To) >= n0 {
 				at[int(c.To)-n0] = min(at[int(c.To)-n0], aux.Edge(c.Edge).Cost)
 			}
@@ -456,7 +469,7 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 	seeds := make([]seed, 0, n-n0)
 	for x := sHat + 1; int(x) < n; x++ {
 		if d := at[int(x)-n0]; !math.IsInf(d, 1) {
-			for _, c := range aux.Adj(x) {
+			for c := range aux.Arcs(x) {
 				if int(c.To) < n0 {
 					seeds = append(seeds, seed{d: d, sp: provider.Tree(c.To)})
 				}
@@ -473,16 +486,21 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 			row = aux.Dijkstra(sHat)
 			for _, d := range dests {
 				if !row.Reachable(d) {
-					return row, nil, false
+					return row, nil, false, noRelease
 				}
 			}
-			return row, destTrees(provider, dests), false
+			return row, destTrees(provider, dests), false, noRelease
 		}
 	}
 	trees = destTrees(provider, dests)
 	eps := float64(n) * 0x1p-48
-	in := make([]bool, n0)
-	size, limit := 0, n0/2
+	t := tightPool.Get().(*tightSet)
+	defer func() {
+		t.clear()
+		tightPool.Put(t)
+	}()
+	in := t.marks(n0)
+	limit := n0 / 2
 	near := make([]seed, 0, len(seeds))
 	var stack []graph.NodeID
 	for i, d := range dests {
@@ -502,8 +520,9 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if !in[x] {
-				if in[x], size = true, size+1; size > limit {
-					return aux.Dijkstra(sHat), trees, false
+				in[x] = true
+				if t.nodes = append(t.nodes, x); len(t.nodes) > limit {
+					return aux.Dijkstra(sHat), trees, false, noRelease
 				}
 			}
 			for _, a := range g.Adj(x) {
@@ -519,11 +538,40 @@ func sourceRow(g *graph.Graph, provider steiner.PathProvider, aux *graph.Overlay
 			}
 		}
 	}
-	row = aux.DijkstraWithin(sHat, in)
+	row, release = aux.DijkstraWithin(sHat, t.nodes)
 	if g.CostEpoch() != epoch {
-		return aux.Dijkstra(sHat), trees, false
+		release()
+		return aux.Dijkstra(sHat), trees, false, noRelease
 	}
-	return row, trees, true
+	return row, trees, true, release
+}
+
+// noRelease is the release of a row sourceRow allocated afresh.
+func noRelease() {}
+
+// tightSet is sourceRow's tight set T, pooled across rows: a mark per
+// network node, false between rows, and the nodes marked, in walk order.
+type tightSet struct {
+	in    []bool
+	nodes []graph.NodeID
+}
+
+var tightPool = sync.Pool{New: func() any { return new(tightSet) }}
+
+// marks returns the marks over n nodes, all false.
+func (t *tightSet) marks(n int) []bool {
+	if len(t.in) < n {
+		t.in = make([]bool, n)
+	}
+	return t.in[:n]
+}
+
+// clear unmarks the nodes marked and empties the set.
+func (t *tightSet) clear() {
+	for _, x := range t.nodes {
+		t.in[x] = false
+	}
+	t.nodes = t.nodes[:0]
 }
 
 // destTrees returns the tree of each of dests from provider, fetching a
@@ -559,6 +607,15 @@ func (r *steinerRows) Tree(n graph.NodeID) *graph.ShortestPaths {
 
 // isRealEdge reports whether e is an edge of the original network.
 func (a *auxGraph) isRealEdge(e graph.EdgeID) bool { return int(e) < a.origEdges }
+
+// chainOf returns the candidate chain of Ĝ edge id, or nil when id is not
+// a candidate edge.
+func (a *auxGraph) chainOf(id graph.EdgeID) *chain.ServiceChain {
+	if i := int(id - a.firstChain); i >= 0 && i < len(a.chains) {
+		return a.chains[i]
+	}
+	return nil
+}
 
 // SOFDACtx is Algorithm 2: the 3ρST-approximation for the general SOF
 // problem with multiple sources. It builds Ĝ, extracts a Steiner tree
@@ -625,9 +682,9 @@ func bestSingleTree(g *graph.Graph, oracle *chain.Oracle, aux *auxGraph, s graph
 	winner := graph.NoEdge
 	var winnerChain *chain.ServiceChain
 	bestCost := 0.0
-	for _, a := range aux.g.Adj(sHatDup) {
-		sc, ok := aux.chains[a.Edge]
-		if !ok {
+	for a := range aux.g.Arcs(sHatDup) {
+		sc := aux.chainOf(a.Edge)
+		if sc == nil {
 			continue
 		}
 		mst := ranks[int(a.To)-n0]
@@ -747,7 +804,7 @@ func assembleForest(g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, re
 			realEdges = append(realEdges, id)
 			continue
 		}
-		if sc, ok := aux.chains[id]; ok {
+		if sc := aux.chainOf(id); sc != nil {
 			// Two chains may target the same last VM when the Steiner tree
 			// routes through û as a junction; conflict resolution merges
 			// them via same-index sharing, so both are added.

@@ -244,7 +244,8 @@ func checkRow(t *testing.T, seed int64, reg rowRegime) (confined, reachable bool
 	label := fmt.Sprintf("%s seed %d", reg.name, seed)
 	g, aux, dests := rowCase(seed, reg)
 	want := aux.g.Dijkstra(aux.sHat)
-	row, trees, confined := sourceRow(g, chain.NewOracle(g, chain.Options{}), aux.g, aux.sHat, dests)
+	row, trees, confined, release := sourceRow(g, chain.NewOracle(g, chain.Options{}), aux.g, aux.sHat, dests)
+	defer release()
 	sameRowAlongPaths(t, label, aux.g, row, want, dests)
 	reachable = true
 	for _, d := range dests {
@@ -349,16 +350,18 @@ func TestSourceRowEpochFallback(t *testing.T) {
 				continue
 			}
 			count := &writingProvider{oracle: chain.NewOracle(g, chain.Options{})}
-			sourceRow(g, count, aux.g, aux.sHat, dests)
+			_, _, _, release := sourceRow(g, count, aux.g, aux.sHat, dests)
+			release()
 			rng := rand.New(rand.NewSource(seed))
 			for _, k := range []int{count.calls, 1 + rng.Intn(count.calls)} {
 				label := fmt.Sprintf("%s seed %d raise after call %d of %d", reg.name, seed, k, count.calls)
 				cost := g.EdgeCost(e)
 				raise := func() { g.SetEdgeCost(e, cost+100) }
 				p := &writingProvider{oracle: chain.NewOracle(g, chain.Options{}), write: raise, k: k}
-				row, _, confined := sourceRow(g, p, aux.g, aux.sHat, dests)
+				row, _, confined, release := sourceRow(g, p, aux.g, aux.sHat, dests)
 				want := aux.g.Dijkstra(aux.sHat)
 				sameRowAlongPaths(t, label, aux.g, row, want, dests)
+				release()
 				if confined {
 					t.Fatalf("%s: the row stayed confined to a tight set read across a cost change", label)
 				}
@@ -407,12 +410,14 @@ func TestSourceRowDestinationJoined(t *testing.T) {
 				continue
 			}
 			count := &writingProvider{oracle: chain.NewOracle(g, chain.Options{})}
-			sourceRow(g, count, aux.g, aux.sHat, dests)
+			_, _, _, release := sourceRow(g, count, aux.g, aux.sHat, dests)
+			release()
 			label := fmt.Sprintf("%s seed %d unmask after call %d", reg.name, seed, count.calls)
 
 			p := &writingProvider{oracle: chain.NewOracle(g, chain.Options{}), write: unmask, k: count.calls}
-			row, trees, _ := sourceRow(g, p, aux.g, aux.sHat, dests)
+			row, trees, _, release := sourceRow(g, p, aux.g, aux.sHat, dests)
 			sameRowAlongPaths(t, label, aux.g, row, aux.g.Dijkstra(aux.sHat), dests)
+			release()
 			for i, dd := range dests {
 				if trees == nil || trees[i].Source != dd {
 					t.Fatalf("%s: the row reaches every destination, yet tree %d is not destination %d's", label, i, dd)
@@ -432,5 +437,68 @@ func TestSourceRowDestinationJoined(t *testing.T) {
 	t.Logf("%d rows read a destination joined after the last seed tree", joined)
 	if joined < 100 {
 		t.Fatalf("only %d rows read a joined destination; the case is barely exercised", joined)
+	}
+}
+
+// TestSourceRowPoolStaysClean runs sourceRow/release cycles over the
+// rowRegimes instances: rows confined to their tight set, rows that
+// outgrow it or miss a destination, and, on every third seed, rows whose
+// cost epoch moves while their trees are read, so a confined row is run
+// and released before the overlay heap's row replaces it. After each
+// release it draws the next pooled row through a probe, a confined run
+// from an appended switch without arcs over an overlay as large as the
+// case's Ĝ, which writes its source's entry alone: every other entry must
+// hold +Inf/NoEdge. Most probes must get the row the cycle released, or
+// the check would be vacuous.
+func TestSourceRowPoolStaysClean(t *testing.T) {
+	var confined, fellBack, raised, recycled int
+	for _, reg := range rowRegimes {
+		for seed := int64(0); seed < 300; seed++ {
+			label := fmt.Sprintf("%s seed %d", reg.name, seed)
+			g, aux, dests := rowCase(seed, reg)
+			var p steiner.PathProvider = chain.NewOracle(g, chain.Options{})
+			raise := seed%3 == 0 && g.NumEdges() > 0
+			if raise {
+				cost := g.EdgeCost(0)
+				p = &writingProvider{oracle: chain.NewOracle(g, chain.Options{}), k: 1, write: func() { g.SetEdgeCost(0, cost+1) }}
+			}
+			row, _, ok, release := sourceRow(g, p, aux.g, aux.sHat, dests)
+			sameRowAlongPaths(t, label, aux.g, row, aux.g.Dijkstra(aux.sHat), dests)
+			var first *float64
+			switch {
+			case ok:
+				confined++
+				first = &row.Dist[0]
+			case raise && p.(*writingProvider).calls > 0:
+				raised++
+			default:
+				fellBack++
+			}
+			release()
+
+			probe := graph.NewOverlay(g)
+			var src graph.NodeID
+			for range aux.g.NumNodes() - g.NumNodes() {
+				src = probe.AddSwitch()
+			}
+			next, releaseNext := probe.DijkstraWithin(src, nil)
+			if &next.Dist[0] == first {
+				recycled++
+			}
+			for v := range next.Dist {
+				want := math.Inf(1)
+				if graph.NodeID(v) == src {
+					want = 0
+				}
+				if next.Dist[v] != want || next.ParentEdge[v] != graph.NoEdge {
+					t.Fatalf("%s: after release the next pooled row holds (%v,%d) at node %d", label, next.Dist[v], next.ParentEdge[v], v)
+				}
+			}
+			releaseNext()
+		}
+	}
+	t.Logf("%d confined rows (%d recycled by the probe), %d overlay heap rows, %d read across a cost change", confined, recycled, fellBack, raised)
+	if recycled < confined/2 || fellBack < 100 || raised < 100 {
+		t.Fatalf("only %d of %d confined rows were recycled, %d heap rows, %d across a cost change; the pool is barely exercised", recycled, confined, fellBack, raised)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"sof/internal/chain"
@@ -53,18 +52,19 @@ func cloneAux(g *graph.Graph, req Request, vms []graph.NodeID, cands []*chain.Se
 }
 
 // admitted returns aux's candidate chains in edge-id order, which is the
-// order they were added in.
-func admitted(aux *auxGraph) []*chain.ServiceChain {
-	ids := make([]graph.EdgeID, 0, len(aux.chains))
-	for id := range aux.chains {
-		ids = append(ids, id)
+// order they were added in. It fails t unless each chain's edge joins its
+// source's duplicate and its last VM's at the chain's cost.
+func admitted(t *testing.T, aux *auxGraph) []*chain.ServiceChain {
+	t.Helper()
+	for i, sc := range aux.chains {
+		id := aux.firstChain + graph.EdgeID(i)
+		e := aux.g.Edge(id)
+		sd, ud := aux.srcDup[sc.Source], aux.vmDup[sc.LastVM]
+		if aux.chainOf(id) != sc || e.Cost != sc.TotalCost() || !(e.U == sd && e.V == ud || e.U == ud && e.V == sd) {
+			t.Fatalf("candidate edge %d is %+v, not chain %d→%d's", id, e, sc.Source, sc.LastVM)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]*chain.ServiceChain, len(ids))
-	for i, id := range ids {
-		out[i] = aux.chains[id]
-	}
-	return out
+	return aux.chains
 }
 
 // referenceForest is Algorithm 2's tail over the clone reference's
@@ -124,7 +124,7 @@ func referenceForest(t *testing.T, label string, g *graph.Graph, oracle *chain.O
 // fail where it fails). It reports whether the instance was feasible.
 func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain.Oracle, vms []graph.NodeID, req Request, aux *auxGraph, f *Forest, ferr error) bool {
 	t.Helper()
-	ref, sHat := cloneAux(g, req, vms, admitted(aux))
+	ref, sHat := cloneAux(g, req, vms, admitted(t, aux))
 	if aux.sHat != sHat || aux.g.NumNodes() != ref.NumNodes() || aux.g.NumEdges() != ref.NumEdges() {
 		t.Fatalf("%s: overlay Ĝ has ŝ %d, %d nodes, %d edges; clone %d, %d, %d", label,
 			aux.sHat, aux.g.NumNodes(), aux.g.NumEdges(), sHat, ref.NumNodes(), ref.NumEdges())
@@ -175,7 +175,8 @@ func checkAgainstClone(t *testing.T, label string, g *graph.Graph, oracle *chain
 func checkSHatRow(t *testing.T, label string, g, ref *graph.Graph, trees steiner.PathProvider, aux *auxGraph, dests []graph.NodeID) bool {
 	t.Helper()
 	want := graph.NewArena().DijkstraHeap(ref, aux.sHat)
-	row, _, confined := sourceRow(g, trees, aux.g, aux.sHat, dests)
+	row, _, confined, release := sourceRow(g, trees, aux.g, aux.sHat, dests)
+	defer release()
 	sameRowAlongPaths(t, label, aux.g, row, want, dests)
 	return confined
 }
@@ -329,7 +330,7 @@ func cloneReferenceRounds(t *testing.T, costs []float64, farVM float64, srcSetup
 				// ŝ's row is checked before the embed runs, so a wrong row
 				// fails here instead of sending KMB's path walk round a
 				// parent cycle.
-				ref, _ := cloneAux(g, req, vms, admitted(aux))
+				ref, _ := cloneAux(g, req, vms, admitted(t, aux))
 				rows++
 				if checkSHatRow(t, label, g, ref, oracle, aux, req.Dests) {
 					confined++
@@ -487,25 +488,16 @@ func TestSteinerPhaseOracleAccounting(t *testing.T) {
 	}
 }
 
-// BenchmarkSteinerPhase times the row of Ĝ's virtual source ŝ, the one
-// shortest-path run of SOFDA's Steiner phase, on sofda-5k's network shape:
-// Inet-5000 with 500 data centers and 30 VMs, and 40 requests of chain
-// length 2 with 2–4 sources and 4–8 destinations drawn from the first 64
-// access nodes. Each request's Ĝ is built untimed, as SOFDA builds it,
-// and one untimed row warms the oracle's VM and destination trees. The
-// seeded rows run sourceRow, which reads those trees and runs the overlay
-// heap over the row's tight set; every one of them must stay confined to
-// it. The heap rows run the overlay heap over Ĝ in full, the reference
-// the row is pinned to. "initial" keeps the generated costs, and "steady"
-// sets every link to 5 and every VM to 1. ms/run is the wall clock per
-// request; CI records it without a gate.
-func BenchmarkSteinerPhase(b *testing.B) {
-	ctx := context.Background()
+// inetRowRequests returns BenchmarkSteinerPhase's instance, sofda-5k's
+// network shape: Inet-5000 with 500 data centers and 30 VMs, and 40
+// requests of chain length 2 with 2–4 sources and 4–8 destinations drawn
+// from the first 64 access nodes.
+func inetRowRequests(tb testing.TB) (*topology.Network, []Request) {
+	tb.Helper()
 	net, err := topology.Inet(5000, 10000, 500, topology.Config{NumVMs: 30, Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	g := net.G
 	rng := rand.New(rand.NewSource(4))
 	reqs := make([]Request, 40)
 	for i := range reqs {
@@ -513,6 +505,54 @@ func BenchmarkSteinerPhase(b *testing.B) {
 		ends := graph.SampleDistinct(rng, net.Access[:64], nSrc+nDst)
 		reqs[i] = Request{Sources: ends[:nSrc:nSrc], Dests: ends[nSrc:], ChainLen: 2}
 	}
+	return net, reqs
+}
+
+// inetRowAuxes builds each request's Ĝ as SOFDA builds it, on oracle's
+// trees, and runs one row each, which warms the oracle's VM and
+// destination trees. Every row must stay confined to its tight set and
+// equal the overlay heap's row at each destination.
+func inetRowAuxes(tb testing.TB, net *topology.Network, oracle *chain.Oracle, reqs []Request) []*auxGraph {
+	tb.Helper()
+	g := net.G
+	opts := &Options{Oracle: oracle, VMs: net.VMs, Parallelism: 1}
+	auxes := make([]*auxGraph, len(reqs))
+	for i, req := range reqs {
+		built, err := candidateBuilder(context.Background(), g, req, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		aux := built.aux
+		row, _, confined, release := sourceRow(g, oracle, aux.g, aux.sHat, req.Dests)
+		heap := aux.g.Dijkstra(aux.sHat)
+		if !confined {
+			tb.Fatalf("request %d: the row fell back to the overlay heap", i)
+		}
+		for _, d := range req.Dests {
+			if row.Dist[d] != heap.Dist[d] || row.ParentEdge[d] != heap.ParentEdge[d] {
+				tb.Fatalf("request %d: the row differs from the heap's at destination %d", i, d)
+			}
+		}
+		release()
+		auxes[i] = aux
+	}
+	return auxes
+}
+
+// BenchmarkSteinerPhase times the row of Ĝ's virtual source ŝ, the one
+// shortest-path run of SOFDA's Steiner phase, on inetRowRequests. Each
+// request's Ĝ is built untimed, as SOFDA builds it, and one untimed row
+// warms the oracle's VM and destination trees. The seeded rows run
+// sourceRow, which reads those trees and runs the overlay heap over the
+// row's tight set, and release each row; every one of them must stay
+// confined to it. The heap rows run the overlay heap over Ĝ in full, the
+// reference the row is pinned to. "initial" keeps the generated costs,
+// and "steady" sets every link to 5 and every VM to 1. One untimed pass
+// precedes each timed run, so B/op counts warm rows. ms/run is the wall
+// clock per request; CI records it, and gates steady/seeded's B/op.
+func BenchmarkSteinerPhase(b *testing.B) {
+	net, reqs := inetRowRequests(b)
+	g := net.G
 	for _, costs := range []string{"initial", "steady"} {
 		if costs == "steady" {
 			for e := 0; e < g.NumEdges(); e++ {
@@ -523,38 +563,25 @@ func BenchmarkSteinerPhase(b *testing.B) {
 			}
 		}
 		oracle := chain.NewOracle(g, chain.Options{})
-		opts := &Options{Oracle: oracle, VMs: net.VMs, Parallelism: 1}
-		auxes := make([]*auxGraph, len(reqs))
-		for i, req := range reqs {
-			built, err := candidateBuilder(ctx, g, req, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			aux := built.aux
-			row, _, confined := sourceRow(g, oracle, aux.g, aux.sHat, req.Dests)
-			heap := aux.g.Dijkstra(aux.sHat)
-			if !confined {
-				b.Fatalf("%s costs, request %d: the row fell back to the overlay heap", costs, i)
-			}
-			for _, d := range req.Dests {
-				if row.Dist[d] != heap.Dist[d] || row.ParentEdge[d] != heap.ParentEdge[d] {
-					b.Fatalf("%s costs, request %d: the row differs from the heap's at destination %d", costs, i, d)
-				}
-			}
-			auxes[i] = aux
-		}
+		auxes := inetRowAuxes(b, net, oracle, reqs)
 		for _, v := range []struct {
 			name string
-			run  func(i int) *graph.ShortestPaths
+			run  func(i int)
 		}{
-			{"seeded", func(i int) *graph.ShortestPaths {
-				row, _, _ := sourceRow(g, oracle, auxes[i].g, auxes[i].sHat, reqs[i].Dests)
-				return row
+			{"seeded", func(i int) {
+				_, _, _, release := sourceRow(g, oracle, auxes[i].g, auxes[i].sHat, reqs[i].Dests)
+				release()
 			}},
-			{"heap", func(i int) *graph.ShortestPaths { return auxes[i].g.Dijkstra(auxes[i].sHat) }},
+			{"heap", func(i int) { auxes[i].g.Dijkstra(auxes[i].sHat) }},
 		} {
 			b.Run(costs+"/"+v.name, func(b *testing.B) {
 				b.ReportAllocs()
+				// An untimed pass fills the pools of the P this goroutine
+				// runs on, which the GC before the run may have emptied.
+				for i := range auxes {
+					v.run(i)
+				}
+				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
 					for i := range auxes {
 						v.run(i)

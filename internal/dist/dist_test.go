@@ -262,3 +262,33 @@ func TestDomainPartitionCoversAllNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaderTreeMisses pins the shortest-path trees the leader builds on
+// its own oracle for one distributed embed (Cogent, 16 VMs, 3 sources, 8
+// destinations, chain length 3). The domains solve the chains, so the
+// leader's trees are the destinations' trees its pruning rule and the
+// Steiner phase read, and the VM trees its pruning checks and ŝ's row
+// read: at most 8 + 16. A change to what the leader reads moves the count
+// and must say why.
+func TestLeaderTreeMisses(t *testing.T) {
+	net := topology.Cogent(topology.Config{NumVMs: 16, Seed: 1})
+	rng := rand.New(rand.NewSource(1))
+	req := core.Request{Sources: net.RandomNodes(rng, 3), Dests: net.RandomNodes(rng, 8), ChainLen: 3}
+	opts := &core.Options{VMs: net.VMs}
+	central, err := core.SOFDACtx(context.Background(), net.G, req, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader := chain.NewOracle(net.G, chain.Options{})
+	cluster := NewCluster(net.G, 3, chain.Options{})
+	f, err := cluster.SOFDA(context.Background(), req, Options{Core: &core.Options{VMs: net.VMs, Oracle: leader}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.TotalCost() != central.TotalCost() {
+		t.Fatalf("distributed cost %v != centralized %v", f.TotalCost(), central.TotalCost())
+	}
+	if got := leader.Stats().Misses; got != 23 {
+		t.Fatalf("the leader built %d trees on its oracle, want 23", got)
+	}
+}

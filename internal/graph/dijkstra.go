@@ -215,11 +215,18 @@ func DijkstraBatch(g *Graph, sources []NodeID, a *Arena) []*ShortestPaths {
 // the run to the appended nodes and the base nodes v with in[v]: every
 // arc into another base node is skipped, as if blocked.
 func dijkstraHeap(g *Graph, ov *Overlay, in []bool, a *Arena, sp *ShortestPaths) {
-	c := g.csr()
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
 		sp.ParentEdge[i] = NoEdge
 	}
+	settleHeap(g, ov, in, a, sp)
+}
+
+// settleHeap is dijkstraHeap's run over a row whose every entry already
+// holds +Inf/NoEdge. It writes only the source's entry and those of the
+// nodes it reaches.
+func settleHeap(g *Graph, ov *Overlay, in []bool, a *Arena, sp *ShortestPaths) {
+	c := g.csr()
 	fs := g.block.blocked.Load()
 	if fs.NodeFailed(sp.Source) {
 		return
@@ -252,12 +259,13 @@ func dijkstraHeap(g *Graph, ov *Overlay, in []bool, a *Arena, sp *ShortestPaths)
 		if ov == nil {
 			continue
 		}
-		for _, arc := range ov.appended(NodeID(u)) {
+		for k := ov.firstArc(NodeID(u)); k >= 0; k = ov.next[k] {
+			arc := ov.arc(k)
 			v := arc.To
 			if done[v] == gen || fs.NodeFailed(v) || in != nil && int(v) < c.nodes && !in[v] {
 				continue
 			}
-			nd := du + ov.edges[int(arc.Edge)-ov.m0].Cost
+			nd := du + ov.edges[k>>1].Cost
 			if nd < sp.Dist[v] {
 				sp.Dist[v] = nd
 				sp.ParentEdge[v] = arc.Edge

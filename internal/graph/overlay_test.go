@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -29,15 +32,27 @@ func blockedMultigraph(seed int64) *Graph {
 // growPair appends the same random nodes and edges to a clone of g and to
 // an overlay over g: unnamed switches, edges between appended and base
 // nodes alike, zero-cost edges, and parallel copies of equal cost, so arc
-// order decides parents on ties. It fails the test if the two assign
-// different ids.
+// order decides parents on ties. On half the draws an appended hub then
+// links to many base nodes in descending id order, so the overlay's list
+// of base nodes with appended arcs grows at its front. It fails the test
+// if the two assign different ids.
 func growPair(t *testing.T, g *Graph, rng *rand.Rand) (*Graph, *Overlay) {
 	t.Helper()
 	c, ov := g.Clone(), NewOverlay(g)
-	for k := 0; k < 1+rng.Intn(6); k++ {
-		if want, got := c.AddSwitch(""), ov.AddSwitch(); got != want {
+	addSwitch := func() NodeID {
+		want, got := c.AddSwitch(""), ov.AddSwitch()
+		if got != want {
 			t.Fatalf("appended node id %d, clone gave %d", got, want)
 		}
+		return got
+	}
+	addEdge := func(u, v NodeID, cost float64) {
+		if want, got := c.MustAddEdge(u, v, cost), ov.MustAddEdge(u, v, cost); got != want {
+			t.Fatalf("appended edge id %d, clone gave %d", got, want)
+		}
+	}
+	for k := 0; k < 1+rng.Intn(6); k++ {
+		addSwitch()
 	}
 	n := c.NumNodes()
 	for k := 0; k < 4+rng.Intn(24); k++ {
@@ -47,9 +62,13 @@ func growPair(t *testing.T, g *Graph, rng *rand.Rand) (*Graph, *Overlay) {
 		}
 		cost := float64(rng.Intn(4))
 		for copies := 1 + rng.Intn(2); copies > 0; copies-- {
-			if want, got := c.MustAddEdge(u, v, cost), ov.MustAddEdge(u, v, cost); got != want {
-				t.Fatalf("appended edge id %d, clone gave %d", got, want)
-			}
+			addEdge(u, v, cost)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		hub := addSwitch()
+		for v := g.NumNodes() - 1; v >= 0; v -= 1 + rng.Intn(3) {
+			addEdge(hub, NodeID(v), float64(rng.Intn(4)))
 		}
 	}
 	return c, ov
@@ -68,7 +87,7 @@ func checkSameStructure(t *testing.T, c *Graph, ov *Overlay) {
 		}
 	}
 	for v := 0; v < c.NumNodes(); v++ {
-		got, want := ov.Adj(NodeID(v)), c.Adj(NodeID(v))
+		got, want := slices.Collect(ov.Arcs(NodeID(v))), c.Adj(NodeID(v))
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("node %d: overlay arcs %v, clone arcs %v", v, got, want)
 		}
@@ -162,7 +181,7 @@ func TestOverlayArenaReuse(t *testing.T) {
 		_, ov := growPair(t, g, rand.New(rand.NewSource(seed)))
 		n := ov.NumNodes()
 		for src := 0; src < n; src += 3 {
-			if got, want := ov.dijkstra(arena, NodeID(src), nil), ov.dijkstra(NewArena(), NodeID(src), nil); !reflect.DeepEqual(got, want) {
+			if got, want := ov.dijkstra(arena, NodeID(src)), ov.dijkstra(NewArena(), NodeID(src)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: overlay run on a reused arena differs", seed)
 			}
 			next := NodeID(src % g.NumNodes())
@@ -202,7 +221,7 @@ func TestOverlayMustAddEdgeRejects(t *testing.T) {
 			ov.MustAddEdge(bad.u, bad.v, bad.cost)
 		}()
 	}
-	if ov.NumEdges() != g.NumEdges() || len(ov.Adj(s)) != 0 {
+	if ov.NumEdges() != g.NumEdges() || len(slices.Collect(ov.Arcs(s))) != 0 {
 		t.Fatal("a refused edge was appended")
 	}
 }
@@ -283,7 +302,8 @@ func TestCloneSharedAdjacencyIsolated(t *testing.T) {
 // source, plus a few base nodes outside it. A ball holds every neighbour
 // that offers one of its nodes its final distance, so the confined run
 // must give every base node of the ball the unconfined row, bit for bit,
-// and must never enter a base node left out. A nil set confines nothing.
+// and must never enter a base node left out. Each row is released before
+// the next run, and the pooled row must then hold +Inf/NoEdge throughout.
 func TestOverlayDijkstraWithin(t *testing.T) {
 	arena := NewArena()
 	for seed := int64(0); seed < 40; seed++ {
@@ -292,16 +312,20 @@ func TestOverlayDijkstraWithin(t *testing.T) {
 		_, ov := growPair(t, g, rng)
 		n0 := g.NumNodes()
 		for src := 0; src < ov.NumNodes(); src += 2 {
-			full := ov.dijkstra(arena, NodeID(src), nil)
+			full := ov.dijkstra(arena, NodeID(src))
 			if want := ov.Dijkstra(NodeID(src)); !reflect.DeepEqual(full, want) {
-				t.Fatalf("seed %d src %d: a run confined to nil differs from Dijkstra", seed, src)
+				t.Fatalf("seed %d src %d: a run on a reused arena differs from Dijkstra", seed, src)
 			}
 			radius := float64(rng.Intn(8))
-			within := make([]bool, n0)
-			for v := range within {
-				within[v] = full.Dist[v] <= radius || rng.Intn(8) == 0
+			in := make([]bool, n0)
+			var within []NodeID
+			for v := range in {
+				if in[v] = full.Dist[v] <= radius || rng.Intn(8) == 0; in[v] {
+					within = append(within, NodeID(v))
+				}
 			}
-			got := ov.DijkstraWithin(NodeID(src), within)
+			rng.Shuffle(len(within), func(i, j int) { within[i], within[j] = within[j], within[i] })
+			got, release := ov.DijkstraWithin(NodeID(src), within)
 			for v := 0; v < n0; v++ {
 				switch {
 				case full.Dist[v] <= radius:
@@ -309,12 +333,104 @@ func TestOverlayDijkstraWithin(t *testing.T) {
 						t.Fatalf("seed %d src %d: node %d inside the ball is (%v,%d), unconfined (%v,%d)",
 							seed, src, v, got.Dist[v], got.ParentEdge[v], full.Dist[v], full.ParentEdge[v])
 					}
-				case !within[v] && v != src:
+				case !in[v] && v != src:
 					if got.Reachable(NodeID(v)) || got.ParentEdge[v] != NoEdge {
 						t.Fatalf("seed %d src %d: the confined run entered node %d, which it leaves out", seed, src, v)
 					}
 				}
 			}
+			release()
+			checkPooledRowClean(t, fmt.Sprintf("seed %d src %d", seed, src))
+		}
+	}
+}
+
+// checkPooledRowClean draws a row from DijkstraWithin's pool and requires
+// every entry to hold +Inf/NoEdge and its mask to be clear.
+func checkPooledRowClean(t *testing.T, label string) {
+	t.Helper()
+	r := rowPool.Get().(*confinedRow)
+	defer rowPool.Put(r)
+	for v := range r.dist {
+		if !math.IsInf(r.dist[v], 1) || r.pedge[v] != NoEdge {
+			t.Fatalf("%s: pooled row entry %d is (%v,%d) after release", label, v, r.dist[v], r.pedge[v])
+		}
+	}
+	if i := slices.Index(r.in, true); i >= 0 {
+		t.Fatalf("%s: pooled mask still marks node %d after release", label, i)
+	}
+}
+
+// TestOverlayDijkstraWithinReleaseTwicePanics: a second release of one
+// row, before or after the pool hands it out again, would reset a row
+// someone else holds, so it panics.
+func TestOverlayDijkstraWithinReleaseTwicePanics(t *testing.T) {
+	g := randomMultigraph(3)
+	ov := NewOverlay(g)
+	ov.MustAddEdge(ov.AddSwitch(), 0, 1)
+	_, release := ov.DijkstraWithin(0, []NodeID{0, 1})
+	release()
+	_, again := ov.DijkstraWithin(0, nil)
+	for name, f := range map[string]func(){"stale": release, "twice": func() { again(); again() }} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s release did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestOverlayDijkstraWithinConcurrent runs confined runs from several
+// goroutines over one overlay nobody mutates, each on its own pooled row:
+// every row must equal the same run made alone, entry for entry.
+func TestOverlayDijkstraWithinConcurrent(t *testing.T) {
+	type run struct {
+		src    NodeID
+		within []NodeID
+		want   *ShortestPaths
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		g := blockedMultigraph(seed)
+		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
+		_, ov := growPair(t, g, rng)
+		var runs []run
+		for src := 0; src < ov.NumNodes(); src++ {
+			var within []NodeID
+			for v := 0; v < g.NumNodes(); v++ {
+				if rng.Intn(3) > 0 {
+					within = append(within, NodeID(v))
+				}
+			}
+			sp, release := ov.DijkstraWithin(NodeID(src), within)
+			runs = append(runs, run{NodeID(src), within, &ShortestPaths{Source: sp.Source, Dist: slices.Clone(sp.Dist), ParentEdge: slices.Clone(sp.ParentEdge)}})
+			release()
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 4)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k < 3*len(runs); k++ {
+					r := runs[(k*(w+1))%len(runs)]
+					sp, release := ov.DijkstraWithin(r.src, r.within)
+					same := slices.Equal(sp.ParentEdge, r.want.ParentEdge) &&
+						slices.EqualFunc(sp.Dist, r.want.Dist, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+					release()
+					if !same {
+						errs <- fmt.Sprintf("seed %d worker %d: the run from %d differs from the sequential one", seed, w, r.src)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
 		}
 	}
 }

@@ -610,3 +610,44 @@ func TestSolverSolvedChainCacheWarmStream(t *testing.T) {
 		t.Error("SetLinkCost did not invalidate the solved-chain cache")
 	}
 }
+
+// TestEmbedBatchSharesRowPool runs SOFDA embeds two at a time through
+// EmbedBatch on an ample session, so their Steiner phases draw ŝ's row
+// and the tight-set walk's scratch from the shared pools at once (run
+// with -race): every result must equal a sequential Embed loop's.
+func TestEmbedBatchSharesRowPool(t *testing.T) {
+	ctx := context.Background()
+	session := func(par int) (*Solver, *topology.Network) {
+		net, err := topology.Inet(600, 1200, 60, topology.Config{NumVMs: 16, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSolver(FromGraph(net.G), WithParallelism(par)), net
+	}
+	loop, net := session(1)
+	rng := rand.New(rand.NewSource(3))
+	reqs := make([]Request, 40)
+	for i := range reqs {
+		reqs[i] = Request{
+			Sources:      net.RandomNodes(rng, 2+rng.Intn(2)),
+			Destinations: net.RandomNodes(rng, 3+rng.Intn(5)),
+			ChainLength:  2,
+		}
+	}
+	want := make([]string, len(reqs))
+	for i, r := range reqs {
+		want[i] = requestOutcome(loop.Embed(ctx, r))
+	}
+	for round := 0; round < 3; round++ {
+		s, _ := session(2)
+		results, err := s.EmbedBatch(ctx, reqs)
+		if err != nil {
+			t.Fatalf("round %d: EmbedBatch at width 2: %v", round, err)
+		}
+		for i, r := range results {
+			if got := requestOutcome(r.Forest, r.Err); got != want[i] {
+				t.Fatalf("round %d: result %d is %s, the loop's is %s", round, i, got, want[i])
+			}
+		}
+	}
+}
