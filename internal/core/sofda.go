@@ -160,11 +160,7 @@ func (b *AuxGraphBuilder) EnablePruning(ctx context.Context) {
 	}
 	b.pruning = true
 	b.oracle.WarmTrees(ctxOrBackground(ctx), b.req.Dests)
-	trees := make([]*graph.ShortestPaths, len(b.req.Dests))
-	for i, d := range b.req.Dests {
-		trees[i] = b.oracle.Tree(d)
-	}
-	b.dests = newDestClosure(b.req.Dests, trees)
+	b.dests = newDestClosure(b.req.Dests, destTrees(b.oracle, b.req.Dests))
 	b.mst = make(map[graph.NodeID]float64)
 	b.accepted = make(map[graph.NodeID][]auxCand)
 }
@@ -935,9 +931,11 @@ func componentsOf(g *graph.Graph, edges []graph.EdgeID) []component {
 	nodes := endpoints(g, edges)
 	n := len(nodes)
 	// parent is the union-find forest; comp[i] is then node i's component,
-	// and size[c] counts component c's nodes, then its edges.
-	buf := make([]int32, 3*n)
-	parent, comp, size := buf[:n], buf[n:2*n], buf[2*n:]
+	// and size[c] counts component c's nodes, then its edges. eu[j] is
+	// edge j's U end's local index, which the count and the placement
+	// reuse instead of searching for it again.
+	buf := make([]int32, 3*n+len(edges))
+	parent, comp, size, eu := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:]
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -951,9 +949,10 @@ func componentsOf(g *graph.Graph, edges []graph.EdgeID) []component {
 		}
 		return r
 	}
-	for _, id := range edges {
+	for j, id := range edges {
 		e := g.Edge(id)
-		if ru, rv := find(int32(localOf(nodes, e.U))), find(int32(localOf(nodes, e.V))); ru != rv {
+		eu[j] = int32(localOf(nodes, e.U))
+		if ru, rv := find(eu[j]), find(int32(localOf(nodes, e.V))); ru != rv {
 			parent[ru] = rv
 		}
 	}
@@ -977,15 +976,15 @@ func componentsOf(g *graph.Graph, edges []graph.EdgeID) []component {
 	for i, v := range nodes {
 		out[comp[i]].nodes = append(out[comp[i]].nodes, v)
 	}
-	for _, id := range edges {
-		size[comp[localOf(nodes, g.Edge(id).U)]]++
+	for _, u := range eu {
+		size[comp[u]]++
 	}
 	restE := make([]graph.EdgeID, len(edges))
 	for c := range out {
 		out[c].edges, restE = restE[:0:size[c]], restE[size[c]:]
 	}
-	for _, id := range edges {
-		c := &out[comp[localOf(nodes, g.Edge(id).U)]]
+	for j, id := range edges {
+		c := &out[comp[eu[j]]]
 		c.edges = append(c.edges, id)
 	}
 	return out

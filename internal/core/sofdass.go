@@ -224,15 +224,7 @@ func bestLastVM(ctx context.Context, g *graph.Graph, oracle *chain.Oracle, resul
 		if closure == nil {
 			// The first KMB would fetch these trees anyway, once per
 			// distinct destination.
-			trees := make([]*graph.ShortestPaths, len(dests))
-			for j, d := range dests {
-				if k := slices.Index(dests[:j], d); k >= 0 {
-					trees[j] = trees[k]
-				} else {
-					trees[j] = oracle.Tree(d)
-				}
-			}
-			closure = newDestClosure(dests, trees)
+			closure = newDestClosure(dests, destTrees(oracle, dests))
 		}
 		mst, far := closure.mst(r.Chain.LastVM)
 		steinerLB := max(mst*t/(2*(t-1)), far)

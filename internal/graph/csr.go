@@ -1,10 +1,11 @@
 package graph
 
-// csrLayout is a compressed-sparse-row view of the adjacency structure:
-// the arcs of node u occupy to[row[u]:row[u+1]] / eid[row[u]:row[u+1]],
-// in the same order as the adj slices they mirror. Flat slices keep the
-// Dijkstra inner loop on two contiguous arrays instead of chasing one
-// slice header per node.
+// csrLayout is the graph's adjacency, in compressed-sparse-row form: the
+// arcs of node u are arcs[row[u]:row[u+1]], in edge-id order, which is
+// the order AddEdge adds them. It is derived from the edge table alone,
+// and it is the only adjacency a graph keeps: Adj hands out views of it,
+// and the shortest-path hot loops range over one contiguous array
+// instead of chasing one slice header per node.
 //
 // The layout captures topology only — edge costs are read live from the
 // edge table, so cost mutations (which bump the cost epoch but never
@@ -13,16 +14,14 @@ package graph
 type csrLayout struct {
 	nodes, edges int
 	row          []int32
-	to           []int32
-	eid          []int32
+	arcs         []Arc
 }
 
-// csr returns the current CSR view, building it on first use and after
+// csr returns the current layout, building it on first use and after
 // topology growth (a graph still being built, or a clone that gained
-// nodes and edges; an Overlay reuses its base's view instead of growing
-// it). Concurrent readers are
-// safe against each other; like all Graph mutations, AddEdge concurrent
-// with readers is not supported.
+// nodes and edges; an Overlay reuses its base's layout instead of
+// growing it). Concurrent readers are safe against each other; like all
+// Graph mutations, AddEdge concurrent with readers is not supported.
 func (g *Graph) csr() *csrLayout {
 	if c := g.csrCache.Load(); c != nil && c.nodes == len(g.nodes) && c.edges == len(g.edges) {
 		return c
@@ -33,23 +32,25 @@ func (g *Graph) csr() *csrLayout {
 		return c
 	}
 	n := len(g.nodes)
-	c := &csrLayout{
-		nodes: n,
-		edges: len(g.edges),
-		row:   make([]int32, n+1),
-		to:    make([]int32, 2*len(g.edges)),
-		eid:   make([]int32, 2*len(g.edges)),
+	// Count node u's arcs at row[u+2], so that after the prefix sum
+	// row[u+1] is u's first slot; placing u's arcs then advances it to
+	// u's end, which is u+1's first slot.
+	row := make([]int32, n+2)
+	for _, e := range g.edges {
+		row[e.U+2]++
+		row[e.V+2]++
 	}
-	idx := int32(0)
-	for u := 0; u < n; u++ {
-		c.row[u] = idx
-		for _, a := range g.adj[u] {
-			c.to[idx] = int32(a.To)
-			c.eid[idx] = int32(a.Edge)
-			idx++
-		}
+	for u := 2; u < n+2; u++ {
+		row[u] += row[u-1]
 	}
-	c.row[n] = idx
+	arcs := make([]Arc, 2*len(g.edges))
+	for id, e := range g.edges {
+		arcs[row[e.U+1]] = Arc{To: e.V, Edge: EdgeID(id)}
+		row[e.U+1]++
+		arcs[row[e.V+1]] = Arc{To: e.U, Edge: EdgeID(id)}
+		row[e.V+1]++
+	}
+	c := &csrLayout{nodes: n, edges: len(g.edges), row: row[:n+1], arcs: arcs}
 	g.csrCache.Store(c)
 	return c
 }

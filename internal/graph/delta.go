@@ -47,7 +47,7 @@ import (
 
 // deltaLayout is the per-cost-epoch arc partition: node u's light arcs
 // occupy lto/leid/lcost[lrow[u]:lrow[u+1]] and its heavy arcs the hrow
-// mirror, both preserving CSR (= insertion) order, with each arc's cost
+// mirror, both preserving CSR (= edge-id) order, with each arc's cost
 // copied inline. Arcs whose edge or endpoint is blocked (failed or
 // capacity-masked) are dropped at build time: every block transition
 // advances the cost epoch, so the epoch key covers them exactly like a
@@ -153,11 +153,11 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 		if fs.NodeFailed(NodeID(u)) {
 			continue
 		}
-		for i := c.row[u]; i < c.row[u+1]; i++ {
-			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(c.to[i]))) {
+		for _, arc := range c.arcs[c.row[u]:c.row[u+1]] {
+			if fs != nil && (fs.EdgeFailed(arc.Edge) || fs.NodeFailed(arc.To)) {
 				continue
 			}
-			cost := g.edges[c.eid[i]].Cost
+			cost := g.edges[arc.Edge].Cost
 			minCost = min(minCost, cost)
 			if cost <= d.delta {
 				nl++
@@ -186,15 +186,16 @@ func (g *Graph) buildDeltaLayout(epoch uint64) *deltaLayout {
 		if fs.NodeFailed(NodeID(u)) {
 			continue
 		}
-		for i := c.row[u]; i < c.row[u+1]; i++ {
-			if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(c.to[i]))) {
+		for _, arc := range c.arcs[c.row[u]:c.row[u+1]] {
+			if fs != nil && (fs.EdgeFailed(arc.Edge) || fs.NodeFailed(arc.To)) {
 				continue
 			}
-			if cost := g.edges[c.eid[i]].Cost; cost <= d.delta {
-				d.lto[nl], d.leid[nl], d.lcost[nl] = c.to[i], c.eid[i], cost
+			to, eid := int32(arc.To), int32(arc.Edge)
+			if cost := g.edges[arc.Edge].Cost; cost <= d.delta {
+				d.lto[nl], d.leid[nl], d.lcost[nl] = to, eid, cost
 				nl++
 			} else {
-				d.hto[nh], d.heid[nh], d.hcost[nh] = c.to[i], c.eid[i], cost
+				d.hto[nh], d.heid[nh], d.hcost[nh] = to, eid, cost
 				nh++
 			}
 		}

@@ -240,19 +240,19 @@ func settleHeap(g *Graph, ov *Overlay, in []bool, a *Arena, sp *ShortestPaths) {
 		u, du := h.Pop()
 		done[u] = gen
 		if int(u) < c.nodes {
-			for i := c.row[u]; i < c.row[u+1]; i++ {
-				v := c.to[i]
+			for _, arc := range c.arcs[c.row[u]:c.row[u+1]] {
+				v := arc.To
 				if done[v] == gen || in != nil && !in[v] {
 					continue
 				}
-				if fs != nil && (fs.EdgeFailed(EdgeID(c.eid[i])) || fs.NodeFailed(NodeID(v))) {
+				if fs != nil && (fs.EdgeFailed(arc.Edge) || fs.NodeFailed(v)) {
 					continue
 				}
-				nd := du + g.edges[c.eid[i]].Cost
+				nd := du + g.edges[arc.Edge].Cost
 				if nd < sp.Dist[v] {
 					sp.Dist[v] = nd
-					sp.ParentEdge[v] = EdgeID(c.eid[i])
-					h.Update(v, nd)
+					sp.ParentEdge[v] = arc.Edge
+					h.Update(int32(v), nd)
 				}
 			}
 		}

@@ -3,6 +3,8 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -184,6 +186,72 @@ func TestDijkstraConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestAdjConcurrentLazyBuild races the lazy CSR build behind Adj: on a
+// graph whose CSR was never built, and on one that grew after its CSR
+// was built, goroutines read Adj, Degree, FindEdge and Connected while
+// others run Dijkstra, all released at once. Every read must equal the
+// same read of an identical graph made sequentially.
+func TestAdjConcurrentLazyBuild(t *testing.T) {
+	grow := func(g *Graph) {
+		Dijkstra(g, 0)
+		n := g.AddSwitch("")
+		g.MustAddEdge(n, 0, 3)
+		g.MustAddEdge(n, 1, 0)
+		g.MustAddEdge(2, 1, 4)
+	}
+	for _, tc := range []struct {
+		name string
+		make func() *Graph
+	}{
+		{"fresh", func() *Graph { return randomMultigraph(17) }},
+		{"grown", func() *Graph { g := randomMultigraph(17); grow(g); return g }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, g := tc.make(), tc.make()
+			n := ref.NumNodes()
+			adj := adjSnapshot(ref)
+			trees := make([]*ShortestPaths, n)
+			for v := range trees {
+				trees[v] = Dijkstra(ref, NodeID(v))
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < n; i++ {
+						v := NodeID((w + i) % n)
+						if w%2 == 1 {
+							if !reflect.DeepEqual(Dijkstra(g, v), trees[v]) {
+								t.Errorf("Dijkstra from %d differs from the sequential run", v)
+								return
+							}
+							continue
+						}
+						u := NodeID((w * i) % n)
+						if got := g.Adj(v); !slices.Equal(got, adj[v]) || g.Degree(v) != len(adj[v]) {
+							t.Errorf("node %d: Adj %v, Degree %d; want %v", v, got, g.Degree(v), adj[v])
+							return
+						}
+						if got, want := g.FindEdge(v, u), ref.FindEdge(v, u); got != want {
+							t.Errorf("FindEdge(%d, %d) = %d, want %d", v, u, got, want)
+							return
+						}
+						if !g.Connected() {
+							t.Error("Connected = false on a connected graph")
+							return
+						}
+					}
+				}(w)
+			}
+			close(start)
+			wg.Wait()
+		})
+	}
 }
 
 // TestCSRRebuildAfterGrowth mutates topology after the CSR view exists

@@ -93,18 +93,23 @@ type Arc struct {
 
 // Graph is an undirected multigraph with costed nodes and edges.
 // The zero value is an empty graph ready to use.
+//
+// The node and edge tables are the graph. Its adjacency is derived from
+// the edge table alone, as a compressed-sparse-row layout built on first
+// read and after topology growth (see csr.go), so a graph keeps one copy
+// of its topology, which its readers and its shortest-path runs share.
 type Graph struct {
 	nodes []Node
 	edges []Edge
-	adj   [][]Arc
 	// epoch counts cost generations: it advances whenever a node or edge
 	// cost actually changes (or on an explicit BumpCostEpoch), so caches
 	// keyed by it can tell stale derived state from fresh without being
 	// dropped eagerly. Topology is immutable after construction, so the
 	// epoch fully identifies the cost surface.
 	epoch atomic.Uint64
-	// csrCache is the lazily built flat adjacency view used by the
-	// shortest-path hot loops; csrMu serializes (re)builds. See csr.go.
+	// csrCache is the lazily built adjacency that Adj and the
+	// shortest-path hot loops read; csrMu serializes (re)builds. See
+	// csr.go.
 	csrCache atomic.Pointer[csrLayout]
 	csrMu    sync.Mutex
 	// deltaCache memoizes the delta-stepping light/heavy arc partition per
@@ -126,7 +131,6 @@ func New(nodeHint, edgeHint int) *Graph {
 	return &Graph{
 		nodes: make([]Node, 0, nodeHint),
 		edges: make([]Edge, 0, edgeHint),
-		adj:   make([][]Arc, 0, nodeHint),
 	}
 }
 
@@ -149,7 +153,6 @@ func (g *Graph) AddVM(name string, cost float64) NodeID {
 func (g *Graph) addNode(n Node) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, n)
-	g.adj = append(g.adj, nil)
 	return id
 }
 
@@ -167,8 +170,6 @@ func (g *Graph) AddEdge(u, v NodeID, cost float64) (EdgeID, error) {
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v, Cost: cost})
-	g.adj[u] = append(g.adj[u], Arc{To: v, Edge: id})
-	g.adj[v] = append(g.adj[v], Arc{To: u, Edge: id})
 	return id, nil
 }
 
@@ -239,12 +240,19 @@ func (g *Graph) CostEpoch() uint64 { return g.epoch.Load() }
 // changed, so RepairTree rebuilds no tree across it.
 func (g *Graph) BumpCostEpoch() { g.bump(changeUnknown, -1) }
 
-// Adj returns the adjacency list of n. The returned slice must not be
-// modified by the caller.
-func (g *Graph) Adj(n NodeID) []Arc { return g.adj[n] }
+// Adj returns the arcs of n, in edge-id order: the order AddEdge added
+// them. The slice is a capacity-clipped view of the graph's adjacency
+// and must not be modified by the caller. The first read after the
+// topology grew rebuilds the adjacency, so interleaving reads with
+// AddEdge while a graph is built costs a rebuild per read.
+func (g *Graph) Adj(n NodeID) []Arc {
+	c := g.csr()
+	lo, hi := c.row[n], c.row[n+1]
+	return c.arcs[lo:hi:hi]
+}
 
 // Degree returns the number of incident edges of n.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
+func (g *Graph) Degree(n NodeID) int { return len(g.Adj(n)) }
 
 // IsVM reports whether n is a VM node.
 func (g *Graph) IsVM(n NodeID) bool { return g.nodes[n].Kind == KindVM }
@@ -276,7 +284,7 @@ func (g *Graph) Switches() []NodeID {
 func (g *Graph) FindEdge(u, v NodeID) EdgeID {
 	best := NoEdge
 	bestCost := math.Inf(1)
-	for _, a := range g.adj[u] {
+	for _, a := range g.Adj(u) {
 		if a.To == v && g.edges[a.Edge].Cost < bestCost {
 			best = a.Edge
 			bestCost = g.edges[a.Edge].Cost
@@ -286,22 +294,16 @@ func (g *Graph) FindEdge(u, v NodeID) EdgeID {
 }
 
 // Clone returns an independent copy of g: no mutation of either graph is
-// visible in the other. No library code calls it: SOFDA's auxiliary graph
-// is an Overlay on the live network. It is kept for the session
-// benchmark's clone probe and as the tests' reference construction of
-// that auxiliary graph.
+// visible in the other. It copies the node and edge tables and shares
+// the immutable block snapshots; the clone derives its own adjacency on
+// first read. No library code calls it: SOFDA's auxiliary graph is an
+// Overlay on the live network. It is kept for the session benchmark's
+// clone probe and as the tests' reference construction of that
+// auxiliary graph.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{
 		nodes: append([]Node(nil), g.nodes...),
 		edges: append([]Edge(nil), g.edges...),
-		adj:   make([][]Arc, len(g.adj)),
-	}
-	// Adjacency slices are shared, capacity-clipped, instead of copied:
-	// arcs are only ever appended (AddEdge), and an append to a slice
-	// with no spare capacity reallocates, so the clone's new arcs land in
-	// its own copy, and g's land past the end the clone can see.
-	for i, a := range g.adj {
-		out.adj[i] = a[:len(a):len(a)]
 	}
 	out.epoch.Store(g.epoch.Load())
 	// The clone's log starts empty at its epoch: none of g's history may
@@ -332,7 +334,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, a := range g.adj[n] {
+		for _, a := range g.Adj(n) {
 			if !seen[a.To] {
 				seen[a.To] = true
 				count++
@@ -356,13 +358,11 @@ func (g *Graph) TotalEdgeCost() float64 {
 // it must be nonnegative and finite.
 func ValidCost(cost float64) bool { return cost >= 0 && !math.IsInf(cost, 1) }
 
-// Validate checks internal consistency and cost sanity. It is intended for
-// tests and for validating generated topologies.
+// Validate checks the edge table's endpoints and the cost sanity of every
+// node and edge. The adjacency is derived from the edge table, so it
+// cannot disagree with it. Validate is intended for tests and for
+// validating generated topologies.
 func (g *Graph) Validate() error {
-	if len(g.adj) != len(g.nodes) {
-		return fmt.Errorf("graph: adjacency size %d != node count %d", len(g.adj), len(g.nodes))
-	}
-	deg := make([]int, len(g.nodes))
 	for i, e := range g.edges {
 		if !g.Valid(e.U) || !g.Valid(e.V) {
 			return fmt.Errorf("graph: edge %d has bad endpoints (%d,%d)", i, e.U, e.V)
@@ -370,8 +370,6 @@ func (g *Graph) Validate() error {
 		if !ValidCost(e.Cost) {
 			return fmt.Errorf("graph: edge %d has bad cost %v", i, e.Cost)
 		}
-		deg[e.U]++
-		deg[e.V]++
 	}
 	for i, n := range g.nodes {
 		if n.Kind == KindSwitch && n.Cost != 0 {
@@ -379,18 +377,6 @@ func (g *Graph) Validate() error {
 		}
 		if !ValidCost(n.Cost) {
 			return fmt.Errorf("graph: node %d has bad cost %v", i, n.Cost)
-		}
-		if len(g.adj[i]) != deg[i] {
-			return fmt.Errorf("graph: node %d adjacency length %d != degree %d", i, len(g.adj[i]), deg[i])
-		}
-		for _, a := range g.adj[i] {
-			if !g.ValidEdge(a.Edge) {
-				return fmt.Errorf("graph: node %d references bad edge %d", i, a.Edge)
-			}
-			e := g.edges[a.Edge]
-			if e.Other(NodeID(i)) != a.To {
-				return fmt.Errorf("graph: node %d arc to %d does not match edge %d endpoints", i, a.To, a.Edge)
-			}
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -273,11 +275,60 @@ func TestMetricClosureTriangleInequality(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCorruption covers every rejection of Validate, each
+// on its own copy of the diamond and with its own message: edge tables
+// corrupted behind AddEdge's checks, the +Inf edge cost SetEdgeCost
+// accepts, a costed switch, and the VM costs AddVM does not check.
 func TestValidateCatchesCorruption(t *testing.T) {
-	g := buildDiamond(t)
-	g.nodes[0].Cost = 3 // switch with nonzero cost
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate should reject switch with nonzero cost")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(g *Graph)
+		want    string
+	}{
+		{"endpoint past the nodes", func(g *Graph) { g.edges[2].V = 9 }, "graph: edge 2 has bad endpoints (1,9)"},
+		{"negative endpoint", func(g *Graph) { g.edges[0].U = -1 }, "graph: edge 0 has bad endpoints (-1,1)"},
+		{"negative edge cost", func(g *Graph) { g.edges[1].Cost = -1 }, "graph: edge 1 has bad cost -1"},
+		{"NaN edge cost", func(g *Graph) { g.edges[1].Cost = math.NaN() }, "graph: edge 1 has bad cost NaN"},
+		{"+Inf edge cost", func(g *Graph) { g.SetEdgeCost(3, math.Inf(1)) }, "graph: edge 3 has bad cost +Inf"},
+		{"costed switch", func(g *Graph) { g.nodes[0].Cost = 3 }, "graph: switch 0 has nonzero cost 3"},
+		{"NaN VM cost", func(g *Graph) { g.AddVM("nan", math.NaN()) }, "graph: node 4 has bad cost NaN"},
+		{"+Inf VM cost", func(g *Graph) { g.AddVM("inf", math.Inf(1)) }, "graph: node 4 has bad cost +Inf"},
+	} {
+		g := buildDiamond(t)
+		tc.corrupt(g)
+		if err := g.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestAdjMatchesEdgeTable pins the adjacency derived from the edge table
+// to per-node lists appended edge by edge, as AddEdge adds them: every
+// node's arcs in edge-id order, on random multigraphs read while they
+// grow and once grown.
+func TestAdjMatchesEdgeTable(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := New(0, 0)
+		var want [][]Arc
+		for k := 0; k < 200; k++ {
+			if len(want) < 2 || rng.Intn(4) == 0 {
+				g.AddSwitch("")
+				want = append(want, nil)
+				continue
+			}
+			u, v := NodeID(rng.Intn(len(want))), NodeID(rng.Intn(len(want)))
+			if u == v {
+				continue
+			}
+			id := g.MustAddEdge(u, v, float64(rng.Intn(5)))
+			want[u] = append(want[u], Arc{To: v, Edge: id})
+			want[v] = append(want[v], Arc{To: u, Edge: id})
+			if rng.Intn(16) == 0 {
+				checkAdj(t, fmt.Sprintf("seed %d, step %d", seed, k), g, want)
+			}
+		}
+		checkAdj(t, fmt.Sprintf("seed %d", seed), g, want)
 	}
 }
 

@@ -15,10 +15,11 @@ import (
 //
 // Appended elements take the ids a Clone of the base would give them:
 // node n0+i and edge m0+j, in call order, where n0 and m0 are the base's
-// counts. A base node's arcs are its base arcs followed by its appended
-// arcs; an appended node's arcs are in insertion order. So the overlay
-// keeps the clone's node ids, edge ids and arc order, and a run over it
-// settles exactly as the same run over the clone.
+// counts. A graph's arcs are in edge-id order, so a base node's arcs are
+// its base arcs followed by its appended arcs in insertion order, and an
+// appended node's arcs are in insertion order. So the overlay keeps the
+// clone's node ids, edge ids and arc order, and a run over it settles
+// exactly as the same run over the clone.
 //
 // An overlay's own state is sized to what it appends, not to the base.
 // Appended edge j is seen from its U end as arc 2j and from its V end as
@@ -28,7 +29,7 @@ import (
 // base node and a sorted list.
 //
 // The base is only read. Runs read its live edge costs, load its blocked
-// snapshot when they start, and reuse its CSR view; appended elements
+// snapshot when they start, and reuse its adjacency; appended elements
 // are never blocked, and appended nodes are unnamed zero-cost switches.
 // The base's topology must not grow while the overlay is in use: a run
 // after it grew panics.

@@ -258,10 +258,10 @@ func (a *Arena) repair(g *Graph, lay *deltaLayout, fs *FailState, base *Shortest
 			return nil
 		}
 		y := inv[i]
-		for j := c.row[y]; j < c.row[y+1]; j++ {
-			if w := c.to[j]; base.ParentEdge[w] == EdgeID(c.eid[j]) && invalid[w] != gen {
+		for _, arc := range c.arcs[c.row[y]:c.row[y+1]] {
+			if w := arc.To; base.ParentEdge[w] == arc.Edge && invalid[w] != gen {
 				invalid[w] = gen
-				inv = append(inv, w)
+				inv = append(inv, int32(w))
 			}
 		}
 	}

@@ -178,18 +178,19 @@ func Cogent(cfg Config) *Network {
 	// Hub ring (40 links) + 8 long-haul chords: the Cogent backbone is
 	// geographically stretched, so the ring dominates and inter-region
 	// distances are long.
+	linked := pairSet{}
 	for i := 0; i < hubs; i++ {
-		g.MustAddEdge(hubIDs[i], hubIDs[(i+1)%hubs], 1)
+		linked.link(g, hubIDs[i], hubIDs[(i+1)%hubs])
 	}
 	structRNG := rand.New(rand.NewSource(42)) // fixed: topology is static
 	chords := 0
 	for chords < 8 {
 		a := structRNG.Intn(hubs)
 		b := (a + hubs/4 + structRNG.Intn(hubs/2)) % hubs
-		if a == b || g.FindEdge(hubIDs[a], hubIDs[b]) != graph.NoEdge {
+		if a == b || linked.has(hubIDs[a], hubIDs[b]) {
 			continue
 		}
-		g.MustAddEdge(hubIDs[a], hubIDs[b], 1)
+		linked.link(g, hubIDs[a], hubIDs[b])
 		chords++
 	}
 	// Access clusters: 150 nodes, each linked to its hub (150 links), plus
@@ -201,7 +202,7 @@ func Cogent(cfg Config) *Network {
 		id := g.AddSwitch(fmt.Sprintf("acc%03d@hub%02d", i, hub))
 		accNodes = append(accNodes, id)
 		access = append(access, id)
-		g.MustAddEdge(hubIDs[hub], id, 1)
+		linked.link(g, hubIDs[hub], id)
 	}
 	cross := 0
 	for cross < 62 {
@@ -209,10 +210,10 @@ func Cogent(cfg Config) *Network {
 		// Partner within the same or a neighbouring region to keep the
 		// backbone geographically long.
 		j := (i + hubs*structRNG.Intn(2) + 1) % accessPer
-		if i == j || g.FindEdge(accNodes[i], accNodes[j]) != graph.NoEdge {
+		if i == j || linked.has(accNodes[i], accNodes[j]) {
 			continue
 		}
-		g.MustAddEdge(accNodes[i], accNodes[j], 1)
+		linked.link(g, accNodes[i], accNodes[j])
 		cross++
 	}
 	return build(g, access, dcs, cfg)
@@ -232,6 +233,7 @@ func Inet(nodes, links, numDCs int, cfg Config) (*Network, error) {
 		access[i] = g.AddSwitch(fmt.Sprintf("n%d", i))
 	}
 	degree := make([]int, nodes)
+	linked := make(pairSet, links)
 	// Spanning tree with preferential attachment: node i connects to an
 	// earlier node chosen proportionally to degree+1, producing the
 	// heavy-tailed degrees Inet targets.
@@ -247,7 +249,7 @@ func Inet(nodes, links, numDCs int, cfg Config) (*Network, error) {
 				break
 			}
 		}
-		g.MustAddEdge(access[i], access[j], 1)
+		linked.link(g, access[i], access[j])
 		degree[i]++
 		degree[j]++
 		totalWeight += 3 // new node weight 1 + two degree increments
@@ -265,10 +267,10 @@ func Inet(nodes, links, numDCs int, cfg Config) (*Network, error) {
 				break
 			}
 		}
-		if a == b || g.FindEdge(access[a], access[b]) != graph.NoEdge {
+		if a == b || linked.has(access[a], access[b]) {
 			continue
 		}
-		g.MustAddEdge(access[a], access[b], 1)
+		linked.link(g, access[a], access[b])
 		degree[a]++
 		degree[b]++
 	}
@@ -292,6 +294,23 @@ func Inet(nodes, links, numDCs int, cfg Config) (*Network, error) {
 		dcs[i] = byDeg[i].id
 	}
 	return build(g, access, dcs, cfg), nil
+}
+
+// pairSet holds the node pairs a generator linked, each once whatever
+// its order, so the generator can skip a linked pair without reading the
+// graph it is still building: a read of a growing graph's adjacency
+// rebuilds it.
+type pairSet map[[2]graph.NodeID]bool
+
+// link adds a unit-cost link between u and v to g and records the pair.
+func (s pairSet) link(g *graph.Graph, u, v graph.NodeID) {
+	g.MustAddEdge(u, v, 1)
+	s[[2]graph.NodeID{min(u, v), max(u, v)}] = true
+}
+
+// has reports whether u and v were linked.
+func (s pairSet) has(u, v graph.NodeID) bool {
+	return s[[2]graph.NodeID{min(u, v), max(u, v)}]
 }
 
 // testbedLinks is the 14-node/20-link experimental SDN of Figure 13
